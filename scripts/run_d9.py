@@ -17,12 +17,9 @@ def main() -> int:
     ap.add_argument("--m", type=int, default=2)
     ap.add_argument("--n", type=int, default=2)
     ap.add_argument("--field-degree", type=int, default=1)
-    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
-    result = search_group(
-        args.p, args.m, args.n, args.field_degree, workers=args.workers
-    )
+    result = search_group(args.p, args.m, args.n, args.field_degree)
     for line in result.to_json_lines():
         print(line)
 

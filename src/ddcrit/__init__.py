@@ -35,7 +35,6 @@ from .planner import (
 from .poly import (
     LaurentPoly,
     Poly,
-    RationalFunction,
     elementary_symmetric,
     mu_m_orbit_reps,
     roots_in_splitting_field,

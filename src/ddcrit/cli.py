@@ -67,8 +67,13 @@ def parse_laurent(spec, text: str) -> LaurentPoly:
 
 
 def parse_poly(spec, text: str) -> Poly:
-    coeffs = [spec.element_by_index(int(c) % spec.order) for c in text.split(",")]
-    return Poly(spec, coeffs)
+    """Parse ascending element indices like ``1,0,2``; each must lie in
+    [0, q) for the field of order q."""
+    indices = [int(c) for c in text.split(",")]
+    for index in indices:
+        if not 0 <= index < spec.order:
+            raise ValueError(f"element index {index} outside [0, {spec.order})")
+    return Poly(spec, [spec.element_by_index(i) for i in indices])
 
 
 def _dump(obj, compact: bool) -> str:
@@ -96,7 +101,6 @@ def _cmd_search(args) -> tuple[object, int]:
         args.field_degree,
         require_isolated=args.isolated,
         budget_seconds=args.budget,
-        workers=args.workers,
     )
     if isinstance(result, NotFound):
         return result.to_json(), 1
@@ -192,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--field-degree", type=int, default=1)
     search.add_argument("--isolated", action="store_true")
     search.add_argument("--budget", type=float, default=None)
-    search.add_argument("--workers", type=int, default=1)
     search.set_defaults(fn=_cmd_search)
 
     plan = subs.add_parser("plan", help="quadruples, profiles and radii")

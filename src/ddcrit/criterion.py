@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 from .cartier import Quadruple, ddc_check, validate_shape
 from .errors import (
+    DdcritError,
+    NonSquareSystem,
     NotDescending,
     NotSquarefree,
     ReconstructionMismatch,
@@ -19,8 +21,6 @@ from .errors import (
 from .gf import FieldElement, FieldSpec, make_field, root_of_unity
 from .poly import (
     Poly,
-    RationalFunction,
-    embed,
     embed_poly,
     mu_m_orbit_reps,
     roots_in_splitting_field,
@@ -144,7 +144,10 @@ def isolation_check(rd: ResidueData):
     if n == 0:
         return [], spec.one(), True
     if len(exps) != n:
-        raise AssertionError("power-sum system is not square for this quadruple")
+        raise NonSquareSystem(
+            f"power-sum system is not square for {q}: {len(exps)} exponents, "
+            f"{n} orbit representatives"
+        )
     matrix = [
         [x ** (e - 1) * (a * e) for x, a in zip(rd.reps, rd.residues)]
         for e in exps
@@ -179,6 +182,11 @@ def reconstruct_f(rd: ResidueData) -> Poly:
     g = prod_{j,l} (1 - zeta_m^-l x_j t^-1)^(lift(zeta_m^-l a_j)), subtract
     u * sum_s t^(-u p^s - 1) dt, and invert eta = dt/(f t^(u~+1)).
 
+    With c running over the zeta_m^-l x_j of nonzero lift e_c,
+    dg/g = sum_c e_c/(t - c) - (sum_c e_c)/t, so over P = prod_c (t - c)
+    eta t^(u~+1) = N/P with N = t^(u~+1) S - ((sum_c e_c) t^u~ + T) P,
+    S = sum_c e_c P/(t - c) and T/t^(u~+1) the subtracted tail; f = P/N.
+
     The result is independent of the integer lifts chosen for the exponents;
     shape failures raise ReconstructionMismatch."""
     q = rd.quadruple
@@ -192,17 +200,19 @@ def reconstruct_f(rd: ResidueData) -> Poly:
         return f
     zeta = root_of_unity(spec, q.m)
     t = Poly.x(spec)
-    dg_over_g = RationalFunction(Poly.zero(spec), Poly.one(spec))
+    factors = []  # (t - c, e_c) for each c = zeta_m^-l x_j with e_c != 0
     for x, a in zip(rd.reps, rd.residues):
         for ell in range(1, q.m + 1):
-            c = zeta ** (-ell) * x
-            exponent = (zeta ** (-ell) * a).prime_int()
-            if exponent == 0:
-                continue
-            # lift(zeta^-l a_j) * c / (t (t - c))
-            num = Poly(spec, [c * exponent])
-            den = t * (t - Poly(spec, [c]))
-            dg_over_g = dg_over_g + RationalFunction(num, den)
+            z = zeta ** (-ell)
+            exponent = (z * a).prime_int()
+            if exponent:
+                factors.append((t - Poly(spec, [z * x]), exponent))
+    big_p = Poly.one(spec)
+    for linear, _ in factors:
+        big_p = big_p * linear
+    big_s = Poly.zero(spec)
+    for linear, exponent in factors:
+        big_s = big_s + (big_p // linear) * spec.from_int(exponent)
     # u * sum_s t^(-u p^s - 1) = u * (sum_s t^(u~ - u p^s)) / t^(u~ + 1)
     tail_coeffs = {}
     for s in range(q.nu + 1):
@@ -211,21 +221,22 @@ def reconstruct_f(rd: ResidueData) -> Poly:
     tail_num = Poly.from_ints(
         spec, [tail_coeffs.get(i, 0) for i in range(q.u_tilde + 1)]
     )
-    t_pow = Poly(spec, [spec.zero()] * (q.u_tilde + 1) + [spec.one()])
-    eta = dg_over_g - RationalFunction(tail_num, t_pow)
-    f_rf = (eta * RationalFunction.from_poly(t_pow)).inverse()
-    f = f_rf.as_poly()
-    if f is None:
+    t_pow = t ** q.u_tilde
+    total = spec.from_int(sum(exponent for _, exponent in factors))
+    big_n = t_pow * t * big_s - (t_pow * total + tail_num) * big_p
+    f, rem = big_p.divmod(big_n)
+    if rem:
         raise ReconstructionMismatch("reconstructed f is not a polynomial")
     if spec.k > 1 and all(c**q.p == c for c in f.coeffs):
         # descend to the prime field so round trips are literal identities
         prime = make_field(q.p, 1)
         f = f.map_coeffs(lambda c: prime.from_int(c.coeffs[0]), prime)
     try:
-        if not ddc_check(q, f):
-            raise ReconstructionMismatch("reconstructed f fails the criterion")
-    except Exception as exc:
+        ok = ddc_check(q, f)
+    except DdcritError as exc:  # shape validation
         raise ReconstructionMismatch(f"reconstructed f has bad shape: {exc}") from exc
+    if not ok:
+        raise ReconstructionMismatch("reconstructed f fails the criterion")
     return f
 
 

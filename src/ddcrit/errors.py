@@ -70,6 +70,11 @@ class ReconstructionMismatch(DdcritError):
     pass
 
 
+class NonSquareSystem(DdcritError):
+    """The power-sum system has a different number of exponents than orbit
+    representatives, so the isolation determinant is undefined."""
+
+
 class NotDescending(DdcritError):
     pass
 
@@ -104,3 +109,7 @@ class EssentialRamification(DdcritError):
 
 class BadCongruence(DdcritError):
     pass
+
+
+class InconsistentRadii(DdcritError):
+    """Internal error: lifting radii out of their required order."""

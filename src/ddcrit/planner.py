@@ -8,7 +8,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cartier import Quadruple
-from .errors import BadCongruence, EssentialRamification, InvalidQuadruple
+from .errors import (
+    BadCongruence,
+    EssentialRamification,
+    InconsistentRadii,
+    InvalidQuadruple,
+)
 from .witt import JumpProfile
 
 
@@ -25,10 +30,13 @@ class RadiiReport:
     delta_hub: Fraction
 
     def __post_init__(self):
-        if self.n2 > 0:
-            assert self.r_n < self.r_hub < self.r_crit
-        else:
-            assert self.r_hub == 0
+        if self.n2 > 0 and not self.r_n < self.r_hub < self.r_crit:
+            raise InconsistentRadii(
+                f"r_n, r_hub, r_crit = {self.r_n}, {self.r_hub}, {self.r_crit} "
+                "are not increasing"
+            )
+        if self.n2 <= 0 and self.r_hub != 0:
+            raise InconsistentRadii(f"r_hub = {self.r_hub} with n2 = {self.n2}")
 
     def to_json(self):
         return {

@@ -1,6 +1,6 @@
-"""Exact univariate polynomial, Laurent polynomial and rational-function
-arithmetic over an explicit finite field, with factorization and deterministic
-root extraction into a single splitting field.
+"""Exact univariate polynomial and Laurent polynomial arithmetic over an
+explicit finite field, with factorization and deterministic root extraction
+into a single splitting field.
 
 All randomness in equal-degree splitting is replaced by a counter-based
 candidate sequence, so results are bit-for-bit reproducible.
@@ -579,79 +579,3 @@ class LaurentPoly:
 
     def to_json(self):
         return {"low": self.low, "coeffs": [c.to_json() for c in self.coeffs]}
-
-
-# -- rational functions ------------------------------------------------------
-
-
-class RationalFunction:
-    """Quotient of polynomials in lowest terms with monic denominator."""
-
-    __slots__ = ("numerator", "denominator")
-
-    def __init__(self, numerator: Poly, denominator: Poly):
-        if not denominator:
-            raise ZeroDivisionError("zero denominator")
-        g = numerator.gcd(denominator)
-        if g.degree > 0:
-            numerator = numerator // g
-            denominator = denominator // g
-        lead = denominator.coeffs[-1]
-        if lead != denominator.spec.one():
-            inv = lead.inverse()
-            numerator = numerator * inv
-            denominator = denominator * inv
-        self.numerator = numerator
-        self.denominator = denominator
-
-    @classmethod
-    def from_poly(cls, f: Poly):
-        return cls(f, Poly.one(f.spec))
-
-    @property
-    def spec(self):
-        return self.denominator.spec
-
-    def __bool__(self):
-        return bool(self.numerator)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalFunction)
-            and self.numerator == other.numerator
-            and self.denominator == other.denominator
-        )
-
-    def __repr__(self):
-        return f"({self.numerator!r})/({self.denominator!r})"
-
-    def __add__(self, other):
-        return RationalFunction(
-            self.numerator * other.denominator + other.numerator * self.denominator,
-            self.denominator * other.denominator,
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return RationalFunction(-self.numerator, self.denominator)
-
-    def __mul__(self, other):
-        return RationalFunction(
-            self.numerator * other.numerator, self.denominator * other.denominator
-        )
-
-    def inverse(self):
-        if not self.numerator:
-            raise ZeroDivisionError("inverse of zero rational function")
-        return RationalFunction(self.denominator, self.numerator)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def as_poly(self) -> Poly | None:
-        """The underlying polynomial, or None if the denominator is not 1."""
-        if self.denominator.degree == 0:
-            return self.numerator
-        return None

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .cartier import Quadruple, ddc_check
@@ -17,7 +16,6 @@ from .planner import quadruples_for_group
 from .poly import Poly
 
 MAX_FIELD_DEGREE = 8
-CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -88,11 +86,10 @@ def brute_search(
     field_degree: int,
     require_isolated: bool = False,
     budget_seconds: float | None = None,
-    workers: int = 1,
 ):
     """First witness for q over F_{p^field_degree} in deterministic candidate
-    order, or NotFound.  The winner is the least candidate index regardless of
-    worker count; a budget overrun aborts cleanly with complete=False."""
+    order, or NotFound.  The budget is checked before every candidate; an
+    overrun aborts cleanly with complete=False."""
     if not 1 <= field_degree <= MAX_FIELD_DEGREE:
         raise ValueError(f"field degree must be in [1, {MAX_FIELD_DEGREE}]")
     spec = make_field(q.p, field_degree)
@@ -100,56 +97,15 @@ def brute_search(
     deadline = (
         time.monotonic() + budget_seconds if budget_seconds is not None else None
     )
-
-    def scan(start: int, stop: int) -> int | None:
-        for i in range(start, stop):
-            f = _candidate(q, spec, i)
-            if ddc_check(q, f):
-                return i
-        return None
-
-    tried = 0
-    start = 0
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        while start < total:
-            if deadline is not None and time.monotonic() > deadline:
-                return NotFound(q, field_degree, require_isolated, tried, False)
-            stop = min(start + CHUNK * max(1, workers), total)
-            if pool is None:
-                hits = [scan(start, stop)]
-            else:
-                bounds = list(range(start, stop, CHUNK)) + [stop]
-                hits = list(
-                    pool.map(scan, bounds[:-1], bounds[1:])
-                )
-            hits = [h for h in hits if h is not None]
-            if hits:
-                # least-index reduction keeps the result order-deterministic
-                winner = min(hits)
-                for i in range(start, stop):
-                    if i > winner:
-                        break
-                    f = _candidate(q, spec, i)
-                    if not ddc_check(q, f):
-                        continue
-                    cert = certify(q, f)
-                    if _passes(cert, require_isolated):
-                        return cert
-                # every ddc hit up to the chunk end may still fail isolation;
-                # recheck the remainder of the chunk sequentially
-                for i in range(max(winner + 1, start), stop):
-                    f = _candidate(q, spec, i)
-                    if ddc_check(q, f):
-                        cert = certify(q, f)
-                        if _passes(cert, require_isolated):
-                            return cert
-            tried += stop - start
-            start = stop
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    return NotFound(q, field_degree, require_isolated, tried, True)
+    for i in range(total):
+        if deadline is not None and time.monotonic() > deadline:
+            return NotFound(q, field_degree, require_isolated, i, False)
+        f = _candidate(q, spec, i)
+        if ddc_check(q, f):
+            cert = certify(q, f)
+            if _passes(cert, require_isolated):
+                return cert
+    return NotFound(q, field_degree, require_isolated, total, True)
 
 
 @dataclass(frozen=True)
@@ -199,7 +155,6 @@ def search_group(
     field_degree: int,
     require_isolated: bool = True,
     budget_seconds: float | None = None,
-    workers: int = 1,
 ) -> GroupSearchResult:
     """Certify every quadruple the group Z/p^n x| Z/m requires, trying the
     closed-form families before the brute-force enumeration."""
@@ -213,7 +168,6 @@ def search_group(
                 field_degree,
                 require_isolated=require_isolated,
                 budget_seconds=budget_seconds,
-                workers=workers,
             )
         if isinstance(cert, NotFound):
             complete = False

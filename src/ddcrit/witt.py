@@ -1,8 +1,8 @@
 """Truncated p-typical Witt vectors over Laurent-polynomial rings.
 
 Addition polynomials are computed once per (p, n) by the ghost-component
-recursion over exact rationals (sympy), the integrality of the result is
-asserted, and the mod-p reductions are cached.  Everything downstream —
+recursion over the integers, every division by p^i is checked to be exact,
+and the mod-p reductions are cached.  Everything downstream —
 Frobenius, the isogeny wp = F - id, standard-form reduction, upper
 ramification breaks, the congruence/KGB tests and jump reduction — is exact
 arithmetic over an explicit finite field.
@@ -13,8 +13,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from math import lcm
-
-import sympy
 
 from .errors import (
     ExtensionCapExceeded,
@@ -71,38 +69,67 @@ def witt_sum_polys(p: int, n: int, max_level: int = MAX_LEVEL):
 
     Each S_i is returned as a tuple of terms (c, xe, ye) with integer
     coefficient c in (0, p) and exponent vectors xe, ye of length n, so that
-    S_i = sum c * prod X_j^xe_j * prod Y_j^ye_j over F_p.
+    S_i = sum c * prod X_j^xe_j * prod Y_j^ye_j over F_p.  Terms are sorted by
+    the monomial (xe + ye), descending.
 
     The recursion S_i = (w_i(X) + w_i(Y) - sum_{j<i} p^j S_j^{p^{i-j}}) / p^i
-    runs over exact rationals; every coefficient is asserted integral before
-    reduction mod p.
+    runs over the integers, with polynomials as dicts from exponent vectors
+    (x_0..x_{n-1}, y_0..y_{n-1}) to coefficients; every division by p^i is
+    checked to be exact before reduction mod p.
     """
     if n > max_level:
         raise LevelTooHigh(f"truncation level {n} exceeds the cap {max_level}")
     if n < 1:
         raise ValueError("truncation level must be >= 1")
-    xs = sympy.symbols(f"x0:{n}")
-    ys = sympy.symbols(f"y0:{n}")
+    width = 2 * n
 
-    def ghost(vs, i):
-        return sum(p**j * vs[j] ** (p ** (i - j)) for j in range(i + 1))
+    def monomial(var: int, e: int) -> tuple[int, ...]:
+        return tuple(e if k == var else 0 for k in range(width))
 
-    exact: list = []
+    def mul(a: dict, b: dict) -> dict:
+        out: dict = {}
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                out[e] = out.get(e, 0) + ca * cb
+        return out
+
+    def power(a: dict, e: int) -> dict:
+        result, base = {(0,) * width: 1}, a
+        while e:
+            if e & 1:
+                result = mul(result, base)
+            e >>= 1
+            if e:
+                base = mul(base, base)
+        return result
+
+    exact: list[dict] = []
     reduced = []
     for i in range(n):
-        expr = ghost(xs, i) + ghost(ys, i)
-        expr -= sum(p**j * exact[j] ** (p ** (i - j)) for j in range(i))
-        expr = sympy.expand(expr) / p**i
-        poly = sympy.Poly(sympy.expand(expr), *xs, *ys)
-        terms = []
-        for monom, coeff in poly.terms():
-            if not coeff.is_integer:
+        acc: dict = {}
+        for j in range(i + 1):
+            for var in (j, n + j):  # w_i(X) + w_i(Y)
+                mono = monomial(var, p ** (i - j))
+                acc[mono] = acc.get(mono, 0) + p**j
+        for j in range(i):
+            for mono, c in power(exact[j], p ** (i - j)).items():
+                acc[mono] = acc.get(mono, 0) - p**j * c
+        s_i = {}
+        for mono, c in acc.items():
+            quot, rem = divmod(c, p**i)
+            if rem:
                 raise AssertionError("ghost recursion produced a non-integer")
-            c = int(coeff) % p
-            if c:
-                terms.append((c, tuple(monom[:n]), tuple(monom[n:])))
-        exact.append(poly.as_expr())
-        reduced.append(tuple(terms))
+            if quot:
+                s_i[mono] = quot
+        exact.append(s_i)
+        reduced.append(
+            tuple(
+                (c % p, mono[:n], mono[n:])
+                for mono, c in sorted(s_i.items(), reverse=True)
+                if c % p
+            )
+        )
     return tuple(reduced)
 
 
@@ -294,7 +321,8 @@ def standard_form(
             corr_vec = _single_slot(spec, n, i, corr)
             work = witt_sub(work, wp(corr_vec))
             g = witt_add(g, corr_vec)
-    assert is_standard(work)
+    if not is_standard(work):
+        raise NotStandardForm("standard-form reduction left a non-standard term")
     return StandardFormResult(work, work.spec.k // base_k, g)
 
 

@@ -1,0 +1,165 @@
+"""Reference implementations kept as test oracles for library code that
+was replaced by a simpler exact path:
+
+- ``RationalFunction`` and ``reconstruct_f_reference``: f rebuilt from residue
+  data by summing reduced rational functions (one gcd per addition), the
+  oracle for ``ddcrit.criterion.reconstruct_f``;
+- ``sympy_witt_sum_polys``: the ghost-component recursion over sympy
+  rationals, the oracle for ``ddcrit.witt.witt_sum_polys``.  It needs sympy;
+  callers skip with ``pytest.importorskip("sympy")``.
+"""
+
+from __future__ import annotations
+
+from ddcrit.cartier import ddc_check
+from ddcrit.criterion import ResidueData
+from ddcrit.errors import ReconstructionMismatch
+from ddcrit.gf import make_field, root_of_unity
+from ddcrit.poly import Poly
+
+
+class RationalFunction:
+    """Quotient of polynomials in lowest terms with monic denominator."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: Poly, denominator: Poly):
+        if not denominator:
+            raise ZeroDivisionError("zero denominator")
+        g = numerator.gcd(denominator)
+        if g.degree > 0:
+            numerator = numerator // g
+            denominator = denominator // g
+        lead = denominator.coeffs[-1]
+        if lead != denominator.spec.one():
+            inv = lead.inverse()
+            numerator = numerator * inv
+            denominator = denominator * inv
+        self.numerator = numerator
+        self.denominator = denominator
+
+    @classmethod
+    def from_poly(cls, f: Poly):
+        return cls(f, Poly.one(f.spec))
+
+    @property
+    def spec(self):
+        return self.denominator.spec
+
+    def __bool__(self):
+        return bool(self.numerator)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, RationalFunction)
+            and self.numerator == other.numerator
+            and self.denominator == other.denominator
+        )
+
+    def __repr__(self):
+        return f"({self.numerator!r})/({self.denominator!r})"
+
+    def __add__(self, other):
+        return RationalFunction(
+            self.numerator * other.denominator + other.numerator * self.denominator,
+            self.denominator * other.denominator,
+        )
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return RationalFunction(-self.numerator, self.denominator)
+
+    def __mul__(self, other):
+        return RationalFunction(
+            self.numerator * other.numerator, self.denominator * other.denominator
+        )
+
+    def inverse(self):
+        if not self.numerator:
+            raise ZeroDivisionError("inverse of zero rational function")
+        return RationalFunction(self.denominator, self.numerator)
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    def as_poly(self) -> Poly | None:
+        """The underlying polynomial, or None if the denominator is not 1."""
+        if self.denominator.degree == 0:
+            return self.numerator
+        return None
+
+
+def reconstruct_f_reference(rd: ResidueData) -> Poly:
+    """f from residue data via dg/g - tail = eta = dt/(f t^(u~+1)), each step a
+    reduced RationalFunction; raises ReconstructionMismatch like the
+    library."""
+    q = rd.quadruple
+    spec = rd.field
+    if q.n1 == 0:
+        c = (-spec.from_int(q.u)).inverse()
+        return Poly(spec, [c])
+    zeta = root_of_unity(spec, q.m)
+    t = Poly.x(spec)
+    dg_over_g = RationalFunction(Poly.zero(spec), Poly.one(spec))
+    for x, a in zip(rd.reps, rd.residues):
+        for ell in range(1, q.m + 1):
+            c = zeta ** (-ell) * x
+            exponent = (zeta ** (-ell) * a).prime_int()
+            if exponent == 0:
+                continue
+            # lift(zeta^-l a_j) * c / (t (t - c))
+            num = Poly(spec, [c * exponent])
+            den = t * (t - Poly(spec, [c]))
+            dg_over_g = dg_over_g + RationalFunction(num, den)
+    # u * sum_s t^(-u p^s - 1) = u * (sum_s t^(u~ - u p^s)) / t^(u~ + 1)
+    tail_coeffs = {}
+    for s in range(q.nu + 1):
+        e = q.u_tilde - q.u * q.p**s
+        tail_coeffs[e] = tail_coeffs.get(e, 0) + q.u
+    tail_num = Poly.from_ints(
+        spec, [tail_coeffs.get(i, 0) for i in range(q.u_tilde + 1)]
+    )
+    t_pow = Poly(spec, [spec.zero()] * (q.u_tilde + 1) + [spec.one()])
+    eta = dg_over_g - RationalFunction(tail_num, t_pow)
+    f = (eta * RationalFunction.from_poly(t_pow)).inverse().as_poly()
+    if f is None:
+        raise ReconstructionMismatch("reconstructed f is not a polynomial")
+    if spec.k > 1 and all(c**q.p == c for c in f.coeffs):
+        prime = make_field(q.p, 1)
+        f = f.map_coeffs(lambda c: prime.from_int(c.coeffs[0]), prime)
+    if not ddc_check(q, f):
+        raise ReconstructionMismatch("reconstructed f fails the criterion")
+    return f
+
+
+def sympy_witt_sum_polys(p: int, n: int):
+    """Addition polynomials S_0..S_{n-1} as (c, xe, ye) term tuples in
+    sympy's Poly.terms() order, from the recursion
+    S_i = (w_i(X) + w_i(Y) - sum_{j<i} p^j S_j^{p^{i-j}}) / p^i over Q."""
+    import sympy
+
+    xs = sympy.symbols(f"x0:{n}")
+    ys = sympy.symbols(f"y0:{n}")
+
+    def ghost(vs, i):
+        return sum(p**j * vs[j] ** (p ** (i - j)) for j in range(i + 1))
+
+    exact: list = []
+    reduced = []
+    for i in range(n):
+        expr = ghost(xs, i) + ghost(ys, i)
+        expr -= sum(p**j * exact[j] ** (p ** (i - j)) for j in range(i))
+        expr = sympy.expand(expr) / p**i
+        poly = sympy.Poly(sympy.expand(expr), *xs, *ys)
+        terms = []
+        for monom, coeff in poly.terms():
+            if not coeff.is_integer:
+                raise AssertionError("ghost recursion produced a non-integer")
+            c = int(coeff) % p
+            if c:
+                terms.append((c, tuple(monom[:n]), tuple(monom[n:])))
+        exact.append(poly.as_expr())
+        reduced.append(tuple(terms))
+    return tuple(reduced)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ddcrit.cli import main, parse_laurent
+from ddcrit.cli import main, parse_laurent, parse_poly
 from ddcrit.gf import make_field
 
 F3 = make_field(3, 1)
@@ -62,6 +62,41 @@ def test_invalid_input_exit_code(capsys):
     )
     assert code == 2
     assert "error" in err
+
+
+def test_non_square_n1_exits_2(capsys):
+    """N1 outside {(p-1)u~, (p-1)u~ - m} gives a non-square power-sum
+    system: an error JSON and exit 2, not a traceback."""
+    code, out, err = run(
+        capsys, "check", "--p", "3", "--m", "2", "--u", "5", "--n1", "2",
+        "--f", "1,0,2",
+    )
+    assert code == 2
+    assert out == ""
+    assert "not square" in json.loads(err)["error"]
+
+
+def test_parse_poly_rejects_out_of_range_indices(capsys):
+    F9 = make_field(3, 2)
+    assert parse_poly(F9, "8,0,1").coeffs[0] == F9.element_by_index(8)
+    for text in ("-1,0,1", "9,0,1"):
+        with pytest.raises(ValueError):
+            parse_poly(F9, text)
+    for f in ("-1,0,1", "1,0,3"):
+        code, out, err = run(
+            capsys, "check", "--p", "3", "--m", "2", "--u", "1", "--n1", "2",
+            f"--f={f}",
+        )
+        assert code == 2 and out == ""
+        assert "outside" in json.loads(err)["error"]
+
+
+def test_search_cli_has_no_workers_option(capsys):
+    code, out, _ = run(
+        capsys, "search", "--p", "3", "--m", "2", "--u", "1", "--n1", "2",
+        "--workers", "2",
+    )
+    assert code == 2 and out == ""
 
 
 def test_search_cli(capsys):

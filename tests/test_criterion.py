@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+import ddcrit.criterion
 from ddcrit.cartier import Quadruple, ddc_check
+from ddcrit.construct import construct_small, construct_trace, d9_witnesses
 from ddcrit.criterion import (
     binomial_det,
     certify,
@@ -16,12 +18,16 @@ from ddcrit.criterion import (
     verify_certificate_json,
 )
 from ddcrit.errors import (
+    NonSquareSystem,
     NotDescending,
     NotSquarefree,
+    ReconstructionMismatch,
     ResidueNotPrimeField,
+    WrongDegree,
 )
 from ddcrit.gf import make_field
-from ddcrit.poly import Poly, RationalFunction, root_of_unity
+from ddcrit.poly import Poly, root_of_unity
+from reference import RationalFunction, reconstruct_f_reference
 
 F3 = make_field(3, 1)
 
@@ -119,6 +125,15 @@ def test_isolation_empty():
     assert isolated and det == F3.one()
 
 
+def test_isolation_rejects_non_square_system():
+    """N1 = 2 for u~ = 5 gives one orbit representative but four criterion
+    exponents."""
+    q = Quadruple(3, 2, 5, 2)
+    rd = residue_data(q, Poly.from_ints(F3, [1, 0, 2]))
+    with pytest.raises(NonSquareSystem):
+        isolation_check(rd)
+
+
 def test_isolation_constant_reduction():
     """det(q a_j x^(q-1)) vanishes iff det(x^(q-1)) does, since the q and
     a_j are units of F_p."""
@@ -140,6 +155,42 @@ def test_reconstruct_roundtrip():
     for q, f in [(Q_T2, F_T2), (Q_F8, F8), (Quadruple(3, 2, 5, 10), F10)]:
         rd = residue_data(q, f)
         assert reconstruct_f(rd) == f
+
+
+def _residue_data_sets():
+    """Every residue-data set the construction tests build."""
+    out = [construct_small(7, 0)]
+    for p in (3, 5, 7, 11, 13):
+        out += [construct_small(p, p - 1), construct_small(p, p - 3)]
+    trace_cases = [(3, 2, 1), (5, 2, 1), (5, 4, 3), (3, 2, 3), (5, 2, 5), (3, 2, 5)]
+    out += [construct_trace(p, m, u_tilde) for p, m, u_tilde in trace_cases]
+    out += [cert.residue_data for cert in d9_witnesses()]
+    return out
+
+
+def test_reconstruct_matches_rational_function_oracle():
+    """The known-denominator reconstruction returns the f of the reference
+    that sums reduced RationalFunctions."""
+    for rd in _residue_data_sets():
+        assert reconstruct_f(rd) == reconstruct_f_reference(rd), rd.quadruple
+
+
+def test_reconstruct_wraps_only_shape_errors(monkeypatch):
+    rd = residue_data(Q_F8, F8)
+
+    def bad_shape(q, f):
+        raise WrongDegree("deg f = 6, expected 8")
+
+    monkeypatch.setattr(ddcrit.criterion, "ddc_check", bad_shape)
+    with pytest.raises(ReconstructionMismatch, match="bad shape"):
+        reconstruct_f(rd)
+
+    def broken(q, f):
+        raise RuntimeError("not a shape error")
+
+    monkeypatch.setattr(ddcrit.criterion, "ddc_check", broken)
+    with pytest.raises(RuntimeError):
+        reconstruct_f(rd)
 
 
 def test_reconstruct_constant():

@@ -2,8 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from ddcrit.errors import BadCongruence, EssentialRamification, InvalidQuadruple
+from ddcrit.errors import (
+    BadCongruence,
+    EssentialRamification,
+    InconsistentRadii,
+    InvalidQuadruple,
+)
 from ddcrit.planner import (
+    RadiiReport,
     lifting_radii,
     profiles_for_group,
     quadruple_for_step,
@@ -113,3 +119,11 @@ def test_radii_linearity_identity(group):
             assert r.r_n < r.r_hub < r.r_crit
         assert r.n2 <= 2 * m * p - 2 * m
         assert (r.n2 == 0) == (u_next == p * u_prev)
+
+
+def test_radii_report_rejects_inconsistent_radii():
+    half, third, quarter = Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)
+    with pytest.raises(InconsistentRadii):  # r_hub above r_crit
+        RadiiReport(r_crit=third, r_hub=half, r_n=quarter, n2=1, delta_hub=half)
+    with pytest.raises(InconsistentRadii):  # r_hub nonzero with n2 = 0
+        RadiiReport(r_crit=half, r_hub=third, r_n=quarter, n2=0, delta_hub=half)

@@ -9,7 +9,6 @@ from ddcrit.poly import (
     NEG_INF,
     LaurentPoly,
     Poly,
-    RationalFunction,
     elementary_symmetric,
     embed,
     embed_poly,
@@ -17,6 +16,7 @@ from ddcrit.poly import (
     mu_m_orbit_reps,
     roots_in_splitting_field,
 )
+from reference import RationalFunction
 
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)

@@ -1,4 +1,5 @@
 import json
+import time
 
 from ddcrit.cartier import Quadruple
 from ddcrit.criterion import Certificate, verify_certificate_json
@@ -48,12 +49,18 @@ def test_budget_aborts_cleanly():
     assert not result.complete
 
 
-def test_determinism_across_worker_counts():
-    q = Quadruple(3, 2, 5, 8)
-    serial = brute_search(q, 1, require_isolated=True)
-    parallel = brute_search(q, 1, require_isolated=True, workers=3)
-    assert serial.f == parallel.f
-    assert serial.to_json() == parallel.to_json()
+def test_budget_met_per_candidate():
+    """The deadline is checked before every candidate, so a 0.5 s budget on a
+    space of 419,904 candidates returns well within 1.5 s."""
+    start = time.monotonic()
+    result = brute_search(Quadruple(3, 2, 5, 10), 2, budget_seconds=0.5)
+    elapsed = time.monotonic() - start
+    assert isinstance(result, NotFound)
+    assert result.to_json()["complete"] is False
+    assert 0 < result.candidates_tried < candidate_count(
+        Quadruple(3, 2, 5, 10), make_field(3, 2)
+    )
+    assert elapsed < 1.5
 
 
 def test_certificates_self_verify():

@@ -9,6 +9,7 @@ from ddcrit.errors import (
     MixedClasses,
     NotStandardForm,
 )
+import ddcrit.witt
 from ddcrit.gf import make_field
 from ddcrit.poly import LaurentPoly, embed
 from ddcrit.witt import (
@@ -87,6 +88,17 @@ def test_sum_poly_s1_p5_binomial_pattern():
     }
     for i in range(1, 5):
         assert got[(i, 5 - i)] == (-comb(5, i) // 5) % 5
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sum_polys_match_sympy_recursion(p, n):
+    """The integer recursion gives the sympy recursion's term tuples,
+    order included."""
+    pytest.importorskip("sympy")
+    from reference import sympy_witt_sum_polys
+
+    assert witt_sum_polys(p, n) == sympy_witt_sum_polys(p, n)
 
 
 def test_level_cap():
@@ -328,3 +340,13 @@ def test_witt_sub():
     v = random_vector(rng, F5, 2)
     w = random_vector(rng, F5, 2)
     assert witt_add(witt_sub(v, w), w).entries == v.entries
+
+
+def test_standard_form_invariant_raises(monkeypatch):
+    """The final standard-form check raises (it is no assert, which
+    python -O would strip)."""
+    spec = make_field(3, 1)
+    v = WittVector(spec, (LaurentPoly.from_terms(spec, {-1: spec.one()}),))
+    monkeypatch.setattr(ddcrit.witt, "is_standard", lambda _v: False)
+    with pytest.raises(NotStandardForm):
+        standard_form(v)
