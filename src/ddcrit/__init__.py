@@ -39,7 +39,13 @@ from .poly import (
     mu_m_orbit_reps,
     roots_in_splitting_field,
 )
-from .search import GroupSearchResult, NotFound, brute_search, search_group
+from .search import (
+    GroupSearchResult,
+    NotFound,
+    brute_search,
+    first_witness,
+    search_group,
+)
 from .witt import (
     JumpProfile,
     WittVector,

@@ -25,7 +25,7 @@ from .errors import DdcritError
 from .gf import make_field
 from .planner import lifting_radii, profiles_for_group, quadruples_for_group
 from .poly import LaurentPoly, Poly
-from .search import NotFound, brute_search
+from .search import NotFound, first_witness
 from .witt import (
     WittVector,
     reduce_jumps,
@@ -96,7 +96,7 @@ def _cmd_check(args) -> tuple[object, int]:
 
 def _cmd_search(args) -> tuple[object, int]:
     q = _quadruple(args)
-    result = brute_search(
+    result = first_witness(
         q,
         args.field_degree,
         require_isolated=args.isolated,
@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--f", required=True, help="ascending coefficients")
     check.set_defaults(fn=_cmd_check)
 
-    search = subs.add_parser("search", help="exhaustive witness search")
+    search = subs.add_parser("search", help="pruned complete witness search")
     _add_quadruple_args(search)
     search.add_argument("--field-degree", type=int, default=1)
     search.add_argument("--isolated", action="store_true")

@@ -113,3 +113,8 @@ class BadCongruence(DdcritError):
 
 class InconsistentRadii(DdcritError):
     """Internal error: lifting radii out of their required order."""
+
+
+class PruningMismatch(DdcritError):
+    """Internal error: the pruned witness search accepted an f that the
+    criterion's own ddc check rejects."""

@@ -184,6 +184,13 @@ class FieldSpec:
             i //= self.p
         return FieldElement(self, tuple(reversed(digits)))
 
+    def index_of(self, x: "FieldElement") -> int:
+        """Inverse of ``element_by_index``."""
+        i = 0
+        for c in x.coeffs:
+            i = i * self.p + c
+        return i
+
     def to_json(self) -> dict:
         return {"p": self.p, "k": self.k, "modulus": list(self.modulus)}
 

@@ -1,5 +1,52 @@
-"""Exhaustive, deterministic search for criterion witnesses over a chosen
-finite field, with closed-form fast paths for the known families."""
+"""Deterministic first-witness search for criterion witnesses over a chosen
+finite field, with closed-form fast paths for the known families.
+
+Candidates are f = sum_{i=0}^{top} c_i t^(im) with top = N1/m, in
+lexicographic order of (c_0, ..., c_top): c_0 is the most significant, each
+c_i runs over the field in ``element_by_index`` order, and c_0 and c_top are
+nonzero.  A candidate's index in this order is its rank.
+
+The search is a depth-first search over c_0, c_1, ..., pruned by the
+criterion read one coefficient at a time.  ``ddc_check`` tests
+
+    C(f^(p-1) t^(-u~-1) dt) = (1 + u f) t^(-u~-1) dt.
+
+C takes g_k t^(k-u~-1) dt to g_k^(1/p) t^((k-u~)/p-1) dt when k = u~ mod p
+and kills it otherwise, so comparing coefficients of t^(j-u~-1) dt gives,
+for every integer j,
+
+    [t^(pj-(p-1)u~)] f^(p-1) = ([t^j] (1 + u f))^p.
+
+Both sides vanish unless m | j, because m | p-1 makes pj - (p-1)u~ = j
+mod m.  Write s = t^m, F(s) = f, G = F^(p-1), H_0 = 1 + u c_0 and
+H_a = u c_a for 0 < a <= top (0 beyond).  With j = am and w = (p-1)u~/m the
+identity is the family of equations
+
+    E_a:  G_{K_a} = H_a^p,    K_a = pa - w,
+
+where G_k = 0 outside 0 <= k <= (p-1) top.  G_k depends on c_0..c_k only,
+and on c_k linearly with coefficient (p-1) c_0^(p-2) != 0.  So E_a can be
+checked once c_a and c_{K_a} are fixed (positions past top hold 0).  Since
+K_a - a = (p-1)(a - u~/m) and am != u~ (u~ = -1 mod m), each E_a forces the
+later of its two positions:
+
+- am < u~: K_a < a, and E_a determines H_a^p, hence c_a (Frobenius is
+  bijective).  E_0 gives H_0 = 0, that is c_0 = -1/u.
+- am > u~: K_a > a, and E_a is linear in c_{K_a}.  So the coefficient of
+  t^J is forced for every J > u~ with J = u~ mod p.  If K_a > (p-1) top,
+  G_{K_a} = 0 and E_a forces c_a = 0 instead.
+
+The search solves each forced coefficient instead of trying values and
+branches over the field only at the other positions.  A further equation
+completed at the same position (only possible at top or past it) prunes on
+the first mismatch.  The partial powers F^r, r < p, are kept up to date one
+coefficient at a time, [s^i] F^r = sum_a c_a [s^(i-a)] F^(r-1), so fixing
+a coefficient costs O(p i) field operations.
+
+Every equation a candidate fails rejects it, so the search visits exactly
+the candidates that pass ``ddc_check``, in rank order; the first of them
+that certifies is the least-rank witness.
+"""
 
 from __future__ import annotations
 
@@ -7,11 +54,11 @@ import json
 import time
 from dataclasses import dataclass
 
-from .cartier import Quadruple, ddc_check
+from .cartier import Quadruple
 from .construct import construct_small, construct_trace
 from .criterion import Certificate, certify, reconstruct_f
-from .errors import DdcritError
-from .gf import make_field
+from .errors import DdcritError, PruningMismatch
+from .gf import make_field, pth_root
 from .planner import quadruples_for_group
 from .poly import Poly
 
@@ -21,13 +68,16 @@ MAX_FIELD_DEGREE = 8
 @dataclass(frozen=True)
 class NotFound:
     """Negative (or aborted) search outcome.  A complete exhaustion does not
-    refute existence over larger fields."""
+    refute existence over larger fields.  ``candidates_tried`` is the number
+    of candidates decided, in rank order; ``nodes`` counts the coefficient
+    assignments the search visited and stays out of the JSON."""
 
     quadruple: Quadruple
     field_degree: int
     require_isolated: bool
     candidates_tried: int
     complete: bool
+    nodes: int
 
     def to_json(self):
         return {
@@ -40,33 +90,6 @@ class NotFound:
         }
 
 
-def _candidate(q: Quadruple, spec, index: int) -> Poly:
-    """The index-th candidate f = sum c_i t^(im), lexicographic in
-    (c_0, ..., c_top) with c_0 most significant; c_0 and c_top nonzero."""
-    order = spec.order
-    ncoeff = q.n1 // q.m + 1
-    digits = []
-    if ncoeff == 1:
-        digits = [index + 1]
-    else:
-        rest = index
-        top = rest % (order - 1) + 1
-        rest //= order - 1
-        mid = []
-        for _ in range(ncoeff - 2):
-            mid.append(rest % order)
-            rest //= order
-        c0 = rest + 1
-        digits = [c0] + list(reversed(mid)) + [top]
-    coeffs = {}
-    for i, d in enumerate(digits):
-        coeffs[i * q.m] = spec.element_by_index(d)
-    return Poly(
-        spec,
-        [coeffs.get(i, spec.zero()) for i in range(q.n1 + 1)],
-    )
-
-
 def candidate_count(q: Quadruple, spec) -> int:
     order = spec.order
     ncoeff = q.n1 // q.m + 1
@@ -75,37 +98,205 @@ def candidate_count(q: Quadruple, spec) -> int:
     return (order - 1) ** 2 * order ** (ncoeff - 2)
 
 
+def _equations(q: Quadruple) -> dict:
+    """The equations E_a as (a, K_a) pairs, K_a = None where G_{K_a} is
+    identically 0, keyed by the last position they involve; trivial ones
+    (both sides identically 0) are left out."""
+    p, top = q.p, q.n1 // q.m
+    w = (p - 1) * q.u_tilde // q.m
+    gdeg = (p - 1) * top
+    by_last = {}
+    for a in range(max(top, (gdeg + w) // p) + 1):
+        k = p * a - w
+        if not 0 <= k <= gdeg:
+            k = None
+        if a > top and k is None:
+            continue
+        last = max(a if a <= top else -1, -1 if k is None else k)
+        by_last.setdefault(last, []).append((a, k))
+    return by_last
+
+
+class _PrunedSearch:
+    """Depth-first search over c_0, ..., c_top that yields, in rank order,
+    every candidate passing the coefficient equations.  A deadline is
+    checked at every node; on overrun ``aborted_at`` is set to the rank of
+    the first undecided candidate and the search stops."""
+
+    def __init__(self, q: Quadruple, spec, deadline: float | None):
+        self.q, self.spec, self.deadline = q, spec, deadline
+        self.top = top = q.n1 // q.m
+        self.by_last = _equations(q)
+        self.length = max(self.by_last) + 1
+        self.nodes = 0
+        self.aborted_at = None
+        self.zero, self.one = spec.zero(), spec.one()
+        self.u = spec.from_int(q.u)
+        self.values = [self.zero] * (top + 1)
+        self.digits = [0] * (top + 1)
+        # cols[r][i] = [s^i] F^r for r = 1..p-1; rest[i][r] is its part
+        # without c_i, lin[r] = r c_0^(r-1) the coefficient of c_i.
+        self.cols = [[self.zero] * self.length for _ in range(q.p)]
+        self.rest = [None] * (top + 1)
+        self.lin = None
+        order = spec.order
+        self.weight = [(order - 1) * order ** (top - 1 - i) for i in range(top)]
+        self.weight.append(1)
+        self.offset = [0] * (top + 1)
+        self.offset[0] = self.offset[top] = 1
+
+    def leaves(self):
+        top = self.top
+        pending = [None] * (top + 1)
+        pending[0] = self._choices(0)
+        i = 0
+        while i >= 0:
+            d = next(pending[i], None)
+            if d is None:
+                i -= 1
+                continue
+            self.nodes += 1
+            self.digits[i] = d
+            if self.deadline is not None and time.monotonic() > self.deadline:
+                self.aborted_at = sum(
+                    (self.digits[j] - self.offset[j]) * self.weight[j]
+                    for j in range(i + 1)
+                )
+                return
+            if not self._assign(i, self.spec.element_by_index(d)):
+                continue
+            if i < top:
+                i += 1
+                pending[i] = self._choices(i)
+            elif self._tail_holds():
+                yield self._poly()
+
+    def _choices(self, i: int):
+        """Digits to try at position i: the forced one, if an equation is
+        completed here and its solution is admissible, else all of them.
+        Records the c_i-free part of the power columns at i first."""
+        if i > 0:
+            self.rest[i] = self._rest(i)
+        eqs = self.by_last.get(i)
+        if eqs is None:
+            return iter(range(1 if i in (0, self.top) else 0, self.spec.order))
+        d = self.spec.index_of(self._solve(i, *eqs[0]))
+        if d == 0 and i in (0, self.top):
+            return iter(())
+        return iter((d,))
+
+    def _rest(self, i: int) -> list:
+        """[s^i] F^r for r < p with c_i taken as 0."""
+        c, cols, zero = self.values, self.cols, self.zero
+        c0 = c[0]
+        rest = [zero, zero]
+        for r in range(2, self.q.p):
+            prev = cols[r - 1]
+            acc = c0 * rest[r - 1]
+            for a in range(1, min(i, self.top + 1)):
+                if c[a]:
+                    acc = acc + c[a] * prev[i - a]
+            rest.append(acc)
+        return rest
+
+    def _solve(self, i: int, a: int, k):
+        """The c_i that satisfies E_a, whose last position is i."""
+        if a == i:
+            g = self.zero if k is None else self.cols[-1][k]
+            h = pth_root(g)
+            if i == 0:
+                h = h - self.one
+            return h / self.u
+        return (self._h(a) ** self.q.p - self.rest[i][-1]) / self.lin[-1]
+
+    def _h(self, a: int):
+        if a > self.top:
+            return self.zero
+        h = self.u * self.values[a]
+        return h + self.one if a == 0 else h
+
+    def _holds(self, a: int, k) -> bool:
+        g = self.zero if k is None else self.cols[-1][k]
+        return g == self._h(a) ** self.q.p
+
+    def _assign(self, i: int, c) -> bool:
+        """Fix c_i, update the power columns at i and check every equation
+        completed at i."""
+        self.values[i] = c
+        cols = self.cols
+        if i == 0:
+            power = self.one
+            self.lin = [self.zero]
+            for r in range(1, self.q.p):
+                self.lin.append(power * r)
+                power = power * c
+                cols[r][0] = power
+        else:
+            rest, lin = self.rest[i], self.lin
+            for r in range(1, self.q.p):
+                cols[r][i] = rest[r] + lin[r] * c
+        return all(self._holds(a, k) for a, k in self.by_last.get(i, ()))
+
+    def _tail_holds(self) -> bool:
+        """Extend the power columns past top with zero coefficients and
+        check the equations completed there, stopping at the first
+        mismatch."""
+        cols = self.cols
+        for k in range(self.top + 1, self.length):
+            rest = self._rest(k)
+            for r in range(1, self.q.p):
+                cols[r][k] = rest[r]
+            if not all(self._holds(a, kk) for a, kk in self.by_last.get(k, ())):
+                return False
+        return True
+
+    def _poly(self) -> Poly:
+        m, zero = self.q.m, self.zero
+        return Poly(
+            self.spec,
+            [self.values[e // m] if e % m == 0 else zero for e in range(self.q.n1 + 1)],
+        )
+
+
 def _passes(cert: Certificate, require_isolated: bool) -> bool:
     if not (cert.ddc_ok and cert.power_sum_ok):
         return False
     return cert.isolated if require_isolated else True
 
 
-def brute_search(
+def first_witness(
     q: Quadruple,
     field_degree: int,
     require_isolated: bool = False,
     budget_seconds: float | None = None,
 ):
-    """First witness for q over F_{p^field_degree} in deterministic candidate
-    order, or NotFound.  The budget is checked before every candidate; an
-    overrun aborts cleanly with complete=False."""
+    """Least-rank witness for q over F_{p^field_degree}, or NotFound.  The
+    budget is checked at every search node; an overrun aborts cleanly with
+    complete=False."""
     if not 1 <= field_degree <= MAX_FIELD_DEGREE:
         raise ValueError(f"field degree must be in [1, {MAX_FIELD_DEGREE}]")
     spec = make_field(q.p, field_degree)
-    total = candidate_count(q, spec)
     deadline = (
         time.monotonic() + budget_seconds if budget_seconds is not None else None
     )
-    for i in range(total):
-        if deadline is not None and time.monotonic() > deadline:
-            return NotFound(q, field_degree, require_isolated, i, False)
-        f = _candidate(q, spec, i)
-        if ddc_check(q, f):
-            cert = certify(q, f)
-            if _passes(cert, require_isolated):
-                return cert
-    return NotFound(q, field_degree, require_isolated, total, True)
+    search = _PrunedSearch(q, spec, deadline)
+    for f in search.leaves():
+        cert = certify(q, f)
+        if not cert.ddc_ok:
+            raise PruningMismatch(f"search accepted {f!r}, which fails ddc_check")
+        if _passes(cert, require_isolated):
+            return cert
+    if search.aborted_at is not None:
+        return NotFound(
+            q, field_degree, require_isolated, search.aborted_at, False, search.nodes
+        )
+    return NotFound(
+        q, field_degree, require_isolated, candidate_count(q, spec), True, search.nodes
+    )
+
+
+# The name the search had when it enumerated every candidate; kept public.
+brute_search = first_witness
 
 
 @dataclass(frozen=True)
@@ -157,13 +348,13 @@ def search_group(
     budget_seconds: float | None = None,
 ) -> GroupSearchResult:
     """Certify every quadruple the group Z/p^n x| Z/m requires, trying the
-    closed-form families before the brute-force enumeration."""
+    closed-form families before the search."""
     results = {}
     complete = True
     for q in quadruples_for_group(p, m, n):
         cert = _fast_path(q)
         if cert is None or (require_isolated and not cert.isolated):
-            cert = brute_search(
+            cert = first_witness(
                 q,
                 field_degree,
                 require_isolated=require_isolated,

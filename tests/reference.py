@@ -1,21 +1,25 @@
 """Reference implementations kept as test oracles for library code that
-was replaced by a simpler exact path:
+was replaced by a simpler or faster exact path:
 
 - ``RationalFunction`` and ``reconstruct_f_reference``: f rebuilt from residue
   data by summing reduced rational functions (one gcd per addition), the
   oracle for ``ddcrit.criterion.reconstruct_f``;
 - ``sympy_witt_sum_polys``: the ghost-component recursion over sympy
   rationals, the oracle for ``ddcrit.witt.witt_sum_polys``.  It needs sympy;
-  callers skip with ``pytest.importorskip("sympy")``.
+  callers skip with ``pytest.importorskip("sympy")``;
+- ``candidate``, ``ddc_passing`` and ``enumerate_search``: every candidate
+  run through ``ddc_check`` in rank order, the oracle for the pruned search
+  ``ddcrit.search.first_witness``.
 """
 
 from __future__ import annotations
 
-from ddcrit.cartier import ddc_check
-from ddcrit.criterion import ResidueData
+from ddcrit.cartier import Quadruple, ddc_check
+from ddcrit.criterion import ResidueData, certify
 from ddcrit.errors import ReconstructionMismatch
 from ddcrit.gf import make_field, root_of_unity
 from ddcrit.poly import Poly
+from ddcrit.search import NotFound, _passes, candidate_count
 
 
 class RationalFunction:
@@ -163,3 +167,50 @@ def sympy_witt_sum_polys(p: int, n: int):
         exact.append(poly.as_expr())
         reduced.append(tuple(terms))
     return tuple(reduced)
+
+
+def candidate(q: Quadruple, spec, index: int) -> Poly:
+    """The index-th candidate f = sum c_i t^(im), lexicographic in
+    (c_0, ..., c_top) with c_0 most significant; c_0 and c_top nonzero."""
+    order = spec.order
+    ncoeff = q.n1 // q.m + 1
+    digits = []
+    if ncoeff == 1:
+        digits = [index + 1]
+    else:
+        rest = index
+        top = rest % (order - 1) + 1
+        rest //= order - 1
+        mid = []
+        for _ in range(ncoeff - 2):
+            mid.append(rest % order)
+            rest //= order
+        c0 = rest + 1
+        digits = [c0] + list(reversed(mid)) + [top]
+    coeffs = {}
+    for i, d in enumerate(digits):
+        coeffs[i * q.m] = spec.element_by_index(d)
+    return Poly(
+        spec,
+        [coeffs.get(i, spec.zero()) for i in range(q.n1 + 1)],
+    )
+
+
+def ddc_passing(q: Quadruple, spec) -> list[Poly]:
+    """Every candidate that passes ddc_check, in rank order."""
+    candidates = (candidate(q, spec, i) for i in range(candidate_count(q, spec)))
+    return [f for f in candidates if ddc_check(q, f)]
+
+
+def enumerate_search(q: Quadruple, field_degree: int, require_isolated: bool,
+                     passing: list[Poly]):
+    """First witness by enumeration: certify the candidates that pass
+    ddc_check (``passing``, from ``ddc_passing``) in rank order.  Taking
+    ``passing`` as an argument lets both isolation requirements share one
+    pass over the space."""
+    for f in passing:
+        cert = certify(q, f)
+        if _passes(cert, require_isolated):
+            return cert
+    total = candidate_count(q, make_field(q.p, field_degree))
+    return NotFound(q, field_degree, require_isolated, total, True, total)

@@ -47,6 +47,7 @@ def test_element_ordering_constant_term_first():
     elems = list(F9.elements())
     assert [e.coeffs for e in elems[:4]] == [(0, 0), (0, 1), (0, 2), (1, 0)]
     assert elems == sorted(elems, key=lambda e: e.sort_key())
+    assert [F9.index_of(e) for e in elems] == list(range(9))
 
 
 @given(st.sampled_from([make_field(3, 2), make_field(5, 1), make_field(3, 3)]))

@@ -1,18 +1,94 @@
+import dataclasses
 import json
 import time
 
+import pytest
+
+import ddcrit
+import reference
+from ddcrit import search
 from ddcrit.cartier import Quadruple
-from ddcrit.criterion import Certificate, verify_certificate_json
+from ddcrit.criterion import Certificate, certify, verify_certificate_json
+from ddcrit.errors import DdcritError, PruningMismatch
 from ddcrit.gf import make_field
 from ddcrit.poly import Poly
 from ddcrit.search import (
     NotFound,
     brute_search,
     candidate_count,
+    first_witness,
     search_group,
 )
 
 F3 = make_field(3, 1)
+
+
+def _oracle_cases(limit=500):
+    """(q, field_degree) for p in {3, 5, 7}, every m, F_p and F_{p^2},
+    u~ < p (u~ < 9 for p = 3, so that nu = 1 occurs), and every N1 whose
+    candidate space has at most ``limit`` elements."""
+    cases = []
+    for p in (3, 5, 7):
+        for m in range(2, p):
+            if (p - 1) % m:
+                continue
+            for k in (1, 2):
+                spec = make_field(p, k)
+                for u_tilde in range(m - 1, 9 if p == 3 else p, m):
+                    n1 = 0
+                    while candidate_count(Quadruple(p, m, u_tilde, n1), spec) <= limit:
+                        cases.append((Quadruple(p, m, u_tilde, n1), k))
+                        n1 += m
+    return cases
+
+
+def _outcome(fn):
+    try:
+        return fn().to_json()
+    except DdcritError as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize(
+    "q,k",
+    _oracle_cases(),
+    ids=lambda v: f"k{v}" if isinstance(v, int) else f"{v.p}-{v.m}-{v.u_tilde}-{v.n1}",
+)
+def test_first_witness_matches_enumeration(q, k):
+    """Byte-identical outcome to enumerating every candidate, for both
+    isolation requirements, and the search accepts exactly the candidates
+    that pass ddc_check."""
+    spec = make_field(q.p, k)
+    passing = reference.ddc_passing(q, spec)
+    assert list(search._PrunedSearch(q, spec, None).leaves()) == passing
+    for isolated in (False, True):
+        got = _outcome(lambda: first_witness(q, k, isolated))
+        want = _outcome(lambda: reference.enumerate_search(q, k, isolated, passing))
+        assert json.dumps(got) == json.dumps(want)
+
+
+def test_brute_search_alias():
+    assert brute_search is first_witness
+    assert ddcrit.brute_search is ddcrit.first_witness is first_witness
+
+
+def test_exhaustion_node_count():
+    q = Quadruple(3, 2, 7, 12)
+    result = first_witness(q, 1)
+    assert isinstance(result, NotFound) and result.complete
+    assert result.candidates_tried == candidate_count(q, F3) == 972
+    assert result.nodes < 100
+    assert "nodes" not in result.to_json()
+
+
+def test_rejected_leaf_raises(monkeypatch):
+    """A leaf that certify's own ddc check rejects is an internal error,
+    not a silently skipped candidate."""
+    monkeypatch.setattr(
+        search, "certify", lambda q, f: dataclasses.replace(certify(q, f), ddc_ok=False)
+    )
+    with pytest.raises(PruningMismatch):
+        first_witness(Quadruple(3, 2, 1, 2), 1)
 
 
 def test_first_witness_t2():
@@ -50,15 +126,16 @@ def test_budget_aborts_cleanly():
 
 
 def test_budget_met_per_candidate():
-    """The deadline is checked before every candidate, so a 0.5 s budget on a
-    space of 419,904 candidates returns well within 1.5 s."""
+    """The deadline is checked at every search node, so a 0.5 s budget on
+    (7,2,5,28), which the search does not finish in 5 s, returns well within
+    1.5 s, having decided a prefix of the candidate order."""
     start = time.monotonic()
-    result = brute_search(Quadruple(3, 2, 5, 10), 2, budget_seconds=0.5)
+    result = brute_search(Quadruple(7, 2, 5, 28), 1, budget_seconds=0.5)
     elapsed = time.monotonic() - start
     assert isinstance(result, NotFound)
     assert result.to_json()["complete"] is False
     assert 0 < result.candidates_tried < candidate_count(
-        Quadruple(3, 2, 5, 10), make_field(3, 2)
+        Quadruple(7, 2, 5, 28), make_field(7, 1)
     )
     assert elapsed < 1.5
 
