@@ -1,6 +1,7 @@
 """Golden stdout corpus: the exact ``--compact`` stdout bytes and exit code of
 every README CLI example (without ``--budget``), plus ``construct trace`` and
-``plan`` at p=5.
+``plan`` at p=5, three ``search`` cases, and level-3 ``witt breaks`` at p=3
+(one forcing an extension to F_{3^9}) and p=5.
 
 tests/golden/cases.json lists each case; tests/golden/<name>.stdout holds its
 stdout.  Re-record only when an output change is intended (for example a
