@@ -9,6 +9,8 @@ All arithmetic is exact; everything is immutable and safe to share.
 from __future__ import annotations
 
 import functools
+import sys
+from array import array
 from dataclasses import dataclass
 
 from .errors import (
@@ -93,8 +95,9 @@ def _polypowmod(a, e, m, p):
     while e:
         if e & 1:
             result = _polymulmod(result, base, m, p)
-        base = _polymulmod(base, base, m, p)
         e >>= 1
+        if e:
+            base = _polymulmod(base, base, m, p)
     return result
 
 
@@ -293,8 +296,9 @@ class FieldElement:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def inverse(self) -> "FieldElement":
@@ -345,6 +349,106 @@ class FieldElement:
 
     def to_json(self) -> list[int]:
         return list(self.coeffs)
+
+
+# -- packed products of coefficient sequences -------------------------------
+
+# array typecode per machine word size in bytes: digits that fit a word are
+# packed and unpacked by array, wider ones (very large p) byte by byte
+_WORD_CODES = {array(code).itemsize: code for code in "QLIHB"}
+_WORD_SIZES = sorted(_WORD_CODES)
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _digit_bytes(bound: int) -> int:
+    """Bytes per digit for digits up to bound: the least word size that
+    holds them, else the exact byte count."""
+    need = -(-bound.bit_length() // 8)
+    for size in _WORD_SIZES:
+        if size >= need:
+            return size
+    return need
+
+
+def _to_int(digits: list[int], width: int) -> int:
+    """The int whose little-endian width-byte digits are ``digits``."""
+    code = _WORD_CODES.get(width)
+    if code is None:
+        raw = b"".join(d.to_bytes(width, "little") for d in digits)
+    else:
+        words = array(code, digits)
+        if _BIG_ENDIAN:
+            words.byteswap()
+        raw = words.tobytes()
+    return int.from_bytes(raw, "little")
+
+
+def _from_int(n: int, count: int, width: int) -> list[int]:
+    """The lowest ``count`` width-byte digits of n, least significant first."""
+    raw = n.to_bytes(count * width, "little")
+    code = _WORD_CODES.get(width)
+    if code is None:
+        return [
+            int.from_bytes(raw[i : i + width], "little")
+            for i in range(0, len(raw), width)
+        ]
+    words = array(code)
+    words.frombytes(raw)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words.tolist()
+
+
+@functools.lru_cache(maxsize=None)
+def _fold_table(spec: FieldSpec) -> tuple[tuple[int, ...], ...]:
+    """x^(k+j) mod the modulus as length-k coefficient tuples, j = 0..k-2."""
+    k, p, m = spec.k, spec.p, list(spec.modulus)
+    table = []
+    for j in range(k - 1):
+        r = _polymod_modp([0] * (k + j) + [1], m, p)
+        table.append(tuple(r + [0] * (k - len(r))))
+    return tuple(table)
+
+
+def kronecker_mul(a, b, spec: FieldSpec) -> list["FieldElement"]:
+    """Product of two ascending coefficient sequences of elements of spec.
+
+    Kronecker substitution: a sequence is packed into one int with digit
+    i of its term j (the coefficient of x^i) at digit j*(2k-1) + i, the two
+    ints are multiplied once, and each (2k-1)-digit slot of the product is
+    read back, reduced mod p and then mod the field modulus.  A slot is
+    2k-1 digits wide because the product of two elements has x-degree up
+    to 2k-2 before reduction.  A digit of the product sums at most
+    min(len a, len b) * k products of two digits below p, so digits that
+    hold min(len a, len b) * k * (p-1)^2 never carry into the next.
+    Returns len(a) + len(b) - 1 elements, or [] if either sequence is empty.
+    """
+    if not a or not b:
+        return []
+    p, k = spec.p, spec.k
+    width = _digit_bytes(min(len(a), len(b)) * k * (p - 1) ** 2)
+    slots = len(a) + len(b) - 1
+    if k == 1:
+        x = _to_int([c.coeffs[0] for c in a], width)
+        y = x if a is b else _to_int([c.coeffs[0] for c in b], width)
+        return [
+            FieldElement(spec, (d % p,)) for d in _from_int(x * y, slots, width)
+        ]
+    pad = (0,) * (k - 1)
+    x = _to_int([d for c in a for d in c.coeffs + pad], width)
+    y = x if a is b else _to_int([d for c in b for d in c.coeffs + pad], width)
+    stride = 2 * k - 1
+    n = slots * stride
+    digits = [d % p for d in _from_int(x * y, n, width)]
+    # fold digit k+j of every slot into digits 0..k-1 by x^(k+j) mod the
+    # modulus, one digit column across all slots at a time
+    cols = [digits[t:n:stride] for t in range(k)]
+    for j, r in enumerate(_fold_table(spec)):
+        high = digits[k + j : n : stride]
+        for t, rt in enumerate(r):
+            if rt:
+                cols[t] = [u + h * rt for u, h in zip(cols[t], high)]
+    return [FieldElement(spec, tuple([u % p for u in c])) for c in zip(*cols)]
 
 
 # -- operations --------------------------------------------------------------

@@ -17,7 +17,14 @@ from .errors import (
     SpecMismatch,
     ZeroRoot,
 )
-from .gf import FieldElement, FieldSpec, make_field, pth_root, root_of_unity
+from .gf import (
+    FieldElement,
+    FieldSpec,
+    kronecker_mul,
+    make_field,
+    pth_root,
+    root_of_unity,
+)
 
 NEG_INF = float("-inf")
 
@@ -93,15 +100,7 @@ class Poly:
         if isinstance(other, FieldElement):
             return Poly(self.spec, [c * other for c in self.coeffs])
         self._check(other)
-        if not self or not other:
-            return Poly.zero(self.spec)
-        z = self.spec.zero()
-        out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-        return Poly(self.spec, out)
+        return Poly(self.spec, kronecker_mul(self.coeffs, other.coeffs, self.spec))
 
     def __pow__(self, e: int):
         result = Poly.one(self.spec)
@@ -109,8 +108,9 @@ class Poly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def scale(self, c: FieldElement) -> "Poly":
@@ -184,8 +184,9 @@ def _powmod(base: Poly, e: int, mod: Poly) -> Poly:
     while e:
         if e & 1:
             result = (result * base) % mod
-        base = (base * base) % mod
         e >>= 1
+        if e:
+            base = (base * base) % mod
     return result
 
 
@@ -545,15 +546,11 @@ class LaurentPoly:
             return LaurentPoly(self.spec, self.low, [c * other for c in self.coeffs])
         if self.spec != other.spec:
             raise SpecMismatch("Laurent polynomials over different field specs")
-        if not self or not other:
-            return LaurentPoly.zero(self.spec)
-        z = self.spec.zero()
-        out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-        return LaurentPoly(self.spec, self.low + other.low, out)
+        return LaurentPoly(
+            self.spec,
+            self.low + other.low,
+            kronecker_mul(self.coeffs, other.coeffs, self.spec),
+        )
 
     __rmul__ = __mul__
 
@@ -563,8 +560,9 @@ class LaurentPoly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def frobenius(self) -> "LaurentPoly":

@@ -158,29 +158,22 @@ def _check_pair(v: WittVector, w: WittVector):
 def witt_add(v: WittVector, w: WittVector) -> WittVector:
     _check_pair(v, w)
     spec = v.spec
-    n = v.level
-    polys = witt_sum_polys(spec.p, n)
-    vc = [_PowerCache(e) for e in v.entries]
-    wc = [_PowerCache(e) for e in w.entries]
+    polys = witt_sum_polys(spec.p, v.level)
+    caches = [_PowerCache(e) for e in v.entries + w.entries]
     out = []
     for terms in polys:
         acc = {}
         for c, xe, ye in terms:
-            prod = LaurentPoly.from_terms(spec, {0: spec.from_int(c)})
-            dead = False
-            for caches, exps in ((vc, xe), (wc, ye)):
-                for cache, e in zip(caches, exps):
-                    if e == 0:
-                        continue
-                    factor = cache.get(e)
-                    if not factor:
-                        dead = True
-                        break
-                    prod = prod * factor
-                if dead:
-                    break
-            if dead:
+            needed = [(cache, e) for cache, e in zip(caches, xe + ye) if e]
+            # a power over a field is zero only when its base is, so a dead
+            # term is skipped before any power or product is built
+            if not all(cache.base for cache, _ in needed):
                 continue
+            # S_i has no constant term, so needed is never empty
+            factors = [cache.get(e) for cache, e in needed]
+            prod = factors[0] * c
+            for factor in factors[1:]:
+                prod = prod * factor
             for exp, coeff in prod.terms():
                 s = acc.get(exp)
                 acc[exp] = s + coeff if s is not None else coeff

@@ -9,7 +9,10 @@ was replaced by a simpler or faster exact path:
   callers skip with ``pytest.importorskip("sympy")``;
 - ``candidate``, ``ddc_passing`` and ``enumerate_search``: every candidate
   run through ``ddc_check`` in rank order, the oracle for the pruned search
-  ``ddcrit.search.first_witness``.
+  ``ddcrit.search.first_witness``;
+- ``schoolbook_mul``: one field multiplication per pair of terms, the
+  oracle for the packed product ``ddcrit.gf.kronecker_mul`` behind
+  ``Poly.__mul__`` and ``LaurentPoly.__mul__``.
 """
 
 from __future__ import annotations
@@ -214,3 +217,17 @@ def enumerate_search(q: Quadruple, field_degree: int, require_isolated: bool,
             return cert
     total = candidate_count(q, make_field(q.p, field_degree))
     return NotFound(q, field_degree, require_isolated, total, True, total)
+
+
+def schoolbook_mul(a, b, spec) -> list:
+    """Product of two ascending coefficient sequences over spec, summing
+    a_i * b_j into slot i + j; [] if either is empty."""
+    if not a or not b:
+        return []
+    z = spec.zero()
+    out = [z] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = out[i + j] + x * y
+    return out

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ddcrit.errors import NotOrbitClosed, RepeatedRoot, ZeroRoot
-from ddcrit.gf import make_field
+from ddcrit.gf import FieldSpec, kronecker_mul, make_field
 from ddcrit.poly import (
     NEG_INF,
     LaurentPoly,
@@ -16,7 +16,7 @@ from ddcrit.poly import (
     mu_m_orbit_reps,
     roots_in_splitting_field,
 )
-from reference import RationalFunction
+from reference import RationalFunction, schoolbook_mul
 
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
@@ -163,3 +163,59 @@ def test_embedding_consistency():
         y = f9.element_by_index((i * 5 + 2) % 9)
         assert embed(x * y, f81) == embed(x, f81) * embed(y, f81)
         assert embed(x + y, f81) == embed(x, f81) + embed(y, f81)
+
+
+# -- the packed product against the schoolbook oracle ------------------------
+
+
+def _vector(rng, spec, length, top):
+    """length elements of spec: random, or (top) with every digit p-1."""
+    if top:
+        return [spec.element([spec.p - 1] * spec.k)] * length
+    return [
+        spec.element([rng.randrange(spec.p) for _ in range(spec.k)])
+        for _ in range(length)
+    ]
+
+
+def _check_products(spec, a, b):
+    expected = schoolbook_mul(a, b, spec)
+    assert kronecker_mul(a, b, spec) == expected
+    if len(a) < 200:  # the square packs its one operand once
+        assert kronecker_mul(a, a, spec) == schoolbook_mul(a, a, spec)
+    assert Poly(spec, a) * Poly(spec, b) == Poly(spec, expected)
+    for low_a, low_b in ((-7, 4), (5, -2), (-3, -200), (3, 8)):
+        product = LaurentPoly(spec, low_a, a) * LaurentPoly(spec, low_b, b)
+        assert product == LaurentPoly(spec, low_a + low_b, expected)
+
+
+# (len a, len b, every digit p-1): empty, one-term and >= 200-term
+# sequences.  All-(p-1) sequences reach the digit bound min(len)*k*(p-1)^2,
+# which is 2^8 exactly for 64 terms over F_3.
+SHAPES = [
+    (0, 3, False),
+    (3, 0, False),
+    (1, 1, False),
+    (1, 200, False),
+    (203, 7, False),
+    (64, 64, True),
+    (200, 64, True),
+]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("k", [1, 2, 3, 9])
+def test_kronecker_mul_matches_schoolbook(p, k):
+    spec = make_field(p, k)
+    rng = random.Random(100 * p + k)
+    for la, lb, top in SHAPES:
+        _check_products(spec, _vector(rng, spec, la, top), _vector(rng, spec, lb, top))
+
+
+def test_kronecker_mul_wider_than_a_word():
+    # 5 * (p-1)^2 > 2^64, so digits are packed byte by byte
+    p = 2**31 - 1
+    rng = random.Random(7)
+    for spec in (make_field(p, 1), FieldSpec(p, 2, (1, 0, 1))):
+        for top in (False, True):
+            _check_products(spec, _vector(rng, spec, 5, top), _vector(rng, spec, 6, top))
