@@ -410,7 +410,7 @@ def _fold_table(spec: FieldSpec) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
-def kronecker_mul(a, b, spec: FieldSpec) -> list["FieldElement"]:
+def kronecker_mul(a, b, spec: FieldSpec) -> list[FieldElement]:
     """Product of two ascending coefficient sequences of elements of spec.
 
     Kronecker substitution: a sequence is packed into one int with digit

@@ -171,7 +171,7 @@ def witt_add(v: WittVector, w: WittVector) -> WittVector:
                 continue
             # S_i has no constant term, so needed is never empty
             factors = [cache.get(e) for cache, e in needed]
-            prod = factors[0] * c
+            prod = factors[0] if c == 1 else factors[0] * c
             for factor in factors[1:]:
                 prod = prod * factor
             for exp, coeff in prod.terms():
