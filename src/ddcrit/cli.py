@@ -231,10 +231,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call of main and shared by the later ones: parse_args
+# leaves the parser as it found it
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -203,10 +203,15 @@ def _deterministic_modulus(p: int, k: int) -> tuple[int, ...]:
     from the top degree down so that e.g. x^2+2 beats x^2+x+1 over F_5."""
     if k == 1:
         return (0, 1)
-    from itertools import product
-
-    for top_down in product(range(p), repeat=k):
-        coeffs = list(reversed(top_down)) + [1]
+    # vector number `index` holds the base-p digits of index, least
+    # significant on the constant term; built one at a time, since p^k
+    # vectors can be far beyond memory
+    for index in range(p**k):
+        coeffs = []
+        for _ in range(k):
+            index, digit = divmod(index, p)
+            coeffs.append(digit)
+        coeffs.append(1)
         if _is_irreducible_modp(coeffs, p):
             return tuple(coeffs)
     raise AssertionError("no irreducible polynomial found (unreachable)")
@@ -410,8 +415,16 @@ def _fold_table(spec: FieldSpec) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
-def kronecker_mul(a, b, spec: FieldSpec) -> list[FieldElement]:
-    """Product of two ascending coefficient sequences of elements of spec.
+def element_columns(seq, k: int) -> list:
+    """A sequence of elements of F_{p^k} in column form: k equally long
+    columns, column t holding coefficient t (of x^t) of every element (k
+    empty columns for an empty sequence)."""
+    return list(zip(*[c.coeffs for c in seq])) or [()] * k
+
+
+def kronecker_columns(a, b, spec: FieldSpec) -> list[list[int]]:
+    """Product of two ascending coefficient sequences over spec, both given
+    and returned in column form (see ``element_columns``).
 
     Kronecker substitution: a sequence is packed into one int with digit
     i of its term j (the coefficient of x^i) at digit j*(2k-1) + i, the two
@@ -421,23 +434,22 @@ def kronecker_mul(a, b, spec: FieldSpec) -> list[FieldElement]:
     to 2k-2 before reduction.  A digit of the product sums at most
     min(len a, len b) * k products of two digits below p, so digits that
     hold min(len a, len b) * k * (p-1)^2 never carry into the next.
-    Returns len(a) + len(b) - 1 elements, or [] if either sequence is empty.
+    Returns the k columns of the len(a[0]) + len(b[0]) - 1 product terms,
+    digits in [0, p), or k empty columns if either sequence is empty.
     """
-    if not a or not b:
-        return []
     p, k = spec.p, spec.k
-    width = _digit_bytes(min(len(a), len(b)) * k * (p - 1) ** 2)
-    slots = len(a) + len(b) - 1
+    la, lb = len(a[0]), len(b[0])
+    if not la or not lb:
+        return [[] for _ in range(k)]
+    width = _digit_bytes(min(la, lb) * k * (p - 1) ** 2)
+    slots = la + lb - 1
     if k == 1:
-        x = _to_int([c.coeffs[0] for c in a], width)
-        y = x if a is b else _to_int([c.coeffs[0] for c in b], width)
-        return [
-            FieldElement(spec, (d % p,)) for d in _from_int(x * y, slots, width)
-        ]
-    pad = (0,) * (k - 1)
-    x = _to_int([d for c in a for d in c.coeffs + pad], width)
-    y = x if a is b else _to_int([d for c in b for d in c.coeffs + pad], width)
+        x = _to_int(a[0], width)
+        y = x if a is b else _to_int(b[0], width)
+        return [[d % p for d in _from_int(x * y, slots, width)]]
     stride = 2 * k - 1
+    x = _to_int(_interleave(a, stride), width)
+    y = x if a is b else _to_int(_interleave(b, stride), width)
     n = slots * stride
     digits = [d % p for d in _from_int(x * y, n, width)]
     # fold digit k+j of every slot into digits 0..k-1 by x^(k+j) mod the
@@ -448,7 +460,27 @@ def kronecker_mul(a, b, spec: FieldSpec) -> list[FieldElement]:
         for t, rt in enumerate(r):
             if rt:
                 cols[t] = [u + h * rt for u, h in zip(cols[t], high)]
-    return [FieldElement(spec, tuple([u % p for u in c])) for c in zip(*cols)]
+    return [[u % p for u in c] for c in cols]
+
+
+def _interleave(cols, stride: int) -> list[int]:
+    """The digits of columns laid out term by term, stride digits a term
+    (zero past the last column)."""
+    out = [0] * (len(cols[0]) * stride)
+    for t, c in enumerate(cols):
+        out[t::stride] = c
+    return out
+
+
+def kronecker_mul(a, b, spec: FieldSpec) -> list[FieldElement]:
+    """Product of two ascending coefficient sequences of elements of spec:
+    len(a) + len(b) - 1 elements, or [] if either sequence is empty.  See
+    ``kronecker_columns``."""
+    if not a or not b:
+        return []
+    x = element_columns(a, spec.k)
+    y = x if a is b else element_columns(b, spec.k)
+    return [FieldElement(spec, c) for c in zip(*kronecker_columns(x, y, spec))]
 
 
 # -- operations --------------------------------------------------------------

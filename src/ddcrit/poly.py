@@ -20,6 +20,8 @@ from .errors import (
 from .gf import (
     FieldElement,
     FieldSpec,
+    element_columns,
+    kronecker_columns,
     kronecker_mul,
     make_field,
     pth_root,
@@ -128,10 +130,11 @@ class Poly:
         z = self.spec.zero()
         rem = list(self.coeffs)
         quot = [z] * max(0, len(rem) - len(other.coeffs) + 1)
-        inv_lead = other.coeffs[-1].inverse()
+        lead = other.coeffs[-1]
+        inv_lead = None if lead == self.spec.one() else lead.inverse()
         db = len(other.coeffs) - 1
         while len(rem) - 1 >= db and rem:
-            c = rem[-1] * inv_lead
+            c = rem[-1] if inv_lead is None else rem[-1] * inv_lead
             shift = len(rem) - 1 - db
             if c:
                 quot[shift] = c
@@ -178,16 +181,75 @@ class Poly:
         return [c.to_json() for c in self.coeffs]
 
 
-def _powmod(base: Poly, e: int, mod: Poly) -> Poly:
-    result = Poly.one(base.spec)
-    base = base % mod
-    while e:
+class _Reducer:
+    """Remainders modulo one fixed polynomial m of degree n >= 1 by a
+    precomputed reciprocal (Barrett/Newton reduction): two products of the
+    multiply kernel per remainder, on coefficients in column form
+    (``gf.element_columns``).
+
+    m is made monic, which leaves every remainder unchanged.  With
+    rev(m) = t^n m(1/t), whose constant term is 1, ``inv`` is
+    rev(m)^-1 mod t^(n-1), found once by Newton iteration.  For c of
+    length n + L with L <= n - 1, the quotient c div m has L terms and its
+    reversal is rev(c[n:]) * inv mod t^L; the remainder is the low n
+    coefficients of c - q*m, and only m's terms below t^n reach them."""
+
+    __slots__ = ("spec", "mod", "low", "inv")
+
+    def __init__(self, mod: Poly):
+        spec = mod.spec
+        p = spec.p
+        self.spec = spec
+        self.mod = mod.monic()
+        m = self.mod.coeffs
+        n = len(m) - 1
+        self.low = element_columns(m[:n], spec.k)
+        rev = element_columns(m[::-1], spec.k)
+        # g <- g - t^a g h, where rev(m) g = 1 + t^a h mod t^l, l <= 2a,
+        # doubles the precision a of g = rev(m)^-1
+        inv = [[d] for d in spec.one().coeffs]
+        while len(inv[0]) < n - 1:
+            a = len(inv[0])
+            l = min(2 * a, n - 1)
+            h = kronecker_columns([c[:l] for c in rev], inv, spec)
+            gh = kronecker_columns(inv, [c[a:l] for c in h], spec)
+            inv = [c + [-d % p for d in e[: l - a]] for c, e in zip(inv, gh)]
+        self.inv = inv
+
+    def reduce(self, c: list) -> list:
+        """c mod m for the columns c of at most 2n - 1 coefficients, as the
+        columns of at most n coefficients (trailing zeros possible)."""
+        n = len(self.low[0])
+        size = len(c[0]) - n
+        if size <= 0:
+            return c
+        spec, p = self.spec, self.spec.p
+        top = [col[: n - 1 : -1] for col in c]
+        q = kronecker_columns(top, [col[:size] for col in self.inv], spec)
+        q = [col[size - 1 :: -1] for col in q]
+        return [
+            [(u - v) % p for u, v in zip(col[:n], qm)]
+            for col, qm in zip(c, kronecker_columns(q, self.low, spec))
+        ]
+
+
+def _powmod(base: Poly, e: int, red: _Reducer) -> Poly:
+    """base^e modulo the reducer's modulus by square-and-multiply."""
+    spec = base.spec
+    if not e:
+        return Poly.one(spec)
+    base = element_columns((base % red.mod).coeffs, spec.k)
+    result = None
+    while True:
         if e & 1:
-            result = (result * base) % mod
+            result = (
+                base if result is None
+                else red.reduce(kronecker_columns(result, base, spec))
+            )
         e >>= 1
-        if e:
-            base = (base * base) % mod
-    return result
+        if not e:
+            return Poly(spec, [FieldElement(spec, c) for c in zip(*result)])
+        base = red.reduce(kronecker_columns(base, base, spec))
 
 
 # -- factorization -----------------------------------------------------------
@@ -241,17 +303,19 @@ def distinct_degree_factorization(f: Poly) -> list[tuple[Poly, int]]:
     h = x
     d = 0
     rest = f
+    red = _Reducer(rest)
     while rest.degree > 0:
         d += 1
         if 2 * d > rest.degree:
             out.append((rest, int(rest.degree)))
             break
-        h = _powmod(h, q, rest)
+        h = _powmod(h, q, red)
         g = rest.gcd(h - x)
         if g.degree > 0:
             out.append((g, d))
             rest = rest // g
             h = h % rest
+            red = _Reducer(rest)
     return out
 
 
@@ -277,8 +341,9 @@ def equal_degree_factorization(f: Poly, d: int) -> list[Poly]:
     if f.degree == d:
         return [f]
     exponent = (spec.order**d - 1) // 2
+    red = _Reducer(f)
     for cand in _candidate_polys(spec, 2 * d):
-        h = _powmod(cand, exponent, f)
+        h = _powmod(cand, exponent, red)
         g = f.gcd(h - Poly.one(spec))
         if 0 < g.degree < f.degree:
             return sorted(
@@ -341,7 +406,7 @@ def roots_in_field(f: Poly) -> list[FieldElement]:
     for sqf, mult in squarefree_decomposition(f):
         # the product of linear factors of sqf is gcd(t^q - t, sqf)
         x = Poly.x(spec)
-        xq = _powmod(x, spec.order, sqf)
+        xq = _powmod(x, spec.order, _Reducer(sqf))
         lin = sqf.gcd(xq - x)
         if lin.degree <= 0:
             continue
@@ -393,8 +458,9 @@ def _one_root(f: Poly) -> FieldElement:
     if f.degree == 1:
         return -f.coeffs[0]
     exponent = (spec.order - 1) // 2
+    red = _Reducer(f)
     for cand in _candidate_polys(spec, 2):
-        h = _powmod(cand, exponent, f)
+        h = _powmod(cand, exponent, red)
         g = f.gcd(h - Poly.one(spec))
         if 0 < g.degree < f.degree:
             smaller = g if g.degree <= f.degree - g.degree else f // g

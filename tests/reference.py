@@ -12,15 +12,23 @@ was replaced by a simpler or faster exact path:
   ``ddcrit.search.first_witness``;
 - ``schoolbook_mul``: one field multiplication per pair of terms, the
   oracle for the packed product ``ddcrit.gf.kronecker_mul`` behind
-  ``Poly.__mul__`` and ``LaurentPoly.__mul__``.
+  ``Poly.__mul__`` and ``LaurentPoly.__mul__``;
+- ``powmod_reference``: square-and-multiply with one ``Poly.divmod`` per
+  step, the oracle for ``ddcrit.poly._powmod`` and its reducer;
+- ``deterministic_modulus_reference``: the modulus scan over
+  ``itertools.product``, which builds every pool before the first vector
+  (small p only), the oracle for the order of
+  ``ddcrit.gf._deterministic_modulus``.
 """
 
 from __future__ import annotations
 
+from itertools import product
+
 from ddcrit.cartier import Quadruple, ddc_check
 from ddcrit.criterion import ResidueData, certify
 from ddcrit.errors import ReconstructionMismatch
-from ddcrit.gf import make_field, root_of_unity
+from ddcrit.gf import _is_irreducible_modp, make_field, root_of_unity
 from ddcrit.poly import Poly
 from ddcrit.search import NotFound, _passes, candidate_count
 
@@ -231,3 +239,29 @@ def schoolbook_mul(a, b, spec) -> list:
             for j, y in enumerate(b):
                 out[i + j] = out[i + j] + x * y
     return out
+
+
+def powmod_reference(base: Poly, e: int, mod: Poly) -> Poly:
+    """base^e mod mod by square-and-multiply, reducing every product by
+    ``Poly.divmod``."""
+    result = Poly.one(base.spec)
+    base = base % mod
+    while e:
+        if e & 1:
+            result = (result * base) % mod
+        e >>= 1
+        if e:
+            base = (base * base) % mod
+    return result
+
+
+def deterministic_modulus_reference(p: int, k: int) -> tuple[int, ...]:
+    """Least monic irreducible of degree k over F_p, scanning the
+    coefficient vectors top degree down in ``itertools.product`` order."""
+    if k == 1:
+        return (0, 1)
+    for top_down in product(range(p), repeat=k):
+        coeffs = list(reversed(top_down)) + [1]
+        if _is_irreducible_modp(coeffs, p):
+            return tuple(coeffs)
+    raise AssertionError("no irreducible polynomial found")

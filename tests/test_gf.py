@@ -9,12 +9,14 @@ from ddcrit.errors import (
     OrderNotDividing,
 )
 from ddcrit.gf import (
+    _deterministic_modulus,
     make_field,
     ord_mod,
     pth_root,
     root_of_unity,
     trace_to_prime,
 )
+from reference import deterministic_modulus_reference
 
 F9 = make_field(3, 2)
 
@@ -29,6 +31,18 @@ def test_make_field_moduli():
     assert make_field(3, 1).modulus == (0, 1)
     assert make_field(3, 2).modulus == (1, 0, 1)
     assert make_field(5, 2).modulus == (2, 0, 1)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_deterministic_modulus_keeps_the_product_order(p, k):
+    assert _deterministic_modulus(p, k) == deterministic_modulus_reference(p, k)
+
+
+def test_make_field_large_prime_degree_two():
+    # x^2 + 1 is irreducible because 2^31 - 1 = 3 mod 4; the scan must not
+    # build p^2 vectors before trying the second one
+    assert make_field(2**31 - 1, 2).modulus == (1, 0, 1)
 
 
 def test_make_field_is_pure():

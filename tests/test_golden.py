@@ -38,6 +38,29 @@ def test_golden_stdout(case):
     assert stdout == (GOLDEN / f"{case['name']}.stdout").read_bytes()
 
 
+# argparse rejects these before any subcommand runs
+BAD_ARGVS = [
+    ["check", "--p", "3"],
+    ["no-such-subcommand"],
+    ["plan", "--p", "three", "--m", "2", "--n", "2"],
+]
+
+
+def test_one_process_many_calls():
+    """main keeps one parser per process: every case twice in a row,
+    with an argparse error after each, gives its golden bytes and code."""
+    from ddcrit import cli
+
+    for round_index in range(2):
+        for i, case in enumerate(CASES):
+            stdout, code = run_case(case["argv"])
+            assert code == case["exit_code"], case["name"]
+            assert stdout == (GOLDEN / f"{case['name']}.stdout").read_bytes()
+            parser = cli._parser
+            assert run_case(BAD_ARGVS[(i + round_index) % len(BAD_ARGVS)]) == (b"", 2)
+            assert cli._parser is parser
+
+
 def record() -> None:
     for case in CASES:
         stdout, case["exit_code"] = run_case(case["argv"])

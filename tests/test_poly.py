@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ddcrit.errors import NotOrbitClosed, RepeatedRoot, ZeroRoot
-from ddcrit.gf import FieldSpec, kronecker_mul, make_field
+from ddcrit.gf import element_columns, kronecker_mul, make_field
 from ddcrit.poly import (
     NEG_INF,
     LaurentPoly,
     Poly,
+    _powmod,
+    _Reducer,
     elementary_symmetric,
     embed,
     embed_poly,
@@ -16,7 +18,7 @@ from ddcrit.poly import (
     mu_m_orbit_reps,
     roots_in_splitting_field,
 )
-from reference import RationalFunction, schoolbook_mul
+from reference import RationalFunction, powmod_reference, schoolbook_mul
 
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
@@ -216,6 +218,55 @@ def test_kronecker_mul_wider_than_a_word():
     # 5 * (p-1)^2 > 2^64, so digits are packed byte by byte
     p = 2**31 - 1
     rng = random.Random(7)
-    for spec in (make_field(p, 1), FieldSpec(p, 2, (1, 0, 1))):
+    for spec in (make_field(p, 1), make_field(p, 2)):
         for top in (False, True):
             _check_products(spec, _vector(rng, spec, 5, top), _vector(rng, spec, 6, top))
+
+
+# -- reduction by a precomputed reciprocal against Poly.divmod ---------------
+
+
+def _modulus(rng, spec, n, monic):
+    """A random polynomial of degree n, monic or with a lead other than 1."""
+    lead = spec.one()
+    while not monic and lead in (spec.zero(), spec.one()):
+        lead = _vector(rng, spec, 1, False)[0]
+    return Poly(spec, _vector(rng, spec, n, False) + [lead])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("k", [1, 2, 3, 8])
+def test_reducer_matches_divmod(p, k):
+    spec = make_field(p, k)
+    rng = random.Random(1000 * p + k)
+    # degree 44 is the largest modulus _powmod meets in the certify catalog
+    for n in (1, 2, 3, 8, 44):
+        for monic in (True, False):
+            mod = _modulus(rng, spec, n, monic)
+            red = _Reducer(mod)
+            lengths = range(2 * n) if n < 44 or k == 1 else (45, 66, 2 * n - 1)
+            products = [_vector(rng, spec, length, False) for length in lengths]
+            products.append(_vector(rng, spec, 2 * n - 1, True))
+            for c in products:
+                rem = red.reduce(element_columns(c, k))
+                assert len(rem) == k
+                rem = Poly(spec, [spec.element(d) for d in zip(*rem)])
+                assert rem == Poly(spec, c) % mod
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 3), (7, 8)])
+def test_powmod_matches_reference(p, k):
+    spec = make_field(p, k)
+    rng = random.Random(10 * p + k)
+    q = spec.order
+    for d in (1, 2, 3):
+        mod = _modulus(rng, spec, d, monic=d != 2)
+        red = _Reducer(mod)
+        for base in (
+            Poly(spec, _vector(rng, spec, 2 * d + 1, False)),
+            Poly(spec, _vector(rng, spec, d, True)),
+            Poly.x(spec),
+            Poly.zero(spec),
+        ):
+            for e in (0, 1, 2, q, (q**d - 1) // 2):
+                assert _powmod(base, e, red) == powmod_reference(base, e, mod)
