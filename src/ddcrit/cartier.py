@@ -48,9 +48,6 @@ class LaurentForm:
     def __neg__(self):
         return LaurentForm(-self.h)
 
-    def scale(self, g: LaurentPoly) -> "LaurentForm":
-        return LaurentForm(g * self.h)
-
     def to_json(self):
         return self.h.to_json()
 

@@ -2,7 +2,8 @@
 
 Subcommands map one-to-one onto library operations; all output is JSON
 (pretty by default, ``--compact`` for single-line).  Exit codes: 0 = success
-or witness found, 1 = check failed or nothing found, 2 = invalid input.
+or witness found, 1 = check failed or nothing found, 2 = invalid input,
+3 = stdout was closed before the answer was written.
 
 Input grammars:
   polynomial   ascending comma-separated integers, e.g. "1,0,2" = 1 + 2t^2
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -249,7 +251,12 @@ def main(argv=None) -> int:
     except (DdcritError, ValueError, TypeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
-    print(_dump(payload, args.compact))
+    try:
+        print(_dump(payload, args.compact), flush=True)
+    except BrokenPipeError:
+        # the interpreter's flush at exit now writes what is left to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 3
     return code
 
 

@@ -18,7 +18,7 @@ from .criterion import (
     reconstruct_f,
 )
 from .errors import ExtensionCapExceeded, SingularSystem
-from .gf import make_field, ord_mod, root_of_unity, trace_to_prime
+from .gf import make_field, ord_mod, root_of_unity, solve_modp, trace_to_prime
 from .poly import Poly, mu_m_orbit_reps
 
 DEFAULT_DEGREE_CAP = 16
@@ -44,9 +44,9 @@ def construct_small(p: int, n1: int) -> ResidueData:
     aug = [
         [pow(x, e, p) for x in reps] + [half if e == q.u else 0] for e in exps
     ]
-    residues = _solve_modp(aug, p)
+    residues = solve_modp(aug, p)
     if residues is None:
-        raise SingularSystem("small-family power-sum system was singular")
+        raise SingularSystem("small-family power-sum system has no solution")
     if any(a == 0 for a in residues):
         raise AssertionError("small-family residue vanished")
     rd = ResidueData(
@@ -58,24 +58,6 @@ def construct_small(p: int, n1: int) -> ResidueData:
     if not isolated:
         raise AssertionError("small-family data is not isolated")
     return rd
-
-
-def _solve_modp(aug: list[list[int]], p: int) -> list[int] | None:
-    """Solve a square augmented system over F_p; None if singular."""
-    n = len(aug)
-    m = [row[:] for row in aug]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] % p), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = pow(m[col][col], p - 2, p)
-        m[col] = [(x * inv) % p for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[col])]
-    return [m[r][n] % p for r in range(n)]
 
 
 def construct_trace(

@@ -9,6 +9,7 @@ All arithmetic is exact; everything is immutable and safe to share.
 from __future__ import annotations
 
 import functools
+import operator
 import sys
 from array import array
 from dataclasses import dataclass
@@ -51,6 +52,47 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
+# -- powers and linear systems ----------------------------------------------
+
+
+def square_and_multiply(base, e: int, mul):
+    """base^e for e >= 1 by square-and-multiply with the product mul(a, b),
+    started from base so that no product has an identity factor."""
+    result = None
+    while True:
+        if e & 1:
+            result = base if result is None else mul(result, base)
+        e >>= 1
+        if not e:
+            return result
+        base = mul(base, base)
+
+
+def solve_modp(aug: list[list[int]], p: int) -> list[int] | None:
+    """A solution over F_p of the linear system with augmented rows aug
+    (coefficients, then the right-hand side) by Gauss-Jordan elimination,
+    with every free variable 0; None if the system is inconsistent."""
+    rows = list(aug)
+    n = len(rows[0]) - 1
+    pivots = []
+    for col in range(n):
+        r0 = len(pivots)
+        piv = next((r for r in range(r0, len(rows)) if rows[r][col] % p), None)
+        if piv is None:
+            continue
+        rows[r0], rows[piv] = rows[piv], rows[r0]
+        inv = pow(rows[r0][col], p - 2, p)
+        rows[r0] = [(x * inv) % p for x in rows[r0]]
+        for r, row in enumerate(rows):
+            if r != r0 and (f := row[col]):
+                rows[r] = [(a - f * b) % p for a, b in zip(row, rows[r0])]
+        pivots.append(col)
+    if any(row[n] % p for row in rows[len(pivots):]):
+        return None
+    solution = dict(zip(pivots, [row[n] for row in rows]))
+    return [solution.get(col, 0) for col in range(n)]
+
+
 # -- dense F_p[x] helpers (coefficient lists, ascending degree) --------------
 
 
@@ -90,15 +132,8 @@ def _polymulmod(a, b, m, p):
 
 
 def _polypowmod(a, e, m, p):
-    result = [1]
-    base = _polymod_modp(a, m, p)
-    while e:
-        if e & 1:
-            result = _polymulmod(result, base, m, p)
-        e >>= 1
-        if e:
-            base = _polymulmod(base, base, m, p)
-    return result
+    mul = lambda u, v: _polymulmod(u, v, m, p)  # noqa: E731
+    return square_and_multiply(_polymod_modp(a, m, p), e, mul) if e else [1]
 
 
 def _polygcd_modp(a: list[int], b: list[int], p: int) -> list[int]:
@@ -296,15 +331,7 @@ class FieldElement:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.spec.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return square_and_multiply(self, e, operator.mul) if e else self.spec.one()
 
     def inverse(self) -> "FieldElement":
         if not self:
@@ -488,10 +515,7 @@ def kronecker_mul(a, b, spec: FieldSpec) -> list[FieldElement]:
 
 def pth_root(x: FieldElement) -> FieldElement:
     """The unique y with y^p = x, namely x^(p^(k-1))."""
-    k = x.spec.k
-    if k == 1:
-        return x
-    return x ** (x.spec.p ** (k - 1))
+    return x ** (x.spec.p ** (x.spec.k - 1))
 
 
 def trace_to_prime(x: FieldElement, d: int) -> FieldElement:

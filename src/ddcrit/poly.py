@@ -9,6 +9,7 @@ candidate sequence, so results are bit-for-bit reproducible.
 from __future__ import annotations
 
 import functools
+import operator
 from math import lcm
 
 from .errors import (
@@ -26,6 +27,7 @@ from .gf import (
     make_field,
     pth_root,
     root_of_unity,
+    square_and_multiply,
 )
 
 NEG_INF = float("-inf")
@@ -105,18 +107,9 @@ class Poly:
         return Poly(self.spec, kronecker_mul(self.coeffs, other.coeffs, self.spec))
 
     def __pow__(self, e: int):
-        result = Poly.one(self.spec)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
-    def scale(self, c: FieldElement) -> "Poly":
-        return self * c
+        if e < 0:
+            raise ValueError("negative power of a polynomial")
+        return square_and_multiply(self, e, operator.mul) if e else Poly.one(self.spec)
 
     def monic(self) -> "Poly":
         if not self:
@@ -239,17 +232,9 @@ def _powmod(base: Poly, e: int, red: _Reducer) -> Poly:
     if not e:
         return Poly.one(spec)
     base = element_columns((base % red.mod).coeffs, spec.k)
-    result = None
-    while True:
-        if e & 1:
-            result = (
-                base if result is None
-                else red.reduce(kronecker_columns(result, base, spec))
-            )
-        e >>= 1
-        if not e:
-            return Poly(spec, [FieldElement(spec, c) for c in zip(*result)])
-        base = red.reduce(kronecker_columns(base, base, spec))
+    mul = lambda a, b: red.reduce(kronecker_columns(a, b, spec))  # noqa: E731
+    result = square_and_multiply(base, e, mul)
+    return Poly(spec, [FieldElement(spec, c) for c in zip(*result)])
 
 
 # -- factorization -----------------------------------------------------------
@@ -387,11 +372,7 @@ def embed(x: FieldElement, dst: FieldSpec) -> FieldElement:
         return x
     if src.k == 1:
         return dst.from_int(x.coeffs[0])
-    img = _embedding_image(src, dst)
-    acc = dst.zero()
-    for c in reversed(x.coeffs):
-        acc = acc * img + dst.from_int(c)
-    return acc
+    return Poly.from_ints(dst, x.coeffs).evaluate(_embedding_image(src, dst))
 
 
 def embed_poly(f: Poly, dst: FieldSpec) -> Poly:
@@ -621,15 +602,11 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        result = LaurentPoly.from_terms(self.spec, {0: self.spec.one()})
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        if e < 0:
+            raise ValueError("negative power of a Laurent polynomial")
+        if not e:
+            return LaurentPoly(self.spec, 0, [self.spec.one()])
+        return square_and_multiply(self, e, operator.mul)
 
     def frobenius(self) -> "LaurentPoly":
         """Entry-wise p-th power: coefficients^p, exponents*p."""

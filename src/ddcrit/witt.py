@@ -22,7 +22,15 @@ from .errors import (
     NotStandardForm,
     SpecMismatch,
 )
-from .gf import FieldElement, FieldSpec, make_field, pth_root
+from .gf import (
+    FieldElement,
+    FieldSpec,
+    is_prime,
+    make_field,
+    pth_root,
+    solve_modp,
+    square_and_multiply,
+)
 from .poly import LaurentPoly, embed
 
 MAX_LEVEL = 3
@@ -94,16 +102,6 @@ def witt_sum_polys(p: int, n: int, max_level: int = MAX_LEVEL):
                 out[e] = out.get(e, 0) + ca * cb
         return out
 
-    def power(a: dict, e: int) -> dict:
-        result, base = {(0,) * width: 1}, a
-        while e:
-            if e & 1:
-                result = mul(result, base)
-            e >>= 1
-            if e:
-                base = mul(base, base)
-        return result
-
     exact: list[dict] = []
     reduced = []
     for i in range(n):
@@ -113,7 +111,7 @@ def witt_sum_polys(p: int, n: int, max_level: int = MAX_LEVEL):
                 mono = monomial(var, p ** (i - j))
                 acc[mono] = acc.get(mono, 0) + p**j
         for j in range(i):
-            for mono, c in power(exact[j], p ** (i - j)).items():
+            for mono, c in square_and_multiply(exact[j], p ** (i - j), mul).items():
                 acc[mono] = acc.get(mono, 0) - p**j * c
         s_i = {}
         for mono, c in acc.items():
@@ -230,34 +228,11 @@ class StandardFormResult:
 def _artin_schreier_solve(spec: FieldSpec, c: FieldElement) -> FieldElement | None:
     """Some x with x^p - x = c in spec, or None if there is none (Tr c != 0)."""
     p, k = spec.p, spec.k
-    cols = []
-    for j in range(k):
-        b = spec.element([0] * j + [1])
-        cols.append((b**p - b).coeffs)
-    # solve the k x k system over F_p
-    aug = [[cols[j][i] for j in range(k)] + [c.coeffs[i]] for i in range(k)]
-    pivots = []
-    row = 0
-    for col in range(k):
-        piv = next((r for r in range(row, k) if aug[r][col] % p), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = pow(aug[row][col], p - 2, p)
-        aug[row] = [(x * inv) % p for x in aug[row]]
-        for r in range(k):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(a - f * b) % p for a, b in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, k):
-        if aug[r][k] % p:
-            return None
-    x = [0] * k
-    for r, col in enumerate(pivots):
-        x[col] = aug[r][k]
-    return spec.element(x)
+    basis = [spec.element([0] * j + [1]) for j in range(k)]
+    cols = [(b**p - b).coeffs for b in basis]
+    # the k x k system over F_p, of rank k - 1: its kernel is F_p
+    x = solve_modp([[*row, ci] for row, ci in zip(zip(*cols), c.coeffs)], p)
+    return None if x is None else spec.element(x)
 
 
 def _single_slot(spec: FieldSpec, n: int, i: int, entry: LaurentPoly) -> WittVector:
@@ -388,6 +363,8 @@ def kgb_vanishes(j: JumpProfile, m: int) -> bool:
 def reduce_jumps(jumps_prime, p: int, m: int) -> list[int]:
     """Reduce a jump profile to one with no essential ramification:
     u_i = u_i' mod mp and p*u_{i-1} <= u_i < p*u_{i-1} + mp, inductively."""
+    if not is_prime(p) or p == 2 or m < 1:
+        raise InvalidProfile(f"need an odd prime p and m >= 1, not p={p}, m={m}")
     jumps_prime = list(jumps_prime)
     if not jumps_prime or any(u < 1 for u in jumps_prime):
         raise InvalidProfile("jumps must be positive")

@@ -18,7 +18,10 @@ was replaced by a simpler or faster exact path:
 - ``deterministic_modulus_reference``: the modulus scan over
   ``itertools.product``, which builds every pool before the first vector
   (small p only), the oracle for the order of
-  ``ddcrit.gf._deterministic_modulus``.
+  ``ddcrit.gf._deterministic_modulus``;
+- ``least_irreducible_reference``: the same scan with irreducibility
+  decided by ``ddcrit.poly.factor`` over F_p, which shares no code with the
+  Rabin test in ``ddcrit.gf``: the oracle for the moduli of ``make_field``.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from ddcrit.cartier import Quadruple, ddc_check
 from ddcrit.criterion import ResidueData, certify
 from ddcrit.errors import ReconstructionMismatch
 from ddcrit.gf import _is_irreducible_modp, make_field, root_of_unity
-from ddcrit.poly import Poly
+from ddcrit.poly import Poly, factor
 from ddcrit.search import NotFound, _passes, candidate_count
 
 
@@ -264,4 +267,15 @@ def deterministic_modulus_reference(p: int, k: int) -> tuple[int, ...]:
         coeffs = list(reversed(top_down)) + [1]
         if _is_irreducible_modp(coeffs, p):
             return tuple(coeffs)
+    raise AssertionError("no irreducible polynomial found")
+
+
+def least_irreducible_reference(p: int, k: int) -> tuple[int, ...]:
+    """Least monic irreducible of degree k over F_p in the scan order of
+    ``deterministic_modulus_reference``, each candidate factored."""
+    spec = make_field(p, 1)
+    for top_down in product(range(p), repeat=k):
+        f = Poly.from_ints(spec, list(reversed(top_down)) + [1])
+        if factor(f) == [(f, 1)]:
+            return tuple(c.coeffs[0] for c in f.coeffs)
     raise AssertionError("no irreducible polynomial found")

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -34,6 +38,34 @@ def test_reduce_jumps_cli(capsys):
     )
     assert code == 0
     assert json.loads(out) == [1, 9, 53, 265]
+
+
+def test_reduce_jumps_cli_rejects_bad_p_and_m(capsys):
+    for p, m in (("0", "2"), ("4", "3"), ("5", "0")):
+        code, out, err = run(
+            capsys, "reduce-jumps", "--p", p, "--m", m, "--jumps", "11"
+        )
+        assert code == 2 and out == ""
+        assert "odd prime" in json.loads(err)["error"]
+
+
+def test_closed_stdout_exits_3_without_traceback():
+    """A reader that went away before the answer was written: exit 3, the
+    code of its own, and nothing on stderr."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ddcrit.cli", "--compact", "plan",
+             "--p", "5", "--m", "2", "--n", "2"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3
+    assert proc.stderr == b""
 
 
 def test_check_cli_pass(capsys):

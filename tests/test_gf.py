@@ -14,9 +14,11 @@ from ddcrit.gf import (
     ord_mod,
     pth_root,
     root_of_unity,
+    solve_modp,
+    square_and_multiply,
     trace_to_prime,
 )
-from reference import deterministic_modulus_reference
+from reference import deterministic_modulus_reference, least_irreducible_reference
 
 F9 = make_field(3, 2)
 
@@ -37,6 +39,53 @@ def test_make_field_moduli():
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_deterministic_modulus_keeps_the_product_order(p, k):
     assert _deterministic_modulus(p, k) == deterministic_modulus_reference(p, k)
+
+
+# ROADMAP defect 1: the Rabin test behind the scan divides by non-monic
+# remainders, so these moduli are reducible or not the least irreducible
+DEFECT_1 = {(3, 6), (3, 12), (5, 10), (7, 12), (11, 6)}
+MODULUS_ORACLE_PAIRS = [
+    pytest.param(
+        p, k,
+        marks=[pytest.mark.xfail(
+            strict=True, reason="defect 1: _is_irreducible_modp is wrong"
+        )] if (p, k) in DEFECT_1 else [],
+    )
+    for p, top in ((3, 12), (5, 10), (7, 12), (11, 6), (13, 5))
+    for k in range(1, top + 1)
+]
+
+
+@pytest.mark.parametrize("p, k", MODULUS_ORACLE_PAIRS)
+def test_modulus_is_least_irreducible_by_factoring(p, k):
+    assert make_field(p, k).modulus == least_irreducible_reference(p, k)
+
+
+def test_square_and_multiply_counts_products():
+    calls = []
+
+    def mul(a, b):
+        calls.append((a, b))
+        return a * b
+
+    assert square_and_multiply(3, 1, mul) == 3 and calls == []
+    assert square_and_multiply(3, 13, mul) == 3**13
+    # 13 = 0b1101: three squarings and two products, none with 1
+    assert len(calls) == 5 and all(1 not in c for c in calls)
+
+
+def test_solve_modp():
+    # a unique solution, found after a row swap
+    assert solve_modp([[0, 1, 2], [1, 1, 0]], 5) == [3, 2]
+    # rank 1 of 2: the free variable y is 0
+    assert solve_modp([[1, 2, 3], [2, 4, 1]], 5) == [3, 0]
+    assert solve_modp([[0, 2, 3], [0, 4, 1]], 5) == [0, 4]
+    # inconsistent
+    assert solve_modp([[1, 2, 3], [2, 4, 0]], 5) is None
+    # the caller's rows are left as they were
+    aug = [[0, 1, 2], [1, 1, 0]]
+    solve_modp(aug, 5)
+    assert aug == [[0, 1, 2], [1, 1, 0]]
 
 
 def test_make_field_large_prime_degree_two():

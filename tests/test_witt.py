@@ -322,6 +322,9 @@ def test_reduce_jumps_rejects_bad_profiles():
         reduce_jumps([1, 2], 3, 2)  # u_2 < p u_1
     with pytest.raises(InvalidProfile):
         reduce_jumps([1, 4], 3, 3)  # 4 is not -1 mod 3
+    for p, m in ((5, 0), (0, 2), (4, 3), (2, 1), (-3, 2)):
+        with pytest.raises(InvalidProfile):
+            reduce_jumps([11], p, m)  # p not an odd prime, or m < 1
 
 
 def test_different_degree():
