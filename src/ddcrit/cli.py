@@ -255,7 +255,8 @@ def main(argv=None) -> int:
         print(_dump(payload, args.compact), flush=True)
     except BrokenPipeError:
         # the interpreter's flush at exit now writes what is left to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 3
     return code
 

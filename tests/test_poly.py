@@ -32,18 +32,6 @@ F8_POLY = poly_from_ints(F3, [1, 0, 0, 0, 0, 0, 1, 0, 1])
 F10_POLY = poly_from_ints(F3, [1, 0, 0, 0, 0, 0, 1, 0, 1, 0, 2])
 
 
-def test_negative_powers_raise():
-    f = poly_from_ints(F3, [1, 1])
-    with pytest.raises(ValueError):
-        f ** -1
-    lp = LaurentPoly.from_terms(F3, {-1: F3.one()})
-    with pytest.raises(ValueError):
-        lp ** -1
-    assert f**0 == Poly.one(F3) and f**1 == f
-    assert lp**0 == LaurentPoly.from_terms(F3, {0: F3.one()})
-    assert lp**3 == LaurentPoly.from_terms(F3, {-3: F3.one()})
-
-
 def random_poly(rng, spec, max_degree):
     return Poly(
         spec,
@@ -57,6 +45,18 @@ def random_poly(rng, spec, max_degree):
 def test_zero_degree_sentinel():
     assert Poly.zero(F3).degree == NEG_INF
     assert Poly.one(F3).degree == 0
+
+
+def test_negative_powers_raise():
+    f = poly_from_ints(F3, [1, 1])
+    with pytest.raises(ValueError):
+        f ** -1
+    lp = LaurentPoly.from_terms(F3, {-1: F3.one()})
+    with pytest.raises(ValueError):
+        lp ** -1
+    assert f**0 == Poly.one(F3) and f**1 == f
+    assert lp**0 == LaurentPoly.from_terms(F3, {0: F3.one()})
+    assert lp**3 == LaurentPoly.from_terms(F3, {-3: F3.one()})
 
 
 def test_roots_simple():
