@@ -83,6 +83,11 @@ class SingularSystem(DdcritError):
     """Internal error: the small-family linear system was singular."""
 
 
+class NotAField(DdcritError):
+    """Internal error: an irreducible factor has no root in its splitting
+    field F_{p^D}, so the canonical modulus of F_{p^D} is reducible."""
+
+
 class LevelTooHigh(DdcritError):
     pass
 

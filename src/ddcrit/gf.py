@@ -9,6 +9,7 @@ All arithmetic is exact; everything is immutable and safe to share.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import sys
 from array import array
@@ -24,16 +25,37 @@ from .errors import (
 )
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality for
+# every n below this bound (Sorenson-Webster, Math. Comp. 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality: deterministic Miller-Rabin below _MR_BOUND, trial
+    division at or above it."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n >= _MR_BOUND:
+        # trial division by the odd numbers past the bases
+        return all(n % d for d in range(43, math.isqrt(n) + 1, 2))
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -13,6 +13,7 @@ import operator
 from math import lcm
 
 from .errors import (
+    NotAField,
     NotOrbitClosed,
     RepeatedRoot,
     SpecMismatch,
@@ -413,12 +414,11 @@ def roots_in_splitting_field(f: Poly):
     big = make_field(spec.p, big_degree)
     roots: list[FieldElement] = []
     for g, mult in factors:
-        gb = embed_poly(g, big)
         if g.degree == 1:
-            rs = [-gb.coeffs[0]]
+            rs = [embed(-g.coeffs[0], big)]
         else:
             # one root, then its Frobenius orbit over the base field
-            r0 = _one_root(gb)
+            r0 = _one_root(g, big)
             rs = [r0]
             q0 = spec.order
             nxt = r0**q0
@@ -433,20 +433,52 @@ def roots_in_splitting_field(f: Poly):
     return big_degree, roots
 
 
-def _one_root(f: Poly) -> FieldElement:
-    """One root of a monic polynomial that splits completely in its field."""
-    spec = f.spec
-    if f.degree == 1:
-        return -f.coeffs[0]
-    exponent = (spec.order - 1) // 2
-    red = _Reducer(f)
-    for cand in _candidate_polys(spec, 2):
-        h = _powmod(cand, exponent, red)
-        g = f.gcd(h - Poly.one(spec))
-        if 0 < g.degree < f.degree:
-            smaller = g if g.degree <= f.degree - g.degree else f // g
-            return _one_root(smaller.monic())
-    raise AssertionError("root extraction exhausted candidates")
+def _one_root(g: Poly, big: FieldSpec) -> FieldElement:
+    """One root in big = F_{p^D} of a monic irreducible g of degree >= 2
+    over its own field F_q (q = p^k), which splits in big, by Berlekamp's
+    trace splitting.
+
+    X_i = x^(p^i) mod g, computed over F_q, repeats with period k deg g.
+    For beta in big, T = sum_{i<D} beta^(p^i) X_i has T(r) = Tr(beta r),
+    the trace from big to F_p, at every root r of g, so gcd(f, T - c)
+    keeps the roots of a factor f of g with trace value c.  Each
+    beta = z^j (z the generator of big, 1 <= j < D) in turn cuts f down to
+    one trace value.  Conjugate roots share Tr(r) and the trace form is
+    nondegenerate, so no two roots agree on all of z^1..z^(D-1): f is
+    linear at the end, unless big is no field (NotAField).  The values c
+    are scanned in F_p, up to p gcds per beta."""
+    p, period = big.p, g.spec.k * int(g.degree)
+    red = _Reducer(g)
+    xs = [Poly.x(g.spec)]
+    for _ in range(period - 1):
+        xs.append(_powmod(xs[-1], p, red))
+    xs = [embed_poly(x, big) for x in xs]
+    f = embed_poly(g, big)
+    # frob[i] = z^(p^i); powers[i] = beta^(p^i) for beta = z^j
+    frob = [big.element([0, 1])]
+    for _ in range(big.k - 1):
+        frob.append(frob[-1].frobenius())
+    powers = frob
+    for j in range(1, big.k):
+        if j > 1:
+            powers = [w * z for w, z in zip(powers, frob)]
+        sums = powers[:period]
+        for i in range(period, big.k):
+            sums[i % period] = sums[i % period] + powers[i]
+        trace = Poly.zero(big)
+        for x, s in zip(xs, sums):
+            trace = trace + x * s
+        trace = trace % f
+        if trace.degree <= 0:
+            continue
+        for c in range(p):
+            piece = f.gcd(trace - Poly(big, [big.from_int(c)]))
+            if piece.degree > 0:
+                f = piece
+                break
+        if f.degree == 1:
+            return -f.coeffs[0]
+    raise NotAField(f"no root in F_{{{p}^{big.k}}}: modulus {big.modulus} is reducible")
 
 
 # -- orbit representatives and symmetric functions ---------------------------

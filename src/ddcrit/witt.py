@@ -365,6 +365,8 @@ def reduce_jumps(jumps_prime, p: int, m: int) -> list[int]:
     u_i = u_i' mod mp and p*u_{i-1} <= u_i < p*u_{i-1} + mp, inductively."""
     if not is_prime(p) or p == 2 or m < 1:
         raise InvalidProfile(f"need an odd prime p and m >= 1, not p={p}, m={m}")
+    if (p - 1) % m:
+        raise InvalidProfile(f"m = {m} must divide p-1 = {p - 1}")
     jumps_prime = list(jumps_prime)
     if not jumps_prime or any(u < 1 for u in jumps_prime):
         raise InvalidProfile("jumps must be positive")

@@ -15,6 +15,9 @@ was replaced by a simpler or faster exact path:
   ``Poly.__mul__`` and ``LaurentPoly.__mul__``;
 - ``powmod_reference``: square-and-multiply with one ``Poly.divmod`` per
   step, the oracle for ``ddcrit.poly._powmod`` and its reducer;
+- ``one_root_reference``: Cantor-Zassenhaus over the splitting field with
+  the counter-based candidates, recursing into the smaller piece, the
+  oracle for the trace splitting of ``ddcrit.poly._one_root``;
 - ``deterministic_modulus_reference``: the modulus scan over
   ``itertools.product``, which builds every pool before the first vector
   (small p only), the oracle for the order of
@@ -32,7 +35,7 @@ from ddcrit.cartier import Quadruple, ddc_check
 from ddcrit.criterion import ResidueData, certify
 from ddcrit.errors import ReconstructionMismatch
 from ddcrit.gf import _is_irreducible_modp, make_field, root_of_unity
-from ddcrit.poly import Poly, factor
+from ddcrit.poly import Poly, _candidate_polys, _powmod, _Reducer, factor
 from ddcrit.search import NotFound, _passes, candidate_count
 
 
@@ -256,6 +259,24 @@ def powmod_reference(base: Poly, e: int, mod: Poly) -> Poly:
         if e:
             base = (base * base) % mod
     return result
+
+
+def one_root_reference(f: Poly):
+    """One root of a monic polynomial that splits completely in its field:
+    gcd(f, h^((q-1)/2) - 1) for the candidates h of degree <= 2 until one
+    splits f, then the same on the smaller piece."""
+    spec = f.spec
+    if f.degree == 1:
+        return -f.coeffs[0]
+    exponent = (spec.order - 1) // 2
+    red = _Reducer(f)
+    for cand in _candidate_polys(spec, 2):
+        h = _powmod(cand, exponent, red)
+        g = f.gcd(h - Poly.one(spec))
+        if 0 < g.degree < f.degree:
+            smaller = g if g.degree <= f.degree - g.degree else f // g
+            return one_root_reference(smaller.monic())
+    raise AssertionError("root extraction exhausted candidates")
 
 
 def deterministic_modulus_reference(p: int, k: int) -> tuple[int, ...]:

@@ -49,6 +49,14 @@ def test_reduce_jumps_cli_rejects_bad_p_and_m(capsys):
         assert "odd prime" in json.loads(err)["error"]
 
 
+def test_reduce_jumps_cli_rejects_m_not_dividing_p_minus_1(capsys):
+    code, out, err = run(
+        capsys, "--compact", "reduce-jumps", "--p", "5", "--m", "3", "--jumps", "2"
+    )
+    assert code == 2 and out == ""
+    assert "divide p-1" in json.loads(err)["error"]
+
+
 def test_closed_stdout_exits_3_without_traceback():
     """A reader that went away before the answer was written: exit 3, the
     code of its own, and nothing on stderr."""

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +12,7 @@ from ddcrit.errors import (
 )
 from ddcrit.gf import (
     _deterministic_modulus,
+    is_prime,
     make_field,
     ord_mod,
     pth_root,
@@ -86,6 +89,21 @@ def test_solve_modp():
     aug = [[0, 1, 2], [1, 1, 0]]
     solve_modp(aug, 5)
     assert aug == [[0, 1, 2], [1, 1, 0]]
+
+
+def test_is_prime_against_trial_division():
+    for n in range(-2, 20000):
+        divisors = range(2, math.isqrt(n) + 1) if n > 1 else ()
+        assert is_prime(n) == (n > 1 and all(n % d for d in divisors)), n
+
+
+def test_is_prime_strong_pseudoprimes_and_large_primes():
+    # 561 is a Carmichael number; the others are strong pseudoprimes to
+    # the prime bases 2; 2..7; 2..31; 2..37, so only later bases expose them
+    for n in (561, 2047, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n), n
+    for n in (1000000000000037, 2**61 - 1):
+        assert is_prime(n), n
 
 
 def test_make_field_large_prime_degree_two():

@@ -3,12 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ddcrit.errors import NotOrbitClosed, RepeatedRoot, ZeroRoot
-from ddcrit.gf import element_columns, kronecker_mul, make_field
+from ddcrit.errors import NotAField, NotOrbitClosed, RepeatedRoot, ZeroRoot
+from ddcrit.gf import FieldElement, element_columns, kronecker_mul, make_field
 from ddcrit.poly import (
     NEG_INF,
     LaurentPoly,
     Poly,
+    _one_root,
     _powmod,
     _Reducer,
     elementary_symmetric,
@@ -18,7 +19,12 @@ from ddcrit.poly import (
     mu_m_orbit_reps,
     roots_in_splitting_field,
 )
-from reference import RationalFunction, powmod_reference, schoolbook_mul
+from reference import (
+    RationalFunction,
+    one_root_reference,
+    powmod_reference,
+    schoolbook_mul,
+)
 
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
@@ -282,3 +288,74 @@ def test_powmod_matches_reference(p, k):
         ):
             for e in (0, 1, 2, q, (q**d - 1) // 2):
                 assert _powmod(base, e, red) == powmod_reference(base, e, mod)
+
+
+# -- trace splitting against Cantor-Zassenhaus -------------------------------
+
+
+def _irreducible(rng, spec, d):
+    while True:
+        g = Poly(spec, _vector(rng, spec, d, False) + [spec.one()])
+        if factor(g) == [(g, 1)]:
+            return g
+
+
+def _orbit(r, q):
+    """The roots r^(q^i), sorted."""
+    out, nxt = [r], r**q
+    while nxt != r:
+        out.append(nxt)
+        nxt = nxt**q
+    return sorted(out, key=FieldElement.sort_key)
+
+
+def _is_field(spec):
+    f = Poly.from_ints(make_field(spec.p, 1), spec.modulus)
+    return factor(f) == [(f, 1)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+@pytest.mark.parametrize("k", [1, 2])
+def test_one_root_matches_cantor_zassenhaus(p, k):
+    spec = make_field(p, k)
+    rng = random.Random(f"one-root:{p}:{k}")
+    for d in range(2, 7):
+        g = _irreducible(rng, spec, d)
+        # big fields of degree 20 and 24 would add 13 s to this test
+        for big_degree in (k * d, 2 * k * d) if 2 * k * d <= 16 else (k * d,):
+            big = make_field(p, big_degree)
+            # reducible canonical moduli (ROADMAP defect 1, its own strict
+            # xfails in test_gf) make no field: embedding into them hangs
+            if not _is_field(big):
+                continue
+            gb = embed_poly(g, big)
+            r = _one_root(g, big)
+            assert not gb.evaluate(r)
+            assert _orbit(r, spec.order) == _orbit(one_root_reference(gb), spec.order)
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (5, 2)])
+def test_roots_when_factor_degree_is_below_the_lcm(p, k):
+    # f = (deg 2)(deg 3): both factors split only in F_{q^6}
+    spec = make_field(p, k)
+    rng = random.Random(f"lcm:{p}:{k}")
+    g2, g3 = _irreducible(rng, spec, 2), _irreducible(rng, spec, 3)
+    d, roots = roots_in_splitting_field(g2 * g3)
+    assert d == 6 * k
+    big = make_field(p, d)
+    expected = []
+    for g in (g2, g3):
+        gb = embed_poly(g, big)
+        assert sum(not gb.evaluate(r) for r in roots) == g.degree
+        expected += _orbit(one_root_reference(gb), spec.order)
+    assert roots == sorted(expected, key=FieldElement.sort_key)
+
+
+@pytest.mark.xfail(
+    raises=NotAField, strict=True, reason="F_{7^12} has a reducible modulus"
+)
+def test_roots_of_the_13th_cyclotomic_polynomial_over_f7():
+    # ord_13(7) = 12, so the roots need F_{7^12}, whose canonical modulus
+    # x^12 + x^2 + 2 is reducible today; the search leaf (7,2,13,78) meets it
+    d, roots = roots_in_splitting_field(poly_from_ints(make_field(7, 1), [1] * 13))
+    assert d == 12 and len(set(roots)) == 12

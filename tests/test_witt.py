@@ -325,6 +325,9 @@ def test_reduce_jumps_rejects_bad_profiles():
     for p, m in ((5, 0), (0, 2), (4, 3), (2, 1), (-3, 2)):
         with pytest.raises(InvalidProfile):
             reduce_jumps([11], p, m)  # p not an odd prime, or m < 1
+    for p, m in ((5, 3), (7, 4)):
+        with pytest.raises(InvalidProfile, match="divide p-1"):
+            reduce_jumps([m - 1], p, m)  # m does not divide p-1
 
 
 def test_different_degree():
