@@ -200,19 +200,18 @@ def reconstruct_f(rd: ResidueData) -> Poly:
         return f
     zeta = root_of_unity(spec, q.m)
     t = Poly.x(spec)
-    factors = []  # (t - c, e_c) for each c = zeta_m^-l x_j with e_c != 0
+    # product rule over each c = zeta_m^-l x_j with e_c != 0:
+    # (P, S) <- (P (t - c), S (t - c) + e_c P) keeps S/P = sum_c e_c/(t - c)
+    big_p, big_s, total = Poly.one(spec), Poly.zero(spec), 0
     for x, a in zip(rd.reps, rd.residues):
         for ell in range(1, q.m + 1):
             z = zeta ** (-ell)
             exponent = (z * a).prime_int()
             if exponent:
-                factors.append((t - Poly(spec, [z * x]), exponent))
-    big_p = Poly.one(spec)
-    for linear, _ in factors:
-        big_p = big_p * linear
-    big_s = Poly.zero(spec)
-    for linear, exponent in factors:
-        big_s = big_s + (big_p // linear) * spec.from_int(exponent)
+                linear = t - Poly(spec, [z * x])
+                big_s = big_s * linear + big_p * spec.from_int(exponent)
+                big_p = big_p * linear
+                total += exponent
     # u * sum_s t^(-u p^s - 1) = u * (sum_s t^(u~ - u p^s)) / t^(u~ + 1)
     tail_coeffs = {}
     for s in range(q.nu + 1):
@@ -222,8 +221,7 @@ def reconstruct_f(rd: ResidueData) -> Poly:
         spec, [tail_coeffs.get(i, 0) for i in range(q.u_tilde + 1)]
     )
     t_pow = t ** q.u_tilde
-    total = spec.from_int(sum(exponent for _, exponent in factors))
-    big_n = t_pow * t * big_s - (t_pow * total + tail_num) * big_p
+    big_n = t_pow * t * big_s - (t_pow * spec.from_int(total) + tail_num) * big_p
     f, rem = big_p.divmod(big_n)
     if rem:
         raise ReconstructionMismatch("reconstructed f is not a polynomial")

@@ -84,8 +84,8 @@ class SingularSystem(DdcritError):
 
 
 class NotAField(DdcritError):
-    """Internal error: an irreducible factor has no root in its splitting
-    field F_{p^D}, so the canonical modulus of F_{p^D} is reducible."""
+    """Internal error: a splitting in F_{p^D} failed, which happens only
+    when the canonical modulus of F_{p^D} is reducible."""
 
 
 class LevelTooHigh(DdcritError):

@@ -66,15 +66,12 @@ def quadruples_for_group(p: int, m: int, n: int) -> list[Quadruple]:
     u~ = -1 mod m, p^(n-1) does not divide u~, u~ < m(p^(n-1)+...+p), with
     both N1 = (p-1)u~ and (p-1)u~ - m.  Empty for n = 1."""
     bound = m * sum(p**i for i in range(1, n))
-    out = []
-    for u_tilde in range(m - 1, bound, m):
-        if u_tilde % p ** (n - 1) == 0:
-            continue
-        for n1 in ((p - 1) * u_tilde, (p - 1) * u_tilde - m):
-            q = Quadruple(p, m, u_tilde, n1)
-            if q not in out:
-                out.append(q)
-    return out
+    return [
+        Quadruple(p, m, u_tilde, n1)
+        for u_tilde in range(m - 1, bound, m)
+        if u_tilde % p ** (n - 1)
+        for n1 in ((p - 1) * u_tilde, (p - 1) * u_tilde - m)
+    ]
 
 
 def profiles_for_group(p: int, m: int, n: int) -> list[JumpProfile]:

@@ -2,8 +2,8 @@
 explicit finite field, with factorization and deterministic root extraction
 into a single splitting field.
 
-All randomness in equal-degree splitting is replaced by a counter-based
-candidate sequence, so results are bit-for-bit reproducible.
+Equal-degree factors and roots are split by Berlekamp's trace splitting, a
+deterministic algorithm, so results are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -305,39 +305,92 @@ def distinct_degree_factorization(f: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
-def _candidate_polys(spec: FieldSpec, max_degree: int):
-    """Deterministic counter-based candidate sequence for equal-degree
-    splitting: all polynomials of degree 1, then 2, ... in element order.
-    Lazy, so huge fields only pay for the candidates actually drawn."""
-    for deg in range(1, max_degree + 1):
-        for lead_idx in range(1, spec.order):
-            lead = spec.element_by_index(lead_idx)
-            for rest_idx in range(spec.order**deg):
-                rest = []
-                r = rest_idx
-                for _ in range(deg):
-                    rest.append(spec.element_by_index(r % spec.order))
-                    r //= spec.order
-                yield Poly(spec, rest + [lead])
+def _frobenius_powers(f: Poly, period: int) -> list[Poly]:
+    """x^(p^i) mod f for i < period, one p-th power per step."""
+    red = _Reducer(f)
+    xs = [Poly.x(f.spec) % f]
+    for _ in range(period - 1):
+        xs.append(_powmod(xs[-1], f.spec.p, red))
+    return xs
+
+
+def _trace_split(f: Poly, xs: list[Poly], d: int, one: bool = False) -> list[Poly]:
+    """The irreducible factors of f, or with ``one`` a list of one of them,
+    by Berlekamp's trace splitting.
+
+    f is squarefree and monic over F_{p^e}, every irreducible factor of f
+    has degree d < deg f, and xs[i] = x^(p^i) mod f for one period P of
+    that sequence.  The beta = z^b, 1 <= b <= e (z the generator), form a
+    basis over F_p.  For each j < 2d and beta,
+    T = sum_{i<L} beta^(p^i) xs[i mod P]^j with L = lcm(e, P) has
+    T(r) = Tr(beta r^j), the trace to F_p, at every root r, and each piece
+    is cut by the value of T in F_p.  Over the beta these traces give the
+    power sums sum_r r^j of the roots of each factor, and two factors that
+    agree on j = 0..2d-1 would contradict the Vandermonde determinant on
+    their 2d distinct roots: every piece ends as one factor, unless
+    F_{p^e} is no field (NotAField)."""
+    spec, p = f.spec, f.spec.p
+    e, period = spec.k, len(xs)
+    error = NotAField(f"F_{{{spec.p}^{e}}} is not a field: "
+                      f"its modulus {spec.modulus} is reducible")
+    # frob[i] = z^(p^i), with z = 1 over F_p
+    frob = [spec.element([0, 1]) if e > 1 else spec.one()]
+    for _ in range(e - 1):
+        frob.append(frob[-1].frobenius())
+    pieces, ys = [f], xs
+    for j in range(1, 2 * d):
+        if j > 1:
+            ys = [(y * x) % f for y, x in zip(ys, xs)]  # xs[i]^j
+        powers = frob  # beta^(p^i)
+        for _ in range(e):
+            sums = [spec.zero()] * period
+            for i in range(lcm(e, period)):
+                sums[i % period] = sums[i % period] + powers[i % e]
+            trace = sum((y * s for y, s in zip(ys, sums)), Poly.zero(spec))
+            powers = [w * z for w, z in zip(powers, frob)]
+            # For a = 0, 1, ... each piece g with t = T mod g not constant
+            # is cut into its roots with t = -a, gcd(g, t + a), and the
+            # rest.  While more than 4 values per root are left to scan,
+            # the rest is also cut by the quadratic character of t + a,
+            # gcd(rest, (t + a)^((p-1)/2) - 1), in O(log p) products; two
+            # values c != c' differ in it for some a < p, as the character
+            # of (c + a)(c' + a) sums to -1 over a.
+            done, todo, a = [], [(g, trace) for g in pieces], 0
+            while todo:
+                cut = []
+                for g, t in todo:
+                    if g.degree == d or (t := t % g).degree <= 0:
+                        done.append(g)
+                        continue
+                    if a == p:
+                        raise error
+                    s = t + Poly(spec, [spec.from_int(a)])
+                    if (zero := g.gcd(s)).degree > 0:
+                        done.append(zero)
+                        if one:
+                            break
+                        g = g // zero
+                    parts = [g]
+                    if p - a > 4 * g.degree > 0:
+                        power = _powmod(s, (p - 1) // 2, _Reducer(g))
+                        square = g.gcd(power - Poly.one(spec))
+                        parts = [square, g // square]
+                    cut += [(h, t) for h in parts if h.degree > 0]
+                todo, a = ([] if done else cut[:1]) if one else cut, a + 1
+            pieces = done[:1] if one else done
+            if all(g.degree == d for g in pieces):
+                return pieces
+    raise error
 
 
 def equal_degree_factorization(f: Poly, d: int) -> list[Poly]:
     """Split a squarefree monic product of degree-d irreducibles."""
-    spec = f.spec
     if f.degree == d:
         return [f]
-    exponent = (spec.order**d - 1) // 2
-    red = _Reducer(f)
-    for cand in _candidate_polys(spec, 2 * d):
-        h = _powmod(cand, exponent, red)
-        g = f.gcd(h - Poly.one(spec))
-        if 0 < g.degree < f.degree:
-            return sorted(
-                equal_degree_factorization(g, d)
-                + equal_degree_factorization(f // g, d),
-                key=lambda t: [c.sort_key() for c in t.coeffs],
-            )
-    raise AssertionError("equal-degree splitting exhausted candidates")
+    return sorted(
+        _trace_split(f, _frobenius_powers(f, f.spec.k * d), d),
+        key=lambda t: [c.sort_key() for c in t.coeffs],
+    )
 
 
 def factor(f: Poly) -> list[tuple[Poly, int]]:
@@ -362,7 +415,7 @@ def _embedding_image(src: FieldSpec, dst: FieldSpec) -> FieldElement:
     modulus = Poly(dst, [dst.from_int(c) for c in src.modulus])
     roots = roots_in_field(modulus)
     if not roots:
-        raise AssertionError("modulus has no root in the extension (unreachable)")
+        raise NotAField(f"F_{{{dst.p}^{dst.k}}} has no root of {src.modulus}")
     return min(roots, key=FieldElement.sort_key)
 
 
@@ -393,8 +446,7 @@ def roots_in_field(f: Poly) -> list[FieldElement]:
         if lin.degree <= 0:
             continue
         for irr in equal_degree_factorization(lin, 1):
-            root = -irr.coeffs[0]
-            out.extend([root] * mult)
+            out += [-irr.coeffs[0]] * mult
     out.sort(key=FieldElement.sort_key)
     return out
 
@@ -418,67 +470,25 @@ def roots_in_splitting_field(f: Poly):
             rs = [embed(-g.coeffs[0], big)]
         else:
             # one root, then its Frobenius orbit over the base field
-            r0 = _one_root(g, big)
-            rs = [r0]
-            q0 = spec.order
-            nxt = r0**q0
-            while nxt != r0:
-                rs.append(nxt)
-                nxt = nxt**q0
-            if len(rs) != g.degree:
-                raise AssertionError("Frobenius orbit shorter than factor degree")
-        for r in rs:
-            roots.extend([r] * mult)
+            rs = [_one_root(g, big)]
+            for _ in range(int(g.degree) - 1):
+                rs.append(rs[-1] ** spec.order)
+            if len(set(rs)) != g.degree:
+                raise NotAField(f"F_{{{big.p}^{big.k}}}: orbit shorter than degree")
+        roots += rs * mult
     roots.sort(key=FieldElement.sort_key)
     return big_degree, roots
 
 
 def _one_root(g: Poly, big: FieldSpec) -> FieldElement:
     """One root in big = F_{p^D} of a monic irreducible g of degree >= 2
-    over its own field F_q (q = p^k), which splits in big, by Berlekamp's
-    trace splitting.
-
-    X_i = x^(p^i) mod g, computed over F_q, repeats with period k deg g.
-    For beta in big, T = sum_{i<D} beta^(p^i) X_i has T(r) = Tr(beta r),
-    the trace from big to F_p, at every root r of g, so gcd(f, T - c)
-    keeps the roots of a factor f of g with trace value c.  Each
-    beta = z^j (z the generator of big, 1 <= j < D) in turn cuts f down to
-    one trace value.  Conjugate roots share Tr(r) and the trace form is
-    nondegenerate, so no two roots agree on all of z^1..z^(D-1): f is
-    linear at the end, unless big is no field (NotAField).  The values c
-    are scanned in F_p, up to p gcds per beta."""
-    p, period = big.p, g.spec.k * int(g.degree)
-    red = _Reducer(g)
-    xs = [Poly.x(g.spec)]
-    for _ in range(period - 1):
-        xs.append(_powmod(xs[-1], p, red))
+    over its own field F_q (q = p^k), which splits in big: the trace
+    splitting of g over big, keeping the first piece.  x^(p^i) mod g is
+    computed over F_q, where it repeats with period k deg g, and embedded."""
+    xs = _frobenius_powers(g, g.spec.k * int(g.degree))
     xs = [embed_poly(x, big) for x in xs]
-    f = embed_poly(g, big)
-    # frob[i] = z^(p^i); powers[i] = beta^(p^i) for beta = z^j
-    frob = [big.element([0, 1])]
-    for _ in range(big.k - 1):
-        frob.append(frob[-1].frobenius())
-    powers = frob
-    for j in range(1, big.k):
-        if j > 1:
-            powers = [w * z for w, z in zip(powers, frob)]
-        sums = powers[:period]
-        for i in range(period, big.k):
-            sums[i % period] = sums[i % period] + powers[i]
-        trace = Poly.zero(big)
-        for x, s in zip(xs, sums):
-            trace = trace + x * s
-        trace = trace % f
-        if trace.degree <= 0:
-            continue
-        for c in range(p):
-            piece = f.gcd(trace - Poly(big, [big.from_int(c)]))
-            if piece.degree > 0:
-                f = piece
-                break
-        if f.degree == 1:
-            return -f.coeffs[0]
-    raise NotAField(f"no root in F_{{{p}^{big.k}}}: modulus {big.modulus} is reducible")
+    (linear,) = _trace_split(embed_poly(g, big), xs, 1, one=True)
+    return -linear.coeffs[0]
 
 
 # -- orbit representatives and symmetric functions ---------------------------
@@ -491,22 +501,16 @@ def mu_m_orbit_reps(roots, m: int, spec: FieldSpec):
         return []
     if any(not r for r in roots):
         raise ZeroRoot("orbit representatives require nonzero roots")
-    root_set = set()
-    for r in roots:
-        if r in root_set:
-            raise RepeatedRoot("repeated root in orbit partition")
-        root_set.add(r)
-    zeta = root_of_unity(spec, m)
+    root_set = set(roots)
+    if len(root_set) != len(roots):
+        raise RepeatedRoot("repeated root in orbit partition")
+    mu_m = [root_of_unity(spec, m) ** i for i in range(m)]
     reps = []
     seen = set()
     for r in sorted(root_set, key=FieldElement.sort_key):
         if r in seen:
             continue
-        orbit = set()
-        y = r
-        for _ in range(m):
-            orbit.add(y)
-            y = y * zeta
+        orbit = {r * w for w in mu_m}
         if not orbit <= root_set:
             raise NotOrbitClosed("root set is not closed under mu_m")
         seen |= orbit

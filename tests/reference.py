@@ -15,9 +15,14 @@ was replaced by a simpler or faster exact path:
   ``Poly.__mul__`` and ``LaurentPoly.__mul__``;
 - ``powmod_reference``: square-and-multiply with one ``Poly.divmod`` per
   step, the oracle for ``ddcrit.poly._powmod`` and its reducer;
+- ``candidate_polys`` and ``equal_degree_factorization_reference``:
+  Cantor-Zassenhaus over a counter-based candidate sequence, recursing into
+  both pieces, the oracle for the trace splitting of
+  ``ddcrit.poly.equal_degree_factorization`` (behind ``factor``,
+  ``roots_in_field`` and ``embed``);
 - ``one_root_reference``: Cantor-Zassenhaus over the splitting field with
-  the counter-based candidates, recursing into the smaller piece, the
-  oracle for the trace splitting of ``ddcrit.poly._one_root``;
+  the same candidates, recursing into the smaller piece, the oracle for the
+  trace splitting of ``ddcrit.poly._one_root``;
 - ``deterministic_modulus_reference``: the modulus scan over
   ``itertools.product``, which builds every pool before the first vector
   (small p only), the oracle for the order of
@@ -35,7 +40,7 @@ from ddcrit.cartier import Quadruple, ddc_check
 from ddcrit.criterion import ResidueData, certify
 from ddcrit.errors import ReconstructionMismatch
 from ddcrit.gf import _is_irreducible_modp, make_field, root_of_unity
-from ddcrit.poly import Poly, _candidate_polys, _powmod, _Reducer, factor
+from ddcrit.poly import Poly, _powmod, _Reducer, factor
 from ddcrit.search import NotFound, _passes, candidate_count
 
 
@@ -261,6 +266,43 @@ def powmod_reference(base: Poly, e: int, mod: Poly) -> Poly:
     return result
 
 
+def candidate_polys(spec, max_degree: int):
+    """Deterministic counter-based candidate sequence for equal-degree
+    splitting: all polynomials of degree 1, then 2, ... in element order.
+    Lazy, so huge fields only pay for the candidates actually drawn."""
+    for deg in range(1, max_degree + 1):
+        for lead_idx in range(1, spec.order):
+            lead = spec.element_by_index(lead_idx)
+            for rest_idx in range(spec.order**deg):
+                rest = []
+                r = rest_idx
+                for _ in range(deg):
+                    rest.append(spec.element_by_index(r % spec.order))
+                    r //= spec.order
+                yield Poly(spec, rest + [lead])
+
+
+def equal_degree_factorization_reference(f: Poly, d: int) -> list[Poly]:
+    """Split a squarefree monic product of degree-d irreducibles by
+    gcd(f, h^((q^d-1)/2) - 1) for the first candidate h that splits it,
+    then the same on both pieces; the factors sorted."""
+    spec = f.spec
+    if f.degree == d:
+        return [f]
+    exponent = (spec.order**d - 1) // 2
+    red = _Reducer(f)
+    for cand in candidate_polys(spec, 2 * d):
+        h = _powmod(cand, exponent, red)
+        g = f.gcd(h - Poly.one(spec))
+        if 0 < g.degree < f.degree:
+            return sorted(
+                equal_degree_factorization_reference(g, d)
+                + equal_degree_factorization_reference(f // g, d),
+                key=lambda t: [c.sort_key() for c in t.coeffs],
+            )
+    raise AssertionError("equal-degree splitting exhausted candidates")
+
+
 def one_root_reference(f: Poly):
     """One root of a monic polynomial that splits completely in its field:
     gcd(f, h^((q-1)/2) - 1) for the candidates h of degree <= 2 until one
@@ -270,7 +312,7 @@ def one_root_reference(f: Poly):
         return -f.coeffs[0]
     exponent = (spec.order - 1) // 2
     red = _Reducer(f)
-    for cand in _candidate_polys(spec, 2):
+    for cand in candidate_polys(spec, 2):
         h = _powmod(cand, exponent, red)
         g = f.gcd(h - Poly.one(spec))
         if 0 < g.degree < f.degree:

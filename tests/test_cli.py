@@ -191,6 +191,21 @@ def test_witt_breaks_cli(capsys):
     assert data["extension_degree"] == 1
 
 
+def test_witt_breaks_over_a_reducible_modulus_exits_2():
+    """ROADMAP defect 1: t^-5 + 1 over F_{3^4} needs F_{3^12}, whose
+    canonical modulus is reducible.  The splitting must stop, well within
+    the timeout, with exit 2 and an error JSON naming that field."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ddcrit.cli", "--compact", "witt", "breaks",
+         "--p", "3", "--field-degree", "4", "--entries", "t^-5+1"],
+        capture_output=True, env=env, timeout=20,
+    )
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert "F_{3^12}" in json.loads(proc.stderr)["error"]
+
+
 def test_byte_stable_output(capsys):
     args = ("--compact", "plan", "--p", "3", "--m", "2", "--n", "2")
     _, first, _ = run(capsys, *args)

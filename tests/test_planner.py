@@ -70,7 +70,9 @@ def test_profiles_length1():
 
 def test_profiles_map_into_quadruple_list():
     for p, m, n in [(3, 2, 2), (5, 2, 2), (7, 2, 2), (5, 4, 2)]:
-        quads = {quad_tuple(q) for q in quadruples_for_group(p, m, n)}
+        listed = [quad_tuple(q) for q in quadruples_for_group(p, m, n)]
+        quads = set(listed)
+        assert len(quads) == len(listed), "quadruples_for_group repeats one"
         for prof in profiles_for_group(p, m, n):
             prev = prof.breaks[0]
             for u in prof.breaks[1:]:

@@ -9,18 +9,23 @@ from ddcrit.poly import (
     NEG_INF,
     LaurentPoly,
     Poly,
+    _embedding_image,
     _one_root,
     _powmod,
     _Reducer,
     elementary_symmetric,
     embed,
     embed_poly,
+    equal_degree_factorization,
     factor,
     mu_m_orbit_reps,
+    roots_in_field,
     roots_in_splitting_field,
 )
+from ddcrit.witt import WittVector, standard_form
 from reference import (
     RationalFunction,
+    equal_degree_factorization_reference,
     one_root_reference,
     powmod_reference,
     schoolbook_mul,
@@ -325,13 +330,81 @@ def test_one_root_matches_cantor_zassenhaus(p, k):
         for big_degree in (k * d, 2 * k * d) if 2 * k * d <= 16 else (k * d,):
             big = make_field(p, big_degree)
             # reducible canonical moduli (ROADMAP defect 1, its own strict
-            # xfails in test_gf) make no field: embedding into them hangs
+            # xfails in test_gf) make no field: embedding into them raises
+            # NotAField
             if not _is_field(big):
                 continue
             gb = embed_poly(g, big)
             r = _one_root(g, big)
             assert not gb.evaluate(r)
             assert _orbit(r, spec.order) == _orbit(one_root_reference(gb), spec.order)
+
+
+def _product(factors, spec):
+    f = Poly.one(spec)
+    for g in factors:
+        f = f * g
+    return f
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 10007])
+@pytest.mark.parametrize("k", [1, 2])
+def test_equal_degree_factorization_matches_cantor_zassenhaus(p, k):
+    spec = make_field(p, k)
+    rng = random.Random(f"edf:{p}:{k}")
+    for d in (1, 2, 3, 4):
+        factors = set()
+        while len(factors) < 3:
+            factors.add(_irreducible(rng, spec, d))
+        f = _product(factors, spec)
+        expected = equal_degree_factorization_reference(f, d)
+        assert equal_degree_factorization(f, d) == expected
+        assert len(expected) == 3
+
+
+@pytest.mark.parametrize("p, d, count", [(3, 3, 8), (3, 4, 5), (5, 2, 8)])
+def test_equal_degree_factorization_needs_higher_power_sums(p, d, count):
+    # more degree-d factors over F_p than F_p has trace values, so two of
+    # them share the sum of their roots: only the traces of r^j, j >= 2,
+    # tell them apart
+    spec = make_field(p, 1)
+    monic = (
+        Poly.from_ints(spec, [i // p**t % p for t in range(d)] + [1])
+        for i in range(p**d)
+    )
+    factors = [g for g in monic if factor(g) == [(g, 1)]][:count]
+    assert len(factors) == count > p
+    f = _product(factors, spec)
+    assert equal_degree_factorization(f, d) == equal_degree_factorization_reference(
+        f, d
+    )
+
+
+@pytest.mark.parametrize("p, k, big", [(3, 2, 6), (3, 3, 9), (5, 2, 10), (7, 2, 4)])
+def test_embedding_image_is_the_least_reference_root(p, k, big):
+    src, dst = make_field(p, k), make_field(p, big)
+    modulus = Poly.from_ints(dst, src.modulus)
+    roots = [-g.coeffs[0] for g in equal_degree_factorization_reference(modulus, 1)]
+    assert len(roots) == k
+    assert _embedding_image(src, dst) == min(roots, key=FieldElement.sort_key)
+
+
+def test_trace_split_takes_few_gcds_over_a_large_prime(monkeypatch):
+    # each cut by the quadratic character of T + a takes O(log p)
+    # products and two gcds; a scan of the trace values in F_p would take
+    # up to p = 10007 gcds per cut
+    p = 10007
+    spec = make_field(p, 1)
+    calls = []
+    gcd = Poly.gcd
+    monkeypatch.setattr(Poly, "gcd", lambda a, b: calls.append(1) or gcd(a, b))
+    values = [1, 2, p // 2, p - 3]
+    f = _product([poly_from_ints(spec, [-c, 1]) for c in values], spec)
+    assert [r.coeffs[0] for r in roots_in_field(f)] == values
+    g = poly_from_ints(spec, [1, 1, 1])  # irreducible, as p = 2 mod 3
+    r = _one_root(g, make_field(p, 2))
+    assert not embed_poly(g, r.spec).evaluate(r)
+    assert len(calls) < 50
 
 
 @pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (5, 2)])
@@ -359,3 +432,16 @@ def test_roots_of_the_13th_cyclotomic_polynomial_over_f7():
     # x^12 + x^2 + 2 is reducible today; the search leaf (7,2,13,78) meets it
     d, roots = roots_in_splitting_field(poly_from_ints(make_field(7, 1), [1] * 13))
     assert d == 12 and len(set(roots)) == 12
+
+
+@pytest.mark.xfail(
+    raises=NotAField, strict=True, reason="F_{3^12} has a reducible modulus"
+)
+def test_standard_form_of_a_constant_over_f81():
+    # the constant 1 needs an Artin-Schreier extension of degree 3, to
+    # F_{3^12}, whose canonical modulus x^12 + x^2 + 1 has the roots +-1
+    # (ROADMAP defect 1); `witt breaks --p 3 --field-degree 4 --entries
+    # "t^-5+1"` meets it
+    spec = make_field(3, 4)
+    entry = LaurentPoly.from_terms(spec, {-5: spec.one(), 0: spec.one()})
+    assert standard_form(WittVector(spec, (entry,))).extension_degree == 3
