@@ -328,9 +328,11 @@ def _trace_split(f: Poly, xs: list[Poly], d: int, one: bool = False) -> list[Pol
     power sums sum_r r^j of the roots of each factor, and two factors that
     agree on j = 0..2d-1 would contradict the Vandermonde determinant on
     their 2d distinct roots: every piece ends as one factor, unless
-    F_{p^e} is no field (NotAField)."""
+    F_{p^e} is no field (NotAField).  A round j = p j' builds no trace:
+    Tr(beta r^j) = Tr(beta^(1/p) r^j'), and the beta^(1/p) form a basis
+    too, so round j' already cut every piece by these values."""
     spec, p = f.spec, f.spec.p
-    e, period = spec.k, len(xs)
+    e = spec.k
     error = NotAField(f"F_{{{spec.p}^{e}}} is not a field: "
                       f"its modulus {spec.modulus} is reducible")
     # frob[i] = z^(p^i), with z = 1 over F_p
@@ -341,12 +343,11 @@ def _trace_split(f: Poly, xs: list[Poly], d: int, one: bool = False) -> list[Pol
     for j in range(1, 2 * d):
         if j > 1:
             ys = [(y * x) % f for y, x in zip(ys, xs)]  # xs[i]^j
+        if j % p == 0:
+            continue
         powers = frob  # beta^(p^i)
         for _ in range(e):
-            sums = [spec.zero()] * period
-            for i in range(lcm(e, period)):
-                sums[i % period] = sums[i % period] + powers[i % e]
-            trace = sum((y * s for y, s in zip(ys, sums)), Poly.zero(spec))
+            trace = _trace(ys, powers)
             powers = [w * z for w, z in zip(powers, frob)]
             # For a = 0, 1, ... each piece g with t = T mod g not constant
             # is cut into its roots with t = -a, gcd(g, t + a), and the
@@ -381,6 +382,17 @@ def _trace_split(f: Poly, xs: list[Poly], d: int, one: bool = False) -> list[Pol
             if all(g.degree == d for g in pieces):
                 return pieces
     raise error
+
+
+def _trace(ys: list[Poly], powers: list[FieldElement]) -> Poly:
+    """sum_{i<L} powers[i mod e] ys[i mod P], with e = len(powers), P =
+    len(ys) and L = lcm(e, P): the trace polynomial T of ``_trace_split``
+    for ys[i] = xs[i]^j and powers[i] = beta^(p^i)."""
+    e, period = len(powers), len(ys)
+    sums = [powers[0].spec.zero()] * period
+    for i in range(lcm(e, period)):
+        sums[i % period] = sums[i % period] + powers[i % e]
+    return sum((y * s for y, s in zip(ys, sums)), Poly.zero(ys[0].spec))
 
 
 def equal_degree_factorization(f: Poly, d: int) -> list[Poly]:

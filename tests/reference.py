@@ -13,6 +13,11 @@ was replaced by a simpler or faster exact path:
 - ``schoolbook_mul``: one field multiplication per pair of terms, the
   oracle for the packed product ``ddcrit.gf.kronecker_mul`` behind
   ``Poly.__mul__`` and ``LaurentPoly.__mul__``;
+- ``field_mul_reference``, ``field_pow_reference`` and
+  ``least_generator_reference``: schoolbook products of coefficient
+  vectors reduced by the modulus, with no ``ddcrit.gf`` kernel, the oracle
+  for ``FieldElement`` arithmetic (ints for k = 1, log tables, polynomial
+  products) and ``root_of_unity``;
 - ``powmod_reference``: square-and-multiply with one ``Poly.divmod`` per
   step, the oracle for ``ddcrit.poly._powmod`` and its reducer;
 - ``candidate_polys`` and ``equal_degree_factorization_reference``:
@@ -250,6 +255,51 @@ def schoolbook_mul(a, b, spec) -> list:
             for j, y in enumerate(b):
                 out[i + j] = out[i + j] + x * y
     return out
+
+
+def field_mul_reference(a, b, p: int, modulus) -> tuple[int, ...]:
+    """Product of two elements of F_p[x]/(modulus), given and returned as
+    ascending coefficient vectors of length k: the schoolbook product of
+    the vectors, then each top coefficient cleared with the monic modulus."""
+    k = len(modulus) - 1
+    prod = [0] * (2 * k - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    for top in range(2 * k - 2, k - 1, -1):
+        c = prod[top]
+        for t, mt in enumerate(modulus):
+            prod[top - k + t] -= c * mt
+    return tuple(c % p for c in prod[:k])
+
+
+def field_pow_reference(a, e: int, p: int, modulus) -> tuple[int, ...]:
+    """a^e in F_p[x]/(modulus) for e >= 0, by square-and-multiply over
+    ``field_mul_reference``."""
+    result = tuple([1] + [0] * (len(modulus) - 2))
+    while e:
+        if e & 1:
+            result = field_mul_reference(result, a, p, modulus)
+        a = field_mul_reference(a, a, p, modulus)
+        e >>= 1
+    return result
+
+
+def least_generator_reference(p: int, modulus) -> tuple[int, ...]:
+    """The least element, in coefficient-tuple order (the order of
+    ``FieldSpec.element_by_index``), of multiplicative order q - 1 in the
+    field F_p[x]/(modulus), by ``field_pow_reference``."""
+    k = len(modulus) - 1
+    q1 = p**k - 1
+    one = tuple([1] + [0] * (k - 1))
+    primes = [r for r in range(2, q1 + 1) if q1 % r == 0
+              and all(r % s for s in range(2, r))]
+    for g in product(range(p), repeat=k):
+        if field_pow_reference(g, q1, p, modulus) == one and all(
+            field_pow_reference(g, q1 // r, p, modulus) != one for r in primes
+        ):
+            return g
+    raise ValueError("no generator: the modulus is reducible")
 
 
 def powmod_reference(base: Poly, e: int, mod: Poly) -> Poly:

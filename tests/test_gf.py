@@ -1,16 +1,20 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from ddcrit import gf
 from ddcrit.errors import (
     EvenPrime,
+    NotAField,
     NotCoprime,
     NotInSubfield,
     NotPrime,
     OrderNotDividing,
 )
 from ddcrit.gf import (
+    FieldSpec,
     _deterministic_modulus,
     is_prime,
     make_field,
@@ -21,7 +25,13 @@ from ddcrit.gf import (
     square_and_multiply,
     trace_to_prime,
 )
-from reference import deterministic_modulus_reference, least_irreducible_reference
+from reference import (
+    deterministic_modulus_reference,
+    field_mul_reference,
+    field_pow_reference,
+    least_generator_reference,
+    least_irreducible_reference,
+)
 
 F9 = make_field(3, 2)
 
@@ -195,3 +205,98 @@ def test_ord_mod():
     assert ord_mod(3, 10) == 4
     with pytest.raises(NotCoprime):
         ord_mod(3, 9)
+
+
+# every field with q <= 125 that the pair test covers in full
+SMALL_FIELDS = [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (3, 2), (3, 3), (3, 4),
+                (5, 2), (5, 3), (7, 2), (11, 2)]
+# the tabled fields the benchmark workloads use, the largest tabled and the
+# smallest untabled order for p = 3 and over all p, F_{3^9} and a large prime
+SAMPLED_FIELDS = [(3, 5), (3, 6), (5, 4), (5, 5), (7, 3), (7, 4), (3, 7), (3, 8),
+                  (61, 2), (67, 2), (3, 9), (10007, 1)]
+
+
+def _check_arithmetic(spec, pairs):
+    """Products, inverses, powers and roots of unity of spec against the
+    reference arithmetic on coefficient vectors."""
+    p, q, m = spec.p, spec.order, spec.modulus
+    for a, b in pairs:
+        assert (a * b).coeffs == field_mul_reference(a.coeffs, b.coeffs, p, m)
+    for a in {x for pair in pairs for x in pair if x}:
+        assert a.inverse().coeffs == field_pow_reference(a.coeffs, q - 2, p, m)
+        for e in (-q, -1, 0, 1, p, q - 1, q, 3 * q + 2):
+            assert (a**e).coeffs == field_pow_reference(a.coeffs, e % (q - 1), p, m)
+    g = least_generator_reference(p, m)
+    for order in range(1, q):
+        if (q - 1) % order == 0:
+            expected = field_pow_reference(g, (q - 1) // order, p, m)
+            assert root_of_unity(spec, order).coeffs == expected
+
+
+@pytest.mark.parametrize("p, k", SMALL_FIELDS)
+def test_arithmetic_of_every_pair_matches_the_reference(p, k):
+    spec = make_field(p, k)
+    elements = list(spec.elements())
+    _check_arithmetic(spec, [(a, b) for a in elements for b in elements])
+
+
+@pytest.mark.parametrize("p, k", SAMPLED_FIELDS)
+def test_sampled_arithmetic_matches_the_reference(p, k):
+    spec = make_field(p, k)
+    rng = random.Random(f"arithmetic:{p}:{k}")
+    pairs = [(spec.element_by_index(rng.randrange(spec.order)),
+              spec.element_by_index(rng.randrange(spec.order))) for _ in range(100)]
+    _check_arithmetic(spec, pairs)
+
+
+def test_sampled_fields_straddle_the_table_bound():
+    orders = {(p, k): make_field(p, k).order for p, k in SAMPLED_FIELDS}
+    assert orders[3, 7] <= gf._LOG_TABLE_BOUND < orders[3, 8]
+    assert max(q for (p, k), q in orders.items() if q <= gf._LOG_TABLE_BOUND) == 61**2
+    assert min(q for (p, k), q in orders.items() if k > 1 and q > gf._LOG_TABLE_BOUND) == 67**2
+
+
+@pytest.mark.parametrize("p, k", [(5, 1), (3, 2), (5, 5), (3, 8)])
+def test_zero_powers_and_inverse(p, k):
+    spec = make_field(p, k)
+    zero, one, q = spec.zero(), spec.one(), spec.order
+    x = spec.element_by_index(q - 1)
+    assert zero * x == zero and x * zero == zero
+    assert zero**0 == one
+    for e in (1, p, q - 1, q, 3 * q + 2):
+        assert zero**e == zero
+    for e in (-1, -q):
+        with pytest.raises(ZeroDivisionError):
+            zero**e
+    with pytest.raises(ZeroDivisionError):
+        zero.inverse()
+
+
+@pytest.mark.parametrize("spec", [FieldSpec(3, 2, (2, 0, 1)), FieldSpec(5, 2, (4, 0, 1))])
+def test_a_reducible_modulus_raises_not_a_field(spec):
+    # x^2 - 1 = (x - 1)(x + 1): the ring has zero divisors, such as 2 + 2x
+    # over F_3, whose square is itself, and no element of order q - 1
+    with pytest.raises(NotAField):
+        root_of_unity(spec, 2)
+    with pytest.raises(NotAField):
+        spec.element([1, 1]) * spec.element([0, 1])
+
+
+def test_a_reducible_modulus_above_the_table_bound_fails_fast():
+    # x^12 + x^2 + 1 has the roots 1 and -1 over F_3: the generator scan
+    # meets a zero divisor early instead of testing all 3^12 elements
+    spec = FieldSpec(3, 12, (1, 0, 1) + (0,) * 9 + (1,))
+    with pytest.raises(NotAField):
+        root_of_unity(spec, 2)
+
+
+@pytest.mark.parametrize("spec, g", [
+    (F9, (0, 1)),  # x has order 4 in F_9 = F_3[x]/(x^2 + 1)
+    (FieldSpec(3, 2, (2, 0, 1)), (2, 2)),  # a zero divisor: its powers never reach 1
+])
+def test_log_tables_reject_powers_that_do_not_return_to_1_at_step_q_minus_1(
+    monkeypatch, spec, g
+):
+    monkeypatch.setattr(gf, "_least_generator", lambda spec: spec.element(g))
+    with pytest.raises(NotAField):
+        gf._LogTables(spec)

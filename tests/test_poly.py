@@ -407,6 +407,26 @@ def test_trace_split_takes_few_gcds_over_a_large_prime(monkeypatch):
     assert len(calls) < 50
 
 
+def test_trace_split_builds_no_trace_for_j_divisible_by_p(monkeypatch):
+    # the p = 3 leaf of `search --p 3 --m 2 --u 5 --n1 10 --isolated`: two
+    # quintics over F_3 with equal power sums for j <= 4, so the split ends
+    # in round j = 5, and round 3 would repeat the cut of round 1
+    from ddcrit import poly
+
+    rounds = []
+    trace = poly._trace
+    # ys[0] = x^j mod f, which is x^j itself for j < deg f
+    monkeypatch.setattr(
+        poly, "_trace", lambda ys, powers: rounds.append(ys[0].degree) or trace(ys, powers)
+    )
+    f = poly_from_ints(F3, [2, 0, 0, 0, 0, 0, 2, 0, 2, 0, 1])
+    assert equal_degree_factorization(f, 5) == [
+        poly_from_ints(F3, [1, 2, 2, 1, 0, 1]),
+        poly_from_ints(F3, [2, 2, 1, 1, 0, 1]),
+    ]
+    assert rounds == [1, 2, 4, 5]
+
+
 @pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (5, 2)])
 def test_roots_when_factor_degree_is_below_the_lcm(p, k):
     # f = (deg 2)(deg 3): both factors split only in F_{q^6}
