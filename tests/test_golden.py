@@ -1,7 +1,10 @@
 """Golden stdout corpus: the exact ``--compact`` stdout bytes and exit code of
 every README CLI example (without ``--budget``), plus ``construct trace`` and
 ``plan`` at p=5, three ``search`` cases, and level-3 ``witt breaks`` at p=3
-(one forcing an extension to F_{3^9}) and p=5.
+(one forcing an extension to F_{3^9}) and p=5.  The two scripts CI runs,
+``scripts/run_d9.py`` and ``scripts/sweep_trace_family.py --steps 1``, are
+pinned the same way as tests/golden/run_d9.stdout and
+tests/golden/sweep_trace_steps1.stdout.
 
 tests/golden/cases.json lists each case; tests/golden/<name>.stdout holds its
 stdout.  Re-record only when an output change is intended (for example a
@@ -13,14 +16,17 @@ schema version bump):
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
 
 from ddcrit.cli import main
 
-GOLDEN = pathlib.Path(__file__).parent / "golden"
+ROOT = pathlib.Path(__file__).parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
 
 
@@ -36,6 +42,31 @@ def test_golden_stdout(case):
     stdout, code = run_case(case["argv"])
     assert code == case["exit_code"]
     assert stdout == (GOLDEN / f"{case['name']}.stdout").read_bytes()
+
+
+# script argv -> golden stdout file; both scripts exit 0
+SCRIPTS = {
+    "run_d9": ["scripts/run_d9.py"],
+    "sweep_trace_steps1": ["scripts/sweep_trace_family.py", "--steps", "1"],
+}
+
+
+def run_script(argv) -> tuple[bytes, int]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True
+    )
+    return proc.stdout, proc.returncode
+
+
+@pytest.mark.parametrize("name", SCRIPTS)
+def test_script_stdout(name):
+    stdout, code = run_script(SCRIPTS[name])
+    assert code == 0
+    assert stdout == (GOLDEN / f"{name}.stdout").read_bytes()
 
 
 # argparse rejects these before any subcommand runs
@@ -65,6 +96,8 @@ def record() -> None:
     for case in CASES:
         stdout, case["exit_code"] = run_case(case["argv"])
         (GOLDEN / f"{case['name']}.stdout").write_bytes(stdout)
+    for name, argv in SCRIPTS.items():
+        (GOLDEN / f"{name}.stdout").write_bytes(run_script(argv)[0])
     (GOLDEN / "cases.json").write_text(json.dumps(CASES, indent=2) + "\n")
 
 
