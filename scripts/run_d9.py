@@ -7,7 +7,7 @@ lifting radii per profile step.
 import argparse
 import json
 
-from ddcrit.planner import lifting_radii, profiles_for_group, quadruple_for_step
+from ddcrit.planner import profile_steps, profiles_for_group
 from ddcrit.search import search_group
 
 
@@ -24,17 +24,9 @@ def main() -> int:
         print(line)
 
     for prof in profiles_for_group(args.p, args.m, args.n):
-        prev = prof.breaks[0]
-        for u in prof.breaks[1:]:
-            q = quadruple_for_step(args.p, args.m, prev, u)
-            r = lifting_radii(args.p, args.m, prev, u, q.n1)
-            print(
-                json.dumps(
-                    {"profile": list(prof.breaks), "step": [prev, u]}
-                    | r.to_json()
-                )
-            )
-            prev = u
+        for i, _, r in profile_steps(args.p, args.m, prof):
+            step = list(prof.breaks[i - 1 : i + 1])
+            print(json.dumps({"profile": list(prof.breaks), "step": step} | r.to_json()))
     return 0 if result.complete else 1
 
 

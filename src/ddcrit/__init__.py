@@ -2,7 +2,7 @@
 over finite fields, with the Artin-Schreier-Witt utilities that connect it to
 ramification data."""
 
-from .cartier import LaurentForm, Quadruple, cartier, ddc_check, dlog_truncated, is_exact
+from .cartier import Quadruple, cartier, ddc_check, dlog_truncated, is_exact
 from .construct import construct_small, construct_trace, d9_witnesses
 from .criterion import (
     Certificate,
@@ -28,6 +28,7 @@ from .gf import (
 from .planner import (
     RadiiReport,
     lifting_radii,
+    profile_steps,
     profiles_for_group,
     quadruple_for_step,
     quadruples_for_group,
@@ -62,4 +63,4 @@ from .witt import (
     wp,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -1,5 +1,6 @@
 """Meromorphic differential forms h(t)·dt with Laurent-polynomial h, the
-Cartier operator, and the differential data criterion check.
+Cartier operator, and the differential data criterion check.  A form h·dt
+is passed and returned as its LaurentPoly h.
 
 The criterion for a quadruple (p, m, u~, N1) and f in k[t^m] of degree N1 is
 checked on the exact Laurent identity
@@ -24,32 +25,6 @@ from .errors import (
 )
 from .gf import pth_root
 from .poly import LaurentPoly, Poly
-
-
-@dataclass(frozen=True)
-class LaurentForm:
-    """The differential form h·dt."""
-
-    h: LaurentPoly
-
-    @property
-    def spec(self):
-        return self.h.spec
-
-    def __bool__(self):
-        return bool(self.h)
-
-    def __add__(self, other):
-        return LaurentForm(self.h + other.h)
-
-    def __sub__(self, other):
-        return LaurentForm(self.h - other.h)
-
-    def __neg__(self):
-        return LaurentForm(-self.h)
-
-    def to_json(self):
-        return self.h.to_json()
 
 
 def _prime_to_p_part(n: int, p: int) -> tuple[int, int]:
@@ -92,20 +67,23 @@ class Quadruple:
         return {"p": self.p, "m": self.m, "u_tilde": self.u_tilde, "n1": self.n1}
 
 
-def cartier(w: LaurentForm) -> LaurentForm:
-    """C(sum a_i t^i dt) = sum over i = -1 mod p of a_i^(1/p) t^((i+1)/p - 1) dt."""
-    p = w.spec.p
-    terms = {}
-    for e, c in w.h.terms():
-        if (e + 1) % p == 0:
-            terms[(e + 1) // p - 1] = pth_root(c)
-    return LaurentForm(LaurentPoly.from_terms(w.spec, terms))
+def cartier(h: LaurentPoly) -> LaurentPoly:
+    """C(h dt) = h' dt for h = sum a_i t^i: h' = sum over i = -1 mod p of
+    a_i^(1/p) t^((i+1)/p - 1), so the coefficients of h' are every p-th
+    coefficient of h from the first exponent that is -1 mod p."""
+    p = h.spec.p
+    start = (-h.low - 1) % p
+    return LaurentPoly(
+        h.spec,
+        (h.low + start + 1) // p - 1,
+        [pth_root(c) if c else c for c in h.coeffs[start::p]],
+    )
 
 
-def is_exact(w: LaurentForm) -> bool:
-    """True iff no exponent of w is -1 mod p, i.e. C(w) = 0, i.e. w = dh."""
-    p = w.spec.p
-    return all((e + 1) % p != 0 for e, _ in w.h.terms())
+def is_exact(h: LaurentPoly) -> bool:
+    """True iff no exponent of h is -1 mod p, i.e. C(h dt) = 0, i.e. h dt
+    is exact."""
+    return not cartier(h)
 
 
 def validate_shape(q: Quadruple, f: Poly) -> None:
@@ -125,39 +103,34 @@ def ddc_check(q: Quadruple, f: Poly) -> bool:
     validate_shape(q, f)
     spec = f.spec
     shift = -(q.u_tilde + 1)
-    lhs = cartier(
-        LaurentForm(LaurentPoly.from_poly(f ** (q.p - 1), shift))
-    )
+    lhs = cartier(LaurentPoly.from_poly(f ** (q.p - 1), shift))
     u_scalar = spec.from_int(q.u)
     one_plus_uf = Poly(spec, [spec.one()]) + f * u_scalar
-    rhs = LaurentForm(LaurentPoly.from_poly(one_plus_uf, shift))
-    return lhs == rhs
+    return lhs == LaurentPoly.from_poly(one_plus_uf, shift)
 
 
-def dlog_truncated(factors, trunc: int, spec=None) -> LaurentForm:
-    """Logarithmic derivative of prod_j (1 - x_j t^-1)^(a_j), expanded in
-    powers of t^-1 through exponent -(trunc+1).
+def dlog_truncated(factors, trunc: int, spec=None) -> LaurentPoly:
+    """The h of the logarithmic derivative h dt of prod_j (1 - x_j t^-1)^(a_j),
+    expanded in powers of t^-1 through exponent -(trunc+1).
 
-    The t^(-q-1) dt coefficient is sum_j a_j x_j^q; each a_j is an integer
-    exponent, each x_j a nonzero field element.  An empty factor list yields
-    the zero form (spec must then be passed explicitly).
+    The t^(-q-1) coefficient of h is sum_j a_j x_j^q; each a_j is an
+    integer exponent, each x_j a nonzero field element.  An empty factor
+    list yields zero (spec must then be passed explicitly).
     """
     if trunc < 1:
         raise ValueError("truncation order must be >= 1")
     if not factors:
         if spec is None:
             raise ValueError("spec required for an empty factor list")
-        return LaurentForm(LaurentPoly.zero(spec))
+        return LaurentPoly.zero(spec)
     spec = factors[0][0].spec
     if any(not x for x, _ in factors):
         raise ZeroRoot("dlog factors require nonzero roots")
-    terms = {}
+    h = LaurentPoly.zero(spec)
     for x, a in factors:
-        xq = x
-        for exp in range(1, trunc + 1):
-            key = -exp - 1
-            contrib = xq * a
-            prev = terms.get(key)
-            terms[key] = prev + contrib if prev is not None else contrib
-            xq = xq * x
-    return LaurentForm(LaurentPoly.from_terms(spec, terms))
+        # a x^q at t^(-q-1), q = trunc down to 1
+        powers = [x]
+        for _ in range(trunc - 1):
+            powers.append(powers[-1] * x)
+        h = h + LaurentPoly(spec, -trunc - 1, [xq * a for xq in reversed(powers)])
+    return h

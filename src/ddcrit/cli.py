@@ -25,7 +25,7 @@ from .construct import construct_small, construct_trace, d9_witnesses
 from .criterion import certify, reconstruct_f
 from .errors import DdcritError
 from .gf import make_field
-from .planner import lifting_radii, profiles_for_group, quadruples_for_group
+from .planner import profile_steps, profiles_for_group, quadruples_for_group
 from .poly import LaurentPoly, Poly
 from .search import NotFound, first_witness
 from .witt import (
@@ -45,7 +45,7 @@ def parse_laurent(spec, text: str) -> LaurentPoly:
     text = text.replace(" ", "")
     if not text:
         raise ValueError("empty laurent string")
-    terms: dict[int, object] = {}
+    total = LaurentPoly.zero(spec)
     pos = 0
     while pos < len(text):
         match = _MONOMIAL.match(text, pos)
@@ -61,11 +61,9 @@ def parse_laurent(spec, text: str) -> LaurentPoly:
             exp = 0
         else:
             exp = int(exp_s) if exp_s is not None else 1
-        prev = terms.get(exp)
-        c = spec.from_int(coeff)
-        terms[exp] = prev + c if prev is not None else c
+        total = total + LaurentPoly(spec, exp, [spec.from_int(coeff)])
         pos = match.end()
-    return LaurentPoly.from_terms(spec, terms)
+    return total
 
 
 def parse_poly(spec, text: str) -> Poly:
@@ -112,26 +110,16 @@ def _cmd_search(args) -> tuple[object, int]:
 def _cmd_plan(args) -> tuple[object, int]:
     quadruples = quadruples_for_group(args.p, args.m, args.n)
     profiles = profiles_for_group(args.p, args.m, args.n)
-    radii = []
-    for prof in profiles:
-        prev = 0
-        for i, u in enumerate(prof.breaks):
-            if i == 0:
-                prev = u
-                continue
-            from .planner import quadruple_for_step
-
-            q = quadruple_for_step(args.p, args.m, prev, u)
-            report = lifting_radii(args.p, args.m, prev, u, q.n1)
-            radii.append(
-                {
-                    "profile": prof.to_json(),
-                    "step": i + 1,
-                    "quadruple": q.to_json(),
-                    "radii": report.to_json(),
-                }
-            )
-            prev = u
+    radii = [
+        {
+            "profile": prof.to_json(),
+            "step": i + 1,
+            "quadruple": q.to_json(),
+            "radii": report.to_json(),
+        }
+        for prof in profiles
+        for i, q, report in profile_steps(args.p, args.m, prof)
+    ]
     return {
         "quadruples": [q.to_json() for q in quadruples],
         "profiles": [p.to_json() for p in profiles],

@@ -4,6 +4,7 @@ critical/hub radii attached to each lifting step."""
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -112,3 +113,14 @@ def lifting_radii(
     else:
         r_hub = Fraction(1, n2) - Fraction(n1, (p - 1) * u_prev * n2)
     return RadiiReport(r_crit, r_hub, r_n, n2, u_next * r_hub)
+
+
+def profile_steps(
+    p: int, m: int, profile: JumpProfile
+) -> Iterator[tuple[int, Quadruple, RadiiReport]]:
+    """(i, quadruple, radii) for each lifting step u_(i-1) -> u_i of the
+    profile, i = 1 .. n-1 indexing ``profile.breaks``."""
+    u = profile.breaks
+    for i in range(1, len(u)):
+        q = quadruple_for_step(p, m, u[i - 1], u[i])
+        yield i, q, lifting_radii(p, m, u[i - 1], u[i], q.n1)

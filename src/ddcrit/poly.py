@@ -34,6 +34,20 @@ from .gf import (
 NEG_INF = float("-inf")
 
 
+def _add_coeffs(a: tuple, b: tuple, offset: int, spec: FieldSpec) -> list:
+    """The coefficients of a + t^offset b, for ascending coefficient tuples
+    a and b and offset >= 0, with trailing zeros possible.  Only the nonzero
+    coefficients of b are added, and onto a zero of a one is copied, not
+    added: Laurent entries of Witt vectors are sparse."""
+    out = list(a)
+    out += [spec.zero()] * (offset + len(b) - len(out))
+    for i, c in enumerate(b, offset):
+        if c:
+            s = out[i]
+            out[i] = s + c if s else c
+    return out
+
+
 class Poly:
     """Dense univariate polynomial over a FieldSpec, ascending coefficients,
     canonical (no trailing zeros).  The zero polynomial has degree -inf."""
@@ -89,11 +103,7 @@ class Poly:
 
     def __add__(self, other):
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self.spec.zero()
-        a = list(self.coeffs) + [z] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [z] * (n - len(other.coeffs))
-        return Poly(self.spec, [x + y for x, y in zip(a, b)])
+        return Poly(self.spec, _add_coeffs(self.coeffs, other.coeffs, 0, self.spec))
 
     def __sub__(self, other):
         return self + (-other)
@@ -447,18 +457,8 @@ def embed_poly(f: Poly, dst: FieldSpec) -> Poly:
 
 def roots_in_field(f: Poly) -> list[FieldElement]:
     """All roots of f lying in its own coefficient field (with multiplicity),
-    in deterministic element order."""
-    spec = f.spec
-    out = []
-    for sqf, mult in squarefree_decomposition(f):
-        # the product of linear factors of sqf is gcd(t^q - t, sqf)
-        x = Poly.x(spec)
-        xq = _powmod(x, spec.order, _Reducer(sqf))
-        lin = sqf.gcd(xq - x)
-        if lin.degree <= 0:
-            continue
-        for irr in equal_degree_factorization(lin, 1):
-            out += [-irr.coeffs[0]] * mult
+    in deterministic element order: the linear factors of ``factor(f)``."""
+    out = [-g.coeffs[0] for g, mult in factor(f) if g.degree == 1 for _ in range(mult)]
     out.sort(key=FieldElement.sort_key)
     return out
 
@@ -555,14 +555,14 @@ class LaurentPoly:
 
     def __init__(self, spec: FieldSpec, low: int, coeffs):
         coeffs = list(coeffs)
-        while coeffs and not coeffs[0]:
-            coeffs.pop(0)
-            low += 1
         while coeffs and not coeffs[-1]:
             coeffs.pop()
+        start = 0
+        while start < len(coeffs) and not coeffs[start]:
+            start += 1
         self.spec = spec
-        self.low = low if coeffs else 0
-        self.coeffs = tuple(coeffs)
+        self.low = low + start if coeffs else 0
+        self.coeffs = tuple(coeffs[start:])
 
     @classmethod
     def zero(cls, spec):
@@ -622,11 +622,14 @@ class LaurentPoly:
     def __add__(self, other):
         if self.spec != other.spec:
             raise SpecMismatch("Laurent polynomials over different field specs")
-        terms = self.term_dict()
-        for e, c in other.terms():
-            s = terms.get(e)
-            terms[e] = s + c if s is not None else c
-        return LaurentPoly.from_terms(self.spec, terms)
+        if not other:
+            return self
+        if not self:
+            return other
+        a, b = (self, other) if self.low <= other.low else (other, self)
+        return LaurentPoly(
+            self.spec, a.low, _add_coeffs(a.coeffs, b.coeffs, b.low - a.low, self.spec)
+        )
 
     def __sub__(self, other):
         return self + (-other)
@@ -635,9 +638,7 @@ class LaurentPoly:
         return LaurentPoly(self.spec, self.low, [-c for c in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, FieldElement):
-            return LaurentPoly(self.spec, self.low, [c * other for c in self.coeffs])
-        if isinstance(other, int):
+        if isinstance(other, (FieldElement, int)):
             return LaurentPoly(self.spec, self.low, [c * other for c in self.coeffs])
         if self.spec != other.spec:
             raise SpecMismatch("Laurent polynomials over different field specs")
@@ -659,12 +660,13 @@ class LaurentPoly:
     def frobenius(self) -> "LaurentPoly":
         """Entry-wise p-th power: coefficients^p, exponents*p."""
         p = self.spec.p
-        return LaurentPoly.from_terms(
-            self.spec, {e * p: c**p for e, c in self.terms()}
-        )
+        coeffs = [self.spec.zero()] * (p * len(self.coeffs) - p + 1)
+        coeffs[::p] = [c**p if c else c for c in self.coeffs]
+        return LaurentPoly(self.spec, p * self.low, coeffs)
 
     def map_coeffs(self, fn, spec: FieldSpec) -> "LaurentPoly":
-        return LaurentPoly.from_terms(spec, {e: fn(c) for e, c in self.terms()})
+        """fn applied to every stored coefficient; fn must map zero to zero."""
+        return LaurentPoly(spec, self.low, [fn(c) for c in self.coeffs])
 
     def to_json(self):
         return {"low": self.low, "coeffs": [c.to_json() for c in self.coeffs]}

@@ -160,7 +160,7 @@ def witt_add(v: WittVector, w: WittVector) -> WittVector:
     caches = [_PowerCache(e) for e in v.entries + w.entries]
     out = []
     for terms in polys:
-        acc = {}
+        acc = LaurentPoly.zero(spec)
         for c, xe, ye in terms:
             needed = [(cache, e) for cache, e in zip(caches, xe + ye) if e]
             # a power over a field is zero only when its base is, so a dead
@@ -172,10 +172,8 @@ def witt_add(v: WittVector, w: WittVector) -> WittVector:
             prod = factors[0] if c == 1 else factors[0] * c
             for factor in factors[1:]:
                 prod = prod * factor
-            for exp, coeff in prod.terms():
-                s = acc.get(exp)
-                acc[exp] = s + coeff if s is not None else coeff
-        out.append(LaurentPoly.from_terms(spec, acc))
+            acc = acc + prod
+        out.append(acc)
     return WittVector(spec, tuple(out))
 
 
@@ -215,7 +213,7 @@ def is_standard(v: WittVector) -> bool:
 class StandardFormResult:
     vector: WittVector
     extension_degree: int
-    adjustment: WittVector  # g with result = input (+) wp(neg g)... see below
+    adjustment: WittVector  # g with v_std = v - wp(g)
 
     def to_json(self):
         return {
@@ -267,7 +265,7 @@ def standard_form(
             if offending:
                 e = min(offending)
                 a = entry.term_dict()[e]
-                corr = LaurentPoly.from_terms(spec, {e // p: pth_root(a)})
+                corr = LaurentPoly(spec, e // p, [pth_root(a)])
             else:
                 const = entry.term_dict().get(0)
                 if const is None:
@@ -285,7 +283,7 @@ def standard_form(
                     work = work.map_coeffs(lift, big)
                     g = g.map_coeffs(lift, big)
                     continue
-                corr = LaurentPoly.from_terms(spec, {0: x})
+                corr = LaurentPoly(spec, 0, [x])
             corr_vec = _single_slot(spec, n, i, corr)
             work = witt_sub(work, wp(corr_vec))
             g = witt_add(g, corr_vec)

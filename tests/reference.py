@@ -34,7 +34,12 @@ was replaced by a simpler or faster exact path:
   ``ddcrit.gf._deterministic_modulus``;
 - ``least_irreducible_reference``: the same scan with irreducibility
   decided by ``ddcrit.poly.factor`` over F_p, which shares no code with the
-  Rabin test in ``ddcrit.gf``: the oracle for the moduli of ``make_field``.
+  Rabin test in ``ddcrit.gf``: the oracle for the moduli of ``make_field``;
+- ``laurent_add_reference``, ``cartier_reference``,
+  ``laurent_frobenius_reference`` and ``laurent_map_coeffs_reference``:
+  Laurent polynomials as term dicts, the oracle for the dense coefficient
+  path of ``LaurentPoly.__add__``, ``ddcrit.cartier.cartier``,
+  ``LaurentPoly.frobenius`` and ``LaurentPoly.map_coeffs``.
 """
 
 from __future__ import annotations
@@ -44,8 +49,8 @@ from itertools import product
 from ddcrit.cartier import Quadruple, ddc_check
 from ddcrit.criterion import ResidueData, certify
 from ddcrit.errors import ReconstructionMismatch
-from ddcrit.gf import _is_irreducible_modp, make_field, root_of_unity
-from ddcrit.poly import Poly, _powmod, _Reducer, factor
+from ddcrit.gf import _is_irreducible_modp, make_field, pth_root, root_of_unity
+from ddcrit.poly import LaurentPoly, Poly, _powmod, _Reducer, factor
 from ddcrit.search import NotFound, _passes, candidate_count
 
 
@@ -392,3 +397,32 @@ def least_irreducible_reference(p: int, k: int) -> tuple[int, ...]:
         if factor(f) == [(f, 1)]:
             return tuple(c.coeffs[0] for c in f.coeffs)
     raise AssertionError("no irreducible polynomial found")
+
+
+def laurent_add_reference(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """a + b by summing the terms of b into the term dict of a."""
+    terms = a.term_dict()
+    for e, c in b.terms():
+        s = terms.get(e)
+        terms[e] = s + c if s is not None else c
+    return LaurentPoly.from_terms(a.spec, terms)
+
+
+def cartier_reference(h: LaurentPoly) -> LaurentPoly:
+    """C(h dt) term by term: a_i t^i with i = -1 mod p goes to
+    a_i^(1/p) t^((i+1)/p - 1), every other term to zero."""
+    p = h.spec.p
+    return LaurentPoly.from_terms(
+        h.spec, {(e + 1) // p - 1: pth_root(c) for e, c in h.terms() if (e + 1) % p == 0}
+    )
+
+
+def laurent_frobenius_reference(h: LaurentPoly) -> LaurentPoly:
+    """a t^e goes to a^p t^(pe), term by term."""
+    p = h.spec.p
+    return LaurentPoly.from_terms(h.spec, {e * p: c**p for e, c in h.terms()})
+
+
+def laurent_map_coeffs_reference(h: LaurentPoly, fn, spec) -> LaurentPoly:
+    """fn applied to the nonzero terms only."""
+    return LaurentPoly.from_terms(spec, {e: fn(c) for e, c in h.terms()})

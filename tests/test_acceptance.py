@@ -265,15 +265,11 @@ def test_08_cartier_property_suite():
         spec = make_field(3, 2)
 
         def rand_form():
-            from ddcrit.cartier import LaurentForm
-
             terms = {
                 rng.randint(-8, 8): spec.element_by_index(rng.randrange(9))
                 for _ in range(rng.randint(0, 5))
             }
-            return LaurentForm(LaurentPoly.from_terms(spec, terms))
-
-        from ddcrit.cartier import LaurentForm
+            return LaurentPoly.from_terms(spec, terms)
 
         for _ in range(1000):
             w1, w2 = rand_form(), rand_form()
@@ -282,9 +278,7 @@ def test_08_cartier_property_suite():
             f = LaurentPoly.from_terms(
                 spec, {rng.randint(-2, 2): spec.element_by_index(rng.randrange(1, 9))}
             )
-            assert cartier(LaurentForm(f.frobenius() * w1.h)) == LaurentForm(
-                f * cartier(w1).h
-            )
+            assert cartier(f.frobenius() * w1) == f * cartier(w1)
         # C-fixedness of dlog truncations
         for _ in range(25):
             factors = [
@@ -294,8 +288,8 @@ def test_08_cartier_property_suite():
             trunc = 5
             image = cartier(dlog_truncated(factors, 3 * trunc + 2))
             short = dlog_truncated(factors, trunc)
-            window = {e: c for e, c in image.h.terms() if e >= -(trunc + 1)}
-            assert window == short.h.term_dict()
+            window = {e: c for e, c in image.terms() if e >= -(trunc + 1)}
+            assert window == short.term_dict()
 
 
 def test_09_radii_identities():

@@ -11,6 +11,7 @@ from ddcrit.errors import (
 from ddcrit.planner import (
     RadiiReport,
     lifting_radii,
+    profile_steps,
     profiles_for_group,
     quadruple_for_step,
     quadruples_for_group,
@@ -78,6 +79,17 @@ def test_profiles_map_into_quadruple_list():
             for u in prof.breaks[1:]:
                 assert quad_tuple(quadruple_for_step(p, m, prev, u)) in quads
                 prev = u
+
+
+def test_profile_steps_walk_consecutive_breaks():
+    for p, m, n in [(3, 2, 1), (3, 2, 3), (5, 4, 2)]:
+        for prof in profiles_for_group(p, m, n):
+            u = prof.breaks
+            expected = []
+            for i in range(1, n):
+                q = quadruple_for_step(p, m, u[i - 1], u[i])
+                expected.append((i, q, lifting_radii(p, m, u[i - 1], u[i], q.n1)))
+            assert list(profile_steps(p, m, prof)) == expected
 
 
 def test_radii_example():

@@ -1,8 +1,10 @@
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ddcrit.cartier import cartier
 from ddcrit.errors import NotAField, NotOrbitClosed, RepeatedRoot, ZeroRoot
 from ddcrit.gf import FieldElement, element_columns, kronecker_mul, make_field
 from ddcrit.poly import (
@@ -25,7 +27,11 @@ from ddcrit.poly import (
 from ddcrit.witt import WittVector, standard_form
 from reference import (
     RationalFunction,
+    cartier_reference,
     equal_degree_factorization_reference,
+    laurent_add_reference,
+    laurent_frobenius_reference,
+    laurent_map_coeffs_reference,
     one_root_reference,
     powmod_reference,
     schoolbook_mul,
@@ -178,6 +184,50 @@ def test_laurent_canonical_and_arithmetic():
 def test_laurent_frobenius():
     a = LaurentPoly.from_terms(F3, {-2: F3.from_int(2)})
     assert a.frobenius().term_dict() == {-6: F3.from_int(2)}
+
+
+def sparse_laurent(rng, spec, low):
+    """A nonzero coefficient at t^low and up to three random ones above it,
+    spread over 3p exponents."""
+    terms = {low: spec.element_by_index(rng.randrange(1, spec.order))}
+    for _ in range(rng.randint(0, 3)):
+        terms[low + rng.randint(1, 3 * spec.p)] = spec.element_by_index(
+            rng.randrange(spec.order)
+        )
+    return LaurentPoly.from_terms(spec, terms)
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (7, 2)])
+def test_dense_laurent_path_matches_term_dicts(p, k):
+    """Sum, Cartier image, Frobenius and coefficient map on dense
+    coefficient tuples give the to_json bytes of the term-dict oracles, for
+    operands whose low exponent runs over every residue mod p (negative ones
+    too), sums that cancel in full or at the bottom, zero and monomials."""
+    spec = make_field(p, k)
+    big = make_field(p, 2 * k)
+    rng = random.Random(f"dense-laurent:{p}:{k}")
+    zero = LaurentPoly.zero(spec)
+
+    def same(x, y):
+        assert json.dumps(x.to_json()) == json.dumps(y.to_json())
+
+    for low in range(-2 * p - 1, p + 1):
+        for _ in range(4):
+            a = sparse_laurent(rng, spec, low)
+            b = sparse_laurent(rng, spec, rng.randint(-2 * p - 1, p))
+            monomial = LaurentPoly(spec, low, [a.coeffs[0]])
+            # -a with its top term dropped cancels a from the bottom up
+            bottom = LaurentPoly(spec, a.low, a.coeffs[:-1])
+            for x, y in [(a, b), (b, a), (a, -a), (a, -bottom), (a, zero),
+                         (zero, a), (zero, zero), (a, monomial), (monomial, b)]:
+                same(x + y, laurent_add_reference(x, y))
+            for h in (a, b, a + b, a - bottom, monomial, zero):
+                same(cartier(h), cartier_reference(h))
+                same(h.frobenius(), laurent_frobenius_reference(h))
+                same(h.map_coeffs(lambda c: c * c, spec),
+                     laurent_map_coeffs_reference(h, lambda c: c * c, spec))
+                same(h.map_coeffs(lambda c: embed(c, big), big),
+                     laurent_map_coeffs_reference(h, lambda c: embed(c, big), big))
 
 
 def test_embedding_consistency():
