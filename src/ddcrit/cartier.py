@@ -23,7 +23,7 @@ from .errors import (
     WrongDegree,
     ZeroRoot,
 )
-from .gf import pth_root
+from .gf import is_prime, pth_root
 from .poly import LaurentPoly, Poly
 
 
@@ -49,8 +49,6 @@ class Quadruple:
     nu: int = field(init=False)
 
     def __post_init__(self):
-        from .gf import is_prime
-
         if not is_prime(self.p) or self.p == 2:
             raise InvalidQuadruple(f"p = {self.p} must be an odd prime")
         if self.m <= 1 or (self.p - 1) % self.m != 0:

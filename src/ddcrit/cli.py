@@ -185,7 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_quadruple_args(search)
     search.add_argument("--field-degree", type=int, default=1)
     search.add_argument("--isolated", action="store_true")
-    search.add_argument("--budget", type=float, default=None)
+    search.add_argument("--budget", type=float, default=None, help="seconds >= 0 "
+                        "for the DFS nodes; certifying a leaf and rendering the "
+                        "winner are not bounded")
     search.set_defaults(fn=_cmd_search)
 
     plan = subs.add_parser("plan", help="quadruples, profiles and radii")

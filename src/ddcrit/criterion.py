@@ -198,15 +198,15 @@ def reconstruct_f(rd: ResidueData) -> Poly:
         if not ddc_check(q, f):
             raise ReconstructionMismatch("constant reconstruction failed ddc")
         return f
-    zeta = root_of_unity(spec, q.m)
+    zeta = root_of_unity(make_field(q.p, 1), q.m).coeffs[0]
     t = Poly.x(spec)
     # product rule over each c = zeta_m^-l x_j with e_c != 0:
     # (P, S) <- (P (t - c), S (t - c) + e_c P) keeps S/P = sum_c e_c/(t - c)
     big_p, big_s, total = Poly.one(spec), Poly.zero(spec), 0
     for x, a in zip(rd.reps, rd.residues):
         for ell in range(1, q.m + 1):
-            z = zeta ** (-ell)
-            exponent = (z * a).prime_int()
+            z = pow(zeta, -ell, q.p)
+            exponent = z * a % q.p
             if exponent:
                 linear = t - Poly(spec, [z * x])
                 big_s = big_s * linear + big_p * spec.from_int(exponent)

@@ -48,16 +48,16 @@ _MR_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality: deterministic Miller-Rabin below _MR_BOUND, trial
-    division at or above it."""
+    """Exact primality: deterministic Miller-Rabin below _MR_BOUND.  At or
+    above it, n divisible by a base is not prime, and any other n raises
+    ValueError, since no test here decides it in bounded time."""
     if n < 2:
         return False
     for a in _MR_BASES:
         if n % a == 0:
             return n == a
     if n >= _MR_BOUND:
-        # trial division by the odd numbers past the bases
-        return all(n % d for d in range(43, math.isqrt(n) + 1, 2))
+        raise ValueError(f"primality above 3.3*10^24 is not decided: {n}")
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -702,11 +702,9 @@ def root_of_unity(spec: FieldSpec, order: int) -> FieldElement:
 
 def ord_mod(p: int, n: int) -> int:
     """Least D >= 1 with p^D = 1 mod n."""
-    from math import gcd
-
     if n < 1:
         raise ValueError("modulus must be positive")
-    if gcd(p, n) != 1:
+    if math.gcd(p, n) != 1:
         raise NotCoprime(f"gcd({p}, {n}) != 1")
     if n == 1:
         return 1

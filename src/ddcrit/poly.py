@@ -434,11 +434,8 @@ def _embedding_image(src: FieldSpec, dst: FieldSpec) -> FieldElement:
     """Image of the generator of src in dst: the least root of src.modulus."""
     if src.p != dst.p or dst.k % src.k != 0:
         raise SpecMismatch("no embedding between these field specs")
-    modulus = Poly(dst, [dst.from_int(c) for c in src.modulus])
-    roots = roots_in_field(modulus)
-    if not roots:
-        raise NotAField(f"F_{{{dst.p}^{dst.k}}} has no root of {src.modulus}")
-    return min(roots, key=FieldElement.sort_key)
+    modulus = Poly.from_ints(make_field(src.p, 1), src.modulus)
+    return min(_conjugates(modulus, dst), key=FieldElement.sort_key)
 
 
 def embed(x: FieldElement, dst: FieldSpec) -> FieldElement:
@@ -478,29 +475,28 @@ def roots_in_splitting_field(f: Poly):
     big = make_field(spec.p, big_degree)
     roots: list[FieldElement] = []
     for g, mult in factors:
-        if g.degree == 1:
-            rs = [embed(-g.coeffs[0], big)]
-        else:
-            # one root, then its Frobenius orbit over the base field
-            rs = [_one_root(g, big)]
-            for _ in range(int(g.degree) - 1):
-                rs.append(rs[-1] ** spec.order)
-            if len(set(rs)) != g.degree:
-                raise NotAField(f"F_{{{big.p}^{big.k}}}: orbit shorter than degree")
-        roots += rs * mult
+        roots += _conjugates(g, big) * mult
     roots.sort(key=FieldElement.sort_key)
     return big_degree, roots
 
 
-def _one_root(g: Poly, big: FieldSpec) -> FieldElement:
-    """One root in big = F_{p^D} of a monic irreducible g of degree >= 2
-    over its own field F_q (q = p^k), which splits in big: the trace
-    splitting of g over big, keeping the first piece.  x^(p^i) mod g is
-    computed over F_q, where it repeats with period k deg g, and embedded."""
+def _conjugates(g: Poly, big: FieldSpec) -> list[FieldElement]:
+    """Every root in big = F_{p^D} of a monic irreducible g over its own
+    field F_q (q = p^k), which splits in big: one root by the trace splitting
+    of g over big, then its orbit under r -> r^q, which has deg g elements
+    unless big is no field (NotAField).  x^(p^i) mod g is computed over F_q,
+    where it repeats with period k deg g, and embedded."""
+    if g.degree == 1:
+        return [embed(-g.coeffs[0], big)]
     xs = _frobenius_powers(g, g.spec.k * int(g.degree))
     xs = [embed_poly(x, big) for x in xs]
     (linear,) = _trace_split(embed_poly(g, big), xs, 1, one=True)
-    return -linear.coeffs[0]
+    roots = [-linear.coeffs[0]]
+    for _ in range(int(g.degree) - 1):
+        roots.append(roots[-1] ** g.spec.order)
+    if len(set(roots)) != g.degree:
+        raise NotAField(f"F_{{{big.p}^{big.k}}}: orbit shorter than degree")
+    return roots
 
 
 # -- orbit representatives and symmetric functions ---------------------------
@@ -508,7 +504,7 @@ def _one_root(g: Poly, big: FieldSpec) -> FieldElement:
 
 def mu_m_orbit_reps(roots, m: int, spec: FieldSpec):
     """One representative (the least element) per orbit of the root set under
-    multiplication by the m-th roots of unity."""
+    multiplication by the m-th roots of unity, which lie in F_p (m | p - 1)."""
     if not roots:
         return []
     if any(not r for r in roots):
@@ -516,7 +512,8 @@ def mu_m_orbit_reps(roots, m: int, spec: FieldSpec):
     root_set = set(roots)
     if len(root_set) != len(roots):
         raise RepeatedRoot("repeated root in orbit partition")
-    mu_m = [root_of_unity(spec, m) ** i for i in range(m)]
+    zeta = root_of_unity(make_field(spec.p, 1), m).coeffs[0]
+    mu_m = [pow(zeta, i, spec.p) for i in range(m)]
     reps = []
     seen = set()
     for r in sorted(root_set, key=FieldElement.sort_key):

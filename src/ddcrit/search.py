@@ -271,10 +271,13 @@ def first_witness(
     budget_seconds: float | None = None,
 ):
     """Least-rank witness for q over F_{p^field_degree}, or NotFound.  The
-    budget is checked at every search node; an overrun aborts cleanly with
-    complete=False."""
+    budget (None or seconds >= 0) bounds the DFS: it is checked at every
+    search node, and an overrun aborts cleanly with complete=False.  It does
+    not bound certifying a leaf or rendering the winner."""
     if not 1 <= field_degree <= MAX_FIELD_DEGREE:
         raise ValueError(f"field degree must be in [1, {MAX_FIELD_DEGREE}]")
+    if budget_seconds is not None and not budget_seconds >= 0:
+        raise ValueError(f"budget must be seconds >= 0, not {budget_seconds}")
     spec = make_field(q.p, field_degree)
     deadline = (
         time.monotonic() + budget_seconds if budget_seconds is not None else None

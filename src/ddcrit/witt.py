@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import lcm
 
 from .errors import (
     ExtensionCapExceeded,

@@ -23,11 +23,15 @@ was replaced by a simpler or faster exact path:
 - ``candidate_polys`` and ``equal_degree_factorization_reference``:
   Cantor-Zassenhaus over a counter-based candidate sequence, recursing into
   both pieces, the oracle for the trace splitting of
-  ``ddcrit.poly.equal_degree_factorization`` (behind ``factor``,
-  ``roots_in_field`` and ``embed``);
+  ``ddcrit.poly.equal_degree_factorization`` (behind ``factor`` and
+  ``roots_in_field``);
 - ``one_root_reference``: Cantor-Zassenhaus over the splitting field with
   the same candidates, recursing into the smaller piece, the oracle for the
-  trace splitting of ``ddcrit.poly._one_root``;
+  one root that ``ddcrit.poly._conjugates`` takes by trace splitting;
+- ``embedding_image_reference``: the least root of the source modulus by
+  ``roots_in_field`` over the target field, which factors there, the oracle
+  for ``ddcrit.poly._embedding_image`` (the least of the conjugates of one
+  root) behind ``embed``;
 - ``deterministic_modulus_reference``: the modulus scan over
   ``itertools.product``, which builds every pool before the first vector
   (small p only), the oracle for the order of
@@ -48,9 +52,16 @@ from itertools import product
 
 from ddcrit.cartier import Quadruple, ddc_check
 from ddcrit.criterion import ResidueData, certify
-from ddcrit.errors import ReconstructionMismatch
-from ddcrit.gf import _is_irreducible_modp, make_field, pth_root, root_of_unity
-from ddcrit.poly import LaurentPoly, Poly, _powmod, _Reducer, factor
+from ddcrit.errors import NotAField, ReconstructionMismatch, SpecMismatch
+from ddcrit.gf import (
+    FieldElement,
+    FieldSpec,
+    _is_irreducible_modp,
+    make_field,
+    pth_root,
+    root_of_unity,
+)
+from ddcrit.poly import LaurentPoly, Poly, _powmod, _Reducer, factor, roots_in_field
 from ddcrit.search import NotFound, _passes, candidate_count
 
 
@@ -374,6 +385,18 @@ def one_root_reference(f: Poly):
             smaller = g if g.degree <= f.degree - g.degree else f // g
             return one_root_reference(smaller.monic())
     raise AssertionError("root extraction exhausted candidates")
+
+
+def embedding_image_reference(src: FieldSpec, dst: FieldSpec) -> FieldElement:
+    """Image of the generator of src in dst: the least root of src.modulus
+    among the roots in dst that ``roots_in_field`` finds by factoring."""
+    if src.p != dst.p or dst.k % src.k != 0:
+        raise SpecMismatch("no embedding between these field specs")
+    modulus = Poly(dst, [dst.from_int(c) for c in src.modulus])
+    roots = roots_in_field(modulus)
+    if not roots:
+        raise NotAField(f"F_{{{dst.p}^{dst.k}}} has no root of {src.modulus}")
+    return min(roots, key=FieldElement.sort_key)
 
 
 def deterministic_modulus_reference(p: int, k: int) -> tuple[int, ...]:

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -47,6 +48,18 @@ def test_reduce_jumps_cli_rejects_bad_p_and_m(capsys):
         )
         assert code == 2 and out == ""
         assert "odd prime" in json.loads(err)["error"]
+
+
+def test_reduce_jumps_cli_rejects_p_above_the_miller_rabin_bound(capsys):
+    # 2^89 + 1 has the factor 3; the prime 2^89 - 1 is not decided
+    for p, message in ((2**89 + 1, "odd prime"), (2**89 - 1, "not decided")):
+        start = time.monotonic()
+        code, out, err = run(
+            capsys, "reduce-jumps", "--p", str(p), "--m", "2", "--jumps", "1"
+        )
+        assert time.monotonic() - start < 1.0
+        assert code == 2 and out == ""
+        assert message in json.loads(err)["error"]
 
 
 def test_reduce_jumps_cli_rejects_m_not_dividing_p_minus_1(capsys):
@@ -146,6 +159,17 @@ def test_search_cli(capsys):
     )
     assert code == 0
     assert json.loads(out)["f"] == [[2], [0], [1]]
+
+
+def test_search_cli_rejects_a_nan_or_negative_budget(capsys):
+    # monotonic() > nan is never true, so NaN would mean no budget at all
+    for budget in ("nan", "-1", "-inf"):
+        code, out, err = run(
+            capsys, "search", "--p", "5", "--m", "2", "--u", "7", "--n1", "26",
+            f"--budget={budget}",
+        )
+        assert code == 2 and out == ""
+        assert "budget" in json.loads(err)["error"]
 
 
 def test_search_cli_not_found(capsys):

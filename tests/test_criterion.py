@@ -281,3 +281,24 @@ def test_binomial_det_rejects_non_descending():
         binomial_det([5, 5])
     with pytest.raises(NotDescending):
         binomial_det([3, 0])
+
+
+def test_certify_seeks_no_generator_above_the_prime_field(monkeypatch, capsys):
+    # mu_m lies in F_p since m | p - 1: the roots of f live in F_{3^8},
+    # above the table bound, yet only F_3 needs a generator
+    from ddcrit import cli, gf
+    from ddcrit.poly import roots_in_splitting_field
+
+    f = Poly.from_ints(F3, [1, 0, 2, 0, 2, 0, 1, 0, 2])
+    assert roots_in_splitting_field(f)[0] == 8
+    specs = []
+    least_generator = gf._least_generator
+    monkeypatch.setattr(
+        gf, "_least_generator", lambda spec: specs.append(spec) or least_generator(spec)
+    )
+    code = cli.main(
+        ["--compact", "check", "--p", "3", "--m", "2", "--u", "5", "--n1", "8",
+         "--f", "1,0,2,0,2,0,1,0,2"]
+    )
+    assert code == 1 and json.loads(capsys.readouterr().out)["flags"]["ddc"] is False
+    assert specs and all(spec.k == 1 for spec in specs)

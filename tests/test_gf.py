@@ -116,6 +116,17 @@ def test_is_prime_strong_pseudoprimes_and_large_primes():
         assert is_prime(n), n
 
 
+def test_is_prime_above_the_miller_rabin_bound():
+    # a factor among the bases still decides n; any other n raises, since
+    # no test here ends in bounded time (trial division on the prime
+    # 2^89 - 1 would take about 10^13 divisions)
+    assert not is_prime(2**89 + 1)
+    assert not is_prime(41 * gf._MR_BOUND)
+    for n in (2**89 - 1, gf._MR_BOUND):
+        with pytest.raises(ValueError, match="not decided"):
+            is_prime(n)
+
+
 def test_make_field_large_prime_degree_two():
     # x^2 + 1 is irreducible because 2^31 - 1 = 3 mod 4; the scan must not
     # build p^2 vectors before trying the second one

@@ -5,14 +5,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ddcrit.cartier import cartier
-from ddcrit.errors import NotAField, NotOrbitClosed, RepeatedRoot, ZeroRoot
-from ddcrit.gf import FieldElement, element_columns, kronecker_mul, make_field
+from ddcrit.errors import (
+    NotAField,
+    NotOrbitClosed,
+    RepeatedRoot,
+    SpecMismatch,
+    ZeroRoot,
+)
+from ddcrit.gf import (
+    FieldElement,
+    FieldSpec,
+    element_columns,
+    kronecker_mul,
+    make_field,
+)
 from ddcrit.poly import (
     NEG_INF,
     LaurentPoly,
     Poly,
+    _conjugates,
     _embedding_image,
-    _one_root,
     _powmod,
     _Reducer,
     elementary_symmetric,
@@ -28,6 +40,7 @@ from ddcrit.witt import WittVector, standard_form
 from reference import (
     RationalFunction,
     cartier_reference,
+    embedding_image_reference,
     equal_degree_factorization_reference,
     laurent_add_reference,
     laurent_frobenius_reference,
@@ -385,9 +398,11 @@ def test_one_root_matches_cantor_zassenhaus(p, k):
             if not _is_field(big):
                 continue
             gb = embed_poly(g, big)
-            r = _one_root(g, big)
+            roots = _conjugates(g, big)
+            r = roots[0]
             assert not gb.evaluate(r)
             assert _orbit(r, spec.order) == _orbit(one_root_reference(gb), spec.order)
+            assert sorted(roots, key=FieldElement.sort_key) == _orbit(r, spec.order)
 
 
 def _product(factors, spec):
@@ -439,6 +454,47 @@ def test_embedding_image_is_the_least_reference_root(p, k, big):
     assert _embedding_image(src, dst) == min(roots, key=FieldElement.sort_key)
 
 
+# the largest target degree per p (49 pairs and two without an
+# embedding); targets up to F_{3^18} would make the test 0.6 s slower
+EMBEDDING_TARGETS = {3: 16, 5: 12, 7: 12, 11: 6, 13: 6}
+
+
+def _outcome(fn, src, dst):
+    try:
+        return fn(src, dst)
+    except (NotAField, SpecMismatch) as exc:
+        return type(exc)
+
+
+def test_embedding_image_matches_the_factoring_reference():
+    # the conjugates of one root against all the roots of the source
+    # modulus over the target; a reducible target modulus (ROADMAP defect
+    # 1: F_{3^12}, F_{7^12}, F_{11^6}) must raise NotAField on both paths
+    pairs = [
+        (p, k, big)
+        for p, top in EMBEDDING_TARGETS.items()
+        for k in range(2, top // 2 + 1)
+        for big in range(2 * k, top + 1, k)
+    ]
+    pairs += [(3, 2, 9), (5, 3, 4)]  # no embedding: SpecMismatch
+    assert len(pairs) == 51
+    outcomes = []
+    for p, k, big in pairs:
+        src, dst = make_field(p, k), make_field(p, big)
+        expected = _outcome(embedding_image_reference, src, dst)
+        assert _outcome(_embedding_image.__wrapped__, src, dst) == expected, (p, k, big)
+        outcomes.append(expected)
+    assert outcomes.count(NotAField) == 10
+    assert outcomes.count(SpecMismatch) == 2
+
+
+def test_a_reducible_source_modulus_has_no_embedding():
+    # x^2 - 1 over F_3 splits into two roots that Frobenius fixes, so the
+    # orbit of one root is shorter than the degree
+    with pytest.raises(NotAField, match="orbit shorter"):
+        _embedding_image(FieldSpec(3, 2, (2, 0, 1)), make_field(3, 4))
+
+
 def test_trace_split_takes_few_gcds_over_a_large_prime(monkeypatch):
     # each cut by the quadratic character of T + a takes O(log p)
     # products and two gcds; a scan of the trace values in F_p would take
@@ -452,7 +508,7 @@ def test_trace_split_takes_few_gcds_over_a_large_prime(monkeypatch):
     f = _product([poly_from_ints(spec, [-c, 1]) for c in values], spec)
     assert [r.coeffs[0] for r in roots_in_field(f)] == values
     g = poly_from_ints(spec, [1, 1, 1])  # irreducible, as p = 2 mod 3
-    r = _one_root(g, make_field(p, 2))
+    r = _conjugates(g, make_field(p, 2))[0]
     assert not embed_poly(g, r.spec).evaluate(r)
     assert len(calls) < 50
 

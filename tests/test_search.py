@@ -125,6 +125,17 @@ def test_budget_aborts_cleanly():
     assert not result.complete
 
 
+def test_budget_must_be_none_or_nonnegative():
+    q = Quadruple(3, 2, 1, 4)
+    for budget in (float("nan"), -1.0, -0.5):
+        with pytest.raises(ValueError, match="budget"):
+            brute_search(q, 1, budget_seconds=budget)
+    # an infinite budget is no bound, as None is
+    unbounded = brute_search(q, 1, budget_seconds=float("inf"))
+    assert unbounded == brute_search(q, 1)
+    assert unbounded.complete
+
+
 def test_budget_met_per_candidate():
     """The deadline is checked at every search node, so a 0.5 s budget on
     (7,2,5,28), which the search does not finish in 5 s, returns well within
