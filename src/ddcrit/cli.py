@@ -165,8 +165,17 @@ def _add_quadruple_args(sub):
     sub.add_argument("--n1", type=int, required=True)
 
 
+class _JsonErrorParser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors, like every other invalid input,
+    print an error JSON on stderr and exit 2.  ``add_subparsers`` makes the
+    subcommand parsers of this class too; ``--help`` is unchanged."""
+
+    def error(self, message):
+        self.exit(2, json.dumps({"error": f"{self.prog}: {message}"}) + "\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _JsonErrorParser(
         prog="ddcrit",
         description="differential data criterion toolkit",
     )

@@ -209,7 +209,7 @@ def reconstruct_f(rd: ResidueData) -> Poly:
             exponent = z * a % q.p
             if exponent:
                 linear = t - Poly(spec, [z * x])
-                big_s = big_s * linear + big_p * spec.from_int(exponent)
+                big_s = big_s * linear + big_p * exponent
                 big_p = big_p * linear
                 total += exponent
     # u * sum_s t^(-u p^s - 1) = u * (sum_s t^(u~ - u p^s)) / t^(u~ + 1)
@@ -221,7 +221,7 @@ def reconstruct_f(rd: ResidueData) -> Poly:
         spec, [tail_coeffs.get(i, 0) for i in range(q.u_tilde + 1)]
     )
     t_pow = t ** q.u_tilde
-    big_n = t_pow * t * big_s - (t_pow * spec.from_int(total) + tail_num) * big_p
+    big_n = t_pow * t * big_s - (t_pow * total + tail_num) * big_p
     f, rem = big_p.divmod(big_n)
     if rem:
         raise ReconstructionMismatch("reconstructed f is not a polynomial")

@@ -132,6 +132,15 @@ def solve_modp(aug: list[list[int]], p: int) -> list[int] | None:
 
 
 # -- dense F_p[x] helpers (coefficient lists, ascending degree) --------------
+#
+# ``_divmod_modp`` is the one division that takes any nonzero leading
+# coefficient; it serves ``Poly.divmod`` and ``Poly.gcd`` over F_p and
+# ``FieldElement.inverse`` above the table bound.  ``_polymod_modp`` assumes
+# a monic divisor, and ``_polygcd_modp`` hands it non-monic remainders, which
+# makes ``_is_irreducible_modp`` wrong for some moduli (ROADMAP defect 1).
+# They stay as they are on purpose: the fix changes a canonical modulus, and
+# with it a recorded catalog digest, so it belongs to the change that
+# re-records that digest.
 
 
 def _trim(c: list[int]) -> list[int]:
@@ -163,6 +172,27 @@ def _polymod_modp(a: list[int], m: list[int], p: int) -> list[int]:
                 a[shift + i] = (a[shift + i] - c * mi) % p
         a.pop()
     return _trim(a)
+
+
+def _divmod_modp(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b in F_p[x], on digits in [0, p), by
+    schoolbook division (von zur Gathen-Gerhard, Modern Computer Algebra,
+    Algorithm 2.5).  b has no trailing zeros, and its leading coefficient
+    may be any nonzero digit; both results come without trailing zeros."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return [], _trim(list(a))
+    inv = pow(b[-1], -1, p)
+    low = b[:db]
+    rem = list(a)
+    quot = [0] * (len(a) - db)
+    for s in range(len(a) - 1 - db, -1, -1):
+        c = rem[s + db] * inv % p
+        if c:
+            quot[s] = c
+            for i, v in enumerate(low, s):
+                rem[i] = (rem[i] - c * v) % p
+    return _trim(quot), _trim(rem[:db])
 
 
 def _polymulmod(a, b, m, p):
@@ -407,18 +437,7 @@ class FieldElement:
         r0, r1 = list(spec.modulus), _trim(list(self.coeffs))
         t0, t1 = [], [1]
         while r1:
-            # divide r0 by r1
-            q = []
-            rem = list(r0)
-            inv_lead = pow(r1[-1], p - 2, p)
-            while rem and len(rem) >= len(r1):
-                c = (rem[-1] * inv_lead) % p
-                shift = len(rem) - len(r1)
-                q += [0] * max(0, shift + 1 - len(q))
-                q[shift] = c
-                for i, v in enumerate(r1):
-                    rem[shift + i] = (rem[shift + i] - c * v) % p
-                rem = _trim(rem)
+            q, rem = _divmod_modp(r0, r1, p)
             r0, r1 = r1, rem
             qt1 = _polymul_modp(q, t1, p)
             new_t1 = _trim([(a - b) % p for a, b in zip_pad(t0, qt1)])

@@ -22,6 +22,7 @@ from .errors import (
 from .gf import (
     FieldElement,
     FieldSpec,
+    _divmod_modp,
     element_columns,
     kronecker_columns,
     kronecker_mul,
@@ -112,7 +113,7 @@ class Poly:
         return Poly(self.spec, [-c for c in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, FieldElement):
+        if isinstance(other, (FieldElement, int)):
             return Poly(self.spec, [c * other for c in self.coeffs])
         self._check(other)
         return Poly(self.spec, kronecker_mul(self.coeffs, other.coeffs, self.spec))
@@ -128,14 +129,22 @@ class Poly:
         return self * self.coeffs[-1].inverse()
 
     def divmod(self, other: "Poly"):
+        """(quotient, remainder).  Over F_p the division runs on ints in
+        ``gf._divmod_modp``; over F_{p^k}, k >= 2, on field elements."""
         self._check(other)
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        z = self.spec.zero()
+        spec = self.spec
+        if len(self.coeffs) < len(other.coeffs):
+            return Poly.zero(spec), self
+        if spec.k == 1:
+            quot, rem = _divmod_modp(_digits(self), _digits(other), spec.p)
+            return _from_digits(spec, quot), _from_digits(spec, rem)
+        z = spec.zero()
         rem = list(self.coeffs)
-        quot = [z] * max(0, len(rem) - len(other.coeffs) + 1)
+        quot = [z] * (len(rem) - len(other.coeffs) + 1)
         lead = other.coeffs[-1]
-        inv_lead = None if lead == self.spec.one() else lead.inverse()
+        inv_lead = None if lead == spec.one() else lead.inverse()
         db = len(other.coeffs) - 1
         while len(rem) - 1 >= db and rem:
             c = rem[-1] if inv_lead is None else rem[-1] * inv_lead
@@ -145,7 +154,7 @@ class Poly:
                 for i, b in enumerate(other.coeffs):
                     rem[shift + i] = rem[shift + i] - c * b
             rem.pop()
-        return Poly(self.spec, quot), Poly(self.spec, rem)
+        return Poly(spec, quot), Poly(spec, rem)
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -154,10 +163,23 @@ class Poly:
         return self.divmod(other)[0]
 
     def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, other
+        """The monic gcd (zero for two zeros), by Euclid; over F_p the whole
+        Euclid runs on ints."""
+        self._check(other)
+        spec = self.spec
+        if spec.k > 1:
+            a, b = self, other
+            while b:
+                a, b = b, a % b
+            return a.monic()
+        p = spec.p
+        a, b = _digits(self), _digits(other)
         while b:
-            a, b = b, a % b
-        return a.monic()
+            a, b = b, _divmod_modp(a, b, p)[1]
+        if a:
+            inv = pow(a[-1], -1, p)
+            a = [c * inv % p for c in a]
+        return _from_digits(spec, a)
 
     def derivative(self) -> "Poly":
         return Poly(
@@ -183,6 +205,16 @@ class Poly:
 
     def to_json(self):
         return [c.to_json() for c in self.coeffs]
+
+
+def _digits(f: Poly) -> list[int]:
+    """The coefficients of f over F_p as ints in [0, p)."""
+    return [c.coeffs[0] for c in f.coeffs]
+
+
+def _from_digits(spec: FieldSpec, digits: list[int]) -> Poly:
+    """The polynomial over F_p with the given digits in [0, p)."""
+    return Poly(spec, [FieldElement(spec, (d,)) for d in digits])
 
 
 class _Reducer:

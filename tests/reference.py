@@ -2,8 +2,8 @@
 was replaced by a simpler or faster exact path:
 
 - ``RationalFunction`` and ``reconstruct_f_reference``: f rebuilt from residue
-  data by summing reduced rational functions (one gcd per addition), the
-  oracle for ``ddcrit.criterion.reconstruct_f``;
+  data by summing rational functions reduced by ``poly_gcd_reference`` (one
+  gcd per addition), the oracle for ``ddcrit.criterion.reconstruct_f``;
 - ``sympy_witt_sum_polys``: the ghost-component recursion over sympy
   rationals, the oracle for ``ddcrit.witt.witt_sum_polys``.  It needs sympy;
   callers skip with ``pytest.importorskip("sympy")``;
@@ -18,8 +18,14 @@ was replaced by a simpler or faster exact path:
   vectors reduced by the modulus, with no ``ddcrit.gf`` kernel, the oracle
   for ``FieldElement`` arithmetic (ints for k = 1, log tables, polynomial
   products) and ``root_of_unity``;
-- ``powmod_reference``: square-and-multiply with one ``Poly.divmod`` per
-  step, the oracle for ``ddcrit.poly._powmod`` and its reducer;
+- ``poly_divmod_reference`` and ``poly_gcd_reference``: schoolbook division
+  with one field multiplication and subtraction per quotient term and
+  divisor coefficient, and Euclid over it, the oracle for
+  ``Poly.divmod`` and ``Poly.gcd`` (over F_p the int kernel
+  ``ddcrit.gf._divmod_modp``) and for ``ddcrit.poly._Reducer``;
+- ``powmod_reference``: square-and-multiply with one
+  ``poly_divmod_reference`` per step, the oracle for
+  ``ddcrit.poly._powmod`` and its reducer;
 - ``candidate_polys`` and ``equal_degree_factorization_reference``:
   Cantor-Zassenhaus over a counter-based candidate sequence, recursing into
   both pieces, the oracle for the trace splitting of
@@ -73,10 +79,10 @@ class RationalFunction:
     def __init__(self, numerator: Poly, denominator: Poly):
         if not denominator:
             raise ZeroDivisionError("zero denominator")
-        g = numerator.gcd(denominator)
+        g = poly_gcd_reference(numerator, denominator)
         if g.degree > 0:
-            numerator = numerator // g
-            denominator = denominator // g
+            numerator = poly_divmod_reference(numerator, g)[0]
+            denominator = poly_divmod_reference(denominator, g)[0]
         lead = denominator.coeffs[-1]
         if lead != denominator.spec.one():
             inv = lead.inverse()
@@ -318,17 +324,56 @@ def least_generator_reference(p: int, modulus) -> tuple[int, ...]:
     raise ValueError("no generator: the modulus is reducible")
 
 
+def poly_divmod_reference(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """(quotient, remainder) of a by b != 0 over their common field, by
+    schoolbook division on field elements: each quotient term is the top
+    remainder coefficient times the inverse of b's leading coefficient."""
+    if a.spec != b.spec:
+        raise SpecMismatch("polynomials over different field specs")
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    spec = a.spec
+    rem = list(a.coeffs)
+    quot = [spec.zero()] * max(0, len(rem) - len(b.coeffs) + 1)
+    inv_lead = b.coeffs[-1].inverse()
+    db = len(b.coeffs) - 1
+    while len(rem) - 1 >= db and rem:
+        c = rem[-1] * inv_lead
+        shift = len(rem) - 1 - db
+        if c:
+            quot[shift] = c
+            for i, v in enumerate(b.coeffs):
+                rem[shift + i] = rem[shift + i] - c * v
+        rem.pop()
+    return Poly(spec, quot), Poly(spec, rem)
+
+
+def poly_gcd_reference(a: Poly, b: Poly) -> Poly:
+    """The monic gcd of a and b (zero for two zeros), by Euclid over
+    ``poly_divmod_reference``."""
+    while b:
+        a, b = b, poly_divmod_reference(a, b)[1]
+    if not a:
+        return a
+    inv_lead = a.coeffs[-1].inverse()
+    return Poly(a.spec, [c * inv_lead for c in a.coeffs])
+
+
 def powmod_reference(base: Poly, e: int, mod: Poly) -> Poly:
     """base^e mod mod by square-and-multiply, reducing every product by
-    ``Poly.divmod``."""
+    ``poly_divmod_reference``."""
+
+    def reduce(f: Poly) -> Poly:
+        return poly_divmod_reference(f, mod)[1]
+
     result = Poly.one(base.spec)
-    base = base % mod
+    base = reduce(base)
     while e:
         if e & 1:
-            result = (result * base) % mod
+            result = reduce(result * base)
         e >>= 1
         if e:
-            base = (base * base) % mod
+            base = reduce(base * base)
     return result
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from ddcrit.cli import main, parse_laurent, parse_poly
 from ddcrit.gf import make_field
+from test_golden import BAD_ARGVS
 
 F3 = make_field(3, 1)
 
@@ -170,6 +171,25 @@ def test_search_cli_rejects_a_nan_or_negative_budget(capsys):
         )
         assert code == 2 and out == ""
         assert "budget" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("argv", BAD_ARGVS + [
+    ["search", "--p", "5", "--m", "2", "--u", "7", "--n1", "26", "--budget", "-inf"],
+    ["plan", "--p", "3", "--m", "2", "--n", "2", "--no-such-flag"],
+])
+def test_argparse_errors_print_an_error_json(capsys, argv):
+    """A usage error is invalid input like any other: exit 2, nothing on
+    stdout, and one error JSON on stderr instead of argparse's usage text."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"].startswith("ddcrit")
+
+
+def test_help_prints_usage_on_stdout(capsys):
+    for argv in (["--help"], ["witt", "breaks", "--help"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out.startswith("usage: ddcrit")
 
 
 def test_search_cli_not_found(capsys):

@@ -283,6 +283,23 @@ def test_zero_powers_and_inverse(p, k):
         zero.inverse()
 
 
+@pytest.mark.parametrize("p, k", [(3, 8), (5, 6), (7, 6)])
+def test_inverse_above_the_table_bound_matches_the_reference(p, k):
+    """Extended Euclid on quotients from gf._divmod_modp against Fermat's
+    x^(q-2) on coefficient vectors."""
+    spec = make_field(p, k)
+    q, one = spec.order, spec.one()
+    assert q > gf._LOG_TABLE_BOUND
+    rng = random.Random(f"inverse:{p}:{k}")
+    samples = [one, spec.from_int(p - 1), spec.element([0, 1]),
+               spec.element([p - 1] * k)]
+    samples += [spec.element_by_index(rng.randrange(1, q)) for _ in range(40)]
+    for x in samples:
+        inv = x.inverse()
+        assert x * inv == one
+        assert inv.coeffs == field_pow_reference(x.coeffs, q - 2, p, spec.modulus)
+
+
 @pytest.mark.parametrize("spec", [FieldSpec(3, 2, (2, 0, 1)), FieldSpec(5, 2, (4, 0, 1))])
 def test_a_reducible_modulus_raises_not_a_field(spec):
     # x^2 - 1 = (x - 1)(x + 1): the ring has zero divisors, such as 2 + 2x

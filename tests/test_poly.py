@@ -15,6 +15,7 @@ from ddcrit.errors import (
 from ddcrit.gf import (
     FieldElement,
     FieldSpec,
+    _divmod_modp,
     element_columns,
     kronecker_mul,
     make_field,
@@ -46,6 +47,8 @@ from reference import (
     laurent_frobenius_reference,
     laurent_map_coeffs_reference,
     one_root_reference,
+    poly_divmod_reference,
+    poly_gcd_reference,
     powmod_reference,
     schoolbook_mul,
 )
@@ -309,7 +312,7 @@ def test_kronecker_mul_wider_than_a_word():
             _check_products(spec, _vector(rng, spec, 5, top), _vector(rng, spec, 6, top))
 
 
-# -- reduction by a precomputed reciprocal against Poly.divmod ---------------
+# -- reduction by a precomputed reciprocal against schoolbook division -------
 
 
 def _modulus(rng, spec, n, monic):
@@ -337,7 +340,7 @@ def test_reducer_matches_divmod(p, k):
                 rem = red.reduce(element_columns(c, k))
                 assert len(rem) == k
                 rem = Poly(spec, [spec.element(d) for d in zip(*rem)])
-                assert rem == Poly(spec, c) % mod
+                assert rem == poly_divmod_reference(Poly(spec, c), mod)[1]
 
 
 @pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 3), (7, 8)])
@@ -356,6 +359,69 @@ def test_powmod_matches_reference(p, k):
         ):
             for e in (0, 1, 2, q, (q**d - 1) // 2):
                 assert _powmod(base, e, red) == powmod_reference(base, e, mod)
+
+
+# -- division over F_p on ints against schoolbook division on elements -------
+
+
+def _poly_of_degree(rng, spec, degree, lead=None):
+    """A random polynomial of the given degree, with leading coefficient
+    lead, or a random nonzero one."""
+    if lead is None:
+        lead = spec.from_int(rng.randrange(1, spec.p))
+    return Poly(spec, _vector(rng, spec, degree, False) + [lead])
+
+
+def _division_pairs(rng, spec):
+    """(a, b) with b != 0: non-monic, monic and constant divisors, deg a <
+    deg b, exact division, a common factor, and a zero dividend."""
+    one, two = spec.one(), spec.from_int(2)
+    pairs = []
+    for da, db in ((9, 4), (12, 1), (6, 0), (20, 7), (5, 5), (30, 15), (3, 6), (0, 2)):
+        for lead in (None, one, two):
+            pairs.append((_poly_of_degree(rng, spec, da),
+                          _poly_of_degree(rng, spec, db, lead)))
+    for da, db in ((4, 3), (10, 5)):
+        b = _poly_of_degree(rng, spec, db)
+        pairs.append((b * _poly_of_degree(rng, spec, da - db), b))
+        h = _poly_of_degree(rng, spec, 3)
+        pairs.append((h * _poly_of_degree(rng, spec, da), h * b))
+    pairs += [(Poly.zero(spec), b) for _, b in pairs[:6]]
+    return pairs
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 10007, 2**31 - 1])
+def test_divmod_and_gcd_over_fp_match_the_reference(p):
+    spec = make_field(p, 1)
+    rng = random.Random(f"division:{p}")
+    for a, b in _division_pairs(rng, spec):
+        quot, rem = a.divmod(b)
+        assert (quot, rem) == poly_divmod_reference(a, b)
+        digits = _divmod_modp([c.coeffs[0] for c in a.coeffs],
+                              [c.coeffs[0] for c in b.coeffs], p)
+        assert digits == ([c.coeffs[0] for c in quot.coeffs],
+                          [c.coeffs[0] for c in rem.coeffs])
+        assert quot * b + rem == a and rem.degree < b.degree
+        g = a.gcd(b)
+        assert g == poly_gcd_reference(a, b) == b.gcd(a)
+        assert g.coeffs[-1] == spec.one()
+        assert not poly_divmod_reference(a, g)[1]
+        assert not poly_divmod_reference(b, g)[1]
+
+
+def test_divmod_and_gcd_edge_cases():
+    zero, x = Poly.zero(F5), Poly.x(F5)
+    assert zero.gcd(zero) == zero
+    assert (x * F5.from_int(3)).gcd(zero) == x
+    assert x * 3 == x * F5.from_int(3)
+    for a, b in ((x, zero), (zero, zero)):
+        with pytest.raises(ZeroDivisionError):
+            a.divmod(b)
+    for a, b in ((x, Poly.x(F3)), (Poly.x(F3), x)):
+        with pytest.raises(SpecMismatch):
+            a.divmod(b)
+        with pytest.raises(SpecMismatch):
+            a.gcd(b)
 
 
 # -- trace splitting against Cantor-Zassenhaus -------------------------------
