@@ -57,6 +57,11 @@ def test_deterministic_modulus_keeps_the_product_order(p, k):
 # ROADMAP defect 1: the Rabin test behind the scan divides by non-monic
 # remainders, so these moduli are reducible or not the least irreducible
 DEFECT_1 = {(3, 6), (3, 12), (5, 10), (7, 12), (11, 6)}
+ORACLE_PAIRS = [
+    (p, k)
+    for p, top in ((3, 12), (5, 10), (7, 12), (11, 6), (13, 5))
+    for k in range(1, top + 1)
+]
 MODULUS_ORACLE_PAIRS = [
     pytest.param(
         p, k,
@@ -64,9 +69,11 @@ MODULUS_ORACLE_PAIRS = [
             strict=True, reason="defect 1: _is_irreducible_modp is wrong"
         )] if (p, k) in DEFECT_1 else [],
     )
-    for p, top in ((3, 12), (5, 10), (7, 12), (11, 6), (13, 5))
-    for k in range(1, top + 1)
+    for p, k in ORACLE_PAIRS
 ]
+# the fields whose moduli tests/golden/moduli.json pins as they are, defect 1
+# included: the oracle pairs and five larger fields
+PINNED_MODULUS_PAIRS = ORACLE_PAIRS + [(3, 14), (3, 18), (3, 24), (5, 12), (7, 20)]
 
 
 @pytest.mark.parametrize("p, k", MODULUS_ORACLE_PAIRS)

@@ -4,7 +4,9 @@ every README CLI example (without ``--budget``), plus ``construct trace`` and
 (one forcing an extension to F_{3^9}) and p=5.  The two scripts CI runs,
 ``scripts/run_d9.py`` and ``scripts/sweep_trace_family.py --steps 1``, are
 pinned the same way as tests/golden/run_d9.stdout and
-tests/golden/sweep_trace_steps1.stdout.
+tests/golden/sweep_trace_steps1.stdout.  tests/golden/moduli.json pins the
+canonical modulus of every field in ``test_gf.PINNED_MODULUS_PAIRS``, since
+each certificate over F_{p^k} prints it.
 
 tests/golden/cases.json lists each case; tests/golden/<name>.stdout holds its
 stdout.  Re-record only when an output change is intended (for example a
@@ -24,6 +26,8 @@ import sys
 import pytest
 
 from ddcrit.cli import main
+from ddcrit.gf import make_field
+from test_gf import PINNED_MODULUS_PAIRS
 
 ROOT = pathlib.Path(__file__).parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -69,6 +73,14 @@ def test_script_stdout(name):
     assert stdout == (GOLDEN / f"{name}.stdout").read_bytes()
 
 
+def field_moduli() -> list[dict]:
+    return [make_field(p, k).to_json() for p, k in PINNED_MODULUS_PAIRS]
+
+
+def test_canonical_moduli():
+    assert field_moduli() == json.loads((GOLDEN / "moduli.json").read_text())
+
+
 # argparse rejects these before any subcommand runs
 BAD_ARGVS = [
     ["check", "--p", "3"],
@@ -99,6 +111,8 @@ def record() -> None:
     for name, argv in SCRIPTS.items():
         (GOLDEN / f"{name}.stdout").write_bytes(run_script(argv)[0])
     (GOLDEN / "cases.json").write_text(json.dumps(CASES, indent=2) + "\n")
+    rows = ",\n".join(json.dumps(spec) for spec in field_moduli())
+    (GOLDEN / "moduli.json").write_text(f"[\n{rows}\n]\n")
 
 
 if __name__ == "__main__":
