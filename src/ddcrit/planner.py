@@ -11,10 +11,13 @@ from fractions import Fraction
 from .cartier import Quadruple
 from .errors import (
     BadCongruence,
+    DdcritError,
     EssentialRamification,
     InconsistentRadii,
+    InvalidProfile,
     InvalidQuadruple,
 )
+from .gf import is_prime
 from .witt import JumpProfile
 
 
@@ -62,10 +65,22 @@ def quadruple_for_step(p: int, m: int, u_prev: int, u_next: int) -> Quadruple:
     return Quadruple(p, m, u_prev, n1)
 
 
+def _check_group(p: int, m: int, n: int, error: type[DdcritError]) -> None:
+    """Raise error unless Z/p^n x| Z/m is a group the criterion covers: p an
+    odd prime, 1 < m with m | p - 1, and n >= 1."""
+    if not is_prime(p) or p == 2:
+        raise error(f"p = {p} must be an odd prime")
+    if m <= 1 or (p - 1) % m != 0:
+        raise error(f"m = {m} must exceed 1 and divide p-1")
+    if n < 1:
+        raise error(f"n = {n} must be at least 1")
+
+
 def quadruples_for_group(p: int, m: int, n: int) -> list[Quadruple]:
     """All quadruples whose realization settles the group Z/p^n x| Z/m:
     u~ = -1 mod m, p^(n-1) does not divide u~, u~ < m(p^(n-1)+...+p), with
     both N1 = (p-1)u~ and (p-1)u~ - m.  Empty for n = 1."""
+    _check_group(p, m, n, InvalidQuadruple)
     bound = m * sum(p**i for i in range(1, n))
     return [
         Quadruple(p, m, u_tilde, n1)
@@ -79,6 +94,7 @@ def profiles_for_group(p: int, m: int, n: int) -> list[JumpProfile]:
     """All KGB-vanishing jump profiles of length n with no essential
     ramification: u_1 < mp, p*u_{i-1} <= u_i < p*u_{i-1} + mp, every u_i = -1
     mod m, and p | u_i only when u_i = p*u_{i-1}."""
+    _check_group(p, m, n, InvalidProfile)
     profiles: list[tuple[int, ...]] = [()]
     for i in range(n):
         nxt = []

@@ -38,9 +38,16 @@ was replaced by a simpler or faster exact path:
   ``roots_in_field`` over the target field, which factors there, the oracle
   for ``ddcrit.poly._embedding_image`` (the least of the conjugates of one
   root) behind ``embed``;
+- ``rabin_reference``: the Rabin test as ``ddcrit.gf`` ran it on its own
+  list helpers (a reduction that assumes a monic divisor, a power and a
+  gcd over it), before every dense F_p[x] operation there went through one
+  product and one division.  It keeps ROADMAP defect 1, non-monic gcd
+  remainders divided as if monic, so it is the oracle for the verdicts of
+  ``ddcrit.gf._is_irreducible_modp``, defect included;
 - ``deterministic_modulus_reference``: the modulus scan over
   ``itertools.product``, which builds every pool before the first vector
-  (small p only), the oracle for the order of
+  (small p only), with ``rabin_reference``, so it shares no code with the
+  library scan: the oracle for the order of
   ``ddcrit.gf._deterministic_modulus``;
 - ``least_irreducible_reference``: the same scan with irreducibility
   decided by ``ddcrit.poly.factor`` over F_p, which shares no code with the
@@ -62,10 +69,11 @@ from ddcrit.errors import NotAField, ReconstructionMismatch, SpecMismatch
 from ddcrit.gf import (
     FieldElement,
     FieldSpec,
-    _is_irreducible_modp,
     make_field,
+    prime_factors,
     pth_root,
     root_of_unity,
+    square_and_multiply,
 )
 from ddcrit.poly import LaurentPoly, Poly, _powmod, _Reducer, factor, roots_in_field
 from ddcrit.search import NotFound, _passes, candidate_count
@@ -444,6 +452,75 @@ def embedding_image_reference(src: FieldSpec, dst: FieldSpec) -> FieldElement:
     return min(roots, key=FieldElement.sort_key)
 
 
+def _trim(c: list[int]) -> list[int]:
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _polymul_modp(a: list[int], b: list[int], p: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return _trim(out)
+
+
+def _polymod_modp(a: list[int], m: list[int], p: int) -> list[int]:
+    # m is monic
+    a = list(a)
+    dm = len(m) - 1
+    while len(a) - 1 >= dm and a:
+        c = a[-1]
+        if c:
+            shift = len(a) - 1 - dm
+            for i, mi in enumerate(m):
+                a[shift + i] = (a[shift + i] - c * mi) % p
+        a.pop()
+    return _trim(a)
+
+
+def _polypowmod(a, e, m, p):
+    mul = lambda u, v: _polymod_modp(_polymul_modp(u, v, p), m, p)  # noqa: E731
+    return square_and_multiply(_polymod_modp(a, m, p), e, mul) if e else [1]
+
+
+def _polygcd_modp(a: list[int], b: list[int], p: int) -> list[int]:
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, _polymod_modp(a, b, p)
+    if a:
+        inv = pow(a[-1], p - 2, p)
+        a = [(c * inv) % p for c in a]
+    return a
+
+
+def _zip_pad(a: list[int], b: list[int]):
+    n = max(len(a), len(b))
+    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
+
+
+def rabin_reference(f: list[int], p: int) -> bool:
+    """Rabin test for a monic polynomial over F_p."""
+    k = len(f) - 1
+    if k <= 0:
+        return False
+    x = [0, 1]
+    xq = _polypowmod(x, p**k, f, p)
+    diff = _trim([(a - b) % p for a, b in _zip_pad(xq, x)])
+    if diff:
+        return False
+    for r in prime_factors(k):
+        xqr = _polypowmod(x, p ** (k // r), f, p)
+        diff = _trim([(a - b) % p for a, b in _zip_pad(xqr, x)])
+        if len(_polygcd_modp(diff, f, p)) != 1:
+            return False
+    return True
+
+
 def deterministic_modulus_reference(p: int, k: int) -> tuple[int, ...]:
     """Least monic irreducible of degree k over F_p, scanning the
     coefficient vectors top degree down in ``itertools.product`` order."""
@@ -451,7 +528,7 @@ def deterministic_modulus_reference(p: int, k: int) -> tuple[int, ...]:
         return (0, 1)
     for top_down in product(range(p), repeat=k):
         coeffs = list(reversed(top_down)) + [1]
-        if _is_irreducible_modp(coeffs, p):
+        if rabin_reference(coeffs, p):
             return tuple(coeffs)
     raise AssertionError("no irreducible polynomial found")
 

@@ -209,6 +209,17 @@ def test_plan_cli(capsys):
     assert len(data["radii"]) == 6
 
 
+@pytest.mark.parametrize("p, m, message", [
+    ("4", "3", "p = 4"), ("9", "2", "p = 9"), ("3", "5", "m = 5"), ("2", "1", "p = 2"),
+])
+def test_plan_cli_rejects_an_invalid_group_at_n_1(capsys, p, m, message):
+    """n = 1 lists no quadruple, so no Quadruple checks p and m; the planner
+    checks the group itself, as it does for every n."""
+    code, out, err = run(capsys, "plan", "--p", p, "--m", m, "--n", "1")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"].startswith(message)
+
+
 def test_construct_cli(capsys):
     code, out, _ = run(capsys, "construct", "d9")
     assert code == 0

@@ -56,3 +56,31 @@ def test_every_imported_name_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.stem}.{name}" for name in imported if name not in used]
     assert unused == []
+
+
+def test_every_private_helper_is_used():
+    """Every module-level ``_``-prefixed function or class is named somewhere
+    in library code outside its own definition, so a helper left behind by a
+    refactor fails here."""
+    defined, named = [], []  # (module, name); (name, enclosing definition)
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = None
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = (path.stem, top.name)
+                if top.name.startswith("_") and not top.name.startswith("__"):
+                    defined.append(owner)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    named.append((node.id, owner))
+                elif isinstance(node, ast.Attribute):
+                    named.append((node.attr, owner))
+                elif isinstance(node, ast.alias):
+                    named.append((node.name, owner))
+    unused = [
+        f"{module}.{name}"
+        for module, name in defined
+        if not any(n == name and owner != (module, name) for n, owner in named)
+    ]
+    assert defined
+    assert unused == []

@@ -6,6 +6,7 @@ from ddcrit.errors import (
     BadCongruence,
     EssentialRamification,
     InconsistentRadii,
+    InvalidProfile,
     InvalidQuadruple,
 )
 from ddcrit.planner import (
@@ -67,6 +68,16 @@ def test_profiles_d9():
 
 def test_profiles_length1():
     assert [p.breaks for p in profiles_for_group(3, 2, 1)] == [(1,), (5,)]
+
+
+@pytest.mark.parametrize("p, m, n", [
+    (4, 3, 1), (9, 2, 1), (3, 5, 1), (2, 1, 1), (3, 1, 2), (3, 2, 0), (3, 2, -1),
+])
+def test_invalid_groups_are_rejected_for_every_n(p, m, n):
+    with pytest.raises(InvalidQuadruple):
+        quadruples_for_group(p, m, n)
+    with pytest.raises(InvalidProfile):
+        profiles_for_group(p, m, n)
 
 
 def test_profiles_map_into_quadruple_list():
