@@ -63,4 +63,4 @@ from .witt import (
     wp,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

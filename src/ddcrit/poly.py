@@ -23,6 +23,7 @@ from .gf import (
     FieldElement,
     FieldSpec,
     _divmod_modp,
+    column_elements,
     element_columns,
     kronecker_columns,
     kronecker_mul,
@@ -209,12 +210,12 @@ class Poly:
 
 def _digits(f: Poly) -> list[int]:
     """The coefficients of f over F_p as ints in [0, p)."""
-    return [c.coeffs[0] for c in f.coeffs]
+    return [c.v for c in f.coeffs]
 
 
 def _from_digits(spec: FieldSpec, digits: list[int]) -> Poly:
     """The polynomial over F_p with the given digits in [0, p)."""
-    return Poly(spec, [FieldElement(spec, (d,)) for d in digits])
+    return Poly(spec, column_elements([digits], spec))
 
 
 class _Reducer:
@@ -277,7 +278,7 @@ def _powmod(base: Poly, e: int, red: _Reducer) -> Poly:
     base = element_columns((base % red.mod).coeffs, spec.k)
     mul = lambda a, b: red.reduce(kronecker_columns(a, b, spec))  # noqa: E731
     result = square_and_multiply(base, e, mul)
-    return Poly(spec, [FieldElement(spec, c) for c in zip(*result)])
+    return Poly(spec, column_elements(result, spec))
 
 
 # -- factorization -----------------------------------------------------------

@@ -17,7 +17,9 @@ from ddcrit.errors import (
 from ddcrit.gf import (
     FieldSpec,
     _deterministic_modulus,
+    element_columns,
     is_prime,
+    kronecker_mul,
     make_field,
     ord_mod,
     pth_root,
@@ -26,6 +28,7 @@ from ddcrit.gf import (
     square_and_multiply,
     trace_to_prime,
 )
+from ddcrit.poly import Poly, _powmod, _Reducer
 from reference import (
     deterministic_modulus_reference,
     field_mul_reference,
@@ -54,6 +57,11 @@ def test_make_field_moduli():
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_deterministic_modulus_keeps_the_product_order(p, k):
     assert _deterministic_modulus(p, k) == deterministic_modulus_reference(p, k)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_every_monic_linear_polynomial_is_irreducible(p):
+    assert all(gf._is_irreducible_modp([c, 1], p) for c in range(p))
 
 
 def test_rabin_verdicts_match_the_reference_on_every_small_polynomial():
@@ -252,9 +260,22 @@ SAMPLED_FIELDS = [(3, 5), (3, 6), (5, 4), (5, 5), (7, 3), (7, 4), (3, 7), (3, 8)
 
 
 def _check_arithmetic(spec, pairs):
-    """Products, inverses, powers and roots of unity of spec against the
-    reference arithmetic on coefficient vectors."""
+    """Sums, differences, negations, products, inverses, powers and roots of
+    unity of spec against the reference arithmetic on coefficient vectors,
+    and the agreement of ``==`` and ``hash`` over every way to build an
+    element."""
     p, q, m = spec.p, spec.order, spec.modulus
+    zero = spec.zero()
+    elements = {x for pair in pairs for x in pair}
+    sums = list(pairs) + [(a, c) for a in elements for c in (zero, a, -a)]
+    sums += [(zero, a) for a in elements]
+    for a, b in sums:
+        ca, cb = a.coeffs, b.coeffs
+        assert (a + b).coeffs == tuple((x + y) % p for x, y in zip(ca, cb))
+        assert (a - b).coeffs == tuple((x - y) % p for x, y in zip(ca, cb))
+    for a in elements:
+        assert (-a).coeffs == tuple(-x % p for x in a.coeffs)
+    _check_one_element_many_ways(spec, elements)
     for a, b in pairs:
         assert (a * b).coeffs == field_mul_reference(a.coeffs, b.coeffs, p, m)
     for a in {x for pair in pairs for x in pair if x}:
@@ -266,6 +287,43 @@ def _check_arithmetic(spec, pairs):
         if (q - 1) % order == 0:
             expected = field_pow_reference(g, (q - 1) // order, p, m)
             assert root_of_unity(spec, order).coeffs == expected
+
+
+def _check_one_element_many_ways(spec, elements):
+    """Each element equals, and hashes as, the same element built by
+    element, element_by_index (also past q), from_int, a product,
+    kronecker_mul and _powmod."""
+    q, one = spec.order, spec.one()
+    # (a + x)^p = a^p mod x^2, so the power reaches a^p through the kernel
+    red = _Reducer(Poly.x(spec) ** 2)
+    for a in elements:
+        i = spec.index_of(a)
+        ways = [
+            spec.element(list(a.coeffs)),
+            spec.element_by_index(i),
+            spec.element_by_index(i + q),
+            spec.element_by_index(i - 3 * q),
+            a * one,
+            one * a,
+            kronecker_mul([a], [one], spec)[0],
+            _powmod(Poly(spec, [a, one]), 1, red).coeffs[0],
+        ]
+        if a.in_prime_field():
+            ways.append(spec.from_int(a.prime_int() + 2 * spec.p))
+        for x in ways:
+            assert x == a and hash(x) == hash(a) and x.sort_key() == a.sort_key()
+        power = (*_powmod(Poly(spec, [a, one]), spec.p, red).coeffs, spec.zero())[0]
+        assert power == a**spec.p and hash(power) == hash(a**spec.p)
+
+
+@pytest.mark.parametrize("p, k", SMALL_FIELDS)
+def test_sort_key_order_is_the_coefficient_tuple_order(p, k):
+    spec = make_field(p, k)
+    elements = list(spec.elements())
+    tuples = list(itertools.product(range(p), repeat=k))
+    assert [e.coeffs for e in elements] == tuples
+    assert sorted(reversed(elements), key=lambda e: e.sort_key()) == elements
+    assert [spec.index_of(e) for e in elements] == list(range(spec.order))
 
 
 @pytest.mark.parametrize("p, k", SMALL_FIELDS)
@@ -340,6 +398,20 @@ def test_a_reducible_modulus_above_the_table_bound_fails_fast():
     spec = FieldSpec(3, 12, (1, 0, 1) + (0,) * 9 + (1,))
     with pytest.raises(NotAField):
         root_of_unity(spec, 2)
+
+
+def test_decoding_an_element_builds_no_log_tables(monkeypatch):
+    """Printing, serialising or packing an element of a tabled field reads
+    the digit tables only, so no generator search starts."""
+    calls = []
+    monkeypatch.setattr(gf, "_least_generator", calls.append)
+    spec = FieldSpec(7, 4, make_field(7, 4).modulus)  # no cached tables
+    x = spec.element([1, 2])
+    assert x.to_json() == [1, 2, 0, 0]
+    assert repr(x) == "GF(7^4)[1, 2, 0, 0]"
+    assert element_columns([x, spec.one()], 4) == [(1, 1), (2, 0), (0, 0), (0, 0)]
+    assert x.in_prime_field() is False and spec.from_int(3).prime_int() == 3
+    assert calls == []
 
 
 @pytest.mark.parametrize("spec, g", [

@@ -84,3 +84,20 @@ def test_every_private_helper_is_used():
     ]
     assert defined
     assert unused == []
+
+
+def test_field_elements_are_built_in_gf_only():
+    """No module but ``gf.py`` calls ``FieldElement(...)``: an element stores
+    its field's form (a residue, an index or a coefficient tuple), which
+    only the FieldSpec methods and the gf kernels pick, and an element
+    built in the wrong form breaks ``==`` and ``hash`` without an error."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "gf.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and "FieldElement"
+        in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert found == []
