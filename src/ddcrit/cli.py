@@ -127,6 +127,23 @@ def _cmd_plan(args) -> tuple[object, int]:
     }, 0
 
 
+# the options each construct family needs; argparse cannot make an option
+# required for some values of a positional only
+_FAMILY_OPTIONS = {"small": ("--p", "--n1"), "trace": ("--p", "--m", "--u"), "d9": ()}
+
+
+def _require_family_options(args) -> None:
+    """A usage error through the construct parser if the family lacks one
+    of its options."""
+    needed = _FAMILY_OPTIONS[args.family]
+    missing = [opt for opt in needed if getattr(args, opt[2:]) is None]
+    if missing:
+        args.parser.error(
+            f"{args.family} requires {', '.join(needed[:-1])} and {needed[-1]};"
+            f" missing {', '.join(missing)}"
+        )
+
+
 def _cmd_construct(args) -> tuple[object, int]:
     if args.family == "d9":
         return [c.to_json() for c in d9_witnesses()], 0
@@ -211,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     construct.add_argument("--m", type=int)
     construct.add_argument("--u", type=int)
     construct.add_argument("--n1", type=int)
-    construct.set_defaults(fn=_cmd_construct)
+    construct.set_defaults(fn=_cmd_construct, parser=construct)
 
     witt = subs.add_parser("witt", help="Witt-vector utilities")
     witt_subs = witt.add_subparsers(dest="witt_command", required=True)
@@ -243,6 +260,8 @@ def main(argv=None) -> int:
         _parser = build_parser()
     try:
         args = _parser.parse_args(argv)
+        if args.command == "construct":
+            _require_family_options(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -16,12 +16,13 @@ An element stores one value, ``v``, and its field takes one of three paths:
   with Zech logarithms for sums, are built once per field on first use
   (``_LogTables``), so each operation is a few lookups on ints;
 - above the bound: v is the coefficient tuple, and arithmetic is
-  coefficient-wise sums, polynomial products mod the modulus and extended
-  Euclid.  A table takes q - 1 multiplications by the generator to build,
-  each k dot products of length k (F_{5^5}: 14 ms on a 2-core x86 VM).
-  With the bound at 2^16, a build by polynomial products took 0.4 s for
-  the F_{3^9} table (19,683 entries) and cost the witt benchmark more than
-  its 814 products there saved (343 -> 302 jobs/s).
+  coefficient-wise sums, one packed F_p[x] product (``_mul_modp``) and a
+  division by the modulus, and extended Euclid.  A table takes q - 1
+  multiplications by the generator to build, each k dot products of
+  length k (F_{5^5}: 14 ms on a 2-core x86 VM).  With the bound at 2^16,
+  a build by polynomial products took 0.4 s for the F_{3^9} table (19,683
+  entries) and cost the witt benchmark more than its 814 products there
+  saved (343 -> 302 jobs/s).
 
 Index order is the lexicographic order of the coefficient tuples, so the
 stored value is the sort key in every form.  Coefficient tuples of indexed
@@ -141,10 +142,11 @@ def solve_modp(aug: list[list[int]], p: int) -> list[int] | None:
 
 # -- dense F_p[x] helpers (coefficient lists, ascending degree) --------------
 #
-# Every dense F_p[x] operation here is one schoolbook product,
-# ``_polymul_modp``, one division, ``_divmod_modp``, which takes any nonzero
-# leading coefficient, and ``_sub_modp``.  The division also serves
-# ``Poly.divmod`` and ``Poly.gcd`` over F_p.  ROADMAP defect 1 is held by one
+# Every dense F_p[x] operation here is one product, ``_mul_modp``, a single
+# packed-int multiply that also serves ``kronecker_columns`` (so every
+# ``Poly`` and ``LaurentPoly`` product), one division, ``_divmod_modp``, which
+# takes any nonzero leading coefficient and also serves ``Poly.divmod`` and
+# ``Poly.gcd`` over F_p, and ``_sub_modp``.  ROADMAP defect 1 is held by one
 # line of ``_is_irreducible_modp``; its docstring says why it stays.
 
 
@@ -154,15 +156,64 @@ def _trim(c: list[int]) -> list[int]:
     return c
 
 
-def _polymul_modp(a: list[int], b: list[int], p: int) -> list[int]:
+# array typecode per word size in bytes: 1-byte digits go through bytes,
+# digits that fit a word through array, wider ones (very large p) bytewise
+_WORD_CODES = {array(code).itemsize: code for code in "QLIHB"}
+_WORD_SIZES = sorted(_WORD_CODES)
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _digit_bytes(bound: int) -> int:
+    """Bytes per digit for digits up to bound: the least word size that
+    holds them, else the exact byte count."""
+    need = -(-bound.bit_length() // 8)
+    for size in _WORD_SIZES:
+        if size >= need:
+            return size
+    return need
+
+
+def _to_int(digits: list[int], width: int) -> int:
+    """The int whose little-endian width-byte digits are ``digits``."""
+    if width == 1:
+        return int.from_bytes(bytes(digits), "little")
+    code = _WORD_CODES.get(width)
+    if code is None:
+        raw = b"".join(d.to_bytes(width, "little") for d in digits)
+        return int.from_bytes(raw, "little")
+    words = array(code, digits)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return int.from_bytes(words, "little")
+
+
+def _mul_modp(a, b, p: int) -> list[int]:
+    """The product of a and b in F_p[x], digits in [0, p) in and out: all
+    len(a) + len(b) - 1 digits, trailing zeros included ([] if either is
+    empty).  Kronecker substitution (von zur Gathen-Gerhard, Modern
+    Computer Algebra, 8.4): a and b are packed into one int each, a fixed
+    number of bytes a digit, and multiplied once.  A product digit sums at
+    most min(nonzero digits of a, of b) products of two digits below p, so
+    digits that hold that many (p-1)^2, and at least one, never carry."""
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
+    nonzero = min(len(a) - a.count(0), len(b) - b.count(0)) or 1
+    width = _digit_bytes(nonzero * (p - 1) ** 2)
+    x = _to_int(a, width)
+    y = x if a is b else _to_int(b, width)
+    raw = (x * y).to_bytes((len(a) + len(b) - 1) * width, "little")
+    if width == 1:
+        return [d % p for d in raw]
+    code = _WORD_CODES.get(width)
+    if code is None:
+        return [
+            int.from_bytes(raw[i : i + width], "little") % p
+            for i in range(0, len(raw), width)
+        ]
+    words = array(code, raw)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return [d % p for d in words]
 
 
 def _sub_modp(a: list[int], b: list[int], p: int) -> list[int]:
@@ -179,19 +230,19 @@ def _divmod_modp(a: list[int], b: list[int], p: int) -> tuple[list[int], list[in
     Algorithm 2.5).  b has no trailing zeros, and its leading coefficient
     may be any nonzero digit; both results come without trailing zeros."""
     db = len(b) - 1
-    if len(a) <= db:
-        return [], _trim(list(a))
+    rem = _trim(list(a))
+    if len(rem) <= db:
+        return [], rem
     inv = pow(b[-1], -1, p)
     low = b[:db]
-    rem = list(a)
-    quot = [0] * (len(a) - db)
-    for s in range(len(a) - 1 - db, -1, -1):
+    quot = [0] * (len(rem) - db)
+    for s in range(len(rem) - 1 - db, -1, -1):
         c = rem[s + db] * inv % p
         if c:
             quot[s] = c
             for i, v in enumerate(low, s):
                 rem[i] = (rem[i] - c * v) % p
-    return _trim(quot), _trim(rem[:db])
+    return quot, _trim(rem[:db])
 
 
 def _is_irreducible_modp(f: list[int], p: int) -> bool:
@@ -211,7 +262,7 @@ def _is_irreducible_modp(f: list[int], p: int) -> bool:
         return k == 1
 
     def mul(u, v):
-        return _divmod_modp(_polymul_modp(u, v, p), f, p)[1]
+        return _divmod_modp(_mul_modp(u, v, p), f, p)[1]
 
     def x_power_minus_x(e):
         # e >= 3, so every power goes through mul and is reduced mod f
@@ -535,7 +586,7 @@ class FieldElement:
         while r1:
             q, rem = _divmod_modp(r0, r1, p)
             r0, r1 = r1, rem
-            t0, t1 = t1, _sub_modp(t0, _polymul_modp(q, t1, p), p)
+            t0, t1 = t1, _sub_modp(t0, _mul_modp(q, t1, p), p)
         # deg t0 < k throughout, so t0 needs no reduction by the modulus
         inv_lead = pow(r0[-1], p - 2, p)
         t0 = [(c * inv_lead) % p for c in t0]
@@ -570,7 +621,7 @@ def _ring_mul(x: FieldElement, y: FieldElement) -> FieldElement:
     needs no tables and holds whether or not the modulus is irreducible."""
     spec = x.spec
     p = spec.p
-    prod = _divmod_modp(_polymul_modp(x.coeffs, y.coeffs, p), spec.modulus, p)[1]
+    prod = _divmod_modp(_mul_modp(x.coeffs, y.coeffs, p), spec.modulus, p)[1]
     return spec._from_coeffs(prod + [0] * (spec.k - len(prod)))
 
 
@@ -621,51 +672,6 @@ class _LogTables:
 
 # -- packed products of coefficient sequences -------------------------------
 
-# array typecode per machine word size in bytes: digits that fit a word are
-# packed and unpacked by array, wider ones (very large p) byte by byte
-_WORD_CODES = {array(code).itemsize: code for code in "QLIHB"}
-_WORD_SIZES = sorted(_WORD_CODES)
-_BIG_ENDIAN = sys.byteorder == "big"
-
-
-def _digit_bytes(bound: int) -> int:
-    """Bytes per digit for digits up to bound: the least word size that
-    holds them, else the exact byte count."""
-    need = -(-bound.bit_length() // 8)
-    for size in _WORD_SIZES:
-        if size >= need:
-            return size
-    return need
-
-
-def _to_int(digits: list[int], width: int) -> int:
-    """The int whose little-endian width-byte digits are ``digits``."""
-    code = _WORD_CODES.get(width)
-    if code is None:
-        raw = b"".join(d.to_bytes(width, "little") for d in digits)
-    else:
-        words = array(code, digits)
-        if _BIG_ENDIAN:
-            words.byteswap()
-        raw = words.tobytes()
-    return int.from_bytes(raw, "little")
-
-
-def _from_int(n: int, count: int, width: int) -> list[int]:
-    """The lowest ``count`` width-byte digits of n, least significant first."""
-    raw = n.to_bytes(count * width, "little")
-    code = _WORD_CODES.get(width)
-    if code is None:
-        return [
-            int.from_bytes(raw[i : i + width], "little")
-            for i in range(0, len(raw), width)
-        ]
-    words = array(code)
-    words.frombytes(raw)
-    if _BIG_ENDIAN:
-        words.byteswap()
-    return words.tolist()
-
 
 @functools.lru_cache(maxsize=None)
 def _fold_table(spec: FieldSpec) -> tuple[tuple[int, ...], ...]:
@@ -699,32 +705,26 @@ def kronecker_columns(a, b, spec: FieldSpec) -> list[list[int]]:
     """Product of two ascending coefficient sequences over spec, both given
     and returned in column form (see ``element_columns``).
 
-    Kronecker substitution: a sequence is packed into one int with digit
-    i of its term j (the coefficient of x^i) at digit j*(2k-1) + i, the two
-    ints are multiplied once, and each (2k-1)-digit slot of the product is
-    read back, reduced mod p and then mod the field modulus.  A slot is
-    2k-1 digits wide because the product of two elements has x-degree up
-    to 2k-2 before reduction.  A digit of the product sums at most
-    min(len a, len b) * k products of two digits below p, so digits that
-    hold min(len a, len b) * k * (p-1)^2 never carry into the next.
-    Returns the k columns of the len(a[0]) + len(b[0]) - 1 product terms,
-    digits in [0, p), or k empty columns if either sequence is empty.
+    Over F_p it is ``_mul_modp`` of the single columns.  Above, digit i
+    of term j (the coefficient of x^i) is laid out at digit j*(2k-1) + i of
+    one F_p[x] digit list, with zeros between, so one ``_mul_modp`` of the
+    two lists holds every term of the product in its own (2k-1)-digit slot,
+    and each slot is then reduced mod the field modulus.  A slot is 2k-1
+    digits wide because the product of two elements has x-degree up to
+    2k-2 before reduction.  Returns the k columns of the len(a[0]) +
+    len(b[0]) - 1 product terms, digits in [0, p), or k empty columns if
+    either sequence is empty.
     """
     p, k = spec.p, spec.k
+    if k == 1:
+        return [_mul_modp(a[0], b[0], p)]
     la, lb = len(a[0]), len(b[0])
     if not la or not lb:
         return [[] for _ in range(k)]
-    width = _digit_bytes(min(la, lb) * k * (p - 1) ** 2)
-    slots = la + lb - 1
-    if k == 1:
-        x = _to_int(a[0], width)
-        y = x if a is b else _to_int(b[0], width)
-        return [[d % p for d in _from_int(x * y, slots, width)]]
     stride = 2 * k - 1
-    x = _to_int(_interleave(a, stride), width)
-    y = x if a is b else _to_int(_interleave(b, stride), width)
-    n = slots * stride
-    digits = [d % p for d in _from_int(x * y, n, width)]
+    x = _interleave(a, stride)
+    digits = _mul_modp(x, x if a is b else _interleave(b, stride), p)
+    n = (la + lb - 1) * stride
     # fold digit k+j of every slot into digits 0..k-1 by x^(k+j) mod the
     # modulus, one digit column across all slots at a time
     cols = [digits[t:n:stride] for t in range(k)]

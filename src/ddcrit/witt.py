@@ -247,7 +247,11 @@ def standard_form(
     entry of v_std supported on exponents t^{-d}, p not dividing d >= 1.
     Eliminating a constant term with nonzero trace forces a degree-p field
     extension; the total relative degree must stay within extension_cap.
+    Levels above MAX_LEVEL raise LevelTooHigh, whether or not a reduction
+    step would run.
     """
+    if v.level > MAX_LEVEL:
+        raise LevelTooHigh(f"truncation level {v.level} exceeds the cap {MAX_LEVEL}")
     for entry in v.entries:
         if entry and entry.high > 0:
             raise ValueError("entries must lie in k[t^-1] (no positive powers)")

@@ -246,6 +246,42 @@ def test_witt_breaks_cli(capsys):
     assert data["extension_degree"] == 1
 
 
+@pytest.mark.parametrize("entries", ["t^-1;t^-1;t^-1;t^-1", "t^-3;t^-1;t^-1;t^-1"])
+def test_witt_breaks_cli_rejects_level_4(capsys, entries):
+    """The level cap holds whether or not the standard form runs a Witt
+    addition: the first vector is already standard, the second is not."""
+    code, out, err = run(
+        capsys, "--compact", "witt", "breaks", "--p", "3", "--entries", entries
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "truncation level 4 exceeds the cap 3"
+
+
+CONSTRUCT_OPTIONS = {
+    "small": {"--p": "5", "--n1": "4"},
+    "trace": {"--p": "3", "--m": "2", "--u": "5"},
+}
+
+
+@pytest.mark.parametrize("family, missing", [
+    (family, option)
+    for family, options in CONSTRUCT_OPTIONS.items()
+    for option in options
+])
+def test_construct_cli_names_a_missing_family_option(capsys, family, missing):
+    argv = [
+        word
+        for option, value in CONSTRUCT_OPTIONS[family].items()
+        if option != missing
+        for word in (option, value)
+    ]
+    code, out, err = run(capsys, "construct", family, *argv)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error.startswith(f"ddcrit construct: {family} requires ")
+    assert error.endswith(f"; missing {missing}")
+
+
 def test_witt_breaks_over_a_reducible_modulus_exits_2():
     """ROADMAP defect 1: t^-5 + 1 over F_{3^4} needs F_{3^12}, whose
     canonical modulus is reducible.  The splitting must stop, well within

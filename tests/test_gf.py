@@ -30,6 +30,8 @@ from ddcrit.gf import (
 )
 from ddcrit.poly import Poly, _powmod, _Reducer
 from reference import (
+    _polymul_modp,
+    _trim,
     deterministic_modulus_reference,
     field_mul_reference,
     field_pow_reference,
@@ -380,6 +382,54 @@ def test_inverse_above_the_table_bound_matches_the_reference(p, k):
         inv = x.inverse()
         assert x * inv == one
         assert inv.coeffs == field_pow_reference(x.coeffs, q - 2, p, spec.modulus)
+
+
+# digits of 1, 2, 4 and 8 bytes, and wider ones packed byte by byte
+KERNEL_PRIMES = [3, 5, 7, 13, 10007, 2**31 - 1, 2**61 - 1]
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_mul_modp_matches_the_schoolbook_product(p):
+    """gf._mul_modp returns all len(a) + len(b) - 1 digits of the product,
+    and trimmed they are the schoolbook product of tests/reference.py: on
+    random lists with and without trailing zeros, single terms, all-(p-1)
+    lists (the largest digit sums) and squares of one list object."""
+    rng = random.Random(f"mul_modp:{p}")
+
+    def digits(n):
+        return [rng.randrange(p) for _ in range(n)]
+
+    cases = [([], [1]), ([2], []), ([0], [0, 0]), ([p - 1] * 40, [p - 1] * 40)]
+    for _ in range(40):
+        a = digits(rng.randint(1, 40)) + [0] * rng.randint(0, 3)
+        b = digits(rng.randint(1, 40)) + [0] * rng.randint(0, 3)
+        cases += [(a, b), (a, a), ([rng.randrange(1, p)], b), (a, [0] * 3 + [1])]
+    for a, b in cases:
+        product = gf._mul_modp(a, b, p)
+        assert len(product) == (len(a) + len(b) - 1 if a and b else 0)
+        assert _trim(list(product)) == _polymul_modp(a, b, p)
+
+
+@pytest.mark.parametrize("spec", [make_field(3, 30), make_field(5, 20),
+                                  FieldSpec(2**31 - 1, 2, (1, 0, 1))],
+                         ids=["F3^30", "F5^20", "F(2^31-1)^2"])
+def test_products_and_inverses_above_the_table_bound_at_large_k_and_wide_p(spec):
+    """Products against the reference and x * x^-1 = 1 where every product
+    and inverse runs on long coefficient lists or wide digits."""
+    p, k, m = spec.p, spec.k, spec.modulus
+    assert spec.order > gf._LOG_TABLE_BOUND
+    rng = random.Random(f"large:{p}:{k}")
+
+    def sample():
+        return spec.element([rng.randrange(p) for _ in range(k)])
+
+    xs = [spec.one(), spec.from_int(p - 1), spec.element([0, 1]),
+          spec.element([p - 1] * k)] + [sample() for _ in range(30)]
+    for x in xs:
+        y = sample()
+        assert (x * y).coeffs == field_mul_reference(x.coeffs, y.coeffs, p, m)
+        assert (x * x).coeffs == field_mul_reference(x.coeffs, x.coeffs, p, m)
+        assert x * x.inverse() == spec.one()
 
 
 @pytest.mark.parametrize("spec", [FieldSpec(3, 2, (2, 0, 1)), FieldSpec(5, 2, (4, 0, 1))])

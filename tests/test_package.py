@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -101,3 +102,25 @@ def test_field_elements_are_built_in_gf_only():
         in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
     assert found == []
+
+
+def test_readme_names_no_missing_private_helper():
+    """Every backticked ``_name`` in README.md, qualified or not, is a
+    module-level definition in the package, so the README cannot go on
+    describing a helper that a refactor deleted."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    named = {
+        name
+        for span in re.findall(r"`([^`]*)`", readme)
+        for name in re.findall(r"(?<!\w)_[A-Za-z]\w*", span)
+    }
+    defined = set()
+    for path in PACKAGE.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(top.name)
+            elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+                targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    assert named
+    assert sorted(named - defined) == []

@@ -107,6 +107,16 @@ def test_level_cap():
     assert len(witt_sum_polys(3, 4, max_level=4)) == 4
 
 
+def test_standard_form_enforces_the_level_cap_before_reducing():
+    """Level 4 raises LevelTooHigh whether the vector is already standard,
+    so that no Witt addition runs, or needs one."""
+    standard = wv(F3, {-1: 1}, {-1: 1}, {-1: 1}, {-1: 1})
+    assert is_standard(standard)
+    for v in (standard, wv(F3, {-3: 1}, {-1: 1}, {-1: 1}, {-1: 1})):
+        with pytest.raises(LevelTooHigh, match="truncation level 4 exceeds the cap 3"):
+            standard_form(v)
+
+
 # -- group law ---------------------------------------------------------------
 
 
