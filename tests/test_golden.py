@@ -1,6 +1,8 @@
 """Golden stdout corpus: the exact ``--compact`` stdout bytes and exit code of
-every README CLI example (without ``--budget``), plus ``construct trace`` and
-``plan`` at p=5, three ``search`` cases, and level-3 ``witt breaks`` at p=3
+every README CLI example (without ``--budget``), plus ``plan`` at p=5,
+``construct trace`` at p=5 and at four quadruples whose splitting fields lie
+above the log-table bound (F_{3^16}, F_{5^6}) or have m > 2 (m = 6 at p=7,
+m = 5 at p=11), three ``search`` cases, and level-3 ``witt breaks`` at p=3
 (one forcing an extension to F_{3^9}) and p=5.  The two scripts CI runs,
 ``scripts/run_d9.py`` and ``scripts/sweep_trace_family.py --steps 1``, are
 pinned the same way as tests/golden/run_d9.stdout and
