@@ -38,6 +38,7 @@ from .poly import (
     Poly,
     elementary_symmetric,
     mu_m_orbit_reps,
+    orbit_reps_in_splitting_field,
     roots_in_splitting_field,
 )
 from .search import (

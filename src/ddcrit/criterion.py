@@ -19,12 +19,7 @@ from .errors import (
     ResidueNotPrimeField,
 )
 from .gf import FieldElement, FieldSpec, make_field, root_of_unity
-from .poly import (
-    Poly,
-    embed_poly,
-    mu_m_orbit_reps,
-    roots_in_splitting_field,
-)
+from .poly import Poly, embed_poly, orbit_reps_in_splitting_field
 
 
 @dataclass(frozen=True)
@@ -98,9 +93,8 @@ def residue_data(q: Quadruple, f: Poly) -> ResidueData:
         return ResidueData(q, f.spec.k, (), ())
     if not f.is_squarefree():
         raise NotSquarefree("f has repeated roots")
-    degree, roots = roots_in_splitting_field(f)
+    degree, reps = orbit_reps_in_splitting_field(f, q.m)
     big = make_field(q.p, degree)
-    reps = mu_m_orbit_reps(roots, q.m, big)
     f_big = embed_poly(f, big)
     fprime = f_big.derivative()
     residues = []
@@ -266,20 +260,15 @@ def certify(q: Quadruple, f: Poly) -> Certificate:
 
 
 def verify_certificate_json(data: dict) -> bool:
-    """Re-run every check from a serialized certificate and compare flags."""
+    """Re-run ``certify`` on the quadruple and f of a serialized
+    certificate: True iff the new certificate serializes to exactly
+    ``data``, so the field modulus, splitting degree, reps, residues,
+    flags and isolation determinant are all checked."""
     qd = data["quadruple"]
     q = Quadruple(qd["p"], qd["m"], qd["u_tilde"], qd["n1"])
     spec = make_field(data["field"]["p"], data["field"]["k"])
-    if list(spec.modulus) != data["field"]["modulus"]:
-        return False
     f = Poly(spec, [spec.element(c) for c in data["f"]])
-    cert = certify(q, f)
-    flags = data["flags"]
-    return (
-        cert.ddc_ok == flags["ddc"]
-        and cert.power_sum_ok == flags["power_sum"]
-        and cert.isolated == flags["isolated"]
-    )
+    return certify(q, f).to_json() == data
 
 
 def binomial_det(b) -> tuple[int, int]:

@@ -28,6 +28,7 @@ from .gf import (
     kronecker_columns,
     kronecker_mul,
     make_field,
+    mth_root_by_log,
     pth_root,
     root_of_unity,
     square_and_multiply,
@@ -513,18 +514,25 @@ def roots_in_splitting_field(f: Poly):
     return big_degree, roots
 
 
-def _conjugates(g: Poly, big: FieldSpec) -> list[FieldElement]:
-    """Every root in big = F_{p^D} of a monic irreducible g over its own
-    field F_q (q = p^k), which splits in big: one root by the trace splitting
-    of g over big, then its orbit under r -> r^q, which has deg g elements
-    unless big is no field (NotAField).  x^(p^i) mod g is computed over F_q,
-    where it repeats with period k deg g, and embedded."""
+def _one_root(g: Poly, big: FieldSpec) -> FieldElement:
+    """One root in big = F_{p^D} of a monic irreducible g over its own field
+    F_q (q = p^k), which splits in big, by the trace splitting of g over
+    big.  x^(p^i) mod g is computed over F_q, where it repeats with period
+    k deg g, and embedded."""
     if g.degree == 1:
-        return [embed(-g.coeffs[0], big)]
+        return embed(-g.coeffs[0], big)
     xs = _frobenius_powers(g, g.spec.k * int(g.degree))
     xs = [embed_poly(x, big) for x in xs]
     (linear,) = _trace_split(embed_poly(g, big), xs, 1, one=True)
-    roots = [-linear.coeffs[0]]
+    return -linear.coeffs[0]
+
+
+def _conjugates(g: Poly, big: FieldSpec) -> list[FieldElement]:
+    """Every root in big = F_{p^D} of a monic irreducible g over its own
+    field F_q (q = p^k), which splits in big: ``_one_root``, then its orbit
+    under r -> r^q, which has deg g elements unless big is no field
+    (NotAField)."""
+    roots = [_one_root(g, big)]
     for _ in range(int(g.degree) - 1):
         roots.append(roots[-1] ** g.spec.order)
     if len(set(roots)) != g.degree:
@@ -533,6 +541,84 @@ def _conjugates(g: Poly, big: FieldSpec) -> list[FieldElement]:
 
 
 # -- orbit representatives and symmetric functions ---------------------------
+
+
+def orbit_reps_in_splitting_field(f: Poly, m: int):
+    """Return (D, reps) for a squarefree f in F_q[t^m] with f(0) != 0, where
+    m | p - 1: the splitting-field degree D over F_p and one representative,
+    the least element, per orbit of the roots of f in F_{p^D} under the
+    m-th roots of unity, ascending.  This is ``roots_in_splitting_field``
+    followed by ``mu_m_orbit_reps``, without finding every root.
+
+    With f(t) = F(t^m), the orbits are the sets of m-th roots of the roots
+    of F (Kummer theory; Lidl-Niederreiter, Finite Fields, ch. 3).  An
+    irreducible factor G of F of degree d has roots y with
+    y^((q^d-1)/m) = eta, eta = ((-1)^d G(0))^((q-1)/m) in mu_m, so an m-th
+    root x of y has x^(q^d) = eta x and degree d ord(eta) over F_q: D is k
+    times the lcm of these.  One root y of each G in F_{p^D} and one m-th
+    root x of it give x, x^q, ..., x^(q^(d-1)), m-th roots of the d
+    conjugates of y.  NotAField if these give fewer than deg F orbits."""
+    if not f:
+        raise ValueError("zero polynomial has no splitting field")
+    if any(c for i, c in enumerate(f.coeffs) if i % m):
+        raise NotOrbitClosed(f"f is not a polynomial in t^{m}")
+    if not f.coeffs[0]:
+        raise ZeroRoot("orbit representatives require nonzero roots")
+    spec = f.spec
+    big_f = Poly(spec, f.coeffs[::m])
+    factors = factor(big_f) if big_f.degree > 0 else []
+    if any(mult > 1 for _, mult in factors):
+        raise RepeatedRoot("repeated root in orbit partition")
+    p, q, one = spec.p, spec.order, spec.one()
+    degrees = []
+    for g, _ in factors:
+        d = int(g.degree)
+        eta = (g.coeffs[0] if d % 2 == 0 else -g.coeffs[0]) ** ((q - 1) // m)
+        if eta ** m != one:
+            raise NotAField(f"F_{{{p}^{spec.k}}}: a norm has no {m}-th power 1")
+        degrees.append(d * next(j for j in range(1, m + 1) if eta**j == one))
+    big_degree = spec.k * lcm(*degrees)
+    big = make_field(p, big_degree)
+    zeta = root_of_unity(make_field(p, 1), m).coeffs[0]
+    mu_m = [pow(zeta, i, p) for i in range(m)]
+    reps = []
+    for g, _ in factors:
+        x = _mth_root(_one_root(g, big), m)
+        for i in range(int(g.degree)):
+            if i:
+                x = x**q
+            reps.append(min((x * w for w in mu_m), key=FieldElement.sort_key))
+    reps.sort(key=FieldElement.sort_key)
+    if len(set(reps)) != len(reps):
+        raise NotAField(f"F_{{{p}^{big_degree}}}: fewer orbits than deg F")
+    return big_degree, reps
+
+
+def _mth_root(y: FieldElement, m: int) -> FieldElement:
+    """One x with x^m = y != 0 in y's field F_{p^D}, m | p - 1, else
+    NotAField.  With log tables it is ``gf.mth_root_by_log``; otherwise a
+    linear factor of t^m - y by ``_trace_split``.  As p^i = 1 mod m,
+    t^(p^i) = c_i t mod t^m - y with c_i = y^((p^i-1)/m), so the Frobenius
+    powers are monomials, c_(i+1) = c_i^p y^((p-1)/m), with period D
+    exactly when c_D = 1, i.e. when y is an m-th power."""
+    x = mth_root_by_log(y, m)
+    if x is not None:
+        return x
+    big = y.spec
+    zero, one = big.zero(), big.one()
+    step = y ** ((big.p - 1) // m)
+    xs, c = [], one
+    for _ in range(big.k):
+        xs.append(Poly(big, [zero, c]))
+        c = c**big.p * step
+    error = NotAField(f"{y!r} has no {m}-th root in F_{{{big.p}^{big.k}}}")
+    if c != one:
+        raise error
+    (linear,) = _trace_split(Poly(big, [-y] + [zero] * (m - 1) + [one]), xs, 1, one=True)
+    x = -linear.coeffs[0]
+    if x**m != y:
+        raise error
+    return x
 
 
 def mu_m_orbit_reps(roots, m: int, spec: FieldSpec):

@@ -243,6 +243,66 @@ def test_certificate_json_stable_and_self_verifying():
     assert verify_certificate_json(json.loads(json.dumps(data)))
 
 
+def _tampered(edit):
+    data = json.loads(json.dumps(certify(Q_F8, F8).to_json()))
+    edit(data)
+    return data
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.update(splitting_degree=99),
+    lambda d: d.update(reps=d["reps"][:1]),
+    lambda d: d.update(residues=[1] * len(d["residues"])),
+    lambda d: d.update(isolation_det=[0] * len(d["isolation_det"])),
+    lambda d: d["flags"].update(isolated=not d["flags"]["isolated"]),
+    lambda d: d["field"].update(modulus=[1, 1]),
+    lambda d: d.update(extra=None),
+], ids=["splitting_degree", "reps", "residues", "isolation_det", "flag",
+        "modulus", "extra_key"])
+def test_verify_rejects_every_tampered_field(edit):
+    """The certificate of ``check --p 3 --m 2 --u 5 --n1 8 --f
+    1,0,0,0,0,0,1,0,1`` verifies, and each edit of one field makes it fail,
+    the ones that leave the three flags true included."""
+    assert verify_certificate_json(_tampered(lambda d: None))
+    assert not verify_certificate_json(_tampered(edit))
+
+
+def test_certify_builds_no_root_list(monkeypatch):
+    """On every golden CLI case, ``certify`` finds its reps without
+    ``roots_in_splitting_field`` and factors nothing of degree above N1/m."""
+    from ddcrit import poly
+    from test_golden import CASES, run_case
+
+    def no_root_list(f):
+        raise AssertionError("roots_in_splitting_field called")
+
+    bounds, degrees = [], []
+    real_factor, real_residue_data = poly.factor, ddcrit.criterion.residue_data
+
+    def factor(g):
+        if bounds:
+            assert g.degree <= bounds[-1]
+            degrees.append(g.degree)
+        return real_factor(g)
+
+    def residue_data(q, f):
+        bounds.append(q.n1 // q.m)
+        try:
+            return real_residue_data(q, f)
+        finally:
+            bounds.pop()
+
+    monkeypatch.setattr(poly, "roots_in_splitting_field", no_root_list)
+    monkeypatch.setattr(
+        ddcrit.criterion, "roots_in_splitting_field", no_root_list, raising=False
+    )
+    monkeypatch.setattr(poly, "factor", factor)
+    monkeypatch.setattr(ddcrit.criterion, "residue_data", residue_data)
+    for case in CASES:
+        assert run_case(case["argv"])[1] == case["exit_code"]
+    assert degrees
+
+
 def test_equivalence_exhaustive_small():
     """ddc_check iff squarefree + residues + power sums, for every
     shape-valid f of (3,2,1,2) over F_3."""

@@ -21,6 +21,7 @@ from ddcrit.gf import (
     is_prime,
     kronecker_mul,
     make_field,
+    mth_root_by_log,
     ord_mod,
     pth_root,
     root_of_unity,
@@ -430,6 +431,54 @@ def test_products_and_inverses_above_the_table_bound_at_large_k_and_wide_p(spec)
         assert (x * y).coeffs == field_mul_reference(x.coeffs, y.coeffs, p, m)
         assert (x * x).coeffs == field_mul_reference(x.coeffs, x.coeffs, p, m)
         assert x * x.inverse() == spec.one()
+
+
+@pytest.mark.parametrize("p, k", [(5, 6), (3, 8), (3, 27)])
+def test_prime_field_operands_above_the_table_bound_skip_the_kernel(p, k, monkeypatch):
+    """Zero and prime-field operands, on either side, scale the other
+    operand without the product kernel; every product matches the
+    reference, and two operands outside F_p still reach the kernel."""
+    spec = make_field(p, k)
+    m = spec.modulus
+    assert spec.order > gf._LOG_TABLE_BOUND
+    rng = random.Random(f"scalar:{p}:{k}")
+    scalars = [spec.zero(), spec.one(), spec.from_int(p - 1), spec.from_int(2)]
+    others = [spec.element([rng.randrange(p) for _ in range(k)]) for _ in range(5)]
+    others.append(spec.element([0, 1]))
+    kernel = []
+    monkeypatch.setattr(gf, "_ring_mul", lambda x, y: kernel.append(1) or x)
+    for c in scalars:
+        for x in scalars + others:
+            for a, b in ((c, x), (x, c)):
+                assert (a * b).coeffs == field_mul_reference(a.coeffs, b.coeffs, p, m)
+    assert kernel == []
+    others[-1] * others[-1]
+    assert kernel == [1]
+
+
+@pytest.mark.parametrize("p, k, ms", [(3, 2, [2]), (5, 2, [2, 4]), (7, 2, [2, 3, 6]),
+                                      (3, 4, [2]), (11, 2, [2, 5]), (5, 5, [2, 4])])
+def test_mth_root_by_log_inverts_every_mth_power(p, k, ms):
+    """In a tabled field every nonzero m-th power y has an x with x^m = y,
+    and every other nonzero element raises NotAField."""
+    spec = make_field(p, k)
+    assert spec._tables is not None
+    nonzero = [spec.element_by_index(i) for i in range(1, spec.order)]
+    for m in ms:
+        powers = {z**m for z in nonzero}
+        assert len(powers) == (spec.order - 1) // m
+        for y in nonzero:
+            if y in powers:
+                assert mth_root_by_log(y, m) ** m == y
+            else:
+                with pytest.raises(NotAField):
+                    mth_root_by_log(y, m)
+        assert mth_root_by_log(spec.zero(), m) == spec.zero()
+
+
+def test_mth_root_by_log_leaves_untabled_fields_to_the_caller():
+    for spec in (make_field(7, 1), make_field(5, 6)):
+        assert mth_root_by_log(spec.one(), 2) is None
 
 
 @pytest.mark.parametrize("spec", [FieldSpec(3, 2, (2, 0, 1)), FieldSpec(5, 2, (4, 0, 1))])

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -19,6 +20,7 @@ from ddcrit.gf import (
     element_columns,
     kronecker_mul,
     make_field,
+    root_of_unity,
 )
 from ddcrit.poly import (
     NEG_INF,
@@ -26,6 +28,7 @@ from ddcrit.poly import (
     Poly,
     _conjugates,
     _embedding_image,
+    _mth_root,
     _powmod,
     _Reducer,
     elementary_symmetric,
@@ -34,6 +37,7 @@ from ddcrit.poly import (
     equal_degree_factorization,
     factor,
     mu_m_orbit_reps,
+    orbit_reps_in_splitting_field,
     roots_in_field,
     roots_in_splitting_field,
 )
@@ -55,6 +59,7 @@ from reference import (
 
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
+F7 = make_field(7, 1)
 
 
 def poly_from_ints(spec, ints):
@@ -624,6 +629,120 @@ def test_roots_of_the_13th_cyclotomic_polynomial_over_f7():
     # x^12 + x^2 + 2 is reducible today; the search leaf (7,2,13,78) meets it
     d, roots = roots_in_splitting_field(poly_from_ints(make_field(7, 1), [1] * 13))
     assert d == 12 and len(set(roots)) == 12
+
+
+def _reps_from_roots(f, m):
+    d, roots = roots_in_splitting_field(f)
+    return d, mu_m_orbit_reps(roots, m, make_field(f.spec.p, d))
+
+
+def _both_paths(f, m):
+    """(D, reps), or NotAField, from the full root list and from
+    ``orbit_reps_in_splitting_field``."""
+    out = []
+    for path in (_reps_from_roots, orbit_reps_in_splitting_field):
+        try:
+            out.append(path(f, m))
+        except NotAField:
+            out.append(NotAField)
+    return out
+
+
+def _in_t_m(coeffs, m, spec):
+    """F(t^m) for the ascending coefficients of F."""
+    out = []
+    for c in coeffs[:-1]:
+        out += [c] + [spec.zero()] * (m - 1)
+    return Poly(spec, out + coeffs[-1:])
+
+
+@pytest.mark.parametrize("p, m, k, top", [
+    (3, 2, 1, 5), (5, 4, 1, 3), (7, 3, 1, 3), (7, 6, 1, 2), (11, 5, 1, 2),
+    (3, 2, 2, 2), (5, 2, 2, 2),
+])
+def test_orbit_reps_match_the_root_list_exhaustively(p, m, k, top):
+    """Every squarefree monic F of degree 1..top with F(0) != 0: f = F(t^m)
+    gets the same (D, reps) from both paths, or NotAField from both (at
+    F_{3^12} and F_{7^12}, whose moduli are reducible, ROADMAP defect 1).
+    The leading coefficient of f changes no root, so monic F cover all f."""
+    spec = make_field(p, k)
+    elements = list(spec.elements())
+    for n in range(1, top + 1):
+        for low in itertools.product(elements, repeat=n):
+            f = _in_t_m(list(low) + [spec.one()], m, spec)
+            if low[0] and f.is_squarefree():
+                old, new = _both_paths(f, m)
+                assert old == new, (low, old, new)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from([(3, 2, 1, (1, 2, 4)), (5, 2, 1, (1, 2)), (5, 4, 1, (1, 2)),
+                     (7, 3, 1, (1, 3)), (13, 4, 1, (1, 2)), (3, 2, 2, (1, 2))]),
+    st.integers(5, 9),
+    st.integers(0, 2**32),
+)
+def test_orbit_reps_match_the_root_list_at_larger_degree(case, n, seed):
+    """f = c F(t^m) with F a product of distinct irreducibles of the given
+    degrees, n <= deg F < n + 4, and a random leading coefficient c."""
+    p, m, k, degrees = case
+    spec = make_field(p, k)
+    rng = random.Random(seed)
+    factors = set()
+    while sum(int(g.degree) for g in factors) < n:
+        g = _irreducible(rng, spec, rng.choice(degrees))
+        if g.coeffs[0]:
+            factors.add(g)
+    big_f = _product(factors, spec) * spec.element([rng.randrange(1, p)])
+    f = _in_t_m(list(big_f.coeffs), m, spec)
+    old, new = _both_paths(f, m)
+    assert old == new
+
+
+def test_orbit_reps_of_the_13th_cyclotomic_polynomial_in_t2_over_f7():
+    # both paths need F_{7^12}, whose canonical modulus is reducible today
+    # (ROADMAP defect 1); once it is irreducible, both must give D = 12
+    # and six reps
+    f = _in_t_m([F7.one()] * 13, 2, F7)
+    assert _both_paths(f, 2) == [NotAField, NotAField]
+
+
+def test_orbit_reps_check_their_input():
+    with pytest.raises(NotOrbitClosed):
+        orbit_reps_in_splitting_field(poly_from_ints(F3, [1, 1, 1]), 2)
+    with pytest.raises(ZeroRoot):
+        orbit_reps_in_splitting_field(poly_from_ints(F3, [0, 0, 1]), 2)
+    with pytest.raises(RepeatedRoot):
+        orbit_reps_in_splitting_field(poly_from_ints(F3, [1, 0, 2, 0, 1]), 2)
+    assert orbit_reps_in_splitting_field(poly_from_ints(F3, [2]), 2) == (1, [])
+
+
+@pytest.mark.parametrize("p, k, ms", [(7, 1, [2, 3, 6]), (11, 1, [2, 5]), (13, 1, [3, 4]),
+                                      (5, 2, [2, 4]), (7, 2, [3, 6])])
+def test_mth_root_inverts_every_mth_power(p, k, ms):
+    """At k = 1 (split t^m - y) and in tabled fields (one lookup)."""
+    spec = make_field(p, k)
+    nonzero = [spec.element_by_index(i) for i in range(1, spec.order)]
+    for m in ms:
+        powers = {z**m for z in nonzero}
+        for y in powers:
+            assert _mth_root(y, m) ** m == y
+        for y in set(nonzero) - powers:
+            with pytest.raises(NotAField):
+                _mth_root(y, m)
+
+
+@pytest.mark.parametrize("p, k, m", [(5, 6, 4), (3, 8, 2), (7, 6, 3), (3, 16, 2)])
+def test_mth_root_above_the_table_bound(p, k, m):
+    spec = make_field(p, k)
+    rng = random.Random(f"mth-root:{p}:{k}")
+    for _ in range(8):
+        z = spec.element([rng.randrange(p) for _ in range(k)])
+        if z:
+            assert _mth_root(z**m, m) ** m == z**m
+    generator = root_of_unity(spec, spec.order - 1)
+    with pytest.raises(NotAField):
+        _mth_root(generator, m)
 
 
 @pytest.mark.xfail(
