@@ -574,8 +574,8 @@ def orbit_reps_in_splitting_field(f: Poly, m: int):
     for g, _ in factors:
         d = int(g.degree)
         eta = (g.coeffs[0] if d % 2 == 0 else -g.coeffs[0]) ** ((q - 1) // m)
-        if eta ** m != one:
-            raise NotAField(f"F_{{{p}^{spec.k}}}: a norm has no {m}-th power 1")
+        if eta**m != one:  # the norm of a root of G is no unit
+            raise NotAField(f"F_{{{p}^{spec.k}}} is not a field")
         degrees.append(d * next(j for j in range(1, m + 1) if eta**j == one))
     big_degree = spec.k * lcm(*degrees)
     big = make_field(p, big_degree)
@@ -611,14 +611,11 @@ def _mth_root(y: FieldElement, m: int) -> FieldElement:
     for _ in range(big.k):
         xs.append(Poly(big, [zero, c]))
         c = c**big.p * step
-    error = NotAField(f"{y!r} has no {m}-th root in F_{{{big.p}^{big.k}}}")
     if c != one:
-        raise error
-    (linear,) = _trace_split(Poly(big, [-y] + [zero] * (m - 1) + [one]), xs, 1, one=True)
-    x = -linear.coeffs[0]
-    if x**m != y:
-        raise error
-    return x
+        raise NotAField(f"{y!r} has no {m}-th root in F_{{{big.p}^{big.k}}}")
+    binomial = Poly(big, [-y] + [zero] * (m - 1) + [one])
+    (linear,) = _trace_split(binomial, xs, 1, one=True)
+    return -linear.coeffs[0]
 
 
 def mu_m_orbit_reps(roots, m: int, spec: FieldSpec):

@@ -717,11 +717,11 @@ def test_orbit_reps_check_their_input():
     assert orbit_reps_in_splitting_field(poly_from_ints(F3, [2]), 2) == (1, [])
 
 
-@pytest.mark.parametrize("p, k, ms", [(7, 1, [2, 3, 6]), (11, 1, [2, 5]), (13, 1, [3, 4]),
-                                      (5, 2, [2, 4]), (7, 2, [3, 6])])
-def test_mth_root_inverts_every_mth_power(p, k, ms):
-    """At k = 1 (split t^m - y) and in tabled fields (one lookup)."""
-    spec = make_field(p, k)
+@pytest.mark.parametrize("p, ms", [(7, [2, 3, 6]), (11, [2, 5]), (13, [3, 4])])
+def test_mth_root_over_a_prime_field_inverts_every_mth_power(p, ms):
+    """At k = 1, where no log table exists, t^m - y is split; test_gf
+    checks the tabled fields, where the root is one lookup."""
+    spec = make_field(p, 1)
     nonzero = [spec.element_by_index(i) for i in range(1, spec.order)]
     for m in ms:
         powers = {z**m for z in nonzero}
