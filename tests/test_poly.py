@@ -734,6 +734,8 @@ def test_mth_root_over_a_prime_field_inverts_every_mth_power(p, ms):
 
 @pytest.mark.parametrize("p, k, m", [(5, 6, 4), (3, 8, 2), (7, 6, 3), (3, 16, 2)])
 def test_mth_root_above_the_table_bound(p, k, m):
+    """Random m-th powers get a root from the split of t^m - y, and a
+    generator, which is no m-th power, raises NotAField."""
     spec = make_field(p, k)
     rng = random.Random(f"mth-root:{p}:{k}")
     for _ in range(8):
