@@ -18,7 +18,7 @@ from .errors import (
     ReconstructionMismatch,
     ResidueNotPrimeField,
 )
-from .gf import FieldElement, FieldSpec, make_field, root_of_unity
+from .gf import FieldElement, FieldSpec, make_field
 from .poly import Poly, embed_poly, orbit_reps_in_splitting_field
 
 
@@ -111,16 +111,36 @@ def _target_scalar(q: Quadruple) -> int:
     return (q.u % q.p) * pow(q.m % q.p, q.p - 2, q.p) % q.p
 
 
+def _stepped_powers(reps, exps):
+    """Yield [x**e for x in reps] for each e of the ascending exps: the
+    first row by powers, each later one by one product per rep with the
+    cached x**(e - e_prev). Criterion exponents are -1 mod m and skip only
+    multiples of p, so the steps are m or 2m."""
+    steps = {}
+    row, prev = None, None
+    for e in exps:
+        if row is None:
+            row = [x**e for x in reps]
+        else:
+            step = steps.get(e - prev)
+            if step is None:
+                step = steps[e - prev] = [x ** (e - prev) for x in reps]
+            row = [xe * xs for xe, xs in zip(row, step)]
+        prev = e
+        yield row
+
+
 def power_sum_check(rd: ResidueData) -> bool:
     """Sum_j a_j x_j^e = u/m for e = u and 0 for every other exponent in the
     criterion range."""
     q = rd.quadruple
     spec = rd.field
     target = _target_scalar(q)
-    for e in criterion_exponents(q):
+    exps = criterion_exponents(q)
+    for e, powers in zip(exps, _stepped_powers(rd.reps, exps)):
         total = spec.zero()
-        for x, a in zip(rd.reps, rd.residues):
-            total = total + x**e * a
+        for xe, a in zip(powers, rd.residues):
+            total = total + xe * a
         expected = target if e == q.u else 0
         if total != spec.from_int(expected):
             return False
@@ -142,9 +162,10 @@ def isolation_check(rd: ResidueData):
             f"power-sum system is not square for {q}: {len(exps)} exponents, "
             f"{n} orbit representatives"
         )
+    rows = _stepped_powers(rd.reps, [e - 1 for e in exps])
     matrix = [
-        [x ** (e - 1) * (a * e) for x, a in zip(rd.reps, rd.residues)]
-        for e in exps
+        [xe * (a * e) for xe, a in zip(powers, rd.residues)]
+        for e, powers in zip(exps, rows)
     ]
     det = _det(matrix, spec)
     return matrix, det, bool(det)
@@ -176,13 +197,21 @@ def reconstruct_f(rd: ResidueData) -> Poly:
     g = prod_{j,l} (1 - zeta_m^-l x_j t^-1)^(lift(zeta_m^-l a_j)), subtract
     u * sum_s t^(-u p^s - 1) dt, and invert eta = dt/(f t^(u~+1)).
 
-    With c running over the zeta_m^-l x_j of nonzero lift e_c,
-    dg/g = sum_c e_c/(t - c) - (sum_c e_c)/t, so over P = prod_c (t - c)
-    eta t^(u~+1) = N/P with N = t^(u~+1) S - ((sum_c e_c) t^u~ + T) P,
-    S = sum_c e_c P/(t - c) and T/t^(u~+1) the subtracted tail; f = P/N.
+    Over the field the lifts e_l = zeta^-l a of one mu_m orbit fold into
+    one term: the residue of m a x^(m-1)/(t^m - x^m) at t = zeta^-l x is
+    a zeta^(l(m-1)) = a zeta^-l, so
+        sum_l e_l/(t - zeta^-l x) = m a x^(m-1)/(t^m - x^m),
+    and the orbit's lifts sum to a * sum(mu_m) = 0 mod p. So with s = t^m
+    and j over the reps with a_j != 0 mod p,
+        dg/g = S(s)/P(s),  P(s) = prod_j (s - x_j^m),
+        S(s) = sum_j m a_j x_j^(m-1) prod_{i != j} (s - x_i^m),
+    with no 1/t term (the lifts' total vanishes), and
+    eta t^(u~+1) = N/P(t^m) with N = t^(u~+1) S(t^m) - T P(t^m), T/t^(u~+1)
+    the subtracted tail; f = P(t^m)/N.
 
-    The result is independent of the integer lifts chosen for the exponents;
-    shape failures raise ReconstructionMismatch."""
+    Only the lifts' values mod p enter, so the result is independent of the
+    integer lifts chosen for the exponents; shape failures raise
+    ReconstructionMismatch."""
     q = rd.quadruple
     spec = rd.field
     if q.n1 == 0:
@@ -192,31 +221,33 @@ def reconstruct_f(rd: ResidueData) -> Poly:
         if not ddc_check(q, f):
             raise ReconstructionMismatch("constant reconstruction failed ddc")
         return f
-    zeta = root_of_unity(make_field(q.p, 1), q.m).coeffs[0]
-    t = Poly.x(spec)
-    # product rule over each c = zeta_m^-l x_j with e_c != 0:
-    # (P, S) <- (P (t - c), S (t - c) + e_c P) keeps S/P = sum_c e_c/(t - c)
-    big_p, big_s, total = Poly.one(spec), Poly.zero(spec), 0
+    m, zero = q.m, spec.zero()
+    # product rule over each y = x_j^m with weight w = m a_j x_j^(m-1):
+    # (P, S) <- (P (s - y), S (s - y) + w P) keeps S/P = sum_j w_j/(s - y_j)
+    big_p, big_s = [spec.one()], []
     for x, a in zip(rd.reps, rd.residues):
-        for ell in range(1, q.m + 1):
-            z = pow(zeta, -ell, q.p)
-            exponent = z * a % q.p
-            if exponent:
-                linear = t - Poly(spec, [z * x])
-                big_s = big_s * linear + big_p * exponent
-                big_p = big_p * linear
-                total += exponent
+        if a % q.p == 0:
+            continue
+        x_m1 = x ** (m - 1)
+        y, w = x_m1 * x, x_m1 * (m * a)
+        big_s = [
+            lo - y * hi + w * c
+            for lo, hi, c in zip([zero, *big_s], [*big_s, zero], big_p)
+        ]
+        big_p = [lo - y * hi for lo, hi in zip([zero, *big_p], [*big_p, zero])]
+    # N = t^(u~+1) S(t^m) - T P(t^m) by index arithmetic, where
     # u * sum_s t^(-u p^s - 1) = u * (sum_s t^(u~ - u p^s)) / t^(u~ + 1)
-    tail_coeffs = {}
+    # puts u at t^(u~ - u p^s) in T
+    coeffs = [zero] * (q.u_tilde + 1 + m * (len(big_p) - 1))
+    for i, c in enumerate(big_s):
+        coeffs[q.u_tilde + 1 + m * i] = c
     for s in range(q.nu + 1):
         e = q.u_tilde - q.u * q.p**s
-        tail_coeffs[e] = tail_coeffs.get(e, 0) + q.u
-    tail_num = Poly.from_ints(
-        spec, [tail_coeffs.get(i, 0) for i in range(q.u_tilde + 1)]
-    )
-    t_pow = t ** q.u_tilde
-    big_n = t_pow * t * big_s - (t_pow * total + tail_num) * big_p
-    f, rem = big_p.divmod(big_n)
+        for i, c in enumerate(big_p):
+            coeffs[e + m * i] = coeffs[e + m * i] - c * q.u
+    p_of_t = [zero] * (m * (len(big_p) - 1) + 1)
+    p_of_t[::m] = big_p
+    f, rem = Poly(spec, p_of_t).divmod(Poly(spec, coeffs))
     if rem:
         raise ReconstructionMismatch("reconstructed f is not a polynomial")
     if spec.k > 1 and all(c**q.p == c for c in f.coeffs):

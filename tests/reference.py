@@ -65,7 +65,7 @@ from itertools import product
 
 from ddcrit.cartier import Quadruple, ddc_check
 from ddcrit.criterion import ResidueData, certify
-from ddcrit.errors import NotAField, ReconstructionMismatch, SpecMismatch
+from ddcrit.errors import DdcritError, NotAField, ReconstructionMismatch, SpecMismatch
 from ddcrit.gf import (
     FieldElement,
     FieldSpec,
@@ -190,7 +190,11 @@ def reconstruct_f_reference(rd: ResidueData) -> Poly:
     if spec.k > 1 and all(c**q.p == c for c in f.coeffs):
         prime = make_field(q.p, 1)
         f = f.map_coeffs(lambda c: prime.from_int(c.coeffs[0]), prime)
-    if not ddc_check(q, f):
+    try:
+        ok = ddc_check(q, f)
+    except DdcritError as exc:  # shape validation
+        raise ReconstructionMismatch(f"reconstructed f has bad shape: {exc}") from exc
+    if not ok:
         raise ReconstructionMismatch("reconstructed f fails the criterion")
     return f
 

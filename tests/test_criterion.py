@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -157,15 +158,38 @@ def test_reconstruct_roundtrip():
         assert reconstruct_f(rd) == f
 
 
+def _golden_check_witnesses():
+    """The residue data of every golden ``check`` case that exits 0."""
+    from test_golden import CASES
+
+    out = []
+    for case in CASES:
+        argv = case["argv"]
+        if argv[0] != "check" or case["exit_code"] != 0:
+            continue
+        opt = dict(zip(argv[1::2], argv[2::2]))
+        q = Quadruple(*(int(opt[k]) for k in ("--p", "--m", "--u", "--n1")))
+        f = Poly.from_ints(make_field(q.p, 1), map(int, opt["--f"].split(",")))
+        out.append(residue_data(q, f))
+    assert out
+    return out
+
+
 def _residue_data_sets():
-    """Every residue-data set the construction tests build."""
+    """Every residue-data set the construction tests build, the trace
+    family at m > 2 and above the table bound (F_{5^6}, F_{3^16}), and the
+    golden check witnesses."""
     out = [construct_small(7, 0)]
     for p in (3, 5, 7, 11, 13):
         out += [construct_small(p, p - 1), construct_small(p, p - 3)]
-    trace_cases = [(3, 2, 1), (5, 2, 1), (5, 4, 3), (3, 2, 3), (5, 2, 5), (3, 2, 5)]
+    trace_cases = [
+        (3, 2, 1), (5, 2, 1), (5, 4, 3), (3, 2, 3), (5, 2, 5), (3, 2, 5),
+        (5, 4, 7), (5, 4, 11), (7, 3, 2), (7, 6, 5), (11, 5, 4), (3, 2, 13),
+        (3, 2, 17),
+    ]
     out += [construct_trace(p, m, u_tilde) for p, m, u_tilde in trace_cases]
     out += [cert.residue_data for cert in d9_witnesses()]
-    return out
+    return out + _golden_check_witnesses()
 
 
 def test_reconstruct_matches_rational_function_oracle():
@@ -173,6 +197,62 @@ def test_reconstruct_matches_rational_function_oracle():
     that sums reduced RationalFunctions."""
     for rd in _residue_data_sets():
         assert reconstruct_f(rd) == reconstruct_f_reference(rd), rd.quadruple
+
+
+def _mismatch(reconstruct, rd) -> str:
+    with pytest.raises(ReconstructionMismatch) as info:
+        reconstruct(rd)
+    return str(info.value)
+
+
+def test_tampered_residues_fail_on_both_paths():
+    """Setting one rep's residue to 0 (its orbit drops out of P and S) or
+    shifting it by 1 makes both reconstructions raise the same
+    ReconstructionMismatch. The F_{3^16} set is left out: its reference
+    takes seconds per edit."""
+    count = 0
+    for rd in _residue_data_sets():
+        q = rd.quadruple
+        if q.p**rd.splitting_degree > 5**6:
+            continue
+        for j, a in enumerate(rd.residues):
+            for edit in {0, (a + 1) % q.p}:
+                residues = rd.residues[:j] + (edit,) + rd.residues[j + 1:]
+                bad = dataclasses.replace(rd, residues=residues)
+                assert _mismatch(reconstruct_f, bad) == _mismatch(
+                    reconstruct_f_reference, bad
+                ), (q, j, edit)
+                count += 1
+    assert count > 100
+
+
+@pytest.mark.parametrize("p, m, k", [
+    (3, 2, 1), (5, 2, 1), (5, 4, 1), (7, 3, 1), (7, 6, 1), (11, 5, 1),
+    (3, 2, 2), (5, 4, 2),
+])
+def test_orbit_lifts_fold_into_one_term_in_t_to_the_m(p, m, k):
+    """The identity behind ``reconstruct_f``: for every x != 0 of F_{p^k}
+    and a in F_p^x, with c_l = zeta^-l x and e_l = lift(zeta^-l a),
+    prod_l (t - c_l) = t^m - x^m, sum_l e_l prod_{l' != l} (t - c_l')
+    = m a x^(m-1), and sum_l e_l = 0 mod p."""
+    spec = make_field(p, k)
+    zeta = root_of_unity(make_field(p, 1), m).prime_int()
+    t = Poly.x(spec)
+    for x in itertools.islice(spec.elements(), 1, None):
+        conjugates = [x * pow(zeta, -ell, p) for ell in range(m)]
+        linears = [t - Poly(spec, [c]) for c in conjugates]
+        product = Poly.one(spec)
+        for linear in linears:
+            product = product * linear
+        assert product == t**m - Poly(spec, [x**m])
+        cofactors = [product // linear for linear in linears]
+        for a in range(1, p):
+            lifts = [pow(zeta, -ell, p) * a % p for ell in range(m)]
+            assert sum(lifts) % p == 0
+            folded = Poly.zero(spec)
+            for e, cofactor in zip(lifts, cofactors):
+                folded = folded + cofactor * e
+            assert folded == Poly(spec, [x ** (m - 1) * (m * a)])
 
 
 def test_reconstruct_wraps_only_shape_errors(monkeypatch):
@@ -301,6 +381,53 @@ def test_certify_builds_no_root_list(monkeypatch):
     for case in CASES:
         assert run_case(case["argv"])[1] == case["exit_code"]
     assert degrees
+
+
+def test_reconstruct_runs_no_product_outside_its_ddc_check(monkeypatch):
+    """On every golden ``construct`` case, ``reconstruct_f`` builds P, S
+    and N by coefficient updates: ``poly.kronecker_mul`` runs only inside
+    its final ``ddc_check``."""
+    from ddcrit import cli, construct, poly
+    from test_golden import CASES, run_case
+
+    depth = {"reconstruct": 0, "ddc": 0}
+    stray = []
+    real_mul = poly.kronecker_mul
+    real_ddc_check = ddcrit.criterion.ddc_check
+    real_reconstruct_f = ddcrit.criterion.reconstruct_f
+
+    def kronecker_mul(a, b, spec):
+        if depth["reconstruct"] and not depth["ddc"]:
+            stray.append((len(a), len(b)))
+            raise AssertionError("polynomial product in reconstruct_f")
+        return real_mul(a, b, spec)
+
+    def counted(key, fn):
+        def wrapper(*args):
+            depth[key] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[key] -= 1
+        return wrapper
+
+    reconstructed = []
+
+    def reconstruct_f(rd):
+        reconstructed.append(rd)
+        return real_reconstruct_f(rd)
+
+    monkeypatch.setattr(poly, "kronecker_mul", kronecker_mul)
+    ddc = counted("ddc", real_ddc_check)
+    monkeypatch.setattr(ddcrit.criterion, "ddc_check", ddc)
+    for module in (ddcrit.criterion, construct, cli):
+        monkeypatch.setattr(
+            module, "reconstruct_f", counted("reconstruct", reconstruct_f)
+        )
+    for case in CASES:
+        if case["argv"][0] == "construct":
+            assert run_case(case["argv"])[1] == case["exit_code"], case["name"]
+    assert reconstructed and not stray
 
 
 def test_equivalence_exhaustive_small():
