@@ -2,8 +2,11 @@
 every README CLI example (without ``--budget``), plus ``plan`` at p=5,
 ``construct trace`` at p=5 and at four quadruples whose splitting fields lie
 above the log-table bound (F_{3^16}, F_{5^6}) or have m > 2 (m = 6 at p=7,
-m = 5 at p=11), three ``search`` cases, and level-3 ``witt breaks`` at p=3
-(one forcing an extension to F_{3^9}) and p=5.  The two scripts CI runs,
+m = 5 at p=11), three ``search`` cases, level-3 ``witt breaks`` at p=3
+(one forcing an extension to F_{3^9}) and p=5, and two ``witt breaks``
+cases with poles below the catalog's t^-12: a cascade t^-27 -> t^-1 in one
+slot with a constant that forces F_{3^9}, and t^-49 at p=7 with an
+extension to F_{7^7}.  The two scripts CI runs,
 ``scripts/run_d9.py`` and ``scripts/sweep_trace_family.py --steps 1``, are
 pinned the same way as tests/golden/run_d9.stdout and
 tests/golden/sweep_trace_steps1.stdout.  tests/golden/moduli.json pins the
