@@ -74,7 +74,7 @@ def construct_trace(
     degree = lcm(ord_mod(p, big_m), q.nu + 1)
     if degree > degree_cap:
         raise ExtensionCapExceeded(
-            f"trace family needs F_{{p^{degree}}} (cap {degree_cap})"
+            f"trace family needs F_{{{p}^{degree}}} (cap {degree_cap})"
         )
     spec = make_field(p, degree)
     zeta = root_of_unity(spec, big_m)

@@ -3,9 +3,10 @@
 Addition polynomials are computed once per (p, n) by the ghost-component
 recursion over the integers, every division by p^i is checked to be exact,
 and the mod-p reductions are cached.  Everything downstream —
-Frobenius, the isogeny wp = F - id, standard-form reduction, upper
-ramification breaks, the congruence/KGB tests and jump reduction — is exact
-arithmetic over an explicit finite field.
+Frobenius, the isogeny wp = F - id, standard-form reduction (one pass over
+each slot as a Laurent polynomial, then one carry), upper ramification
+breaks, the congruence/KGB tests and jump reduction — is exact arithmetic
+over an explicit finite field.
 """
 
 from __future__ import annotations
@@ -232,12 +233,6 @@ def _artin_schreier_solve(spec: FieldSpec, c: FieldElement) -> FieldElement | No
     return None if x is None else spec.element(x)
 
 
-def _single_slot(spec: FieldSpec, n: int, i: int, entry: LaurentPoly) -> WittVector:
-    entries = [LaurentPoly.zero(spec)] * n
-    entries[i] = entry
-    return WittVector(spec, tuple(entries))
-
-
 def standard_form(
     v: WittVector, extension_cap: int = DEFAULT_EXTENSION_CAP
 ) -> StandardFormResult:
@@ -245,51 +240,56 @@ def standard_form(
 
     Returns (v_std, extension degree used, g) with v_std = v - wp(g), every
     entry of v_std supported on exponents t^{-d}, p not dividing d >= 1.
-    Eliminating a constant term with nonzero trace forces a degree-p field
-    extension; the total relative degree must stay within extension_cap.
-    Levels above MAX_LEVEL raise LevelTooHigh, whether or not a reduction
-    step would run.
+    Levels above MAX_LEVEL raise LevelTooHigh before any reduction.
+    Slot i of work - wp(V^i C) is work_i - C^p + C (S_i(X, 0) = X_i), so one
+    carry per slot removes C: the Artin-Schreier root of the constant (whose
+    nonzero trace first extends the field by degree p, within extension_cap)
+    and a^(1/p) t^(e/p) for each p-divisible pole a t^e, least e first, as
+    e/p > e.  C is slot i of g: (g_<i, 0) + V^i[C] = (g_<i, C) by ghosts.
+    This gives the bytes of the per-term loop: modulo {c^p - c}, k[t^-1] has
+    one standard reduct (c^p keeps the p-divisible leading pole of c), so the
+    two agree on slot i and then differ by wp(D), D zero through slot i; slot
+    i+1 absorbs d^p - d, its constant of trace 0, so the field grows alike.
+    Both g differ by ker wp = W_n(F_p): by 0, as per-term carries miss constants.
     """
     if v.level > MAX_LEVEL:
         raise LevelTooHigh(f"truncation level {v.level} exceeds the cap {MAX_LEVEL}")
     for entry in v.entries:
         if entry and entry.high > 0:
             raise ValueError("entries must lie in k[t^-1] (no positive powers)")
-    base_k = v.spec.k
-    n = v.level
-    work = v
+    base_k, n, work = v.spec.k, v.level, v
     g = WittVector.zero(v.spec, n)
     for i in range(n):
-        while True:
-            spec = work.spec
-            p = spec.p
-            entry = work.entries[i]
-            offending = [e for e, _ in entry.terms() if e < 0 and e % p == 0]
-            if offending:
-                e = min(offending)
-                a = entry.term_dict()[e]
-                corr = LaurentPoly(spec, e // p, [pth_root(a)])
-            else:
-                const = entry.term_dict().get(0)
-                if const is None:
-                    break
-                x = _artin_schreier_solve(spec, const)
-                if x is None:
-                    new_k = spec.k * p
-                    if new_k > extension_cap * base_k:
-                        raise ExtensionCapExceeded(
-                            f"standard form needs degree {new_k // base_k} "
-                            f"over the base (cap {extension_cap})"
-                        )
-                    big = make_field(p, new_k)
-                    lift = lambda c: embed(c, big)  # noqa: E731
-                    work = work.map_coeffs(lift, big)
-                    g = g.map_coeffs(lift, big)
-                    continue
-                corr = LaurentPoly(spec, 0, [x])
-            corr_vec = _single_slot(spec, n, i, corr)
-            work = witt_sub(work, wp(corr_vec))
-            g = witt_add(g, corr_vec)
+        spec, entry, moves = work.spec, work.entries[i], {}
+        if entry.high == 0:
+            while (x := _artin_schreier_solve(spec, entry.coeffs[-1])) is None:
+                new_k = spec.k * spec.p
+                if new_k > extension_cap * base_k:
+                    raise ExtensionCapExceeded(
+                        f"standard form needs degree {new_k // base_k} "
+                        f"over the base (cap {extension_cap})"
+                    )
+                spec = make_field(spec.p, new_k)
+                lift = lambda c: embed(c, spec)  # noqa: E731
+                work, g = work.map_coeffs(lift, spec), g.map_coeffs(lift, spec)
+                entry = work.entries[i]
+            moves[0] = x
+        p, coeffs = spec.p, entry.term_dict()
+        poles = set()
+        for e in coeffs:
+            while e < 0 and e % p == 0:
+                poles.add(e)
+                e //= p
+        for e in sorted(poles):
+            a = coeffs.get(e, spec.zero()) + moves.get(e, spec.zero())
+            if a:
+                moves[e // p] = pth_root(a)
+        c = LaurentPoly.from_terms(spec, moves)
+        if c:
+            zero = WittVector.zero(spec, n).entries
+            vc = WittVector(spec, zero[:i] + (c,) + zero[i + 1 :])
+            work = witt_sub(work, wp(vc))
+            g = WittVector(spec, g.entries[:i] + vc.entries[i:])
     if not is_standard(work):
         raise NotStandardForm("standard-form reduction left a non-standard term")
     return StandardFormResult(work, work.spec.k // base_k, g)

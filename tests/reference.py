@@ -56,7 +56,12 @@ was replaced by a simpler or faster exact path:
   ``laurent_frobenius_reference`` and ``laurent_map_coeffs_reference``:
   Laurent polynomials as term dicts, the oracle for the dense coefficient
   path of ``LaurentPoly.__add__``, ``ddcrit.cartier.cartier``,
-  ``LaurentPoly.frobenius`` and ``LaurentPoly.map_coeffs``.
+  ``LaurentPoly.frobenius`` and ``LaurentPoly.map_coeffs``;
+- ``standard_form_reference``: the per-term reduction, which removes the
+  least p-divisible pole (or else the constant) of the current slot one
+  monomial at a time, with two Witt additions to subtract wp of it and one
+  to add it to the adjustment, the oracle for the one-pass, one-carry
+  ``ddcrit.witt.standard_form``.
 """
 
 from __future__ import annotations
@@ -65,7 +70,15 @@ from itertools import product
 
 from ddcrit.cartier import Quadruple, ddc_check
 from ddcrit.criterion import ResidueData, certify
-from ddcrit.errors import DdcritError, NotAField, ReconstructionMismatch, SpecMismatch
+from ddcrit.errors import (
+    DdcritError,
+    ExtensionCapExceeded,
+    LevelTooHigh,
+    NotAField,
+    NotStandardForm,
+    ReconstructionMismatch,
+    SpecMismatch,
+)
 from ddcrit.gf import (
     FieldElement,
     FieldSpec,
@@ -75,8 +88,27 @@ from ddcrit.gf import (
     root_of_unity,
     square_and_multiply,
 )
-from ddcrit.poly import LaurentPoly, Poly, _powmod, _Reducer, factor, roots_in_field
+from ddcrit.poly import (
+    LaurentPoly,
+    Poly,
+    _powmod,
+    _Reducer,
+    embed,
+    factor,
+    roots_in_field,
+)
 from ddcrit.search import NotFound, _passes, candidate_count
+from ddcrit.witt import (
+    DEFAULT_EXTENSION_CAP,
+    MAX_LEVEL,
+    StandardFormResult,
+    WittVector,
+    _artin_schreier_solve,
+    is_standard,
+    witt_add,
+    witt_sub,
+    wp,
+)
 
 
 class RationalFunction:
@@ -575,3 +607,63 @@ def laurent_frobenius_reference(h: LaurentPoly) -> LaurentPoly:
 def laurent_map_coeffs_reference(h: LaurentPoly, fn, spec) -> LaurentPoly:
     """fn applied to the nonzero terms only."""
     return LaurentPoly.from_terms(spec, {e: fn(c) for e, c in h.terms()})
+
+
+def _single_slot(spec, n: int, i: int, entry: LaurentPoly) -> WittVector:
+    entries = [LaurentPoly.zero(spec)] * n
+    entries[i] = entry
+    return WittVector(spec, tuple(entries))
+
+
+def standard_form_reference(
+    v: WittVector, extension_cap: int = DEFAULT_EXTENSION_CAP
+) -> StandardFormResult:
+    """Reduce v modulo the image of wp to its standard form, one monomial at
+    a time: the least p-divisible pole a t^e of the current slot becomes the
+    correction a^(1/p) t^(e/p), and once no such pole is left, the constant
+    is solved by Artin-Schreier (extending the field by degree p when its
+    trace is nonzero).  Each correction c costs work - wp(V^i c), two Witt
+    additions, and g + V^i c, a third."""
+    if v.level > MAX_LEVEL:
+        raise LevelTooHigh(f"truncation level {v.level} exceeds the cap {MAX_LEVEL}")
+    for entry in v.entries:
+        if entry and entry.high > 0:
+            raise ValueError("entries must lie in k[t^-1] (no positive powers)")
+    base_k = v.spec.k
+    n = v.level
+    work = v
+    g = WittVector.zero(v.spec, n)
+    for i in range(n):
+        while True:
+            spec = work.spec
+            p = spec.p
+            entry = work.entries[i]
+            offending = [e for e, _ in entry.terms() if e < 0 and e % p == 0]
+            if offending:
+                e = min(offending)
+                a = entry.term_dict()[e]
+                corr = LaurentPoly(spec, e // p, [pth_root(a)])
+            else:
+                const = entry.term_dict().get(0)
+                if const is None:
+                    break
+                x = _artin_schreier_solve(spec, const)
+                if x is None:
+                    new_k = spec.k * p
+                    if new_k > extension_cap * base_k:
+                        raise ExtensionCapExceeded(
+                            f"standard form needs degree {new_k // base_k} "
+                            f"over the base (cap {extension_cap})"
+                        )
+                    big = make_field(p, new_k)
+                    lift = lambda c: embed(c, big)  # noqa: E731
+                    work = work.map_coeffs(lift, big)
+                    g = g.map_coeffs(lift, big)
+                    continue
+                corr = LaurentPoly(spec, 0, [x])
+            corr_vec = _single_slot(spec, n, i, corr)
+            work = witt_sub(work, wp(corr_vec))
+            g = witt_add(g, corr_vec)
+    if not is_standard(work):
+        raise NotStandardForm("standard-form reduction left a non-standard term")
+    return StandardFormResult(work, work.spec.k // base_k, g)

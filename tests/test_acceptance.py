@@ -257,6 +257,21 @@ def test_07_witt_suite():
             )
             assert s.entries[0] == a and s.entries[1] == b
             assert not any(s.entries[2:])
+        # and in general (x_0..x_{i-1}, 0, ...) + V^i[y] = (x_0..x_{i-1}, y,
+        # 0, ...) at level 3, which assembles the standard-form adjustment
+        for spec in (F3, make_field(5, 1), make_field(3, 2)):
+            z = LaurentPoly.zero(spec)
+            for i in (1, 2):
+                for _ in range(10):
+                    lower = (z,)
+                    while not all(lower):
+                        lower = rand_vec(spec, i).entries
+                    y = rand_vec(spec, 1).entries[0]
+                    s = witt_add(
+                        WittVector(spec, lower + (z,) * (3 - i)),
+                        WittVector(spec, (z,) * i + (y,) + (z,) * (2 - i)),
+                    )
+                    assert s.entries == lower + (y,) + (z,) * (2 - i)
 
 
 def test_08_cartier_property_suite():

@@ -100,7 +100,10 @@ def test_trace_reconstruct_satisfies_ddc():
 
 
 def test_trace_degree_cap():
-    with pytest.raises(ExtensionCapExceeded):
+    """The cap error names the prime of the field it would need."""
+    with pytest.raises(
+        ExtensionCapExceeded, match=r"^trace family needs F_\{3\^4\} \(cap 2\)$"
+    ):
         construct_trace(3, 2, 5, degree_cap=2)
 
 

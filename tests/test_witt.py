@@ -1,8 +1,11 @@
+import json
+import pathlib
 import random
 
 import pytest
 
 from ddcrit.errors import (
+    DdcritError,
     ExtensionCapExceeded,
     InvalidProfile,
     LevelTooHigh,
@@ -10,6 +13,7 @@ from ddcrit.errors import (
     NotStandardForm,
 )
 import ddcrit.witt
+from ddcrit.cli import parse_laurent
 from ddcrit.gf import make_field
 from ddcrit.poly import LaurentPoly, embed
 from ddcrit.witt import (
@@ -34,6 +38,7 @@ from ghost_oracle import ghosts_agree
 
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def L(spec, terms):
@@ -236,16 +241,99 @@ def test_standard_form_rejects_positive_powers():
 
 
 def test_standard_form_differs_by_wp():
-    """v_std + wp(g) recovers (the embedded) v — one Witt addition."""
+    """v_std + wp(g) recovers (the embedded) v — one Witt addition.  The
+    bases are prime fields: there the one embedding into F_{p^k} is the one
+    the reduction takes step by step."""
     rng = random.Random(23)
-    for _ in range(10):
-        n = rng.randint(1, 2)
-        v = random_vector(rng, F3, n)
+    for spec in (F3, F5):
+        checked = 0
+        while checked < 10:
+            n = rng.randint(1, 3)
+            v = random_vector(rng, spec, n)
+            try:
+                res = standard_form(v, extension_cap=27)
+            except ExtensionCapExceeded:
+                continue  # a third extension at p = 5 passes the cap
+            checked += 1
+            big = res.vector.spec
+            v_up = v.map_coeffs(lambda c: embed(c, big), big)
+            back = witt_add(res.vector, wp(res.adjustment))
+            assert back.entries == v_up.entries
+
+
+def _outcome(reduce, v):
+    """(vector, extension degree, adjustment) of a reduction, or the class
+    and message of what it raised."""
+    try:
+        res = reduce(v, extension_cap=9)
+    except DdcritError as exc:
+        return type(exc), str(exc)
+    return res.vector.entries, res.extension_degree, res.adjustment.entries
+
+
+def test_standard_form_matches_the_per_term_reference():
+    """A seeded sweep of 800 vectors: the one-pass reduction gives the
+    vector, extension degree and adjustment of the per-term loop, or raises
+    the same error.  Constants of nonzero trace extend the field, and the
+    cap of 9 stops a second extension at p = 5, 7 and a third at p = 3.  At
+    p > 3 a level-3 vector has only slot 2 nonzero: a level-3 carry out of
+    a lower slot there runs over F_{p^p} or F_{p^2p} and takes 0.1 s or
+    more."""
+    from reference import standard_form_reference
+
+    rng = random.Random(18)
+    raised = extended = 0
+    for _ in range(800):
+        p, k, n = rng.choice([3, 5, 7]), rng.choice([1, 2]), rng.choice([1, 2, 2, 3])
+        spec = make_field(p, k)
+        entries = []
+        for i in range(n):
+            terms = {}
+            for _ in range(rng.randint(0, 4) if p == 3 or n < 3 or i == 2 else 0):
+                e = rng.choice([0, -rng.randint(1, 14), -p * rng.randint(1, 3)])
+                terms[e] = spec.element_by_index(rng.randrange(1, spec.order))
+            entries.append(LaurentPoly.from_terms(spec, terms))
+        v = WittVector(spec, tuple(entries))
+        got = _outcome(standard_form, v)
+        assert got == _outcome(standard_form_reference, v), v
+        raised += got[0] is ExtensionCapExceeded
+        extended += got[0] is not ExtensionCapExceeded and got[1] > 1
+    assert raised > 100 and extended > 300
+
+
+def _witt_golden_vectors():
+    """The vector of every golden ``witt breaks`` case."""
+    cases = json.loads((GOLDEN / "cases.json").read_text())
+    for case in cases:
+        argv = case["argv"]
+        if argv[:2] != ["witt", "breaks"]:
+            continue
+        opts = dict(zip(argv[2::2], argv[3::2]))
+        spec = make_field(int(opts["--p"]), int(opts.get("--field-degree", 1)))
+        parts = opts["--entries"].split(";")
+        yield case["name"], WittVector(
+            spec, tuple(parse_laurent(spec, part) for part in parts)
+        )
+
+
+def test_standard_form_carries_once_per_slot(monkeypatch):
+    """One carry, wp(V^i C) subtracted, costs two Witt additions; a slot with
+    nothing to remove costs none, and the adjustment costs none at all."""
+    calls = []
+    add = ddcrit.witt.witt_add
+    monkeypatch.setattr(
+        ddcrit.witt, "witt_add", lambda v, w: calls.append(1) or add(v, w)
+    )
+    names = []
+    for name, v in _witt_golden_vectors():
+        calls.clear()
         res = standard_form(v)
-        big = res.vector.spec
-        v_up = v.map_coeffs(lambda c: embed(c, big), big)
-        back = witt_add(res.vector, wp(res.adjustment))
-        assert back.entries == v_up.entries
+        assert len(calls) <= 2 * sum(map(bool, res.adjustment.entries)), name
+        names.append(name)
+    assert len(names) >= 6
+    calls.clear()
+    res = standard_form(wv(F3, {-5: 1, -1: 1}))
+    assert not calls and not res.adjustment
 
 
 def test_break_invariance():
