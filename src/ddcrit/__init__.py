@@ -32,6 +32,7 @@ from .planner import (
     profiles_for_group,
     quadruple_for_step,
     quadruples_for_group,
+    step_radii,
 )
 from .poly import (
     LaurentPoly,

@@ -25,7 +25,7 @@ from .construct import construct_small, construct_trace, d9_witnesses
 from .criterion import certify, reconstruct_f
 from .errors import DdcritError
 from .gf import make_field
-from .planner import profile_steps, profiles_for_group, quadruples_for_group
+from .planner import profiles_for_group, quadruples_for_group, step_radii
 from .poly import LaurentPoly, Poly
 from .search import NotFound, first_witness
 from .witt import (
@@ -110,16 +110,20 @@ def _cmd_search(args) -> tuple[object, int]:
 def _cmd_plan(args) -> tuple[object, int]:
     quadruples = quadruples_for_group(args.p, args.m, args.n)
     profiles = profiles_for_group(args.p, args.m, args.n)
-    radii = [
-        {
-            "profile": prof.to_json(),
-            "step": i + 1,
-            "quadruple": q.to_json(),
-            "radii": report.to_json(),
-        }
-        for prof in profiles
-        for i, q, report in profile_steps(args.p, args.m, prof)
-    ]
+    # a step (u_(i-1), u_i) recurs in every profile that extends it, so its
+    # quadruple and radii JSON are built once per distinct step
+    steps: dict[tuple[int, ...], tuple[dict, dict]] = {}
+    radii = []
+    for prof in profiles:
+        u, prof_json = prof.breaks, prof.to_json()
+        for i in range(1, len(u)):
+            if (step := u[i - 1 : i + 1]) not in steps:
+                q, report = step_radii(args.p, args.m, *step)
+                steps[step] = q.to_json(), report.to_json()
+            quad, rad = steps[step]
+            radii.append(
+                {"profile": prof_json, "step": i + 1, "quadruple": quad, "radii": rad}
+            )
     return {
         "quadruples": [q.to_json() for q in quadruples],
         "profiles": [p.to_json() for p in profiles],

@@ -116,11 +116,21 @@ def lifting_radii(
     p: int, m: int, u_prev: int, u_next: int, n1: int
 ) -> RadiiReport:
     """Exact critical/hub radii for one lifting step."""
-    q = quadruple_for_step(p, m, u_prev, u_next)
+    q, report = step_radii(p, m, u_prev, u_next)
     if q.n1 != n1:
         raise InvalidQuadruple(
             f"N1 = {n1} inconsistent with the step rule (expected {q.n1})"
         )
+    return report
+
+
+def step_radii(
+    p: int, m: int, u_prev: int, u_next: int
+) -> tuple[Quadruple, RadiiReport]:
+    """The quadruple of the lifting step u_prev -> u_next and its exact
+    critical/hub radii."""
+    q = quadruple_for_step(p, m, u_prev, u_next)
+    n1 = q.n1
     n2 = u_next - u_prev - n1
     r_crit = Fraction(1, u_prev * (p - 1))
     r_n = Fraction(1, u_next * (p - 1))
@@ -128,7 +138,7 @@ def lifting_radii(
         r_hub = Fraction(0)
     else:
         r_hub = Fraction(1, n2) - Fraction(n1, (p - 1) * u_prev * n2)
-    return RadiiReport(r_crit, r_hub, r_n, n2, u_next * r_hub)
+    return q, RadiiReport(r_crit, r_hub, r_n, n2, u_next * r_hub)
 
 
 def profile_steps(
@@ -138,5 +148,4 @@ def profile_steps(
     profile, i = 1 .. n-1 indexing ``profile.breaks``."""
     u = profile.breaks
     for i in range(1, len(u)):
-        q = quadruple_for_step(p, m, u[i - 1], u[i])
-        yield i, q, lifting_radii(p, m, u[i - 1], u[i], q.n1)
+        yield (i, *step_radii(p, m, u[i - 1], u[i]))

@@ -25,7 +25,10 @@ from .errors import (
 from .gf import (
     FieldElement,
     FieldSpec,
+    column_elements,
+    element_columns,
     is_prime,
+    kronecker_columns,
     make_field,
     pth_root,
     solve_modp,
@@ -131,21 +134,6 @@ def witt_sum_polys(p: int, n: int, max_level: int = MAX_LEVEL):
     return tuple(reduced)
 
 
-class _PowerCache:
-    """Memoized small powers of a fixed Laurent polynomial."""
-
-    def __init__(self, base: LaurentPoly):
-        self.pows = {0: None, 1: base}
-        self.base = base
-
-    def get(self, e: int) -> LaurentPoly | None:
-        top = max(self.pows)
-        while top < e:
-            self.pows[top + 1] = self.pows[top] * self.base if top else self.base
-            top += 1
-        return self.pows[e]
-
-
 def _check_pair(v: WittVector, w: WittVector):
     if v.spec != w.spec:
         raise SpecMismatch("Witt vectors over different field specs")
@@ -153,28 +141,98 @@ def _check_pair(v: WittVector, w: WittVector):
         raise SpecMismatch("Witt vectors of different truncation levels")
 
 
-def witt_add(v: WittVector, w: WittVector) -> WittVector:
+def _add(v: WittVector, w: WittVector, negate: bool) -> WittVector:
+    """v + w, or v - w when negate is set: the one Witt addition.
+
+    The live terms of each S_i come from the zero pattern of the entries
+    (``_live_terms``).  Each entry that a live term needs goes to column
+    form (``gf``'s ``element_columns``) once; its powers and every term
+    product stay there (``kronecker_columns``).  The terms of S_i add up in
+    one unreduced int list per column, reduced mod p once, and each output
+    entry is built once.  Only the sum needs trimming: a product of nonzero
+    Laurent polynomials over a field has nonzero end coefficients.  v - w
+    adds -w, which for odd p is coordinatewise, so a term with Y-exponents
+    ye takes the sign (-1)^sum(ye) and no negated vector is built.
+    """
     _check_pair(v, w)
     spec = v.spec
-    polys = witt_sum_polys(spec.p, v.level)
-    caches = [_PowerCache(e) for e in v.entries + w.entries]
+    p = spec.p
+    entries = v.entries + w.entries
+    # powers[j][e - 1] is entry j to the e-th as (low, columns), grown on use
+    powers: list[list] = [[] for _ in entries]
+
+    def power(j: int, e: int):
+        chain = powers[j]
+        if not chain:
+            chain.append((entries[j].low, element_columns(entries[j].coeffs, spec.k)))
+        base_low, base = chain[0]
+        while len(chain) < e:
+            low, cols = chain[-1]
+            chain.append((low + base_low, kronecker_columns(cols, base, spec)))
+        return chain[e - 1]
+
     out = []
-    for terms in polys:
-        acc = LaurentPoly.zero(spec)
-        for c, xe, ye in terms:
-            needed = [(cache, e) for cache, e in zip(caches, xe + ye) if e]
-            # a power over a field is zero only when its base is, so a dead
-            # term is skipped before any power or product is built
-            if not all(cache.base for cache, _ in needed):
+    for live in _live_terms(p, v.level, tuple(map(bool, entries)), negate):
+        match live:
+            case [(1, [(j, 1)])]:
+                out.append(entries[j])  # the sum is one entry as it stands
                 continue
-            # S_i has no constant term, so needed is never empty
-            factors = [cache.get(e) for cache, e in needed]
-            prod = factors[0] if c == 1 else factors[0] * c
-            for factor in factors[1:]:
-                prod = prod * factor
-            acc = acc + prod
-        out.append(acc)
+        summands = []
+        for c, needed in live:
+            low, cols = power(*needed[0])
+            for j, e in needed[1:]:
+                f_low, f_cols = power(j, e)
+                low, cols = low + f_low, kronecker_columns(cols, f_cols, spec)
+            summands.append((c, low, cols))
+        out.append(_column_sum(summands, spec))
     return WittVector(spec, tuple(out))
+
+
+@functools.lru_cache(maxsize=None)
+def _live_terms(p: int, n: int, nonzero: tuple[bool, ...], negate: bool):
+    """Per S_i, the terms of ``witt_sum_polys(p, n)`` that are live when
+    entry j of (X, Y) is nonzero exactly where nonzero[j] is: each as its
+    coefficient (times (-1)^sum(ye) when negate is set) and its factors
+    ((entry, exponent), ...).  A power over a field is zero only when its
+    base is, so a dead term is never looked at again; S_i has no constant
+    term, so every term has a factor."""
+    out = []
+    for terms in witt_sum_polys(p, n):
+        live = []
+        for c, xe, ye in terms:
+            needed = [(j, e) for j, e in enumerate(xe + ye) if e]
+            if all(nonzero[j] for j, _ in needed):
+                live.append((p - c if negate and sum(ye) % 2 else c, tuple(needed)))
+        out.append(tuple(live))
+    return tuple(out)
+
+
+def _column_sum(summands, spec: FieldSpec) -> LaurentPoly:
+    """The sum of c t^low (cols) over the (c, low, cols) summands, cols the
+    coefficients in column form: added as ints, reduced mod p once."""
+    if not summands:
+        return LaurentPoly.zero(spec)
+    low = min(s[1] for s in summands)
+    width = max(s[1] + len(s[2][0]) for s in summands) - low
+    acc = [[0] * width for _ in range(spec.k)]
+    for c, s_low, cols in summands:
+        off = s_low - low
+        for a, col in zip(acc, cols):
+            end = off + len(col)
+            a[off:end] = [x + c * y for x, y in zip(a[off:end], col)]
+    p = spec.p
+    acc = [[x % p for x in a] for a in acc]
+    start, stop = 0, width
+    while start < stop and not any(a[start] for a in acc):
+        start += 1
+    while stop > start and not any(a[stop - 1] for a in acc):
+        stop -= 1
+    coeffs = column_elements([a[start:stop] for a in acc], spec)
+    return LaurentPoly(spec, low + start, coeffs)
+
+
+def witt_add(v: WittVector, w: WittVector) -> WittVector:
+    return _add(v, w, False)
 
 
 def witt_neg(v: WittVector) -> WittVector:
@@ -183,7 +241,7 @@ def witt_neg(v: WittVector) -> WittVector:
 
 
 def witt_sub(v: WittVector, w: WittVector) -> WittVector:
-    return witt_add(v, witt_neg(w))
+    return _add(v, w, True)
 
 
 def frobenius(v: WittVector) -> WittVector:
@@ -242,10 +300,11 @@ def standard_form(
     entry of v_std supported on exponents t^{-d}, p not dividing d >= 1.
     Levels above MAX_LEVEL raise LevelTooHigh before any reduction.
     Slot i of work - wp(V^i C) is work_i - C^p + C (S_i(X, 0) = X_i), so one
-    carry per slot removes C: the Artin-Schreier root of the constant (whose
-    nonzero trace first extends the field by degree p, within extension_cap)
-    and a^(1/p) t^(e/p) for each p-divisible pole a t^e, least e first, as
-    e/p > e.  C is slot i of g: (g_<i, 0) + V^i[C] = (g_<i, C) by ghosts.
+    carry per slot removes C: a^(1/p) t^(e/p) for each p-divisible pole
+    a t^e, least e first, as e/p > e, and the Artin-Schreier root of the
+    constant, whose nonzero trace extends the field by degree p (within
+    extension_cap) once the poles are moved.  C is slot i of g:
+    (g_<i, 0) + V^i[C] = (g_<i, C) by ghosts.
     This gives the bytes of the per-term loop: modulo {c^p - c}, k[t^-1] has
     one standard reduct (c^p keeps the p-divisible leading pole of c), so the
     two agree on slot i and then differ by wp(D), D zero through slot i; slot
@@ -261,6 +320,18 @@ def standard_form(
     g = WittVector.zero(v.spec, n)
     for i in range(n):
         spec, entry, moves = work.spec, work.entries[i], {}
+        # the pole pass never reads the constant's move, and p-th roots
+        # commute with embed, so it runs in the slot's own field first
+        p, coeffs = spec.p, entry.term_dict()
+        poles = set()
+        for e in coeffs:
+            while e < 0 and e % p == 0:
+                poles.add(e)
+                e //= p
+        for e in sorted(poles):
+            a = coeffs.get(e, spec.zero()) + moves.get(e, spec.zero())
+            if a:
+                moves[e // p] = pth_root(a)
         if entry.high == 0:
             while (x := _artin_schreier_solve(spec, entry.coeffs[-1])) is None:
                 new_k = spec.k * spec.p
@@ -272,18 +343,9 @@ def standard_form(
                 spec = make_field(spec.p, new_k)
                 lift = lambda c: embed(c, spec)  # noqa: E731
                 work, g = work.map_coeffs(lift, spec), g.map_coeffs(lift, spec)
+                moves = {e: lift(a) for e, a in moves.items()}
                 entry = work.entries[i]
             moves[0] = x
-        p, coeffs = spec.p, entry.term_dict()
-        poles = set()
-        for e in coeffs:
-            while e < 0 and e % p == 0:
-                poles.add(e)
-                e //= p
-        for e in sorted(poles):
-            a = coeffs.get(e, spec.zero()) + moves.get(e, spec.zero())
-            if a:
-                moves[e // p] = pth_root(a)
         c = LaurentPoly.from_terms(spec, moves)
         if c:
             zero = WittVector.zero(spec, n).entries

@@ -209,6 +209,26 @@ def test_plan_cli(capsys):
     assert len(data["radii"]) == 6
 
 
+def test_plan_builds_each_distinct_step_once(capsys, monkeypatch):
+    """A step (u_(i-1), u_i) recurs in every profile that extends it; plan
+    computes its quadruple and radii once and numbers it in each profile."""
+    import ddcrit.cli
+
+    calls = []
+    real = ddcrit.cli.step_radii
+    monkeypatch.setattr(
+        ddcrit.cli, "step_radii", lambda *a: calls.append(a[2:]) or real(*a)
+    )
+    code, out, _ = run(capsys, "plan", "--p", "3", "--m", "2", "--n", "3")
+    assert code == 0
+    radii = json.loads(out)["radii"]
+    steps = {
+        tuple(r["profile"][r["step"] - 2 : r["step"]]) for r in radii
+    }
+    assert sorted(calls) == sorted(steps) and len(calls) < len(radii)
+    assert {r["step"] for r in radii} == {2, 3}
+
+
 @pytest.mark.parametrize("p, m, message", [
     ("4", "3", "p = 4"), ("9", "2", "p = 9"), ("3", "5", "m = 5"), ("2", "1", "p = 2"),
 ])

@@ -38,6 +38,8 @@ from ghost_oracle import ghosts_agree
 
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
+# one field per element form: residue (k = 1), table index, coefficient tuple
+ELEMENT_FORMS = (F3, make_field(5, 2), make_field(3, 9))
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
@@ -182,6 +184,33 @@ def test_ghost_oracle_random():
         assert ghosts_agree(v, w, total, p, list(spec.modulus))
 
 
+@pytest.mark.parametrize("spec", ELEMENT_FORMS, ids=["residue", "index", "tuple"])
+def test_ghost_oracle_in_every_element_form(spec):
+    """The ghost oracle checks sums at levels 1-3 in each form an element
+    can take (residue, table index, coefficient tuple), with zero entries
+    and with sums that cancel in a slot or altogether; a difference equals
+    the sum with the negation, entry by entry."""
+    assert [(s.k == 1, s._coded) for s in ELEMENT_FORMS] == [
+        (True, True), (False, True), (False, False)
+    ]
+    rng = random.Random(19)
+    modulus = list(spec.modulus)
+    zeros = 0
+    for n in (1, 2, 3):
+        for _ in range(6):
+            v = random_vector(rng, spec, n)
+            w = random_vector(rng, spec, n)
+            cancel = WittVector(spec, (-v.entries[0],) + w.entries[1:])
+            zero = WittVector.zero(spec, n)
+            for a, b in ((v, w), (v, witt_neg(v)), (v, cancel), (zero, w), (v, zero)):
+                assert ghosts_agree(a, b, witt_add(a, b), spec.p, modulus)
+                assert witt_sub(a, b).entries == witt_add(a, witt_neg(b)).entries
+            assert not witt_add(v, witt_neg(v)) and not witt_sub(w, w)
+            assert not witt_add(v, cancel).entries[0]
+            zeros += (not all(v.entries)) + (not all(w.entries))
+    assert zeros > 0
+
+
 def test_wp_additive():
     # wp is a homomorphism: wp(v + w) = wp(v) + wp(w)
     rng = random.Random(5)
@@ -301,6 +330,21 @@ def test_standard_form_matches_the_per_term_reference():
     assert raised > 100 and extended > 300
 
 
+def test_pole_roots_are_taken_before_the_constant_extends_the_field(monkeypatch):
+    """A slot's p-divisible poles move in the field the slot starts in; when
+    its constant then extends the field, the moves are embedded with it."""
+    degrees = []
+    real = ddcrit.witt.pth_root
+    monkeypatch.setattr(
+        ddcrit.witt, "pth_root", lambda x: degrees.append(x.spec.k) or real(x)
+    )
+    for v in (wv(F3, {-9: 1, 0: 1}), wv(F3, {-1: 1}, {-9: 2, -3: 1, 0: 1})):
+        degrees.clear()
+        res = standard_form(v)
+        assert res.extension_degree == 3 and is_standard(res.vector)
+        assert degrees and set(degrees) == {1}
+
+
 def _witt_golden_vectors():
     """The vector of every golden ``witt breaks`` case."""
     cases = json.loads((GOLDEN / "cases.json").read_text())
@@ -318,22 +362,87 @@ def _witt_golden_vectors():
 
 def test_standard_form_carries_once_per_slot(monkeypatch):
     """One carry, wp(V^i C) subtracted, costs two Witt additions; a slot with
-    nothing to remove costs none, and the adjustment costs none at all."""
+    nothing to remove costs none, and the adjustment costs none at all.  The
+    count is taken at ``_add``, which every Witt sum and difference goes
+    through, and the golden vectors include some that carry."""
     calls = []
-    add = ddcrit.witt.witt_add
+    add = ddcrit.witt._add
     monkeypatch.setattr(
-        ddcrit.witt, "witt_add", lambda v, w: calls.append(1) or add(v, w)
+        ddcrit.witt, "_add", lambda v, w, neg: calls.append(1) or add(v, w, neg)
     )
-    names = []
+    names, carried = [], 0
     for name, v in _witt_golden_vectors():
         calls.clear()
         res = standard_form(v)
-        assert len(calls) <= 2 * sum(map(bool, res.adjustment.entries)), name
+        assert len(calls) == 2 * sum(map(bool, res.adjustment.entries)), name
+        carried += bool(calls)
         names.append(name)
-    assert len(names) >= 6
+    assert len(names) >= 6 and carried >= 4
     calls.clear()
     res = standard_form(wv(F3, {-5: 1, -1: 1}))
     assert not calls and not res.adjustment
+    witt_add(res.vector, res.vector)
+    witt_sub(res.vector, res.vector)
+    assert len(calls) == 2
+
+
+def test_witt_add_stays_in_column_form(monkeypatch):
+    """A Witt sum or difference makes no Laurent product or sum and no
+    ``kronecker_mul``: its products run on int columns.  It builds each
+    output entry at most once, with one ``column_elements`` call and one
+    LaurentPoly, on the golden vectors and in every element form."""
+    from ddcrit import gf, poly
+
+    depth, stray, built = [0], [], []
+
+    def watched(log, name, fn):
+        def wrapper(*args, **kwargs):
+            if depth[0]:
+                log.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("__mul__", "__rmul__", "__add__", "__sub__", "__neg__"):
+        monkeypatch.setattr(
+            LaurentPoly, name, watched(stray, name, getattr(LaurentPoly, name))
+        )
+    for module in (gf, poly):
+        monkeypatch.setattr(
+            module,
+            "kronecker_mul",
+            watched(stray, "kronecker_mul", module.kronecker_mul),
+        )
+    monkeypatch.setattr(
+        ddcrit.witt, "column_elements", watched(built, "columns", gf.column_elements)
+    )
+    monkeypatch.setattr(
+        LaurentPoly, "__init__", watched(built, "laurent", LaurentPoly.__init__)
+    )
+    real_add = ddcrit.witt._add
+    sums = []
+
+    def add(v, w, negate):
+        built.clear()
+        depth[0] += 1
+        try:
+            out = real_add(v, w, negate)
+        finally:
+            depth[0] -= 1
+        assert built.count("columns") <= out.level
+        assert built.count("laurent") <= out.level
+        sums.append(built.count("columns"))
+        return out
+
+    monkeypatch.setattr(ddcrit.witt, "_add", add)
+    for _, v in _witt_golden_vectors():
+        standard_form(v)
+    rng = random.Random(17)
+    for spec in ELEMENT_FORMS:
+        for n in (1, 2, 3):
+            v, w = random_vector(rng, spec, n), random_vector(rng, spec, n)
+            witt_add(v, w)
+            witt_sub(v, w)
+    assert stray == [] and sum(sums) > 0
 
 
 def test_break_invariance():
