@@ -40,12 +40,19 @@ _MONOMIAL = re.compile(
 )
 
 
-def parse_laurent(spec, text: str) -> LaurentPoly:
-    """Parse a signed sum of monomials like ``2*t^-5+t^-1-1``."""
+# the largest |exponent| a Witt entry may reach in `witt breaks`: each carry
+# multiplies exponents by at most p, so entry j of n reaches p^(n-1-j) times
+# its own, and the dense spans of the standard form are that wide
+WITT_EXPONENT_CAP = 2**14
+
+
+def _laurent_terms(text: str) -> dict[int, int]:
+    """The exponents of a signed sum of monomials like ``2*t^-5+t^-1-1``,
+    each with the sum of its integer coefficients."""
     text = text.replace(" ", "")
     if not text:
         raise ValueError("empty laurent string")
-    total = LaurentPoly.zero(spec)
+    terms: dict[int, int] = {}
     pos = 0
     while pos < len(text):
         match = _MONOMIAL.match(text, pos)
@@ -61,9 +68,15 @@ def parse_laurent(spec, text: str) -> LaurentPoly:
             exp = 0
         else:
             exp = int(exp_s) if exp_s is not None else 1
-        total = total + LaurentPoly(spec, exp, [spec.from_int(coeff)])
+        terms[exp] = terms.get(exp, 0) + coeff
         pos = match.end()
-    return total
+    return terms
+
+
+def parse_laurent(spec, text: str) -> LaurentPoly:
+    """Parse a signed sum of monomials like ``2*t^-5+t^-1-1``."""
+    terms = _laurent_terms(text)
+    return LaurentPoly.from_terms(spec, {e: spec.from_int(c) for e, c in terms.items()})
 
 
 def parse_poly(spec, text: str) -> Poly:
@@ -161,10 +174,18 @@ def _cmd_construct(args) -> tuple[object, int]:
 
 def _cmd_witt_breaks(args) -> tuple[object, int]:
     spec = make_field(args.p, args.field_degree)
-    entries = tuple(
-        parse_laurent(spec, part) for part in args.entries.split(";")
-    )
-    v = WittVector(spec, entries)
+    parts = args.entries.split(";")
+    # the exponents are read and bounded before any entry is built
+    scale = 1  # p^(n-1-j), held at most one above the cap
+    for j in reversed(range(len(parts))):
+        for e in _laurent_terms(parts[j]):
+            if abs(e) * scale > WITT_EXPONENT_CAP:
+                raise ValueError(
+                    f"exponent {e} of entry {j + 1} times p^{len(parts) - 1 - j}"
+                    f" exceeds the cap {WITT_EXPONENT_CAP} on witt exponents"
+                )
+        scale = min(scale * args.p, WITT_EXPONENT_CAP + 1)
+    v = WittVector(spec, tuple(parse_laurent(spec, part) for part in parts))
     result = standard_form(v)
     profile = upper_breaks(result.vector)
     return {

@@ -37,40 +37,110 @@ from .gf import (
 NEG_INF = float("-inf")
 
 
-def _add_coeffs(a: tuple, b: tuple, offset: int, spec: FieldSpec) -> list:
-    """The coefficients of a + t^offset b, for ascending coefficient tuples
-    a and b and offset >= 0, with trailing zeros possible.  Only the nonzero
-    coefficients of b are added, and onto a zero of a one is copied, not
-    added: Laurent entries of Witt vectors are sparse."""
-    out = list(a)
-    out += [spec.zero()] * (offset + len(b) - len(out))
-    for i, c in enumerate(b, offset):
-        if c:
-            s = out[i]
-            out[i] = s + c if s else c
-    return out
+class _Dense:
+    """The ring operations shared by ``Poly`` and ``LaurentPoly``: a dense
+    polynomial stores its coefficients ascending from the exponent ``low``
+    (always 0 for a ``Poly``).  Each class keeps its own constructor and
+    canonical form and builds every result through its ``_make(spec, low,
+    coeffs)`` hook."""
+
+    __slots__ = ("spec", "low", "coeffs")
+
+    @classmethod
+    def zero(cls, spec):
+        return cls._make(spec, 0, [])
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.spec == other.spec
+            and self.low == other.low
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self):
+        return hash((self.spec, self.low, self.coeffs))
+
+    def __repr__(self):
+        coeffs = [c.coeffs for c in self.coeffs]
+        return f"{type(self).__name__}(low={self.low}, {coeffs})"
+
+    def _check(self, other):
+        if type(other) is not type(self):
+            raise TypeError("polynomials of different classes")
+        if self.spec != other.spec:
+            raise SpecMismatch("polynomials over different field specs")
+
+    def __add__(self, other):
+        """Only the nonzero coefficients of the higher-starting summand are
+        added, and onto a zero one is copied, not added: Laurent entries of
+        Witt vectors are sparse, so a sum costs their terms, not their span."""
+        self._check(other)
+        if not other:
+            return self
+        if not self:
+            return other
+        a, b = (self, other) if self.low <= other.low else (other, self)
+        offset = b.low - a.low
+        out = list(a.coeffs)
+        out += [self.spec.zero()] * (offset + len(b.coeffs) - len(out))
+        for i, c in enumerate(b.coeffs, offset):
+            if c:
+                s = out[i]
+                out[i] = s + c if s else c
+        return self._make(self.spec, a.low, out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._make(self.spec, self.low, [-c for c in self.coeffs])
+
+    def __mul__(self, other):
+        """By an int or FieldElement scalar, or by another polynomial
+        through ``kronecker_mul``, the two ``low``s adding."""
+        if isinstance(other, (FieldElement, int)):
+            return self._make(self.spec, self.low, [c * other for c in self.coeffs])
+        self._check(other)
+        product = kronecker_mul(self.coeffs, other.coeffs, self.spec)
+        return self._make(self.spec, self.low + other.low, product)
+
+    def __pow__(self, e: int):
+        if e < 0:
+            raise ValueError("negative power of a polynomial")
+        if not e:
+            return self._make(self.spec, 0, [self.spec.one()])
+        return square_and_multiply(self, e, operator.mul)
+
+    def map_coeffs(self, fn, spec: FieldSpec):
+        """fn applied to every stored coefficient; fn must map zero to zero."""
+        return self._make(spec, self.low, [fn(c) for c in self.coeffs])
 
 
-class Poly:
+class Poly(_Dense):
     """Dense univariate polynomial over a FieldSpec, ascending coefficients,
     canonical (no trailing zeros).  The zero polynomial has degree -inf."""
 
-    __slots__ = ("spec", "coeffs")
+    __slots__ = ()
 
     def __init__(self, spec: FieldSpec, coeffs):
         coeffs = list(coeffs)
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         self.spec = spec
+        self.low = 0
         self.coeffs = tuple(coeffs)
+
+    @classmethod
+    def _make(cls, spec, low, coeffs):
+        return cls(spec, coeffs)
 
     @classmethod
     def from_ints(cls, spec: FieldSpec, ints) -> "Poly":
         return cls(spec, [spec.from_int(c) for c in ints])
-
-    @classmethod
-    def zero(cls, spec):
-        return cls(spec, [])
 
     @classmethod
     def one(cls, spec):
@@ -83,47 +153,6 @@ class Poly:
     @property
     def degree(self):
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Poly)
-            and self.spec == other.spec
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.spec, self.coeffs))
-
-    def __repr__(self):
-        return f"Poly({[c.coeffs for c in self.coeffs]})"
-
-    def _check(self, other):
-        if self.spec != other.spec:
-            raise SpecMismatch("polynomials over different field specs")
-
-    def __add__(self, other):
-        self._check(other)
-        return Poly(self.spec, _add_coeffs(self.coeffs, other.coeffs, 0, self.spec))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Poly(self.spec, [-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, (FieldElement, int)):
-            return Poly(self.spec, [c * other for c in self.coeffs])
-        self._check(other)
-        return Poly(self.spec, kronecker_mul(self.coeffs, other.coeffs, self.spec))
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        return square_and_multiply(self, e, operator.mul) if e else Poly.one(self.spec)
 
     def monic(self) -> "Poly":
         if not self:
@@ -202,16 +231,13 @@ class Poly:
             return self.degree == 0
         return self.gcd(d).degree == 0
 
-    def map_coeffs(self, fn, spec: FieldSpec) -> "Poly":
-        return Poly(spec, [fn(c) for c in self.coeffs])
-
     def to_json(self):
         return [c.to_json() for c in self.coeffs]
 
 
 def _digits(f: Poly) -> list[int]:
     """The coefficients of f over F_p as ints in [0, p)."""
-    return [c.v for c in f.coeffs]
+    return element_columns(f.coeffs, 1)[0]
 
 
 def _from_digits(spec: FieldSpec, digits: list[int]) -> Poly:
@@ -579,8 +605,7 @@ def orbit_reps_in_splitting_field(f: Poly, m: int):
         degrees.append(d * next(j for j in range(1, m + 1) if eta**j == one))
     big_degree = spec.k * lcm(*degrees)
     big = make_field(p, big_degree)
-    zeta = root_of_unity(make_field(p, 1), m).coeffs[0]
-    mu_m = [pow(zeta, i, p) for i in range(m)]
+    mu_m = _mu_m(p, m)
     reps = []
     for g, _ in factors:
         x = _mth_root(_one_root(g, big), m)
@@ -618,6 +643,12 @@ def _mth_root(y: FieldElement, m: int) -> FieldElement:
     return -linear.coeffs[0]
 
 
+def _mu_m(p: int, m: int) -> list[int]:
+    """The m-th roots of unity in F_p (m | p - 1), as ints in [0, p)."""
+    zeta = root_of_unity(make_field(p, 1), m).coeffs[0]
+    return [pow(zeta, i, p) for i in range(m)]
+
+
 def mu_m_orbit_reps(roots, m: int, spec: FieldSpec):
     """One representative (the least element) per orbit of the root set under
     multiplication by the m-th roots of unity, which lie in F_p (m | p - 1)."""
@@ -628,8 +659,7 @@ def mu_m_orbit_reps(roots, m: int, spec: FieldSpec):
     root_set = set(roots)
     if len(root_set) != len(roots):
         raise RepeatedRoot("repeated root in orbit partition")
-    zeta = root_of_unity(make_field(spec.p, 1), m).coeffs[0]
-    mu_m = [pow(zeta, i, spec.p) for i in range(m)]
+    mu_m = _mu_m(spec.p, m)
     reps = []
     seen = set()
     for r in sorted(root_set, key=FieldElement.sort_key):
@@ -659,12 +689,12 @@ def elementary_symmetric(values, spec: FieldSpec | None = None):
 # -- Laurent polynomials -----------------------------------------------------
 
 
-class LaurentPoly:
+class LaurentPoly(_Dense):
     """Laurent polynomial over a FieldSpec: coefficients ascending from the
     minimal exponent ``low``; canonical form has nonzero first and last
     stored coefficients (the zero Laurent polynomial stores nothing)."""
 
-    __slots__ = ("spec", "low", "coeffs")
+    __slots__ = ()
 
     def __init__(self, spec: FieldSpec, low: int, coeffs):
         coeffs = list(coeffs)
@@ -678,18 +708,16 @@ class LaurentPoly:
         self.coeffs = tuple(coeffs[start:])
 
     @classmethod
-    def zero(cls, spec):
-        return cls(spec, 0, [])
+    def _make(cls, spec, low, coeffs):
+        return cls(spec, low, coeffs)
 
     @classmethod
     def from_terms(cls, spec: FieldSpec, terms: dict[int, FieldElement]):
         terms = {e: c for e, c in terms.items() if c}
         if not terms:
             return cls.zero(spec)
-        low = min(terms)
-        high = max(terms)
-        z = spec.zero()
-        return cls(spec, low, [terms.get(e, z) for e in range(low, high + 1)])
+        low, z = min(terms), spec.zero()
+        return cls(spec, low, [terms.get(e, z) for e in range(low, max(terms) + 1)])
 
     @classmethod
     def from_poly(cls, f: Poly, shift: int = 0) -> "LaurentPoly":
@@ -703,72 +731,15 @@ class LaurentPoly:
     def term_dict(self):
         return dict(self.terms())
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LaurentPoly)
-            and self.spec == other.spec
-            and self.low == other.low
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.spec, self.low, self.coeffs))
-
-    def __repr__(self):
-        return f"Laurent(low={self.low}, {[c.coeffs for c in self.coeffs]})"
-
     @property
     def high(self):
-        if not self.coeffs:
-            return NEG_INF
-        return self.low + len(self.coeffs) - 1
+        return self.low + len(self.coeffs) - 1 if self.coeffs else NEG_INF
 
     def deg_t_inverse(self):
         """Degree in t^{-1}: -low when low < 0, else 0 for nonzero constants."""
-        if not self.coeffs:
-            return NEG_INF
-        return max(0, -self.low)
+        return max(0, -self.low) if self.coeffs else NEG_INF
 
-    def __add__(self, other):
-        if self.spec != other.spec:
-            raise SpecMismatch("Laurent polynomials over different field specs")
-        if not other:
-            return self
-        if not self:
-            return other
-        a, b = (self, other) if self.low <= other.low else (other, self)
-        return LaurentPoly(
-            self.spec, a.low, _add_coeffs(a.coeffs, b.coeffs, b.low - a.low, self.spec)
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return LaurentPoly(self.spec, self.low, [-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, (FieldElement, int)):
-            return LaurentPoly(self.spec, self.low, [c * other for c in self.coeffs])
-        if self.spec != other.spec:
-            raise SpecMismatch("Laurent polynomials over different field specs")
-        return LaurentPoly(
-            self.spec,
-            self.low + other.low,
-            kronecker_mul(self.coeffs, other.coeffs, self.spec),
-        )
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative power of a Laurent polynomial")
-        if not e:
-            return LaurentPoly(self.spec, 0, [self.spec.one()])
-        return square_and_multiply(self, e, operator.mul)
+    __rmul__ = _Dense.__mul__
 
     def frobenius(self) -> "LaurentPoly":
         """Entry-wise p-th power: coefficients^p, exponents*p."""
@@ -776,10 +747,6 @@ class LaurentPoly:
         coeffs = [self.spec.zero()] * (p * len(self.coeffs) - p + 1)
         coeffs[::p] = [c**p if c else c for c in self.coeffs]
         return LaurentPoly(self.spec, p * self.low, coeffs)
-
-    def map_coeffs(self, fn, spec: FieldSpec) -> "LaurentPoly":
-        """fn applied to every stored coefficient; fn must map zero to zero."""
-        return LaurentPoly(spec, self.low, [fn(c) for c in self.coeffs])
 
     def to_json(self):
         return {"low": self.low, "coeffs": [c.to_json() for c in self.coeffs]}

@@ -589,6 +589,16 @@ def laurent_add_reference(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return LaurentPoly.from_terms(a.spec, terms)
 
 
+def laurent_mul_reference(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """a * b by summing the product of every pair of terms into a term dict."""
+    terms: dict = {}
+    for e, c in a.terms():
+        for f, d in b.terms():
+            s = terms.get(e + f)
+            terms[e + f] = s + c * d if s is not None else c * d
+    return LaurentPoly.from_terms(a.spec, terms)
+
+
 def cartier_reference(h: LaurentPoly) -> LaurentPoly:
     """C(h dt) term by term: a_i t^i with i = -1 mod p goes to
     a_i^(1/p) t^((i+1)/p - 1), every other term to zero."""

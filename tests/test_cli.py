@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from ddcrit import cli
 from ddcrit.cli import main, parse_laurent, parse_poly
 from ddcrit.gf import make_field
 from test_golden import BAD_ARGVS
@@ -275,6 +276,39 @@ def test_witt_breaks_cli_rejects_level_4(capsys, entries):
     )
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "truncation level 4 exceeds the cap 3"
+
+
+@pytest.mark.parametrize("entries", ["t^-999999999", "t^-999999999+1", "t^999999999"])
+def test_witt_breaks_refuses_huge_exponents_at_once(entries):
+    """A dense span of 10^9 coefficients used to get the process killed
+    from outside with no error JSON; now the exponent is refused before
+    any Laurent polynomial is built."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ddcrit.cli", "--compact", "witt", "breaks",
+         "--p", "3", "--entries", entries],
+        capture_output=True, env=env, timeout=20,
+    )
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert "exceeds the cap" in json.loads(proc.stderr)["error"]
+
+
+def test_witt_breaks_exponent_cap_scales_by_level(capsys, monkeypatch):
+    """Entry j of n may reach WITT_EXPONENT_CAP / p^(n-1-j) and no further;
+    a refused input builds no Laurent polynomial."""
+    cap = cli.WITT_EXPONENT_CAP
+    for entries in (f"t^-{cap}", f"t^-{cap // 3};t^-{cap}", f"t^-{cap // 9};1;1"):
+        _, _, err = run(capsys, "--compact", "witt", "breaks", "--p", "3",
+                        "--entries", entries)
+        assert "exceeds the cap" not in err
+    monkeypatch.setattr(cli, "parse_laurent", None)
+    for entries in (f"t^{cap + 1}", f"t^-{cap // 3 + 1};1", f"t^-{cap // 9 + 1};1;1",
+                    f"1;t^-{cap + 1}", f"t^-{cap // 9 + 1};1;1;1"):
+        code, out, err = run(capsys, "--compact", "witt", "breaks", "--p", "3",
+                             "--entries", entries)
+        assert code == 2 and out == ""
+        assert f"exceeds the cap {cap}" in json.loads(err)["error"]
 
 
 CONSTRUCT_OPTIONS = {

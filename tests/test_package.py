@@ -1,4 +1,5 @@
 import ast
+import importlib
 import pathlib
 import re
 import subprocess
@@ -124,3 +125,25 @@ def test_readme_names_no_missing_private_helper():
                 defined.update(t.id for t in targets if isinstance(t, ast.Name))
     assert named
     assert sorted(named - defined) == []
+
+
+def test_traced_benchmark_targets_exist():
+    """Every ``ddcrit.<module>.<name>`` that ``perfbench/spans.py`` wraps in
+    a traced run still exists, so deleting or renaming one fails here and
+    not only in ``--trace 1`` runs.  TARGETS is read with ``ast``: perfbench
+    is neither imported nor changed."""
+    spans = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    (targets,) = [
+        ast.literal_eval(top.value)
+        for top in ast.parse(spans.read_text()).body
+        if isinstance(top, ast.Assign)
+        and any(getattr(t, "id", None) == "TARGETS" for t in top.targets)
+    ]
+    names = [(module, name) for module, names in targets.items() for name in names]
+    assert names
+    missing = [
+        f"ddcrit.{module}.{name}"
+        for module, name in names
+        if not hasattr(importlib.import_module(f"ddcrit.{module}"), name)
+    ]
+    assert missing == []

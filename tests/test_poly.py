@@ -1,5 +1,6 @@
 import itertools
 import json
+import operator
 import random
 
 import pytest
@@ -50,6 +51,7 @@ from reference import (
     laurent_add_reference,
     laurent_frobenius_reference,
     laurent_map_coeffs_reference,
+    laurent_mul_reference,
     one_root_reference,
     poly_divmod_reference,
     poly_gcd_reference,
@@ -201,6 +203,85 @@ def test_laurent_canonical_and_arithmetic():
     assert (a * b).low == -6
     assert not (a - a)
 
+    # the ring operations Poly and LaurentPoly share, against term dicts,
+    # in every element form: residues (F_7), log-table indices (F_49) and
+    # coefficient tuples (F_{3^9}, above the table bound)
+    rng = random.Random("dense-core")
+    for spec in (F7, make_field(7, 2), make_field(3, 9)):
+        other = make_field(spec.p, spec.k + 1)
+
+        def dense(cls, low, coeffs, spec=spec):
+            return cls(spec, coeffs) if cls is Poly else cls(spec, low, coeffs)
+
+        def terms(x):
+            return {x.low + i: c for i, c in enumerate(x.coeffs) if c}
+
+        def add(t, u):
+            out = dict(t)
+            for e, x in u.items():
+                out[e] = out[e] + x if e in out else x
+            return out
+
+        def build(cls, t):
+            t = {e: c for e, c in t.items() if c}
+            low = min(t, default=0) if cls is LaurentPoly else 0
+            span = range(low, max(t, default=-1) + 1)
+            return dense(cls, low, [t.get(e, spec.zero()) for e in span])
+
+        for _ in range(6):
+            c = spec.element([rng.randrange(1, spec.p)] * spec.k)
+            fs = [
+                [spec.element([rng.randrange(spec.p) for _ in range(spec.k)])
+                 for _ in range(rng.randint(0, 5))]
+                for _ in range(2)
+            ]
+            f, g = (Poly(spec, coeffs) for coeffs in fs)
+            for cls in (Poly, LaurentPoly):
+                lows = [0 if cls is Poly else rng.randint(-5, 3) for _ in fs]
+                a, b = (dense(cls, low, coeffs) for low, coeffs in zip(lows, fs))
+                ta, tb = terms(a), terms(b)
+                product = {}
+                for ea, x in ta.items():
+                    for eb, y in tb.items():
+                        product = add(product, {ea + eb: x * y})
+                cube = {}
+                for e1, e2, e3 in itertools.product(ta, repeat=3):
+                    cube = add(cube, {e1 + e2 + e3: ta[e1] * ta[e2] * ta[e3]})
+                for result, want in [
+                    (a + b, add(ta, tb)),
+                    (-a, {e: -x for e, x in ta.items()}),
+                    (a - b, add(ta, {e: -x for e, x in tb.items()})),
+                    (a * 2, {e: x * 2 for e, x in ta.items()}),
+                    (a * spec.p, {}),
+                    (a * c, {e: x * c for e, x in ta.items()}),
+                    (a * b, product),
+                    (a**0, {0: spec.one()}),
+                    (a**3, cube),
+                    (a.map_coeffs(lambda x: x * x, spec),
+                     {e: x * x for e, x in ta.items()}),
+                ]:
+                    assert type(result) is cls
+                    assert result == build(cls, want)
+                    assert hash(result) == hash(build(cls, want))
+                    assert bool(result) == any(want.values())
+                assert (a == b) == (ta == tb)
+                for op in (operator.add, operator.sub, operator.mul):
+                    with pytest.raises(SpecMismatch):
+                        op(a, dense(cls, 0, [other.one()], other))
+                with pytest.raises(ValueError):
+                    a**-1
+            for op in (operator.add, operator.sub, operator.mul):
+                assert op(LaurentPoly.from_poly(f), LaurentPoly.from_poly(g)) == (
+                    LaurentPoly.from_poly(op(f, g))
+                )
+            assert Poly(spec, f.coeffs) != LaurentPoly(spec, 0, f.coeffs)
+            for x, y in [(f, LaurentPoly.from_poly(g)), (LaurentPoly.from_poly(f), g)]:
+                for op in (operator.add, operator.sub, operator.mul):
+                    with pytest.raises(TypeError):
+                        op(x, y)
+        assert Poly.zero(spec) != LaurentPoly.zero(spec)
+        assert not Poly.zero(spec) and not LaurentPoly.zero(spec)
+
 
 def test_laurent_frobenius():
     a = LaurentPoly.from_terms(F3, {-2: F3.from_int(2)})
@@ -220,8 +301,9 @@ def sparse_laurent(rng, spec, low):
 
 @pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (7, 2)])
 def test_dense_laurent_path_matches_term_dicts(p, k):
-    """Sum, Cartier image, Frobenius and coefficient map on dense
-    coefficient tuples give the to_json bytes of the term-dict oracles, for
+    """Sum, difference, product, negation, Cartier image, Frobenius and
+    coefficient map on dense coefficient tuples give the to_json bytes of
+    the term-dict oracles, for
     operands whose low exponent runs over every residue mod p (negative ones
     too), sums that cancel in full or at the bottom, zero and monomials."""
     spec = make_field(p, k)
@@ -231,6 +313,9 @@ def test_dense_laurent_path_matches_term_dicts(p, k):
 
     def same(x, y):
         assert json.dumps(x.to_json()) == json.dumps(y.to_json())
+
+    def negated(h):
+        return laurent_map_coeffs_reference(h, operator.neg, spec)
 
     for low in range(-2 * p - 1, p + 1):
         for _ in range(4):
@@ -242,7 +327,10 @@ def test_dense_laurent_path_matches_term_dicts(p, k):
             for x, y in [(a, b), (b, a), (a, -a), (a, -bottom), (a, zero),
                          (zero, a), (zero, zero), (a, monomial), (monomial, b)]:
                 same(x + y, laurent_add_reference(x, y))
+                same(x - y, laurent_add_reference(x, negated(y)))
+                same(x * y, laurent_mul_reference(x, y))
             for h in (a, b, a + b, a - bottom, monomial, zero):
+                same(-h, negated(h))
                 same(cartier(h), cartier_reference(h))
                 same(h.frobenius(), laurent_frobenius_reference(h))
                 same(h.map_coeffs(lambda c: c * c, spec),
