@@ -65,15 +65,30 @@ def quadruple_for_step(p: int, m: int, u_prev: int, u_next: int) -> Quadruple:
     return Quadruple(p, m, u_prev, n1)
 
 
+# the most jump profiles a group may have; the largest catalog plan,
+# Z/7^3 x| Z/3, has 294
+MAX_PROFILES = 2**16
+
+
 def _check_group(p: int, m: int, n: int, error: type[DdcritError]) -> None:
     """Raise error unless Z/p^n x| Z/m is a group the criterion covers: p an
-    odd prime, 1 < m with m | p - 1, and n >= 1."""
+    odd prime, 1 < m with m | p - 1, and n >= 1, with at most MAX_PROFILES
+    jump profiles.  It has (p-1) p^(n-1) of them and fewer than twice as
+    many quadruples; the count is built no larger than MAX_PROFILES."""
     if not is_prime(p) or p == 2:
         raise error(f"p = {p} must be an odd prime")
     if m <= 1 or (p - 1) % m != 0:
         raise error(f"m = {m} must exceed 1 and divide p-1")
     if n < 1:
         raise error(f"n = {n} must be at least 1")
+    count = p - 1
+    for _ in range(n - 1):
+        if count > MAX_PROFILES // p:
+            count = MAX_PROFILES + 1
+            break
+        count *= p
+    if count > MAX_PROFILES:
+        raise error(f"Z/{p}^{n} x| Z/{m} has more than {MAX_PROFILES} jump profiles")
 
 
 def quadruples_for_group(p: int, m: int, n: int) -> list[Quadruple]:

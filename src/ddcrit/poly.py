@@ -25,7 +25,6 @@ from .gf import (
     _divmod_modp,
     column_elements,
     element_columns,
-    kronecker_columns,
     kronecker_mul,
     make_field,
     mth_root_by_log,
@@ -245,67 +244,12 @@ def _from_digits(spec: FieldSpec, digits: list[int]) -> Poly:
     return Poly(spec, column_elements([digits], spec))
 
 
-class _Reducer:
-    """Remainders modulo one fixed polynomial m of degree n >= 1 by a
-    precomputed reciprocal (Barrett/Newton reduction): two products of the
-    multiply kernel per remainder, on coefficients in column form
-    (``gf.element_columns``).
-
-    m is made monic, which leaves every remainder unchanged.  With
-    rev(m) = t^n m(1/t), whose constant term is 1, ``inv`` is
-    rev(m)^-1 mod t^(n-1), found once by Newton iteration.  For c of
-    length n + L with L <= n - 1, the quotient c div m has L terms and its
-    reversal is rev(c[n:]) * inv mod t^L; the remainder is the low n
-    coefficients of c - q*m, and only m's terms below t^n reach them."""
-
-    __slots__ = ("spec", "mod", "low", "inv")
-
-    def __init__(self, mod: Poly):
-        spec = mod.spec
-        p = spec.p
-        self.spec = spec
-        self.mod = mod.monic()
-        m = self.mod.coeffs
-        n = len(m) - 1
-        self.low = element_columns(m[:n], spec.k)
-        rev = element_columns(m[::-1], spec.k)
-        # g <- g - t^a g h, where rev(m) g = 1 + t^a h mod t^l, l <= 2a,
-        # doubles the precision a of g = rev(m)^-1
-        inv = [[d] for d in spec.one().coeffs]
-        while len(inv[0]) < n - 1:
-            a = len(inv[0])
-            l = min(2 * a, n - 1)
-            h = kronecker_columns([c[:l] for c in rev], inv, spec)
-            gh = kronecker_columns(inv, [c[a:l] for c in h], spec)
-            inv = [c + [-d % p for d in e[: l - a]] for c, e in zip(inv, gh)]
-        self.inv = inv
-
-    def reduce(self, c: list) -> list:
-        """c mod m for the columns c of at most 2n - 1 coefficients, as the
-        columns of at most n coefficients (trailing zeros possible)."""
-        n = len(self.low[0])
-        size = len(c[0]) - n
-        if size <= 0:
-            return c
-        spec, p = self.spec, self.spec.p
-        top = [col[: n - 1 : -1] for col in c]
-        q = kronecker_columns(top, [col[:size] for col in self.inv], spec)
-        q = [col[size - 1 :: -1] for col in q]
-        return [
-            [(u - v) % p for u, v in zip(col[:n], qm)]
-            for col, qm in zip(c, kronecker_columns(q, self.low, spec))
-        ]
-
-
-def _powmod(base: Poly, e: int, red: _Reducer) -> Poly:
-    """base^e modulo the reducer's modulus by square-and-multiply."""
-    spec = base.spec
+def _powmod(base: Poly, e: int, mod: Poly) -> Poly:
+    """base^e modulo mod by square-and-multiply, each product reduced by
+    ``Poly.divmod``."""
     if not e:
-        return Poly.one(spec)
-    base = element_columns((base % red.mod).coeffs, spec.k)
-    mul = lambda a, b: red.reduce(kronecker_columns(a, b, spec))  # noqa: E731
-    result = square_and_multiply(base, e, mul)
-    return Poly(spec, column_elements(result, spec))
+        return Poly.one(base.spec)
+    return square_and_multiply(base % mod, e, lambda a, b: a * b % mod)
 
 
 # -- factorization -----------------------------------------------------------
@@ -359,28 +303,25 @@ def distinct_degree_factorization(f: Poly) -> list[tuple[Poly, int]]:
     h = x
     d = 0
     rest = f
-    red = _Reducer(rest)
     while rest.degree > 0:
         d += 1
         if 2 * d > rest.degree:
             out.append((rest, int(rest.degree)))
             break
-        h = _powmod(h, q, red)
+        h = _powmod(h, q, rest)
         g = rest.gcd(h - x)
         if g.degree > 0:
             out.append((g, d))
             rest = rest // g
             h = h % rest
-            red = _Reducer(rest)
     return out
 
 
 def _frobenius_powers(f: Poly, period: int) -> list[Poly]:
     """x^(p^i) mod f for i < period, one p-th power per step."""
-    red = _Reducer(f)
     xs = [Poly.x(f.spec) % f]
     for _ in range(period - 1):
-        xs.append(_powmod(xs[-1], f.spec.p, red))
+        xs.append(_powmod(xs[-1], f.spec.p, f))
     return xs
 
 
@@ -443,7 +384,7 @@ def _trace_split(f: Poly, xs: list[Poly], d: int, one: bool = False) -> list[Pol
                         g = g // zero
                     parts = [g]
                     if p - a > 4 * g.degree > 0:
-                        power = _powmod(s, (p - 1) // 2, _Reducer(g))
+                        power = _powmod(s, (p - 1) // 2, g)
                         square = g.gcd(power - Poly.one(spec))
                         parts = [square, g // square]
                     cut += [(h, t) for h in parts if h.degree > 0]

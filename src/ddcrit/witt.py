@@ -75,7 +75,7 @@ class WittVector:
 
 
 @functools.lru_cache(maxsize=None)
-def witt_sum_polys(p: int, n: int, max_level: int = MAX_LEVEL):
+def witt_sum_polys(p: int, n: int):
     """Addition polynomials S_0..S_{n-1} for W_n in characteristic p.
 
     Each S_i is returned as a tuple of terms (c, xe, ye) with integer
@@ -88,8 +88,8 @@ def witt_sum_polys(p: int, n: int, max_level: int = MAX_LEVEL):
     (x_0..x_{n-1}, y_0..y_{n-1}) to coefficients; every division by p^i is
     checked to be exact before reduction mod p.
     """
-    if n > max_level:
-        raise LevelTooHigh(f"truncation level {n} exceeds the cap {max_level}")
+    if n > MAX_LEVEL:
+        raise LevelTooHigh(f"truncation level {n} exceeds the cap {MAX_LEVEL}")
     if n < 1:
         raise ValueError("truncation level must be >= 1")
     width = 2 * n

@@ -22,10 +22,10 @@ was replaced by a simpler or faster exact path:
   with one field multiplication and subtraction per quotient term and
   divisor coefficient, and Euclid over it, the oracle for
   ``Poly.divmod`` and ``Poly.gcd`` (over F_p the int kernel
-  ``ddcrit.gf._divmod_modp``) and for ``ddcrit.poly._Reducer``;
+  ``ddcrit.gf._divmod_modp``);
 - ``powmod_reference``: square-and-multiply with one
   ``poly_divmod_reference`` per step, the oracle for
-  ``ddcrit.poly._powmod`` and its reducer;
+  ``ddcrit.poly._powmod``;
 - ``candidate_polys`` and ``equal_degree_factorization_reference``:
   Cantor-Zassenhaus over a counter-based candidate sequence, recursing into
   both pieces, the oracle for the trace splitting of
@@ -92,7 +92,6 @@ from ddcrit.poly import (
     LaurentPoly,
     Poly,
     _powmod,
-    _Reducer,
     embed,
     factor,
     roots_in_field,
@@ -445,9 +444,8 @@ def equal_degree_factorization_reference(f: Poly, d: int) -> list[Poly]:
     if f.degree == d:
         return [f]
     exponent = (spec.order**d - 1) // 2
-    red = _Reducer(f)
     for cand in candidate_polys(spec, 2 * d):
-        h = _powmod(cand, exponent, red)
+        h = _powmod(cand, exponent, f)
         g = f.gcd(h - Poly.one(spec))
         if 0 < g.degree < f.degree:
             return sorted(
@@ -466,9 +464,8 @@ def one_root_reference(f: Poly):
     if f.degree == 1:
         return -f.coeffs[0]
     exponent = (spec.order - 1) // 2
-    red = _Reducer(f)
     for cand in candidate_polys(spec, 2):
-        h = _powmod(cand, exponent, red)
+        h = _powmod(cand, exponent, f)
         g = f.gcd(h - Poly.one(spec))
         if 0 < g.degree < f.degree:
             smaller = g if g.degree <= f.degree - g.degree else f // g

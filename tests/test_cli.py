@@ -241,6 +241,20 @@ def test_plan_cli_rejects_an_invalid_group_at_n_1(capsys, p, m, message):
     assert json.loads(err)["error"].startswith(message)
 
 
+@pytest.mark.parametrize("p, n", [("1009", "2"), ("3", "1000000000")])
+def test_plan_cli_refuses_a_group_with_too_many_profiles(p, n):
+    """(p-1) p^(n-1) jump profiles above the cap exit 2 with an error JSON
+    before any enumeration, in a fresh process well inside its timeout."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ddcrit.cli", "plan", "--p", p, "--m", "2", "--n", n],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert json.loads(proc.stderr)["error"].endswith("more than 65536 jump profiles")
+
+
 def test_construct_cli(capsys):
     code, out, _ = run(capsys, "construct", "d9")
     assert code == 0

@@ -147,3 +147,12 @@ def test_traced_benchmark_targets_exist():
         if not hasattr(importlib.import_module(f"ddcrit.{module}"), name)
     ]
     assert missing == []
+
+
+def test_pyproject_version_is_the_package_version():
+    """pyproject.toml's ``version`` is ``ddcrit.__version__``, so a release
+    cannot bump one and not the other.  The toml is read with a regex:
+    ``tomllib`` is new in Python 3.11, and 3.10 is supported."""
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    (version,) = re.findall(r'^version = "([^"]*)"$', pyproject.read_text(), re.M)
+    assert version == ddcrit.__version__

@@ -18,7 +18,6 @@ from ddcrit.gf import (
     FieldElement,
     FieldSpec,
     _divmod_modp,
-    element_columns,
     kronecker_mul,
     make_field,
     root_of_unity,
@@ -31,7 +30,6 @@ from ddcrit.poly import (
     _embedding_image,
     _mth_root,
     _powmod,
-    _Reducer,
     elementary_symmetric,
     embed,
     embed_poly,
@@ -405,7 +403,7 @@ def test_kronecker_mul_wider_than_a_word():
             _check_products(spec, _vector(rng, spec, 5, top), _vector(rng, spec, 6, top))
 
 
-# -- reduction by a precomputed reciprocal against schoolbook division -------
+# -- modular powers against square-and-multiply on schoolbook division ------
 
 
 def _modulus(rng, spec, n, monic):
@@ -416,42 +414,25 @@ def _modulus(rng, spec, n, monic):
     return Poly(spec, _vector(rng, spec, n, False) + [lead])
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
-@pytest.mark.parametrize("k", [1, 2, 3, 8])
-def test_reducer_matches_divmod(p, k):
-    spec = make_field(p, k)
-    rng = random.Random(1000 * p + k)
-    # degree 44 is the largest modulus _powmod meets in the certify catalog
-    for n in (1, 2, 3, 8, 44):
-        for monic in (True, False):
-            mod = _modulus(rng, spec, n, monic)
-            red = _Reducer(mod)
-            lengths = range(2 * n) if n < 44 or k == 1 else (45, 66, 2 * n - 1)
-            products = [_vector(rng, spec, length, False) for length in lengths]
-            products.append(_vector(rng, spec, 2 * n - 1, True))
-            for c in products:
-                rem = red.reduce(element_columns(c, k))
-                assert len(rem) == k
-                rem = Poly(spec, [spec.element(d) for d in zip(*rem)])
-                assert rem == poly_divmod_reference(Poly(spec, c), mod)[1]
-
-
 @pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 3), (7, 8)])
 def test_powmod_matches_reference(p, k):
     spec = make_field(p, k)
     rng = random.Random(10 * p + k)
     q = spec.order
-    for d in (1, 2, 3):
-        mod = _modulus(rng, spec, d, monic=d != 2)
-        red = _Reducer(mod)
+    cases = [(d, d != 2, (0, 1, 2, q, (q**d - 1) // 2)) for d in (1, 2, 3)]
+    if k == 1:
+        # degree 44 is the largest modulus _powmod meets in the certify catalog
+        cases += [(d, monic, (0, 1, 2, p)) for d in (8, 44) for monic in (True, False)]
+    for d, monic, exponents in cases:
+        mod = _modulus(rng, spec, d, monic)
         for base in (
             Poly(spec, _vector(rng, spec, 2 * d + 1, False)),
             Poly(spec, _vector(rng, spec, d, True)),
             Poly.x(spec),
             Poly.zero(spec),
         ):
-            for e in (0, 1, 2, q, (q**d - 1) // 2):
-                assert _powmod(base, e, red) == powmod_reference(base, e, mod)
+            for e in exponents:
+                assert _powmod(base, e, mod) == powmod_reference(base, e, mod)
 
 
 # -- division over F_p on ints against schoolbook division on elements -------

@@ -111,7 +111,6 @@ def test_sum_polys_match_sympy_recursion(p, n):
 def test_level_cap():
     with pytest.raises(LevelTooHigh):
         witt_sum_polys(3, 4)
-    assert len(witt_sum_polys(3, 4, max_level=4)) == 4
 
 
 def test_standard_form_enforces_the_level_cap_before_reducing():
