@@ -86,13 +86,12 @@ def residue_data(q: Quadruple, f: Poly) -> ResidueData:
     """Extract splitting field, mu_m orbit representatives and residues
     a_j = 1/(x_j^(u~+1) f'(x_j)) of omega = dt/(f t^(u~+1)).
 
-    Raises NotSquarefree for repeated roots and ResidueNotPrimeField when
-    some residue falls outside F_p (both mean f fails the criterion)."""
+    Raises NotSquarefree (from ``orbit_reps_in_splitting_field``) for
+    repeated roots and ResidueNotPrimeField when some residue falls outside
+    F_p (both mean f fails the criterion)."""
     validate_shape(q, f)
     if q.n1 == 0:
         return ResidueData(q, f.spec.k, (), ())
-    if not f.is_squarefree():
-        raise NotSquarefree("f has repeated roots")
     degree, reps = orbit_reps_in_splitting_field(f, q.m)
     big = make_field(q.p, degree)
     f_big = embed_poly(f, big)

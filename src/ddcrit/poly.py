@@ -15,6 +15,7 @@ from math import lcm
 from .errors import (
     NotAField,
     NotOrbitClosed,
+    NotSquarefree,
     RepeatedRoot,
     SpecMismatch,
     ZeroRoot,
@@ -28,7 +29,6 @@ from .gf import (
     kronecker_mul,
     make_field,
     mth_root_by_log,
-    pth_root,
     root_of_unity,
     square_and_multiply,
 )
@@ -255,47 +255,11 @@ def _powmod(base: Poly, e: int, mod: Poly) -> Poly:
 # -- factorization -----------------------------------------------------------
 
 
-def _pth_root_poly(f: Poly) -> Poly:
-    """For f = g(t^p), return g (coefficientwise p-th roots)."""
-    p = f.spec.p
-    coeffs = [pth_root(f.coeffs[i]) for i in range(0, len(f.coeffs), p)]
-    return Poly(f.spec, coeffs)
-
-
-def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
-    """Yun-style decomposition valid in characteristic p; returns monic
-    (factor, multiplicity) pairs with the factors squarefree and coprime."""
-    f = f.monic()
-    out: list[tuple[Poly, int]] = []
-
-    def accumulate(g: Poly, scale: int):
-        # classical loop; p-th power parts recurse with multiplicity * p
-        d = g.derivative()
-        if not d:
-            if g.degree == 0:
-                return
-            accumulate(_pth_root_poly(g), scale * g.spec.p)
-            return
-        c = g.gcd(d)
-        w = g // c
-        mult = 1
-        while w.degree > 0:
-            y = w.gcd(c)
-            factor = w // y
-            if factor.degree > 0:
-                out.append((factor.monic(), mult * scale))
-            w = y
-            c = c // y
-            mult += 1
-        if c.degree > 0:
-            accumulate(_pth_root_poly(c), scale * g.spec.p)
-
-    accumulate(f, 1)
-    return out
-
-
 def distinct_degree_factorization(f: Poly) -> list[tuple[Poly, int]]:
-    """Split squarefree monic f into (product-of-irreducibles, degree) pairs."""
+    """Split monic f into (product of its distinct irreducible factors of
+    degree d, d) pairs, d ascending.  Round d divides every copy of the
+    factors it finds out of the rest, so later rounds, and the exit when
+    2d exceeds the degree of the rest, see only factors of higher degree."""
     spec = f.spec
     q = spec.order
     out = []
@@ -312,7 +276,9 @@ def distinct_degree_factorization(f: Poly) -> list[tuple[Poly, int]]:
         g = rest.gcd(h - x)
         if g.degree > 0:
             out.append((g, d))
-            rest = rest // g
+            while g.degree > 0:
+                rest = rest // g
+                g = rest.gcd(g)
             h = h % rest
     return out
 
@@ -417,12 +383,19 @@ def equal_degree_factorization(f: Poly, d: int) -> list[Poly]:
 
 
 def factor(f: Poly) -> list[tuple[Poly, int]]:
-    """Monic irreducible factors with multiplicities, deterministic order."""
+    """Monic irreducible factors with multiplicities, deterministic order.
+    Each multiplicity is counted by dividing the factor out of f."""
+    if not f:
+        raise ValueError("zero polynomial has no factorization")
+    f = f.monic()
     out = []
-    for sqf, mult in squarefree_decomposition(f):
-        for prod, d in distinct_degree_factorization(sqf):
-            for irr in equal_degree_factorization(prod, d):
-                out.append((irr, mult))
+    for prod, d in distinct_degree_factorization(f):
+        for irr in equal_degree_factorization(prod, d):
+            mult, (quot, rem) = 0, f.divmod(irr)
+            while not rem:
+                f, mult = quot, mult + 1
+                quot, rem = f.divmod(irr)
+            out.append((irr, mult))
     out.sort(key=lambda t: (t[0].degree, [c.sort_key() for c in t[0].coeffs]))
     return out
 
@@ -444,7 +417,7 @@ def embed(x: FieldElement, dst: FieldSpec) -> FieldElement:
     src = x.spec
     if src == dst:
         return x
-    if src.k == 1:
+    if src.k == 1 and src.p == dst.p:
         return dst.from_int(x.coeffs[0])
     return Poly.from_ints(dst, x.coeffs).evaluate(_embedding_image(src, dst))
 
@@ -469,7 +442,7 @@ def roots_in_splitting_field(f: Poly):
     if not f:
         raise ValueError("zero polynomial has no splitting field")
     spec = f.spec
-    factors = factor(f) if f.degree > 0 else []
+    factors = factor(f)
     degrees = [int(g.degree) for g, _ in factors]
     rel = lcm(*degrees) if degrees else 1
     big_degree = spec.k * rel
@@ -524,7 +497,8 @@ def orbit_reps_in_splitting_field(f: Poly, m: int):
     root x of y has x^(q^d) = eta x and degree d ord(eta) over F_q: D is k
     times the lcm of these.  One root y of each G in F_{p^D} and one m-th
     root x of it give x, x^q, ..., x^(q^(d-1)), m-th roots of the d
-    conjugates of y.  NotAField if these give fewer than deg F orbits."""
+    conjugates of y.  NotAField if these give fewer than deg F orbits;
+    NotSquarefree, after one squarefree test of F, if f has repeated roots."""
     if not f:
         raise ValueError("zero polynomial has no splitting field")
     if any(c for i, c in enumerate(f.coeffs) if i % m):
@@ -533,9 +507,9 @@ def orbit_reps_in_splitting_field(f: Poly, m: int):
         raise ZeroRoot("orbit representatives require nonzero roots")
     spec = f.spec
     big_f = Poly(spec, f.coeffs[::m])
-    factors = factor(big_f) if big_f.degree > 0 else []
-    if any(mult > 1 for _, mult in factors):
-        raise RepeatedRoot("repeated root in orbit partition")
+    if not big_f.is_squarefree():  # iff f is not: m | p - 1, f(0) != 0
+        raise NotSquarefree("f has repeated roots")
+    factors = factor(big_f)
     p, q, one = spec.p, spec.order, spec.one()
     degrees = []
     for g, _ in factors:

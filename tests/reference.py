@@ -31,6 +31,10 @@ was replaced by a simpler or faster exact path:
   both pieces, the oracle for the trace splitting of
   ``ddcrit.poly.equal_degree_factorization`` (behind ``factor`` and
   ``roots_in_field``);
+- ``factor_reference``: trial division by every monic polynomial of
+  degree 1, 2, ... in element order, each divided out as often as it
+  divides, over ``poly_divmod_reference``, the oracle for the factors and
+  multiplicities of ``ddcrit.poly.factor``;
 - ``one_root_reference``: Cantor-Zassenhaus over the splitting field with
   the same candidates, recursing into the smaller piece, the oracle for the
   one root that ``ddcrit.poly._conjugates`` takes by trace splitting;
@@ -454,6 +458,33 @@ def equal_degree_factorization_reference(f: Poly, d: int) -> list[Poly]:
                 key=lambda t: [c.sort_key() for c in t.coeffs],
             )
     raise AssertionError("equal-degree splitting exhausted candidates")
+
+
+def factor_reference(f: Poly) -> list[tuple[Poly, int]]:
+    """Monic irreducible factors of f != 0 with multiplicities, sorted like
+    ``factor``: each monic g of degree d = 1, 2, ... is divided out of f as
+    often as it divides.  Once the lower degrees are gone, a monic divisor
+    of degree d is irreducible, and when 2d exceeds the degree of what is
+    left, that is irreducible (or 1)."""
+    spec = f.spec
+    inv_lead = f.coeffs[-1].inverse()
+    rest = Poly(spec, [c * inv_lead for c in f.coeffs])
+    out = []
+    d = 1
+    while 2 * d <= rest.degree:
+        for tail in product(range(spec.order), repeat=d):
+            g = Poly(spec, [spec.element_by_index(i) for i in tail] + [spec.one()])
+            mult, (quot, rem) = 0, poly_divmod_reference(rest, g)
+            while not rem:
+                rest, mult = quot, mult + 1
+                quot, rem = poly_divmod_reference(rest, g)
+            if mult:
+                out.append((g, mult))
+        d += 1
+    if rest.degree > 0:
+        out.append((rest, 1))
+    out.sort(key=lambda t: (t[0].degree, [c.sort_key() for c in t[0].coeffs]))
+    return out
 
 
 def one_root_reference(f: Poly):

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -156,3 +157,26 @@ def test_pyproject_version_is_the_package_version():
     pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
     (version,) = re.findall(r'^version = "([^"]*)"$', pyproject.read_text(), re.M)
     assert version == ddcrit.__version__
+
+
+def test_catalog_builder_groups_checks_by_squarefreeness(monkeypatch):
+    """``perfbench/build_catalog.py`` reads ``factor``'s multiplicities to
+    group its random checks: with the catalog seed, every member of the
+    ``nonsquarefree`` group has a non-squarefree f and every other member a
+    squarefree one, in groups of the recorded sizes.  The builder is
+    imported as ``scripts/check_catalog.py`` imports perfbench's job runner,
+    and only its grouping is run."""
+    from ddcrit.gf import make_field
+    from ddcrit.poly import Poly
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    build_catalog = importlib.import_module("build_catalog")
+    groups = build_catalog._random_checks(random.Random(20150226))
+    sizes = {name: len(members) for name, members in groups.items()}
+    assert sizes == {"nonsquarefree": 41, "low": 203, "mid": 104, "high": 52}
+    for name, members in groups.items():
+        for argv, meta in members:
+            assert argv[-2] == "--f"
+            f = Poly.from_ints(make_field(meta["p"], 1), map(int, argv[-1].split(",")))
+            assert f.is_squarefree() == (name != "nonsquarefree"), argv

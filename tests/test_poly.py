@@ -10,6 +10,7 @@ from ddcrit.cartier import cartier
 from ddcrit.errors import (
     NotAField,
     NotOrbitClosed,
+    NotSquarefree,
     RepeatedRoot,
     SpecMismatch,
     ZeroRoot,
@@ -46,6 +47,7 @@ from reference import (
     cartier_reference,
     embedding_image_reference,
     equal_degree_factorization_reference,
+    factor_reference,
     laurent_add_reference,
     laurent_frobenius_reference,
     laurent_map_coeffs_reference,
@@ -132,6 +134,26 @@ def test_factor_deterministic():
     f = F8_POLY
     assert factor(f) == factor(f)
     assert all(m == 1 for _, m in factor(f))
+    # t^6 + 1 = (t^2 + 1)^3 over F_3, a p-th power
+    assert factor(poly_from_ints(F3, [1, 0, 0, 0, 0, 0, 1])) == [
+        (poly_from_ints(F3, [1, 0, 1]), 3)
+    ]
+    for fn in (factor, roots_in_field):
+        with pytest.raises(ValueError):
+            fn(Poly.zero(F3))
+
+
+@pytest.mark.parametrize("p, k, top", [(3, 1, 6), (5, 1, 4), (7, 1, 3), (3, 2, 3)])
+def test_factor_matches_trial_division_exhaustively(p, k, top):
+    """Every monic polynomial of degree 1..top: ``factor`` gives the
+    irreducible factors and multiplicities of trial division, repeated
+    factors and p-th powers included."""
+    spec = make_field(p, k)
+    elements = list(spec.elements())
+    for n in range(1, top + 1):
+        for low in itertools.product(elements, repeat=n):
+            f = Poly(spec, list(low) + [spec.one()])
+            assert factor(f) == factor_reference(f), low
 
 
 def test_squarefree_detection():
@@ -345,6 +367,11 @@ def test_embedding_consistency():
         y = f9.element_by_index((i * 5 + 2) % 9)
         assert embed(x * y, f81) == embed(x, f81) * embed(y, f81)
         assert embed(x + y, f81) == embed(x, f81) + embed(y, f81)
+    for dst in (F5, make_field(7, 2)):  # another characteristic
+        with pytest.raises(SpecMismatch):
+            embed(F3.from_int(2), dst)
+        with pytest.raises(SpecMismatch):
+            embed_poly(poly_from_ints(F3, [1, 2]), dst)
 
 
 # -- the packed product against the schoolbook oracle ------------------------
@@ -730,18 +757,25 @@ def _in_t_m(coeffs, m, spec):
     (3, 2, 2, 2), (5, 2, 2, 2),
 ])
 def test_orbit_reps_match_the_root_list_exhaustively(p, m, k, top):
-    """Every squarefree monic F of degree 1..top with F(0) != 0: f = F(t^m)
-    gets the same (D, reps) from both paths, or NotAField from both (at
-    F_{3^12} and F_{7^12}, whose moduli are reducible, ROADMAP defect 1).
-    The leading coefficient of f changes no root, so monic F cover all f."""
+    """Every monic F of degree 1..top with F(0) != 0: f = F(t^m) gets the
+    same (D, reps) from both paths, or NotAField from both (at F_{3^12} and
+    F_{7^12}, whose moduli are reducible, ROADMAP defect 1), if f is
+    squarefree, and NotSquarefree from ``orbit_reps_in_splitting_field``
+    if not.  The leading coefficient of f changes no root, so monic F cover
+    all f."""
     spec = make_field(p, k)
     elements = list(spec.elements())
     for n in range(1, top + 1):
         for low in itertools.product(elements, repeat=n):
             f = _in_t_m(list(low) + [spec.one()], m, spec)
-            if low[0] and f.is_squarefree():
+            if not low[0]:
+                continue
+            if f.is_squarefree():
                 old, new = _both_paths(f, m)
                 assert old == new, (low, old, new)
+            else:
+                with pytest.raises(NotSquarefree):
+                    orbit_reps_in_splitting_field(f, m)
 
 
 @settings(max_examples=20, deadline=None)
@@ -781,7 +815,7 @@ def test_orbit_reps_check_their_input():
         orbit_reps_in_splitting_field(poly_from_ints(F3, [1, 1, 1]), 2)
     with pytest.raises(ZeroRoot):
         orbit_reps_in_splitting_field(poly_from_ints(F3, [0, 0, 1]), 2)
-    with pytest.raises(RepeatedRoot):
+    with pytest.raises(NotSquarefree):
         orbit_reps_in_splitting_field(poly_from_ints(F3, [1, 0, 2, 0, 1]), 2)
     assert orbit_reps_in_splitting_field(poly_from_ints(F3, [2]), 2) == (1, [])
 
