@@ -18,7 +18,7 @@ from .criterion import (
     reconstruct_f,
 )
 from .errors import ExtensionCapExceeded, SingularSystem
-from .gf import make_field, ord_mod, root_of_unity, solve_modp, trace_to_prime
+from .gf import make_field, ord_mod, root_of_unity, solve_modp, subfield_trace
 from .poly import Poly, mu_m_orbit_reps
 
 DEFAULT_DEGREE_CAP = 16
@@ -78,24 +78,19 @@ def construct_trace(
         )
     spec = make_field(p, degree)
     zeta = root_of_unity(spec, big_m)
-    mu = []
-    y = spec.one()
+    # x = zeta^i has x^(-u) = step^i, and step has order p^(nu+1) - 1, so
+    # x^(-u) lies in F_{p^(nu+1)}: each trace is taken once, untested
+    step = zeta ** (-q.u)
+    trace_of = {}
+    x = y = spec.one()
     for _ in range(big_m):
-        mu.append(y)
-        y = y * zeta
-    kept = []
-    removed = 0
-    for x in mu:
-        if trace_to_prime(x ** (-q.u), q.nu + 1):
-            kept.append(x)
-        else:
-            removed += 1
-    if removed != q.u * (p**q.nu - 1):
+        trace_of[x] = subfield_trace(y, q.nu + 1)
+        x, y = x * zeta, y * step
+    kept = [x for x, trace in trace_of.items() if trace]
+    if big_m - len(kept) != q.u * (p**q.nu - 1):
         raise AssertionError("trace-zero set has unexpected cardinality")
     reps = mu_m_orbit_reps(kept, m, spec)
-    residues = tuple(
-        (-trace_to_prime(x ** (-q.u), q.nu + 1)).prime_int() for x in reps
-    )
+    residues = tuple((-trace_of[x]).prime_int() for x in reps)
     rd = ResidueData(q, degree, tuple(reps), residues)
     if not power_sum_check(rd):
         raise AssertionError("trace-family data fails the power-sum system")

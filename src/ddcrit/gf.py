@@ -778,21 +778,119 @@ def pth_root(x: FieldElement) -> FieldElement:
     return x ** (x.spec.p ** (x.spec.k - 1))
 
 
-def mth_root_by_log(y: FieldElement, m: int) -> FieldElement | None:
-    """One x with x^m = y in a field with log tables (2 <= k, q within the
-    table bound), for m | q - 1: exp[log y / m], one lookup, and zero for
-    y = 0.  NotAField if y is no m-th power, i.e. m does not divide log y.
-    None in every other field, which has no logarithms to divide."""
+def mth_root(y: FieldElement, m: int) -> FieldElement:
+    """One x with x^m = y in y's field F_q, for m | p - 1, and zero for
+    y = 0.  In a tabled field it is one lookup, exp[floor(log y / m)].  In
+    every other field, F_p included, it takes an l^a-th root for each
+    prime power l^a exactly dividing m in turn, by Adleman-Manders-Miller
+    (``_prime_power_root``).  If y is an m-th power, each such root is a
+    power for the primes still to come: it is off by an element of
+    mu_(l^a), and m / l^a, prime to l, permutes mu_(l^a).  NotAField if y
+    is no m-th power or the ring is no field: x^m = y is checked at the
+    end."""
     spec = y.spec
-    t = spec._tables
-    if t is None:
-        return None
-    if not y.v:
+    if m < 1 or (spec.p - 1) % m:
+        raise OrderNotDividing(f"{m} does not divide {spec.p - 1}")
+    if not y:
         return y
-    e, r = divmod(t.log[y.v], m)
-    if r:
+    t = spec._tables
+    if t is not None:
+        x = FieldElement(spec, t.exp[t.log[y.v] // m])
+    else:
+        x = y
+        for l in prime_factors(m):
+            a = 1
+            while m % l ** (a + 1) == 0:
+                a += 1
+            x = _prime_power_root(x, l, a)
+    if x**m != y:
         raise NotAField(f"{y!r} has no {m}-th root in F_{{{spec.p}^{spec.k}}}")
-    return FieldElement(spec, t.exp[e])
+    return x
+
+
+def _prime_power_root(y: FieldElement, l: int, a: int) -> FieldElement:
+    """An x with x^L = y, L = l^a, when y is an L-th power (Adleman-
+    Manders-Miller, "On taking roots in finite fields", FOCS 1977; Tonelli-
+    Shanks for l = 2).  With q - 1 = l^s t, l not dividing t, and
+    L alpha = 1 mod t, x0 = y^alpha has x0^L = y b, where b = y^(L alpha - 1)
+    lies in the l-Sylow subgroup, cyclic of order l^s and generated by c
+    (``_sylow``), and is an L-th power there: b = c^(L j).  The digits of j
+    base l come one at a time (Pohlig-Hellman), each from the order-l
+    element it gives, and x = x0 c^(-j).  Any other y, or a ring that is
+    no field, gives some x, which ``mth_root`` rejects."""
+    s, t, logs, inverse_powers = _sylow(y.spec, l)
+    big_l = l**a
+    alpha = pow(big_l, -1, t) if t > 1 else 1
+    # one large power: v = y^(alpha - 1), then x0 = v y, b = x0^(L-1) v
+    v = y ** (alpha - 1)
+    x = v * y
+    b = x ** (big_l - 1) * v
+    # b = c^(L j): digit i of j is read from b c^(-L (j mod l^i)), whose
+    # l^(s-a-1-i)-th power is zeta^(digit), zeta = c^(l^(s-1)) of order l
+    for i in range(s - a):
+        digit = logs.get((b ** (l ** (s - a - 1 - i))).v)
+        if digit is None:  # y is no L-th power, or the ring no field
+            return x
+        if digit:
+            b = b * inverse_powers[a + i] ** digit
+            x = x * inverse_powers[i] ** digit
+    return x
+
+
+@functools.lru_cache(maxsize=None)
+def _sylow(spec: FieldSpec, l: int) -> tuple[int, int, dict, list]:
+    """(s, t, logs, inverse_powers) for the l-Sylow subgroup of F_q^*, l a
+    prime dividing p - 1: q - 1 = l^s t with l not dividing t, the
+    subgroup generated by c = z^t for an element z that is no l-th power,
+    ``logs`` sending the stored value of zeta^i, zeta = c^(l^(s-1)), to i
+    for i < l, and inverse_powers[i] = c^(-l^i) for i < s, each a positive
+    power of c, so no inverse is taken."""
+    q1 = spec.order - 1
+    s, t = 0, q1
+    while t % l == 0:
+        s, t = s + 1, t // l
+    c = _non_lth_power(spec, l) ** t
+    order = l**s
+    inverse_powers = [c ** (order - l**i) for i in range(s)]
+    zeta = c ** (l ** (s - 1))
+    logs, w = {}, spec.one()
+    for i in range(l):
+        logs[w.v] = i
+        w = w * zeta
+    return s, t, logs, inverse_powers
+
+
+def _non_lth_power(spec: FieldSpec, l: int) -> FieldElement:
+    """An element z with z^((q-1)/l) != 1, l a prime dividing p - 1.  As
+    (q-1)/l = (q-1)/(p-1) (p-1)/l, that power is N(z)^((p-1)/l), N the
+    norm to F_p, so x + c for c = 0, 1, ... is tested on N(x + c) =
+    (-1)^k M(-c), M the modulus (``_shift_norms``), by int powers mod p.
+    Only if every c fails, which the Weil bound rules out once p exceeds
+    about k^2, are the elements scanned in index order.  NotAField if none
+    is found (the ring is no field)."""
+    p, k = spec.p, spec.k
+    e = (p - 1) // l
+    for c, norm in _shift_norms(spec):
+        if norm and pow(norm, e, p) != 1:
+            return spec.element([c, 1]) if k > 1 else spec.from_int(c)
+    e, one = (spec.order - 1) // l, spec.one()
+    for z in spec.elements():
+        if z and z**e != one:
+            return z
+    raise NotAField(f"F_{{{p}^{k}}} has no element that is no {l}-th power")
+
+
+def _shift_norms(spec: FieldSpec):
+    """(c, N(x + c)) for c = 0, 1, ..., p - 1, with x the class of the
+    variable (the element c itself at k = 1): N(x + c) = prod (r + c) over
+    the roots r of the modulus M, which is (-1)^k M(-c), an int mod p."""
+    p, k = spec.p, spec.k
+    sign = -1 if k % 2 else 1
+    for c in range(p):
+        value = 0
+        for coefficient in reversed(spec.modulus):
+            value = (value * -c + coefficient) % p
+        yield c, sign * value % p
 
 
 def trace_to_prime(x: FieldElement, d: int) -> FieldElement:
@@ -805,11 +903,17 @@ def trace_to_prime(x: FieldElement, d: int) -> FieldElement:
         raise NotInSubfield(f"degree {d} does not divide {spec.k}")
     if x ** (spec.p**d) != x:
         raise NotInSubfield("element is not fixed by the subfield Frobenius")
-    total = spec.zero()
-    y = x
-    for _ in range(d):
-        total = total + y
-        y = y**spec.p
+    return subfield_trace(x, d)
+
+
+def subfield_trace(x: FieldElement, d: int) -> FieldElement:
+    """x + x^p + ... + x^(p^(d-1)): the trace to F_p of an x that the
+    caller knows to lie in F_{p^d}, without ``trace_to_prime``'s checks."""
+    p = x.spec.p
+    total = x
+    for _ in range(d - 1):
+        x = x**p
+        total = total + x
     return total
 
 

@@ -3,7 +3,8 @@ explicit finite field, with factorization and deterministic root extraction
 into a single splitting field.
 
 Equal-degree factors and roots are split by Berlekamp's trace splitting, a
-deterministic algorithm, so results are bit-for-bit reproducible.
+deterministic algorithm, so results are bit-for-bit reproducible; roots of
+quadratics and m-th roots are taken by radicals instead.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .gf import (
     element_columns,
     kronecker_mul,
     make_field,
-    mth_root_by_log,
+    mth_root,
     root_of_unity,
     square_and_multiply,
 )
@@ -456,11 +457,16 @@ def roots_in_splitting_field(f: Poly):
 
 def _one_root(g: Poly, big: FieldSpec) -> FieldElement:
     """One root in big = F_{p^D} of a monic irreducible g over its own field
-    F_q (q = p^k), which splits in big, by the trace splitting of g over
-    big.  x^(p^i) mod g is computed over F_q, where it repeats with period
-    k deg g, and embedded."""
+    F_q (q = p^k), which splits in big.  A quadratic t^2 + bt + c takes
+    (-b + sqrt(b^2 - 4c))/2, the square root by ``gf.mth_root``; a higher
+    degree g is split over big by ``_trace_split``, with x^(p^i) mod g
+    computed over F_q, where it repeats with period k deg g, and embedded."""
     if g.degree == 1:
         return embed(-g.coeffs[0], big)
+    if g.degree == 2:
+        c, b = (embed(a, big) for a in g.coeffs[:2])
+        # (p + 1) / 2 is 1/2 mod p
+        return (mth_root(b * b - c * 4, 2) - b) * ((big.p + 1) // 2)
     xs = _frobenius_powers(g, g.spec.k * int(g.degree))
     xs = [embed_poly(x, big) for x in xs]
     (linear,) = _trace_split(embed_poly(g, big), xs, 1, one=True)
@@ -495,10 +501,12 @@ def orbit_reps_in_splitting_field(f: Poly, m: int):
     irreducible factor G of F of degree d has roots y with
     y^((q^d-1)/m) = eta, eta = ((-1)^d G(0))^((q-1)/m) in mu_m, so an m-th
     root x of y has x^(q^d) = eta x and degree d ord(eta) over F_q: D is k
-    times the lcm of these.  One root y of each G in F_{p^D} and one m-th
-    root x of it give x, x^q, ..., x^(q^(d-1)), m-th roots of the d
-    conjugates of y.  NotAField if these give fewer than deg F orbits;
-    NotSquarefree, after one squarefree test of F, if f has repeated roots."""
+    times the lcm of these.  One root y of each G in F_{p^D} (``_one_root``)
+    and one m-th root x of it (``gf.mth_root``) give x, x^q, ...,
+    x^(q^(d-1)), m-th roots of the d conjugates of y; any choice of either
+    root gives the same orbits.  NotAField if these give fewer than deg F
+    orbits; NotSquarefree, after one squarefree test of F, if f has
+    repeated roots."""
     if not f:
         raise ValueError("zero polynomial has no splitting field")
     if any(c for i, c in enumerate(f.coeffs) if i % m):
@@ -523,7 +531,7 @@ def orbit_reps_in_splitting_field(f: Poly, m: int):
     mu_m = _mu_m(p, m)
     reps = []
     for g, _ in factors:
-        x = _mth_root(_one_root(g, big), m)
+        x = mth_root(_one_root(g, big), m)
         for i in range(int(g.degree)):
             if i:
                 x = x**q
@@ -532,30 +540,6 @@ def orbit_reps_in_splitting_field(f: Poly, m: int):
     if len(set(reps)) != len(reps):
         raise NotAField(f"F_{{{p}^{big_degree}}}: fewer orbits than deg F")
     return big_degree, reps
-
-
-def _mth_root(y: FieldElement, m: int) -> FieldElement:
-    """One x with x^m = y != 0 in y's field F_{p^D}, m | p - 1, else
-    NotAField.  With log tables it is ``gf.mth_root_by_log``; otherwise a
-    linear factor of t^m - y by ``_trace_split``.  As p^i = 1 mod m,
-    t^(p^i) = c_i t mod t^m - y with c_i = y^((p^i-1)/m), so the Frobenius
-    powers are monomials, c_(i+1) = c_i^p y^((p-1)/m), with period D
-    exactly when c_D = 1, i.e. when y is an m-th power."""
-    x = mth_root_by_log(y, m)
-    if x is not None:
-        return x
-    big = y.spec
-    zero, one = big.zero(), big.one()
-    step = y ** ((big.p - 1) // m)
-    xs, c = [], one
-    for _ in range(big.k):
-        xs.append(Poly(big, [zero, c]))
-        c = c**big.p * step
-    if c != one:
-        raise NotAField(f"{y!r} has no {m}-th root in F_{{{big.p}^{big.k}}}")
-    binomial = Poly(big, [-y] + [zero] * (m - 1) + [one])
-    (linear,) = _trace_split(binomial, xs, 1, one=True)
-    return -linear.coeffs[0]
 
 
 def _mu_m(p: int, m: int) -> list[int]:

@@ -37,7 +37,9 @@ was replaced by a simpler or faster exact path:
   multiplicities of ``ddcrit.poly.factor``;
 - ``one_root_reference``: Cantor-Zassenhaus over the splitting field with
   the same candidates, recursing into the smaller piece, the oracle for the
-  one root that ``ddcrit.poly._conjugates`` takes by trace splitting;
+  one root that ``ddcrit.poly._one_root`` takes, by the quadratic formula
+  for a quadratic and by trace splitting above, and so for the root sets of
+  ``ddcrit.poly._conjugates``;
 - ``embedding_image_reference``: the least root of the source modulus by
   ``roots_in_field`` over the target field, which factors there, the oracle
   for ``ddcrit.poly._embedding_image`` (the least of the conjugates of one
@@ -490,7 +492,10 @@ def factor_reference(f: Poly) -> list[tuple[Poly, int]]:
 def one_root_reference(f: Poly):
     """One root of a monic polynomial that splits completely in its field:
     gcd(f, h^((q-1)/2) - 1) for the candidates h of degree <= 2 until one
-    splits f, then the same on the smaller piece."""
+    splits f, then the same on the smaller piece.  It takes no square root
+    and no trace, so it checks both ways ``ddcrit.poly._one_root`` finds a
+    root: the quadratic formula with ``gf.mth_root`` for a quadratic, and
+    trace splitting for degree >= 3."""
     spec = f.spec
     if f.degree == 1:
         return -f.coeffs[0]

@@ -93,6 +93,26 @@ def test_trace_dichotomy_sweep():
         assert isolated == expected, (p, m, u_tilde)
 
 
+@pytest.mark.parametrize("p, m, u_tilde", [(3, 2, 5), (5, 4, 3), (7, 6, 5)])
+def test_trace_takes_one_trace_per_root_of_unity(monkeypatch, p, m, u_tilde):
+    """Each of the M roots of unity gets one trace, with no subfield test;
+    the residues are those of the checked ``trace_to_prime`` of x^(-u)."""
+    from ddcrit import construct, gf
+
+    calls = []
+    def subfield_trace(x, d):
+        calls.append(d)
+        return gf.subfield_trace(x, d)
+
+    monkeypatch.setattr(construct, "subfield_trace", subfield_trace)
+    rd = construct_trace(p, m, u_tilde)
+    q = rd.quadruple
+    assert calls == [q.nu + 1] * (q.u * (p ** (q.nu + 1) - 1))
+    assert rd.residues == tuple(
+        (-gf.trace_to_prime(x ** (-q.u), q.nu + 1)).prime_int() for x in rd.reps
+    )
+
+
 def test_trace_reconstruct_satisfies_ddc():
     rd = construct_trace(5, 4, 3)
     f = reconstruct_f(rd)

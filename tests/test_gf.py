@@ -21,7 +21,7 @@ from ddcrit.gf import (
     is_prime,
     kronecker_mul,
     make_field,
-    mth_root_by_log,
+    mth_root,
     ord_mod,
     pth_root,
     root_of_unity,
@@ -459,8 +459,9 @@ def test_prime_field_operands_above_the_table_bound_skip_the_kernel(p, k, monkey
 @pytest.mark.parametrize("p, k, ms", [(3, 2, [2]), (5, 2, [2, 4]), (7, 2, [2, 3, 6]),
                                       (3, 4, [2]), (11, 2, [2, 5]), (5, 5, [2, 4])])
 def test_mth_root_by_log_inverts_every_mth_power(p, k, ms):
-    """In a tabled field every nonzero m-th power y has an x with x^m = y,
-    and every other nonzero element raises NotAField."""
+    """In a tabled field ``mth_root`` is a log lookup: every nonzero m-th
+    power y gets an x with x^m = y, and every other nonzero element raises
+    NotAField."""
     spec = make_field(p, k)
     assert spec._tables is not None
     nonzero = [spec.element_by_index(i) for i in range(1, spec.order)]
@@ -469,16 +470,121 @@ def test_mth_root_by_log_inverts_every_mth_power(p, k, ms):
         assert len(powers) == (spec.order - 1) // m
         for y in nonzero:
             if y in powers:
-                assert mth_root_by_log(y, m) ** m == y
+                assert mth_root(y, m) ** m == y
             else:
                 with pytest.raises(NotAField):
-                    mth_root_by_log(y, m)
-        assert mth_root_by_log(spec.zero(), m) == spec.zero()
+                    mth_root(y, m)
+        assert mth_root(spec.zero(), m) == spec.zero()
 
 
-def test_mth_root_by_log_leaves_untabled_fields_to_the_caller():
-    for spec in (make_field(7, 1), make_field(5, 6)):
-        assert mth_root_by_log(spec.one(), 2) is None
+def test_mth_root_of_an_untabled_field_builds_no_log_tables(monkeypatch):
+    """F_p and fields above the table bound have no logarithms: their roots
+    come from Adleman-Manders-Miller, which seeks no generator."""
+    monkeypatch.setattr(gf, "_least_generator", lambda spec: pytest.fail("generator"))
+    for spec in (FieldSpec(7, 1, (0, 1)), FieldSpec(5, 6, make_field(5, 6).modulus)):
+        for m in (2, 4) if spec.p == 5 else (2, 3, 6):
+            x = mth_root(spec.one(), m)
+            assert x**m == spec.one()
+            assert mth_root(spec.zero(), m) == spec.zero()
+        assert spec._tables is None
+
+
+@pytest.mark.parametrize("p, k, m", [(7, 1, 6), (13, 1, 12), (5, 6, 4), (3, 8, 2),
+                                     (7, 6, 6), (31, 3, 30), (10009, 1, 8)])
+def test_mth_root_by_adleman_manders_miller_against_random_powers(p, k, m):
+    """Seeded m-th powers z^m get a root; of the non-powers, each raises
+    NotAField.  m runs over prime powers and products of several primes,
+    so one root is taken per prime power of m in turn."""
+    spec = make_field(p, k)
+    assert spec._tables is None
+    rng = random.Random(f"amm:{p}:{k}:{m}")
+    for _ in range(12):
+        z = spec.element([rng.randrange(p) for _ in range(k)])
+        assert mth_root(z**m, m) ** m == z**m
+        if z and z ** ((spec.order - 1) // m) != spec.one():
+            with pytest.raises(NotAField):
+                mth_root(z, m)
+
+
+def test_mth_root_needs_m_dividing_p_minus_1():
+    with pytest.raises(OrderNotDividing):
+        mth_root(make_field(7, 2).one(), 4)
+    with pytest.raises(OrderNotDividing):
+        mth_root(make_field(5, 1).one(), 0)
+
+
+@pytest.mark.parametrize(
+    "spec", [FieldSpec(3, 2, (2, 0, 1)), FieldSpec(5, 2, (4, 0, 1)), make_field(3, 12)]
+)
+def test_mth_root_over_a_reducible_modulus_raises_not_a_field(spec):
+    """Over a ring that is no field each nonzero y either raises NotAField
+    or gets a true root, never a wrong one, a ZeroDivisionError or a
+    ValueError.  A tabled ring fails as its log tables are built; the
+    untabled F_{3^12} (ROADMAP defect 1) fails the final check x^m = y for
+    at least the zero divisors among the samples."""
+    p, k = spec.p, spec.k
+    rng = random.Random(f"reducible:{p}:{k}")
+    samples = [spec.element([rng.randrange(p) for _ in range(k)]) for _ in range(20)]
+    samples += [spec.element([1, 1]), spec.element([2, 2]), spec.element([0, 1])]
+    samples = [y for y in samples if y]
+    ms = [m for m in (2, 4) if (p - 1) % m == 0]
+    failures = 0
+    for y in samples:
+        for m in ms:
+            try:
+                x = mth_root(y, m)
+            except NotAField:
+                failures += 1
+            else:
+                assert x**m == y
+    if spec._coded:
+        assert failures == len(samples) * len(ms)
+    else:
+        # 1 + x and 1 - x are zero divisors: x^12 + x^2 + 1 has the roots 1, -1
+        assert failures > 0
+
+
+@pytest.mark.parametrize("p, k, l", [(3, 10, 2), (7, 7, 3)])
+def test_non_residue_search_falls_back_to_an_element_scan(p, k, l):
+    """Every shift x + c of F_{3^10} has a square norm, and every one of
+    F_{7^7} a cube norm, so the search scans elements; the element found is
+    no l-th power, and m-th roots still come out."""
+    spec = make_field(p, k)
+    e = (p - 1) // l
+    assert all(pow(n, e, p) == 1 for _, n in gf._shift_norms(spec))
+    z = gf._non_lth_power(spec, l)
+    assert z ** ((spec.order - 1) // l) != spec.one()
+    rng = random.Random(f"fallback:{p}:{k}")
+    for _ in range(3):
+        y = spec.element([rng.randrange(p) for _ in range(k)]) ** l
+        assert mth_root(y, l) ** l == y
+
+
+@pytest.mark.parametrize("p", [10007, 10009])
+def test_non_residue_search_in_a_large_quadratic_field_tries_few_shifts(monkeypatch, p):
+    """The l-Sylow generator of F_{p^2} comes from the first x + c whose
+    norm is no l-th power mod p: count the shifts tried, so an O(p) scan
+    such as x, 2x, 3x, ... (all of one norm class) cannot come back."""
+    tries = []
+    shift_norms = gf._shift_norms
+
+    def counted(spec):
+        for pair in shift_norms(spec):
+            tries.append(pair)
+            yield pair
+
+    monkeypatch.setattr(gf, "_shift_norms", counted)
+    spec = FieldSpec(p, 2, make_field(p, 2).modulus)  # nothing cached
+    for l in gf.prime_factors(p - 1)[:2]:
+        tries.clear()
+        s, t, logs, inverse_powers = gf._sylow(spec, l)
+        assert 1 <= len(tries) <= 16
+        assert len(logs) == l and len(inverse_powers) == s
+        # c^(-1) = inverse_powers[0] has order l^s exactly
+        c = inverse_powers[0]
+        assert c ** (l**s) == spec.one() != c ** (l ** (s - 1))
+    z = spec.element([3, 5])
+    assert mth_root(z**2, 2) ** 2 == z**2
 
 
 @pytest.mark.parametrize("spec", [FieldSpec(3, 2, (2, 0, 1)), FieldSpec(5, 2, (4, 0, 1))])

@@ -21,6 +21,7 @@ from ddcrit.gf import (
     _divmod_modp,
     kronecker_mul,
     make_field,
+    mth_root,
     root_of_unity,
 )
 from ddcrit.poly import (
@@ -29,7 +30,7 @@ from ddcrit.poly import (
     Poly,
     _conjugates,
     _embedding_image,
-    _mth_root,
+    _one_root,
     _powmod,
     elementary_symmetric,
     embed,
@@ -822,32 +823,111 @@ def test_orbit_reps_check_their_input():
 
 @pytest.mark.parametrize("p, ms", [(7, [2, 3, 6]), (11, [2, 5]), (13, [3, 4])])
 def test_mth_root_over_a_prime_field_inverts_every_mth_power(p, ms):
-    """At k = 1, where no log table exists, t^m - y is split; test_gf
-    checks the tabled fields, where the root is one lookup."""
+    """At k = 1, where no log table exists, ``gf.mth_root`` takes the root
+    by Adleman-Manders-Miller; test_gf checks the tabled fields, where the
+    root is one lookup."""
     spec = make_field(p, 1)
     nonzero = [spec.element_by_index(i) for i in range(1, spec.order)]
     for m in ms:
         powers = {z**m for z in nonzero}
         for y in powers:
-            assert _mth_root(y, m) ** m == y
+            assert mth_root(y, m) ** m == y
         for y in set(nonzero) - powers:
             with pytest.raises(NotAField):
-                _mth_root(y, m)
+                mth_root(y, m)
 
 
 @pytest.mark.parametrize("p, k, m", [(5, 6, 4), (3, 8, 2), (7, 6, 3), (3, 16, 2)])
 def test_mth_root_above_the_table_bound(p, k, m):
-    """Random m-th powers get a root from the split of t^m - y, and a
+    """Random m-th powers get a root from ``gf.mth_root``, and a
     generator, which is no m-th power, raises NotAField."""
     spec = make_field(p, k)
     rng = random.Random(f"mth-root:{p}:{k}")
     for _ in range(8):
         z = spec.element([rng.randrange(p) for _ in range(k)])
         if z:
-            assert _mth_root(z**m, m) ** m == z**m
+            assert mth_root(z**m, m) ** m == z**m
     generator = root_of_unity(spec, spec.order - 1)
     with pytest.raises(NotAField):
-        _mth_root(generator, m)
+        mth_root(generator, m)
+
+
+def _monic_quadratics(spec):
+    for c, b in itertools.product(spec.elements(), repeat=2):
+        yield Poly(spec, [c, b, spec.one()])
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_quadratic_roots_by_radicals_against_cantor_zassenhaus(p, k):
+    """Every monic irreducible quadratic g over F_3, F_5, F_7 and F_9: the
+    quadratic formula in ``_one_root`` gives a root in F_{q^2}, and
+    ``_conjugates`` gives the root set of ``roots_in_splitting_field`` and
+    of the Cantor-Zassenhaus oracle."""
+    spec = make_field(p, k)
+    big = make_field(p, 2 * k)
+    irreducible = [g for g in _monic_quadratics(spec) if factor(g) == [(g, 1)]]
+    assert len(irreducible) == (spec.order**2 - spec.order) // 2
+    for g in irreducible:
+        gb = embed_poly(g, big)
+        assert not gb.evaluate(_one_root(g, big))
+        roots = sorted(_conjugates(g, big), key=FieldElement.sort_key)
+        assert roots_in_splitting_field(g) == (2 * k, roots)
+        assert roots == _orbit(one_root_reference(gb), spec.order)
+
+
+def test_quadratic_roots_by_radicals_above_the_table_bound():
+    """Seeded irreducible quadratics over the untabled F_{3^8}: roots in
+    F_{3^16}, against the root list and the Cantor-Zassenhaus oracle."""
+    spec, big = make_field(3, 8), make_field(3, 16)
+    assert spec._tables is None and _is_field(big)
+    rng = random.Random("quadratic:3:8")
+    for _ in range(4):
+        g = _irreducible(rng, spec, 2)
+        gb = embed_poly(g, big)
+        assert not gb.evaluate(_one_root(g, big))
+        roots = sorted(_conjugates(g, big), key=FieldElement.sort_key)
+        assert roots_in_splitting_field(g) == (16, roots)
+        assert roots == _orbit(one_root_reference(gb), spec.order)
+
+
+@pytest.mark.parametrize("p, m, k, degrees", [
+    (7, 2, 1, (1, 2, 2, 4)), (13, 4, 1, (1, 2, 4)),
+    (5, 2, 2, (1, 2, 4)), (3, 2, 4, (1, 2, 2)),
+])
+def test_orbit_reps_split_no_binomial_and_no_quadratic(monkeypatch, p, m, k, degrees):
+    """m-th roots come from ``gf.mth_root`` and quadratic factors from the
+    quadratic formula: every one-root split of the orbit-reps path is an
+    irreducible factor G of F of degree >= 3, never t^m - y, and the reps
+    match the full root list.  D stays a power of 2 times k, clear of the
+    reducible moduli of ROADMAP defect 1."""
+    from ddcrit import poly
+
+    spec = make_field(p, k)
+    rng = random.Random(f"no-binomial:{p}:{m}:{k}")
+    splits = []
+    real_trace_split = poly._trace_split
+
+    def trace_split(f, xs, d, one=False):
+        if one:
+            splits.append(f)
+        return real_trace_split(f, xs, d, one)
+
+    for _ in range(3):
+        factors = set()
+        for d in degrees:
+            g = _irreducible(rng, spec, d)
+            while not g.coeffs[0]:
+                g = _irreducible(rng, spec, d)
+            factors.add(g)
+        f = _in_t_m(list(_product(factors, spec).coeffs), m, spec)
+        expected = _reps_from_roots(f, m)
+        splits.clear()
+        monkeypatch.setattr(poly, "_trace_split", trace_split)
+        assert orbit_reps_in_splitting_field(f, m) == expected
+        monkeypatch.undo()
+        big = make_field(p, expected[0])
+        cubic_and_up = [embed_poly(g, big) for g in factors if g.degree >= 3]
+        assert sorted(map(repr, splits)) == sorted(map(repr, cubic_and_up))
 
 
 @pytest.mark.xfail(
