@@ -291,11 +291,13 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         payload, code = args.fn(args)
+        # rendering can fail too: an int of over 4300 digits raises ValueError
+        text = _dump(payload, args.compact)
     except (DdcritError, ValueError, TypeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     try:
-        print(_dump(payload, args.compact), flush=True)
+        print(text, flush=True)
     except BrokenPipeError:
         # the interpreter's flush at exit now writes what is left to devnull
         with open(os.devnull, "wb") as devnull:

@@ -39,9 +39,12 @@ later of its two positions:
 The search solves each forced coefficient instead of trying values and
 branches over the field only at the other positions.  A further equation
 completed at the same position (only possible at top or past it) prunes on
-the first mismatch.  The partial powers F^r, r < p, are kept up to date one
-coefficient at a time, [s^i] F^r = sum_a c_a [s^(i-a)] F^(r-1), so fixing
-a coefficient costs O(p i) field operations.
+the first mismatch.  Only G itself is kept, one coefficient at a time: in
+characteristic p, F G = F^p = sum_j c_j^p s^(pj), so
+
+    c_0 G_i = [s^i] F^p - sum_(a >= 1) c_a G_(i-a),
+
+and fixing a coefficient costs O(i) field operations.
 
 Every equation a candidate fails rejects it, so the search visits exactly
 the candidates that pass ``ddc_check``, in rank order; the first of them
@@ -134,16 +137,11 @@ class _PrunedSearch:
         self.u = spec.from_int(q.u)
         self.values = [self.zero] * (top + 1)
         self.digits = [0] * (top + 1)
-        # cols[r][i] = [s^i] F^r for r = 1..p-1; rest[i][r] is its part
-        # without c_i, lin[r] = r c_0^(r-1) the coefficient of c_i.
-        self.cols = [[self.zero] * self.length for _ in range(q.p)]
+        # g[i] = G_i; rest[i] is G_i with c_i taken as 0, and lin =
+        # -G_0/c_0 the coefficient of c_i in G_i for i > 0
+        self.g = [self.zero] * self.length
         self.rest = [None] * (top + 1)
         self.lin = None
-        order = spec.order
-        self.weight = [(order - 1) * order ** (top - 1 - i) for i in range(top)]
-        self.weight.append(1)
-        self.offset = [0] * (top + 1)
-        self.offset[0] = self.offset[top] = 1
 
     def leaves(self):
         top = self.top
@@ -158,23 +156,31 @@ class _PrunedSearch:
             self.nodes += 1
             self.digits[i] = d
             if self.deadline is not None and time.monotonic() > self.deadline:
-                self.aborted_at = sum(
-                    (self.digits[j] - self.offset[j]) * self.weight[j]
-                    for j in range(i + 1)
-                )
+                self.aborted_at = self._rank(i)
                 return
             if not self._assign(i, self.spec.element_by_index(d)):
                 continue
             if i < top:
                 i += 1
                 pending[i] = self._choices(i)
-            elif self._tail_holds():
+            else:
                 yield self._poly()
+
+    def _rank(self, i: int) -> int:
+        """The rank of the least candidate whose leading digits are
+        digits[0..i]: a mixed-radix number with q - 1 values at positions 0
+        and top and q at the positions between."""
+        order, top = self.spec.order, self.top
+        rank = 0
+        for j in range(top + 1):
+            low = 1 if j in (0, top) else 0
+            rank = rank * (order - low) + (self.digits[j] - low if j <= i else 0)
+        return rank
 
     def _choices(self, i: int):
         """Digits to try at position i: the forced one, if an equation is
         completed here and its solution is admissible, else all of them.
-        Records the c_i-free part of the power columns at i first."""
+        Records the c_i-free part of G_i at i first."""
         if i > 0:
             self.rest[i] = self._rest(i)
         eqs = self.by_last.get(i)
@@ -185,29 +191,25 @@ class _PrunedSearch:
             return iter(())
         return iter((d,))
 
-    def _rest(self, i: int) -> list:
-        """[s^i] F^r for r < p with c_i taken as 0."""
-        c, cols, zero = self.values, self.cols, self.zero
-        c0 = c[0]
-        rest = [zero, zero]
-        for r in range(2, self.q.p):
-            prev = cols[r - 1]
-            acc = c0 * rest[r - 1]
-            for a in range(1, min(i, self.top + 1)):
-                if c[a]:
-                    acc = acc + c[a] * prev[i - a]
-            rest.append(acc)
-        return rest
+    def _rest(self, i: int):
+        """G_i with c_i taken as 0, from F G = F^p = sum_j c_j^p s^(pj):
+        c_0 G_i = [s^i] F^p - sum_(a >= 1) c_a G_(i-a)."""
+        c, g, p = self.values, self.g, self.q.p
+        acc = c[i // p] ** p if i % p == 0 and i // p <= self.top else self.zero
+        for a in range(1, min(i, self.top + 1)):
+            if c[a]:
+                acc = acc - c[a] * g[i - a]
+        return acc / c[0]
 
     def _solve(self, i: int, a: int, k):
         """The c_i that satisfies E_a, whose last position is i."""
         if a == i:
-            g = self.zero if k is None else self.cols[-1][k]
+            g = self.zero if k is None else self.g[k]
             h = pth_root(g)
             if i == 0:
                 h = h - self.one
             return h / self.u
-        return (self._h(a) ** self.q.p - self.rest[i][-1]) / self.lin[-1]
+        return (self._h(a) ** self.q.p - self.rest[i]) / self.lin
 
     def _h(self, a: int):
         if a > self.top:
@@ -216,36 +218,23 @@ class _PrunedSearch:
         return h + self.one if a == 0 else h
 
     def _holds(self, a: int, k) -> bool:
-        g = self.zero if k is None else self.cols[-1][k]
+        g = self.zero if k is None else self.g[k]
         return g == self._h(a) ** self.q.p
 
     def _assign(self, i: int, c) -> bool:
-        """Fix c_i, update the power columns at i and check every equation
-        completed at i."""
+        """Fix c_i, update G at i and check every equation completed at i.
+        At top, go on past it with zero coefficients, where G_k is its
+        c_k-free part, stopping at the first mismatch."""
         self.values[i] = c
-        cols = self.cols
+        g = self.g
         if i == 0:
-            power = self.one
-            self.lin = [self.zero]
-            for r in range(1, self.q.p):
-                self.lin.append(power * r)
-                power = power * c
-                cols[r][0] = power
+            g[0] = c ** (self.q.p - 1)
+            self.lin = -(g[0] / c)
         else:
-            rest, lin = self.rest[i], self.lin
-            for r in range(1, self.q.p):
-                cols[r][i] = rest[r] + lin[r] * c
-        return all(self._holds(a, k) for a, k in self.by_last.get(i, ()))
-
-    def _tail_holds(self) -> bool:
-        """Extend the power columns past top with zero coefficients and
-        check the equations completed there, stopping at the first
-        mismatch."""
-        cols = self.cols
-        for k in range(self.top + 1, self.length):
-            rest = self._rest(k)
-            for r in range(1, self.q.p):
-                cols[r][k] = rest[r]
+            g[i] = self.rest[i] + self.lin * c
+        for k in range(i, self.length if i == self.top else i + 1):
+            if k > self.top:
+                g[k] = self._rest(k)
             if not all(self._holds(a, kk) for a, kk in self.by_last.get(k, ())):
                 return False
         return True

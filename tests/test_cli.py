@@ -163,6 +163,18 @@ def test_search_cli(capsys):
     assert json.loads(out)["f"] == [[2], [0], [1]]
 
 
+def test_search_cli_result_that_cannot_be_rendered_exits_2(capsys):
+    """An aborted search at top = 10000 tried a rank of over 4300 digits,
+    which json.dumps refuses to write: that is an error JSON and exit 2,
+    never a traceback and exit 1 ("criterion failed")."""
+    code, out, err = run(
+        capsys, "--compact", "search", "--p", "3", "--m", "2", "--u", "1",
+        "--n1", "20000", "--budget", "0",
+    )
+    assert code == 2 and out == ""
+    assert "digits" in json.loads(err)["error"]
+
+
 def test_search_cli_rejects_a_nan_or_negative_budget(capsys):
     # monotonic() > nan is never true, so NaN would mean no budget at all
     for budget in ("nan", "-1", "-inf"):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 import time
 
 import pytest
@@ -42,6 +43,10 @@ def _oracle_cases(limit=500):
     return cases
 
 
+def _case_id(v):
+    return f"k{v}" if isinstance(v, int) else f"{v.p}-{v.m}-{v.u_tilde}-{v.n1}"
+
+
 def _outcome(fn):
     try:
         return fn().to_json()
@@ -52,7 +57,7 @@ def _outcome(fn):
 @pytest.mark.parametrize(
     "q,k",
     _oracle_cases(),
-    ids=lambda v: f"k{v}" if isinstance(v, int) else f"{v.p}-{v.m}-{v.u_tilde}-{v.n1}",
+    ids=_case_id,
 )
 def test_first_witness_matches_enumeration(q, k):
     """Byte-identical outcome to enumerating every candidate, for both
@@ -65,6 +70,66 @@ def test_first_witness_matches_enumeration(q, k):
         got = _outcome(lambda: first_witness(q, k, isolated))
         want = _outcome(lambda: reference.enumerate_search(q, k, isolated, passing))
         assert json.dumps(got) == json.dumps(want)
+
+
+@pytest.mark.parametrize(
+    "q,k",
+    _oracle_cases()
+    + [(Quadruple(11, 2, 1, 4), 1), (Quadruple(13, 2, 1, 4), 1),
+       (Quadruple(11, 5, 4, 10), 1)],
+    ids=_case_id,
+)
+def test_kept_column_equals_dense_power(q, k):
+    """At every leaf the one kept column is G = F^(p-1) as Poly.__pow__
+    computes it.  The last three trees reach positions i >= p, where
+    [s^i] F^p = c_(i/p)^p enters the update."""
+    spec = make_field(q.p, k)
+    tree = search._PrunedSearch(q, spec, None)
+    leaves = 0
+    for _ in tree.leaves():
+        dense = list((Poly(spec, tree.values) ** (q.p - 1)).coeffs)
+        dense += [spec.zero()] * (tree.length - len(dense))
+        assert tree.g[: tree.length] == dense[: tree.length]
+        leaves += 1
+    if q.p > 7:
+        assert leaves and tree.length > q.p
+
+
+@pytest.mark.parametrize(
+    "q,k",
+    _oracle_cases(),
+    ids=_case_id,
+)
+def test_abort_rank_is_the_least_candidate_of_its_prefix(q, k):
+    """The rank reported on abort names the least candidate whose leading
+    digits are the digits fixed so far."""
+    spec = make_field(q.p, k)
+    tree = search._PrunedSearch(q, spec, None)
+    top, order = tree.top, spec.order
+    rng = random.Random(f"{q}-{k}")
+    for _ in range(8):
+        i = rng.randrange(top + 1)
+        least = [1 if j in (0, top) else 0 for j in range(top + 1)]
+        digits = [rng.randrange(low, order) for low in least[: i + 1]]
+        tree.digits = digits + [rng.randrange(order) for _ in range(top - i)]
+        rank = tree._rank(i)
+        assert 0 <= rank < candidate_count(q, spec)
+        want = digits + least[i + 1 :]
+        f = reference.candidate(q, spec, rank)
+        assert [spec.index_of(f.coeffs[j * q.m]) for j in range(top + 1)] == want
+
+
+def test_budget_bounds_the_search_setup():
+    """Nothing before the first deadline check costs more than linear work
+    in top, and the rank of the abort is computed only then: a 0 s budget
+    on N1 = 60000 (top = 30000) returns at once."""
+    q = Quadruple(3, 2, 1, 60000)
+    start = time.monotonic()
+    result = first_witness(q, 1, budget_seconds=0.0)
+    assert time.monotonic() - start < 1.0
+    assert not result.complete and result.nodes == 1
+    # c_0 = -1/u = 2 is forced, so every candidate with c_0 = 1 is decided
+    assert result.candidates_tried == candidate_count(q, F3) // 2
 
 
 def test_brute_search_alias():
