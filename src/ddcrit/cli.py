@@ -35,8 +35,11 @@ from .witt import (
     upper_breaks,
 )
 
+# one monomial with the blanks around it; a blank may stand between two
+# tokens (sign, coefficient, `*`, `t`, `^`, exponent), never inside a number
 _MONOMIAL = re.compile(
-    r"(?P<sign>[+-]?)(?:(?P<coeff>\d+)(?:\*(?=t))?)?(?P<t>t(?:\^(?P<exp>-?\d+))?)?"
+    r"\s*(?P<sign>[+-]?)\s*(?:(?P<coeff>\d+)\s*(?:\*\s*(?=t))?)?"
+    r"(?P<t>t(?:\s*\^\s*(?P<exp>-?\d+))?)?\s*"
 )
 
 
@@ -48,27 +51,20 @@ WITT_EXPONENT_CAP = 2**14
 
 def _laurent_terms(text: str) -> dict[int, int]:
     """The exponents of a signed sum of monomials like ``2*t^-5+t^-1-1``,
-    each with the sum of its integer coefficients."""
-    text = text.replace(" ", "")
-    if not text:
+    each with the sum of its integer coefficients.  Every monomial after
+    the first needs its sign."""
+    if not text.strip():
         raise ValueError("empty laurent string")
     terms: dict[int, int] = {}
     pos = 0
     while pos < len(text):
+        # every part of _MONOMIAL is optional, so it always matches
         match = _MONOMIAL.match(text, pos)
-        if match is None or match.end() == pos:
+        sign, coeff, tpart, exp = match.group("sign", "coeff", "t", "exp")
+        if (coeff is None and tpart is None) or (pos and not sign):
             raise ValueError(f"bad laurent string at {text[pos:]!r}")
-        coeff_s, tpart, exp_s = match.group("coeff", "t", "exp")
-        if coeff_s is None and tpart is None:
-            raise ValueError(f"bad laurent string at {text[pos:]!r}")
-        coeff = int(coeff_s) if coeff_s is not None else 1
-        if match.group("sign") == "-":
-            coeff = -coeff
-        if tpart is None:
-            exp = 0
-        else:
-            exp = int(exp_s) if exp_s is not None else 1
-        terms[exp] = terms.get(exp, 0) + coeff
+        exp = 0 if tpart is None else int(exp or 1)
+        terms[exp] = terms.get(exp, 0) + int(sign + (coeff or "1"))
         pos = match.end()
     return terms
 
@@ -142,23 +138,6 @@ def _cmd_plan(args) -> tuple[object, int]:
         "profiles": [p.to_json() for p in profiles],
         "radii": radii,
     }, 0
-
-
-# the options each construct family needs; argparse cannot make an option
-# required for some values of a positional only
-_FAMILY_OPTIONS = {"small": ("--p", "--n1"), "trace": ("--p", "--m", "--u"), "d9": ()}
-
-
-def _require_family_options(args) -> None:
-    """A usage error through the construct parser if the family lacks one
-    of its options."""
-    needed = _FAMILY_OPTIONS[args.family]
-    missing = [opt for opt in needed if getattr(args, opt[2:]) is None]
-    if missing:
-        args.parser.error(
-            f"{args.family} requires {', '.join(needed[:-1])} and {needed[-1]};"
-            f" missing {', '.join(missing)}"
-        )
 
 
 def _cmd_construct(args) -> tuple[object, int]:
@@ -248,12 +227,16 @@ def build_parser() -> argparse.ArgumentParser:
     plan.set_defaults(fn=_cmd_plan)
 
     construct = subs.add_parser("construct", help="closed-form witnesses")
-    construct.add_argument("family", choices=["small", "trace", "d9"])
-    construct.add_argument("--p", type=int)
-    construct.add_argument("--m", type=int)
-    construct.add_argument("--u", type=int)
-    construct.add_argument("--n1", type=int)
-    construct.set_defaults(fn=_cmd_construct, parser=construct)
+    families = construct.add_subparsers(dest="family", required=True)
+    for family, options, help_text in (
+        ("small", ("--p", "--n1"), "(p, 2, 1, N1) for N1 in {p-1, p-3}"),
+        ("trace", ("--p", "--m", "--u"), "(p, m, u~, (p-1)u~) from roots of unity"),
+        ("d9", (), "the four certificates behind D_9"),
+    ):
+        family_parser = families.add_parser(family, help=help_text)
+        for option in options:
+            family_parser.add_argument(option, type=int, required=True)
+        family_parser.set_defaults(fn=_cmd_construct)
 
     witt = subs.add_parser("witt", help="Witt-vector utilities")
     witt_subs = witt.add_subparsers(dest="witt_command", required=True)
@@ -285,8 +268,6 @@ def main(argv=None) -> int:
         _parser = build_parser()
     try:
         args = _parser.parse_args(argv)
-        if args.command == "construct":
-            _require_family_options(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -28,10 +28,27 @@ def test_parse_laurent_grammar():
     assert {e: c.coeffs[0] for e, c in lp.terms()} == {-1: 1, 0: 2, 1: 1}
     lp = parse_laurent(F3, "2")
     assert lp.term_dict() == {0: F3.from_int(2)}
+    # blanks may stand between tokens
+    assert parse_laurent(F3, " 2 * t ^ -5 + t^-1 - 1 ") == parse_laurent(
+        F3, "2*t^-5+t^-1-1"
+    )
     with pytest.raises(ValueError):
         parse_laurent(F3, "2*^-1")
     with pytest.raises(ValueError):
         parse_laurent(F3, "")
+
+
+@pytest.mark.parametrize("entries", ["t^-1 2", "1 2", "t^-5t^-3", "t 2"])
+def test_witt_breaks_cli_rejects_a_blank_in_a_number_or_a_missing_sign(
+    capsys, entries
+):
+    """A blank inside a number is no blank between tokens ("t^-1 2" is not
+    t^-12), and every monomial after the first needs its sign."""
+    code, out, err = run(
+        capsys, "--compact", "witt", "breaks", "--p", "3", "--entries", entries
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"].startswith("bad laurent string")
 
 
 def test_reduce_jumps_cli(capsys):
@@ -189,6 +206,10 @@ def test_search_cli_rejects_a_nan_or_negative_budget(capsys):
 @pytest.mark.parametrize("argv", BAD_ARGVS + [
     ["search", "--p", "5", "--m", "2", "--u", "7", "--n1", "26", "--budget", "-inf"],
     ["plan", "--p", "3", "--m", "2", "--n", "2", "--no-such-flag"],
+    # each construct family takes its own options, after the family
+    ["construct", "d9", "--p", "5"],
+    ["construct", "small", "--p", "5", "--n1", "4", "--m", "2"],
+    ["construct", "--p", "5", "--n1", "4", "small"],
 ])
 def test_argparse_errors_print_an_error_json(capsys, argv):
     """A usage error is invalid input like any other: exit 2, nothing on
@@ -199,10 +220,16 @@ def test_argparse_errors_print_an_error_json(capsys, argv):
 
 
 def test_help_prints_usage_on_stdout(capsys):
-    for argv in (["--help"], ["witt", "breaks", "--help"]):
-        code, out, err = run(capsys, *argv)
+    for command in (
+        [], ["check"], ["search"], ["plan"], ["construct"], ["construct", "small"],
+        ["construct", "trace"], ["construct", "d9"], ["witt"], ["witt", "breaks"],
+        ["reduce-jumps"],
+    ):
+        code, out, err = run(capsys, *command, "--help")
         assert code == 0 and err == ""
-        assert out.startswith("usage: ddcrit")
+        assert out.startswith(" ".join(["usage: ddcrit", *command]))
+        if command == ["construct", "small"]:
+            assert "--p P --n1 N1" in out
 
 
 def test_search_cli_not_found(capsys):
@@ -358,8 +385,8 @@ def test_construct_cli_names_a_missing_family_option(capsys, family, missing):
     code, out, err = run(capsys, "construct", family, *argv)
     assert code == 2 and out == ""
     error = json.loads(err)["error"]
-    assert error.startswith(f"ddcrit construct: {family} requires ")
-    assert error.endswith(f"; missing {missing}")
+    assert error.startswith(f"ddcrit construct {family}: ")
+    assert error.endswith(f"required: {missing}")
 
 
 def test_witt_breaks_over_a_reducible_modulus_exits_2():
