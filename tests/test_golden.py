@@ -2,7 +2,10 @@
 every README CLI example (without ``--budget``), plus ``plan`` at p=5,
 ``construct trace`` at p=5 and at four quadruples whose splitting fields lie
 above the log-table bound (F_{3^16}, F_{5^6}) or have m > 2 (m = 6 at p=7,
-m = 5 at p=11), three ``search`` cases, level-3 ``witt breaks`` at p=3
+m = 5 at p=11), four ``search`` cases, two ``check`` cases with N1 = 0
+and a nonempty exponent range (one exit 0, one exit 1; with the ``search``
+case at (5,4,7,0) they pin that an empty isolation matrix counts as
+isolated), level-3 ``witt breaks`` at p=3
 (one forcing an extension to F_{3^9}) and p=5, and two ``witt breaks``
 cases with poles below the catalog's t^-12: a cascade t^-27 -> t^-1 in one
 slot with a constant that forces F_{3^9}, and t^-49 at p=7 with an
