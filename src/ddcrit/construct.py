@@ -12,13 +12,12 @@ from .criterion import (
     Certificate,
     ResidueData,
     certify,
-    criterion_exponents,
     isolation_check,
     power_sum_check,
     reconstruct_f,
 )
-from .errors import ExtensionCapExceeded, SingularSystem
-from .gf import make_field, ord_mod, root_of_unity, solve_modp, subfield_trace
+from .errors import ExtensionCapExceeded
+from .gf import make_field, ord_mod, root_of_unity, subfield_trace
 from .poly import Poly, mu_m_orbit_reps
 
 DEFAULT_DEGREE_CAP = 16
@@ -26,29 +25,27 @@ DEFAULT_DEGREE_CAP = 16
 
 def construct_small(p: int, n1: int) -> ResidueData:
     """Witness data for the quadruple (p, 2, 1, n1) with n1 in {p-1, p-3}
-    (or 0): representatives x_j = j for j = 1..n1/2 and residues solved from
-    the Vandermonde-type power-sum system over F_p."""
+    (or 0): representatives x_j = j for j = 1..n1/2 and residues in closed
+    form.
+
+    The criterion exponents are e = 2i+1 for i < n1/2, so with b_j = a_j j
+    and y_j = j^2 the power-sum system reads sum_j b_j y_j^i = [i = 0]/2, a
+    Vandermonde system in the nodes y_j, which are distinct and nonzero.
+    Its solution is b_j = L_j(0)/2 with the Lagrange weight
+    L_j(0) = prod_{l != j} y_l/(y_l - y_j), so a_j = L_j(0)/(2j), never 0."""
     q = Quadruple(p, 2, 1, n1)
     spec = make_field(p, 1)
-    if n1 == 0:
-        return ResidueData(q, 1, (), ())
-    if n1 not in (p - 1, p - 3):
+    if n1 not in (p - 1, p - 3, 0):
         raise ValueError(f"N1 = {n1} must be p-1 or p-3 (or 0)")
-    count = n1 // 2
-    reps = [j for j in range(1, count + 1)]
-    exps = criterion_exponents(q)
-    if len(exps) != count:
-        raise AssertionError("power-sum system is not square")
-    # rows: sum_j a_j x_j^e = u/m (e = 1) else 0, solved over F_p
-    half = pow(2, p - 2, p)
-    aug = [
-        [pow(x, e, p) for x in reps] + [half if e == q.u else 0] for e in exps
-    ]
-    residues = solve_modp(aug, p)
-    if residues is None:
-        raise SingularSystem("small-family power-sum system has no solution")
-    if any(a == 0 for a in residues):
-        raise AssertionError("small-family residue vanished")
+    reps = range(1, n1 // 2 + 1)
+    nodes = [j * j % p for j in reps]
+    residues = []
+    for j, y_j in zip(reps, nodes):
+        num = den = 1
+        for y in nodes:
+            if y != y_j:
+                num, den = num * y % p, den * (y - y_j) % p
+        residues.append(num * pow(2 * j * den, -1, p) % p)
     rd = ResidueData(
         q, 1, tuple(spec.from_int(x) for x in reps), tuple(residues)
     )

@@ -90,8 +90,6 @@ def residue_data(q: Quadruple, f: Poly) -> ResidueData:
     repeated roots and ResidueNotPrimeField when some residue falls outside
     F_p (both mean f fails the criterion)."""
     validate_shape(q, f)
-    if q.n1 == 0:
-        return ResidueData(q, f.spec.k, (), ())
     degree, reps = orbit_reps_in_splitting_field(f, q.m)
     big = make_field(q.p, degree)
     f_big = embed_poly(f, big)
@@ -213,13 +211,6 @@ def reconstruct_f(rd: ResidueData) -> Poly:
     ReconstructionMismatch."""
     q = rd.quadruple
     spec = rd.field
-    if q.n1 == 0:
-        # eta = -u sum_s t^(-u p^s - 1) dt must equal dt/(c t^(u~+1))
-        c = (-spec.from_int(q.u)).inverse()
-        f = Poly(spec, [c])
-        if not ddc_check(q, f):
-            raise ReconstructionMismatch("constant reconstruction failed ddc")
-        return f
     m, zero = q.m, spec.zero()
     # product rule over each y = x_j^m with weight w = m a_j x_j^(m-1):
     # (P, S) <- (P (s - y), S (s - y) + w P) keeps S/P = sum_j w_j/(s - y_j)

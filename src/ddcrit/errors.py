@@ -79,10 +79,6 @@ class NotDescending(DdcritError):
     pass
 
 
-class SingularSystem(DdcritError):
-    """Internal error: the small-family linear system was singular."""
-
-
 class NotAField(DdcritError):
     """Internal error: a splitting in F_{p^D} failed, which happens only
     when the canonical modulus of F_{p^D} is reducible."""

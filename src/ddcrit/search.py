@@ -96,9 +96,7 @@ class NotFound:
 def candidate_count(q: Quadruple, spec) -> int:
     order = spec.order
     ncoeff = q.n1 // q.m + 1
-    if ncoeff == 1:
-        return order - 1
-    return (order - 1) ** 2 * order ** (ncoeff - 2)
+    return (order - 1) ** min(ncoeff, 2) * order ** max(ncoeff - 2, 0)
 
 
 def _equations(q: Quadruple) -> dict:

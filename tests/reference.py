@@ -63,6 +63,10 @@ was replaced by a simpler or faster exact path:
   Laurent polynomials as term dicts, the oracle for the dense coefficient
   path of ``LaurentPoly.__add__``, ``ddcrit.cartier.cartier``,
   ``LaurentPoly.frobenius`` and ``LaurentPoly.map_coeffs``;
+- ``small_family_residues_reference``: the power-sum system of the small
+  family (p, 2, 1, N1) solved by Gauss-Jordan elimination over F_p
+  (``ddcrit.gf.solve_modp``), the oracle for the closed-form Lagrange
+  weights of ``ddcrit.construct.construct_small``;
 - ``standard_form_reference``: the per-term reduction, which removes the
   least p-divisible pole (or else the constant) of the current slot one
   monomial at a time, with two Witt additions to subtract wp of it and one
@@ -75,7 +79,7 @@ from __future__ import annotations
 from itertools import product
 
 from ddcrit.cartier import Quadruple, ddc_check
-from ddcrit.criterion import ResidueData, certify
+from ddcrit.criterion import ResidueData, certify, criterion_exponents
 from ddcrit.errors import (
     DdcritError,
     ExtensionCapExceeded,
@@ -92,6 +96,7 @@ from ddcrit.gf import (
     prime_factors,
     pth_root,
     root_of_unity,
+    solve_modp,
     square_and_multiply,
 )
 from ddcrit.poly import (
@@ -195,9 +200,6 @@ def reconstruct_f_reference(rd: ResidueData) -> Poly:
     library."""
     q = rd.quadruple
     spec = rd.field
-    if q.n1 == 0:
-        c = (-spec.from_int(q.u)).inverse()
-        return Poly(spec, [c])
     zeta = root_of_unity(spec, q.m)
     t = Poly.x(spec)
     dg_over_g = RationalFunction(Poly.zero(spec), Poly.one(spec))
@@ -234,6 +236,27 @@ def reconstruct_f_reference(rd: ResidueData) -> Poly:
     if not ok:
         raise ReconstructionMismatch("reconstructed f fails the criterion")
     return f
+
+
+def small_family_residues_reference(p: int, n1: int) -> tuple[int, ...]:
+    """Residues a_j of the small family (p, 2, 1, n1) at x_j = j,
+    j = 1..n1/2, from the rows sum_j a_j x_j^e = 1/2 for e = 1 and 0 for
+    every other criterion exponent e, by Gauss-Jordan over F_p."""
+    if n1 == 0:
+        return ()
+    q = Quadruple(p, 2, 1, n1)
+    reps = range(1, n1 // 2 + 1)
+    half = pow(2, -1, p)
+    aug = [
+        [pow(x, e, p) for x in reps] + [half if e == q.u else 0]
+        for e in criterion_exponents(q)
+    ]
+    if len(aug) != len(reps):
+        raise AssertionError("small-family power-sum system is not square")
+    residues = solve_modp(aug, p)
+    if residues is None:
+        raise AssertionError("small-family power-sum system has no solution")
+    return tuple(residues)
 
 
 def sympy_witt_sum_polys(p: int, n: int):

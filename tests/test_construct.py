@@ -10,8 +10,9 @@ from ddcrit.criterion import (
     reconstruct_f,
 )
 from ddcrit.errors import ExtensionCapExceeded
-from ddcrit.gf import make_field
+from ddcrit.gf import is_prime, make_field
 from ddcrit.poly import Poly
+from reference import small_family_residues_reference
 
 
 def test_small_p3():
@@ -40,6 +41,19 @@ def test_small_sweep_isolated(p):
         assert isolated
         cert = certify(rd.quadruple, reconstruct_f(rd))
         assert cert.all_ok
+
+
+def test_small_residues_match_gauss_jordan():
+    """The closed-form Lagrange weights are the solution of the power-sum
+    system by Gauss-Jordan, and none is 0, for every odd prime p < 100 and
+    every N1 of the family."""
+    for p in range(3, 100):
+        if not is_prime(p):
+            continue
+        for n1 in (p - 1, p - 3, 0):
+            residues = construct_small(p, n1).residues
+            assert residues == small_family_residues_reference(p, n1), (p, n1)
+            assert all(residues)
 
 
 def test_small_rejects_other_degrees():

@@ -9,6 +9,7 @@ import ddcrit.criterion
 from ddcrit.cartier import Quadruple, ddc_check
 from ddcrit.construct import construct_small, construct_trace, d9_witnesses
 from ddcrit.criterion import (
+    ResidueData,
     binomial_det,
     certify,
     criterion_exponents,
@@ -120,10 +121,15 @@ def test_isolation_t2():
 
 
 def test_isolation_empty():
-    _, det, isolated = isolation_check(
-        residue_data(Q_CONST, Poly.from_ints(F3, [2]))
-    )
-    assert isolated and det == F3.one()
+    """N1 = 0 has no orbit representatives, so its isolation matrix is
+    empty, also where the criterion range is not: (3,2,5,0) has the one
+    exponent 1. An empty matrix counts as isolated; it is not a square
+    check that fails."""
+    q_wide = Quadruple(3, 2, 5, 0)
+    assert criterion_exponents(q_wide) == [1]
+    for q in (Q_CONST, q_wide):
+        rd = residue_data(q, Poly.from_ints(F3, [2]))
+        assert isolation_check(rd) == ([], F3.one(), True)
 
 
 def test_isolation_rejects_non_square_system():
@@ -276,6 +282,17 @@ def test_reconstruct_wraps_only_shape_errors(monkeypatch):
 def test_reconstruct_constant():
     rd = residue_data(Q_CONST, Poly.from_ints(F3, [2]))
     assert reconstruct_f(rd) == Poly.from_ints(F3, [2])
+
+
+def test_reconstruct_without_reps_needs_nu_zero():
+    """For N1 = 0 the reconstruction is the general one with P = 1, S = 0
+    and N = -T, so f = 1/N: (3,2,3,0) has u = 1, nu = 1 and
+    N = -(t^2 + 1), which no constant inverts. Both paths raise the same
+    ReconstructionMismatch."""
+    rd = ResidueData(Quadruple(3, 2, 3, 0), 1, (), ())
+    message = "reconstructed f is not a polynomial"
+    assert _mismatch(reconstruct_f, rd) == message
+    assert _mismatch(reconstruct_f_reference, rd) == message
 
 
 def test_reconstruct_lift_independent():
