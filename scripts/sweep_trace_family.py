@@ -31,7 +31,7 @@ def main() -> int:
                         "skipped": str(exc),
                     }))
                     continue
-                _, det, isolated = isolation_check(rd)
+                det, isolated = isolation_check(rd)
                 print(json.dumps({
                     "p": p, "m": m, "u_tilde": u_tilde,
                     "splitting_degree": rd.splitting_degree,

@@ -51,7 +51,7 @@ def construct_small(p: int, n1: int) -> ResidueData:
     )
     if not power_sum_check(rd):
         raise AssertionError("small-family data fails the power-sum system")
-    _, _, isolated = isolation_check(rd)
+    _, isolated = isolation_check(rd)
     if not isolated:
         raise AssertionError("small-family data is not isolated")
     return rd

@@ -1,7 +1,11 @@
 """Power-sum formulation of the differential data criterion: residue
-extraction, the power-sum system, the isolation (Jacobian) matrix, exact
-reconstruction of f from residue data, certificate assembly, and the
+extraction, the power-sum system, the isolation (Jacobian) determinant,
+exact reconstruction of f from residue data, certificate assembly, and the
 generalized-Vandermonde determinant cross-check.
+
+``certify`` decides whether every residue lies in F_p, and whether the
+power sums hold, from the coefficients of f over its own field; it builds
+the splitting field only for data it prints.
 """
 
 from __future__ import annotations
@@ -13,13 +17,28 @@ from .cartier import Quadruple, ddc_check, validate_shape
 from .errors import (
     DdcritError,
     NonSquareSystem,
+    NotAField,
     NotDescending,
     NotSquarefree,
     ReconstructionMismatch,
     ResidueNotPrimeField,
 )
-from .gf import FieldElement, FieldSpec, make_field
-from .poly import Poly, embed_poly, orbit_reps_in_splitting_field
+from .gf import (
+    FieldElement,
+    FieldSpec,
+    _divmod_modp,
+    _mul_modp,
+    make_field,
+    square_and_multiply,
+)
+from .poly import (
+    Poly,
+    _digits,
+    _from_digits,
+    elementary_symmetric,
+    embed_poly,
+    orbit_reps_in_splitting_field,
+)
 
 
 @dataclass(frozen=True)
@@ -82,25 +101,123 @@ def criterion_exponents(q: Quadruple) -> list[int]:
     ]
 
 
+def _residue_poly(q: Quadruple, big_f: Poly) -> Poly | None:
+    """r = 1/(s c) mod F over the field F_q of f = F(s), s = t^m, where
+    c = m s^w F'(s) mod F and w = (u~+1)/m, if every residue of
+    omega = dt/(f t^(u~+1)) lies in F_p; else None.
+
+    At a root x of f with y = x^m, x^(u~+1) f'(x) = c(y) x^(m-1), so the
+    residue is a = 1/(c(y) x^(m-1)) and, with E = (m-1)(p-1)/m,
+    a^(p-1) = 1/(c(y)^(p-1) y^E): every residue lies in F_p exactly when
+    c^(p-1) s^E = 1 mod F.  Then r = c^(p-2) s^(E-1) and a = x r(y).  At a
+    repeated root c vanishes, so a passing test means F is squarefree.
+    Over F_p the products mod F run on int digit lists; for deg F = 1 the
+    ring is F_q itself."""
+    spec, p, m = big_f.spec, q.p, q.m
+    w, e = (q.u_tilde + 1) // m, (m - 1) * (p - 1) // m
+    if not big_f.degree:  # no roots: the ring F_q[s]/F is zero
+        return Poly.zero(spec)
+    if big_f.degree == 1:  # s maps to the root y of F
+        f0, f1 = big_f.coeffs
+        y = -f0 * f1.inverse()
+        c = y**w * (f1 * m)
+        if c ** (p - 1) * y**e != spec.one():
+            return None
+        return Poly(spec, [(y * c).inverse()])
+    fprime = big_f.derivative() * m
+    if spec.k == 1:
+        modulus = _digits(big_f)
+        c, one = _digits(fprime), [1]
+
+        def reduce(a):
+            return _divmod_modp(a, modulus, p)[1]
+
+        def mul(a, b):
+            return _mul_modp(a, b, p)
+
+        def shift(a, n):
+            return [0] * n + a
+
+    else:
+        c, one, zero = fprime, Poly.one(spec), spec.zero()
+
+        def reduce(a):
+            return a % big_f
+
+        def mul(a, b):
+            return a * b
+
+        def shift(a, n):
+            return Poly(spec, [zero] * n + list(a.coeffs))
+
+    # a power of s is a shift, reduced once
+    c = reduce(shift(c, w))
+    c_power = square_and_multiply(c, p - 2, lambda a, b: reduce(mul(a, b)))
+    r = reduce(shift(c_power, e - 1))
+    if reduce(shift(mul(r, c), 1)) != one:
+        return None
+    return _from_digits(spec, r) if spec.k == 1 else r
+
+
+def _series_inverse(coeffs, length: int) -> list:
+    """The first ``length`` coefficients of 1/C(s), C = sum_i coeffs[i] s^i
+    with coeffs[0] != 0."""
+    inv0 = coeffs[0].inverse()
+    out = [inv0]
+    for j in range(1, length):
+        total = inv0.spec.zero()
+        for c, g in zip(coeffs[1 : j + 1], reversed(out)):
+            total = total + c * g
+        out.append(-(total * inv0))
+    return out
+
+
 def residue_data(q: Quadruple, f: Poly) -> ResidueData:
     """Extract splitting field, mu_m orbit representatives and residues
     a_j = 1/(x_j^(u~+1) f'(x_j)) of omega = dt/(f t^(u~+1)).
 
-    Raises NotSquarefree (from ``orbit_reps_in_splitting_field``) for
-    repeated roots and ResidueNotPrimeField when some residue falls outside
-    F_p (both mean f fails the criterion)."""
+    The residues are first tested over f's own field (``_residue_poly``):
+    if one falls outside F_p, this raises NotSquarefree when f has repeated
+    roots and ResidueNotPrimeField otherwise (both mean f fails the
+    criterion), and builds no splitting field.  Otherwise a_j = x_j r(y_j);
+    NotAField if one of them is not in F_p, since the splitting field is
+    then no field."""
     validate_shape(q, f)
+    big_f = Poly(f.spec, f.coeffs[:: q.m])
+    r = _residue_poly(q, big_f)
+    if r is None:
+        if not big_f.is_squarefree():
+            raise NotSquarefree("f has repeated roots")
+        raise ResidueNotPrimeField("residue outside the prime field")
     degree, reps = orbit_reps_in_splitting_field(f, q.m)
     big = make_field(q.p, degree)
-    f_big = embed_poly(f, big)
-    fprime = f_big.derivative()
+    r = embed_poly(r, big)
     residues = []
     for x in reps:
-        a = (x ** (q.u_tilde + 1) * fprime.evaluate(x)).inverse()
+        a = x * r.evaluate(x**q.m)
         if not a.in_prime_field():
-            raise ResidueNotPrimeField("residue outside the prime field")
+            raise NotAField(f"F_{{{q.p}^{degree}}}: residue outside F_{q.p}")
         residues.append(a.prime_int())
     return ResidueData(q, degree, tuple(reps), tuple(residues))
+
+
+def _power_sums_hold(q: Quadruple, f: Poly) -> bool:
+    """``power_sum_check`` of the residue data of a squarefree f, over f's
+    own field.  The form t^(e-u~-1) dt/f has no residue at infinity for
+    e <= N1+u~-1, and the roots of one mu_m orbit contribute alike, so by
+    the residue theorem m sum_j a_j x_j^e = -[t^(u~-e)] 1/f.  So the power
+    sums hold iff [s^((u~-e)/m)] 1/F = -u [e = u] for every criterion
+    exponent e <= u~; the larger ones have no pole at 0 and sum to 0."""
+    exps = [e for e in criterion_exponents(q) if e <= q.u_tilde]
+    if not exps:
+        return True
+    spec, m = f.spec, q.m
+    inverse = _series_inverse(f.coeffs[::m], (q.u_tilde - exps[0]) // m + 1)
+    target = spec.from_int(-q.u)
+    return all(
+        inverse[(q.u_tilde - e) // m] == (target if e == q.u else spec.zero())
+        for e in exps
+    )
 
 
 def _target_scalar(q: Quadruple) -> int:
@@ -129,7 +246,8 @@ def _stepped_powers(reps, exps):
 
 def power_sum_check(rd: ResidueData) -> bool:
     """Sum_j a_j x_j^e = u/m for e = u and 0 for every other exponent in the
-    criterion range."""
+    criterion range, rep by rep: the check for constructed residue data,
+    which has no f (``certify`` decides it from f, ``_power_sums_hold``)."""
     q = rd.quadruple
     spec = rd.field
     target = _target_scalar(q)
@@ -145,27 +263,48 @@ def power_sum_check(rd: ResidueData) -> bool:
 
 
 def isolation_check(rd: ResidueData):
-    """Jacobian matrix (e * a_j * x_j^(e-1)) of the power-sum system, its
-    determinant by Gaussian elimination over F_{p^D}, and the isolation flag
-    (nonzero determinant, or an empty matrix)."""
+    """The determinant of the Jacobian (e a_j x_j^(e-1)) of the power-sum
+    system, rows over the ascending criterion exponents, and the isolation
+    flag (nonzero determinant, or no reps): ``(det, isolated)``.
+
+    Each exponent has e - 1 = (m - 2) + m k_e, so with y_j = x_j^m the
+    determinant is (prod e)(prod a_j)(prod x_j^(m-2)) det(y_j^(k_i)), and
+    det(y_j^(k_i)) = V(y) s_lambda(y), V(y) = prod_{i<j} (y_j - y_i), with
+    lambda the k_i - i sorted descending, zeros dropped.  Jacobi-Trudi gives
+    s_lambda = det(h_(lambda_a - a + b)), sum h_k s^k = 1/prod_j (1 - y_j s)
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.3)."""
     q = rd.quadruple
     spec = rd.field
     exps = criterion_exponents(q)
     n = len(rd.reps)
     if n == 0:
-        return [], spec.one(), True
+        return spec.one(), True
     if len(exps) != n:
         raise NonSquareSystem(
             f"power-sum system is not square for {q}: {len(exps)} exponents, "
             f"{n} orbit representatives"
         )
-    rows = _stepped_powers(rd.reps, [e - 1 for e in exps])
-    matrix = [
-        [xe * (a * e) for xe, a in zip(powers, rd.residues)]
-        for e, powers in zip(exps, rows)
-    ]
-    det = _det(matrix, spec)
-    return matrix, det, bool(det)
+    m = q.m
+    det = spec.from_int(math.prod(exps) * math.prod(rd.residues))
+    if m > 2:
+        for x in rd.reps:
+            det = det * x ** (m - 2)
+    ys = [x**m for x in rd.reps]
+    for j, y in enumerate(ys):
+        for z in ys[:j]:
+            det = det * (y - z)
+    lam = [k - i for i, k in enumerate((e + 1) // m - 1 for e in exps)]
+    lam = [part for part in reversed(lam) if part]
+    if lam:
+        signed = [-e if i % 2 else e for i, e in enumerate(elementary_symmetric(ys))]
+        # h_k at index k + len(lam); the zeros before it are the h_k, k < 0
+        h = [spec.zero()] * len(lam) + _series_inverse(signed, lam[0] + len(lam))
+        matrix = [
+            [h[part - a + b + len(lam)] for b in range(len(lam))]
+            for a, part in enumerate(lam)
+        ]
+        det = det * _det(matrix, spec)
+    return det, bool(det)
 
 
 def _det(matrix, spec: FieldSpec) -> FieldElement:
@@ -266,8 +405,8 @@ def certify(q: Quadruple, f: Poly) -> Certificate:
     except (NotSquarefree, ResidueNotPrimeField):
         rd = None
     if rd is not None:
-        power_sum_ok = power_sum_check(rd)
-        _, det, isolated = isolation_check(rd)
+        power_sum_ok = _power_sums_hold(q, f)
+        det, isolated = isolation_check(rd)
     return Certificate(
         quadruple=q,
         field=f.spec,

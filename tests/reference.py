@@ -79,7 +79,7 @@ from __future__ import annotations
 from itertools import product
 
 from ddcrit.cartier import Quadruple, ddc_check
-from ddcrit.criterion import ResidueData, certify, criterion_exponents
+from ddcrit.criterion import ResidueData, _det, certify, criterion_exponents
 from ddcrit.errors import (
     DdcritError,
     ExtensionCapExceeded,
@@ -257,6 +257,21 @@ def small_family_residues_reference(p: int, n1: int) -> tuple[int, ...]:
     if residues is None:
         raise AssertionError("small-family power-sum system has no solution")
     return tuple(residues)
+
+
+def isolation_det_reference(rd: ResidueData):
+    """(matrix, det): the Jacobian (e a_j x_j^(e-1)) of the power-sum
+    system, rows over the ascending criterion exponents and columns over
+    the reps, and its determinant by Gaussian elimination.  The data must
+    give a square system with at least one rep."""
+    exps = criterion_exponents(rd.quadruple)
+    if not rd.reps or len(exps) != len(rd.reps):
+        raise ValueError("the Jacobian is empty or not square")
+    matrix = [
+        [x ** (e - 1) * (a * e) for x, a in zip(rd.reps, rd.residues)]
+        for e in exps
+    ]
+    return matrix, _det(matrix, rd.field)
 
 
 def sympy_witt_sum_polys(p: int, n: int):

@@ -134,7 +134,7 @@ def test_04_trace_family_dichotomy():
                 continue  # needs a larger field than the sweep allows
             assert power_sum_check(rd), (p, m, u_tilde)
             q = rd.quadruple
-            _, _, isolated = isolation_check(rd)
+            _, isolated = isolation_check(rd)
             expected = u_tilde == (m - 1) * p**q.nu
             assert isolated == expected, (p, m, u_tilde)
             if not expected:
@@ -149,9 +149,9 @@ def test_04_trace_family_dichotomy():
         # the named instances must all be in the sweep
         assert checked >= 8
         for p, m, u in [(3, 2, 1), (5, 2, 1), (5, 4, 3)]:
-            _, _, iso = isolation_check(construct_trace(p, m, u))
+            _, iso = isolation_check(construct_trace(p, m, u))
             assert iso
-        _, _, iso = isolation_check(construct_trace(3, 2, 5))
+        _, iso = isolation_check(construct_trace(3, 2, 5))
         assert not iso
 
 

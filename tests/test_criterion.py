@@ -21,15 +21,20 @@ from ddcrit.criterion import (
 )
 from ddcrit.errors import (
     NonSquareSystem,
+    NotAField,
     NotDescending,
     NotSquarefree,
     ReconstructionMismatch,
     ResidueNotPrimeField,
     WrongDegree,
 )
-from ddcrit.gf import make_field
+from ddcrit.gf import FieldElement, make_field
 from ddcrit.poly import Poly, root_of_unity
-from reference import RationalFunction, reconstruct_f_reference
+from reference import (
+    RationalFunction,
+    isolation_det_reference,
+    reconstruct_f_reference,
+)
 
 F3 = make_field(3, 1)
 
@@ -113,23 +118,25 @@ def test_power_sum_pq_invariance():
 
 
 def test_isolation_t2():
-    matrix, det, isolated = isolation_check(residue_data(Q_T2, F_T2))
+    rd = residue_data(Q_T2, F_T2)
+    det, isolated = isolation_check(rd)
+    matrix, reference_det = isolation_det_reference(rd)
     assert len(matrix) == 1
     assert matrix[0][0].coeffs[0] == 2
-    assert det.coeffs[0] == 2
+    assert det.coeffs[0] == 2 and det == reference_det
     assert isolated
 
 
 def test_isolation_empty():
     """N1 = 0 has no orbit representatives, so its isolation matrix is
     empty, also where the criterion range is not: (3,2,5,0) has the one
-    exponent 1. An empty matrix counts as isolated; it is not a square
-    check that fails."""
+    exponent 1. An empty matrix counts as isolated, with determinant 1; it
+    is not a square check that fails."""
     q_wide = Quadruple(3, 2, 5, 0)
     assert criterion_exponents(q_wide) == [1]
     for q in (Q_CONST, q_wide):
         rd = residue_data(q, Poly.from_ints(F3, [2]))
-        assert isolation_check(rd) == ([], F3.one(), True)
+        assert isolation_check(rd) == (F3.one(), True)
 
 
 def test_isolation_rejects_non_square_system():
@@ -154,7 +161,7 @@ def test_isolation_constant_reduction():
 
         return _det(mat, spec)
 
-    _, full_det, _ = isolation_check(rd)
+    full_det, _ = isolation_check(rd)
     assert bool(full_det) == bool(det(reduced))
 
 
@@ -488,21 +495,177 @@ def test_binomial_det_rejects_non_descending():
 
 
 def test_certify_seeks_no_generator_above_the_prime_field(monkeypatch, capsys):
-    # mu_m lies in F_p since m | p - 1: the roots of f live in F_{3^8},
-    # above the table bound, yet only F_3 needs a generator
+    # mu_m lies in F_p since m | p - 1: the residues of f lie in F_7 and its
+    # roots in F_{7^6}, above the table bound, yet only F_7 needs a generator
     from ddcrit import cli, gf
     from ddcrit.poly import roots_in_splitting_field
 
-    f = Poly.from_ints(F3, [1, 0, 2, 0, 2, 0, 1, 0, 2])
-    assert roots_in_splitting_field(f)[0] == 8
+    coeffs = [6, 0, 0, 0, 4, 0, 5, 0, 0, 0, 6, 0, 5]
+    assert roots_in_splitting_field(Poly.from_ints(make_field(7, 1), coeffs))[0] == 6
     specs = []
     least_generator = gf._least_generator
     monkeypatch.setattr(
         gf, "_least_generator", lambda spec: specs.append(spec) or least_generator(spec)
     )
     code = cli.main(
+        ["--compact", "check", "--p", "7", "--m", "2", "--u", "3", "--n1", "12",
+         "--f", ",".join(map(str, coeffs))]
+    )
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1 and out["flags"]["ddc"] is False
+    assert out["splitting_degree"] == 6
+    assert specs and all(spec.k == 1 for spec in specs)
+
+
+def test_certify_builds_no_splitting_field_for_residues_outside_the_prime_field(
+    monkeypatch, capsys
+):
+    """f = t^8 + 2t^6 + 2t^4 + 2t^2 + 1 over F_3 splits in F_{3^8}, but one
+    of its residues lies outside F_3, which the test over F_3 finds: no orbit
+    reps are sought and no field above F_3 is built."""
+    from ddcrit import cli, gf
+    from ddcrit.poly import roots_in_splitting_field
+
+    f = Poly.from_ints(F3, [1, 0, 2, 0, 2, 0, 1, 0, 2])
+    assert f.is_squarefree() and roots_in_splitting_field(f)[0] == 8
+
+    def no_reps(f, m):
+        raise AssertionError("orbit_reps_in_splitting_field called")
+
+    built = []
+    make = gf.make_field
+    monkeypatch.setattr(ddcrit.criterion, "orbit_reps_in_splitting_field", no_reps)
+    monkeypatch.setattr(
+        ddcrit.criterion, "make_field", lambda p, k: built.append(k) or make(p, k)
+    )
+    code = cli.main(
         ["--compact", "check", "--p", "3", "--m", "2", "--u", "5", "--n1", "8",
          "--f", "1,0,2,0,2,0,1,0,2"]
     )
-    assert code == 1 and json.loads(capsys.readouterr().out)["flags"]["ddc"] is False
-    assert specs and all(spec.k == 1 for spec in specs)
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1 and out["splitting_degree"] is None
+    assert out["flags"] == {"ddc": False, "power_sum": False, "isolated": False}
+    assert all(k == 1 for k in built)
+
+
+def _oracle_cases():
+    """(q, f) for every f over F_3 with N1 <= 8 and u~ < 6m, and seeded
+    samples over F_5, F_7 and F_9 with N1 <= 8 and u~ < 6m."""
+    def shaped(spec, m, inner):
+        coeffs = [spec.zero()] * (m * (len(inner) - 1) + 1)
+        coeffs[::m] = inner
+        return Poly(spec, coeffs)
+
+    cases = []
+    for n in range(5):
+        if n == 0:
+            inners = [[c] for c in (1, 2)]
+        else:
+            inners = [
+                [c0, *mid, top]
+                for c0 in (1, 2)
+                for top in (1, 2)
+                for mid in itertools.product(range(3), repeat=n - 1)
+            ]
+        for inner in inners:
+            f = shaped(F3, 2, [F3.from_int(c) for c in inner])
+            cases.append((f, [Quadruple(3, 2, u, 2 * n) for u in range(1, 12, 2)]))
+    rng = random.Random(29)
+    for p, k, ms, count in [(5, 1, (2, 4), 300), (7, 1, (2, 3, 6), 300), (3, 2, (2,), 300)]:
+        spec = make_field(p, k)
+        nonzero = list(spec.elements())[1:]
+        for _ in range(count):
+            m = rng.choice(ms)
+            n = rng.randint(0, 8 // m)
+            inner = [rng.choice(nonzero)]
+            inner += [rng.choice([spec.zero(), *nonzero]) for _ in range(n - 1)]
+            inner += [rng.choice(nonzero)] if n else []
+            f = shaped(spec, m, inner)
+            qs = [Quadruple(p, m, u, m * n) for u in range(m - 1, 6 * m, m)]
+            cases.append((f, qs))
+    return cases
+
+
+def test_base_field_paths_match_their_oracles():
+    """The three fast paths of ``certify`` against the routes they replace,
+    on every f over F_3 with N1 <= 8 and u~ < 6m and on seeded samples over
+    F_5, F_7 and F_9:
+    - the residue test over f's field against the residues
+      1/(x^(u~+1) f'(x)) at every root from ``roots_in_splitting_field``,
+      and the residues of ``residue_data`` against the same formula at
+      its reps;
+    - the power-sum flag from 1/F against ``power_sum_check``;
+    - the closed-form isolation determinant against the elimination of
+      ``isolation_det_reference``, on the square systems among these and on
+      random reps and residues.
+    That is 6,240 (q, f) pairs, 132 of them with a splitting field that is
+    no field (ROADMAP defect 1), and 156 random determinants."""
+    from ddcrit.criterion import _power_sums_hold, _residue_poly
+    from ddcrit.poly import embed_poly, roots_in_splitting_field
+
+    counts = dict.fromkeys(
+        ["cases", "pass", "not_squarefree", "outside", "det", "schur", "no_field",
+         "random_det"],
+        0,
+    )
+    for f, qs in _oracle_cases():
+        try:
+            degree, roots = roots_in_splitting_field(f)
+        except NotAField:  # ROADMAP defect 1: F_{3^12} is no field
+            counts["no_field"] += len(qs)
+            continue
+        big = make_field(f.spec.p, degree)
+        fprime = embed_poly(f, big).derivative()
+        squarefree = len(set(roots)) == len(roots)
+        for q in qs:
+            counts["cases"] += 1
+
+            def residue(x):
+                return (x ** (q.u_tilde + 1) * fprime.evaluate(x)).inverse()
+
+            in_fp = squarefree and all(residue(x).in_prime_field() for x in roots)
+            big_f = Poly(f.spec, f.coeffs[:: q.m])
+            assert (_residue_poly(q, big_f) is not None) == in_fp, (q, f)
+            if not in_fp:
+                key = "outside" if squarefree else "not_squarefree"
+                counts[key] += 1
+                error = ResidueNotPrimeField if squarefree else NotSquarefree
+                with pytest.raises(error):
+                    residue_data(q, f)
+                continue
+            counts["pass"] += 1
+            rd = residue_data(q, f)
+            assert rd.splitting_degree == degree
+            assert rd.residues == tuple(residue(x).prime_int() for x in rd.reps)
+            assert _power_sums_hold(q, f) == power_sum_check(rd), (q, f)
+            exps = criterion_exponents(q)
+            if rd.reps and len(exps) == len(rd.reps):
+                counts["det"] += 1
+                # a nonempty partition lambda: some exponent skipped
+                counts["schur"] += exps[-1] != q.m * len(exps) - 1
+                det, isolated = isolation_check(rd)
+                assert det == isolation_det_reference(rd)[1], (q, f)
+                assert isolated == bool(det)
+    # the determinant identity holds for any reps and residues: random data
+    # over F_27, F_25, F_49 and F_121 at every square system with a skipped
+    # exponent, for N1 <= 24 and u~ < 8m
+    rng = random.Random(29)
+    for p, k in [(3, 3), (5, 2), (7, 2), (11, 2)]:
+        spec = make_field(p, k)
+        nonzero = list(spec.elements())[1:]
+        for m in (m for m in range(2, p) if (p - 1) % m == 0):
+            for u_tilde, n1 in itertools.product(range(m - 1, 8 * m, m), range(m, 25, m)):
+                q = Quadruple(p, m, u_tilde, n1)
+                exps = criterion_exponents(q)
+                if len(exps) != n1 // m or exps[-1] == m * len(exps) - 1:
+                    continue
+                for _ in range(3):
+                    reps = sorted(rng.sample(nonzero, n1 // m), key=FieldElement.sort_key)
+                    residues = tuple(rng.randrange(1, p) for _ in reps)
+                    rd = ResidueData(q, k, tuple(reps), residues)
+                    counts["random_det"] += 1
+                    assert isolation_check(rd)[0] == isolation_det_reference(rd)[1], q
+    assert counts == {
+        "cases": 6240, "pass": 1968, "not_squarefree": 576, "outside": 3696,
+        "det": 97, "schur": 6, "no_field": 132, "random_det": 156,
+    }, counts

@@ -6,7 +6,9 @@ m = 5 at p=11), ``construct trace`` at (7,2,31) with its 93 reps over
 F_{7^15}, four ``search`` cases, two ``check`` cases with N1 = 0
 and a nonempty exponent range (one exit 0, one exit 1; with the ``search``
 case at (5,4,7,0) they pin that an empty isolation matrix counts as
-isolated), level-3 ``witt breaks`` at p=3
+isolated), one ``check`` over F_9 whose residues leave F_3 and whose
+splitting field F_{3^12} is no field (ROADMAP defect 1), so the verdict
+must come before any splitting field, level-3 ``witt breaks`` at p=3
 (one forcing an extension to F_{3^9}) and p=5, and two ``witt breaks``
 cases with poles below the catalog's t^-12: a cascade t^-27 -> t^-1 in one
 slot with a constant that forces F_{3^9}, and t^-49 at p=7 with an
