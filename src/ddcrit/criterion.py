@@ -23,18 +23,10 @@ from .errors import (
     ReconstructionMismatch,
     ResidueNotPrimeField,
 )
-from .gf import (
-    FieldElement,
-    FieldSpec,
-    _divmod_modp,
-    _mul_modp,
-    make_field,
-    square_and_multiply,
-)
+from .gf import FieldElement, FieldSpec, make_field
 from .poly import (
     Poly,
-    _digits,
-    _from_digits,
+    _powmod,
     elementary_symmetric,
     embed_poly,
     orbit_reps_in_splitting_field,
@@ -111,8 +103,7 @@ def _residue_poly(q: Quadruple, big_f: Poly) -> Poly | None:
     a^(p-1) = 1/(c(y)^(p-1) y^E): every residue lies in F_p exactly when
     c^(p-1) s^E = 1 mod F.  Then r = c^(p-2) s^(E-1) and a = x r(y).  At a
     repeated root c vanishes, so a passing test means F is squarefree.
-    Over F_p the products mod F run on int digit lists; for deg F = 1 the
-    ring is F_q itself."""
+    For deg F = 1 the ring is F_q itself."""
     spec, p, m = big_f.spec, q.p, q.m
     w, e = (q.u_tilde + 1) // m, (m - 1) * (p - 1) // m
     if not big_f.degree:  # no roots: the ring F_q[s]/F is zero
@@ -124,39 +115,16 @@ def _residue_poly(q: Quadruple, big_f: Poly) -> Poly | None:
         if c ** (p - 1) * y**e != spec.one():
             return None
         return Poly(spec, [(y * c).inverse()])
-    fprime = big_f.derivative() * m
-    if spec.k == 1:
-        modulus = _digits(big_f)
-        c, one = _digits(fprime), [1]
+    zero = spec.zero()
 
-        def reduce(a):
-            return _divmod_modp(a, modulus, p)[1]
+    def shift(a: Poly, n: int) -> Poly:  # a s^n
+        return Poly(spec, [zero] * n + list(a.coeffs))
 
-        def mul(a, b):
-            return _mul_modp(a, b, p)
-
-        def shift(a, n):
-            return [0] * n + a
-
-    else:
-        c, one, zero = fprime, Poly.one(spec), spec.zero()
-
-        def reduce(a):
-            return a % big_f
-
-        def mul(a, b):
-            return a * b
-
-        def shift(a, n):
-            return Poly(spec, [zero] * n + list(a.coeffs))
-
-    # a power of s is a shift, reduced once
-    c = reduce(shift(c, w))
-    c_power = square_and_multiply(c, p - 2, lambda a, b: reduce(mul(a, b)))
-    r = reduce(shift(c_power, e - 1))
-    if reduce(shift(mul(r, c), 1)) != one:
+    c = shift(big_f.derivative() * m, w) % big_f
+    r = shift(_powmod(c, p - 2, big_f), e - 1) % big_f
+    if shift(r * c, 1) % big_f != Poly.one(spec):
         return None
-    return _from_digits(spec, r) if spec.k == 1 else r
+    return r
 
 
 def _series_inverse(coeffs, length: int) -> list:

@@ -25,6 +25,7 @@ from .gf import (
     FieldElement,
     FieldSpec,
     _divmod_modp,
+    _mul_modp,
     column_elements,
     element_columns,
     kronecker_mul,
@@ -246,11 +247,21 @@ def _from_digits(spec: FieldSpec, digits: list[int]) -> Poly:
 
 
 def _powmod(base: Poly, e: int, mod: Poly) -> Poly:
-    """base^e modulo mod by square-and-multiply, each product reduced by
+    """base^e modulo mod by square-and-multiply.  Over F_p the whole power
+    runs on ints, as ``Poly.gcd`` does, each product ``gf._mul_modp``
+    reduced by ``_divmod_modp``; above, each product is reduced by
     ``Poly.divmod``."""
+    spec = base.spec
     if not e:
-        return Poly.one(base.spec)
-    return square_and_multiply(base % mod, e, lambda a, b: a * b % mod)
+        return Poly.one(spec)
+    if spec.k > 1:
+        return square_and_multiply(base % mod, e, lambda a, b: a * b % mod)
+    p, m = spec.p, _digits(mod)
+
+    def mulmod(a, b):
+        return _divmod_modp(_mul_modp(a, b, p), m, p)[1]
+
+    return _from_digits(spec, square_and_multiply(_digits(base % mod), e, mulmod))
 
 
 # -- factorization -----------------------------------------------------------
