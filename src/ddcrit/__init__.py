@@ -9,6 +9,7 @@ from .criterion import (
     ResidueData,
     binomial_det,
     certify,
+    certify_data,
     isolation_check,
     power_sum_check,
     reconstruct_f,

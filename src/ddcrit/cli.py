@@ -22,7 +22,7 @@ import sys
 
 from .cartier import Quadruple
 from .construct import construct_small, construct_trace, d9_witnesses
-from .criterion import certify, reconstruct_f
+from .criterion import certify, certify_data
 from .errors import DdcritError
 from .gf import make_field
 from .planner import profiles_for_group, quadruples_for_group, step_radii
@@ -147,7 +147,7 @@ def _cmd_construct(args) -> tuple[object, int]:
         rd = construct_small(args.p, args.n1)
     else:
         rd = construct_trace(args.p, args.m, args.u)
-    cert = certify(rd.quadruple, reconstruct_f(rd))
+    cert = certify_data(rd)
     return cert.to_json(), 0 if cert.ddc_ok and cert.power_sum_ok else 1
 
 

@@ -11,14 +11,13 @@ from .cartier import Quadruple
 from .criterion import (
     Certificate,
     ResidueData,
-    certify,
+    certify_data,
     isolation_check,
     power_sum_check,
-    reconstruct_f,
 )
 from .errors import ExtensionCapExceeded
 from .gf import make_field, ord_mod, root_of_unity, subfield_trace
-from .poly import Poly, mu_m_orbit_reps
+from .poly import mu_m_orbit_reps
 
 DEFAULT_DEGREE_CAP = 16
 
@@ -94,18 +93,42 @@ def construct_trace(
     return rd
 
 
-def d9_witnesses() -> list[Certificate]:
-    """The four fully verified certificates behind the dihedral group of
+# (u~, N1, D, reps, residues) of the dihedral witnesses f = t^8 + t^6 + 1
+# and f = 2t^10 + t^8 + t^6 + 1 over F_3: their mu_2 orbit reps in the
+# canonical F_{3^D}, as coefficient vectors, and their residues
+_D9_ROOTS = (
+    (5, 8, 3, ((0, 1, 1), (0, 1, 2), (1, 0, 0), (1, 0, 2)), (2, 1, 2, 1)),
+    (
+        5,
+        10,
+        5,
+        ((0, 1, 0, 2, 0), (0, 1, 1, 0, 0), (0, 1, 2, 2, 0), (1, 0, 2, 1, 1),
+         (1, 2, 0, 1, 1)),
+        (1, 1, 2, 2, 1),
+    ),
+)
+
+
+def d9_residue_data() -> list[ResidueData]:
+    """Residue data of the four witnesses behind the dihedral group of
     order 18: quadruples (3,2,1,2), (3,2,1,0), (3,2,5,8), (3,2,5,10)."""
-    f3 = make_field(3, 1)
-    out = []
-    for n1 in (2, 0):
-        rd = construct_small(3, n1)
-        out.append(certify(rd.quadruple, reconstruct_f(rd)))
-    f8 = Poly.from_ints(f3, [1, 0, 0, 0, 0, 0, 1, 0, 1])
-    f10 = Poly.from_ints(f3, [1, 0, 0, 0, 0, 0, 1, 0, 1, 0, 2])
-    out.append(certify(Quadruple(3, 2, 5, 8), f8))
-    out.append(certify(Quadruple(3, 2, 5, 10), f10))
+    out = [construct_small(3, n1) for n1 in (2, 0)]
+    for u_tilde, n1, degree, reps, residues in _D9_ROOTS:
+        spec = make_field(3, degree)
+        out.append(
+            ResidueData(
+                Quadruple(3, 2, u_tilde, n1),
+                degree,
+                tuple(spec.element(c) for c in reps),
+                residues,
+            )
+        )
+    return out
+
+
+def d9_witnesses() -> list[Certificate]:
+    """The four fully verified certificates of ``d9_residue_data``."""
+    out = [certify_data(rd) for rd in d9_residue_data()]
     for cert in out:
         if not cert.all_ok:
             raise AssertionError(

@@ -5,7 +5,9 @@ generalized-Vandermonde determinant cross-check.
 
 ``certify`` decides whether every residue lies in F_p, and whether the
 power sums hold, from the coefficients of f over its own field; it builds
-the splitting field only for data it prints.
+the splitting field only for data it prints.  ``certify_data`` certifies
+constructed residue data: it checks the data's own reps against the
+reconstructed f instead of searching for them, and runs ``ddc_check`` once.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ from .errors import (
     ReconstructionMismatch,
     ResidueNotPrimeField,
 )
-from .gf import FieldElement, FieldSpec, make_field
+from .gf import FieldElement, FieldSpec, make_field, prime_factors
 from .poly import (
+    _mu_m,
     Poly,
     _powmod,
     elementary_symmetric,
@@ -140,16 +143,69 @@ def _series_inverse(coeffs, length: int) -> list:
     return out
 
 
-def residue_data(q: Quadruple, f: Poly) -> ResidueData:
+def _checked_reps(q: Quadruple, big_f: Poly, known: ResidueData):
+    """(K, reps) from the splitting degree K and reps of ``known`` if they
+    are exactly what ``orbit_reps_in_splitting_field(f, m)`` returns for
+    f = F(t^m), else None.
+
+    The reps must lie in the canonical F_{p^K}, with k | K for f's field
+    F_{p^k}, ascend, each be the least of its mu_m orbit, and give deg F
+    distinct y_j = x_j^m with F(y_j) = 0.  Then F splits into distinct
+    linear factors over F_{p^K}, the roots of f are the orbits x_j mu_m, and
+    their field F_{p^D} (k | D) lies in F_{p^K}, so D | K; D = K since for
+    each prime r | K/k some rep lies outside F_{p^(K/r)}.  The check costs
+    one evaluation of F per Frobenius orbit of the y_j and one q-th power
+    per y_j, where a search factors F and splits it over F_{p^K}."""
+    p, m, k = q.p, q.m, big_f.spec.k
+    degree, reps = known.splitting_degree, list(known.reps)
+    big = make_field(p, degree)
+    if degree % k or len(reps) != big_f.degree or any(x.spec != big for x in reps):
+        return None
+    keys = [x.sort_key() for x in reps]
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        return None
+    mu_m = _mu_m(p, m)
+    if any((x * w).sort_key() < key for x, key in zip(reps, keys) for w in mu_m):
+        return None
+    ys = [x**m for x in reps]
+    y_set = set(ys)
+    if len(y_set) != len(ys):
+        return None
+    # F(y^q) = F(y)^q over F_q, so when the y_j are closed under y -> y^q
+    # one root per orbit makes them all roots: one evaluation per orbit
+    q_order, seen = big_f.spec.order, set()
+    big_f = embed_poly(big_f, big)
+    for y in ys:
+        if y in seen:
+            continue
+        if big_f.evaluate(y):
+            return None
+        while y not in seen:
+            seen.add(y)
+            y = y**q_order
+            if y not in y_set:
+                return None
+    for r in prime_factors(degree // k):
+        sub = p ** (degree // r)
+        if all(x**sub == x for x in reps):
+            return None
+    return degree, reps
+
+
+def residue_data(
+    q: Quadruple, f: Poly, known: ResidueData | None = None
+) -> ResidueData:
     """Extract splitting field, mu_m orbit representatives and residues
     a_j = 1/(x_j^(u~+1) f'(x_j)) of omega = dt/(f t^(u~+1)).
 
     The residues are first tested over f's own field (``_residue_poly``):
     if one falls outside F_p, this raises NotSquarefree when f has repeated
     roots and ResidueNotPrimeField otherwise (both mean f fails the
-    criterion), and builds no splitting field.  Otherwise a_j = x_j r(y_j);
-    NotAField if one of them is not in F_p, since the splitting field is
-    then no field."""
+    criterion), and builds no splitting field.  The splitting degree and
+    reps are those of ``known`` when they pass ``_checked_reps``, else
+    ``orbit_reps_in_splitting_field``'s.  Then a_j = x_j r(y_j); NotAField
+    if one of them is not in F_p, since the splitting field is then no
+    field."""
     validate_shape(q, f)
     big_f = Poly(f.spec, f.coeffs[:: q.m])
     r = _residue_poly(q, big_f)
@@ -157,7 +213,8 @@ def residue_data(q: Quadruple, f: Poly) -> ResidueData:
         if not big_f.is_squarefree():
             raise NotSquarefree("f has repeated roots")
         raise ResidueNotPrimeField("residue outside the prime field")
-    degree, reps = orbit_reps_in_splitting_field(f, q.m)
+    checked = known is not None and _checked_reps(q, big_f, known)
+    degree, reps = checked or orbit_reps_in_splitting_field(f, q.m)
     big = make_field(q.p, degree)
     r = embed_poly(r, big)
     residues = []
@@ -360,16 +417,17 @@ def reconstruct_f(rd: ResidueData) -> Poly:
     return f
 
 
-def certify(q: Quadruple, f: Poly) -> Certificate:
-    """Run the full pipeline, recording flags rather than raising on
-    criterion failure (shape errors still raise)."""
-    ddc_ok = ddc_check(q, f)
+def _certificate(
+    q: Quadruple, f: Poly, ddc_ok: bool, known: ResidueData | None
+) -> Certificate:
+    """The certificate of f given its ddc flag, recording a failed criterion
+    as flags; ``known`` is handed to ``residue_data``."""
     rd = None
     power_sum_ok = False
     det = None
     isolated = False
     try:
-        rd = residue_data(q, f)
+        rd = residue_data(q, f, known)
     except (NotSquarefree, ResidueNotPrimeField):
         rd = None
     if rd is not None:
@@ -385,6 +443,20 @@ def certify(q: Quadruple, f: Poly) -> Certificate:
         isolation_det=det,
         isolated=isolated,
     )
+
+
+def certify(q: Quadruple, f: Poly) -> Certificate:
+    """Run the full pipeline, recording flags rather than raising on
+    criterion failure (shape errors still raise)."""
+    return _certificate(q, f, ddc_check(q, f), None)
+
+
+def certify_data(rd: ResidueData) -> Certificate:
+    """``certify(rd.quadruple, reconstruct_f(rd))``, the same certificate
+    with one ``ddc_check``: ``reconstruct_f`` raises ReconstructionMismatch
+    unless its f passes it.  The reps of rd are checked against f and used
+    when they pass (``_checked_reps``); the residues still come from f."""
+    return _certificate(rd.quadruple, reconstruct_f(rd), True, rd)
 
 
 def verify_certificate_json(data: dict) -> bool:

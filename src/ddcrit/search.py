@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 from .cartier import Quadruple
 from .construct import construct_small, construct_trace
-from .criterion import Certificate, certify, reconstruct_f
+from .criterion import Certificate, certify, certify_data
 from .errors import DdcritError, PruningMismatch
 from .gf import make_field, pth_root
 from .planner import quadruples_for_group
@@ -323,7 +323,7 @@ def _fast_path(q: Quadruple) -> Certificate | None:
     if rd is None:
         return None
     try:
-        cert = certify(q, reconstruct_f(rd))
+        cert = certify_data(rd)
     except DdcritError:
         return None
     return cert if cert.all_ok else None

@@ -10,7 +10,7 @@ import pytest
 from ddcrit import cli
 from ddcrit.cli import main, parse_laurent, parse_poly
 from ddcrit.gf import make_field
-from test_golden import BAD_ARGVS
+from test_golden import BAD_ARGVS, CASES as GOLDEN_CASES
 
 F3 = make_field(3, 1)
 
@@ -308,6 +308,32 @@ def test_construct_cli(capsys):
     data = json.loads(out)
     assert data["flags"]["power_sum"] is True
     assert data["flags"]["isolated"] is False
+
+
+CONSTRUCT_CASES = [c for c in GOLDEN_CASES if c["argv"][0] == "construct"]
+
+
+@pytest.mark.parametrize(
+    "case", CONSTRUCT_CASES, ids=[c["name"] for c in CONSTRUCT_CASES]
+)
+def test_check_prints_the_certificate_construct_prints(capsys, case):
+    """``check`` on a certificate's own quadruple, field degree and f prints
+    the certificate ``construct`` printed: construct's known reps and check's
+    searched ones agree through the CLI alone."""
+    code, out, _ = run(capsys, "--compact", *case["argv"])
+    assert code == case["exit_code"]
+    printed = json.loads(out)
+    certs = printed if isinstance(printed, list) else [printed]
+    for cert in certs:
+        q, field = cert["quadruple"], cert["field"]
+        spec = make_field(field["p"], field["k"])
+        f = ",".join(str(spec.index_of(spec.element(c))) for c in cert["f"])
+        _, out, _ = run(
+            capsys, "--compact", "check", "--p", str(q["p"]), "--m", str(q["m"]),
+            "--u", str(q["u_tilde"]), "--n1", str(q["n1"]),
+            "--field-degree", str(field["k"]), "--f", f,
+        )
+        assert out == json.dumps(cert, separators=(",", ":")) + "\n"
 
 
 def test_witt_breaks_cli(capsys):

@@ -7,11 +7,17 @@ import pytest
 
 import ddcrit.criterion
 from ddcrit.cartier import Quadruple, ddc_check
-from ddcrit.construct import construct_small, construct_trace, d9_witnesses
+from ddcrit.construct import (
+    construct_small,
+    construct_trace,
+    d9_residue_data,
+    d9_witnesses,
+)
 from ddcrit.criterion import (
     ResidueData,
     binomial_det,
     certify,
+    certify_data,
     criterion_exponents,
     isolation_check,
     power_sum_check,
@@ -20,6 +26,7 @@ from ddcrit.criterion import (
     verify_certificate_json,
 )
 from ddcrit.errors import (
+    ExtensionCapExceeded,
     NonSquareSystem,
     NotAField,
     NotDescending,
@@ -28,7 +35,7 @@ from ddcrit.errors import (
     ResidueNotPrimeField,
     WrongDegree,
 )
-from ddcrit.gf import FieldElement, make_field
+from ddcrit.gf import FieldElement, is_prime, make_field
 from ddcrit.poly import Poly, root_of_unity
 from reference import (
     RationalFunction,
@@ -389,10 +396,10 @@ def test_certify_builds_no_root_list(monkeypatch):
             degrees.append(g.degree)
         return real_factor(g)
 
-    def residue_data(q, f):
+    def residue_data(q, f, *args):
         bounds.append(q.n1 // q.m)
         try:
-            return real_residue_data(q, f)
+            return real_residue_data(q, f, *args)
         finally:
             bounds.pop()
 
@@ -411,7 +418,7 @@ def test_reconstruct_runs_no_product_outside_its_ddc_check(monkeypatch):
     """On every golden ``construct`` case, ``reconstruct_f`` builds P, S
     and N by coefficient updates: ``poly.kronecker_mul`` runs only inside
     its final ``ddc_check``."""
-    from ddcrit import cli, construct, poly
+    from ddcrit import poly
     from test_golden import CASES, run_case
 
     depth = {"reconstruct": 0, "ddc": 0}
@@ -444,10 +451,10 @@ def test_reconstruct_runs_no_product_outside_its_ddc_check(monkeypatch):
     monkeypatch.setattr(poly, "kronecker_mul", kronecker_mul)
     ddc = counted("ddc", real_ddc_check)
     monkeypatch.setattr(ddcrit.criterion, "ddc_check", ddc)
-    for module in (ddcrit.criterion, construct, cli):
-        monkeypatch.setattr(
-            module, "reconstruct_f", counted("reconstruct", reconstruct_f)
-        )
+    # construct, cli and search reach it through certify_data
+    monkeypatch.setattr(
+        ddcrit.criterion, "reconstruct_f", counted("reconstruct", reconstruct_f)
+    )
     for case in CASES:
         if case["argv"][0] == "construct":
             assert run_case(case["argv"])[1] == case["exit_code"], case["name"]
@@ -669,3 +676,179 @@ def test_base_field_paths_match_their_oracles():
         "cases": 6240, "pass": 1968, "not_squarefree": 576, "outside": 3696,
         "det": 97, "schur": 6, "no_field": 132, "random_det": 156,
     }, counts
+
+
+# -- certify_data: constructed data certified by its own reps ---------------
+
+
+def _trace_family_data():
+    """construct_trace for p <= 13, every m | p-1 and u~ < 30, leaving out
+    the quadruples whose field exceeds the degree cap and those whose
+    canonical modulus is reducible (ROADMAP defect 1), where
+    ``construct_trace`` itself raises."""
+    out = []
+    for p in (3, 5, 7, 11, 13):
+        for m in range(2, p):
+            if (p - 1) % m:
+                continue
+            for u_tilde in range(m - 1, 30, m):
+                try:
+                    out.append(construct_trace(p, m, u_tilde))
+                except (ExtensionCapExceeded, NotAField):
+                    continue
+    return out
+
+
+def _certify_data_cases():
+    """construct_small for every odd prime p < 100 and N1 in {p-1, p-3, 0},
+    the trace family of ``_trace_family_data`` and the d9 witnesses."""
+    out = [
+        construct_small(p, n1)
+        for p in range(3, 100)
+        if is_prime(p)
+        for n1 in sorted({p - 1, p - 3, 0})
+    ]
+    return out + _trace_family_data() + d9_residue_data()
+
+
+def test_certify_data_matches_certify(monkeypatch):
+    """``certify_data(rd)`` prints the certificate of
+    ``certify(rd.quadruple, reconstruct_f(rd))`` byte for byte, where the f
+    is the certificate's own, and takes rd's reps with no search."""
+    searches = []
+    real_search = ddcrit.criterion.orbit_reps_in_splitting_field
+    monkeypatch.setattr(
+        ddcrit.criterion,
+        "orbit_reps_in_splitting_field",
+        lambda f, m: searches.append(m) or real_search(f, m),
+    )
+    cases = _certify_data_cases()
+    assert len(cases) > 150
+    for rd in cases:
+        searches.clear()
+        cert = certify_data(rd)
+        assert not searches and cert.residue_data.reps == rd.reps
+        assert json.dumps(cert.to_json()) == json.dumps(
+            certify(rd.quadruple, cert.f).to_json()
+        ), rd.quadruple
+        assert searches == [rd.quadruple.m]
+
+
+def _bad_hints(rd):
+    """Five wrong copies of rd's reps, each failing one check of
+    ``_checked_reps``: a rep dropped, two reps swapped, a rep replaced by
+    another member of its mu_m orbit, a rep that is no root, and the reps
+    re-taken in F_{p^(2K)}, where K is not least."""
+    from ddcrit.poly import _mu_m, embed
+
+    q, reps, spec = rd.quadruple, list(rd.reps), rd.field
+    mu_m = _mu_m(q.p, q.m)
+
+    def least(x):
+        return min((x * w for w in mu_m), key=FieldElement.sort_key)
+
+    def sort(xs):
+        return tuple(sorted(xs, key=FieldElement.sort_key))
+
+    ys = {x**q.m for x in reps}
+    no_root = next(
+        z for z in spec.elements() if z and z == least(z) and z**q.m not in ys
+    )
+    big = make_field(q.p, 2 * rd.splitting_degree)
+    hints = {
+        "dropped": (rd.splitting_degree, tuple(reps[1:])),
+        "swapped": (rd.splitting_degree, (reps[1], reps[0], *reps[2:])),
+        "orbit_member": (
+            rd.splitting_degree,
+            sort([reps[0] * mu_m[1], *reps[1:]]),
+        ),
+        "no_root": (rd.splitting_degree, sort([no_root, *reps[1:]])),
+        "not_least": (2 * rd.splitting_degree, sort(least(embed(x, big)) for x in reps)),
+    }
+    return {
+        name: dataclasses.replace(rd, splitting_degree=degree, reps=xs)
+        for name, (degree, xs) in hints.items()
+    }
+
+
+@pytest.mark.parametrize("build, args", [
+    (construct_small, (7, 4)),
+    (construct_trace, (5, 4, 3)),
+    (construct_trace, (7, 3, 2)),
+    (construct_trace, (3, 2, 5)),
+])
+def test_certify_data_falls_back_on_bad_reps(monkeypatch, build, args):
+    """Each bad hint fails the check, the reps are searched for instead,
+    and the certificate is certify's, byte for byte."""
+    from ddcrit.criterion import _certificate, _checked_reps
+
+    rd = build(*args)
+    q = rd.quadruple
+    f = reconstruct_f(rd)
+    big_f = Poly(f.spec, f.coeffs[:: q.m])
+    expected = json.dumps(certify(q, f).to_json())
+    searches = []
+    real_search = ddcrit.criterion.orbit_reps_in_splitting_field
+    monkeypatch.setattr(
+        ddcrit.criterion,
+        "orbit_reps_in_splitting_field",
+        lambda f, m: searches.append(m) or real_search(f, m),
+    )
+    for name, bad in _bad_hints(rd).items():
+        assert bad.reps != rd.reps, name
+        assert _checked_reps(q, big_f, bad) is None, name
+        searches.clear()
+        assert json.dumps(_certificate(q, f, True, bad).to_json()) == expected, name
+        assert searches == [q.m], name
+
+
+def _construct_argvs():
+    """The distinct ``construct`` argv lists of the benchmark catalog that
+    exit 0, then the golden ``construct`` cases (F_{5^6} and F_{7^15} lie
+    above the table bound), each with ``--compact`` first."""
+    import pathlib
+
+    from test_golden import CASES
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    catalog = json.loads((root / "perfbench" / "catalog.json").read_text())
+    argvs = []
+    for members in catalog["workloads"]["certify"]["classes"].values():
+        for job in members:
+            if job["argv"][1] == "construct" and job["code"] == 0:
+                argvs.append(job["argv"])
+    argvs += [["--compact", *c["argv"]] for c in CASES if c["argv"][0] == "construct"]
+    return list(dict.fromkeys(map(tuple, argvs)))
+
+
+def test_construct_runs_one_ddc_check_per_certificate(monkeypatch, capsys):
+    """Every catalog and golden ``construct`` job runs ``ddc_check`` once
+    per certificate it prints and never searches for orbit reps."""
+    import importlib
+
+    from ddcrit import cli, poly
+
+    cartier = importlib.import_module("ddcrit.cartier")
+    calls = []
+    real_ddc_check = cartier.ddc_check
+
+    def ddc_check(q, f):
+        calls.append(q)
+        return real_ddc_check(q, f)
+
+    def no_search(f, m):
+        raise AssertionError("orbit_reps_in_splitting_field called")
+
+    for module in (cartier, ddcrit.criterion):
+        monkeypatch.setattr(module, "ddc_check", ddc_check)
+    for module in (poly, ddcrit.criterion):
+        monkeypatch.setattr(module, "orbit_reps_in_splitting_field", no_search)
+    argvs = _construct_argvs()
+    assert len(argvs) >= 30
+    assert ("--compact", "construct", "trace", "--p", "7", "--m", "2", "--u", "31") in argvs
+    for argv in argvs:
+        calls.clear()
+        assert cli.main(list(argv)) == 0, argv
+        out = json.loads(capsys.readouterr().out)
+        certs = out if isinstance(out, list) else [out]
+        assert [c["quadruple"] for c in certs] == [q.to_json() for q in calls], argv
