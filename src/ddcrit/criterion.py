@@ -27,8 +27,8 @@ from .errors import (
 )
 from .gf import FieldElement, FieldSpec, make_field, prime_factors
 from .poly import (
-    _mu_m,
     Poly,
+    _mu_m,
     _powmod,
     elementary_symmetric,
     embed_poly,
@@ -149,13 +149,14 @@ def _checked_reps(q: Quadruple, big_f: Poly, known: ResidueData):
     f = F(t^m), else None.
 
     The reps must lie in the canonical F_{p^K}, with k | K for f's field
-    F_{p^k}, ascend, each be the least of its mu_m orbit, and give deg F
-    distinct y_j = x_j^m with F(y_j) = 0.  Then F splits into distinct
-    linear factors over F_{p^K}, the roots of f are the orbits x_j mu_m, and
-    their field F_{p^D} (k | D) lies in F_{p^K}, so D | K; D = K since for
-    each prime r | K/k some rep lies outside F_{p^(K/r)}.  The check costs
-    one evaluation of F per Frobenius orbit of the y_j and one q-th power
-    per y_j, where a search factors F and splits it over F_{p^K}."""
+    F_{p^k}, be deg F in number, ascend strictly and each be the least of
+    its mu_m orbit, so the y_j = x_j^m are distinct (x_i^m = x_j^m puts
+    x_i and x_j in one orbit), and give F(y_j) = 0.  Then F splits into
+    distinct linear factors over F_{p^K}, the roots of f are the orbits
+    x_j mu_m, and their field F_{p^D} (k | D) lies in F_{p^K}, so D | K;
+    D = K since for each prime r | K/k some rep lies outside F_{p^(K/r)}.
+    The check costs one evaluation of F per Frobenius orbit and one q-th
+    power per y_j, where a search factors F and splits it over F_{p^K}."""
     p, m, k = q.p, q.m, big_f.spec.k
     degree, reps = known.splitting_degree, list(known.reps)
     big = make_field(p, degree)
@@ -167,15 +168,11 @@ def _checked_reps(q: Quadruple, big_f: Poly, known: ResidueData):
     mu_m = _mu_m(p, m)
     if any((x * w).sort_key() < key for x, key in zip(reps, keys) for w in mu_m):
         return None
-    ys = [x**m for x in reps]
-    y_set = set(ys)
-    if len(y_set) != len(ys):
-        return None
-    # F(y^q) = F(y)^q over F_q, so when the y_j are closed under y -> y^q
-    # one root per orbit makes them all roots: one evaluation per orbit
+    # F(y^q) = F(y)^q over F_q: one evaluation per orbit of y -> y^q
     q_order, seen = big_f.spec.order, set()
     big_f = embed_poly(big_f, big)
-    for y in ys:
+    for x in reps:
+        y = x**m
         if y in seen:
             continue
         if big_f.evaluate(y):
@@ -183,8 +180,6 @@ def _checked_reps(q: Quadruple, big_f: Poly, known: ResidueData):
         while y not in seen:
             seen.add(y)
             y = y**q_order
-            if y not in y_set:
-                return None
     for r in prime_factors(degree // k):
         sub = p ** (degree // r)
         if all(x**sub == x for x in reps):
@@ -422,7 +417,6 @@ def _certificate(
 ) -> Certificate:
     """The certificate of f given its ddc flag, recording a failed criterion
     as flags; ``known`` is handed to ``residue_data``."""
-    rd = None
     power_sum_ok = False
     det = None
     isolated = False

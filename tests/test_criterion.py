@@ -735,10 +735,11 @@ def test_certify_data_matches_certify(monkeypatch):
 
 
 def _bad_hints(rd):
-    """Five wrong copies of rd's reps, each failing one check of
+    """Six wrong copies of rd's hint, each failing one check of
     ``_checked_reps``: a rep dropped, two reps swapped, a rep replaced by
-    another member of its mu_m orbit, a rep that is no root, and the reps
-    re-taken in F_{p^(2K)}, where K is not least."""
+    another member of its mu_m orbit, a rep that is no root, the reps
+    re-taken in F_{p^(2K)}, where K is not least, and the reps left in
+    F_{p^K} under the degree 2K."""
     from ddcrit.poly import _mu_m, embed
 
     q, reps, spec = rd.quadruple, list(rd.reps), rd.field
@@ -764,6 +765,7 @@ def _bad_hints(rd):
         ),
         "no_root": (rd.splitting_degree, sort([no_root, *reps[1:]])),
         "not_least": (2 * rd.splitting_degree, sort(least(embed(x, big)) for x in reps)),
+        "mislabelled": (2 * rd.splitting_degree, tuple(reps)),
     }
     return {
         name: dataclasses.replace(rd, splitting_degree=degree, reps=xs)
@@ -795,7 +797,7 @@ def test_certify_data_falls_back_on_bad_reps(monkeypatch, build, args):
         lambda f, m: searches.append(m) or real_search(f, m),
     )
     for name, bad in _bad_hints(rd).items():
-        assert bad.reps != rd.reps, name
+        assert (bad.splitting_degree, bad.reps) != (rd.splitting_degree, rd.reps)
         assert _checked_reps(q, big_f, bad) is None, name
         searches.clear()
         assert json.dumps(_certificate(q, f, True, bad).to_json()) == expected, name
