@@ -93,36 +93,27 @@ def construct_trace(
     return rd
 
 
-# (u~, N1, D, reps, residues) of the dihedral witnesses f = t^8 + t^6 + 1
-# and f = 2t^10 + t^8 + t^6 + 1 over F_3: their mu_2 orbit reps in the
-# canonical F_{3^D}, as coefficient vectors, and their residues
-_D9_ROOTS = (
-    (5, 8, 3, ((0, 1, 1), (0, 1, 2), (1, 0, 0), (1, 0, 2)), (2, 1, 2, 1)),
-    (
-        5,
-        10,
-        5,
+# mu_2 orbit reps, as coefficient vectors over the canonical F_{3^D}, and
+# residues of the witnesses f = t^8 + t^6 + 1 (N1 = 8, D = 3) and
+# f = 2t^10 + t^8 + t^6 + 1 (N1 = 10, D = 5) of (3, 2, 5, N1) over F_3
+_D9_ROOTS = {
+    8: (((0, 1, 1), (0, 1, 2), (1, 0, 0), (1, 0, 2)), (2, 1, 2, 1)),
+    10: (
         ((0, 1, 0, 2, 0), (0, 1, 1, 0, 0), (0, 1, 2, 2, 0), (1, 0, 2, 1, 1),
          (1, 2, 0, 1, 1)),
         (1, 1, 2, 2, 1),
     ),
-)
+}
 
 
 def d9_residue_data() -> list[ResidueData]:
     """Residue data of the four witnesses behind the dihedral group of
     order 18: quadruples (3,2,1,2), (3,2,1,0), (3,2,5,8), (3,2,5,10)."""
     out = [construct_small(3, n1) for n1 in (2, 0)]
-    for u_tilde, n1, degree, reps, residues in _D9_ROOTS:
-        spec = make_field(3, degree)
-        out.append(
-            ResidueData(
-                Quadruple(3, 2, u_tilde, n1),
-                degree,
-                tuple(spec.element(c) for c in reps),
-                residues,
-            )
-        )
+    for n1, (reps, residues) in _D9_ROOTS.items():
+        spec = make_field(3, len(reps[0]))
+        reps = tuple(spec.element(c) for c in reps)
+        out.append(ResidueData(Quadruple(3, 2, 5, n1), spec.k, reps, residues))
     return out
 
 

@@ -158,7 +158,7 @@ def _checked_reps(q: Quadruple, big_f: Poly, known: ResidueData):
     The check costs one evaluation of F per Frobenius orbit and one q-th
     power per y_j, where a search factors F and splits it over F_{p^K}."""
     p, m, k = q.p, q.m, big_f.spec.k
-    degree, reps = known.splitting_degree, list(known.reps)
+    degree, reps = known.splitting_degree, known.reps
     big = make_field(p, degree)
     if degree % k or len(reps) != big_f.degree or any(x.spec != big for x in reps):
         return None

@@ -148,6 +148,9 @@ def test_d9_witnesses():
     by_quad = {(c.quadruple.u_tilde, c.quadruple.n1): c for c in certs}
     f3 = make_field(3, 1)
     assert by_quad[(5, 8)].f == Poly.from_ints(f3, [1, 0, 0, 0, 0, 0, 1, 0, 1])
+    assert by_quad[(5, 10)].f == Poly.from_ints(
+        f3, [1, 0, 0, 0, 0, 0, 1, 0, 1, 0, 2]
+    )
     assert by_quad[(1, 0)].f == Poly.from_ints(f3, [2])
     assert by_quad[(1, 2)].f == Poly.from_ints(f3, [2, 0, 1])
     # N1 = 0 entry: empty isolation matrix counts as isolated

@@ -711,17 +711,23 @@ def _certify_data_cases():
     return out + _trace_family_data() + d9_residue_data()
 
 
-def test_certify_data_matches_certify(monkeypatch):
-    """``certify_data(rd)`` prints the certificate of
-    ``certify(rd.quadruple, reconstruct_f(rd))`` byte for byte, where the f
-    is the certificate's own, and takes rd's reps with no search."""
-    searches = []
+@pytest.fixture
+def searches(monkeypatch):
+    """The m of every ``orbit_reps_in_splitting_field`` call by criterion."""
+    calls = []
     real_search = ddcrit.criterion.orbit_reps_in_splitting_field
     monkeypatch.setattr(
         ddcrit.criterion,
         "orbit_reps_in_splitting_field",
-        lambda f, m: searches.append(m) or real_search(f, m),
+        lambda f, m: calls.append(m) or real_search(f, m),
     )
+    return calls
+
+
+def test_certify_data_matches_certify(searches):
+    """``certify_data(rd)`` prints the certificate of
+    ``certify(rd.quadruple, reconstruct_f(rd))`` byte for byte, where the f
+    is the certificate's own, and takes rd's reps with no search."""
     cases = _certify_data_cases()
     assert len(cases) > 150
     for rd in cases:
@@ -764,8 +770,8 @@ def _bad_hints(rd):
             sort([reps[0] * mu_m[1], *reps[1:]]),
         ),
         "no_root": (rd.splitting_degree, sort([no_root, *reps[1:]])),
-        "not_least": (2 * rd.splitting_degree, sort(least(embed(x, big)) for x in reps)),
-        "mislabelled": (2 * rd.splitting_degree, tuple(reps)),
+        "not_least": (big.k, sort(least(embed(x, big)) for x in reps)),
+        "mislabelled": (big.k, tuple(reps)),
     }
     return {
         name: dataclasses.replace(rd, splitting_degree=degree, reps=xs)
@@ -779,7 +785,7 @@ def _bad_hints(rd):
     (construct_trace, (7, 3, 2)),
     (construct_trace, (3, 2, 5)),
 ])
-def test_certify_data_falls_back_on_bad_reps(monkeypatch, build, args):
+def test_certify_data_falls_back_on_bad_reps(searches, build, args):
     """Each bad hint fails the check, the reps are searched for instead,
     and the certificate is certify's, byte for byte."""
     from ddcrit.criterion import _certificate, _checked_reps
@@ -789,18 +795,12 @@ def test_certify_data_falls_back_on_bad_reps(monkeypatch, build, args):
     f = reconstruct_f(rd)
     big_f = Poly(f.spec, f.coeffs[:: q.m])
     expected = json.dumps(certify(q, f).to_json())
-    searches = []
-    real_search = ddcrit.criterion.orbit_reps_in_splitting_field
-    monkeypatch.setattr(
-        ddcrit.criterion,
-        "orbit_reps_in_splitting_field",
-        lambda f, m: searches.append(m) or real_search(f, m),
-    )
     for name, bad in _bad_hints(rd).items():
         assert (bad.splitting_degree, bad.reps) != (rd.splitting_degree, rd.reps)
         assert _checked_reps(q, big_f, bad) is None, name
         searches.clear()
-        assert json.dumps(_certificate(q, f, True, bad).to_json()) == expected, name
+        cert = _certificate(q, f, True, bad)
+        assert json.dumps(cert.to_json()) == expected, name
         assert searches == [q.m], name
 
 
@@ -847,7 +847,8 @@ def test_construct_runs_one_ddc_check_per_certificate(monkeypatch, capsys):
         monkeypatch.setattr(module, "orbit_reps_in_splitting_field", no_search)
     argvs = _construct_argvs()
     assert len(argvs) >= 30
-    assert ("--compact", "construct", "trace", "--p", "7", "--m", "2", "--u", "31") in argvs
+    large = ("--compact", "construct", "trace", "--p", "7", "--m", "2", "--u", "31")
+    assert large in argvs
     for argv in argvs:
         calls.clear()
         assert cli.main(list(argv)) == 0, argv
