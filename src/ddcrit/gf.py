@@ -147,8 +147,10 @@ def solve_modp(aug: list[list[int]], p: int) -> list[int] | None:
 # packed-int multiply that also serves ``kronecker_columns`` (so every
 # ``Poly`` and ``LaurentPoly`` product), one division, ``_divmod_modp``, which
 # takes any nonzero leading coefficient and also serves ``Poly.divmod`` and
-# ``Poly.gcd`` over F_p, and ``_sub_modp``.  ROADMAP defect 1 is held by one
-# line of ``_is_irreducible_modp``; its docstring says why it stays.
+# ``Poly.gcd`` over F_p, ``_sub_modp``, and ``_scaled_sum``, a linear
+# combination packed like the product (the sums of Witt addition).  ROADMAP
+# defect 1 is held by one line of ``_is_irreducible_modp``; its docstring
+# says why it stays.
 
 
 def _trim(c: list[int]) -> list[int]:
@@ -202,7 +204,25 @@ def _mul_modp(a, b, p: int) -> list[int]:
     width = _digit_bytes(nonzero * (p - 1) ** 2)
     x = _to_int(a, width)
     y = x if a is b else _to_int(b, width)
-    raw = (x * y).to_bytes((len(a) + len(b) - 1) * width, "little")
+    return _from_int(x * y, len(a) + len(b) - 1, width, p)
+
+
+def _scaled_sum(terms, n: int, p: int) -> list[int]:
+    """The sum of c x^off a over the (c, off, a) terms, a a digit list in
+    F_p[x] and c in [0, p), as all n digits in [0, p): each a is packed as
+    in ``_mul_modp``, scaled and shifted there, and the total is unpacked
+    and reduced once.  A digit sums at most len(terms) products below p^2."""
+    width = _digit_bytes(len(terms) * (p - 1) ** 2)
+    bits = 8 * width
+    total = 0
+    for c, off, a in terms:
+        total += c * _to_int(a, width) << off * bits
+    return _from_int(total, n, width, p)
+
+
+def _from_int(x: int, n: int, width: int, p: int) -> list[int]:
+    """The lowest n little-endian width-byte digits of x, each mod p."""
+    raw = x.to_bytes(n * width, "little")
     if width == 1:
         return [d % p for d in raw]
     code = _WORD_CODES.get(width)

@@ -4,9 +4,18 @@ Addition polynomials are computed once per (p, n) by the ghost-component
 recursion over the integers, every division by p^i is checked to be exact,
 and the mod-p reductions are cached.  Everything downstream —
 Frobenius, the isogeny wp = F - id, standard-form reduction (one pass over
-each slot as a Laurent polynomial, then one carry), upper ramification
-breaks, the congruence/KGB tests and jump reduction — is exact arithmetic
-over an explicit finite field.
+each slot, then one carry), upper ramification breaks, the congruence/KGB
+tests and jump reduction — is exact arithmetic over an explicit finite
+field.
+
+Witt addition and standard-form reduction compute on entries in column
+form, (low, k int columns) (see "column form" below): ``witt_add``,
+``witt_sub`` and ``wp`` convert at their boundary, and ``standard_form``
+keeps its working vector and adjustment in that form from start to end,
+building FieldElements and LaurentPolys only for its result.  Frobenius,
+the p-th root, the lift into a degree-p extension and x -> x^p - x are
+F_p-linear, so each is a matrix cached per field and applied to whole
+columns.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from .errors import (
 from .gf import (
     FieldElement,
     FieldSpec,
+    _scaled_sum,
     column_elements,
     element_columns,
     is_prime,
@@ -141,30 +151,155 @@ def _check_pair(v: WittVector, w: WittVector):
         raise SpecMismatch("Witt vectors of different truncation levels")
 
 
-def _add(v: WittVector, w: WittVector, negate: bool) -> WittVector:
-    """v + w, or v - w when negate is set: the one Witt addition.
+# -- column form -------------------------------------------------------------
+#
+# Witt addition and standard-form reduction hold an entry as (low, cols):
+# the coefficients of t^low, t^(low + 1), ... in column form (``gf``'s
+# ``element_columns``), k equally long columns of ints in [0, p), first and
+# last term nonzero; the zero entry has k empty columns.
+
+
+def _columns(v: WittVector) -> tuple:
+    k = v.spec.k
+    return tuple((e.low, element_columns(e.coeffs, k)) for e in v.entries)
+
+
+def _vector(spec: FieldSpec, entries) -> WittVector:
+    """The Witt vector of column-form entries: one ``column_elements`` call
+    and one LaurentPoly per entry."""
+    return WittVector(
+        spec,
+        tuple(
+            LaurentPoly(spec, low, column_elements(cols, spec)) for low, cols in entries
+        ),
+    )
+
+
+def _zero(k: int):
+    return 0, [()] * k
+
+
+def _entry(k: int, terms: dict):
+    """The column-form entry with coefficient vector terms[e] at t^e."""
+    terms = {e: a for e, a in terms.items() if any(a)}
+    if not terms:
+        return _zero(k)
+    low = min(terms)
+    cols = [[0] * (max(terms) + 1 - low) for _ in range(k)]
+    for e, a in terms.items():
+        for col, d in zip(cols, a):
+            col[e - low] = d
+    return low, cols
+
+
+# -- F_p-linear maps on columns ----------------------------------------------
+#
+# Frobenius, the p-th root, the lift into an extension and x -> x^p - x are
+# F_p-linear, so each is one matrix per field (cached), read off the images
+# of the basis x^0, ..., x^(k-1) and applied to whole columns at once.
+
+
+def _basis(spec: FieldSpec) -> list[FieldElement]:
+    return [spec.element([0] * t + [1]) for t in range(spec.k)]
+
+
+def _linear_map(images, k: int) -> tuple:
+    """The map sending x^t to images[t] (of degree k over F_p) as k rows:
+    row s lists (t, coefficient s of images[t]) where that is nonzero."""
+    coeffs = [y.coeffs for y in images]
+    return tuple(
+        tuple((t, c[s]) for t, c in enumerate(coeffs) if c[s]) for s in range(k)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _frobenius_map(spec: FieldSpec) -> tuple:
+    """c -> c^p on spec."""
+    return _linear_map([b**spec.p for b in _basis(spec)], spec.k)
+
+
+@functools.lru_cache(maxsize=None)
+def _pth_root_map(spec: FieldSpec) -> tuple:
+    """c -> c^(p^(k-1)), Frobenius k - 1 times: ``gf.pth_root``."""
+    return _linear_map([pth_root(b) for b in _basis(spec)], spec.k)
+
+
+@functools.lru_cache(maxsize=None)
+def _lift_map(src: FieldSpec, dst: FieldSpec) -> tuple:
+    """c -> embed(c, dst); building it raises what ``poly.embed`` raises on
+    any element of src (say NotAField when dst's modulus is reducible)."""
+    return _linear_map([embed(b, dst) for b in _basis(src)], dst.k)
+
+
+@functools.lru_cache(maxsize=None)
+def _artin_schreier_matrix(spec: FieldSpec) -> tuple:
+    """The k x k matrix over F_p of x -> x^p - x; column t is the image of
+    x^t.  Its rank is k - 1: the kernel is F_p."""
+    return tuple(zip(*[(b**spec.p - b).coeffs for b in _basis(spec)]))
+
+
+def _apply(rows, cols, p: int) -> list:
+    """The columns of the images, under the map with these rows, of the
+    elements whose coefficients cols holds.  A row that copies one column
+    returns that column itself: no column is ever changed in place."""
+    out = []
+    for row in rows:
+        match row:
+            case ():
+                out.append([0] * len(cols[0]))
+            case ((t, 1),):
+                out.append(cols[t])
+            case ((t, m), *rest):
+                acc = [m * c for c in cols[t]]
+                for t, m in rest:
+                    acc = [a + m * c for a, c in zip(acc, cols[t])]
+                out.append([a % p for a in acc])
+    return out
+
+
+def _image(rows, a, p: int) -> list[int]:
+    """The image of one element, given and returned as its coefficients."""
+    return [sum(m * a[t] for t, m in row) % p for row in rows]
+
+
+def _frobenius_entry(spec: FieldSpec, entry):
+    """F on a column-form entry: coefficients to their p-th powers,
+    exponents times p."""
+    low, cols = entry
+    width = len(cols[0])
+    if not width:
+        return entry
+    p = spec.p
+    out = []
+    for col in _apply(_frobenius_map(spec), cols, p):
+        spread = [0] * (p * width - p + 1)
+        spread[::p] = col
+        out.append(spread)
+    return p * low, out
+
+
+# -- addition ----------------------------------------------------------------
+
+
+def _add(spec: FieldSpec, x: tuple, y: tuple, negate: bool) -> tuple:
+    """x + y, or x - y when negate is set, for two tuples of column-form
+    entries of one level over spec: the one Witt addition.
 
     The live terms of each S_i come from the zero pattern of the entries
-    (``_live_terms``).  Each entry that a live term needs goes to column
-    form (``gf``'s ``element_columns``) once; its powers and every term
-    product stay there (``kronecker_columns``).  The terms of S_i add up in
-    one unreduced int list per column, reduced mod p once, and each output
-    entry is built once.  Only the sum needs trimming: a product of nonzero
-    Laurent polynomials over a field has nonzero end coefficients.  v - w
-    adds -w, which for odd p is coordinatewise, so a term with Y-exponents
-    ye takes the sign (-1)^sum(ye) and no negated vector is built.
+    (``_live_terms``).  Powers of entries and every term product stay in
+    column form (``kronecker_columns``).  The terms of S_i add up packed,
+    one int per column, reduced mod p once (``_column_sum``).
+    Only the sum needs trimming: a product of nonzero Laurent polynomials
+    over a field has nonzero end coefficients.  x - y adds -y, which for
+    odd p is coordinatewise, so a term with Y-exponents ye takes the sign
+    (-1)^sum(ye) and no negated vector is built.
     """
-    _check_pair(v, w)
-    spec = v.spec
-    p = spec.p
-    entries = v.entries + w.entries
-    # powers[j][e - 1] is entry j to the e-th as (low, columns), grown on use
-    powers: list[list] = [[] for _ in entries]
+    entries = x + y
+    # powers[j][e - 1] is entry j to the e-th, grown on use
+    powers = [[e] for e in entries]
 
     def power(j: int, e: int):
         chain = powers[j]
-        if not chain:
-            chain.append((entries[j].low, element_columns(entries[j].coeffs, spec.k)))
         base_low, base = chain[0]
         while len(chain) < e:
             low, cols = chain[-1]
@@ -172,7 +307,8 @@ def _add(v: WittVector, w: WittVector, negate: bool) -> WittVector:
         return chain[e - 1]
 
     out = []
-    for live in _live_terms(p, v.level, tuple(map(bool, entries)), negate):
+    nonzero = tuple(bool(cols[0]) for _, cols in entries)
+    for live in _live_terms(spec.p, len(x), nonzero, negate):
         match live:
             case [(1, [(j, 1)])]:
                 out.append(entries[j])  # the sum is one entry as it stands
@@ -185,7 +321,7 @@ def _add(v: WittVector, w: WittVector, negate: bool) -> WittVector:
                 low, cols = low + f_low, kronecker_columns(cols, f_cols, spec)
             summands.append((c, low, cols))
         out.append(_column_sum(summands, spec))
-    return WittVector(spec, tuple(out))
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -207,32 +343,31 @@ def _live_terms(p: int, n: int, nonzero: tuple[bool, ...], negate: bool):
     return tuple(out)
 
 
-def _column_sum(summands, spec: FieldSpec) -> LaurentPoly:
-    """The sum of c t^low (cols) over the (c, low, cols) summands, cols the
-    coefficients in column form: added as ints, reduced mod p once."""
+def _column_sum(summands, spec: FieldSpec):
+    """The column-form entry sum of c t^low (cols) over the (c, low, cols)
+    summands: one packed ``_scaled_sum`` per column, trimmed."""
     if not summands:
-        return LaurentPoly.zero(spec)
+        return _zero(spec.k)
+    p = spec.p
     low = min(s[1] for s in summands)
     width = max(s[1] + len(s[2][0]) for s in summands) - low
-    acc = [[0] * width for _ in range(spec.k)]
-    for c, s_low, cols in summands:
-        off = s_low - low
-        for a, col in zip(acc, cols):
-            end = off + len(col)
-            a[off:end] = [x + c * y for x, y in zip(a[off:end], col)]
-    p = spec.p
-    acc = [[x % p for x in a] for a in acc]
+    acc = [
+        _scaled_sum([(c, off - low, cols[t]) for c, off, cols in summands], width, p)
+        for t in range(spec.k)
+    ]
     start, stop = 0, width
     while start < stop and not any(a[start] for a in acc):
         start += 1
     while stop > start and not any(a[stop - 1] for a in acc):
         stop -= 1
-    coeffs = column_elements([a[start:stop] for a in acc], spec)
-    return LaurentPoly(spec, low + start, coeffs)
+    if start == stop:
+        return _zero(spec.k)
+    return low + start, [a[start:stop] for a in acc]
 
 
 def witt_add(v: WittVector, w: WittVector) -> WittVector:
-    return _add(v, w, False)
+    _check_pair(v, w)
+    return _vector(v.spec, _add(v.spec, _columns(v), _columns(w), False))
 
 
 def witt_neg(v: WittVector) -> WittVector:
@@ -241,7 +376,8 @@ def witt_neg(v: WittVector) -> WittVector:
 
 
 def witt_sub(v: WittVector, w: WittVector) -> WittVector:
-    return _add(v, w, True)
+    _check_pair(v, w)
+    return _vector(v.spec, _add(v.spec, _columns(v), _columns(w), True))
 
 
 def frobenius(v: WittVector) -> WittVector:
@@ -249,9 +385,13 @@ def frobenius(v: WittVector) -> WittVector:
     return WittVector(v.spec, tuple(e.frobenius() for e in v.entries))
 
 
+def _wp(spec: FieldSpec, x: tuple) -> tuple:
+    return _add(spec, tuple(_frobenius_entry(spec, e) for e in x), x, True)
+
+
 def wp(v: WittVector) -> WittVector:
     """The Artin-Schreier-Witt isogeny F(v) - v."""
-    return witt_sub(frobenius(v), v)
+    return _vector(v.spec, _wp(v.spec, _columns(v)))
 
 
 # -- standard form -----------------------------------------------------------
@@ -281,14 +421,38 @@ class StandardFormResult:
         }
 
 
-def _artin_schreier_solve(spec: FieldSpec, c: FieldElement) -> FieldElement | None:
-    """Some x with x^p - x = c in spec, or None if there is none (Tr c != 0)."""
-    p, k = spec.p, spec.k
-    basis = [spec.element([0] * j + [1]) for j in range(k)]
-    cols = [(b**p - b).coeffs for b in basis]
-    # the k x k system over F_p, of rank k - 1: its kernel is F_p
-    x = solve_modp([[*row, ci] for row, ci in zip(zip(*cols), c.coeffs)], p)
-    return None if x is None else spec.element(x)
+def _artin_schreier_solve(spec: FieldSpec, c) -> list[int] | None:
+    """The coefficients of some x with x^p - x = c in spec, c given by its k
+    coefficients, or None if there is none (Tr c != 0)."""
+    aug = [[*row, ci] for row, ci in zip(_artin_schreier_matrix(spec), c)]
+    return solve_modp(aug, spec.p)
+
+
+def _constant(entry) -> list[int]:
+    """The coefficients of the last term of a nonzero column-form entry."""
+    return [col[-1] for col in entry[1]]
+
+
+def _pole_moves(spec: FieldSpec, entry) -> dict:
+    """The moves of a column-form slot's p-divisible poles: a t^e goes to
+    a^(1/p) t^(e/p), least e first, as e/p > e, so a move that lands on
+    another pole moves on with it.  Maps each e/p to its coefficients."""
+    low, cols = entry
+    p, width = spec.p, len(cols[0])
+    poles = set()
+    for e in range(low + -low % p, min(low + width, 0), p):
+        if any(col[e - low] for col in cols):
+            while e < 0 and e % p == 0:
+                poles.add(e)
+                e //= p
+    moves: dict = {}
+    for e in sorted(poles):
+        a = [col[e - low] for col in cols] if e < low + width else [0] * spec.k
+        if e in moves:
+            a = [(x + y) % p for x, y in zip(a, moves[e])]
+        if any(a):
+            moves[e // p] = _image(_pth_root_map(spec), a, p)
+    return moves
 
 
 def standard_form(
@@ -310,51 +474,50 @@ def standard_form(
     two agree on slot i and then differ by wp(D), D zero through slot i; slot
     i+1 absorbs d^p - d, its constant of trace 0, so the field grows alike.
     Both g differ by ker wp = W_n(F_p): by 0, as per-term carries miss constants.
+    The work and g stay in column form throughout; the p-th roots and lifts
+    are the cached linear maps, and only the returned vectors are built as
+    Laurent polynomials.
     """
     if v.level > MAX_LEVEL:
         raise LevelTooHigh(f"truncation level {v.level} exceeds the cap {MAX_LEVEL}")
     for entry in v.entries:
         if entry and entry.high > 0:
             raise ValueError("entries must lie in k[t^-1] (no positive powers)")
-    base_k, n, work = v.spec.k, v.level, v
-    g = WittVector.zero(v.spec, n)
+    spec, n, base_k = v.spec, v.level, v.spec.k
+    p, work = spec.p, _columns(v)
+    g = (_zero(base_k),) * n
     for i in range(n):
-        spec, entry, moves = work.spec, work.entries[i], {}
         # the pole pass never reads the constant's move, and p-th roots
         # commute with embed, so it runs in the slot's own field first
-        p, coeffs = spec.p, entry.term_dict()
-        poles = set()
-        for e in coeffs:
-            while e < 0 and e % p == 0:
-                poles.add(e)
-                e //= p
-        for e in sorted(poles):
-            a = coeffs.get(e, spec.zero()) + moves.get(e, spec.zero())
-            if a:
-                moves[e // p] = pth_root(a)
-        if entry.high == 0:
-            while (x := _artin_schreier_solve(spec, entry.coeffs[-1])) is None:
-                new_k = spec.k * spec.p
+        moves = _pole_moves(spec, work[i])
+        low, cols = work[i]
+        if cols[0] and low + len(cols[0]) == 1:  # the slot has a constant
+            while (root := _artin_schreier_solve(spec, _constant(work[i]))) is None:
+                new_k = spec.k * p
                 if new_k > extension_cap * base_k:
                     raise ExtensionCapExceeded(
                         f"standard form needs degree {new_k // base_k} "
                         f"over the base (cap {extension_cap})"
                     )
-                spec = make_field(spec.p, new_k)
-                lift = lambda c: embed(c, spec)  # noqa: E731
-                work, g = work.map_coeffs(lift, spec), g.map_coeffs(lift, spec)
-                moves = {e: lift(a) for e, a in moves.items()}
-                entry = work.entries[i]
-            moves[0] = x
-        c = LaurentPoly.from_terms(spec, moves)
-        if c:
-            zero = WittVector.zero(spec, n).entries
-            vc = WittVector(spec, zero[:i] + (c,) + zero[i + 1 :])
-            work = witt_sub(work, wp(vc))
-            g = WittVector(spec, g.entries[:i] + vc.entries[i:])
-    if not is_standard(work):
+                big = make_field(p, new_k)
+                lift = _lift_map(spec, big)
+                work, g = (
+                    tuple((e_low, _apply(lift, e_cols, p)) for e_low, e_cols in vec)
+                    for vec in (work, g)
+                )
+                moves = {e: _image(lift, a, p) for e, a in moves.items()}
+                spec = big
+            moves[0] = root
+        c = _entry(spec.k, moves)
+        if c[1][0]:
+            zero = _zero(spec.k)
+            vc = (zero,) * i + (c,) + (zero,) * (n - 1 - i)
+            work = _add(spec, work, _wp(spec, vc), True)
+            g = g[:i] + vc[i:]
+    vector = _vector(spec, work)
+    if not is_standard(vector):
         raise NotStandardForm("standard-form reduction left a non-standard term")
-    return StandardFormResult(work, work.spec.k // base_k, g)
+    return StandardFormResult(vector, spec.k // base_k, _vector(spec, g))
 
 
 # -- ramification breaks -----------------------------------------------------

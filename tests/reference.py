@@ -728,7 +728,7 @@ def standard_form_reference(
                 const = entry.term_dict().get(0)
                 if const is None:
                     break
-                x = _artin_schreier_solve(spec, const)
+                x = _artin_schreier_solve(spec, const.coeffs)
                 if x is None:
                     new_k = spec.k * p
                     if new_k > extension_cap * base_k:
@@ -741,7 +741,7 @@ def standard_form_reference(
                     work = work.map_coeffs(lift, big)
                     g = g.map_coeffs(lift, big)
                     continue
-                corr = LaurentPoly(spec, 0, [x])
+                corr = LaurentPoly(spec, 0, [spec.element(x)])
             corr_vec = _single_slot(spec, n, i, corr)
             work = witt_sub(work, wp(corr_vec))
             g = witt_add(g, corr_vec)

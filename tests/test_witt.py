@@ -1,3 +1,4 @@
+import collections
 import json
 import pathlib
 import random
@@ -10,11 +11,18 @@ from ddcrit.errors import (
     InvalidProfile,
     LevelTooHigh,
     MixedClasses,
+    NotAField,
     NotStandardForm,
 )
 import ddcrit.witt
 from ddcrit.cli import parse_laurent
-from ddcrit.gf import make_field
+from ddcrit.gf import (
+    FieldElement,
+    column_elements,
+    element_columns,
+    make_field,
+    pth_root,
+)
 from ddcrit.poly import LaurentPoly, embed
 from ddcrit.witt import (
     JumpProfile,
@@ -329,13 +337,92 @@ def test_standard_form_matches_the_per_term_reference():
     assert raised > 100 and extended > 300
 
 
+def test_standard_form_matches_the_reference_over_larger_bases():
+    """A seeded sweep of 120 vectors over F_{3^3} and F_{3^4} with extension
+    cap 9: the whole outcome of the one-pass reduction, raised errors
+    included, is the per-term loop's.  Over F_{3^3} a constant of nonzero
+    trace lifts the tabled field into the untabled F_{3^9}, and a second
+    one into F_{3^27}; over F_{3^4} the lift goes to F_{3^12}, whose
+    canonical modulus is reducible (ROADMAP defect 1), so both raise
+    NotAField there (how often is not pinned: the defect's fix turns those
+    cases into extensions); a third extension passes the cap."""
+    from reference import standard_form_reference
+
+    rng = random.Random(31)
+    seen = collections.Counter()
+    for _ in range(120):
+        k, n = rng.choice([3, 4]), rng.choice([1, 2, 2, 3])
+        spec = make_field(3, k)
+        entries = []
+        for _ in range(n):
+            terms = {}
+            for _ in range(rng.randint(0, 3)):
+                e = rng.choice([0, -rng.randint(1, 14), -3 * rng.randint(1, 3)])
+                terms[e] = spec.element_by_index(rng.randrange(1, spec.order))
+            entries.append(LaurentPoly.from_terms(spec, terms))
+        v = WittVector(spec, tuple(entries))
+        got = _outcome(standard_form, v)
+        assert got == _outcome(standard_form_reference, v), v
+        seen[got[0] if isinstance(got[0], type) else got[1]] += 1
+    assert seen[1] > 20 and seen[3] > 5 and seen[9] > 0
+    assert seen[ExtensionCapExceeded] > 0 and seen[NotAField] > 0
+
+
+def _mapped(rows, xs, dst):
+    """The elements of dst that the linear map with these rows sends xs to,
+    through columns."""
+    cols = element_columns(xs, xs[0].spec.k)
+    return column_elements(ddcrit.witt._apply(rows, cols, dst.p), dst)
+
+
+@pytest.mark.parametrize(
+    "k_pair",
+    [(3, 1, 3), (3, 3, 9), (5, 2, 10), (3, 9, 27), (3, 12, None)],
+    ids=["F3", "F27", "F25", "F3^9", "F3^12"],
+)
+def test_linear_maps_match_elementwise(k_pair):
+    """Frobenius, the p-th root and the lift, as matrices applied to columns,
+    equal x**p, pth_root(x) and embed(x, dst) element by element, and an
+    Artin-Schreier solution x of x^p - x = y**p - y checks out, in each
+    element form: F_p, the tabled F_{3^3} and F_{5^2}, the untabled
+    F_{3^9}, and the ring "F_{3^12}", whose canonical modulus is reducible
+    (ROADMAP defect 1).  There only Frobenius and the p-th root are defined;
+    building the lift into it from F_{3^4} raises the error of ``embed``."""
+    p, k, big = k_pair
+    spec = make_field(p, k)
+    rng = random.Random(p * 100 + k)
+    if spec.order <= 125:
+        xs = list(spec.elements())
+    else:
+        xs = [spec.zero(), spec.one()]
+        xs += [spec.element_by_index(rng.randrange(spec.order)) for _ in range(40)]
+    witt = ddcrit.witt
+    assert _mapped(witt._frobenius_map(spec), xs, spec) == [x**p for x in xs]
+    assert _mapped(witt._pth_root_map(spec), xs, spec) == [pth_root(x) for x in xs]
+    for y in xs:
+        root = witt._artin_schreier_solve(spec, (y**p - y).coeffs)
+        x = spec.element(root)
+        assert x**p - x == y**p - y
+    if big is None:
+        small = make_field(p, k // p)
+        with pytest.raises(NotAField) as via_embed:
+            embed(small.one(), spec)
+        with pytest.raises(NotAField) as via_map:
+            witt._lift_map(small, spec)
+        assert str(via_map.value) == str(via_embed.value)
+        return
+    dst = make_field(p, big)
+    assert _mapped(witt._lift_map(spec, dst), xs, dst) == [embed(x, dst) for x in xs]
+
+
 def test_pole_roots_are_taken_before_the_constant_extends_the_field(monkeypatch):
     """A slot's p-divisible poles move in the field the slot starts in; when
-    its constant then extends the field, the moves are embedded with it."""
+    its constant then extends the field, the moves are lifted with it.  Every
+    pole root goes through the p-th root map of the field it is taken in."""
     degrees = []
-    real = ddcrit.witt.pth_root
+    real = ddcrit.witt._pth_root_map
     monkeypatch.setattr(
-        ddcrit.witt, "pth_root", lambda x: degrees.append(x.spec.k) or real(x)
+        ddcrit.witt, "_pth_root_map", lambda spec: degrees.append(spec.k) or real(spec)
     )
     for v in (wv(F3, {-9: 1, 0: 1}), wv(F3, {-1: 1}, {-9: 2, -3: 1, 0: 1})):
         degrees.clear()
@@ -362,12 +449,15 @@ def _witt_golden_vectors():
 def test_standard_form_carries_once_per_slot(monkeypatch):
     """One carry, wp(V^i C) subtracted, costs two Witt additions; a slot with
     nothing to remove costs none, and the adjustment costs none at all.  The
-    count is taken at ``_add``, which every Witt sum and difference goes
-    through, and the golden vectors include some that carry."""
+    count is taken at the column-form core ``_add``, which every Witt sum
+    and difference goes through, and the golden vectors include some that
+    carry."""
     calls = []
     add = ddcrit.witt._add
     monkeypatch.setattr(
-        ddcrit.witt, "_add", lambda v, w, neg: calls.append(1) or add(v, w, neg)
+        ddcrit.witt,
+        "_add",
+        lambda spec, x, y, neg: calls.append(1) or add(spec, x, y, neg),
     )
     names, carried = [], 0
     for name, v in _witt_golden_vectors():
@@ -382,14 +472,28 @@ def test_standard_form_carries_once_per_slot(monkeypatch):
     assert not calls and not res.adjustment
     witt_add(res.vector, res.vector)
     witt_sub(res.vector, res.vector)
-    assert len(calls) == 2
+    wp(res.vector)
+    assert len(calls) == 3
+
+
+def _is_column_entry(entry, k):
+    low, cols = entry
+    return (
+        isinstance(low, int)
+        and len(cols) == k
+        and len({len(c) for c in cols}) == 1
+        and all(isinstance(d, int) for c in cols for d in c)
+    )
 
 
 def test_witt_add_stays_in_column_form(monkeypatch):
-    """A Witt sum or difference makes no Laurent product or sum and no
-    ``kronecker_mul``: its products run on int columns.  It builds each
-    output entry at most once, with one ``column_elements`` call and one
-    LaurentPoly, on the golden vectors and in every element form."""
+    """The Witt addition core ``_add`` takes and returns column-form entries
+    and builds no FieldElement or LaurentPoly.  ``standard_form`` makes no
+    Laurent product, sum, difference, negation or Frobenius, no
+    ``kronecker_mul``, ``pth_root`` or ``embed`` (its linear maps are cached
+    per field): with the maps built, the only LaurentPolys and FieldElements
+    it builds are the entries and coefficients of its result.  The public
+    sum, difference and wp build each output entry once."""
     from ddcrit import gf, poly
 
     depth, stray, built = [0], [], []
@@ -401,7 +505,7 @@ def test_witt_add_stays_in_column_form(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("__mul__", "__rmul__", "__add__", "__sub__", "__neg__"):
+    for name in ("__mul__", "__rmul__", "__add__", "__sub__", "__neg__", "frobenius"):
         monkeypatch.setattr(
             LaurentPoly, name, watched(stray, name, getattr(LaurentPoly, name))
         )
@@ -411,37 +515,55 @@ def test_witt_add_stays_in_column_form(monkeypatch):
             "kronecker_mul",
             watched(stray, "kronecker_mul", module.kronecker_mul),
         )
+    for name in ("pth_root", "embed"):
+        monkeypatch.setattr(
+            ddcrit.witt, name, watched(stray, name, getattr(ddcrit.witt, name))
+        )
     monkeypatch.setattr(
         ddcrit.witt, "column_elements", watched(built, "columns", gf.column_elements)
     )
     monkeypatch.setattr(
         LaurentPoly, "__init__", watched(built, "laurent", LaurentPoly.__init__)
     )
+    monkeypatch.setattr(
+        FieldElement, "__init__", watched(built, "element", FieldElement.__init__)
+    )
     real_add = ddcrit.witt._add
-    sums = []
+    cores = []
 
-    def add(v, w, negate):
-        built.clear()
-        depth[0] += 1
-        try:
-            out = real_add(v, w, negate)
-        finally:
-            depth[0] -= 1
-        assert built.count("columns") <= out.level
-        assert built.count("laurent") <= out.level
-        sums.append(built.count("columns"))
+    def add(spec, x, y, negate):
+        assert all(_is_column_entry(e, spec.k) for e in x + y)
+        before = len(built)
+        out = real_add(spec, x, y, negate)
+        assert built[before:] == [] and len(out) == len(x)
+        assert all(_is_column_entry(e, spec.k) for e in out)
+        cores.append(1)
         return out
 
     monkeypatch.setattr(ddcrit.witt, "_add", add)
+
+    def watch(fn, *args):
+        built.clear()
+        depth[0] += 1
+        try:
+            return fn(*args)
+        finally:
+            depth[0] -= 1
+
     for _, v in _witt_golden_vectors():
-        standard_form(v)
+        standard_form(v)  # builds the linear maps of every field it reaches
+        res = watch(standard_form, v)
+        entries = res.vector.entries + res.adjustment.entries
+        assert built.count("columns") == built.count("laurent") == len(entries)
+        assert built.count("element") == sum(len(e.coeffs) for e in entries)
     rng = random.Random(17)
     for spec in ELEMENT_FORMS:
         for n in (1, 2, 3):
             v, w = random_vector(rng, spec, n), random_vector(rng, spec, n)
-            witt_add(v, w)
-            witt_sub(v, w)
-    assert stray == [] and sum(sums) > 0
+            for fn, args in ((witt_add, (v, w)), (witt_sub, (v, w)), (wp, (v,))):
+                watch(fn, *args)
+                assert built.count("columns") == built.count("laurent") == n
+    assert stray == [] and len(cores) > 0
 
 
 def test_break_invariance():
