@@ -8,7 +8,7 @@ import argparse
 import json
 
 from ddcrit.construct import construct_trace
-from ddcrit.criterion import isolation_check, power_sum_check
+from ddcrit.criterion import certify_data
 from ddcrit.errors import DdcritError
 
 
@@ -31,13 +31,13 @@ def main() -> int:
                         "skipped": str(exc),
                     }))
                     continue
-                det, isolated = isolation_check(rd)
+                cert = certify_data(rd)
                 print(json.dumps({
                     "p": p, "m": m, "u_tilde": u_tilde,
                     "splitting_degree": rd.splitting_degree,
                     "orbits": len(rd.reps),
-                    "power_sum": power_sum_check(rd),
-                    "isolated": isolated,
+                    "power_sum": cert.power_sum_ok,
+                    "isolated": cert.isolated,
                     "expected_isolated":
                         u_tilde == (m - 1) * p**rd.quadruple.nu,
                 }))

@@ -7,7 +7,6 @@ from .construct import construct_small, construct_trace, d9_witnesses
 from .criterion import (
     Certificate,
     ResidueData,
-    binomial_det,
     certify,
     certify_data,
     isolation_check,

@@ -142,7 +142,8 @@ def _cmd_plan(args) -> tuple[object, int]:
 
 def _cmd_construct(args) -> tuple[object, int]:
     if args.family == "d9":
-        return [c.to_json() for c in d9_witnesses()], 0
+        certs = d9_witnesses()
+        return [c.to_json() for c in certs], 0 if all(c.all_ok for c in certs) else 1
     if args.family == "small":
         rd = construct_small(args.p, args.n1)
     else:

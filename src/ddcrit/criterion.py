@@ -1,7 +1,6 @@
 """Power-sum formulation of the differential data criterion: residue
 extraction, the power-sum system, the isolation (Jacobian) determinant,
-exact reconstruction of f from residue data, certificate assembly, and the
-generalized-Vandermonde determinant cross-check.
+exact reconstruction of f from residue data, and certificate assembly.
 
 ``certify`` decides whether every residue lies in F_p, and whether the
 power sums hold, from the coefficients of f over its own field; it builds
@@ -20,7 +19,6 @@ from .errors import (
     DdcritError,
     NonSquareSystem,
     NotAField,
-    NotDescending,
     NotSquarefree,
     ReconstructionMismatch,
     ResidueNotPrimeField,
@@ -266,8 +264,9 @@ def _stepped_powers(reps, exps):
 
 def power_sum_check(rd: ResidueData) -> bool:
     """Sum_j a_j x_j^e = u/m for e = u and 0 for every other exponent in the
-    criterion range, rep by rep: the check for constructed residue data,
-    which has no f (``certify`` decides it from f, ``_power_sums_hold``)."""
+    criterion range, rep by rep.  No library code calls it: ``certify``
+    decides the power sums from f (``_power_sums_hold``), and this is the
+    test oracle for that flag."""
     q = rd.quadruple
     spec = rd.field
     target = _target_scalar(q)
@@ -463,47 +462,3 @@ def verify_certificate_json(data: dict) -> bool:
     spec = make_field(data["field"]["p"], data["field"]["k"])
     f = Poly(spec, [spec.element(c) for c in data["f"]])
     return certify(q, f).to_json() == data
-
-
-def binomial_det(b) -> tuple[int, int]:
-    """Determinant of the integer matrix (binom(q-1, j-1)) with q running
-    over b in ascending order, against the closed-form
-    prod_{i<j}(b_i - b_j) / (1! 2! ... (n-1)!) for strictly descending b."""
-    b = list(b)
-    if any(x <= 0 for x in b) or any(x <= y for x, y in zip(b, b[1:])):
-        raise NotDescending("b must be strictly descending positive integers")
-    n = len(b)
-    rows = [[math.comb(q - 1, j) for j in range(n)] for q in sorted(b)]
-    direct = _int_det(rows)
-    product = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            product *= b[i] - b[j]
-    denom = 1
-    for i in range(1, n):
-        denom *= math.factorial(i)
-    formula, rem = divmod(product, denom)
-    if rem:
-        raise AssertionError("closed-form product not divisible by factorials")
-    return direct, formula
-
-
-def _int_det(rows: list[list[int]]) -> int:
-    """Bareiss fraction-free determinant over the integers."""
-    m = [row[:] for row in rows]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            for c in range(col + 1, n):
-                m[r][c] = (m[r][c] * m[col][col] - m[r][col] * m[col][c]) // prev
-            m[r][col] = 0
-        prev = m[col][col]
-    return sign * m[n - 1][n - 1]

@@ -75,10 +75,6 @@ class NonSquareSystem(DdcritError):
     representatives, so the isolation determinant is undefined."""
 
 
-class NotDescending(DdcritError):
-    pass
-
-
 class NotAField(DdcritError):
     """Internal error: a splitting in F_{p^D} failed, which happens only
     when the canonical modulus of F_{p^D} is reducible."""

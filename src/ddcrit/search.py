@@ -311,19 +311,15 @@ class GroupSearchResult:
 
 
 def _fast_path(q: Quadruple) -> Certificate | None:
-    """Closed-form witness when q matches a known family, else None."""
-    rd = None
+    """Closed-form witness when q matches a known family and its certificate
+    is ``all_ok``, else None."""
     try:
         if q.m == 2 and q.u_tilde == 1 and q.n1 in (q.p - 1, q.p - 3, 0):
-            rd = construct_small(q.p, q.n1)
+            cert = certify_data(construct_small(q.p, q.n1))
         elif q.u_tilde == (q.m - 1) * q.p**q.nu and q.n1 == (q.p - 1) * q.u_tilde:
-            rd = construct_trace(q.p, q.m, q.u_tilde)
-    except DdcritError:
-        return None
-    if rd is None:
-        return None
-    try:
-        cert = certify_data(rd)
+            cert = certify_data(construct_trace(q.p, q.m, q.u_tilde))
+        else:
+            return None
     except DdcritError:
         return None
     return cert if cert.all_ok else None
@@ -343,7 +339,7 @@ def search_group(
     complete = True
     for q in quadruples_for_group(p, m, n):
         cert = _fast_path(q)
-        if cert is None or (require_isolated and not cert.isolated):
+        if cert is None:
             cert = first_witness(
                 q,
                 field_degree,

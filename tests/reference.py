@@ -71,11 +71,15 @@ was replaced by a simpler or faster exact path:
   least p-divisible pole (or else the constant) of the current slot one
   monomial at a time, with two Witt additions to subtract wp of it and one
   to add it to the adjustment, the oracle for the one-pass, one-carry
-  ``ddcrit.witt.standard_form``.
+  ``ddcrit.witt.standard_form``;
+- ``binomial_det``: the generalized-Vandermonde determinant
+  det(binom(q-1, j-1)) by Bareiss fraction-free elimination against its
+  closed-form product, a cross-check that no library code calls.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import product
 
 from ddcrit.cartier import Quadruple, ddc_check
@@ -748,3 +752,47 @@ def standard_form_reference(
     if not is_standard(work):
         raise NotStandardForm("standard-form reduction left a non-standard term")
     return StandardFormResult(work, work.spec.k // base_k, g)
+
+
+def binomial_det(b) -> tuple[int, int]:
+    """Determinant of the integer matrix (binom(q-1, j-1)) with q running
+    over b in ascending order, against the closed-form
+    prod_{i<j}(b_i - b_j) / (1! 2! ... (n-1)!) for strictly descending b."""
+    b = list(b)
+    if any(x <= 0 for x in b) or any(x <= y for x, y in zip(b, b[1:])):
+        raise ValueError("b must be strictly descending positive integers")
+    n = len(b)
+    rows = [[math.comb(q - 1, j) for j in range(n)] for q in sorted(b)]
+    direct = _int_det(rows)
+    product = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            product *= b[i] - b[j]
+    denom = 1
+    for i in range(1, n):
+        denom *= math.factorial(i)
+    formula, rem = divmod(product, denom)
+    if rem:
+        raise AssertionError("closed-form product not divisible by factorials")
+    return direct, formula
+
+
+def _int_det(rows: list[list[int]]) -> int:
+    """Bareiss fraction-free determinant over the integers."""
+    m = [row[:] for row in rows]
+    n = len(m)
+    sign = 1
+    prev = 1
+    for col in range(n - 1):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            sign = -sign
+        for r in range(col + 1, n):
+            for c in range(col + 1, n):
+                m[r][c] = (m[r][c] * m[col][col] - m[r][col] * m[col][c]) // prev
+            m[r][col] = 0
+        prev = m[col][col]
+    return sign * m[n - 1][n - 1]

@@ -12,7 +12,6 @@ from fractions import Fraction
 from ddcrit.cartier import Quadruple, cartier, ddc_check, dlog_truncated, is_exact
 from ddcrit.construct import construct_small, construct_trace
 from ddcrit.criterion import (
-    binomial_det,
     certify,
     criterion_exponents,
     isolation_check,
@@ -42,6 +41,7 @@ from ddcrit.witt import (
 )
 
 from ghost_oracle import ghosts_agree
+from reference import binomial_det
 
 F3 = make_field(3, 1)
 F8 = Poly.from_ints(F3, [1, 0, 0, 0, 0, 0, 1, 0, 1])
@@ -134,6 +134,7 @@ def test_04_trace_family_dichotomy():
                 continue  # needs a larger field than the sweep allows
             assert power_sum_check(rd), (p, m, u_tilde)
             q = rd.quadruple
+            assert len(rd.reps) * m == q.n1, (p, m, u_tilde)
             _, isolated = isolation_check(rd)
             expected = u_tilde == (m - 1) * p**q.nu
             assert isolated == expected, (p, m, u_tilde)

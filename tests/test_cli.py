@@ -310,6 +310,39 @@ def test_construct_cli(capsys):
     assert data["flags"]["isolated"] is False
 
 
+@pytest.mark.parametrize("argv", [
+    ("construct", "small", "--p", "5", "--n1", "4"),
+    ("construct", "trace", "--p", "5", "--m", "2", "--u", "1"),
+])
+def test_construct_cli_wrong_family_data_exits_2(capsys, monkeypatch, argv):
+    """A family that built wrong residue data (here every residue doubled)
+    is caught by the certificate: exit 2 with an error JSON, no traceback."""
+    from ddcrit import construct
+    from ddcrit.criterion import ResidueData
+
+    def doubled(q, degree, reps, residues):
+        return ResidueData(q, degree, reps, tuple(2 * a % q.p for a in residues))
+
+    monkeypatch.setattr(construct, "ResidueData", doubled)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"].startswith("reconstructed f ")
+
+
+def test_construct_d9_exits_1_unless_every_certificate_is_all_ok(
+    capsys, monkeypatch
+):
+    from ddcrit import construct
+
+    monkeypatch.setattr(
+        construct, "d9_residue_data", lambda: [construct.construct_trace(3, 2, 5)]
+    )
+    code, out, _ = run(capsys, "construct", "d9")
+    assert code == 1
+    (cert,) = json.loads(out)
+    assert cert["flags"]["isolated"] is False
+
+
 CONSTRUCT_CASES = [c for c in GOLDEN_CASES if c["argv"][0] == "construct"]
 
 

@@ -574,7 +574,10 @@ def test_non_residue_search_in_a_large_quadratic_field_tries_few_shifts(monkeypa
             yield pair
 
     monkeypatch.setattr(gf, "_shift_norms", counted)
-    spec = FieldSpec(p, 2, make_field(p, 2).modulus)  # nothing cached
+    spec = FieldSpec(p, 2, make_field(p, 2).modulus)
+    # nothing cached: FieldSpec compares by value, so Sylow data an earlier
+    # test left for this field would be a hit that tries no shift
+    gf._sylow.cache_clear()
     for l in gf.prime_factors(p - 1)[:2]:
         tries.clear()
         s, t, logs, inverse_powers = gf._sylow(spec, l)
