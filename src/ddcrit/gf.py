@@ -38,6 +38,7 @@ import math
 import operator
 import sys
 from array import array
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import (
@@ -702,6 +703,142 @@ class _LogTables:
         # mod p; at d = n/2 that gives 0, whose log is 2n
         self.zech = array("H", [log[(i + top) % q] for i in exp]) * 2
         self.exp = array("H", exp * 2 + [0] * n)
+
+
+# -- arithmetic on stored values ---------------------------------------------
+
+
+def _same(x):
+    return x
+
+
+@dataclass(frozen=True)
+class StoredArithmetic:
+    """Field operations on the values ``FieldElement.v`` stores, for a loop
+    that would otherwise build an element per operation (the search's DFS).
+    In a coded field the values are ints, residues mod p at k = 1 and
+    element indices within the table bound, so a value is its own
+    ``element_by_index`` digit; above the bound they are the elements, and
+    the operations are the element operators.  ``div`` takes a nonzero
+    divisor, ``dot`` is the sum of the products of two equally long value
+    sequences, and ``element`` builds the FieldElement of a value."""
+
+    zero: object
+    one: object
+    mul: Callable
+    sub: Callable
+    add: Callable
+    div: Callable
+    dot: Callable
+    frobenius: Callable  # x -> x^p
+    pth_root: Callable  # x -> x^(1/p)
+    value: Callable  # digit -> value
+    digit: Callable  # value -> digit
+    element: Callable  # value -> FieldElement
+
+
+@functools.lru_cache(maxsize=None)
+def stored_arithmetic(spec: FieldSpec) -> StoredArithmetic:
+    """The ``StoredArithmetic`` of spec, built once per field: int
+    operations mod p at k = 1 (Frobenius and its inverse are the identity
+    there), ``_LogTables`` lookups within the table bound, and the element
+    operators above it."""
+    p = spec.p
+    if spec.k == 1:
+        return StoredArithmetic(
+            0,
+            1,
+            lambda a, b: a * b % p,
+            lambda a, b: (a - b) % p,
+            lambda a, b: (a + b) % p,
+            lambda a, b: a * pow(b, -1, p) % p,
+            lambda xs, ys: sum(map(operator.mul, xs, ys)) % p,
+            _same,
+            _same,
+            _same,
+            _same,
+            functools.partial(FieldElement, spec),
+        )
+    t = spec._tables
+    if t is None:
+        zero = spec.zero()
+        return StoredArithmetic(
+            zero,
+            spec.one(),
+            operator.mul,
+            operator.sub,
+            operator.add,
+            operator.truediv,
+            lambda xs, ys: sum(map(operator.mul, xs, ys), zero),
+            lambda a: a**p,
+            pth_root,
+            spec.element_by_index,
+            spec.index_of,
+            _same,
+        )
+    n, half = t.n, t.half
+    log, zech = t.log.tolist(), t.zech.tolist()
+    # zeros up to index 4n: a zero operand has log 2n, so a product or a
+    # quotient with a zero factor reads an entry at or past 2n, which is 0
+    exp = t.exp.tolist() + [0] * (n + 1)
+    frobenius = [exp[log[i] * p % n] if i else 0 for i in range(spec.order)]
+    root = [0] * spec.order
+    for i, j in enumerate(frobenius):
+        root[j] = i
+
+    def mul(a, b):
+        return exp[log[a] + log[b]]
+
+    def div(a, b):
+        return exp[log[a] - log[b] + n]
+
+    # a + b = g^la (1 + g^(lb - la)), and -b = g^(lb + n/2), as in
+    # FieldElement.__add__ and __sub__
+    def add(a, b):
+        if not a:
+            return b
+        if not b:
+            return a
+        la = log[a]
+        return exp[la + zech[log[b] - la]]
+
+    def sub(a, b):
+        if not b:
+            return a
+        lb = log[b] + half
+        if not a:
+            return exp[lb]
+        la = log[a]
+        return exp[la + zech[lb - la]]
+
+    # each product stays a log, lt < 2n, until it is added; zech repeats
+    # with period n over its 2n entries, so lt - la indexes it directly
+    def dot(xs, ys):
+        acc = 0
+        for x, y in zip(xs, ys):
+            if x and y:
+                lt = log[x] + log[y]
+                if acc:
+                    la = log[acc]
+                    acc = exp[la + zech[lt - la]]
+                else:
+                    acc = exp[lt]
+        return acc
+
+    return StoredArithmetic(
+        0,
+        spec.one().v,
+        mul,
+        sub,
+        add,
+        div,
+        dot,
+        frobenius.__getitem__,
+        root.__getitem__,
+        _same,
+        _same,
+        functools.partial(FieldElement, spec),
+    )
 
 
 # -- packed products of coefficient sequences -------------------------------

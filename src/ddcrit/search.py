@@ -49,6 +49,19 @@ and fixing a coefficient costs O(i) field operations.
 Every equation a candidate fails rejects it, so the search visits exactly
 the candidates that pass ``ddc_check``, in rank order; the first of them
 that certifies is the least-rank witness.
+
+The DFS keeps the c_i, G and the c_i-free parts of G as the field's stored
+values and computes on them through ``gf.stored_arithmetic``:
+
+- k = 1: residues mod p, by int operations mod p; Frobenius and the p-th
+  root are the identity there;
+- q within ``gf._LOG_TABLE_BOUND``: element indices, products, quotients,
+  Frobenius and p-th roots by ``_LogTables`` lookups and sums by its Zech
+  table;
+- above the bound: the FieldElements themselves, by their operators.
+
+A value is its own ``element_by_index`` digit in the first two kinds.  A
+FieldElement is built only for a leaf, whose polynomial ``certify`` checks.
 """
 
 from __future__ import annotations
@@ -61,7 +74,7 @@ from .cartier import Quadruple
 from .construct import construct_small, construct_trace
 from .criterion import Certificate, certify, certify_data
 from .errors import DdcritError, PruningMismatch
-from .gf import make_field, pth_root
+from .gf import make_field, stored_arithmetic
 from .planner import quadruples_for_group
 from .poly import Poly
 
@@ -122,7 +135,9 @@ class _PrunedSearch:
     """Depth-first search over c_0, ..., c_top that yields, in rank order,
     every candidate passing the coefficient equations.  A deadline is
     checked at every node; on overrun ``aborted_at`` is set to the rank of
-    the first undecided candidate and the search stops."""
+    the first undecided candidate and the search stops.  The coefficients
+    and G are kept as the field's stored values and computed on by
+    ``gf.stored_arithmetic``; a FieldElement is built only for a leaf."""
 
     def __init__(self, q: Quadruple, spec, deadline: float | None):
         self.q, self.spec, self.deadline = q, spec, deadline
@@ -131,18 +146,18 @@ class _PrunedSearch:
         self.length = max(self.by_last) + 1
         self.nodes = 0
         self.aborted_at = None
-        self.zero, self.one = spec.zero(), spec.one()
-        self.u = spec.from_int(q.u)
-        self.values = [self.zero] * (top + 1)
+        self.ops = ops = stored_arithmetic(spec)
+        self.u = ops.value(spec.index_of(spec.from_int(q.u)))
+        self.values = [ops.zero] * (top + 1)
         self.digits = [0] * (top + 1)
-        # g[i] = G_i; rest[i] is G_i with c_i taken as 0, and lin =
-        # -G_0/c_0 the coefficient of c_i in G_i for i > 0
-        self.g = [self.zero] * self.length
+        # g[i] = G_i; rest[i] is G_i with c_i taken as 0, lin = -G_0/c_0
+        # the coefficient of c_i in G_i for i > 0, and inv0 = 1/c_0
+        self.g = [ops.zero] * self.length
         self.rest = [None] * (top + 1)
-        self.lin = None
+        self.lin = self.inv0 = None
 
     def leaves(self):
-        top = self.top
+        top, value = self.top, self.ops.value
         pending = [None] * (top + 1)
         pending[0] = self._choices(0)
         i = 0
@@ -156,7 +171,7 @@ class _PrunedSearch:
             if self.deadline is not None and time.monotonic() > self.deadline:
                 self.aborted_at = self._rank(i)
                 return
-            if not self._assign(i, self.spec.element_by_index(d)):
+            if not self._assign(i, value(d)):
                 continue
             if i < top:
                 i += 1
@@ -184,7 +199,7 @@ class _PrunedSearch:
         eqs = self.by_last.get(i)
         if eqs is None:
             return iter(range(1 if i in (0, self.top) else 0, self.spec.order))
-        d = self.spec.index_of(self._solve(i, *eqs[0]))
+        d = self.ops.digit(self._solve(i, *eqs[0]))
         if d == 0 and i in (0, self.top):
             return iter(())
         return iter((d,))
@@ -192,56 +207,63 @@ class _PrunedSearch:
     def _rest(self, i: int):
         """G_i with c_i taken as 0, from F G = F^p = sum_j c_j^p s^(pj):
         c_0 G_i = [s^i] F^p - sum_(a >= 1) c_a G_(i-a)."""
-        c, g, p = self.values, self.g, self.q.p
-        acc = c[i // p] ** p if i % p == 0 and i // p <= self.top else self.zero
-        for a in range(1, min(i, self.top + 1)):
-            if c[a]:
-                acc = acc - c[a] * g[i - a]
-        return acc / c[0]
+        ops, c, p = self.ops, self.values, self.q.p
+        if i % p == 0 and i // p <= self.top:
+            acc = ops.frobenius(c[i // p])
+        else:
+            acc = ops.zero
+        # c_a against G_(i-a) for 0 < a < min(i, top + 1)
+        stop = min(i, self.top + 1)
+        acc = ops.sub(acc, ops.dot(c[1:stop], self.g[i - 1 : i - stop : -1]))
+        return ops.mul(acc, self.inv0)
 
     def _solve(self, i: int, a: int, k):
         """The c_i that satisfies E_a, whose last position is i."""
+        ops = self.ops
         if a == i:
-            g = self.zero if k is None else self.g[k]
-            h = pth_root(g)
+            h = ops.pth_root(ops.zero if k is None else self.g[k])
             if i == 0:
-                h = h - self.one
-            return h / self.u
-        return (self._h(a) ** self.q.p - self.rest[i]) / self.lin
+                h = ops.sub(h, ops.one)
+            return ops.div(h, self.u)
+        return ops.div(ops.sub(ops.frobenius(self._h(a)), self.rest[i]), self.lin)
 
     def _h(self, a: int):
+        ops = self.ops
         if a > self.top:
-            return self.zero
-        h = self.u * self.values[a]
-        return h + self.one if a == 0 else h
-
-    def _holds(self, a: int, k) -> bool:
-        g = self.zero if k is None else self.g[k]
-        return g == self._h(a) ** self.q.p
+            return ops.zero
+        h = ops.mul(self.u, self.values[a])
+        return ops.add(h, ops.one) if a == 0 else h
 
     def _assign(self, i: int, c) -> bool:
         """Fix c_i, update G at i and check every equation completed at i.
         At top, go on past it with zero coefficients, where G_k is its
         c_k-free part, stopping at the first mismatch."""
+        ops, g, top = self.ops, self.g, self.top
         self.values[i] = c
-        g = self.g
         if i == 0:
-            g[0] = c ** (self.q.p - 1)
-            self.lin = -(g[0] / c)
+            # G_0 = c_0^(p-1) = c_0^p / c_0
+            g[0] = ops.div(ops.frobenius(c), c)
+            self.lin = ops.sub(ops.zero, ops.div(g[0], c))
+            self.inv0 = ops.div(ops.one, c)
         else:
-            g[i] = self.rest[i] + self.lin * c
-        for k in range(i, self.length if i == self.top else i + 1):
-            if k > self.top:
+            g[i] = ops.add(self.rest[i], ops.mul(self.lin, c))
+        for k in range(i, self.length if i == top else i + 1):
+            if k > top:
                 g[k] = self._rest(k)
-            if not all(self._holds(a, kk) for a, kk in self.by_last.get(k, ())):
-                return False
+            for a, kk in self.by_last.get(k, ()):
+                # E_a: G_kk = H_a^p
+                if (ops.zero if kk is None else g[kk]) != ops.frobenius(self._h(a)):
+                    return False
         return True
 
     def _poly(self) -> Poly:
-        m, zero = self.q.m, self.zero
+        m, element, zero = self.q.m, self.ops.element, self.spec.zero()
         return Poly(
             self.spec,
-            [self.values[e // m] if e % m == 0 else zero for e in range(self.q.n1 + 1)],
+            [
+                element(self.values[e // m]) if e % m == 0 else zero
+                for e in range(self.q.n1 + 1)
+            ],
         )
 
 

@@ -352,6 +352,46 @@ def test_sampled_fields_straddle_the_table_bound():
     assert min(q for (p, k), q in orders.items() if k > 1 and q > gf._LOG_TABLE_BOUND) == 67**2
 
 
+# residues mod p, then indices in tabled fields up to the largest for p = 3
+# and p = 7, then elements above the table bound
+STORED_FIELDS = [(3, 1), (7, 1), (10007, 1), (3, 2), (3, 3), (7, 2), (3, 7), (7, 4), (3, 8)]
+
+
+@pytest.mark.parametrize("p, k", STORED_FIELDS)
+def test_stored_arithmetic_matches_the_element_operators(p, k):
+    """Every operation of ``gf.stored_arithmetic`` on stored values equals
+    the FieldElement operator on the decoded elements, on seeded random
+    pairs with zero among both operands."""
+    spec = make_field(p, k)
+    ops = gf.stored_arithmetic(spec)
+    rng = random.Random(f"stored:{p}:{k}")
+    digits = [0, 1, spec.order - 1] + [rng.randrange(spec.order) for _ in range(40)]
+    values = [ops.value(d) for d in digits]
+    elements = [spec.element_by_index(d) for d in digits]
+    assert ops.element(ops.zero) == spec.zero() and ops.element(ops.one) == spec.one()
+    for d, v, x in zip(digits, values, elements):
+        assert ops.digit(v) == d and ops.element(v) == x
+        assert ops.element(ops.frobenius(v)) == x**p
+        assert ops.element(ops.pth_root(v)) == pth_root(x)
+    pairs = [(0, 0), (0, 2), (2, 0)] + [
+        (rng.randrange(len(digits)), rng.randrange(len(digits))) for _ in range(120)
+    ]
+    for i, j in pairs:
+        v, w, x, y = values[i], values[j], elements[i], elements[j]
+        assert ops.element(ops.mul(v, w)) == x * y
+        assert ops.element(ops.add(v, w)) == x + y
+        assert ops.element(ops.sub(v, w)) == x - y
+        if y:
+            assert ops.element(ops.div(v, w)) == x / y
+    for n in (0, 1, 2, 7, len(digits)):
+        i, j = rng.sample(range(len(digits)), 2)
+        xs, ys = (values * 2)[i : i + n], (values * 2)[j : j + n]
+        want = spec.zero()
+        for x, y in zip((elements * 2)[i : i + n], (elements * 2)[j : j + n]):
+            want = want + x * y
+        assert ops.element(ops.dot(xs, ys)) == want
+
+
 @pytest.mark.parametrize("p, k", [(5, 1), (3, 2), (5, 5), (3, 8)])
 def test_zero_powers_and_inverse(p, k):
     spec = make_field(p, k)

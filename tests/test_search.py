@@ -82,17 +82,40 @@ def test_first_witness_matches_enumeration(q, k):
 def test_kept_column_equals_dense_power(q, k):
     """At every leaf the one kept column is G = F^(p-1) as Poly.__pow__
     computes it.  The last three trees reach positions i >= p, where
-    [s^i] F^p = c_(i/p)^p enters the update."""
+    [s^i] F^p = c_(i/p)^p enters the update.  The tree keeps stored
+    values, decoded here as ``_poly`` decodes them."""
     spec = make_field(q.p, k)
     tree = search._PrunedSearch(q, spec, None)
     leaves = 0
     for _ in tree.leaves():
-        dense = list((Poly(spec, tree.values) ** (q.p - 1)).coeffs)
+        values = [tree.ops.element(v) for v in tree.values]
+        g = [tree.ops.element(v) for v in tree.g]
+        dense = list((Poly(spec, values) ** (q.p - 1)).coeffs)
         dense += [spec.zero()] * (tree.length - len(dense))
-        assert tree.g[: tree.length] == dense[: tree.length]
+        assert g[: tree.length] == dense[: tree.length]
         leaves += 1
     if q.p > 7:
         assert leaves and tree.length > q.p
+
+
+@pytest.mark.parametrize(
+    "q,k,nodes,leaves",
+    [
+        (Quadruple(5, 2, 7, 14), 1, 159, 4),
+        (Quadruple(3, 2, 13, 24), 2, 7396, 0),
+        (Quadruple(3, 2, 5, 10), 3, 759, 2),
+        (Quadruple(3, 2, 3, 4), 8, 6562, 2),
+    ],
+    ids=lambda v: _case_id(v) if isinstance(v, Quadruple) else None,
+)
+def test_complete_trees_keep_their_nodes_and_leaves(q, k, nodes, leaves):
+    """No output prints the node count, so these pins are what shows that
+    the DFS walks the same tree on every kind of stored value: residues
+    mod p, element indices in F_9 and F_27, and elements of F_{3^8} above
+    the log-table bound."""
+    tree = search._PrunedSearch(q, make_field(q.p, k), None)
+    assert sum(1 for _ in tree.leaves()) == leaves
+    assert tree.nodes == nodes
 
 
 @pytest.mark.parametrize(
