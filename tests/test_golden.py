@@ -3,7 +3,8 @@ every README CLI example (without ``--budget``), plus ``plan`` at p=5,
 ``construct trace`` at p=5 and at four quadruples whose splitting fields lie
 above the log-table bound (F_{3^16}, F_{5^6}) or have m > 2 (m = 6 at p=7,
 m = 5 at p=11), ``construct trace`` at (7,2,31) with its 93 reps over
-F_{7^15}, four ``search`` cases, two ``check`` cases with N1 = 0
+F_{7^15}, seven ``search`` cases (one over F_{3^8}, above the
+log-table bound), two ``check`` cases with N1 = 0
 and a nonempty exponent range (one exit 0, one exit 1; with the ``search``
 case at (5,4,7,0) they pin that an empty isolation matrix counts as
 isolated), one ``check`` over F_9 whose residues leave F_3 and whose
