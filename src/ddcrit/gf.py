@@ -5,7 +5,9 @@ prime p, an extension degree k and a canonical monic irreducible modulus of
 degree k over F_p.  All arithmetic is exact; everything is immutable and
 safe to share.
 
-An element stores one value, ``v``, and its field takes one of three paths:
+An element stores one value, ``v``, in one of three forms, and its field's
+``StoredArithmetic`` (``stored_arithmetic``), built once per field on first
+use, is the only code that computes on that form:
 
 - k = 1: v is the residue in [0, p), and arithmetic is int operations mod
   p, ``(a + b) % p``, ``(a * b) % p``, ``pow(a, -1, p)`` and
@@ -13,17 +15,21 @@ An element stores one value, ``v``, and its field takes one of three paths:
 - 2 <= k and q = p^k <= 2^12 (``_LOG_TABLE_BOUND``): v is the element
   index (the base-p number whose most significant digit is the constant
   coefficient).  Log/antilog tables to the base of the least generator,
-  with Zech logarithms for sums, are built once per field on first use
-  (``_LogTables``), so each operation is a few lookups on ints;
+  with Zech logarithms for sums, are built once per field (``_LogTables``),
+  so each operation is a few lookups on ints;
 - above the bound: v is the coefficient tuple, and arithmetic is
   coefficient-wise sums, one packed F_p[x] product (``_mul_modp``) and a
-  division by the modulus, unless one factor lies in F_p and scales the
-  other coefficient-wise, and extended Euclid.  A table takes q - 1
-  multiplications by the generator to build, each k dot products of
-  length k (F_{5^5}: 14 ms on a 2-core x86 VM).  With the bound at 2^16,
-  a build by polynomial products took 0.4 s for the F_{3^9} table (19,683
-  entries) and cost the witt benchmark more than its 814 products there
-  saved (343 -> 302 jobs/s).
+  division by the modulus (``_ring_mul``), unless one factor lies in F_p
+  and scales the other coefficient-wise, and extended Euclid.  A table
+  takes q - 1 multiplications by the generator to build, each k dot
+  products of length k (F_{5^5}: 14 ms on a 2-core x86 VM).  With the
+  bound at 2^16, a build by polynomial products took 0.4 s for the F_{3^9}
+  table (19,683 entries) and cost the witt benchmark more than its 814
+  products there saved (343 -> 302 jobs/s).
+
+Each ``FieldElement`` operator checks that its operands share a field and
+makes one call into the bundle; a loop that would build an element per
+operation (the search's DFS) calls the bundle on stored values directly.
 
 Index order is the lexicographic order of the coefficient tuples, so the
 stored value is the sort key in every form.  Coefficient tuples of indexed
@@ -304,8 +310,7 @@ def _is_irreducible_modp(f: list[int], p: int) -> bool:
 # -- field spec --------------------------------------------------------------
 
 # Fields F_{p^k} with 2 <= k and order up to this bound compute by log and
-# Zech tables (see the module docstring for why not 2^16); the tables are
-# arrays of 16-bit words.
+# Zech tables (see the module docstring for why not 2^16).
 _LOG_TABLE_BOUND = 2**12
 
 
@@ -417,6 +422,12 @@ class FieldSpec:
             return None
         return _LogTables(self)
 
+    @functools.cached_property
+    def _ops(self) -> "StoredArithmetic":
+        """The field's ``StoredArithmetic``, built on first use; in a tabled
+        field that builds the log tables."""
+        return _stored_arithmetic(self)
+
 
 def _deterministic_modulus(p: int, k: int) -> tuple[int, ...]:
     """Least monic irreducible of degree k, scanning coefficient vectors
@@ -462,6 +473,7 @@ class FieldElement:
     ``sort_key`` (v) sorts the same way in every form.  ``==`` and ``hash``
     compare v, so an element must be built in the form its field stores:
     through the FieldSpec methods, never by this constructor outside gf.
+    The operators compute on v through the field's ``StoredArithmetic``.
     """
 
     __slots__ = ("spec", "v")
@@ -506,124 +518,54 @@ class FieldElement:
         if self.spec is not other.spec and self.spec != other.spec:
             raise SpecMismatch("elements belong to different field specs")
 
-    # In a tabled field, with la = log a: a * b = g^(la + lb), -b =
-    # g^(lb + n/2), and a + b = g^la (1 + g^(lb - la)) = g^(la + zech(lb - la))
-    # for nonzero a and b; _LogTables lays out exp and zech so that none of
-    # these needs a reduction mod n or a branch on a zero result.
-
     def __add__(self, other):
         spec = self.spec
         if other.spec is not spec:
             self._check(other)
-        a, b = self.v, other.v
-        if spec.k == 1:
-            return FieldElement(spec, (a + b) % spec.p)
-        t = spec._tables
-        if t is None:
-            p = spec.p
-            return FieldElement(spec, tuple((x + y) % p for x, y in zip(a, b)))
-        if not a:
-            return other
-        if not b:
-            return self
-        la = t.log[a]
-        return FieldElement(spec, t.exp[la + t.zech[t.log[b] - la]])
+        return FieldElement(spec, spec._ops.add(self.v, other.v))
 
     def __sub__(self, other):
         spec = self.spec
         if other.spec is not spec:
             self._check(other)
-        a, b = self.v, other.v
-        if spec.k == 1:
-            return FieldElement(spec, (a - b) % spec.p)
-        t = spec._tables
-        if t is None:
-            p = spec.p
-            return FieldElement(spec, tuple((x - y) % p for x, y in zip(a, b)))
-        if not b:
-            return self
-        lb = t.log[b] + t.half
-        if not a:
-            return FieldElement(spec, t.exp[lb])
-        la = t.log[a]
-        return FieldElement(spec, t.exp[la + t.zech[lb - la]])
+        return FieldElement(spec, spec._ops.sub(self.v, other.v))
 
     def __neg__(self):
-        spec, a = self.spec, self.v
-        if spec.k == 1:
-            return FieldElement(spec, -a % spec.p)
-        t = spec._tables
-        if t is None:
-            p = spec.p
-            return FieldElement(spec, tuple(-x % p for x in a))
-        if not a:
-            return self
-        return FieldElement(spec, t.exp[t.log[a] + t.half])
+        spec = self.spec
+        return FieldElement(spec, spec._ops.neg(self.v))
 
     def __mul__(self, other):
-        spec, a = self.spec, self.v
+        spec = self.spec
         if isinstance(other, int):
-            if spec.k == 1:
-                return FieldElement(spec, a * other % spec.p)
-            if not spec._coded:
-                return _scale(spec, a, other)
             other = spec.from_int(other)
         elif other.spec is not spec:
             self._check(other)
-        b = other.v
-        if spec.k == 1:
-            return FieldElement(spec, a * b % spec.p)
-        t = spec._tables
-        if t is None:
-            # a prime-field operand, zero included, scales the other one
-            if not any(b[1:]):
-                return _scale(spec, a, b[0])
-            if not any(a[1:]):
-                return _scale(spec, b, a[0])
-            return _ring_mul(self, other)
-        if not a or not b:
-            return FieldElement(spec, 0)
-        return FieldElement(spec, t.exp[t.log[a] + t.log[b]])
+        return FieldElement(spec, spec._ops.mul(self.v, other.v))
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        spec, a = self.spec, self.v
-        if spec.k == 1 and (e >= 0 or a):
-            return FieldElement(spec, pow(a, e, spec.p))
-        t = spec._tables
-        if t is not None and a:
-            return FieldElement(spec, t.exp[t.log[a] * e % t.n])
-        # zero, or a field above the table bound
-        if e < 0:
-            return self.inverse() ** (-e)
-        return square_and_multiply(self, e, operator.mul) if e else spec.one()
+        spec = self.spec
+        if not self:
+            if e < 0:
+                raise ZeroDivisionError("inverse of zero field element")
+            return self if e else spec.one()
+        return FieldElement(spec, spec._ops.pow(self.v, e))
 
     def inverse(self) -> "FieldElement":
-        if not self:
-            raise ZeroDivisionError("inverse of zero field element")
-        spec = self.spec
-        if spec._coded:
-            return self**-1
-        # extended Euclid in F_p[x] against the modulus
-        p = spec.p
-        r0, r1 = list(spec.modulus), _trim(list(self.v))
-        t0, t1 = [], [1]
-        while r1:
-            q, rem = _divmod_modp(r0, r1, p)
-            r0, r1 = r1, rem
-            t0, t1 = t1, _sub_modp(t0, _mul_modp(q, t1, p), p)
-        # deg t0 < k throughout, so t0 needs no reduction by the modulus
-        inv_lead = pow(r0[-1], p - 2, p)
-        t0 = [(c * inv_lead) % p for c in t0]
-        t0 += [0] * (spec.k - len(t0))
-        return FieldElement(spec, tuple(t0))
+        return self ** -1
 
     def __truediv__(self, other):
-        return self * other.inverse()
+        spec = self.spec
+        if other.spec is not spec:
+            self._check(other)
+        if not other:
+            raise ZeroDivisionError("inverse of zero field element")
+        return FieldElement(spec, spec._ops.div(self.v, other.v))
 
     def frobenius(self) -> "FieldElement":
-        return self ** self.spec.p
+        spec = self.spec
+        return FieldElement(spec, spec._ops.frobenius(self.v))
 
     def in_prime_field(self) -> bool:
         v = self.v
@@ -642,22 +584,13 @@ class FieldElement:
         return list(self.coeffs)
 
 
-def _scale(spec: FieldSpec, v: tuple, c: int) -> FieldElement:
-    """The element with coefficient tuple v times the integer c, above the
-    table bound: zero at once for c = 0 mod p, else coefficient-wise."""
+def _ring_mul(spec: FieldSpec, a, b) -> tuple[int, ...]:
+    """The product of the coefficient sequences a and b modulo spec's
+    modulus, as a coefficient tuple: it needs no tables and holds whether
+    or not the modulus is irreducible."""
     p = spec.p
-    if not c % p:
-        return spec.zero()
-    return FieldElement(spec, tuple(x * c % p for x in v))
-
-
-def _ring_mul(x: FieldElement, y: FieldElement) -> FieldElement:
-    """x*y by polynomial arithmetic modulo the modulus of x's spec, which
-    needs no tables and holds whether or not the modulus is irreducible."""
-    spec = x.spec
-    p = spec.p
-    prod = _divmod_modp(_mul_modp(x.coeffs, y.coeffs, p), spec.modulus, p)[1]
-    return spec._from_coeffs(prod + [0] * (spec.k - len(prod)))
+    prod = _divmod_modp(_mul_modp(a, b, p), spec.modulus, p)[1]
+    return tuple(prod + [0] * (spec.k - len(prod)))
 
 
 class _LogTables:
@@ -667,7 +600,8 @@ class _LogTables:
     - ``log[i]`` is the log in [0, n) of nonzero element i, and log[0]
       is 2n;
     - ``exp[j]`` is the index of g^(j mod n) for j < 2n, and 0 (the zero
-      element) for 2n <= j < 3n, so exp[log a + log b] needs no reduction;
+      element) for 2n <= j <= 4n, so exp[log a + log b] needs no reduction,
+      and a product or a quotient with a zero factor reads 0;
     - ``zech[d]`` is the Zech logarithm log(1 + g^d) for d mod n != n/2,
       and 2n for d = n/2, where 1 + g^d = 0.  It holds 2n entries, so any
       d in (-2n, 2n) indexes it, the negative ones from the end (Lidl-
@@ -685,7 +619,8 @@ class _LogTables:
         g = _least_generator(spec)
         # y -> y*g is F_p-linear: coefficient s of y*g is y . cols[s], where
         # cols[s][t] is coefficient s of x^t g, so a step is k dot products
-        rows = [_ring_mul(spec.element([0] * t + [1]), g).coeffs for t in range(spec.k)]
+        rows = [_ring_mul(spec, spec.element([0] * t + [1]).coeffs, g.coeffs)
+                for t in range(spec.k)]
         cols = list(zip(*rows))
         exp, y = [top], g.coeffs
         while (i := sum(map(operator.mul, y, weights))) != top and len(exp) < n:
@@ -696,13 +631,13 @@ class _LogTables:
                 f"the powers of {g!r} do not return to 1 after exactly {n}"
                 f" steps: modulus {list(spec.modulus)} is reducible"
             )
-        self.log = log = array("H", [2 * n]) * q
+        self.log = log = [2 * n] * q
         for j, i in enumerate(exp):
             log[i] = j
         # 1 + g^d adds 1 to the constant term, the top digit of the index,
         # mod p; at d = n/2 that gives 0, whose log is 2n
-        self.zech = array("H", [log[(i + top) % q] for i in exp]) * 2
-        self.exp = array("H", exp * 2 + [0] * n)
+        self.zech = [log[(i + top) % q] for i in exp] * 2
+        self.exp = exp * 2 + [0] * (2 * n + 1)
 
 
 # -- arithmetic on stored values ---------------------------------------------
@@ -714,21 +649,22 @@ def _same(x):
 
 @dataclass(frozen=True)
 class StoredArithmetic:
-    """Field operations on the values ``FieldElement.v`` stores, for a loop
-    that would otherwise build an element per operation (the search's DFS).
-    In a coded field the values are ints, residues mod p at k = 1 and
-    element indices within the table bound, so a value is its own
-    ``element_by_index`` digit; above the bound they are the elements, and
-    the operations are the element operators.  ``div`` takes a nonzero
-    divisor, ``dot`` is the sum of the products of two equally long value
-    sequences, and ``element`` builds the FieldElement of a value."""
+    """Field operations on the values ``FieldElement.v`` stores: ints in a
+    coded field, residues mod p at k = 1 and element indices within the
+    table bound, so a value is its own ``element_by_index`` digit, and
+    coefficient tuples above the bound.  ``div`` takes a nonzero divisor and
+    ``pow`` a nonzero base with any int exponent; ``dot`` is the sum of the
+    products of two equally long value sequences, and ``element`` builds
+    the FieldElement of a value."""
 
     zero: object
     one: object
     mul: Callable
     sub: Callable
     add: Callable
+    neg: Callable
     div: Callable
+    pow: Callable  # (x, e) -> x^e
     dot: Callable
     frobenius: Callable  # x -> x^p
     pth_root: Callable  # x -> x^(1/p)
@@ -737,12 +673,15 @@ class StoredArithmetic:
     element: Callable  # value -> FieldElement
 
 
-@functools.lru_cache(maxsize=None)
 def stored_arithmetic(spec: FieldSpec) -> StoredArithmetic:
     """The ``StoredArithmetic`` of spec, built once per field: int
     operations mod p at k = 1 (Frobenius and its inverse are the identity
-    there), ``_LogTables`` lookups within the table bound, and the element
-    operators above it."""
+    there), ``_LogTables`` lookups within the table bound, and coefficient
+    tuple operations above it."""
+    return spec._ops
+
+
+def _stored_arithmetic(spec: FieldSpec) -> StoredArithmetic:
     p = spec.p
     if spec.k == 1:
         return StoredArithmetic(
@@ -751,7 +690,9 @@ def stored_arithmetic(spec: FieldSpec) -> StoredArithmetic:
             lambda a, b: a * b % p,
             lambda a, b: (a - b) % p,
             lambda a, b: (a + b) % p,
+            lambda a: -a % p,
             lambda a, b: a * pow(b, -1, p) % p,
+            lambda a, e: pow(a, e, p),
             lambda xs, ys: sum(map(operator.mul, xs, ys)) % p,
             _same,
             _same,
@@ -761,39 +702,25 @@ def stored_arithmetic(spec: FieldSpec) -> StoredArithmetic:
         )
     t = spec._tables
     if t is None:
-        zero = spec.zero()
-        return StoredArithmetic(
-            zero,
-            spec.one(),
-            operator.mul,
-            operator.sub,
-            operator.add,
-            operator.truediv,
-            lambda xs, ys: sum(map(operator.mul, xs, ys), zero),
-            lambda a: a**p,
-            pth_root,
-            spec.element_by_index,
-            spec.index_of,
-            _same,
-        )
+        return _tuple_arithmetic(spec)
     n, half = t.n, t.half
-    log, zech = t.log.tolist(), t.zech.tolist()
-    # zeros up to index 4n: a zero operand has log 2n, so a product or a
-    # quotient with a zero factor reads an entry at or past 2n, which is 0
-    exp = t.exp.tolist() + [0] * (n + 1)
+    log, exp, zech = t.log, t.exp, t.zech
     frobenius = [exp[log[i] * p % n] if i else 0 for i in range(spec.order)]
+    # exp[:n] holds every nonzero index once, so root shares its ints
     root = [0] * spec.order
-    for i, j in enumerate(frobenius):
-        root[j] = i
+    for i in exp[:n]:
+        root[frobenius[i]] = i
 
+    # In a tabled field, with la = log a: a * b = g^(la + lb), -b =
+    # g^(lb + n/2), and a + b = g^la (1 + g^(lb - la)) = g^(la + zech(lb - la))
+    # for nonzero a and b; _LogTables lays out exp and zech so that none of
+    # these needs a reduction mod n, and no product a branch on a zero factor
     def mul(a, b):
         return exp[log[a] + log[b]]
 
     def div(a, b):
         return exp[log[a] - log[b] + n]
 
-    # a + b = g^la (1 + g^(lb - la)), and -b = g^(lb + n/2), as in
-    # FieldElement.__add__ and __sub__
     def add(a, b):
         if not a:
             return b
@@ -810,6 +737,12 @@ def stored_arithmetic(spec: FieldSpec) -> StoredArithmetic:
             return exp[lb]
         la = log[a]
         return exp[la + zech[lb - la]]
+
+    def neg(a):
+        return exp[log[a] + half]
+
+    def power(a, e):
+        return exp[log[a] * e % n]
 
     # each product stays a log, lt < 2n, until it is added; zech repeats
     # with period n over its 2n entries, so lt - la indexes it directly
@@ -831,12 +764,72 @@ def stored_arithmetic(spec: FieldSpec) -> StoredArithmetic:
         mul,
         sub,
         add,
+        neg,
         div,
+        power,
         dot,
         frobenius.__getitem__,
         root.__getitem__,
         _same,
         _same,
+        functools.partial(FieldElement, spec),
+    )
+
+
+def _tuple_arithmetic(spec: FieldSpec) -> StoredArithmetic:
+    """The ``StoredArithmetic`` of a field above the table bound, on
+    coefficient tuples."""
+    p, k, weights = spec.p, spec.k, spec._weights
+    zero, one = (0,) * k, (1,) + (0,) * (k - 1)
+
+    def scale(a, c):
+        return tuple(x * c % p for x in a) if c else zero
+
+    def mul(a, b):
+        # a prime-field operand, zero included, scales the other one
+        if not any(b[1:]):
+            return scale(a, b[0])
+        if not any(a[1:]):
+            return scale(b, a[0])
+        return _ring_mul(spec, a, b)
+
+    def inverse(a):
+        # extended Euclid in F_p[x] against the modulus
+        r0, r1 = list(spec.modulus), _trim(list(a))
+        t0, t1 = [], [1]
+        while r1:
+            quot, rem = _divmod_modp(r0, r1, p)
+            r0, r1 = r1, rem
+            t0, t1 = t1, _sub_modp(t0, _mul_modp(quot, t1, p), p)
+        # deg t0 < k throughout, so t0 needs no reduction by the modulus
+        inv_lead = pow(r0[-1], p - 2, p)
+        return tuple([c * inv_lead % p for c in t0] + [0] * (k - len(t0)))
+
+    def power(a, e):
+        if e < 0:
+            a, e = inverse(a), -e
+        return square_and_multiply(a, e, mul) if e else one
+
+    def dot(xs, ys):
+        total = zero
+        for x, y in zip(xs, ys):
+            total = tuple(map(operator.add, total, mul(x, y)))
+        return tuple(c % p for c in total)
+
+    return StoredArithmetic(
+        zero,
+        one,
+        mul,
+        lambda a, b: tuple((x - y) % p for x, y in zip(a, b)),
+        lambda a, b: tuple((x + y) % p for x, y in zip(a, b)),
+        lambda a: tuple(-x % p for x in a),
+        lambda a, b: mul(a, inverse(b)),
+        power,
+        dot,
+        lambda a: square_and_multiply(a, p, mul),
+        lambda a: square_and_multiply(a, p ** (k - 1), mul),
+        lambda i: _base_p_digits(i, p, k),
+        lambda a: sum(map(operator.mul, a, weights)),
         functools.partial(FieldElement, spec),
     )
 
@@ -932,7 +925,8 @@ def kronecker_mul(a, b, spec: FieldSpec) -> list[FieldElement]:
 
 def pth_root(x: FieldElement) -> FieldElement:
     """The unique y with y^p = x, namely x^(p^(k-1))."""
-    return x ** (x.spec.p ** (x.spec.k - 1))
+    spec = x.spec
+    return FieldElement(spec, spec._ops.pth_root(x.v))
 
 
 def mth_root(y: FieldElement, m: int) -> FieldElement:
@@ -1080,17 +1074,20 @@ def _least_generator(spec: FieldSpec) -> FieldElement:
     found by polynomial arithmetic on coefficient tuples (``_ring_mul``),
     since the log tables are built on it."""
     q1 = spec.order - 1
-    one = spec.one()
+    one = spec.one().coeffs
+
+    def mul(a, b):
+        return _ring_mul(spec, a, b)
 
     def power(g, e):
-        return square_and_multiply(g, e, _ring_mul)
+        return square_and_multiply(g.coeffs, e, mul)
 
     factors = prime_factors(q1)  # 2 first, as q is odd
     for g in spec.elements():
         if not g:
             continue
         half = power(g, q1 // 2)
-        if _ring_mul(half, half) != one:
+        if mul(half, half) != one:
             # in a field every nonzero g has g^(q-1) = 1; stopping at the
             # first g without it (a zero divisor, say) spares testing all q
             raise NotAField(

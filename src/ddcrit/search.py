@@ -58,7 +58,9 @@ values and computes on them through ``gf.stored_arithmetic``:
 - q within ``gf._LOG_TABLE_BOUND``: element indices, products, quotients,
   Frobenius and p-th roots by ``_LogTables`` lookups and sums by its Zech
   table;
-- above the bound: the FieldElements themselves, by their operators.
+- above the bound: coefficient tuples, by coefficient-wise sums, products
+  modulo the field modulus (a prime-field factor scales the other one) and
+  extended Euclid for quotients.
 
 A value is its own ``element_by_index`` digit in the first two kinds.  A
 FieldElement is built only for a leaf, whose polynomial ``certify`` checks.
@@ -147,7 +149,7 @@ class _PrunedSearch:
         self.nodes = 0
         self.aborted_at = None
         self.ops = ops = stored_arithmetic(spec)
-        self.u = ops.value(spec.index_of(spec.from_int(q.u)))
+        self.u = spec.from_int(q.u).v
         self.values = [ops.zero] * (top + 1)
         self.digits = [0] * (top + 1)
         # g[i] = G_i; rest[i] is G_i with c_i taken as 0, lin = -G_0/c_0

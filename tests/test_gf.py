@@ -359,37 +359,60 @@ STORED_FIELDS = [(3, 1), (7, 1), (10007, 1), (3, 2), (3, 3), (7, 2), (3, 7), (7,
 
 @pytest.mark.parametrize("p, k", STORED_FIELDS)
 def test_stored_arithmetic_matches_the_element_operators(p, k):
-    """Every operation of ``gf.stored_arithmetic`` on stored values equals
-    the FieldElement operator on the decoded elements, on seeded random
-    pairs with zero among both operands."""
+    """Every operation of ``gf.stored_arithmetic``, the one arithmetic the
+    FieldElement operators run, equals tests/reference.py on coefficient
+    tuples: products, quotients, powers, Frobenius and p-th roots by
+    ``field_mul_reference`` and ``field_pow_reference`` (inverses by
+    Fermat, x^(q-2)), sums, differences and negations coefficient-wise, on
+    seeded random values and pairs with zero among both operands."""
     spec = make_field(p, k)
+    q, modulus = spec.order, spec.modulus
     ops = gf.stored_arithmetic(spec)
     rng = random.Random(f"stored:{p}:{k}")
-    digits = [0, 1, spec.order - 1] + [rng.randrange(spec.order) for _ in range(40)]
+
+    def mul(x, y):
+        return field_mul_reference(x, y, p, modulus)
+
+    def power(x, e):
+        return field_pow_reference(x, e, p, modulus)
+
+    def decoded(v):
+        return ops.element(v).coeffs
+
+    digits = [0, 1, q - 1] + [rng.randrange(q) for _ in range(40)]
     values = [ops.value(d) for d in digits]
-    elements = [spec.element_by_index(d) for d in digits]
-    assert ops.element(ops.zero) == spec.zero() and ops.element(ops.one) == spec.one()
-    for d, v, x in zip(digits, values, elements):
-        assert ops.digit(v) == d and ops.element(v) == x
-        assert ops.element(ops.frobenius(v)) == x**p
-        assert ops.element(ops.pth_root(v)) == pth_root(x)
+    # the coefficients of element d are the base-p digits of d, the
+    # constant term most significant
+    coeffs = [tuple(d // p ** (k - 1 - t) % p for t in range(k)) for d in digits]
+    inverses = [power(x, q - 2) for x in coeffs]
+    assert decoded(ops.zero) == (0,) * k and decoded(ops.one) == power(coeffs[0], 0)
+    for d, v, x, inv in zip(digits, values, coeffs, inverses):
+        assert ops.digit(v) == d and decoded(v) == x
+        assert ops.element(v) == spec.element_by_index(d)
+        assert decoded(ops.neg(v)) == tuple(-a % p for a in x)
+        assert decoded(ops.frobenius(v)) == power(x, p)
+        assert decoded(ops.pth_root(v)) == power(x, p ** (k - 1))
+        if d:
+            for e in (0, 1, 2, p, q - 1, q, 3 * q + 2):
+                assert decoded(ops.pow(v, e)) == power(x, e)
+                assert decoded(ops.pow(v, -e)) == power(inv, e)
     pairs = [(0, 0), (0, 2), (2, 0)] + [
         (rng.randrange(len(digits)), rng.randrange(len(digits))) for _ in range(120)
     ]
     for i, j in pairs:
-        v, w, x, y = values[i], values[j], elements[i], elements[j]
-        assert ops.element(ops.mul(v, w)) == x * y
-        assert ops.element(ops.add(v, w)) == x + y
-        assert ops.element(ops.sub(v, w)) == x - y
-        if y:
-            assert ops.element(ops.div(v, w)) == x / y
+        v, w, x, y = values[i], values[j], coeffs[i], coeffs[j]
+        assert decoded(ops.mul(v, w)) == mul(x, y)
+        assert decoded(ops.add(v, w)) == tuple((a + b) % p for a, b in zip(x, y))
+        assert decoded(ops.sub(v, w)) == tuple((a - b) % p for a, b in zip(x, y))
+        if digits[j]:
+            assert decoded(ops.div(v, w)) == mul(x, inverses[j])
     for n in (0, 1, 2, 7, len(digits)):
         i, j = rng.sample(range(len(digits)), 2)
         xs, ys = (values * 2)[i : i + n], (values * 2)[j : j + n]
-        want = spec.zero()
-        for x, y in zip((elements * 2)[i : i + n], (elements * 2)[j : j + n]):
-            want = want + x * y
-        assert ops.element(ops.dot(xs, ys)) == want
+        want = (0,) * k
+        for x, y in zip((coeffs * 2)[i : i + n], (coeffs * 2)[j : j + n]):
+            want = tuple((a + b) % p for a, b in zip(want, mul(x, y)))
+        assert decoded(ops.dot(xs, ys)) == want
 
 
 @pytest.mark.parametrize("p, k", [(5, 1), (3, 2), (5, 5), (3, 8)])
@@ -486,7 +509,7 @@ def test_prime_field_operands_above_the_table_bound_skip_the_kernel(p, k, monkey
     others = [spec.element([rng.randrange(p) for _ in range(k)]) for _ in range(5)]
     others.append(spec.element([0, 1]))
     kernel = []
-    monkeypatch.setattr(gf, "_ring_mul", lambda x, y: kernel.append(1) or x)
+    monkeypatch.setattr(gf, "_ring_mul", lambda spec, a, b: kernel.append(1) or a)
     for c in scalars:
         for x in scalars + others:
             for a, b in ((c, x), (x, c)):

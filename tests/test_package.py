@@ -29,6 +29,25 @@ def test_cli_import_loads_no_sympy_or_thread_pool():
     assert out.strip() == "[]"
 
 
+def test_cli_import_builds_no_field():
+    """A fresh ``import ddcrit.cli`` does no field work: every field, and
+    with it its moduli scan, tables and stored arithmetic, is built on
+    first use by a command."""
+    code = (
+        "import ddcrit.cli; from ddcrit.gf import make_field; "
+        "print(make_field.cache_info().currsize)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+        env={"PYTHONPATH": str(PACKAGE.parent)},
+    ).stdout
+    assert out.strip() == "0"
+
+
 def test_no_assert_statements():
     """Library invariants raise DdcritError subclasses; python -O strips
     assert statements."""

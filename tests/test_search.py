@@ -111,8 +111,8 @@ def test_kept_column_equals_dense_power(q, k):
 def test_complete_trees_keep_their_nodes_and_leaves(q, k, nodes, leaves):
     """No output prints the node count, so these pins are what shows that
     the DFS walks the same tree on every kind of stored value: residues
-    mod p, element indices in F_9 and F_27, and elements of F_{3^8} above
-    the log-table bound."""
+    mod p, element indices in F_9 and F_27, and coefficient tuples of
+    F_{3^8} above the log-table bound."""
     tree = search._PrunedSearch(q, make_field(q.p, k), None)
     assert sum(1 for _ in tree.leaves()) == leaves
     assert tree.nodes == nodes
