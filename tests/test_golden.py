@@ -1,5 +1,6 @@
 """Golden stdout corpus: the exact ``--compact`` stdout bytes and exit code of
-every README CLI example (without ``--budget``), plus ``plan`` at p=5,
+every README CLI example (without ``--budget``), plus ``plan`` at p=5 and
+at (3,2,3), the first n = 3 plan,
 ``construct trace`` at p=5 and at four quadruples whose splitting fields lie
 above the log-table bound (F_{3^16}, F_{5^6}) or have m > 2 (m = 6 at p=7,
 m = 5 at p=11), ``construct trace`` at (7,2,31) with its 93 reps over
@@ -16,7 +17,10 @@ slot with a constant that forces F_{3^9}, and t^-49 at p=7 with an
 extension to F_{7^7}.  The two scripts CI runs,
 ``scripts/run_d9.py`` and ``scripts/sweep_trace_family.py --steps 1``, are
 pinned the same way as tests/golden/run_d9.stdout and
-tests/golden/sweep_trace_steps1.stdout.  tests/golden/moduli.json pins the
+tests/golden/sweep_trace_steps1.stdout.  tests/golden/plan_7_3_3.stdout,
+the largest catalog plan (294 profiles), stays out of cases.json, as the
+large search golden does, since every case here runs three times; CI
+compares it.  tests/golden/moduli.json pins the
 canonical modulus of every field in ``test_gf.PINNED_MODULUS_PAIRS``, since
 each certificate over F_{p^k} prints it.
 
