@@ -86,9 +86,11 @@ def parse_poly(spec, text: str) -> Poly:
 
 
 def _dump(obj, compact: bool) -> str:
+    # every payload is a fresh acyclic tree built by to_json, so the
+    # encoder's cycle check only costs time
     if compact:
-        return json.dumps(obj, separators=(",", ":"))
-    return json.dumps(obj, indent=2)
+        return json.dumps(obj, separators=(",", ":"), check_circular=False)
+    return json.dumps(obj, indent=2, check_circular=False)
 
 
 def _quadruple(args) -> Quadruple:

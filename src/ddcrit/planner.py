@@ -7,6 +7,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .cartier import Quadruple
 from .errors import (
@@ -21,34 +22,59 @@ from .gf import is_prime
 from .witt import JumpProfile
 
 
-def _frac_json(x: Fraction) -> dict:
-    return {"num": x.numerator, "den": x.denominator}
+def _pair_json(x: tuple[int, int]) -> dict:
+    return {"num": x[0], "den": x[1]}
 
 
 @dataclass(frozen=True)
 class RadiiReport:
-    r_crit: Fraction
-    r_hub: Fraction
-    r_n: Fraction
+    """The exact radii of one lifting step, each kept as its reduced
+    (num, den) int pair with den > 0: ``crit``, ``hub`` and ``n`` for
+    r_crit, r_hub and r_n, and ``delta`` for delta_hub = u_next*r_hub.
+    ``r_crit``, ``r_hub``, ``r_n`` and ``delta_hub`` read them as
+    Fractions.  Both consistency checks compare the pairs by
+    cross-multiplication, and ``to_json`` renders them, so neither builds a
+    Fraction."""
+
+    crit: tuple[int, int]
+    hub: tuple[int, int]
+    n: tuple[int, int]
     n2: int
-    delta_hub: Fraction
+    delta: tuple[int, int]
 
     def __post_init__(self):
-        if self.n2 > 0 and not self.r_n < self.r_hub < self.r_crit:
+        (cn, cd), (hn, hd), (nn, nd) = self.crit, self.hub, self.n
+        if self.n2 > 0 and not (nn * hd < hn * nd and hn * cd < cn * hd):
             raise InconsistentRadii(
                 f"r_n, r_hub, r_crit = {self.r_n}, {self.r_hub}, {self.r_crit} "
                 "are not increasing"
             )
-        if self.n2 <= 0 and self.r_hub != 0:
+        if self.n2 <= 0 and hn != 0:
             raise InconsistentRadii(f"r_hub = {self.r_hub} with n2 = {self.n2}")
+
+    @property
+    def r_crit(self) -> Fraction:
+        return Fraction(*self.crit)
+
+    @property
+    def r_hub(self) -> Fraction:
+        return Fraction(*self.hub)
+
+    @property
+    def r_n(self) -> Fraction:
+        return Fraction(*self.n)
+
+    @property
+    def delta_hub(self) -> Fraction:
+        return Fraction(*self.delta)
 
     def to_json(self):
         return {
-            "r_crit": _frac_json(self.r_crit),
-            "r_hub": _frac_json(self.r_hub),
-            "r_n": _frac_json(self.r_n),
+            "r_crit": _pair_json(self.crit),
+            "r_hub": _pair_json(self.hub),
+            "r_n": _pair_json(self.n),
             "n2": self.n2,
-            "delta_hub": _frac_json(self.delta_hub),
+            "delta_hub": _pair_json(self.delta),
         }
 
 
@@ -139,21 +165,29 @@ def lifting_radii(
     return report
 
 
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    g = gcd(num, den)
+    return num // g, den // g
+
+
 def step_radii(
     p: int, m: int, u_prev: int, u_next: int
 ) -> tuple[Quadruple, RadiiReport]:
     """The quadruple of the lifting step u_prev -> u_next and its exact
-    critical/hub radii."""
+    critical/hub radii, by their closed forms on ints.  With d = (p-1)u_prev:
+    r_crit = 1/d and r_n = 1/((p-1)u_next).  N2 = u_next - u_prev - N1 is 0
+    exactly when u_next = p*u_prev, and then r_hub = delta_hub = 0.
+    Otherwise N1 = d - m, so r_hub = 1/N2 - N1/(d*N2) = m/(d*N2) and
+    delta_hub = u_next*r_hub, each reduced by one gcd."""
     q = quadruple_for_step(p, m, u_prev, u_next)
-    n1 = q.n1
-    n2 = u_next - u_prev - n1
-    r_crit = Fraction(1, u_prev * (p - 1))
-    r_n = Fraction(1, u_next * (p - 1))
+    n2 = u_next - u_prev - q.n1
+    d = (p - 1) * u_prev
     if n2 == 0:
-        r_hub = Fraction(0)
+        hub = delta = (0, 1)
     else:
-        r_hub = Fraction(1, n2) - Fraction(n1, (p - 1) * u_prev * n2)
-    return q, RadiiReport(r_crit, r_hub, r_n, n2, u_next * r_hub)
+        hub = _reduced(m, d * n2)
+        delta = _reduced(u_next * m, d * n2)
+    return q, RadiiReport((1, d), hub, (1, (p - 1) * u_next), n2, delta)
 
 
 def profile_steps(

@@ -72,6 +72,9 @@ was replaced by a simpler or faster exact path:
   monomial at a time, with two Witt additions to subtract wp of it and one
   to add it to the adjustment, the oracle for the one-pass, one-carry
   ``ddcrit.witt.standard_form``;
+- ``step_radii_reference``: the radii of one lifting step on Fractions,
+  r_hub = 1/N2 - N1/((p-1)u_prev N2) and delta_hub = u_next r_hub, the
+  oracle for the closed forms on int pairs of ``ddcrit.planner.step_radii``;
 - ``binomial_det``: the generalized-Vandermonde determinant
   det(binom(q-1, j-1)) by Bareiss fraction-free elimination against its
   closed-form product, a cross-check that no library code calls.
@@ -80,6 +83,7 @@ was replaced by a simpler or faster exact path:
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import product
 
 from ddcrit.cartier import Quadruple, ddc_check
@@ -752,6 +756,24 @@ def standard_form_reference(
     if not is_standard(work):
         raise NotStandardForm("standard-form reduction left a non-standard term")
     return StandardFormResult(work, work.spec.k // base_k, g)
+
+
+def step_radii_reference(p: int, m: int, u_prev: int, u_next: int) -> dict:
+    """N2 and the four radii of the lifting step u_prev -> u_next, as
+    Fractions, keyed by the names ``RadiiReport`` reads them by."""
+    n1 = (p - 1) * u_prev - (0 if u_next == p * u_prev else m)
+    n2 = u_next - u_prev - n1
+    if n2 == 0:
+        r_hub = Fraction(0)
+    else:
+        r_hub = Fraction(1, n2) - Fraction(n1, (p - 1) * u_prev * n2)
+    return {
+        "r_crit": Fraction(1, u_prev * (p - 1)),
+        "r_hub": r_hub,
+        "r_n": Fraction(1, u_next * (p - 1)),
+        "n2": n2,
+        "delta_hub": u_next * r_hub,
+    }
 
 
 def binomial_det(b) -> tuple[int, int]:

@@ -64,6 +64,26 @@ def test_golden_stdout(case):
     assert stdout == (GOLDEN / f"{case['name']}.stdout").read_bytes()
 
 
+# one golden case per subcommand, for the pretty (indent=2) branch of the
+# output, which every case above skips with --compact
+PRETTY_CASES = [
+    "plan_3_2_2", "check_3_2_5_8", "search_3_2_5_8_isolated",
+    "construct_small_5_4", "witt_breaks_3", "reduce_jumps_5_2",
+]
+
+
+@pytest.mark.parametrize("name", PRETTY_CASES)
+def test_pretty_stdout(name):
+    """Without --compact the stdout is the golden JSON indented by two."""
+    case = next(c for c in CASES if c["name"] == name)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(case["argv"])
+    assert code == case["exit_code"]
+    golden = json.loads((GOLDEN / f"{name}.stdout").read_bytes())
+    assert out.getvalue() == json.dumps(golden, indent=2) + "\n"
+
+
 # script argv -> golden stdout file; both scripts exit 0
 SCRIPTS = {
     "run_d9": ["scripts/run_d9.py"],

@@ -16,7 +16,9 @@ from ddcrit.planner import (
     profiles_for_group,
     quadruple_for_step,
     quadruples_for_group,
+    step_radii,
 )
+from reference import step_radii_reference
 
 
 def quad_tuple(q):
@@ -147,8 +149,49 @@ def test_radii_linearity_identity(group):
 
 
 def test_radii_report_rejects_inconsistent_radii():
-    half, third, quarter = Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)
+    half, third, quarter = (1, 2), (1, 3), (1, 4)
     with pytest.raises(InconsistentRadii):  # r_hub above r_crit
-        RadiiReport(r_crit=third, r_hub=half, r_n=quarter, n2=1, delta_hub=half)
+        RadiiReport(crit=third, hub=half, n=quarter, n2=1, delta=half)
     with pytest.raises(InconsistentRadii):  # r_hub nonzero with n2 = 0
-        RadiiReport(r_crit=half, r_hub=third, r_n=quarter, n2=0, delta_hub=half)
+        RadiiReport(crit=half, hub=third, n=quarter, n2=0, delta=half)
+    with pytest.raises(InconsistentRadii):  # r_n above r_hub
+        RadiiReport(crit=half, hub=quarter, n=third, n2=1, delta=half)
+    RadiiReport(crit=half, hub=third, n=quarter, n2=1, delta=half)
+
+
+def _small_groups(max_profiles):
+    """Every group Z/p^n x| Z/m with p <= 13, 1 < m | p - 1, n >= 2 and at
+    most max_profiles jump profiles, (p-1) p^(n-1) of them."""
+    for p in (3, 5, 7, 11, 13):
+        for m in range(2, p):
+            if (p - 1) % m == 0:
+                n = 2
+                while (p - 1) * p ** (n - 1) <= max_profiles:
+                    yield p, m, n
+                    n += 1
+
+
+def test_step_radii_matches_the_fraction_reference():
+    """The closed forms on int pairs equal the Fraction formula on every
+    lifting step of every small group, read as Fractions and as JSON."""
+    groups = list(_small_groups(2000))
+    assert max(n for p, _, n in groups if p == 3) == 7
+    assert {p: max(n for q, _, n in groups if q == p) for p in (5, 7, 11, 13)} == {
+        5: 4, 7: 3, 11: 3, 13: 2
+    }
+    for p, m, n in groups:
+        steps = {
+            prof.breaks[i - 1 : i + 1]
+            for prof in profiles_for_group(p, m, n)
+            for i in range(1, n)
+        }
+        for u_prev, u_next in steps:
+            _, report = step_radii(p, m, u_prev, u_next)
+            expected = step_radii_reference(p, m, u_prev, u_next)
+            got = {key: getattr(report, key) for key in expected}
+            assert got == expected, (p, m, u_prev, u_next)
+            assert report.to_json() == {
+                key: value if key == "n2"
+                else {"num": value.numerator, "den": value.denominator}
+                for key, value in expected.items()
+            }
