@@ -20,7 +20,9 @@ pinned the same way as tests/golden/run_d9.stdout and
 tests/golden/sweep_trace_steps1.stdout.  tests/golden/plan_7_3_3.stdout,
 the largest catalog plan (294 profiles), stays out of cases.json, as the
 large search golden does, since every case here runs three times; CI
-compares it.  tests/golden/moduli.json pins the
+compares it.  So does tests/golden/construct_trace_13_2_49.stdout, the
+294 reps of (13,2,49) over F_{13^14}, a run of several seconds that
+checks the big-field products.  tests/golden/moduli.json pins the
 canonical modulus of every field in ``test_gf.PINNED_MODULUS_PAIRS``, since
 each certificate over F_{p^k} prints it.
 
