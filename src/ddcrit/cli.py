@@ -120,13 +120,13 @@ def _cmd_search(args) -> tuple[object, int]:
 
 def _cmd_plan(args) -> tuple[object, int]:
     quadruples = quadruples_for_group(args.p, args.m, args.n)
-    profiles = profiles_for_group(args.p, args.m, args.n)
-    # a step (u_(i-1), u_i) recurs in every profile that extends it, so its
-    # quadruple and radii JSON are built once per distinct step
+    # a profile's JSON is built once, for its entry and its radii rows, and a
+    # step's quadruple and radii JSON once, though it recurs in many profiles
+    profiles = [(prof.breaks, prof.to_json())
+                for prof in profiles_for_group(args.p, args.m, args.n)]
     steps: dict[tuple[int, ...], tuple[dict, dict]] = {}
     radii = []
-    for prof in profiles:
-        u, prof_json = prof.breaks, prof.to_json()
+    for u, prof_json in profiles:
         for i in range(1, len(u)):
             if (step := u[i - 1 : i + 1]) not in steps:
                 q, report = step_radii(args.p, args.m, *step)
@@ -137,7 +137,7 @@ def _cmd_plan(args) -> tuple[object, int]:
             )
     return {
         "quadruples": [q.to_json() for q in quadruples],
-        "profiles": [p.to_json() for p in profiles],
+        "profiles": [prof_json for _, prof_json in profiles],
         "radii": radii,
     }, 0
 

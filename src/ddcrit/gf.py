@@ -18,9 +18,9 @@ use, is the only code that computes on that form:
   with Zech logarithms for sums, are built once per field (``_LogTables``),
   so each operation is a few lookups on ints;
 - above the bound: v is the coefficient tuple, and arithmetic is
-  coefficient-wise sums, one packed F_p[x] product (``_mul_modp``) and a
-  division by the modulus (``_ring_mul``), unless one factor lies in F_p
-  and scales the other coefficient-wise, and extended Euclid.  A table
+  coefficient-wise sums, one packed F_p[x] product (``_mul_modp``) folded
+  by the modulus (``_ring_mul``) unless one factor lies in F_p, extended
+  Euclid, and Frobenius and p-th roots as cached linear maps.  A table
   takes q - 1 multiplications by the generator to build, each k dot
   products of length k (F_{5^5}: 14 ms on a 2-core x86 VM).  With the
   bound at 2^16, a build by polynomial products took 0.4 s for the F_{3^9}
@@ -152,10 +152,10 @@ def solve_modp(aug: list[list[int]], p: int) -> list[int] | None:
 #
 # Every dense F_p[x] operation here is one product, ``_mul_modp``, a single
 # packed-int multiply that also serves ``kronecker_columns`` (so every
-# ``Poly`` and ``LaurentPoly`` product), one division, ``_divmod_modp``, which
-# takes any nonzero leading coefficient and also serves ``Poly.divmod`` and
-# ``Poly.gcd`` over F_p, ``_sub_modp``, and ``_scaled_sum``, a linear
-# combination packed like the product (the sums of Witt addition).  ROADMAP
+# ``Poly`` and ``LaurentPoly`` product), one division, ``_divmod_modp``, for
+# any nonzero leading coefficient and behind ``Poly.divmod`` and ``Poly.gcd``
+# over F_p (a field product is folded instead: ``_fold_map``), ``_sub_modp``,
+# and ``_scaled_sum``, packed like the product (the Witt sums).  ROADMAP
 # defect 1 is held by one line of ``_is_irreducible_modp``; its docstring
 # says why it stays.
 
@@ -584,13 +584,79 @@ class FieldElement:
         return list(self.coeffs)
 
 
+# -- F_p-linear maps: the fold by the modulus, Frobenius, the p-th root and
+# embeddings (``poly._embedding_map``), each cached per field on first use as
+# k rows, row s listing (t, coefficient s of the image of x^t) where nonzero
+
+
+def _linear_map(images, k: int) -> tuple:
+    """The rows of the map sending x^t to the k coefficients images[t]."""
+    return tuple(tuple((t, c[s]) for t, c in enumerate(images) if c[s])
+                 for s in range(k))
+
+
+def _powers_map(z: FieldElement, n: int) -> tuple:
+    """The rows of x^t -> z^t for t < n, into z's field."""
+    powers = [z.spec.one()]
+    while len(powers) < n:
+        powers.append(powers[-1] * z)
+    return _linear_map([y.coeffs for y in powers], z.spec.k)
+
+
+@functools.lru_cache(maxsize=None)
+def _fold_map(spec: FieldSpec) -> tuple:
+    """x^t -> x^t mod the modulus for t < 2k - 1, the fold of a product;
+    row s starts with (s, 1).  x^(t+1) is x^t shifted up and folded."""
+    p, m, images = spec.p, spec.modulus, [[1] + [0] * (spec.k - 1)]
+    while len(images) < 2 * spec.k - 1:
+        y = images[-1]
+        images.append([(d - y[-1] * c) % p for d, c in zip([0, *y[:-1]], m)])
+    return _linear_map(images, spec.k)
+
+
+# c -> c^(p^i) is x^t -> (x^(p^i))^t for x = [0, 1][:k] (0 over F_p, modulus x)
+@functools.lru_cache(maxsize=None)
+def _frobenius_map(spec: FieldSpec) -> tuple:
+    """c -> c^p on spec."""
+    return _powers_map(spec.element([0, 1][: spec.k]) ** spec.p, spec.k)
+
+
+@functools.lru_cache(maxsize=None)
+def _pth_root_map(spec: FieldSpec) -> tuple:
+    """c -> c^(p^(k-1)), the inverse of Frobenius."""
+    x = spec.element([0, 1][: spec.k])
+    return _powers_map(x ** spec.p ** (spec.k - 1), spec.k)
+
+
+def _apply(rows, cols, p: int) -> list:
+    """The image columns, under the map with these rows, of the elements
+    whose coefficients cols holds; a copied column is returned unchanged."""
+    out = []
+    for row in rows:
+        match row:
+            case ():
+                out.append([0] * len(cols[0]))
+            case ((t, 1),):
+                out.append(cols[t])
+            case ((t, m),):
+                out.append([m * c % p for c in cols[t]])
+            case ((t, m), *rest, (u, n)):
+                acc = cols[t] if m == 1 else [m * c for c in cols[t]]
+                for t, m in rest:
+                    acc = [a + m * c for a, c in zip(acc, cols[t])]
+                out.append([(a + n * c) % p for a, c in zip(acc, cols[u])])
+    return out
+
+
+def _image(rows, a, p: int) -> list[int]:
+    """The image of one element, given and returned as its coefficients."""
+    return [sum([m * a[t] for t, m in row]) % p for row in rows]
+
+
 def _ring_mul(spec: FieldSpec, a, b) -> tuple[int, ...]:
-    """The product of the coefficient sequences a and b modulo spec's
-    modulus, as a coefficient tuple: it needs no tables and holds whether
-    or not the modulus is irreducible."""
-    p = spec.p
-    prod = _divmod_modp(_mul_modp(a, b, p), spec.modulus, p)[1]
-    return tuple(prod + [0] * (spec.k - len(prod)))
+    """The product of the coefficient sequences a and b folded by spec's
+    modulus, a coefficient tuple; it needs no tables nor an irreducible one."""
+    return tuple(_image(_fold_map(spec), _mul_modp(a, b, spec.p), spec.p))
 
 
 class _LogTables:
@@ -826,8 +892,8 @@ def _tuple_arithmetic(spec: FieldSpec) -> StoredArithmetic:
         lambda a, b: mul(a, inverse(b)),
         power,
         dot,
-        lambda a: square_and_multiply(a, p, mul),
-        lambda a: square_and_multiply(a, p ** (k - 1), mul),
+        lambda a: tuple(_image(_frobenius_map(spec), a, p)),
+        lambda a: tuple(_image(_pth_root_map(spec), a, p)),
         lambda i: _base_p_digits(i, p, k),
         lambda a: sum(map(operator.mul, a, weights)),
         functools.partial(FieldElement, spec),
@@ -835,17 +901,6 @@ def _tuple_arithmetic(spec: FieldSpec) -> StoredArithmetic:
 
 
 # -- packed products of coefficient sequences -------------------------------
-
-
-@functools.lru_cache(maxsize=None)
-def _fold_table(spec: FieldSpec) -> tuple[tuple[int, ...], ...]:
-    """x^(k+j) mod the modulus as length-k coefficient tuples, j = 0..k-2."""
-    k, p = spec.k, spec.p
-    table = []
-    for j in range(k - 1):
-        r = _divmod_modp([0] * (k + j) + [1], spec.modulus, p)[1]
-        table.append(tuple(r + [0] * (k - len(r))))
-    return tuple(table)
 
 
 def element_columns(seq, k: int) -> list:
@@ -873,7 +928,8 @@ def kronecker_columns(a, b, spec: FieldSpec) -> list[list[int]]:
     of term j (the coefficient of x^i) is laid out at digit j*(2k-1) + i of
     one F_p[x] digit list, with zeros between, so one ``_mul_modp`` of the
     two lists holds every term of the product in its own (2k-1)-digit slot,
-    and each slot is then reduced mod the field modulus.  A slot is 2k-1
+    and the slots are then reduced mod the field modulus, digit t of every
+    slot at once (``_fold_map`` applied to columns).  A slot is 2k-1
     digits wide because the product of two elements has x-degree up to
     2k-2 before reduction.  Returns the k columns of the len(a[0]) +
     len(b[0]) - 1 product terms, digits in [0, p), or k empty columns if
@@ -889,15 +945,7 @@ def kronecker_columns(a, b, spec: FieldSpec) -> list[list[int]]:
     x = _interleave(a, stride)
     digits = _mul_modp(x, x if a is b else _interleave(b, stride), p)
     n = (la + lb - 1) * stride
-    # fold digit k+j of every slot into digits 0..k-1 by x^(k+j) mod the
-    # modulus, one digit column across all slots at a time
-    cols = [digits[t:n:stride] for t in range(k)]
-    for j, r in enumerate(_fold_table(spec)):
-        high = digits[k + j : n : stride]
-        for t, rt in enumerate(r):
-            if rt:
-                cols[t] = [u + h * rt for u, h in zip(cols[t], high)]
-    return [[u % p for u in c] for c in cols]
+    return _apply(_fold_map(spec), [digits[t:n:stride] for t in range(stride)], p)
 
 
 def _interleave(cols, stride: int) -> list[int]:
@@ -1060,10 +1108,9 @@ def trace_to_prime(x: FieldElement, d: int) -> FieldElement:
 def subfield_trace(x: FieldElement, d: int) -> FieldElement:
     """x + x^p + ... + x^(p^(d-1)): the trace to F_p of an x that the
     caller knows to lie in F_{p^d}, without ``trace_to_prime``'s checks."""
-    p = x.spec.p
     total = x
     for _ in range(d - 1):
-        x = x**p
+        x = x.frobenius()
         total = total + x
     return total
 
@@ -1075,9 +1122,7 @@ def _least_generator(spec: FieldSpec) -> FieldElement:
     since the log tables are built on it."""
     q1 = spec.order - 1
     one = spec.one().coeffs
-
-    def mul(a, b):
-        return _ring_mul(spec, a, b)
+    mul = functools.partial(_ring_mul, spec)
 
     def power(g, e):
         return square_and_multiply(g.coeffs, e, mul)

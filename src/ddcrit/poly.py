@@ -25,7 +25,9 @@ from .gf import (
     FieldElement,
     FieldSpec,
     _divmod_modp,
+    _image,
     _mul_modp,
+    _powers_map,
     column_elements,
     element_columns,
     kronecker_mul,
@@ -424,6 +426,13 @@ def _embedding_image(src: FieldSpec, dst: FieldSpec) -> FieldElement:
     return min(_conjugates(modulus, dst), key=FieldElement.sort_key)
 
 
+@functools.lru_cache(maxsize=None)
+def _embedding_map(src: FieldSpec, dst: FieldSpec) -> tuple:
+    """The rows of ``embed`` from src into dst: x^t -> z^t for z =
+    ``_embedding_image``, whose errors it raises (NotAField, say)."""
+    return _powers_map(_embedding_image(src, dst), src.k)
+
+
 def embed(x: FieldElement, dst: FieldSpec) -> FieldElement:
     """Embed x into the extension field dst (src degree must divide dst's)."""
     src = x.spec
@@ -431,7 +440,7 @@ def embed(x: FieldElement, dst: FieldSpec) -> FieldElement:
         return x
     if src.k == 1 and src.p == dst.p:
         return dst.from_int(x.coeffs[0])
-    return Poly.from_ints(dst, x.coeffs).evaluate(_embedding_image(src, dst))
+    return dst._from_coeffs(_image(_embedding_map(src, dst), x.coeffs, dst.p))
 
 
 def embed_poly(f: Poly, dst: FieldSpec) -> Poly:

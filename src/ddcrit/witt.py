@@ -14,8 +14,8 @@ form, (low, k int columns) (see "column form" below): ``witt_add``,
 keeps its working vector and adjustment in that form from start to end,
 building FieldElements and LaurentPolys only for its result.  Frobenius,
 the p-th root, the lift into a degree-p extension and x -> x^p - x are
-F_p-linear, so each is a matrix cached per field and applied to whole
-columns.
+F_p-linear, so each is a matrix cached per field, the first three in ``gf``
+and ``poly``, and applied to whole columns.
 """
 
 from __future__ import annotations
@@ -32,19 +32,21 @@ from .errors import (
     SpecMismatch,
 )
 from .gf import (
-    FieldElement,
     FieldSpec,
+    _apply,
+    _frobenius_map,
+    _image,
+    _pth_root_map,
     _scaled_sum,
     column_elements,
     element_columns,
     is_prime,
     kronecker_columns,
     make_field,
-    pth_root,
     solve_modp,
     square_and_multiply,
 )
-from .poly import LaurentPoly, embed
+from .poly import LaurentPoly, _embedding_map
 
 MAX_LEVEL = 3
 DEFAULT_EXTENSION_CAP = 16
@@ -194,72 +196,16 @@ def _entry(k: int, terms: dict):
 
 # -- F_p-linear maps on columns ----------------------------------------------
 #
-# Frobenius, the p-th root, the lift into an extension and x -> x^p - x are
-# F_p-linear, so each is one matrix per field (cached), read off the images
-# of the basis x^0, ..., x^(k-1) and applied to whole columns at once.
-
-
-def _basis(spec: FieldSpec) -> list[FieldElement]:
-    return [spec.element([0] * t + [1]) for t in range(spec.k)]
-
-
-def _linear_map(images, k: int) -> tuple:
-    """The map sending x^t to images[t] (of degree k over F_p) as k rows:
-    row s lists (t, coefficient s of images[t]) where that is nonzero."""
-    coeffs = [y.coeffs for y in images]
-    return tuple(
-        tuple((t, c[s]) for t, c in enumerate(coeffs) if c[s]) for s in range(k)
-    )
-
-
-@functools.lru_cache(maxsize=None)
-def _frobenius_map(spec: FieldSpec) -> tuple:
-    """c -> c^p on spec."""
-    return _linear_map([b**spec.p for b in _basis(spec)], spec.k)
-
-
-@functools.lru_cache(maxsize=None)
-def _pth_root_map(spec: FieldSpec) -> tuple:
-    """c -> c^(p^(k-1)), Frobenius k - 1 times: ``gf.pth_root``."""
-    return _linear_map([pth_root(b) for b in _basis(spec)], spec.k)
-
-
-@functools.lru_cache(maxsize=None)
-def _lift_map(src: FieldSpec, dst: FieldSpec) -> tuple:
-    """c -> embed(c, dst); building it raises what ``poly.embed`` raises on
-    any element of src (say NotAField when dst's modulus is reducible)."""
-    return _linear_map([embed(b, dst) for b in _basis(src)], dst.k)
+# Frobenius, the p-th root and the lift (``poly._embedding_map``) are gf's
+# cached maps on whole columns; x -> x^p - x is a matrix for ``solve_modp``.
 
 
 @functools.lru_cache(maxsize=None)
 def _artin_schreier_matrix(spec: FieldSpec) -> tuple:
     """The k x k matrix over F_p of x -> x^p - x; column t is the image of
     x^t.  Its rank is k - 1: the kernel is F_p."""
-    return tuple(zip(*[(b**spec.p - b).coeffs for b in _basis(spec)]))
-
-
-def _apply(rows, cols, p: int) -> list:
-    """The columns of the images, under the map with these rows, of the
-    elements whose coefficients cols holds.  A row that copies one column
-    returns that column itself: no column is ever changed in place."""
-    out = []
-    for row in rows:
-        match row:
-            case ():
-                out.append([0] * len(cols[0]))
-            case ((t, 1),):
-                out.append(cols[t])
-            case ((t, m), *rest):
-                acc = [m * c for c in cols[t]]
-                for t, m in rest:
-                    acc = [a + m * c for a, c in zip(acc, cols[t])]
-                out.append([a % p for a in acc])
-    return out
-
-
-def _image(rows, a, p: int) -> list[int]:
-    """The image of one element, given and returned as its coefficients."""
-    return [sum(m * a[t] for t, m in row) % p for row in rows]
+    basis = [spec.element([0] * t + [1]) for t in range(spec.k)]
+    return tuple(zip(*[(b**spec.p - b).coeffs for b in basis]))
 
 
 def _frobenius_entry(spec: FieldSpec, entry):
@@ -500,7 +446,7 @@ def standard_form(
                         f"over the base (cap {extension_cap})"
                     )
                 big = make_field(p, new_k)
-                lift = _lift_map(spec, big)
+                lift = _embedding_map(spec, big)
                 work, g = (
                     tuple((e_low, _apply(lift, e_cols, p)) for e_low, e_cols in vec)
                     for vec in (work, g)

@@ -44,6 +44,10 @@ was replaced by a simpler or faster exact path:
   ``roots_in_field`` over the target field, which factors there, the oracle
   for ``ddcrit.poly._embedding_image`` (the least of the conjugates of one
   root) behind ``embed``;
+- ``embed_reference``: the coefficient polynomial of an element evaluated
+  at that image by Horner's rule, one field product and sum per
+  coefficient, the oracle for the cached linear map of ``ddcrit.poly.embed``
+  (``_embedding_map``);
 - ``rabin_reference``: the Rabin test as ``ddcrit.gf`` ran it on its own
   list helpers (a reduction that assumes a monic divisor, a power and a
   gcd over it), before every dense F_p[x] operation there went through one
@@ -110,6 +114,7 @@ from ddcrit.gf import (
 from ddcrit.poly import (
     LaurentPoly,
     Poly,
+    _embedding_image,
     _powmod,
     embed,
     factor,
@@ -565,6 +570,17 @@ def embedding_image_reference(src: FieldSpec, dst: FieldSpec) -> FieldElement:
     if not roots:
         raise NotAField(f"F_{{{dst.p}^{dst.k}}} has no root of {src.modulus}")
     return min(roots, key=FieldElement.sort_key)
+
+
+def embed_reference(x: FieldElement, dst: FieldSpec) -> FieldElement:
+    """x in the extension dst: its coefficient polynomial at the image of
+    the generator of its field, by Horner's rule."""
+    src = x.spec
+    if src == dst:
+        return x
+    if src.k == 1 and src.p == dst.p:
+        return dst.from_int(x.coeffs[0])
+    return Poly.from_ints(dst, x.coeffs).evaluate(_embedding_image(src, dst))
 
 
 def _trim(c: list[int]) -> list[int]:

@@ -353,8 +353,10 @@ def test_sampled_fields_straddle_the_table_bound():
 
 
 # residues mod p, then indices in tabled fields up to the largest for p = 3
-# and p = 7, then elements above the table bound
-STORED_FIELDS = [(3, 1), (7, 1), (10007, 1), (3, 2), (3, 3), (7, 2), (3, 7), (7, 4), (3, 8)]
+# and p = 7, then elements above the table bound, the last the splitting
+# field of the (13,2,49) trace certificate
+STORED_FIELDS = [(3, 1), (7, 1), (10007, 1), (3, 2), (3, 3), (7, 2), (3, 7), (7, 4), (3, 8),
+                 (13, 14)]
 
 
 @pytest.mark.parametrize("p, k", STORED_FIELDS)

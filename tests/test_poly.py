@@ -413,8 +413,14 @@ SHAPES = [
 ]
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
-@pytest.mark.parametrize("k", [1, 2, 3, 9])
+# every k in (1, 2, 3, 9) for every p in (3, 5, 7), then F_{13^14}, the
+# splitting field of the (13,2,49) trace certificate
+KRONECKER_FIELDS = [(p, k) for k in (1, 2, 3, 9) for p in (3, 5, 7)] + [(13, 14)]
+
+
+@pytest.mark.parametrize(
+    "p, k", KRONECKER_FIELDS, ids=[f"{k}-{p}" for p, k in KRONECKER_FIELDS]
+)
 def test_kronecker_mul_matches_schoolbook(p, k):
     spec = make_field(p, k)
     rng = random.Random(100 * p + k)

@@ -15,6 +15,7 @@ from ddcrit.errors import (
     NotStandardForm,
 )
 import ddcrit.witt
+from ddcrit import gf, poly
 from ddcrit.cli import parse_laurent
 from ddcrit.gf import (
     FieldElement,
@@ -23,7 +24,7 @@ from ddcrit.gf import (
     make_field,
     pth_root,
 )
-from ddcrit.poly import LaurentPoly, embed
+from ddcrit.poly import LaurentPoly, _embedding_map, embed
 from ddcrit.witt import (
     JumpProfile,
     WittVector,
@@ -372,7 +373,7 @@ def _mapped(rows, xs, dst):
     """The elements of dst that the linear map with these rows sends xs to,
     through columns."""
     cols = element_columns(xs, xs[0].spec.k)
-    return column_elements(ddcrit.witt._apply(rows, cols, dst.p), dst)
+    return column_elements(gf._apply(rows, cols, dst.p), dst)
 
 
 @pytest.mark.parametrize(
@@ -381,13 +382,16 @@ def _mapped(rows, xs, dst):
     ids=["F3", "F27", "F25", "F3^9", "F3^12"],
 )
 def test_linear_maps_match_elementwise(k_pair):
-    """Frobenius, the p-th root and the lift, as matrices applied to columns,
-    equal x**p, pth_root(x) and embed(x, dst) element by element, and an
+    """Frobenius, the p-th root and the lift, as ``gf``'s matrices applied
+    to columns, equal x**p, x**(p^(k-1)) (and ``pth_root``) and
+    ``embed_reference`` (and ``embed``) element by element, and an
     Artin-Schreier solution x of x^p - x = y**p - y checks out, in each
     element form: F_p, the tabled F_{3^3} and F_{5^2}, the untabled
     F_{3^9}, and the ring "F_{3^12}", whose canonical modulus is reducible
     (ROADMAP defect 1).  There only Frobenius and the p-th root are defined;
     building the lift into it from F_{3^4} raises the error of ``embed``."""
+    from reference import embed_reference
+
     p, k, big = k_pair
     spec = make_field(p, k)
     rng = random.Random(p * 100 + k)
@@ -396,11 +400,11 @@ def test_linear_maps_match_elementwise(k_pair):
     else:
         xs = [spec.zero(), spec.one()]
         xs += [spec.element_by_index(rng.randrange(spec.order)) for _ in range(40)]
-    witt = ddcrit.witt
-    assert _mapped(witt._frobenius_map(spec), xs, spec) == [x**p for x in xs]
-    assert _mapped(witt._pth_root_map(spec), xs, spec) == [pth_root(x) for x in xs]
+    assert _mapped(gf._frobenius_map(spec), xs, spec) == [x**p for x in xs]
+    roots = _mapped(gf._pth_root_map(spec), xs, spec)
+    assert roots == [x ** p ** (k - 1) for x in xs] == [pth_root(x) for x in xs]
     for y in xs:
-        root = witt._artin_schreier_solve(spec, (y**p - y).coeffs)
+        root = ddcrit.witt._artin_schreier_solve(spec, (y**p - y).coeffs)
         x = spec.element(root)
         assert x**p - x == y**p - y
     if big is None:
@@ -408,11 +412,13 @@ def test_linear_maps_match_elementwise(k_pair):
         with pytest.raises(NotAField) as via_embed:
             embed(small.one(), spec)
         with pytest.raises(NotAField) as via_map:
-            witt._lift_map(small, spec)
+            _embedding_map(small, spec)
         assert str(via_map.value) == str(via_embed.value)
         return
     dst = make_field(p, big)
-    assert _mapped(witt._lift_map(spec, dst), xs, dst) == [embed(x, dst) for x in xs]
+    lifted = _mapped(_embedding_map(spec, dst), xs, dst)
+    assert lifted == [embed_reference(x, dst) for x in xs]
+    assert lifted == [embed(x, dst) for x in xs]
 
 
 def test_pole_roots_are_taken_before_the_constant_extends_the_field(monkeypatch):
@@ -494,8 +500,6 @@ def test_witt_add_stays_in_column_form(monkeypatch):
     per field): with the maps built, the only LaurentPolys and FieldElements
     it builds are the entries and coefficients of its result.  The public
     sum, difference and wp build each output entry once."""
-    from ddcrit import gf, poly
-
     depth, stray, built = [0], [], []
 
     def watched(log, name, fn):
@@ -515,9 +519,9 @@ def test_witt_add_stays_in_column_form(monkeypatch):
             "kronecker_mul",
             watched(stray, "kronecker_mul", module.kronecker_mul),
         )
-    for name in ("pth_root", "embed"):
+    for module, name in ((gf, "pth_root"), (poly, "embed")):
         monkeypatch.setattr(
-            ddcrit.witt, name, watched(stray, name, getattr(ddcrit.witt, name))
+            module, name, watched(stray, name, getattr(module, name))
         )
     monkeypatch.setattr(
         ddcrit.witt, "column_elements", watched(built, "columns", gf.column_elements)
