@@ -129,16 +129,16 @@ def _residue_poly(q: Quadruple, big_f: Poly) -> Poly | None:
 
 
 def _series_inverse(coeffs, length: int) -> list:
-    """The first ``length`` coefficients of 1/C(s), C = sum_i coeffs[i] s^i
-    with coeffs[0] != 0."""
-    inv0 = coeffs[0].inverse()
-    out = [inv0]
-    for j in range(1, length):
-        total = inv0.spec.zero()
-        for c, g in zip(coeffs[1 : j + 1], reversed(out)):
-            total = total + c * g
-        out.append(-(total * inv0))
-    return out
+    """The first ``length`` >= 1 coefficients of 1/C(s), C = sum_i
+    coeffs[i] s^i with coeffs[0] != 0, of which the first n =
+    min(len(coeffs), length) count.  For their reversal R = s^(n-1) C(1/s),
+    the quotient Q of s^(n+length-2) by R has s^(length-1) Q(1/s) C(s) = 1
+    mod s^length, so the inverse is Q read backwards (von zur Gathen-
+    Gerhard, Modern Computer Algebra, 9.1)."""
+    spec = coeffs[0].spec
+    rev = Poly(spec, coeffs[length - 1 :: -1])
+    power = Poly(spec, [spec.zero()] * (len(rev.coeffs) + length - 2) + [spec.one()])
+    return list((power // rev).coeffs[::-1])
 
 
 def _checked_reps(q: Quadruple, big_f: Poly, known: ResidueData):

@@ -29,7 +29,8 @@ use, is the only code that computes on that form:
 
 Each ``FieldElement`` operator checks that its operands share a field and
 makes one call into the bundle; a loop that would build an element per
-operation (the search's DFS) calls the bundle on stored values directly.
+operation calls the bundle on stored values directly: the search's DFS, and
+``_divmod``, the one polynomial division, for every field.
 
 Index order is the lexicographic order of the coefficient tuples, so the
 stored value is the sort key in every form.  Coefficient tuples of indexed
@@ -148,20 +149,23 @@ def solve_modp(aug: list[list[int]], p: int) -> list[int] | None:
     return [solution.get(col, 0) for col in range(n)]
 
 
-# -- dense F_p[x] helpers (coefficient lists, ascending degree) --------------
+# -- dense polynomial helpers (coefficient lists, ascending degree) ----------
 #
-# Every dense F_p[x] operation here is one product, ``_mul_modp``, a single
-# packed-int multiply that also serves ``kronecker_columns`` (so every
-# ``Poly`` and ``LaurentPoly`` product), one division, ``_divmod_modp``, for
-# any nonzero leading coefficient and behind ``Poly.divmod`` and ``Poly.gcd``
-# over F_p (a field product is folded instead: ``_fold_map``), ``_sub_modp``,
-# and ``_scaled_sum``, packed like the product (the Witt sums).  ROADMAP
+# Every dense F_p[x] product is one packed-int multiply, ``_mul_modp``, which
+# also serves ``kronecker_columns`` (so every ``Poly`` and ``LaurentPoly``
+# product); ``_scaled_sum`` is packed like it (the Witt sums).  Every
+# polynomial division, over any field, is ``_divmod`` on stored values with
+# the field's ``StoredArithmetic``: ``Poly.divmod`` and ``Poly.gcd``, the
+# series inverse of ``criterion``, and on F_p's bundle the Rabin test, the
+# modular power ``_powmod_modp`` and the extended Euclid of the tuple
+# inverse (a field product is folded instead: ``_fold_map``).  ROADMAP
 # defect 1 is held by one line of ``_is_irreducible_modp``; its docstring
 # says why it stays.
 
 
-def _trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
+def _trim(c: list, zero) -> list:
+    """c without its trailing entries equal to zero, the zero value."""
+    while c and c[-1] == zero:
         c.pop()
     return c
 
@@ -249,28 +253,37 @@ def _sub_modp(a: list[int], b: list[int], p: int) -> list[int]:
     out = list(a) + [0] * (len(b) - len(a))
     for i, v in enumerate(b):
         out[i] = (out[i] - v) % p
-    return _trim(out)
+    return _trim(out, 0)
 
 
-def _divmod_modp(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by b in F_p[x], on digits in [0, p), by
-    schoolbook division (von zur Gathen-Gerhard, Modern Computer Algebra,
-    Algorithm 2.5).  b has no trailing zeros, and its leading coefficient
-    may be any nonzero digit; both results come without trailing zeros."""
-    db = len(b) - 1
-    rem = _trim(list(a))
+def _divmod(ops: "StoredArithmetic", a: list, b: list) -> tuple[list, list]:
+    """Quotient and remainder of a by b, lists of the values one field
+    stores, with ops its ``StoredArithmetic``, by schoolbook division (von
+    zur Gathen-Gerhard, Modern Computer Algebra, Algorithm 2.5): one
+    ``ops.submul`` per nonzero quotient term, and no quotient-term product
+    when b is monic.  b has no trailing zeros, and its leading coefficient
+    may be any nonzero value; both results come without trailing zeros."""
+    zero, db = ops.zero, len(b) - 1
+    rem = _trim(list(a), zero)
     if len(rem) <= db:
         return [], rem
-    inv = pow(b[-1], -1, p)
-    low = b[:db]
-    quot = [0] * (len(rem) - db)
+    inv = None if b[-1] == ops.one else ops.div(ops.one, b[-1])
+    quot, low, mul, submul = [zero] * (len(rem) - db), b[:db], ops.mul, ops.submul
     for s in range(len(rem) - 1 - db, -1, -1):
-        c = rem[s + db] * inv % p
-        if c:
+        c = rem[s + db]
+        if c != zero:
+            if inv is not None:
+                c = mul(c, inv)
             quot[s] = c
-            for i, v in enumerate(low, s):
-                rem[i] = (rem[i] - c * v) % p
-    return quot, _trim(rem[:db])
+            submul(rem, s, c, low)
+    return quot, _trim(rem[:db], zero)
+
+
+def _powmod_modp(ops, a: list[int], e: int, m: list[int], p: int) -> list[int]:
+    """a^e mod m in F_p[x] for e >= 1 on digit lists, a reduced or e >= 2:
+    square-and-multiply, each ``_mul_modp`` product reduced by ``_divmod``
+    on ops, F_p's ``StoredArithmetic``."""
+    return square_and_multiply(a, e, lambda u, v: _divmod(ops, _mul_modp(u, v, p), m)[1])
 
 
 def _is_irreducible_modp(f: list[int], p: int) -> bool:
@@ -288,20 +301,14 @@ def _is_irreducible_modp(f: list[int], p: int) -> bool:
     k = len(f) - 1
     if k <= 1:
         return k == 1
-
-    def mul(u, v):
-        return _divmod_modp(_mul_modp(u, v, p), f, p)[1]
-
-    def x_power_minus_x(e):
-        # e >= 3, so every power goes through mul and is reduced mod f
-        return _sub_modp(square_and_multiply([0, 1], e, mul), [0, 1], p)
-
-    if x_power_minus_x(p**k):
+    ops, x = make_field(p, 1)._ops, [0, 1]
+    # every exponent p^j here is at least 3, so each power is reduced mod f
+    if _sub_modp(_powmod_modp(ops, x, p**k, f, p), x, p):
         return False
     for r in prime_factors(k):
-        a, b = f, x_power_minus_x(p ** (k // r))
+        a, b = f, _sub_modp(_powmod_modp(ops, x, p ** (k // r), f, p), x, p)
         while b:
-            a, b = b, _divmod_modp(a, b[:-1] + [1], p)[1]  # defect 1
+            a, b = b, _divmod(ops, a, b[:-1] + [1])[1]  # defect 1
         if len(a) != 1:
             return False
     return True
@@ -720,8 +727,10 @@ class StoredArithmetic:
     table bound, so a value is its own ``element_by_index`` digit, and
     coefficient tuples above the bound.  ``div`` takes a nonzero divisor and
     ``pow`` a nonzero base with any int exponent; ``dot`` is the sum of the
-    products of two equally long value sequences, and ``element`` builds
-    the FieldElement of a value."""
+    products of two equally long value sequences; ``submul(xs, s, c, ys)``
+    subtracts c ys[i] from xs[s + i] in place for every i and a nonzero c,
+    the step of ``_divmod``; and ``element`` builds the FieldElement of a
+    value."""
 
     zero: object
     one: object
@@ -732,6 +741,7 @@ class StoredArithmetic:
     div: Callable
     pow: Callable  # (x, e) -> x^e
     dot: Callable
+    submul: Callable  # (xs, s, c, ys): xs[s + i] -= c ys[i]
     frobenius: Callable  # x -> x^p
     pth_root: Callable  # x -> x^(1/p)
     value: Callable  # digit -> value
@@ -750,6 +760,10 @@ def stored_arithmetic(spec: FieldSpec) -> StoredArithmetic:
 def _stored_arithmetic(spec: FieldSpec) -> StoredArithmetic:
     p = spec.p
     if spec.k == 1:
+        def submul(xs, s, c, ys):
+            for i, y in enumerate(ys, s):
+                xs[i] = (xs[i] - c * y) % p
+
         return StoredArithmetic(
             0,
             1,
@@ -760,6 +774,7 @@ def _stored_arithmetic(spec: FieldSpec) -> StoredArithmetic:
             lambda a, b: a * pow(b, -1, p) % p,
             lambda a, e: pow(a, e, p),
             lambda xs, ys: sum(map(operator.mul, xs, ys)) % p,
+            submul,
             _same,
             _same,
             _same,
@@ -824,6 +839,13 @@ def _stored_arithmetic(spec: FieldSpec) -> StoredArithmetic:
                     acc = exp[lt]
         return acc
 
+    # -c y = g^(log(-c) + log y), log(-c) = log c + n/2 mod n taken once
+    # per call (c != 0), and a zero y reads 0 as in mul
+    def submul(xs, s, c, ys):
+        lc = (log[c] + half) % n
+        for i, y in enumerate(ys, s):
+            xs[i] = add(xs[i], exp[lc + log[y]])
+
     return StoredArithmetic(
         0,
         spec.one().v,
@@ -834,6 +856,7 @@ def _stored_arithmetic(spec: FieldSpec) -> StoredArithmetic:
         div,
         power,
         dot,
+        submul,
         frobenius.__getitem__,
         root.__getitem__,
         _same,
@@ -847,6 +870,7 @@ def _tuple_arithmetic(spec: FieldSpec) -> StoredArithmetic:
     coefficient tuples."""
     p, k, weights = spec.p, spec.k, spec._weights
     zero, one = (0,) * k, (1,) + (0,) * (k - 1)
+    prime_ops = make_field(p, 1)._ops
 
     def scale(a, c):
         return tuple(x * c % p for x in a) if c else zero
@@ -861,12 +885,11 @@ def _tuple_arithmetic(spec: FieldSpec) -> StoredArithmetic:
 
     def inverse(a):
         # extended Euclid in F_p[x] against the modulus
-        r0, r1 = list(spec.modulus), _trim(list(a))
+        r0, r1 = list(spec.modulus), _trim(list(a), 0)
         t0, t1 = [], [1]
         while r1:
-            quot, rem = _divmod_modp(r0, r1, p)
-            r0, r1 = r1, rem
-            t0, t1 = t1, _sub_modp(t0, _mul_modp(quot, t1, p), p)
+            quot, rem = _divmod(prime_ops, r0, r1)
+            r0, r1, t0, t1 = r1, rem, t1, _sub_modp(t0, _mul_modp(quot, t1, p), p)
         # deg t0 < k throughout, so t0 needs no reduction by the modulus
         inv_lead = pow(r0[-1], p - 2, p)
         return tuple([c * inv_lead % p for c in t0] + [0] * (k - len(t0)))
@@ -882,16 +905,21 @@ def _tuple_arithmetic(spec: FieldSpec) -> StoredArithmetic:
             total = tuple(map(operator.add, total, mul(x, y)))
         return tuple(c % p for c in total)
 
+    def submul(xs, s, c, ys):
+        for i, y in enumerate(ys, s):
+            xs[i] = tuple([(x - t) % p for x, t in zip(xs[i], mul(c, y))])
+
     return StoredArithmetic(
         zero,
         one,
         mul,
-        lambda a, b: tuple((x - y) % p for x, y in zip(a, b)),
-        lambda a, b: tuple((x + y) % p for x, y in zip(a, b)),
-        lambda a: tuple(-x % p for x in a),
+        lambda a, b: tuple([(x - y) % p for x, y in zip(a, b)]),
+        lambda a, b: tuple([(x + y) % p for x, y in zip(a, b)]),
+        lambda a: tuple([-x % p for x in a]),
         lambda a, b: mul(a, inverse(b)),
         power,
         dot,
+        submul,
         lambda a: tuple(_image(_frobenius_map(spec), a, p)),
         lambda a: tuple(_image(_pth_root_map(spec), a, p)),
         lambda i: _base_p_digits(i, p, k),

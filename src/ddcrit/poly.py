@@ -24,17 +24,16 @@ from .errors import (
 from .gf import (
     FieldElement,
     FieldSpec,
-    _divmod_modp,
+    _divmod,
     _image,
-    _mul_modp,
     _powers_map,
-    column_elements,
-    element_columns,
+    _powmod_modp,
     kronecker_mul,
     make_field,
     mth_root,
     root_of_unity,
     square_and_multiply,
+    stored_arithmetic,
 )
 
 NEG_INF = float("-inf")
@@ -163,32 +162,15 @@ class Poly(_Dense):
         return self * self.coeffs[-1].inverse()
 
     def divmod(self, other: "Poly"):
-        """(quotient, remainder).  Over F_p the division runs on ints in
-        ``gf._divmod_modp``; over F_{p^k}, k >= 2, on field elements."""
+        """(quotient, remainder), by ``gf._divmod`` on stored values."""
         self._check(other)
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
         spec = self.spec
         if len(self.coeffs) < len(other.coeffs):
             return Poly.zero(spec), self
-        if spec.k == 1:
-            quot, rem = _divmod_modp(_digits(self), _digits(other), spec.p)
-            return _from_digits(spec, quot), _from_digits(spec, rem)
-        z = spec.zero()
-        rem = list(self.coeffs)
-        quot = [z] * (len(rem) - len(other.coeffs) + 1)
-        lead = other.coeffs[-1]
-        inv_lead = None if lead == spec.one() else lead.inverse()
-        db = len(other.coeffs) - 1
-        while len(rem) - 1 >= db and rem:
-            c = rem[-1] if inv_lead is None else rem[-1] * inv_lead
-            shift = len(rem) - 1 - db
-            if c:
-                quot[shift] = c
-                for i, b in enumerate(other.coeffs):
-                    rem[shift + i] = rem[shift + i] - c * b
-            rem.pop()
-        return Poly(spec, quot), Poly(spec, rem)
+        quot, rem = _divmod(stored_arithmetic(spec), _values(self), _values(other))
+        return _from_values(spec, quot), _from_values(spec, rem)
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -197,23 +179,17 @@ class Poly(_Dense):
         return self.divmod(other)[0]
 
     def gcd(self, other: "Poly") -> "Poly":
-        """The monic gcd (zero for two zeros), by Euclid; over F_p the whole
-        Euclid runs on ints."""
+        """The monic gcd (zero for two zeros), by Euclid on stored values
+        through ``gf._divmod``."""
         self._check(other)
-        spec = self.spec
-        if spec.k > 1:
-            a, b = self, other
-            while b:
-                a, b = b, a % b
-            return a.monic()
-        p = spec.p
-        a, b = _digits(self), _digits(other)
+        ops = stored_arithmetic(self.spec)
+        a, b = _values(self), _values(other)
         while b:
-            a, b = b, _divmod_modp(a, b, p)[1]
+            a, b = b, _divmod(ops, a, b)[1]
         if a:
-            inv = pow(a[-1], -1, p)
-            a = [c * inv % p for c in a]
-        return _from_digits(spec, a)
+            inv = ops.div(ops.one, a[-1])
+            a = [ops.mul(c, inv) for c in a]
+        return _from_values(self.spec, a)
 
     def derivative(self) -> "Poly":
         return Poly(
@@ -238,32 +214,27 @@ class Poly(_Dense):
         return [c.to_json() for c in self.coeffs]
 
 
-def _digits(f: Poly) -> list[int]:
-    """The coefficients of f over F_p as ints in [0, p)."""
-    return element_columns(f.coeffs, 1)[0]
+def _values(f: Poly) -> list:
+    """The values that f's coefficients store (``FieldElement.v``)."""
+    return [c.v for c in f.coeffs]
 
 
-def _from_digits(spec: FieldSpec, digits: list[int]) -> Poly:
-    """The polynomial over F_p with the given digits in [0, p)."""
-    return Poly(spec, column_elements([digits], spec))
+def _from_values(spec: FieldSpec, values: list) -> Poly:
+    """The polynomial over spec whose coefficients store these values."""
+    return Poly(spec, map(stored_arithmetic(spec).element, values))
 
 
 def _powmod(base: Poly, e: int, mod: Poly) -> Poly:
     """base^e modulo mod by square-and-multiply.  Over F_p the whole power
-    runs on ints, as ``Poly.gcd`` does, each product ``gf._mul_modp``
-    reduced by ``_divmod_modp``; above, each product is reduced by
+    runs on ints, in ``gf._powmod_modp``; above, each product is reduced by
     ``Poly.divmod``."""
     spec = base.spec
     if not e:
         return Poly.one(spec)
     if spec.k > 1:
         return square_and_multiply(base % mod, e, lambda a, b: a * b % mod)
-    p, m = spec.p, _digits(mod)
-
-    def mulmod(a, b):
-        return _divmod_modp(_mul_modp(a, b, p), m, p)[1]
-
-    return _from_digits(spec, square_and_multiply(_digits(base % mod), e, mulmod))
+    ops, p = stored_arithmetic(spec), spec.p
+    return _from_values(spec, _powmod_modp(ops, _values(base % mod), e, _values(mod), p))
 
 
 # -- factorization -----------------------------------------------------------

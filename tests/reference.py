@@ -21,8 +21,12 @@ was replaced by a simpler or faster exact path:
 - ``poly_divmod_reference`` and ``poly_gcd_reference``: schoolbook division
   with one field multiplication and subtraction per quotient term and
   divisor coefficient, and Euclid over it, the oracle for
-  ``Poly.divmod`` and ``Poly.gcd`` (over F_p the int kernel
-  ``ddcrit.gf._divmod_modp``);
+  ``Poly.divmod`` and ``Poly.gcd`` (the division ``ddcrit.gf._divmod`` on
+  stored values, for every field);
+- ``series_inverse_reference``: the first coefficients of 1/C(s) by the
+  recurrence c_0 g_j = -sum_{i=1..j} c_i g_{j-i} on field elements, the
+  oracle for ``ddcrit.criterion._series_inverse``, a reversed quotient of
+  ``ddcrit.gf._divmod``;
 - ``powmod_reference``: square-and-multiply with one
   ``poly_divmod_reference`` per step, the oracle for
   ``ddcrit.poly._powmod``;
@@ -475,6 +479,19 @@ def powmod_reference(base: Poly, e: int, mod: Poly) -> Poly:
         if e:
             base = reduce(base * base)
     return result
+
+
+def series_inverse_reference(coeffs, length: int) -> list:
+    """The first ``length`` coefficients of 1/C(s), C = sum_i coeffs[i] s^i
+    with coeffs[0] != 0, one term at a time from the ones before it."""
+    inv0 = coeffs[0].inverse()
+    out = [inv0]
+    for j in range(1, length):
+        total = inv0.spec.zero()
+        for c, g in zip(coeffs[1 : j + 1], reversed(out)):
+            total = total + c * g
+        out.append(-(total * inv0))
+    return out
 
 
 def candidate_polys(spec, max_degree: int):

@@ -15,6 +15,7 @@ from ddcrit.construct import (
 )
 from ddcrit.criterion import (
     ResidueData,
+    _series_inverse,
     certify,
     certify_data,
     criterion_exponents,
@@ -40,6 +41,7 @@ from reference import (
     binomial_det,
     isolation_det_reference,
     reconstruct_f_reference,
+    series_inverse_reference,
 )
 
 F3 = make_field(3, 1)
@@ -50,6 +52,25 @@ Q_F8 = Quadruple(3, 2, 5, 8)
 F_T2 = Poly.from_ints(F3, [2, 0, 1])
 F8 = Poly.from_ints(F3, [1, 0, 0, 0, 0, 0, 1, 0, 1])
 F10 = Poly.from_ints(F3, [1, 0, 0, 0, 0, 0, 1, 0, 1, 0, 2])
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (13, 1), (3, 2), (3, 8)])
+def test_series_inverse_matches_the_recurrence(p, k):
+    """The reversed quotient of ``_series_inverse`` against the recurrence
+    of tests/reference.py, for every length from 1 to three past the
+    coefficient list, on lists with and without trailing zeros."""
+    spec = make_field(p, k)
+    rng = random.Random(f"series:{p}:{k}")
+    zero = spec.zero()
+    lists = [[spec.one()], [spec.from_int(2), zero, zero]]
+    for n in (2, 5, 9):
+        c = [spec.element_by_index(rng.randrange(spec.order)) for _ in range(n)]
+        c[0] = c[0] or spec.one()
+        lists += [c, c + [zero] * 2]
+    for coeffs in lists:
+        for length in range(1, len(coeffs) + 4):
+            got = _series_inverse(coeffs, length)
+            assert got == series_inverse_reference(coeffs, length)
 
 
 def test_exponent_range():

@@ -366,7 +366,9 @@ def test_stored_arithmetic_matches_the_element_operators(p, k):
     tuples: products, quotients, powers, Frobenius and p-th roots by
     ``field_mul_reference`` and ``field_pow_reference`` (inverses by
     Fermat, x^(q-2)), sums, differences and negations coefficient-wise, on
-    seeded random values and pairs with zero among both operands."""
+    seeded random values and pairs with zero among both operands; ``dot``
+    against summed products, and ``submul`` at an offset, with zero
+    entries and a difference that cancels, against ``field_mul_reference``."""
     spec = make_field(p, k)
     q, modulus = spec.order, spec.modulus
     ops = gf.stored_arithmetic(spec)
@@ -415,6 +417,20 @@ def test_stored_arithmetic_matches_the_element_operators(p, k):
         for x, y in zip((coeffs * 2)[i : i + n], (coeffs * 2)[j : j + n]):
             want = tuple((a + b) % p for a, b in zip(want, mul(x, y)))
         assert decoded(ops.dot(xs, ys)) == want
+    nonzero = [v for d, v in zip(digits, values) if d]
+    for s, n in ((0, 1), (2, 4), (5, 9), (1, 30)):
+        c = rng.choice(nonzero)
+        xs = [rng.choice(values) for _ in range(s + n + 2)]
+        ys = [rng.choice(values) for _ in range(n)]
+        xs[s], ys[-1] = ops.zero, ops.zero
+        if n > 1:
+            xs[s + 1] = ops.mul(c, ys[1])
+        want = [decoded(v) for v in xs]
+        for i, y in enumerate(ys, s):
+            product = mul(decoded(c), decoded(y))
+            want[i] = tuple((a - b) % p for a, b in zip(want[i], product))
+        ops.submul(xs, s, c, ys)
+        assert [decoded(v) for v in xs] == want
 
 
 @pytest.mark.parametrize("p, k", [(5, 1), (3, 2), (5, 5), (3, 8)])
@@ -435,8 +451,8 @@ def test_zero_powers_and_inverse(p, k):
 
 @pytest.mark.parametrize("p, k", [(3, 8), (5, 6), (7, 6)])
 def test_inverse_above_the_table_bound_matches_the_reference(p, k):
-    """Extended Euclid on quotients from gf._divmod_modp against Fermat's
-    x^(q-2) on coefficient vectors."""
+    """Extended Euclid on quotients from gf._divmod, on F_p's bundle,
+    against Fermat's x^(q-2) on coefficient vectors."""
     spec = make_field(p, k)
     q, one = spec.order, spec.one()
     assert q > gf._LOG_TABLE_BOUND

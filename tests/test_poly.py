@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ddcrit import gf
 from ddcrit.cartier import cartier
 from ddcrit.errors import (
     NotAField,
@@ -18,7 +19,6 @@ from ddcrit.errors import (
 from ddcrit.gf import (
     FieldElement,
     FieldSpec,
-    _divmod_modp,
     kronecker_mul,
     make_field,
     mth_root,
@@ -469,7 +469,7 @@ def test_powmod_matches_reference(p, k):
                 assert _powmod(base, e, mod) == powmod_reference(base, e, mod)
 
 
-# -- division over F_p on ints against schoolbook division on elements -------
+# -- division on stored values against schoolbook division on elements -----
 
 
 def _poly_of_degree(rng, spec, degree, lead=None):
@@ -481,12 +481,15 @@ def _poly_of_degree(rng, spec, degree, lead=None):
 
 
 def _division_pairs(rng, spec):
-    """(a, b) with b != 0: non-monic, monic and constant divisors, deg a <
-    deg b, exact division, a common factor, and a zero dividend."""
-    one, two = spec.one(), spec.from_int(2)
+    """(a, b) with b != 0: non-monic, monic and constant divisors (for k >=
+    2 one lead outside F_p), deg a < deg b, exact division, a common
+    factor, and a zero dividend."""
+    leads = [None, spec.one(), spec.from_int(2)]
+    if spec.k > 1:
+        leads.append(spec.element([1, 1]))
     pairs = []
     for da, db in ((9, 4), (12, 1), (6, 0), (20, 7), (5, 5), (30, 15), (3, 6), (0, 2)):
-        for lead in (None, one, two):
+        for lead in leads:
             pairs.append((_poly_of_degree(rng, spec, da),
                           _poly_of_degree(rng, spec, db, lead)))
     for da, db in ((4, 3), (10, 5)):
@@ -498,17 +501,23 @@ def _division_pairs(rng, spec):
     return pairs
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 13, 10007, 2**31 - 1])
-def test_divmod_and_gcd_over_fp_match_the_reference(p):
-    spec = make_field(p, 1)
-    rng = random.Random(f"division:{p}")
+# residues mod p from 3 to 2^31 - 1, indices in tabled fields (F_9,
+# F_{3^7}) and coefficient tuples above the table bound (F_{3^8}, F_{5^6}):
+# every form ``gf._divmod`` meets
+DIVISION_FIELDS = [(3, 1), (5, 1), (7, 1), (13, 1), (10007, 1), (2**31 - 1, 1),
+                   (3, 2), (3, 7), (3, 8), (5, 6)]
+
+
+@pytest.mark.parametrize("p, k", DIVISION_FIELDS)
+def test_divmod_and_gcd_match_the_reference(p, k):
+    spec = make_field(p, k)
+    ops = gf.stored_arithmetic(spec)
+    rng = random.Random(f"division:{p}" if k == 1 else f"division:{p}:{k}")
     for a, b in _division_pairs(rng, spec):
         quot, rem = a.divmod(b)
         assert (quot, rem) == poly_divmod_reference(a, b)
-        digits = _divmod_modp([c.coeffs[0] for c in a.coeffs],
-                              [c.coeffs[0] for c in b.coeffs], p)
-        assert digits == ([c.coeffs[0] for c in quot.coeffs],
-                          [c.coeffs[0] for c in rem.coeffs])
+        values = gf._divmod(ops, [c.v for c in a.coeffs], [c.v for c in b.coeffs])
+        assert values == ([c.v for c in quot.coeffs], [c.v for c in rem.coeffs])
         assert quot * b + rem == a and rem.degree < b.degree
         g = a.gcd(b)
         assert g == poly_gcd_reference(a, b) == b.gcd(a)
