@@ -103,19 +103,11 @@ def _residue_poly(q: Quadruple, big_f: Poly) -> Poly | None:
     residue is a = 1/(c(y) x^(m-1)) and, with E = (m-1)(p-1)/m,
     a^(p-1) = 1/(c(y)^(p-1) y^E): every residue lies in F_p exactly when
     c^(p-1) s^E = 1 mod F.  Then r = c^(p-2) s^(E-1) and a = x r(y).  At a
-    repeated root c vanishes, so a passing test means F is squarefree.
-    For deg F = 1 the ring is F_q itself."""
+    repeated root c vanishes, so a passing test means F is squarefree."""
     spec, p, m = big_f.spec, q.p, q.m
     w, e = (q.u_tilde + 1) // m, (m - 1) * (p - 1) // m
     if not big_f.degree:  # no roots: the ring F_q[s]/F is zero
         return Poly.zero(spec)
-    if big_f.degree == 1:  # s maps to the root y of F
-        f0, f1 = big_f.coeffs
-        y = -f0 * f1.inverse()
-        c = y**w * (f1 * m)
-        if c ** (p - 1) * y**e != spec.one():
-            return None
-        return Poly(spec, [(y * c).inverse()])
     zero = spec.zero()
 
     def shift(a: Poly, n: int) -> Poly:  # a s^n

@@ -29,13 +29,13 @@ use, is the only code that computes on that form:
 
 Each ``FieldElement`` operator checks that its operands share a field and
 makes one call into the bundle; a loop that would build an element per
-operation calls the bundle on stored values directly: the search's DFS, and
-``_divmod``, the one polynomial division, for every field.
+operation calls the bundle on stored values directly: the search's DFS and,
+for every field, the one polynomial product, division and modular power.
 
 Index order is the lexicographic order of the coefficient tuples, so the
-stored value is the sort key in every form.  Coefficient tuples of indexed
-elements are decoded through digit tables that need no generator, so
-printing or packing an element never builds the log tables.
+stored value is the sort key in every form.  ``FieldSpec._decode`` and
+``_encode`` alone convert values and coefficient tuples, through digit
+tables that need no generator, so no element or product builds log tables.
 """
 
 from __future__ import annotations
@@ -152,15 +152,15 @@ def solve_modp(aug: list[list[int]], p: int) -> list[int] | None:
 # -- dense polynomial helpers (coefficient lists, ascending degree) ----------
 #
 # Every dense F_p[x] product is one packed-int multiply, ``_mul_modp``, which
-# also serves ``kronecker_columns`` (so every ``Poly`` and ``LaurentPoly``
-# product); ``_scaled_sum`` is packed like it (the Witt sums).  Every
-# polynomial division, over any field, is ``_divmod`` on stored values with
-# the field's ``StoredArithmetic``: ``Poly.divmod`` and ``Poly.gcd``, the
-# series inverse of ``criterion``, and on F_p's bundle the Rabin test, the
-# modular power ``_powmod_modp`` and the extended Euclid of the tuple
-# inverse (a field product is folded instead: ``_fold_map``).  ROADMAP
-# defect 1 is held by one line of ``_is_irreducible_modp``; its docstring
-# says why it stays.
+# also serves ``kronecker_columns`` and so ``kronecker_mul`` on stored values,
+# every ``Poly`` and ``LaurentPoly`` product; ``_scaled_sum`` is packed like
+# it (the Witt sums).  Every polynomial division, over any field, is
+# ``_divmod`` on stored values with the field's ``StoredArithmetic``:
+# ``Poly.divmod`` and ``Poly.gcd``, the series inverse of ``criterion``, each
+# step of the modular power ``_powmod``, and on F_p's bundle the Rabin test
+# and the extended Euclid of the tuple inverse (a field product is folded
+# instead: ``_fold_map``).  ROADMAP defect 1 is held by one line of
+# ``_is_irreducible_modp``; its docstring says why it stays.
 
 
 def _trim(c: list, zero) -> list:
@@ -279,11 +279,14 @@ def _divmod(ops: "StoredArithmetic", a: list, b: list) -> tuple[list, list]:
     return quot, _trim(rem[:db], zero)
 
 
-def _powmod_modp(ops, a: list[int], e: int, m: list[int], p: int) -> list[int]:
-    """a^e mod m in F_p[x] for e >= 1 on digit lists, a reduced or e >= 2:
-    square-and-multiply, each ``_mul_modp`` product reduced by ``_divmod``
-    on ops, F_p's ``StoredArithmetic``."""
-    return square_and_multiply(a, e, lambda u, v: _divmod(ops, _mul_modp(u, v, p), m)[1])
+def _powmod(spec: "FieldSpec", a: list, e: int, m: list) -> list:
+    """a^e mod m over spec for e >= 1, a and m lists of stored values and a
+    reduced or e >= 2: square-and-multiply, each ``kronecker_mul`` product
+    reduced by ``_divmod`` on spec's ``StoredArithmetic``."""
+    ops = spec._ops
+    return square_and_multiply(
+        a, e, lambda u, v: _divmod(ops, kronecker_mul(u, v, spec), m)[1]
+    )
 
 
 def _is_irreducible_modp(f: list[int], p: int) -> bool:
@@ -301,12 +304,13 @@ def _is_irreducible_modp(f: list[int], p: int) -> bool:
     k = len(f) - 1
     if k <= 1:
         return k == 1
-    ops, x = make_field(p, 1)._ops, [0, 1]
+    prime, x = make_field(p, 1), [0, 1]
+    ops = prime._ops
     # every exponent p^j here is at least 3, so each power is reduced mod f
-    if _sub_modp(_powmod_modp(ops, x, p**k, f, p), x, p):
+    if _sub_modp(_powmod(prime, x, p**k, f), x, p):
         return False
     for r in prime_factors(k):
-        a, b = f, _sub_modp(_powmod_modp(ops, x, p ** (k // r), f, p), x, p)
+        a, b = f, _sub_modp(_powmod(prime, x, p ** (k // r), f), x, p)
         while b:
             a, b = b, _divmod(ops, a, b[:-1] + [1])[1]  # defect 1
         if len(a) != 1:
@@ -377,11 +381,26 @@ class FieldSpec:
         return self._from_coeffs(c)
 
     def _from_coeffs(self, c) -> "FieldElement":
-        """The element with the k coefficients c, digits in [0, p): every
-        coefficient sequence becomes an element here."""
+        return FieldElement(self, self._encode(c))
+
+    def _encode(self, c):
+        """The stored value of the k coefficients c, digits in [0, p)."""
         if self._coded:
-            return FieldElement(self, sum(map(operator.mul, c, self._weights)))
-        return FieldElement(self, tuple(c))
+            return sum(map(operator.mul, c, self._weights))
+        return tuple(c)
+
+    def _decode(self, v) -> tuple[int, ...]:
+        """The coefficient tuple of the stored value v (``_digit_tables``)."""
+        if v.__class__ is tuple:
+            return v
+        if self.k == 1:
+            return (v,)
+        split, high, low = self._digit_tables
+        return high[v // split] + low[v % split]
+
+    def from_values(self, values) -> list["FieldElement"]:
+        """The elements storing these values, building no log tables."""
+        return [FieldElement(self, v) for v in values]
 
     def elements(self):
         """All field elements in the deterministic order (constant term up,
@@ -491,15 +510,8 @@ class FieldElement:
 
     @property
     def coeffs(self) -> tuple[int, ...]:
-        """The coefficient tuple, decoded by the digit tables."""
-        v = self.v
-        if v.__class__ is tuple:
-            return v
-        spec = self.spec
-        if spec.k == 1:
-            return (v,)
-        split, high, low = spec._digit_tables
-        return high[v // split] + low[v % split]
+        """The coefficient tuple (``FieldSpec._decode``)."""
+        return self.spec._decode(self.v)
 
     def __repr__(self):
         return f"GF({self.spec.p}^{self.spec.k}){list(self.coeffs)}"
@@ -729,8 +741,7 @@ class StoredArithmetic:
     ``pow`` a nonzero base with any int exponent; ``dot`` is the sum of the
     products of two equally long value sequences; ``submul(xs, s, c, ys)``
     subtracts c ys[i] from xs[s + i] in place for every i and a nonzero c,
-    the step of ``_divmod``; and ``element`` builds the FieldElement of a
-    value."""
+    the step of ``_divmod``."""
 
     zero: object
     one: object
@@ -746,7 +757,6 @@ class StoredArithmetic:
     pth_root: Callable  # x -> x^(1/p)
     value: Callable  # digit -> value
     digit: Callable  # value -> digit
-    element: Callable  # value -> FieldElement
 
 
 def stored_arithmetic(spec: FieldSpec) -> StoredArithmetic:
@@ -779,7 +789,6 @@ def _stored_arithmetic(spec: FieldSpec) -> StoredArithmetic:
             _same,
             _same,
             _same,
-            functools.partial(FieldElement, spec),
         )
     t = spec._tables
     if t is None:
@@ -861,7 +870,6 @@ def _stored_arithmetic(spec: FieldSpec) -> StoredArithmetic:
         root.__getitem__,
         _same,
         _same,
-        functools.partial(FieldElement, spec),
     )
 
 
@@ -906,8 +914,8 @@ def _tuple_arithmetic(spec: FieldSpec) -> StoredArithmetic:
         return tuple(c % p for c in total)
 
     def submul(xs, s, c, ys):
-        for i, y in enumerate(ys, s):
-            xs[i] = tuple([(x - t) % p for x, t in zip(xs[i], mul(c, y))])
+        for i, y in enumerate(kronecker_mul([c], ys, spec), s):
+            xs[i] = tuple([(x - t) % p for x, t in zip(xs[i], y)])
 
     return StoredArithmetic(
         zero,
@@ -924,33 +932,32 @@ def _tuple_arithmetic(spec: FieldSpec) -> StoredArithmetic:
         lambda a: tuple(_image(_pth_root_map(spec), a, p)),
         lambda i: _base_p_digits(i, p, k),
         lambda a: sum(map(operator.mul, a, weights)),
-        functools.partial(FieldElement, spec),
     )
 
 
 # -- packed products of coefficient sequences -------------------------------
 
 
-def element_columns(seq, k: int) -> list:
-    """A sequence of elements of F_{p^k} in column form: k equally long
+def value_columns(values, spec: FieldSpec) -> list:
+    """A sequence of stored values of spec in column form: k equally long
     columns, column t holding coefficient t (of x^t) of every element (k
     empty columns for an empty sequence)."""
-    if k == 1:
-        return [[c.v for c in seq]]
-    return list(zip(*[c.coeffs for c in seq])) or [()] * k
-
-
-def column_elements(cols, spec: FieldSpec) -> list:
-    """The elements whose coefficients the k columns hold, digits in
-    [0, p): the inverse of ``element_columns``."""
     if spec.k == 1:
-        return [FieldElement(spec, d) for d in cols[0]]
-    return list(map(spec._from_coeffs, zip(*cols)))
+        return [values]
+    return list(zip(*map(spec._decode, values))) or [()] * spec.k
+
+
+def column_values(cols, spec: FieldSpec) -> list:
+    """The stored values of the elements whose coefficients the k columns
+    hold, digits in [0, p): the inverse of ``value_columns``."""
+    if spec.k == 1:
+        return cols[0]
+    return list(map(spec._encode, zip(*cols)))
 
 
 def kronecker_columns(a, b, spec: FieldSpec) -> list[list[int]]:
     """Product of two ascending coefficient sequences over spec, both given
-    and returned in column form (see ``element_columns``).
+    and returned in column form (see ``value_columns``).
 
     Over F_p it is ``_mul_modp`` of the single columns.  Above, digit i
     of term j (the coefficient of x^i) is laid out at digit j*(2k-1) + i of
@@ -985,15 +992,18 @@ def _interleave(cols, stride: int) -> list[int]:
     return out
 
 
-def kronecker_mul(a, b, spec: FieldSpec) -> list[FieldElement]:
-    """Product of two ascending coefficient sequences of elements of spec:
-    len(a) + len(b) - 1 elements, or [] if either sequence is empty.  See
-    ``kronecker_columns``."""
+def kronecker_mul(a, b, spec: FieldSpec) -> list:
+    """Product of two ascending coefficient sequences over spec, both given
+    and returned as lists of stored values: len(a) + len(b) - 1 values, or
+    [] if either sequence is empty.  ``_mul_modp`` of the residues at k = 1,
+    else ``kronecker_columns`` of the value columns."""
+    if spec.k == 1:
+        return _mul_modp(a, b, spec.p)
     if not a or not b:
         return []
-    x = element_columns(a, spec.k)
-    y = x if a is b else element_columns(b, spec.k)
-    return column_elements(kronecker_columns(x, y, spec), spec)
+    x = value_columns(a, spec)
+    y = x if a is b else value_columns(b, spec)
+    return column_values(kronecker_columns(x, y, spec), spec)
 
 
 # -- operations --------------------------------------------------------------

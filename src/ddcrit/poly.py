@@ -27,7 +27,7 @@ from .gf import (
     _divmod,
     _image,
     _powers_map,
-    _powmod_modp,
+    _powmod as _powmod_values,
     kronecker_mul,
     make_field,
     mth_root,
@@ -103,12 +103,14 @@ class _Dense:
 
     def __mul__(self, other):
         """By an int or FieldElement scalar, or by another polynomial
-        through ``kronecker_mul``, the two ``low``s adding."""
+        through ``kronecker_mul`` on stored values, the two ``low``s adding."""
+        spec = self.spec
         if isinstance(other, (FieldElement, int)):
-            return self._make(self.spec, self.low, [c * other for c in self.coeffs])
+            return self._make(spec, self.low, [c * other for c in self.coeffs])
         self._check(other)
-        product = kronecker_mul(self.coeffs, other.coeffs, self.spec)
-        return self._make(self.spec, self.low + other.low, product)
+        a = _values(self)
+        product = kronecker_mul(a, a if other is self else _values(other), spec)
+        return self._make(spec, self.low + other.low, spec.from_values(product))
 
     def __pow__(self, e: int):
         if e < 0:
@@ -214,27 +216,23 @@ class Poly(_Dense):
         return [c.to_json() for c in self.coeffs]
 
 
-def _values(f: Poly) -> list:
+def _values(f: _Dense) -> list:
     """The values that f's coefficients store (``FieldElement.v``)."""
     return [c.v for c in f.coeffs]
 
 
 def _from_values(spec: FieldSpec, values: list) -> Poly:
     """The polynomial over spec whose coefficients store these values."""
-    return Poly(spec, map(stored_arithmetic(spec).element, values))
+    return Poly(spec, spec.from_values(values))
 
 
 def _powmod(base: Poly, e: int, mod: Poly) -> Poly:
-    """base^e modulo mod by square-and-multiply.  Over F_p the whole power
-    runs on ints, in ``gf._powmod_modp``; above, each product is reduced by
-    ``Poly.divmod``."""
+    """base^e modulo mod: base reduced, then ``gf._powmod`` on stored
+    values."""
     spec = base.spec
     if not e:
         return Poly.one(spec)
-    if spec.k > 1:
-        return square_and_multiply(base % mod, e, lambda a, b: a * b % mod)
-    ops, p = stored_arithmetic(spec), spec.p
-    return _from_values(spec, _powmod_modp(ops, _values(base % mod), e, _values(mod), p))
+    return _from_values(spec, _powmod_values(spec, _values(base % mod), e, _values(mod)))
 
 
 # -- factorization -----------------------------------------------------------

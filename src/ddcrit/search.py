@@ -259,14 +259,9 @@ class _PrunedSearch:
         return True
 
     def _poly(self) -> Poly:
-        m, element, zero = self.q.m, self.ops.element, self.spec.zero()
-        return Poly(
-            self.spec,
-            [
-                element(self.values[e // m]) if e % m == 0 else zero
-                for e in range(self.q.n1 + 1)
-            ],
-        )
+        m, values, zero = self.q.m, self.values, self.ops.zero
+        coeffs = [values[e // m] if e % m == 0 else zero for e in range(self.q.n1 + 1)]
+        return Poly(self.spec, self.spec.from_values(coeffs))
 
 
 def _passes(cert: Certificate, require_isolated: bool) -> bool:

@@ -38,15 +38,15 @@ from .gf import (
     _image,
     _pth_root_map,
     _scaled_sum,
-    column_elements,
-    element_columns,
+    column_values,
     is_prime,
     kronecker_columns,
     make_field,
     solve_modp,
     square_and_multiply,
+    value_columns,
 )
-from .poly import LaurentPoly, _embedding_map
+from .poly import LaurentPoly, _embedding_map, _values
 
 MAX_LEVEL = 3
 DEFAULT_EXTENSION_CAP = 16
@@ -157,22 +157,23 @@ def _check_pair(v: WittVector, w: WittVector):
 #
 # Witt addition and standard-form reduction hold an entry as (low, cols):
 # the coefficients of t^low, t^(low + 1), ... in column form (``gf``'s
-# ``element_columns``), k equally long columns of ints in [0, p), first and
-# last term nonzero; the zero entry has k empty columns.
+# ``value_columns`` of their stored values), k equally long columns of ints
+# in [0, p), first and last term nonzero; the zero entry has k empty columns.
 
 
 def _columns(v: WittVector) -> tuple:
-    k = v.spec.k
-    return tuple((e.low, element_columns(e.coeffs, k)) for e in v.entries)
+    spec = v.spec
+    return tuple((e.low, value_columns(_values(e), spec)) for e in v.entries)
 
 
 def _vector(spec: FieldSpec, entries) -> WittVector:
-    """The Witt vector of column-form entries: one ``column_elements`` call
+    """The Witt vector of column-form entries: one ``column_values`` call
     and one LaurentPoly per entry."""
     return WittVector(
         spec,
         tuple(
-            LaurentPoly(spec, low, column_elements(cols, spec)) for low, cols in entries
+            LaurentPoly(spec, low, spec.from_values(column_values(cols, spec)))
+            for low, cols in entries
         ),
     )
 

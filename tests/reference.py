@@ -11,8 +11,8 @@ was replaced by a simpler or faster exact path:
   run through ``ddc_check`` in rank order, the oracle for the pruned search
   ``ddcrit.search.first_witness``;
 - ``schoolbook_mul``: one field multiplication per pair of terms, the
-  oracle for the packed product ``ddcrit.gf.kronecker_mul`` behind
-  ``Poly.__mul__`` and ``LaurentPoly.__mul__``;
+  oracle for the packed product of stored values ``ddcrit.gf.kronecker_mul``
+  behind ``Poly.__mul__`` and ``LaurentPoly.__mul__``;
 - ``field_mul_reference``, ``field_pow_reference`` and
   ``least_generator_reference``: schoolbook products of coefficient
   vectors reduced by the modulus, with no ``ddcrit.gf`` kernel, the oracle
@@ -29,7 +29,8 @@ was replaced by a simpler or faster exact path:
   ``ddcrit.gf._divmod``;
 - ``powmod_reference``: square-and-multiply with one
   ``poly_divmod_reference`` per step, the oracle for
-  ``ddcrit.poly._powmod``;
+  ``ddcrit.poly._powmod`` (``ddcrit.gf._powmod`` on stored values, for
+  every field);
 - ``candidate_polys`` and ``equal_degree_factorization_reference``:
   Cantor-Zassenhaus over a counter-based candidate sequence, recursing into
   both pieces, the oracle for the trace splitting of

@@ -17,7 +17,7 @@ from ddcrit.errors import (
 from ddcrit.gf import (
     FieldSpec,
     _deterministic_modulus,
-    element_columns,
+    column_values,
     is_prime,
     kronecker_mul,
     make_field,
@@ -28,8 +28,10 @@ from ddcrit.gf import (
     solve_modp,
     square_and_multiply,
     trace_to_prime,
+    value_columns,
 )
-from ddcrit.poly import Poly, _powmod
+from ddcrit.poly import LaurentPoly, Poly, _powmod
+from ddcrit.witt import WittVector, witt_add
 from reference import (
     _polymul_modp,
     _trim,
@@ -295,7 +297,8 @@ def _check_arithmetic(spec, pairs):
 def _check_one_element_many_ways(spec, elements):
     """Each element equals, and hashes as, the same element built by
     element, element_by_index (also past q), from_int, a product,
-    kronecker_mul and _powmod."""
+    from_values of the kronecker_mul product of stored values and
+    _powmod."""
     q, one = spec.order, spec.one()
     # (a + x)^p = a^p mod x^2, so the power reaches a^p through the kernel
     mod = Poly.x(spec) ** 2
@@ -308,7 +311,7 @@ def _check_one_element_many_ways(spec, elements):
             spec.element_by_index(i - 3 * q),
             a * one,
             one * a,
-            kronecker_mul([a], [one], spec)[0],
+            spec.from_values(kronecker_mul([a.v], [one.v], spec))[0],
             _powmod(Poly(spec, [a, one]), 1, mod).coeffs[0],
         ]
         if a.in_prime_field():
@@ -381,7 +384,7 @@ def test_stored_arithmetic_matches_the_element_operators(p, k):
         return field_pow_reference(x, e, p, modulus)
 
     def decoded(v):
-        return ops.element(v).coeffs
+        return spec.from_values([v])[0].coeffs
 
     digits = [0, 1, q - 1] + [rng.randrange(q) for _ in range(40)]
     values = [ops.value(d) for d in digits]
@@ -392,7 +395,7 @@ def test_stored_arithmetic_matches_the_element_operators(p, k):
     assert decoded(ops.zero) == (0,) * k and decoded(ops.one) == power(coeffs[0], 0)
     for d, v, x, inv in zip(digits, values, coeffs, inverses):
         assert ops.digit(v) == d and decoded(v) == x
-        assert ops.element(v) == spec.element_by_index(d)
+        assert spec.from_values([v]) == [spec.element_by_index(d)]
         assert decoded(ops.neg(v)) == tuple(-a % p for a in x)
         assert decoded(ops.frobenius(v)) == power(x, p)
         assert decoded(ops.pth_root(v)) == power(x, p ** (k - 1))
@@ -691,15 +694,29 @@ def test_a_reducible_modulus_above_the_table_bound_fails_fast():
 
 def test_decoding_an_element_builds_no_log_tables(monkeypatch):
     """Printing, serialising or packing an element of a tabled field reads
-    the digit tables only, so no generator search starts."""
+    the digit tables only, so no generator search starts; nor does a
+    ``Poly`` or ``LaurentPoly`` product or a ``witt_add``, which pack
+    stored values and build elements from values."""
     calls = []
     monkeypatch.setattr(gf, "_least_generator", calls.append)
     spec = FieldSpec(7, 4, make_field(7, 4).modulus)  # no cached tables
     x = spec.element([1, 2])
     assert x.to_json() == [1, 2, 0, 0]
     assert repr(x) == "GF(7^4)[1, 2, 0, 0]"
-    assert element_columns([x, spec.one()], 4) == [(1, 1), (2, 0), (0, 0), (0, 0)]
+    cols = value_columns([x.v, spec.one().v], spec)
+    assert cols == [(1, 1), (2, 0), (0, 0), (0, 0)]
+    assert column_values(cols, spec) == [x.v, spec.one().v]
     assert x.in_prime_field() is False and spec.from_int(3).prime_int() == 3
+    # with y = 3 + 5a: xy = 3 + 4a + 3a^2 and x^2 + y^2 = 3 + 6a + a^2 over
+    # F_7, below the degree of the modulus, so no element operator is needed
+    y, xy = spec.element([3, 5]), spec.element([3, 4, 3])
+    assert (Poly(spec, [x, y]) * Poly(spec, [y, x])).coeffs == (
+        xy, spec.element([3, 6, 1]), xy)
+    product = LaurentPoly(spec, -2, [x]) * LaurentPoly(spec, 1, [y, x])
+    assert product == LaurentPoly(spec, -1, [xy, spec.element([1, 4, 4])])
+    v = WittVector(spec, (LaurentPoly(spec, -1, [x]), LaurentPoly(spec, 0, [y])))
+    w = WittVector(spec, (LaurentPoly(spec, -1, [y]), LaurentPoly.zero(spec)))
+    assert witt_add(v, w).entries[0] == LaurentPoly(spec, -1, [spec.element([4])])
     assert calls == []
 
 

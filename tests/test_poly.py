@@ -389,10 +389,14 @@ def _vector(rng, spec, length, top):
 
 
 def _check_products(spec, a, b):
+    """The product of stored values (``kronecker_mul``), of ``Poly``s and
+    of ``LaurentPoly``s against the schoolbook product of elements."""
     expected = schoolbook_mul(a, b, spec)
-    assert kronecker_mul(a, b, spec) == expected
+    va, vb = [c.v for c in a], [c.v for c in b]
+    assert kronecker_mul(va, vb, spec) == [c.v for c in expected]
     if len(a) < 200:  # the square packs its one operand once
-        assert kronecker_mul(a, a, spec) == schoolbook_mul(a, a, spec)
+        square = [c.v for c in schoolbook_mul(a, a, spec)]
+        assert kronecker_mul(va, va, spec) == square
     assert Poly(spec, a) * Poly(spec, b) == Poly(spec, expected)
     for low_a, low_b in ((-7, 4), (5, -2), (-3, -200), (3, 8)):
         product = LaurentPoly(spec, low_a, a) * LaurentPoly(spec, low_b, b)
@@ -524,6 +528,21 @@ def test_divmod_and_gcd_match_the_reference(p, k):
         assert g.coeffs[-1] == spec.one()
         assert not poly_divmod_reference(a, g)[1]
         assert not poly_divmod_reference(b, g)[1]
+
+
+def test_monic_division_above_the_table_bound_makes_no_ring_product(monkeypatch):
+    """Above the table bound a monic division subtracts each quotient term
+    times the divisor as one packed product (``gf.kronecker_mul``), not
+    one folded element product (``gf._ring_mul``) per divisor coefficient."""
+    spec = make_field(3, 8)
+    rng = random.Random("monic:3:8")
+    a, b = _poly_of_degree(rng, spec, 14), _poly_of_degree(rng, spec, 6, spec.one())
+    expected = poly_divmod_reference(a, b)
+    calls = []
+    real = gf._ring_mul
+    monkeypatch.setattr(gf, "_ring_mul", lambda *args: calls.append(1) or real(*args))
+    assert a.divmod(b) == expected
+    assert calls == []
 
 
 def test_divmod_and_gcd_edge_cases():

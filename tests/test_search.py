@@ -88,8 +88,8 @@ def test_kept_column_equals_dense_power(q, k):
     tree = search._PrunedSearch(q, spec, None)
     leaves = 0
     for _ in tree.leaves():
-        values = [tree.ops.element(v) for v in tree.values]
-        g = [tree.ops.element(v) for v in tree.g]
+        values = spec.from_values(tree.values)
+        g = spec.from_values(tree.g)
         dense = list((Poly(spec, values) ** (q.p - 1)).coeffs)
         dense += [spec.zero()] * (tree.length - len(dense))
         assert g[: tree.length] == dense[: tree.length]

@@ -19,10 +19,10 @@ from ddcrit import gf, poly
 from ddcrit.cli import parse_laurent
 from ddcrit.gf import (
     FieldElement,
-    column_elements,
-    element_columns,
+    column_values,
     make_field,
     pth_root,
+    value_columns,
 )
 from ddcrit.poly import LaurentPoly, _embedding_map, embed
 from ddcrit.witt import (
@@ -372,8 +372,8 @@ def test_standard_form_matches_the_reference_over_larger_bases():
 def _mapped(rows, xs, dst):
     """The elements of dst that the linear map with these rows sends xs to,
     through columns."""
-    cols = element_columns(xs, xs[0].spec.k)
-    return column_elements(gf._apply(rows, cols, dst.p), dst)
+    cols = value_columns([x.v for x in xs], xs[0].spec)
+    return dst.from_values(column_values(gf._apply(rows, cols, dst.p), dst))
 
 
 @pytest.mark.parametrize(
@@ -524,7 +524,7 @@ def test_witt_add_stays_in_column_form(monkeypatch):
             module, name, watched(stray, name, getattr(module, name))
         )
     monkeypatch.setattr(
-        ddcrit.witt, "column_elements", watched(built, "columns", gf.column_elements)
+        ddcrit.witt, "column_values", watched(built, "columns", gf.column_values)
     )
     monkeypatch.setattr(
         LaurentPoly, "__init__", watched(built, "laurent", LaurentPoly.__init__)
