@@ -33,9 +33,11 @@ operation calls the bundle on stored values directly: the search's DFS and,
 for every field, the one polynomial product, division and modular power.
 
 Index order is the lexicographic order of the coefficient tuples, so the
-stored value is the sort key in every form.  ``FieldSpec._decode`` and
-``_encode`` alone convert values and coefficient tuples, through digit
-tables that need no generator, so no element or product builds log tables.
+stored value is the sort key in every form.  ``FieldSpec._value`` and
+``_index`` alone convert element indices and values (the identity in a
+coded field), and ``FieldSpec._decode`` and ``_encode`` alone convert values
+and coefficient tuples, through digit tables that need no generator, so no
+element or product builds log tables.
 """
 
 from __future__ import annotations
@@ -404,24 +406,29 @@ class FieldSpec:
 
     def elements(self):
         """All field elements in the deterministic order (constant term up,
-        lexicographic).  Only sensible for small fields."""
+        lexicographic), generated one at a time; exhausting them is only
+        sensible for small fields."""
         for i in range(self.order):
-            yield self.element_by_index(i)
+            yield FieldElement(self, self._value(i))
 
     def element_by_index(self, i: int) -> "FieldElement":
         """The element with index i mod q under the deterministic ordering
         (base-p digits of i, most significant digit = constant
         coefficient)."""
-        i %= self.order
-        if self._coded:
-            return FieldElement(self, i)
-        return FieldElement(self, _base_p_digits(i, self.p, self.k))
+        return FieldElement(self, self._value(i % self.order))
 
     def index_of(self, x: "FieldElement") -> int:
         """Inverse of ``element_by_index``."""
-        if self._coded:
-            return x.v
-        return sum(map(operator.mul, x.v, self._weights))
+        return self._index(x.v)
+
+    def _value(self, i: int):
+        """The stored value of the element with index i in [0, q): i itself
+        in a coded field, its base-p digits above the table bound."""
+        return i if self._coded else _base_p_digits(i, self.p, self.k)
+
+    def _index(self, v) -> int:
+        """The index of the element storing v: the inverse of ``_value``."""
+        return v if self._coded else sum(map(operator.mul, v, self._weights))
 
     def to_json(self) -> dict:
         return {"p": self.p, "k": self.k, "modulus": list(self.modulus)}
@@ -464,11 +471,7 @@ def _deterministic_modulus(p: int, k: int) -> tuple[int, ...]:
     # significant on the constant term; built one at a time, since p^k
     # vectors can be far beyond memory
     for index in range(p**k):
-        coeffs = []
-        for _ in range(k):
-            index, digit = divmod(index, p)
-            coeffs.append(digit)
-        coeffs.append(1)
+        coeffs = [*reversed(_base_p_digits(index, p, k)), 1]
         if _is_irreducible_modp(coeffs, p):
             return tuple(coeffs)
     raise AssertionError("no irreducible polynomial found (unreachable)")
@@ -555,7 +558,9 @@ class FieldElement:
 
     def __mul__(self, other):
         spec = self.spec
-        if isinstance(other, int):
+        if not isinstance(other, FieldElement):
+            if not isinstance(other, int):
+                return NotImplemented
             other = spec.from_int(other)
         elif other.spec is not spec:
             self._check(other)
@@ -587,17 +592,18 @@ class FieldElement:
         return FieldElement(spec, spec._ops.frobenius(self.v))
 
     def in_prime_field(self) -> bool:
-        v = self.v
-        if v.__class__ is tuple:
-            return not any(v[1:])
-        return v % self.spec._weights[0] == 0
+        """Whether the element lies in F_p: its index is a multiple of
+        p^(k-1), the weight of the constant term."""
+        spec = self.spec
+        return spec._index(self.v) % spec._weights[0] == 0
 
     def prime_int(self) -> int:
         """Integer representative in [0, p) for elements of the prime field."""
-        if not self.in_prime_field():
+        spec = self.spec
+        c, rest = divmod(spec._index(self.v), spec._weights[0])
+        if rest:
             raise NotInSubfield("element does not lie in the prime field")
-        v = self.v
-        return v[0] if v.__class__ is tuple else v // self.spec._weights[0]
+        return c
 
     def to_json(self) -> list[int]:
         return list(self.coeffs)
@@ -736,8 +742,10 @@ def _same(x):
 class StoredArithmetic:
     """Field operations on the values ``FieldElement.v`` stores: ints in a
     coded field, residues mod p at k = 1 and element indices within the
-    table bound, so a value is its own ``element_by_index`` digit, and
-    coefficient tuples above the bound.  ``div`` takes a nonzero divisor and
+    table bound, and coefficient tuples above the bound.  It only computes:
+    ``FieldSpec._value`` and ``_index`` alone convert between values and
+    element indices, and ``_decode`` and ``_encode`` between values and
+    coefficient tuples.  ``div`` takes a nonzero divisor and
     ``pow`` a nonzero base with any int exponent; ``dot`` is the sum of the
     products of two equally long value sequences; ``submul(xs, s, c, ys)``
     subtracts c ys[i] from xs[s + i] in place for every i and a nonzero c,
@@ -755,8 +763,6 @@ class StoredArithmetic:
     submul: Callable  # (xs, s, c, ys): xs[s + i] -= c ys[i]
     frobenius: Callable  # x -> x^p
     pth_root: Callable  # x -> x^(1/p)
-    value: Callable  # digit -> value
-    digit: Callable  # value -> digit
 
 
 def stored_arithmetic(spec: FieldSpec) -> StoredArithmetic:
@@ -785,8 +791,6 @@ def _stored_arithmetic(spec: FieldSpec) -> StoredArithmetic:
             lambda a, e: pow(a, e, p),
             lambda xs, ys: sum(map(operator.mul, xs, ys)) % p,
             submul,
-            _same,
-            _same,
             _same,
             _same,
         )
@@ -868,15 +872,13 @@ def _stored_arithmetic(spec: FieldSpec) -> StoredArithmetic:
         submul,
         frobenius.__getitem__,
         root.__getitem__,
-        _same,
-        _same,
     )
 
 
 def _tuple_arithmetic(spec: FieldSpec) -> StoredArithmetic:
     """The ``StoredArithmetic`` of a field above the table bound, on
     coefficient tuples."""
-    p, k, weights = spec.p, spec.k, spec._weights
+    p, k = spec.p, spec.k
     zero, one = (0,) * k, (1,) + (0,) * (k - 1)
     prime_ops = make_field(p, 1)._ops
 
@@ -930,8 +932,6 @@ def _tuple_arithmetic(spec: FieldSpec) -> StoredArithmetic:
         submul,
         lambda a: tuple(_image(_frobenius_map(spec), a, p)),
         lambda a: tuple(_image(_pth_root_map(spec), a, p)),
-        lambda i: _base_p_digits(i, p, k),
-        lambda a: sum(map(operator.mul, a, weights)),
     )
 
 

@@ -112,6 +112,8 @@ class _Dense:
         product = kronecker_mul(a, a if other is self else _values(other), spec)
         return self._make(spec, self.low + other.low, spec.from_values(product))
 
+    __rmul__ = __mul__
+
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative power of a polynomial")
@@ -626,8 +628,6 @@ class LaurentPoly(_Dense):
     def deg_t_inverse(self):
         """Degree in t^{-1}: -low when low < 0, else 0 for nonzero constants."""
         return max(0, -self.low) if self.coeffs else NEG_INF
-
-    __rmul__ = _Dense.__mul__
 
     def frobenius(self) -> "LaurentPoly":
         """Entry-wise p-th power: coefficients^p, exponents*p."""

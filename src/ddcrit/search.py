@@ -51,18 +51,10 @@ the candidates that pass ``ddc_check``, in rank order; the first of them
 that certifies is the least-rank witness.
 
 The DFS keeps the c_i, G and the c_i-free parts of G as the field's stored
-values and computes on them through ``gf.stored_arithmetic``:
-
-- k = 1: residues mod p, by int operations mod p; Frobenius and the p-th
-  root are the identity there;
-- q within ``gf._LOG_TABLE_BOUND``: element indices, products, quotients,
-  Frobenius and p-th roots by ``_LogTables`` lookups and sums by its Zech
-  table;
-- above the bound: coefficient tuples, by coefficient-wise sums, products
-  modulo the field modulus (a prime-field factor scales the other one) and
-  extended Euclid for quotients.
-
-A value is its own ``element_by_index`` digit in the first two kinds.  A
+values (``FieldElement.v``, in the form ``gf`` chooses per field) and
+computes on them through ``gf.stored_arithmetic``.  It walks the values in
+index order through ``FieldSpec._value`` and turns them into indices,
+through ``FieldSpec._index``, only for the rank of an aborted search.  A
 FieldElement is built only for a leaf, whose polynomial ``certify`` checks.
 """
 
@@ -151,7 +143,6 @@ class _PrunedSearch:
         self.ops = ops = stored_arithmetic(spec)
         self.u = spec.from_int(q.u).v
         self.values = [ops.zero] * (top + 1)
-        self.digits = [0] * (top + 1)
         # g[i] = G_i; rest[i] is G_i with c_i taken as 0, lin = -G_0/c_0
         # the coefficient of c_i in G_i for i > 0, and inv0 = 1/c_0
         self.g = [ops.zero] * self.length
@@ -159,21 +150,20 @@ class _PrunedSearch:
         self.lin = self.inv0 = None
 
     def leaves(self):
-        top, value = self.top, self.ops.value
+        top = self.top
         pending = [None] * (top + 1)
         pending[0] = self._choices(0)
         i = 0
         while i >= 0:
-            d = next(pending[i], None)
-            if d is None:
+            c = next(pending[i], None)
+            if c is None:
                 i -= 1
                 continue
             self.nodes += 1
-            self.digits[i] = d
             if self.deadline is not None and time.monotonic() > self.deadline:
-                self.aborted_at = self._rank(i)
+                self.aborted_at = self._rank(i, c)
                 return
-            if not self._assign(i, value(d)):
+            if not self._assign(i, c):
                 continue
             if i < top:
                 i += 1
@@ -181,30 +171,32 @@ class _PrunedSearch:
             else:
                 yield self._poly()
 
-    def _rank(self, i: int) -> int:
-        """The rank of the least candidate whose leading digits are
-        digits[0..i]: a mixed-radix number with q - 1 values at positions 0
-        and top and q at the positions between."""
-        order, top = self.spec.order, self.top
+    def _rank(self, i: int, c) -> int:
+        """The rank of the least candidate whose leading coefficients are
+        values[0..i-1], then c at i: a mixed-radix number over the element
+        indices, with q - 1 digits at positions 0 and top and q between."""
+        spec, top = self.spec, self.top
+        digits = [spec._index(v) for v in self.values[:i] + [c]]
         rank = 0
         for j in range(top + 1):
             low = 1 if j in (0, top) else 0
-            rank = rank * (order - low) + (self.digits[j] - low if j <= i else 0)
+            rank = rank * (spec.order - low) + (digits[j] - low if j <= i else 0)
         return rank
 
     def _choices(self, i: int):
-        """Digits to try at position i: the forced one, if an equation is
-        completed here and its solution is admissible, else all of them.
-        Records the c_i-free part of G_i at i first."""
+        """Values to try at position i: the forced one, if an equation is
+        completed here and its solution is admissible, else every value in
+        index order.  Records the c_i-free part of G_i at i first."""
         if i > 0:
             self.rest[i] = self._rest(i)
         eqs = self.by_last.get(i)
         if eqs is None:
-            return iter(range(1 if i in (0, self.top) else 0, self.spec.order))
-        d = self.ops.digit(self._solve(i, *eqs[0]))
-        if d == 0 and i in (0, self.top):
+            spec = self.spec
+            return map(spec._value, range(1 if i in (0, self.top) else 0, spec.order))
+        c = self._solve(i, *eqs[0])
+        if c == self.ops.zero and i in (0, self.top):
             return iter(())
-        return iter((d,))
+        return iter((c,))
 
     def _rest(self, i: int):
         """G_i with c_i taken as 0, from F G = F^p = sum_j c_j^p s^(pj):

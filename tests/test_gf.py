@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import types
 
 import pytest
 from hypothesis import given, strategies as st
@@ -387,14 +388,14 @@ def test_stored_arithmetic_matches_the_element_operators(p, k):
         return spec.from_values([v])[0].coeffs
 
     digits = [0, 1, q - 1] + [rng.randrange(q) for _ in range(40)]
-    values = [ops.value(d) for d in digits]
+    values = [spec._value(d) for d in digits]
     # the coefficients of element d are the base-p digits of d, the
     # constant term most significant
     coeffs = [tuple(d // p ** (k - 1 - t) % p for t in range(k)) for d in digits]
     inverses = [power(x, q - 2) for x in coeffs]
     assert decoded(ops.zero) == (0,) * k and decoded(ops.one) == power(coeffs[0], 0)
     for d, v, x, inv in zip(digits, values, coeffs, inverses):
-        assert ops.digit(v) == d and decoded(v) == x
+        assert spec._index(v) == d and decoded(v) == x
         assert spec.from_values([v]) == [spec.element_by_index(d)]
         assert decoded(ops.neg(v)) == tuple(-a % p for a in x)
         assert decoded(ops.frobenius(v)) == power(x, p)
@@ -434,6 +435,38 @@ def test_stored_arithmetic_matches_the_element_operators(p, k):
             want[i] = tuple((a - b) % p for a, b in zip(want[i], product))
         ops.submul(xs, s, c, ys)
         assert [decoded(v) for v in xs] == want
+
+
+@pytest.mark.parametrize("p, k", STORED_FIELDS)
+def test_the_index_codec_is_base_p_digits(p, k):
+    """``FieldSpec._value`` and ``_index``, the one index <-> value codec,
+    are inverse on [0, q); element i has the base-p digits of i as its
+    coefficients, the constant term most significant; ``in_prime_field``
+    and ``prime_int`` answer on elements of F_p and on the others."""
+    spec = make_field(p, k)
+    q, top = spec.order, p ** (k - 1)
+    rng = random.Random(f"codec:{p}:{k}")
+    prime = [0, top, (p - 1) * top, rng.randrange(p) * top]
+    for i in prime + [1, q - 1] + [rng.randrange(q) for _ in range(40)]:
+        assert spec._index(spec._value(i)) == i
+        x = spec.element_by_index(i)
+        assert x.coeffs == tuple(i // p ** (k - 1 - t) % p for t in range(k))
+        if i % top == 0:
+            assert x.in_prime_field() and x.prime_int() == i // top
+            assert spec.from_int(i // top) == x
+        else:
+            assert not x.in_prime_field()
+            with pytest.raises(NotInSubfield):
+                x.prime_int()
+
+
+def test_elements_is_lazy_above_the_table_bound():
+    """Listing F_{13^14}'s elements would not end: ``elements()`` is a
+    generator, and ``_non_lth_power``'s fallback scans it from zero."""
+    spec = make_field(13, 14)
+    elements = spec.elements()
+    assert isinstance(elements, types.GeneratorType)
+    assert next(elements) == spec.zero()
 
 
 @pytest.mark.parametrize("p, k", [(5, 1), (3, 2), (5, 5), (3, 8)])

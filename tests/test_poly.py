@@ -441,6 +441,22 @@ def test_kronecker_mul_wider_than_a_word():
             _check_products(spec, _vector(rng, spec, 5, top), _vector(rng, spec, 6, top))
 
 
+@pytest.mark.parametrize("p, k", [(3, 1), (3, 2), (3, 8)])
+def test_a_scalar_multiplies_from_either_side(p, k):
+    """A field element or an int on the left of a Poly or a LaurentPoly
+    gives the product with it on the right; a FieldElement times any other
+    type raises TypeError."""
+    spec = make_field(p, k)
+    rng = random.Random(f"scalar:{p}:{k}")
+    x = spec.element([rng.randrange(1, p) for _ in range(k)])
+    coeffs = _vector(rng, spec, 4, False) + [spec.one()]
+    for f in (Poly(spec, coeffs), LaurentPoly(spec, -3, coeffs)):
+        assert x * f == f * x
+        assert 2 * f == f * 2
+    with pytest.raises(TypeError):
+        x * "a"
+
+
 # -- modular powers against square-and-multiply on schoolbook division ------
 
 

@@ -120,12 +120,14 @@ def test_complete_trees_keep_their_nodes_and_leaves(q, k, nodes, leaves):
 
 @pytest.mark.parametrize(
     "q,k",
-    _oracle_cases(),
+    _oracle_cases() + [(Quadruple(3, 2, 3, 4), 8), (Quadruple(5, 2, 1, 8), 6)],
     ids=_case_id,
 )
 def test_abort_rank_is_the_least_candidate_of_its_prefix(q, k):
     """The rank reported on abort names the least candidate whose leading
-    digits are the digits fixed so far."""
+    coefficients are the values fixed so far and the one tried at the
+    aborting node, for residues, element indices and the coefficient
+    tuples of F_{3^8} and F_{5^6}."""
     spec = make_field(q.p, k)
     tree = search._PrunedSearch(q, spec, None)
     top, order = tree.top, spec.order
@@ -134,8 +136,10 @@ def test_abort_rank_is_the_least_candidate_of_its_prefix(q, k):
         i = rng.randrange(top + 1)
         least = [1 if j in (0, top) else 0 for j in range(top + 1)]
         digits = [rng.randrange(low, order) for low in least[: i + 1]]
-        tree.digits = digits + [rng.randrange(order) for _ in range(top - i)]
-        rank = tree._rank(i)
+        # values[i:] are left from other branches: the node's value is c
+        stale = [rng.randrange(order) for _ in range(top + 1 - i)]
+        tree.values = [spec.element_by_index(d).v for d in digits[:i] + stale]
+        rank = tree._rank(i, spec.element_by_index(digits[i]).v)
         assert 0 <= rank < candidate_count(q, spec)
         want = digits + least[i + 1 :]
         f = reference.candidate(q, spec, rank)
