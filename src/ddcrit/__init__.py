@@ -37,7 +37,6 @@ from .planner import (
 from .poly import (
     LaurentPoly,
     Poly,
-    elementary_symmetric,
     mu_m_orbit_reps,
     orbit_reps_in_splitting_field,
     roots_in_splitting_field,
@@ -65,4 +64,4 @@ from .witt import (
     wp,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.3.1"

@@ -28,7 +28,7 @@ from .poly import (
     Poly,
     _mu_m,
     _powmod,
-    elementary_symmetric,
+    embed,
     embed_poly,
     orbit_reps_in_splitting_field,
 )
@@ -273,17 +273,21 @@ def power_sum_check(rd: ResidueData) -> bool:
     return True
 
 
-def isolation_check(rd: ResidueData):
+def isolation_check(rd: ResidueData, f: Poly):
     """The determinant of the Jacobian (e a_j x_j^(e-1)) of the power-sum
     system, rows over the ascending criterion exponents, and the isolation
-    flag (nonzero determinant, or no reps): ``(det, isolated)``.
+    flag (nonzero determinant, or no reps): ``(det, isolated)``.  rd must
+    be f's residue data.
 
     Each exponent has e - 1 = (m - 2) + m k_e, so with y_j = x_j^m the
     determinant is (prod e)(prod a_j)(prod x_j^(m-2)) det(y_j^(k_i)), and
     det(y_j^(k_i)) = V(y) s_lambda(y), V(y) = prod_{i<j} (y_j - y_i), with
     lambda the k_i - i sorted descending, zeros dropped.  Jacobi-Trudi gives
     s_lambda = det(h_(lambda_a - a + b)), sum h_k s^k = 1/prod_j (1 - y_j s)
-    (Macdonald, Symmetric Functions and Hall Polynomials, I.3)."""
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.3).  The y_j
+    are the roots of F, f = F(t^m), so prod_j (1 - y_j s) is F reversed
+    over its leading coefficient, and s_lambda is computed over f's own
+    field and embedded once into the splitting field."""
     q = rd.quadruple
     spec = rd.field
     exps = criterion_exponents(q)
@@ -307,14 +311,17 @@ def isolation_check(rd: ResidueData):
     lam = [k - i for i, k in enumerate((e + 1) // m - 1 for e in exps)]
     lam = [part for part in reversed(lam) if part]
     if lam:
-        signed = [-e if i % 2 else e for i, e in enumerate(elementary_symmetric(ys))]
+        big_f = f.coeffs[::m]
+        lead = big_f[-1]
         # h_k at index k + len(lam); the zeros before it are the h_k, k < 0
-        h = [spec.zero()] * len(lam) + _series_inverse(signed, lam[0] + len(lam))
+        h = [f.spec.zero()] * len(lam) + [
+            lead * c for c in _series_inverse(big_f[::-1], lam[0] + len(lam))
+        ]
         matrix = [
             [h[part - a + b + len(lam)] for b in range(len(lam))]
             for a, part in enumerate(lam)
         ]
-        det = det * _det(matrix, spec)
+        det = det * embed(_det(matrix, f.spec), spec)
     return det, bool(det)
 
 
@@ -417,7 +424,7 @@ def _certificate(
         rd = None
     if rd is not None:
         power_sum_ok = _power_sums_hold(q, f)
-        det, isolated = isolation_check(rd)
+        det, isolated = isolation_check(rd, f)
     return Certificate(
         quadruple=q,
         field=f.spec,

@@ -563,19 +563,6 @@ def mu_m_orbit_reps(roots, m: int, spec: FieldSpec):
     return reps
 
 
-def elementary_symmetric(values, spec: FieldSpec | None = None):
-    """(e_0, ..., e_n) of the given field elements; e_0 = 1."""
-    if not values and spec is None:
-        raise ValueError("spec required for the empty list")
-    spec = spec or values[0].spec
-    es = [spec.one()]
-    for v in values:
-        es.append(spec.zero())
-        for i in range(len(es) - 1, 0, -1):
-            es[i] = es[i] + es[i - 1] * v
-    return es
-
-
 # -- Laurent polynomials -----------------------------------------------------
 
 

@@ -84,6 +84,10 @@ was replaced by a simpler or faster exact path:
 - ``step_radii_reference``: the radii of one lifting step on Fractions,
   r_hub = 1/N2 - N1/((p-1)u_prev N2) and delta_hub = u_next r_hub, the
   oracle for the closed forms on int pairs of ``ddcrit.planner.step_radii``;
+- ``elementary_symmetric_reference``: e_0, ..., e_n of field elements by
+  one O(n^2) product loop over the splitting field, where
+  ``ddcrit.criterion.isolation_check`` reads s_lambda off F over f's own
+  field; the tests build prod_j (t - y_j) with it;
 - ``binomial_det``: the generalized-Vandermonde determinant
   det(binom(q-1, j-1)) by Bareiss fraction-free elimination against its
   closed-form product, a cross-check that no library code calls.
@@ -290,6 +294,19 @@ def isolation_det_reference(rd: ResidueData):
         for e in exps
     ]
     return matrix, _det(matrix, rd.field)
+
+
+def elementary_symmetric_reference(values, spec: FieldSpec | None = None):
+    """(e_0, ..., e_n) of the given field elements; e_0 = 1."""
+    if not values and spec is None:
+        raise ValueError("spec required for the empty list")
+    spec = spec or values[0].spec
+    es = [spec.one()]
+    for v in values:
+        es.append(spec.zero())
+        for i in range(len(es) - 1, 0, -1):
+            es[i] = es[i] + es[i - 1] * v
+    return es
 
 
 def sympy_witt_sum_polys(p: int, n: int):

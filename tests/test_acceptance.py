@@ -24,7 +24,6 @@ from ddcrit.gf import make_field
 from ddcrit.poly import (
     LaurentPoly,
     Poly,
-    elementary_symmetric,
     embed_poly,
     mu_m_orbit_reps,
     roots_in_splitting_field,
@@ -41,7 +40,7 @@ from ddcrit.witt import (
 )
 
 from ghost_oracle import ghosts_agree
-from reference import binomial_det
+from reference import binomial_det, elementary_symmetric_reference
 
 F3 = make_field(3, 1)
 F8 = Poly.from_ints(F3, [1, 0, 0, 0, 0, 0, 1, 0, 1])
@@ -71,7 +70,7 @@ def _squared_rep_poly(f):
     d, roots = roots_in_splitting_field(f)
     big = make_field(3, d)
     reps = mu_m_orbit_reps(roots, 2, big)
-    es = elementary_symmetric([r * r for r in reps])
+    es = elementary_symmetric_reference([r * r for r in reps])
     n = len(reps)
     coeffs = [es[n - i] * ((-1) ** (n - i)) for i in range(n + 1)]
     return big, Poly(big, coeffs)
@@ -135,7 +134,7 @@ def test_04_trace_family_dichotomy():
             assert power_sum_check(rd), (p, m, u_tilde)
             q = rd.quadruple
             assert len(rd.reps) * m == q.n1, (p, m, u_tilde)
-            _, isolated = isolation_check(rd)
+            _, isolated = isolation_check(rd, reconstruct_f(rd))
             expected = u_tilde == (m - 1) * p**q.nu
             assert isolated == expected, (p, m, u_tilde)
             if not expected:
@@ -150,9 +149,11 @@ def test_04_trace_family_dichotomy():
         # the named instances must all be in the sweep
         assert checked >= 8
         for p, m, u in [(3, 2, 1), (5, 2, 1), (5, 4, 3)]:
-            _, iso = isolation_check(construct_trace(p, m, u))
+            rd = construct_trace(p, m, u)
+            _, iso = isolation_check(rd, reconstruct_f(rd))
             assert iso
-        _, iso = isolation_check(construct_trace(3, 2, 5))
+        rd = construct_trace(3, 2, 5)
+        _, iso = isolation_check(rd, reconstruct_f(rd))
         assert not iso
 
 

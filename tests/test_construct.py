@@ -37,9 +37,10 @@ def test_small_p5():
 def test_small_sweep_isolated(p):
     for n1 in (p - 1, p - 3):
         rd = construct_small(p, n1)
-        _, isolated = isolation_check(rd)
+        f = reconstruct_f(rd)
+        _, isolated = isolation_check(rd, f)
         assert isolated
-        cert = certify(rd.quadruple, reconstruct_f(rd))
+        cert = certify(rd.quadruple, f)
         assert cert.all_ok
 
 
@@ -83,7 +84,7 @@ def test_trace_325_not_isolated():
     assert rd.splitting_degree == 4
     assert len(rd.reps) == 5
     assert power_sum_check(rd)
-    det, isolated = isolation_check(rd)
+    det, isolated = isolation_check(rd, reconstruct_f(rd))
     assert not isolated and not det
     # the constant-reduced matrix has two identical rows (exponents 1, 11)
     exps = criterion_exponents(rd.quadruple)
@@ -103,7 +104,7 @@ def test_trace_dichotomy_sweep():
         assert power_sum_check(rd)
         q = rd.quadruple
         expected = u_tilde == (m - 1) * p**q.nu
-        _, isolated = isolation_check(rd)
+        _, isolated = isolation_check(rd, reconstruct_f(rd))
         assert isolated == expected, (p, m, u_tilde)
 
 

@@ -146,7 +146,7 @@ def test_power_sum_pq_invariance():
 
 def test_isolation_t2():
     rd = residue_data(Q_T2, F_T2)
-    det, isolated = isolation_check(rd)
+    det, isolated = isolation_check(rd, F_T2)
     matrix, reference_det = isolation_det_reference(rd)
     assert len(matrix) == 1
     assert matrix[0][0].coeffs[0] == 2
@@ -161,18 +161,20 @@ def test_isolation_empty():
     is not a square check that fails."""
     q_wide = Quadruple(3, 2, 5, 0)
     assert criterion_exponents(q_wide) == [1]
+    f = Poly.from_ints(F3, [2])
     for q in (Q_CONST, q_wide):
-        rd = residue_data(q, Poly.from_ints(F3, [2]))
-        assert isolation_check(rd) == (F3.one(), True)
+        rd = residue_data(q, f)
+        assert isolation_check(rd, f) == (F3.one(), True)
 
 
 def test_isolation_rejects_non_square_system():
     """N1 = 2 for u~ = 5 gives one orbit representative but four criterion
     exponents."""
     q = Quadruple(3, 2, 5, 2)
-    rd = residue_data(q, Poly.from_ints(F3, [1, 0, 2]))
+    f = Poly.from_ints(F3, [1, 0, 2])
+    rd = residue_data(q, f)
     with pytest.raises(NonSquareSystem):
-        isolation_check(rd)
+        isolation_check(rd, f)
 
 
 def test_isolation_constant_reduction():
@@ -188,7 +190,7 @@ def test_isolation_constant_reduction():
 
         return _det(mat, spec)
 
-    full_det, _ = isolation_check(rd)
+    full_det, _ = isolation_check(rd, F8)
     assert bool(full_det) == bool(det(reduced))
 
 
@@ -199,7 +201,9 @@ def test_reconstruct_roundtrip():
 
 
 def _golden_check_witnesses():
-    """The residue data of every golden ``check`` case that exits 0."""
+    """The residue data of every golden ``check`` case that exits 0, over
+    its ``--field-degree`` field."""
+    from ddcrit.cli import parse_poly
     from test_golden import CASES
 
     out = []
@@ -209,7 +213,7 @@ def _golden_check_witnesses():
             continue
         opt = dict(zip(argv[1::2], argv[2::2]))
         q = Quadruple(*(int(opt[k]) for k in ("--p", "--m", "--u", "--n1")))
-        f = Poly.from_ints(make_field(q.p, 1), map(int, opt["--f"].split(",")))
+        f = parse_poly(make_field(q.p, int(opt.get("--field-degree", 1))), opt["--f"])
         out.append(residue_data(q, f))
     assert out
     return out
@@ -670,12 +674,13 @@ def test_base_field_paths_match_their_oracles():
                 counts["det"] += 1
                 # a nonempty partition lambda: some exponent skipped
                 counts["schur"] += exps[-1] != q.m * len(exps) - 1
-                det, isolated = isolation_check(rd)
+                det, isolated = isolation_check(rd, f)
                 assert det == isolation_det_reference(rd)[1], (q, f)
                 assert isolated == bool(det)
     # the determinant identity holds for any reps and residues: random data
     # over F_27, F_25, F_49 and F_121 at every square system with a skipped
-    # exponent, for N1 <= 24 and u~ < 8m
+    # exponent, for N1 <= 24 and u~ < 8m, with f = c prod_j (t^m - x_j^m)
+    # for a c outside F_p, whose F has the roots y_j = x_j^m
     rng = random.Random(29)
     for p, k in [(3, 3), (5, 2), (7, 2), (11, 2)]:
         spec = make_field(p, k)
@@ -690,12 +695,47 @@ def test_base_field_paths_match_their_oracles():
                     reps = sorted(rng.sample(nonzero, n1 // m), key=FieldElement.sort_key)
                     residues = tuple(rng.randrange(1, p) for _ in reps)
                     rd = ResidueData(q, k, tuple(reps), residues)
+                    f = Poly(spec, [nonzero[-1]])
+                    for x in reps:
+                        f = f * Poly(spec, [-(x**m), *[spec.zero()] * (m - 1), spec.one()])
                     counts["random_det"] += 1
-                    assert isolation_check(rd)[0] == isolation_det_reference(rd)[1], q
+                    assert isolation_check(rd, f)[0] == isolation_det_reference(rd)[1], q
     assert counts == {
         "cases": 6240, "pass": 1968, "not_squarefree": 576, "outside": 3696,
         "det": 97, "schur": 6, "no_field": 132, "random_det": 156,
     }, counts
+
+
+def test_isolation_schur_factor_embeds_from_f_field():
+    """``isolation_check`` takes s_lambda over f's own field and embeds it
+    into the splitting field: on the search leaves over F_9, F_25, F_27
+    and F_49 (m = 3 there) of square systems with a nonempty lambda whose
+    splitting field is larger than f's field, its determinant is that of
+    ``isolation_det_reference``."""
+    from ddcrit.search import _PrunedSearch
+
+    checked = 0
+    for (p, k), quadruples in [
+        ((3, 2), [(2, 3, 4), (2, 3, 6), (2, 5, 8)]),
+        ((5, 2), [(2, 3, 6), (2, 3, 8)]),
+        ((3, 3), [(2, 3, 6)]),
+        ((7, 2), [(3, 5, 15)]),
+    ]:
+        spec = make_field(p, k)
+        for m, u_tilde, n1 in quadruples:
+            q = Quadruple(p, m, u_tilde, n1)
+            exps = criterion_exponents(q)
+            assert len(exps) == n1 // m and exps[-1] != m * len(exps) - 1, q
+            for f in _PrunedSearch(q, spec, None).leaves():
+                try:
+                    rd = residue_data(q, f)
+                except (NotAField, NotSquarefree, ResidueNotPrimeField):
+                    continue
+                if rd.splitting_degree == k:
+                    continue
+                checked += 1
+                assert isolation_check(rd, f)[0] == isolation_det_reference(rd)[1], (q, f)
+    assert checked == 30
 
 
 # -- certify_data: constructed data certified by its own reps ---------------

@@ -10,7 +10,10 @@ and a nonempty exponent range (one exit 0, one exit 1; with the ``search``
 case at (5,4,7,0) they pin that an empty isolation matrix counts as
 isolated), one ``check`` over F_9 whose residues leave F_3 and whose
 splitting field F_{3^12} is no field (ROADMAP defect 1), so the verdict
-must come before any splitting field, level-3 ``witt breaks`` at p=3
+must come before any splitting field, three ``check`` cases whose
+isolation Schur factor is embedded from f's field into a larger splitting
+field (F_25, F_27 above the log-table bound, and F_49 with s_lambda = 0,
+exit 1), level-3 ``witt breaks`` at p=3
 (one forcing an extension to F_{3^9}) and p=5, and two ``witt breaks``
 cases with poles below the catalog's t^-12: a cascade t^-27 -> t^-1 in one
 slot with a constant that forces F_{3^9}, and t^-49 at p=7 with an
