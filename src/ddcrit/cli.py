@@ -69,10 +69,14 @@ def _laurent_terms(text: str) -> dict[int, int]:
     return terms
 
 
+def _laurent(spec, terms: dict[int, int]) -> LaurentPoly:
+    """The Laurent polynomial of ``_laurent_terms``' exponents and sums."""
+    return LaurentPoly.from_terms(spec, {e: spec.from_int(c) for e, c in terms.items()})
+
+
 def parse_laurent(spec, text: str) -> LaurentPoly:
     """Parse a signed sum of monomials like ``2*t^-5+t^-1-1``."""
-    terms = _laurent_terms(text)
-    return LaurentPoly.from_terms(spec, {e: spec.from_int(c) for e, c in terms.items()})
+    return _laurent(spec, _laurent_terms(text))
 
 
 def parse_poly(spec, text: str) -> Poly:
@@ -157,17 +161,20 @@ def _cmd_construct(args) -> tuple[object, int]:
 def _cmd_witt_breaks(args) -> tuple[object, int]:
     spec = make_field(args.p, args.field_degree)
     parts = args.entries.split(";")
-    # the exponents are read and bounded before any entry is built
+    # each entry is read once, last first, and its exponents bounded before
+    # any entry is built
+    read = []
     scale = 1  # p^(n-1-j), held at most one above the cap
     for j in reversed(range(len(parts))):
-        for e in _laurent_terms(parts[j]):
+        read.append(terms := _laurent_terms(parts[j]))
+        for e in terms:
             if abs(e) * scale > WITT_EXPONENT_CAP:
                 raise ValueError(
                     f"exponent {e} of entry {j + 1} times p^{len(parts) - 1 - j}"
                     f" exceeds the cap {WITT_EXPONENT_CAP} on witt exponents"
                 )
         scale = min(scale * args.p, WITT_EXPONENT_CAP + 1)
-    v = WittVector(spec, tuple(parse_laurent(spec, part) for part in parts))
+    v = WittVector(spec, tuple(_laurent(spec, terms) for terms in reversed(read)))
     result = standard_form(v)
     profile = upper_breaks(result.vector)
     return {

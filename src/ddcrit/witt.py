@@ -12,10 +12,14 @@ Witt addition and standard-form reduction compute on entries in column
 form, (low, k int columns) (see "column form" below): ``witt_add``,
 ``witt_sub`` and ``wp`` convert at their boundary, and ``standard_form``
 keeps its working vector and adjustment in that form from start to end,
-building FieldElements and LaurentPolys only for its result.  Frobenius,
-the p-th root, the lift into a degree-p extension and x -> x^p - x are
-F_p-linear, so each is a matrix cached per field, the first three in ``gf``
-and ``poly``, and applied to whole columns.
+building FieldElements and LaurentPolys only for its result.  Over F_p,
+an addition evaluates each sum polynomial S_i whose coefficients stay
+within 4-byte digits in one exact pass on packed ints, a p^s-th power of
+an entry being the entry spread p^s slots apart, and reduces mod p once;
+other sums multiply in column form.  Frobenius, the p-th root, the lift
+into a degree-p extension and x -> x^p - x are F_p-linear, so each is a
+matrix cached per field, the first three in ``gf`` and ``poly``, and
+applied to whole columns.
 """
 
 from __future__ import annotations
@@ -34,10 +38,13 @@ from .errors import (
 from .gf import (
     FieldSpec,
     _apply,
+    _digit_bytes,
     _frobenius_map,
+    _from_int,
     _image,
     _pth_root_map,
     _scaled_sum,
+    _to_int,
     column_values,
     is_prime,
     kronecker_columns,
@@ -50,6 +57,11 @@ from .poly import LaurentPoly, _embedding_map, _values
 
 MAX_LEVEL = 3
 DEFAULT_EXTENSION_CAP = 16
+# a Witt sum over F_p is evaluated packed (``_packed_sum``) when its
+# coefficient bound fits a digit of this many bits.  On 8-byte digits the
+# column path measured faster: its products reduce mod p as they go, so
+# their ints stay 1 or 2 bytes a coefficient
+_PACKED_BITS = 32
 
 
 @dataclass(frozen=True)
@@ -233,15 +245,21 @@ def _add(spec: FieldSpec, x: tuple, y: tuple, negate: bool) -> tuple:
     entries of one level over spec: the one Witt addition.
 
     The live terms of each S_i come from the zero pattern of the entries
-    (``_live_terms``).  Powers of entries and every term product stay in
-    column form (``kronecker_columns``).  The terms of S_i add up packed,
-    one int per column, reduced mod p once (``_column_sum``).
-    Only the sum needs trimming: a product of nonzero Laurent polynomials
-    over a field has nonzero end coefficients.  x - y adds -y, which for
-    odd p is coordinatewise, so a term with Y-exponents ye takes the sign
-    (-1)^sum(ye) and no negated vector is built.
+    (``_live_terms``).  Over F_p, an S_i whose coefficients before reduction
+    are bounded within a ``_PACKED_BITS``-bit digit (``_packed_width``) is
+    one exact integer pass (``_packed_sum``).  Every other S_i (over
+    F_{p^k} with k >= 2, or with wider digits) keeps its powers of entries
+    and term products in column form (``kronecker_columns``), and its terms
+    add up packed, one int per column, reduced mod p once
+    (``_column_sum``).  The choice is made per S_i, from k and the bound
+    alone, before anything is packed.  Only the sum needs trimming: a
+    product of nonzero Laurent polynomials over a field has nonzero end
+    coefficients.  x - y adds -y, which for odd p is coordinatewise, so a
+    term with Y-exponents ye takes the sign (-1)^sum(ye) and no negated
+    vector is built.
     """
     entries = x + y
+    p = spec.p
     # powers[j][e - 1] is entry j to the e-th, grown on use
     powers = [[e] for e in entries]
 
@@ -255,13 +273,21 @@ def _add(spec: FieldSpec, x: tuple, y: tuple, negate: bool) -> tuple:
 
     out = []
     nonzero = tuple(bool(cols[0]) for _, cols in entries)
-    for live in _live_terms(spec.p, len(x), nonzero, negate):
+    nnz = [len(cols[0]) - cols[0].count(0) for _, cols in entries]
+    packed: dict = {}  # (j, p^s, digit bytes) -> entry j spread at p^s, packed
+    for live in _live_terms(p, len(x), nonzero, negate):
         match live:
-            case [(1, [(j, 1)])]:
+            case []:
+                out.append(_zero(spec.k))
+                continue
+            case [(1, [(j, 1)], _)]:
                 out.append(entries[j])  # the sum is one entry as it stands
                 continue
+        if spec.k == 1 and (width := _packed_width(live, nnz, p)):
+            out.append(_packed_sum(live, entries, width, packed, p))
+            continue
         summands = []
-        for c, needed in live:
+        for c, needed, _ in live:
             low, cols = power(*needed[0])
             for j, e in needed[1:]:
                 f_low, f_cols = power(j, e)
@@ -275,41 +301,113 @@ def _add(spec: FieldSpec, x: tuple, y: tuple, negate: bool) -> tuple:
 def _live_terms(p: int, n: int, nonzero: tuple[bool, ...], negate: bool):
     """Per S_i, the terms of ``witt_sum_polys(p, n)`` that are live when
     entry j of (X, Y) is nonzero exactly where nonzero[j] is: each as its
-    coefficient (times (-1)^sum(ye) when negate is set) and its factors
-    ((entry, exponent), ...).  A power over a field is zero only when its
-    base is, so a dead term is never looked at again; S_i has no constant
-    term, so every term has a factor."""
+    coefficient (times (-1)^sum(ye) when negate is set), its factors
+    ((entry, exponent), ...) and their base-p digit split ((entry, p^s,
+    digit), ...), one for each nonzero digit.  A power over a field is zero
+    only when its base is, so a dead term is never looked at again; S_i has
+    no constant term, so every term has a factor."""
     out = []
     for terms in witt_sum_polys(p, n):
         live = []
         for c, xe, ye in terms:
             needed = [(j, e) for j, e in enumerate(xe + ye) if e]
             if all(nonzero[j] for j, _ in needed):
-                live.append((p - c if negate and sum(ye) % 2 else c, tuple(needed)))
+                split = []
+                for j, e in needed:
+                    q = 1
+                    while e:
+                        e, d = divmod(e, p)
+                        if d:
+                            split.append((j, q, d))
+                        q *= p
+                sign = negate and sum(ye) % 2
+                live.append((p - c if sign else c, tuple(needed), tuple(split)))
         out.append(tuple(live))
     return tuple(out)
+
+
+def _packed_width(live, nnz: list[int], p: int) -> int:
+    """The digit bytes of ``_packed_sum`` for the live terms of an S_i over
+    F_p whose entries have nnz[j] nonzero coefficients, or 0 if a bound on
+    the coefficients of the unreduced sum needs more than ``_PACKED_BITS``.
+
+    The bound sums c (p - 1)^r prod nnz_j / max nnz_j over the terms, with
+    r the factors of a term's digit split (a digit d counting d times) and
+    nnz_j that of the entry a factor spreads: a coefficient of a product
+    of polynomials with coefficients in [0, p) is at most one factor's
+    largest coefficient times the coefficient sums of the others."""
+    bound = 0
+    for c, _, split in live:
+        widest = 1
+        for j, _, d in split:
+            c *= ((p - 1) * nnz[j]) ** d
+            if nnz[j] > widest:
+                widest = nnz[j]
+        bound += c // widest
+        if bound >> _PACKED_BITS:
+            return 0
+    return _digit_bytes(bound)
+
+
+def _packed_sum(live, entries, width: int, packed: dict, p: int):
+    """The column-form entry S_i over F_p of its live terms, in one exact
+    integer pass, width bytes a digit.
+
+    Mod p, X^(d p^s) = X^d(t^(p^s)), so a factor X_j^e is the product over
+    the digits d of e of X_j spread at p^s (a coefficient every p^s slots)
+    to the d-th: one int power each, no product chain.  Each spread is
+    packed once per width across an addition (``packed``, ``_to_int``), a
+    term c prod X_j^e is an int product, the terms are shifted to the
+    lowest exponent and summed without reduction, and one ``_from_int``
+    reduces the whole sum mod p.  ``_packed_width``'s bound on the
+    coefficients fits the digits, so no slot carries into the next."""
+    bits = 8 * width
+    terms = []
+    for c, _, split in live:
+        low = span = 0
+        for j, q, d in split:
+            e_low, (col,) = entries[j]
+            low += d * q * e_low
+            span += d * q * (len(col) - 1)
+            if (a := packed.get((j, q, width))) is None:
+                if q > 1:
+                    spread = [0] * ((len(col) - 1) * q + 1)
+                    spread[::q] = col
+                    col = spread
+                a = packed[j, q, width] = _to_int(col, width)
+            c *= a**d
+        terms.append((low, low + span, c))
+    low = min(t[0] for t in terms)
+    total = 0
+    for t_low, _, value in terms:
+        total += value << (t_low - low) * bits
+    top = max(t[1] for t in terms)
+    return _trimmed(low, [_from_int(total, top + 1 - low, width, p)])
 
 
 def _column_sum(summands, spec: FieldSpec):
     """The column-form entry sum of c t^low (cols) over the (c, low, cols)
     summands: one packed ``_scaled_sum`` per column, trimmed."""
-    if not summands:
-        return _zero(spec.k)
     p = spec.p
     low = min(s[1] for s in summands)
     width = max(s[1] + len(s[2][0]) for s in summands) - low
-    acc = [
+    return _trimmed(low, [
         _scaled_sum([(c, off - low, cols[t]) for c, off, cols in summands], width, p)
         for t in range(spec.k)
-    ]
-    start, stop = 0, width
-    while start < stop and not any(a[start] for a in acc):
+    ])
+
+
+def _trimmed(low: int, cols: list):
+    """The column-form entry whose k columns cols hold the coefficients of
+    t^low, t^(low + 1), ..., some at either end perhaps zero."""
+    start, stop = 0, len(cols[0])
+    while start < stop and not any(col[start] for col in cols):
         start += 1
-    while stop > start and not any(a[stop - 1] for a in acc):
+    while stop > start and not any(col[stop - 1] for col in cols):
         stop -= 1
     if start == stop:
-        return _zero(spec.k)
-    return low + start, [a[start:stop] for a in acc]
+        return _zero(len(cols))
+    return low + start, [col[start:stop] for col in cols]
 
 
 def witt_add(v: WittVector, w: WittVector) -> WittVector:

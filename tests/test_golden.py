@@ -16,8 +16,9 @@ field (F_25, F_27 above the log-table bound, and F_49 with s_lambda = 0,
 exit 1), level-3 ``witt breaks`` at p=3
 (one forcing an extension to F_{3^9}) and p=5, and two ``witt breaks``
 cases with poles below the catalog's t^-12: a cascade t^-27 -> t^-1 in one
-slot with a constant that forces F_{3^9}, and t^-49 at p=7 with an
-extension to F_{7^7}.  The two scripts CI runs,
+slot with a constant that forces F_{3^9}, t^-49 at p=7 with an
+extension to F_{7^7}, and a level-3 case at p=7 whose carries are Witt
+sums too wide for the packed pass, so it pins the column path.  The two scripts CI runs,
 ``scripts/run_d9.py`` and ``scripts/sweep_trace_family.py --steps 1``, are
 pinned the same way as tests/golden/run_d9.stdout and
 tests/golden/sweep_trace_steps1.stdout.  tests/golden/plan_7_3_3.stdout,

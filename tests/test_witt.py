@@ -219,6 +219,80 @@ def test_ghost_oracle_in_every_element_form(spec):
     assert zeros > 0
 
 
+def full_vector(spec, n, width):
+    """The vector whose n entries are sum_{0 <= e < width} c t^-e, every
+    coordinate of c being p - 1: the largest coefficients an entry of
+    that width can have."""
+    top = spec.element([spec.p - 1] * spec.k)
+    entry = LaurentPoly.from_terms(spec, {-e: top for e in range(width)})
+    return WittVector(spec, (entry,) * n)
+
+
+# entry widths of the full pairs: over F_p the narrower ones are packed,
+# on up to 4-byte digits, and the widest ones take the column path
+FULL_WIDTHS = ((1, 2), (3, 3), (5, 5))
+
+
+@pytest.mark.parametrize("p, n", [(7, 2), (11, 2), (13, 2), (5, 3), (7, 3)])
+@pytest.mark.parametrize("k", [1, 2])
+def test_ghost_oracle_at_larger_primes(monkeypatch, p, n, k):
+    """Sums and differences at p = 5 to 13 agree with the ghost oracle
+    over F_p and F_{p^2}, on random entries and on entries whose every
+    coefficient is p - 1, the worst case for the packed digit bound.
+    Over F_p they run through both sides of the switch in ``_add``: the
+    packed pass (``_packed_sum``) and the column path (``_column_sum``),
+    which alone serves F_{p^2}."""
+    spec = make_field(p, k)
+    modulus = list(spec.modulus)
+    paths = collections.Counter()
+    for name in ("_packed_sum", "_column_sum"):
+        real = getattr(ddcrit.witt, name)
+        monkeypatch.setattr(
+            ddcrit.witt,
+            name,
+            lambda *args, name=name, real=real: paths.update([name]) or real(*args),
+        )
+    rng = random.Random(p * 10 + n * 2 + k)
+    pairs = [
+        (random_vector(rng, spec, n), random_vector(rng, spec, n)) for _ in range(2)
+    ]
+    pairs += [
+        (full_vector(spec, n, a), full_vector(spec, n, b)) for a, b in FULL_WIDTHS
+    ]
+    for v, w in pairs:
+        total = witt_add(v, w)
+        assert ghosts_agree(v, w, total, p, modulus)
+        difference = witt_sub(v, w)
+        assert ghosts_agree(difference, w, v, p, modulus)
+        assert not witt_sub(total, total)
+    if k == 1:
+        assert paths["_packed_sum"] > 0 and paths["_column_sum"] > 0
+    else:
+        assert paths["_packed_sum"] == 0 and paths["_column_sum"] > 0
+
+
+def test_level3_sums_over_f3_are_packed(monkeypatch):
+    """A level-3 sum over F_3 with every entry nonzero makes no term
+    product in column form: each S_i is one packed pass.  The level-3
+    carries of the p = 7 golden case, whose sums need wider digits, still
+    multiply in column form."""
+    products = []
+    real = ddcrit.witt.kronecker_columns
+    monkeypatch.setattr(
+        ddcrit.witt,
+        "kronecker_columns",
+        lambda *args: products.append(1) or real(*args),
+    )
+    v = wv(F3, {-5: 1, -2: 2, 0: 1}, {-4: 2, -1: 1}, {-3: 1, -1: 2})
+    w = wv(F3, {-4: 2, -1: 2}, {-6: 1, -2: 2}, {-2: 1, 0: 1})
+    total = witt_add(v, w)
+    assert products == []
+    assert all(total.entries) and ghosts_agree(v, w, total, 3, [0, 1])
+    golden = dict(_witt_golden_vectors())["witt_breaks_7_level3"]
+    standard_form(golden)
+    assert products
+
+
 def test_wp_additive():
     # wp is a homomorphism: wp(v + w) = wp(v) + wp(w)
     rng = random.Random(5)
