@@ -156,8 +156,9 @@ def solve_modp(aug: list[list[int]], p: int) -> list[int] | None:
 # Every dense F_p[x] product is one packed-int multiply, ``_mul_modp``, which
 # also serves ``kronecker_columns`` and so ``kronecker_mul`` on stored values,
 # every ``Poly`` and ``LaurentPoly`` product; ``_scaled_sum`` is packed like
-# it (the Witt sums that ``witt._add`` keeps in column form; over F_p it
-# evaluates most sums in one pass on ``_to_int`` and ``_from_int`` itself).
+# it (each slot of a Witt sum, ``witt._column_sum``; over F_p
+# ``witt._packed_sum`` evaluates a carry in one pass on ``_to_int`` and
+# ``_from_int`` itself).
 # Every polynomial division, over any field, is ``_divmod`` on stored
 # values with the field's ``StoredArithmetic``:
 # ``Poly.divmod`` and ``Poly.gcd``, the series inverse of ``criterion``, each

@@ -12,11 +12,13 @@ Witt addition and standard-form reduction compute on entries in column
 form, (low, k int columns) (see "column form" below): ``witt_add``,
 ``witt_sub`` and ``wp`` convert at their boundary, and ``standard_form``
 keeps its working vector and adjustment in that form from start to end,
-building FieldElements and LaurentPolys only for its result.  Over F_p,
-an addition evaluates each sum polynomial S_i whose coefficients stay
-within 4-byte digits in one exact pass on packed ints, a p^s-th power of
-an entry being the entry spread p^s slots apart, and reduces mod p once;
-other sums multiply in column form.  Frobenius, the p-th root, the lift
+building FieldElements and LaurentPolys only for its result.  An
+addition is the Teichmüller decomposition (``_add``): each slot sums
+entries and carries c_j(A, B) = S_j(A, 0, ...; B, 0, ...), two-variable
+polynomials read off the addition polynomials.  Over F_p a carry is one
+exact pass on packed ints, a p^s-th power of an entry being the entry
+spread p^s slots apart, reduced mod p once; over F_{p^k}, k >= 2, its
+terms multiply in column form.  Frobenius, the p-th root, the lift
 into a degree-p extension and x -> x^p - x are F_p-linear, so each is a
 matrix cached per field, the first three in ``gf`` and ``poly``, and
 applied to whole columns.
@@ -57,11 +59,6 @@ from .poly import LaurentPoly, _embedding_map, _values
 
 MAX_LEVEL = 3
 DEFAULT_EXTENSION_CAP = 16
-# a Witt sum over F_p is evaluated packed (``_packed_sum``) when its
-# coefficient bound fits a digit of this many bits.  On 8-byte digits the
-# column path measured faster: its products reduce mod p as they go, so
-# their ints stay 1 or 2 bytes a coefficient
-_PACKED_BITS = 32
 
 
 @dataclass(frozen=True)
@@ -244,150 +241,135 @@ def _add(spec: FieldSpec, x: tuple, y: tuple, negate: bool) -> tuple:
     """x + y, or x - y when negate is set, for two tuples of column-form
     entries of one level over spec: the one Witt addition.
 
-    The live terms of each S_i come from the zero pattern of the entries
-    (``_live_terms``).  Over F_p, an S_i whose coefficients before reduction
-    are bounded within a ``_PACKED_BITS``-bit digit (``_packed_width``) is
-    one exact integer pass (``_packed_sum``).  Every other S_i (over
-    F_{p^k} with k >= 2, or with wider digits) keeps its powers of entries
-    and term products in column form (``kronecker_columns``), and its terms
-    add up packed, one int per column, reduced mod p once
-    (``_column_sum``).  The choice is made per S_i, from k and the bound
-    alone, before anything is packed.  Only the sum needs trimming: a
-    product of nonzero Laurent polynomials over a field has nonzero end
-    coefficients.  x - y adds -y, which for odd p is coordinatewise, so a
-    term with Y-exponents ye takes the sign (-1)^sum(ye) and no negated
-    vector is built.
+    It is the Teichmüller decomposition x + y = ([x0] + [y0]) + V(x' + y')
+    (Serre, Local Fields, II §6), with [a] = (a, 0, 0) and x' = (x1, x2).
+    By ghosts, [x0] + [y0] = (x0 + y0, c_1(x0, y0), c_2(x0, y0)) with the
+    carries c_j(A, B) = S_j(A, 0, 0; B, 0, 0) (``_carry``), and (a0, a1, a2)
+    + (0, b1, b2) = (a0, a1 + b1, a2 + b2 + c_1(a1, b1)).  So with z0 =
+    x1 + y1:
+        slot 0 = x0 + y0,
+        slot 1 = c_1(x0, y0) + z0,
+        slot 2 = x2 + y2 + c_1(x1, y1) + c_2(x0, y0) + c_1(c_1(x0, y0), z0),
+    each slot one ``_column_sum``.  x - y adds -y, which for odd p is
+    coordinatewise: y_i takes the coefficient p - 1, and a carry of (x_i,
+    y_i) the sign (-1)^b on each of its terms c A^a B^b.  Levels above
+    MAX_LEVEL raise LevelTooHigh, as ``witt_sum_polys`` does.
     """
-    entries = x + y
-    p = spec.p
-    # powers[j][e - 1] is entry j to the e-th, grown on use
-    powers = [[e] for e in entries]
-
-    def power(j: int, e: int):
-        chain = powers[j]
-        base_low, base = chain[0]
-        while len(chain) < e:
-            low, cols = chain[-1]
-            chain.append((low + base_low, kronecker_columns(cols, base, spec)))
-        return chain[e - 1]
-
-    out = []
-    nonzero = tuple(bool(cols[0]) for _, cols in entries)
-    nnz = [len(cols[0]) - cols[0].count(0) for _, cols in entries]
-    packed: dict = {}  # (j, p^s, digit bytes) -> entry j spread at p^s, packed
-    for live in _live_terms(p, len(x), nonzero, negate):
-        match live:
-            case []:
-                out.append(_zero(spec.k))
-                continue
-            case [(1, [(j, 1)], _)]:
-                out.append(entries[j])  # the sum is one entry as it stands
-                continue
-        if spec.k == 1 and (width := _packed_width(live, nnz, p)):
-            out.append(_packed_sum(live, entries, width, packed, p))
-            continue
-        summands = []
-        for c, needed, _ in live:
-            low, cols = power(*needed[0])
-            for j, e in needed[1:]:
-                f_low, f_cols = power(j, e)
-                low, cols = low + f_low, kronecker_columns(cols, f_cols, spec)
-            summands.append((c, low, cols))
-        out.append(_column_sum(summands, spec))
+    if len(x) > MAX_LEVEL:
+        raise LevelTooHigh(f"truncation level {len(x)} exceeds the cap {MAX_LEVEL}")
+    sign = spec.p - 1 if negate else 1
+    out = [_column_sum([(1, x[0]), (sign, y[0])], spec)]
+    if len(x) > 1:
+        c1 = _carry(spec, 1, x[0], y[0], negate)
+        z0 = _column_sum([(1, x[1]), (sign, y[1])], spec)
+        out.append(_column_sum([(1, c1), (1, z0)], spec))
+    if len(x) > 2:
+        out.append(_column_sum([
+            (1, x[2]),
+            (sign, y[2]),
+            (1, _carry(spec, 1, x[1], y[1], negate)),
+            (1, _carry(spec, 2, x[0], y[0], negate)),
+            (1, _carry(spec, 1, c1, z0, False)),
+        ], spec))
     return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)
-def _live_terms(p: int, n: int, nonzero: tuple[bool, ...], negate: bool):
-    """Per S_i, the terms of ``witt_sum_polys(p, n)`` that are live when
-    entry j of (X, Y) is nonzero exactly where nonzero[j] is: each as its
-    coefficient (times (-1)^sum(ye) when negate is set), its factors
-    ((entry, exponent), ...) and their base-p digit split ((entry, p^s,
-    digit), ...), one for each nonzero digit.  A power over a field is zero
-    only when its base is, so a dead term is never looked at again; S_i has
-    no constant term, so every term has a factor."""
-    out = []
-    for terms in witt_sum_polys(p, n):
-        live = []
-        for c, xe, ye in terms:
-            needed = [(j, e) for j, e in enumerate(xe + ye) if e]
-            if all(nonzero[j] for j, _ in needed):
-                split = []
-                for j, e in needed:
-                    q = 1
-                    while e:
-                        e, d = divmod(e, p)
-                        if d:
-                            split.append((j, q, d))
-                        q *= p
-                sign = negate and sum(ye) % 2
-                live.append((p - c if sign else c, tuple(needed), tuple(split)))
-        out.append(tuple(live))
-    return tuple(out)
+def _carry_terms(p: int, j: int, negate: bool) -> tuple:
+    """The terms c A^a B^b (a + b = p^j) of the carry c_j(A, B) = S_j(A,
+    0, ...; B, 0, ...), read off ``witt_sum_polys(p, j + 1)``, or of c_j(A,
+    -B) when negate is set, each as its coefficient (then times (-1)^b) and
+    its factors ((i, d), ...), one for each nonzero base-p digit d of a or
+    b: a digit at p^s of a is the factor X_(2s)^d, of b X_(2s+1)^d, with
+    X_(2s), X_(2s+1) = F^s(A), F^s(B) (A^(d p^s) = F^s(A)^d in
+    characteristic p)."""
+    return tuple(
+        (p - c if negate and ye[0] % 2 else c, tuple(
+            (2 * s + i, d)
+            for s in range(j)
+            for i, e in enumerate((xe[0], ye[0]))
+            if (d := e // p**s % p)
+        ))
+        for c, xe, ye in witt_sum_polys(p, j + 1)[j]
+        if not any(xe[1:] + ye[1:])
+    )
 
 
-def _packed_width(live, nnz: list[int], p: int) -> int:
-    """The digit bytes of ``_packed_sum`` for the live terms of an S_i over
-    F_p whose entries have nnz[j] nonzero coefficients, or 0 if a bound on
-    the coefficients of the unreduced sum needs more than ``_PACKED_BITS``.
+def _carry(spec: FieldSpec, j: int, a: tuple, b: tuple, negate: bool) -> tuple:
+    """c_j(a, b), or c_j(a, -b) when negate is set, for column-form entries
+    a and b over spec: zero when a or b is, else the sum of the terms of
+    ``_carry_terms`` on a, b and their Frobenius images.  Over F_p it is one
+    ``_packed_sum``.  Over F_{p^k}, k >= 2, the powers of each X_i are a
+    chain of ``kronecker_columns`` products, grown on use, a term is their
+    product, and the terms add up by ``_column_sum``."""
+    if not (a[1][0] and b[1][0]):
+        return _zero(spec.k)
+    terms = _carry_terms(spec.p, j, negate)
+    bases = [a, b]
+    while len(bases) < 2 * j:
+        bases += [_frobenius_entry(spec, e) for e in bases[-2:]]
+    if spec.k == 1:
+        return _packed_sum(terms, bases, spec.p)
 
-    The bound sums c (p - 1)^r prod nnz_j / max nnz_j over the terms, with
-    r the factors of a term's digit split (a digit d counting d times) and
-    nnz_j that of the entry a factor spreads: a coefficient of a product
-    of polynomials with coefficients in [0, p) is at most one factor's
-    largest coefficient times the coefficient sums of the others."""
+    def mul(u, v):
+        return u[0] + v[0], kronecker_columns(u[1], v[1], spec)
+
+    powers = [[e] for e in bases]  # powers[i][d - 1] is X_i^d
+    summands = []
+    for c, factors in terms:
+        for i, d in factors:
+            while len(powers[i]) < d:
+                powers[i].append(mul(powers[i][-1], bases[i]))
+        product = functools.reduce(mul, [powers[i][d - 1] for i, d in factors])
+        summands.append((c, product))
+    return _column_sum(summands, spec)
+
+
+def _packed_sum(terms, bases, p: int) -> tuple:
+    """The column-form entry sum of c prod X_i^d over the (c, factors)
+    terms of ``_carry_terms`` over F_p, X_i = bases[i], in one exact
+    integer pass.
+
+    Each X_i is packed once (``_to_int``), a term is an int product, the
+    terms are shifted to the lowest exponent and summed without reduction,
+    and one ``_from_int`` reduces the whole sum mod p.  The digits are as
+    wide as a bound on the unreduced coefficients needs: it sums c (p -
+    1)^r prod nnz_i / max nnz_i over the terms, r the factors of a term
+    (X_i^d counting d times) and nnz_i the nonzero coefficients of X_i, as
+    a coefficient of a product of polynomials with coefficients in [0, p)
+    is at most one factor's largest coefficient times the coefficient sums
+    of the others.  So no slot carries into the next."""
+    nnz = [len(col) - col.count(0) for _, (col,) in bases]
     bound = 0
-    for c, _, split in live:
-        widest = 1
-        for j, _, d in split:
-            c *= ((p - 1) * nnz[j]) ** d
-            if nnz[j] > widest:
-                widest = nnz[j]
-        bound += c // widest
-        if bound >> _PACKED_BITS:
-            return 0
-    return _digit_bytes(bound)
-
-
-def _packed_sum(live, entries, width: int, packed: dict, p: int):
-    """The column-form entry S_i over F_p of its live terms, in one exact
-    integer pass, width bytes a digit.
-
-    Mod p, X^(d p^s) = X^d(t^(p^s)), so a factor X_j^e is the product over
-    the digits d of e of X_j spread at p^s (a coefficient every p^s slots)
-    to the d-th: one int power each, no product chain.  Each spread is
-    packed once per width across an addition (``packed``, ``_to_int``), a
-    term c prod X_j^e is an int product, the terms are shifted to the
-    lowest exponent and summed without reduction, and one ``_from_int``
-    reduces the whole sum mod p.  ``_packed_width``'s bound on the
-    coefficients fits the digits, so no slot carries into the next."""
+    for c, factors in terms:
+        for i, d in factors:
+            c *= ((p - 1) * nnz[i]) ** d
+        bound += c // max(nnz[i] for i, _ in factors)
+    width = _digit_bytes(bound)
     bits = 8 * width
-    terms = []
-    for c, _, split in live:
-        low = span = 0
-        for j, q, d in split:
-            e_low, (col,) = entries[j]
-            low += d * q * e_low
-            span += d * q * (len(col) - 1)
-            if (a := packed.get((j, q, width))) is None:
-                if q > 1:
-                    spread = [0] * ((len(col) - 1) * q + 1)
-                    spread[::q] = col
-                    col = spread
-                a = packed[j, q, width] = _to_int(col, width)
-            c *= a**d
-        terms.append((low, low + span, c))
-    low = min(t[0] for t in terms)
-    total = 0
-    for t_low, _, value in terms:
-        total += value << (t_low - low) * bits
-    top = max(t[1] for t in terms)
-    return _trimmed(low, [_from_int(total, top + 1 - low, width, p)])
+    packed = [_to_int(col, width) for _, (col,) in bases]
+    values = []
+    for c, factors in terms:
+        for i, d in factors:
+            c *= packed[i] ** d
+        values.append((sum(d * bases[i][0] for i, d in factors), c))
+    low = min(v[0] for v in values)
+    total = sum(c << (v_low - low) * bits for v_low, c in values)
+    return _trimmed(low, [_from_int(total, -(-total.bit_length() // bits), width, p)])
 
 
-def _column_sum(summands, spec: FieldSpec):
-    """The column-form entry sum of c t^low (cols) over the (c, low, cols)
-    summands: one packed ``_scaled_sum`` per column, trimmed."""
+def _column_sum(summands, spec: FieldSpec) -> tuple:
+    """The column-form entry sum of c e over the (c, e) summands, e
+    column-form entries: one packed ``_scaled_sum`` per column, trimmed.
+    Zero entries are left out, and a lone entry with c = 1 is the sum as
+    it stands.  Only the sum needs trimming: a product of nonzero Laurent
+    polynomials over a field has nonzero end coefficients."""
+    summands = [(c, low, cols) for c, (low, cols) in summands if cols[0]]
+    match summands:
+        case []:
+            return _zero(spec.k)
+        case [(1, low, cols)]:
+            return low, cols
     p = spec.p
     low = min(s[1] for s in summands)
     width = max(s[1] + len(s[2][0]) for s in summands) - low

@@ -72,6 +72,12 @@ was replaced by a simpler or faster exact path:
   Laurent polynomials as term dicts, the oracle for the dense coefficient
   path of ``LaurentPoly.__add__``, ``ddcrit.cartier.cartier``,
   ``LaurentPoly.frobenius`` and ``LaurentPoly.map_coeffs``;
+- ``witt_add_reference``: each addition polynomial S_i of
+  ``ddcrit.witt.witt_sum_polys`` evaluated term by term on the entries
+  with ``laurent_mul_reference`` and ``laurent_add_reference``, the oracle
+  for the Teichmüller carries of ``ddcrit.witt.witt_add`` and ``witt_sub``
+  (the ghost oracle, tests/ghost_oracle.py, checks sums independently of
+  the S_i);
 - ``small_family_residues_reference``: the power-sum system of the small
   family (p, 2, 1, N1) solved by Gauss-Jordan elimination over F_p
   (``ddcrit.gf.solve_modp``), the oracle for the closed-form Lagrange
@@ -139,6 +145,7 @@ from ddcrit.witt import (
     is_standard,
     witt_add,
     witt_sub,
+    witt_sum_polys,
     wp,
 )
 
@@ -727,6 +734,34 @@ def laurent_mul_reference(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
             s = terms.get(e + f)
             terms[e + f] = s + c * d if s is not None else c * d
     return LaurentPoly.from_terms(a.spec, terms)
+
+
+def witt_add_reference(v: WittVector, w: WittVector) -> WittVector:
+    """v + w by the addition polynomials: each S_i of ``witt_sum_polys``
+    evaluated term by term on the entries (X, Y) = (v, w), every power of an
+    entry a chain of ``laurent_mul_reference`` products and every sum one
+    ``laurent_add_reference``.  A term with a zero factor is skipped."""
+    spec, entries = v.spec, v.entries + w.entries
+    powers = [[e] for e in entries]  # powers[j][e - 1] is entry j to the e-th
+
+    def power(j: int, e: int) -> LaurentPoly:
+        while len(powers[j]) < e:
+            powers[j].append(laurent_mul_reference(powers[j][-1], entries[j]))
+        return powers[j][e - 1]
+
+    out = []
+    for terms in witt_sum_polys(spec.p, v.level):
+        total = LaurentPoly.zero(spec)
+        for c, xe, ye in terms:
+            needed = [(j, e) for j, e in enumerate(xe + ye) if e]
+            if not all(entries[j] for j, _ in needed):
+                continue
+            term = LaurentPoly.from_terms(spec, {0: spec.from_int(c)})
+            for j, e in needed:
+                term = laurent_mul_reference(term, power(j, e))
+            total = laurent_add_reference(total, term)
+        out.append(total)
+    return WittVector(spec, tuple(out))
 
 
 def cartier_reference(h: LaurentPoly) -> LaurentPoly:

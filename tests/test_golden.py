@@ -17,8 +17,8 @@ exit 1), level-3 ``witt breaks`` at p=3
 (one forcing an extension to F_{3^9}) and p=5, and two ``witt breaks``
 cases with poles below the catalog's t^-12: a cascade t^-27 -> t^-1 in one
 slot with a constant that forces F_{3^9}, t^-49 at p=7 with an
-extension to F_{7^7}, and a level-3 case at p=7 whose carries are Witt
-sums too wide for the packed pass, so it pins the column path.  The two scripts CI runs,
+extension to F_{7^7}, and a level-3 case at p=7 whose carries are packed
+on digits wider than a machine word.  The two scripts CI runs,
 ``scripts/run_d9.py`` and ``scripts/sweep_trace_family.py --steps 1``, are
 pinned the same way as tests/golden/run_d9.stdout and
 tests/golden/sweep_trace_steps1.stdout.  tests/golden/plan_7_3_3.stdout,
@@ -26,7 +26,10 @@ the largest catalog plan (294 profiles), stays out of cases.json, as the
 large search golden does, since every case here runs three times; CI
 compares it.  So does tests/golden/construct_trace_13_2_49.stdout, the
 294 reps of (13,2,49) over F_{13^14}, a run of several seconds that
-checks the big-field products.  tests/golden/moduli.json pins the
+checks the big-field products, and
+tests/golden/witt_breaks_11_level3.stdout, a level-3 ``witt breaks`` at
+p=11 whose carries are packed on digits of up to 13 bytes.
+tests/golden/moduli.json pins the
 canonical modulus of every field in ``test_gf.PINNED_MODULUS_PAIRS``, since
 each certificate over F_{p^k} prints it.
 

@@ -44,6 +44,7 @@ from ddcrit.witt import (
 )
 
 from ghost_oracle import ghosts_agree
+from reference import witt_add_reference
 
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
@@ -228,9 +229,22 @@ def full_vector(spec, n, width):
     return WittVector(spec, (entry,) * n)
 
 
-# entry widths of the full pairs: over F_p the narrower ones are packed,
-# on up to 4-byte digits, and the widest ones take the column path
+# entry widths of the full pairs: the wider the entries, the wider the
+# packed digits of the carries over F_p
 FULL_WIDTHS = ((1, 2), (3, 3), (5, 5))
+
+
+def _count_calls(monkeypatch, names) -> collections.Counter:
+    """A counter of the calls ``witt`` makes to each of its names."""
+    calls = collections.Counter()
+    for name in names:
+        real = getattr(ddcrit.witt, name)
+        monkeypatch.setattr(
+            ddcrit.witt,
+            name,
+            lambda *args, name=name, real=real: calls.update([name]) or real(*args),
+        )
+    return calls
 
 
 @pytest.mark.parametrize("p, n", [(7, 2), (11, 2), (13, 2), (5, 3), (7, 3)])
@@ -239,19 +253,12 @@ def test_ghost_oracle_at_larger_primes(monkeypatch, p, n, k):
     """Sums and differences at p = 5 to 13 agree with the ghost oracle
     over F_p and F_{p^2}, on random entries and on entries whose every
     coefficient is p - 1, the worst case for the packed digit bound.
-    Over F_p they run through both sides of the switch in ``_add``: the
-    packed pass (``_packed_sum``) and the column path (``_column_sum``),
-    which alone serves F_{p^2}."""
+    The carries take one side of the fork in ``_carry``, chosen by k
+    alone: over F_p only the packed pass (``_packed_sum``) and no column
+    product (``kronecker_columns``), over F_{p^2} only column products."""
     spec = make_field(p, k)
     modulus = list(spec.modulus)
-    paths = collections.Counter()
-    for name in ("_packed_sum", "_column_sum"):
-        real = getattr(ddcrit.witt, name)
-        monkeypatch.setattr(
-            ddcrit.witt,
-            name,
-            lambda *args, name=name, real=real: paths.update([name]) or real(*args),
-        )
+    paths = _count_calls(monkeypatch, ("_packed_sum", "kronecker_columns"))
     rng = random.Random(p * 10 + n * 2 + k)
     pairs = [
         (random_vector(rng, spec, n), random_vector(rng, spec, n)) for _ in range(2)
@@ -266,31 +273,67 @@ def test_ghost_oracle_at_larger_primes(monkeypatch, p, n, k):
         assert ghosts_agree(difference, w, v, p, modulus)
         assert not witt_sub(total, total)
     if k == 1:
-        assert paths["_packed_sum"] > 0 and paths["_column_sum"] > 0
+        assert paths["_packed_sum"] > 0 and paths["kronecker_columns"] == 0
     else:
-        assert paths["_packed_sum"] == 0 and paths["_column_sum"] > 0
+        assert paths["_packed_sum"] == 0 and paths["kronecker_columns"] > 0
 
 
 def test_level3_sums_over_f3_are_packed(monkeypatch):
     """A level-3 sum over F_3 with every entry nonzero makes no term
-    product in column form: each S_i is one packed pass.  The level-3
-    carries of the p = 7 golden case, whose sums need wider digits, still
-    multiply in column form."""
-    products = []
-    real = ddcrit.witt.kronecker_columns
+    product in column form: each carry is one packed pass.  Nor does the
+    standard form of the level-3 p = 7 golden case, whose carries are
+    packed on digits wider than a machine word."""
+    calls = _count_calls(monkeypatch, ("kronecker_columns",))
+    widths = []
+    real = ddcrit.witt._digit_bytes
     monkeypatch.setattr(
         ddcrit.witt,
-        "kronecker_columns",
-        lambda *args: products.append(1) or real(*args),
+        "_digit_bytes",
+        lambda bound: widths.append(real(bound)) or real(bound),
     )
     v = wv(F3, {-5: 1, -2: 2, 0: 1}, {-4: 2, -1: 1}, {-3: 1, -1: 2})
     w = wv(F3, {-4: 2, -1: 2}, {-6: 1, -2: 2}, {-2: 1, 0: 1})
     total = witt_add(v, w)
-    assert products == []
+    assert calls["kronecker_columns"] == 0 and widths
     assert all(total.entries) and ghosts_agree(v, w, total, 3, [0, 1])
     golden = dict(_witt_golden_vectors())["witt_breaks_7_level3"]
-    standard_form(golden)
-    assert products
+    assert standard_form(golden).extension_degree == 1
+    assert calls["kronecker_columns"] == 0 and max(widths) > 8
+
+
+@pytest.mark.parametrize(
+    "p, k, levels",
+    [(3, 1, (1, 2, 3)), (5, 1, (1, 2, 3)), (7, 1, (1, 2, 3)),
+     (3, 2, (1, 2, 3)), (5, 2, (1, 2, 3)), (11, 1, (2,))],
+    ids=["F3", "F5", "F7", "F9", "F25", "F11"],
+)
+def test_witt_add_matches_the_sum_polynomials(p, k, levels):
+    """``witt_add`` and ``witt_sub`` equal every S_i of ``witt_sum_polys``
+    evaluated term by term on Laurent polynomials (``witt_add_reference``;
+    a difference is the sum with the coordinatewise negation), on random
+    entries, zero ones among them, and on entries whose every coefficient
+    is p - 1."""
+    spec = make_field(p, k)
+    rng = random.Random(100 * p + k)
+    for n in levels:
+        pairs = [
+            (random_vector(rng, spec, n), random_vector(rng, spec, n)) for _ in range(3)
+        ]
+        pairs += [(full_vector(spec, n, 1), full_vector(spec, n, 2))]
+        pairs += [(full_vector(spec, n, 2), full_vector(spec, n, 2))]
+        for v, w in pairs:
+            assert witt_add(v, w).entries == witt_add_reference(v, w).entries
+            negated = witt_add_reference(v, witt_neg(w))
+            assert witt_sub(v, w).entries == negated.entries
+
+
+def test_addition_enforces_the_level_cap():
+    """A sum, a difference or wp of level 4 raises LevelTooHigh, as the
+    addition polynomials of that level do."""
+    v = wv(F3, {-1: 1}, {-1: 1}, {-1: 1}, {-1: 1})
+    for fn, args in ((witt_add, (v, v)), (witt_sub, (v, v)), (wp, (v,))):
+        with pytest.raises(LevelTooHigh, match="truncation level 4 exceeds the cap 3"):
+            fn(*args)
 
 
 def test_wp_additive():
