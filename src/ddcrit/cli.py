@@ -5,6 +5,14 @@ Subcommands map one-to-one onto library operations; all output is JSON
 or witness found, 1 = check failed or nothing found, 2 = invalid input,
 3 = stdout was closed before the answer was written.
 
+argparse (``build_parser``) defines the grammar, with its abbreviations,
+``--opt=value`` forms, negative values, help and usage errors.  An argv
+spelled out in full, ``[--compact] words (--opt value | --flag)*`` with exact
+option strings and no value starting with '-', skips argparse's per-call
+parse: the first call of ``main`` compiles a table off the parser's actions,
+defaults and subcommands, and parses such an argv from it into the namespace
+argparse would build (``_table_parse``).  Any other argv goes to argparse.
+
 Input grammars:
   polynomial   ascending comma-separated integers, e.g. "1,0,2" = 1 + 2t^2
                (over an extension field each integer indexes an element)
@@ -267,19 +275,152 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# -- parse table (see the module docstring) -----------------------------------
+
+
+def _level(parser: argparse.ArgumentParser):
+    """One parser as the parse table reads it, off its actions and
+    ``set_defaults``: its options (option string -> Action), the namespace
+    parse_args starts it with, its required option Actions and its
+    subparsers action or None.  None if the parser takes what the table does
+    not follow: another prefix character, argument files, mutually exclusive
+    options, positionals other than one subparsers action, or a str default
+    its type would convert.  The options are the exact strings of its store,
+    store_const and store_true/false actions of one value or none, without
+    choices; any other option is left out, so an argv that uses it goes to
+    argparse."""
+    registry = parser._registry_get
+    positionals = [a for a in parser._actions if not a.option_strings]
+    subparsers = positionals[0] if positionals else None
+    if (parser.prefix_chars != "-" or parser.fromfile_prefix_chars
+            or parser._mutually_exclusive_groups or len(positionals) > 1
+            or (subparsers and type(subparsers) is not registry("action", "parsers"))
+            or any(isinstance(a.default, str) and a.type is not None
+                   for a in parser._actions)):
+        return None
+    kinds = {registry("action", kind)
+             for kind in ("store", "store_const", "store_true", "store_false")}
+    options = {
+        option: action
+        for action in parser._actions
+        if type(action) in kinds and action.choices is None
+        and not getattr(action, "deprecated", False)
+        and (action.nargs == 0 or (action.nargs is None
+                                   and (action.type is None or callable(action.type))))
+        for option in action.option_strings
+    }
+    defaults = {}
+    for action in parser._actions:
+        if action.dest is not argparse.SUPPRESS and (
+                action.default is not argparse.SUPPRESS):
+            defaults.setdefault(action.dest, action.default)
+    for dest, value in parser._defaults.items():
+        defaults.setdefault(dest, value)
+    required = tuple(a for a in parser._actions if a.required and a.option_strings)
+    return options, defaults, required, subparsers
+
+
+def _leaves(subparsers, path: tuple):
+    """(path, (options, defaults, required)) for every leaf command below a
+    subparsers action, the defaults being what argparse sets in the
+    namespace above it: the command word, then each sub-namespace, defaults
+    and all, over the one above it; the required Actions are those of every
+    level below."""
+    dest, skipped = subparsers.dest, getattr(subparsers, "_deprecated", ())
+    for word, parser in subparsers.choices.items():
+        if word in skipped or (level := _level(parser)) is None:
+            continue
+        options, defaults, required, below = level
+        head = {} if dest is argparse.SUPPRESS else {dest: word}
+        if below is None:
+            yield path + (word,), (options, head | defaults, required)
+            continue
+        for leaf_path, (leaf_options, leaf_defaults, leaf_required) in _leaves(
+                below, path + (word,)):
+            yield leaf_path, (leaf_options, head | defaults | leaf_defaults,
+                              required + leaf_required)
+
+
+def _compile(parser: argparse.ArgumentParser):
+    """The parse table: the top parser's options and defaults, and {leaf
+    command path: (options, defaults, required)}; None if the top parser has
+    no subcommands to look up."""
+    if (top := _level(parser)) is None:
+        return None
+    options, defaults, required, subparsers = top
+    if subparsers is None:
+        return None
+    return options, defaults, {
+        path: (leaf_options, leaf_defaults, required + leaf_required)
+        for path, (leaf_options, leaf_defaults, leaf_required)
+        in _leaves(subparsers, ())
+    }
+
+
+def _read_options(options: dict, argv, i: int, values: dict, seen: set) -> int:
+    """Read ``--opt value`` and ``--flag`` from argv[i] on into values, as
+    long as each word is one of options; return the index of the first word
+    that is not, or -1 for a value that is missing, starts with '-' or fails
+    its type."""
+    while i < len(argv) and (action := options.get(argv[i])) is not None:
+        if action.nargs == 0:
+            values[action.dest] = action.const
+            i += 1
+        else:
+            if i + 1 == len(argv) or argv[i + 1][:1] == "-":
+                return -1
+            try:
+                value = argv[i + 1] if action.type is None else action.type(argv[i + 1])
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return -1
+            values[action.dest] = value
+            i += 2
+        seen.add(action)
+    return i
+
+
+def _table_parse(table, argv) -> argparse.Namespace | None:
+    """The Namespace parse_args returns for an argv of the exact shape [top
+    options] words (--opt value | --flag)*, or None for any other argv."""
+    top_options, values, leaves = table
+    values = dict(values)
+    seen: set = set()
+    start = _read_options(top_options, argv, 0, values, seen)
+    if start < 0:
+        return None
+    end = start
+    while end < len(argv) and argv[end][:1] != "-":
+        end += 1
+    leaf = leaves.get(tuple(argv[start:end]))
+    if leaf is None:
+        return None
+    options, defaults, required = leaf
+    values.update(defaults)
+    if (_read_options(options, argv, end, values, seen) != len(argv)
+            or not seen.issuperset(required)):
+        return None
+    return argparse.Namespace(**values)
+
+
 # built on the first call of main and shared by the later ones: parse_args
-# leaves the parser as it found it
+# leaves the parser as it found it, and the table is read off it
 _parser: argparse.ArgumentParser | None = None
+_table: tuple | None = None
 
 
 def main(argv=None) -> int:
-    global _parser
+    global _parser, _table
     if _parser is None:
         _parser = build_parser()
-    try:
-        args = _parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+        _table = _compile(_parser)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _table_parse(_table, argv) if _table else None
+    if args is None:
+        try:
+            args = _parser.parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
     try:
         payload, code = args.fn(args)
         # rendering can fail too: an int of over 4300 digits raises ValueError

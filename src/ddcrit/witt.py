@@ -15,10 +15,10 @@ keeps its working vector and adjustment in that form from start to end,
 building FieldElements and LaurentPolys only for its result.  An
 addition is the Teichmüller decomposition (``_add``): each slot sums
 entries and carries c_j(A, B) = S_j(A, 0, ...; B, 0, ...), two-variable
-polynomials read off the addition polynomials.  Over F_p a carry is one
-exact pass on packed ints, a p^s-th power of an entry being the entry
-spread p^s slots apart, reduced mod p once; over F_{p^k}, k >= 2, its
-terms multiply in column form.  Frobenius, the p-th root, the lift
+polynomials from their own ghost recursion (``_carries``).  Over F_p a
+carry is one exact pass on packed ints, a p^s-th power of an entry being
+the entry spread p^s slots apart, reduced mod p once; over F_{p^k},
+k >= 2, its terms multiply in column form.  Frobenius, the p-th root, the lift
 into a degree-p extension and x -> x^p - x are F_p-linear, so each is a
 matrix cached per field, the first three in ``gf`` and ``poly``, and
 applied to whole columns.
@@ -95,28 +95,12 @@ class WittVector:
 # -- addition polynomials ----------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def witt_sum_polys(p: int, n: int):
-    """Addition polynomials S_0..S_{n-1} for W_n in characteristic p.
-
-    Each S_i is returned as a tuple of terms (c, xe, ye) with integer
-    coefficient c in (0, p) and exponent vectors xe, ye of length n, so that
-    S_i = sum c * prod X_j^xe_j * prod Y_j^ye_j over F_p.  Terms are sorted by
-    the monomial (xe + ye), descending.
-
-    The recursion S_i = (w_i(X) + w_i(Y) - sum_{j<i} p^j S_j^{p^{i-j}}) / p^i
-    runs over the integers, with polynomials as dicts from exponent vectors
-    (x_0..x_{n-1}, y_0..y_{n-1}) to coefficients; every division by p^i is
-    checked to be exact before reduction mod p.
-    """
-    if n > MAX_LEVEL:
-        raise LevelTooHigh(f"truncation level {n} exceeds the cap {MAX_LEVEL}")
-    if n < 1:
-        raise ValueError("truncation level must be >= 1")
-    width = 2 * n
-
-    def monomial(var: int, e: int) -> tuple[int, ...]:
-        return tuple(e if k == var else 0 for k in range(width))
+def _ghost_recursion(p: int, n: int, ghost) -> list[dict]:
+    """The integer polynomials S_0..S_{n-1} whose ghost components are
+    ghost(0), ..., ghost(n - 1): S_i = (ghost(i) - sum_{j<i} p^j
+    S_j^{p^{i-j}}) / p^i over the integers, with polynomials as dicts from
+    exponent vectors to coefficients; every division by p^i is checked to
+    be exact."""
 
     def mul(a: dict, b: dict) -> dict:
         out: dict = {}
@@ -127,13 +111,8 @@ def witt_sum_polys(p: int, n: int):
         return out
 
     exact: list[dict] = []
-    reduced = []
     for i in range(n):
-        acc: dict = {}
-        for j in range(i + 1):
-            for var in (j, n + j):  # w_i(X) + w_i(Y)
-                mono = monomial(var, p ** (i - j))
-                acc[mono] = acc.get(mono, 0) + p**j
+        acc = ghost(i)
         for j in range(i):
             for mono, c in square_and_multiply(exact[j], p ** (i - j), mul).items():
                 acc[mono] = acc.get(mono, 0) - p**j * c
@@ -145,14 +124,41 @@ def witt_sum_polys(p: int, n: int):
             if quot:
                 s_i[mono] = quot
         exact.append(s_i)
-        reduced.append(
-            tuple(
-                (c % p, mono[:n], mono[n:])
-                for mono, c in sorted(s_i.items(), reverse=True)
-                if c % p
-            )
+    return exact
+
+
+@functools.lru_cache(maxsize=None)
+def witt_sum_polys(p: int, n: int):
+    """Addition polynomials S_0..S_{n-1} for W_n in characteristic p.
+
+    Each S_i is returned as a tuple of terms (c, xe, ye) with integer
+    coefficient c in (0, p) and exponent vectors xe, ye of length n, so that
+    S_i = sum c * prod X_j^xe_j * prod Y_j^ye_j over F_p.  Terms are sorted by
+    the monomial (xe + ye), descending.
+
+    ``_ghost_recursion`` with ghosts w_i(X) + w_i(Y), on exponent vectors
+    (x_0..x_{n-1}, y_0..y_{n-1}), before reduction mod p.
+    """
+    if n > MAX_LEVEL:
+        raise LevelTooHigh(f"truncation level {n} exceeds the cap {MAX_LEVEL}")
+    if n < 1:
+        raise ValueError("truncation level must be >= 1")
+
+    def monomial(var: int, e: int) -> tuple[int, ...]:
+        return tuple(e if k == var else 0 for k in range(2 * n))
+
+    def ghost(i: int) -> dict:  # w_i(X) + w_i(Y)
+        return {monomial(var, p ** (i - j)): p**j
+                for j in range(i + 1) for var in (j, n + j)}
+
+    return tuple(
+        tuple(
+            (c % p, mono[:n], mono[n:])
+            for mono, c in sorted(s_i.items(), reverse=True)
+            if c % p
         )
-    return tuple(reduced)
+        for s_i in _ghost_recursion(p, n, ghost)
+    )
 
 
 def _check_pair(v: WittVector, w: WittVector):
@@ -275,23 +281,38 @@ def _add(spec: FieldSpec, x: tuple, y: tuple, negate: bool) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def _carry_terms(p: int, j: int, negate: bool) -> tuple:
-    """The terms c A^a B^b (a + b = p^j) of the carry c_j(A, B) = S_j(A,
-    0, ...; B, 0, ...), read off ``witt_sum_polys(p, j + 1)``, or of c_j(A,
-    -B) when negate is set, each as its coefficient (then times (-1)^b) and
-    its factors ((i, d), ...), one for each nonzero base-p digit d of a or
-    b: a digit at p^s of a is the factor X_(2s)^d, of b X_(2s+1)^d, with
-    X_(2s), X_(2s+1) = F^s(A), F^s(B) (A^(d p^s) = F^s(A)^d in
-    characteristic p)."""
+def _carries(p: int, n: int) -> tuple:
+    """The carries c_0..c_{n-1}, [A] + [B] = (c_0, c_1, ...), so c_j(A, B) =
+    S_j(A, 0, ...; B, 0, ...): ``_ghost_recursion`` in the two variables A
+    and B, with ghosts A^(p^i) + B^(p^i), so
+
+        c_i = (A^(p^i) + B^(p^i) - sum_{j<i} p^j c_j^(p^(i-j))) / p^i.
+
+    Each c_j is reduced mod p as its terms (c, a, b) for c A^a B^b,
+    0 < c < p, sorted by (a, b) descending, the order of
+    ``witt_sum_polys``' terms."""
     return tuple(
-        (p - c if negate and ye[0] % 2 else c, tuple(
+        tuple((c % p, a, b) for (a, b), c in sorted(c_j.items(), reverse=True) if c % p)
+        for c_j in _ghost_recursion(p, n, lambda i: {(p**i, 0): 1, (0, p**i): 1})
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _carry_terms(p: int, j: int, negate: bool) -> tuple:
+    """The terms c A^a B^b (a + b = p^j) of the carry c_j(A, B) of
+    ``_carries``, or of c_j(A, -B) when negate is set, each as its
+    coefficient (then times (-1)^b) and its factors ((i, d), ...), one for
+    each nonzero base-p digit d of a or b: a digit at p^s of a is the factor
+    X_(2s)^d, of b X_(2s+1)^d, with X_(2s), X_(2s+1) = F^s(A), F^s(B)
+    (A^(d p^s) = F^s(A)^d in characteristic p)."""
+    return tuple(
+        (p - c if negate and b % 2 else c, tuple(
             (2 * s + i, d)
             for s in range(j)
-            for i, e in enumerate((xe[0], ye[0]))
+            for i, e in enumerate((a, b))
             if (d := e // p**s % p)
         ))
-        for c, xe, ye in witt_sum_polys(p, j + 1)[j]
-        if not any(xe[1:] + ye[1:])
+        for c, a, b in _carries(p, j + 1)[j]
     )
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -484,3 +486,129 @@ def test_byte_stable_output(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+# -- parse table ---------------------------------------------------------------
+
+ROOT = pathlib.Path(__file__).parent.parent
+CATALOG_ARGVS = [
+    job["argv"]
+    for spec in json.loads((ROOT / "perfbench" / "catalog.json").read_text())[
+        "workloads"].values()
+    for jobs in [*spec["classes"].values(), spec.get("known_defect_probes", [])]
+    for job in jobs
+]
+WELL_FORMED = [case["argv"] for case in GOLDEN_CASES] + [
+    ["--compact", *case["argv"]] for case in GOLDEN_CASES
+] + CATALOG_ARGVS
+
+
+def _options(argv):
+    """The (index, option) pairs of argv's `--` words after the subcommand."""
+    start = next(i for i, word in enumerate(argv) if not word.startswith("-"))
+    return [(i, w) for i, w in enumerate(argv) if i > start and w.startswith("--")]
+
+
+def _takes_value(argv, i):
+    return i + 1 < len(argv) and not argv[i + 1].startswith("--")
+
+
+def _variants(argv):
+    """(kind, argv) for the grid of argvs around a well-formed one."""
+    for i, option in _options(argv):
+        if len(option) > 3:
+            yield "abbreviated", [*argv[:i], option[:-1], *argv[i + 1:]]
+        if _takes_value(argv, i):
+            yield "equals", [*argv[:i], f"{option}={argv[i + 1]}", *argv[i + 2:]]
+            for negative in ("-1", "-inf"):
+                yield "negative", [*argv[:i + 1], negative, *argv[i + 2:]]
+            yield "duplicated", [*argv, option, argv[i + 1]]
+            yield "missing", [*argv[:i], *argv[i + 2:]]
+            yield "dashes", [*argv[:i + 1], "--", *argv[i + 1:]]
+        else:
+            yield "duplicated", [*argv, option]
+            yield "missing", [*argv[:i], *argv[i + 1:]]
+    words = [w for w in argv if w != "--compact"]
+    yield "unknown", [*argv, "--no-such-option", "1"]
+    yield "unknown", [*argv, "--no-such-flag"]
+    yield "compact after", [*words[:1], "--compact", *words[1:]]
+    yield "compact after", [*words, "--compact"]
+    yield "stray", [*argv, "extra"]
+    yield "stray", [*argv[:1], "extra", *argv[1:]]
+    yield "dashes", [*argv, "--"]
+    yield "dashes", ["--", *argv]
+    yield "help", [*argv, "-h"]
+    yield "help", ["-h", *argv]
+
+
+# the kinds of argv the table leaves to argparse, whatever argparse does
+DECLINED_KINDS = {
+    "abbreviated", "equals", "negative", "unknown", "compact after", "stray",
+    "dashes", "help",
+}
+
+
+def _argparse_vars(parser, argv):
+    """vars() of parse_args, or None if it exits (help or a usage error)."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def test_table_parses_every_golden_and_catalog_argv_as_argparse_does():
+    parser = cli.build_parser()
+    table = cli._compile(parser)
+    for argv in WELL_FORMED:
+        args = cli._table_parse(table, argv)
+        assert args is not None, argv
+        assert vars(args) == _argparse_vars(parser, argv), argv
+
+
+def test_table_declines_what_it_does_not_parse_as_argparse_does():
+    """Around every golden argv: the table declines every argv argparse
+    rejects and every kind in DECLINED_KINDS, and parses the others (a
+    duplicated option, last value first, or a missing optional one) as
+    argparse does."""
+    parser = cli.build_parser()
+    table = cli._compile(parser)
+    argvs = [(kind, variant)
+             for case in GOLDEN_CASES
+             for kind, variant in _variants(["--compact", *case["argv"]])]
+    argvs += [("bad", argv) for argv in BAD_ARGVS]
+    argvs += [("help", [*command, "--help"])
+              for command in ([], ["construct"], ["witt", "breaks"])]
+    argvs += [("bad", argv) for argv in ([], ["--compact"], ["construct"], [""])]
+    for kind, argv in argvs:
+        args = cli._table_parse(table, argv)
+        expected = _argparse_vars(parser, argv)
+        if kind in DECLINED_KINDS or expected is None:
+            assert args is None, argv
+        else:
+            assert args is not None and vars(args) == expected, argv
+
+
+def test_main_reads_sys_argv_through_the_table_and_argparse(capsys, monkeypatch):
+    golden = (ROOT / "tests" / "golden" / "construct_small_5_4.stdout").read_text()
+    for argv in (["--compact", "construct", "small", "--p", "5", "--n1", "4"],
+                 ["--compact", "construct", "small", "--p=5", "--n", "4"]):
+        monkeypatch.setattr(sys, "argv", ["ddcrit", *argv])
+        assert main() == 0
+        assert capsys.readouterr().out == golden
+
+
+def test_import_builds_neither_the_parser_nor_the_table():
+    """Both are built on the first call of main, so importing the CLI costs
+    nothing more."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import ddcrit.cli as c; print(c._parser, c._table)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout == "None None\n"

@@ -135,8 +135,9 @@ BAD_ARGVS = [
 
 
 def test_one_process_many_calls():
-    """main keeps one parser per process: every case twice in a row,
-    with an argparse error after each, gives its golden bytes and code."""
+    """main keeps one parser and one parse table per process: every case
+    twice in a row, with an argparse error after each, gives its golden
+    bytes and code."""
     from ddcrit import cli
 
     for round_index in range(2):
@@ -144,9 +145,10 @@ def test_one_process_many_calls():
             stdout, code = run_case(case["argv"])
             assert code == case["exit_code"], case["name"]
             assert stdout == (GOLDEN / f"{case['name']}.stdout").read_bytes()
-            parser = cli._parser
+            parser, table = cli._parser, cli._table
+            assert table is not None
             assert run_case(BAD_ARGVS[(i + round_index) % len(BAD_ARGVS)]) == (b"", 2)
-            assert cli._parser is parser
+            assert cli._parser is parser and cli._table is table
 
 
 def record() -> None:

@@ -28,6 +28,8 @@ from ddcrit.poly import LaurentPoly, _embedding_map, embed
 from ddcrit.witt import (
     JumpProfile,
     WittVector,
+    _carries,
+    _carry_terms,
     different_degree,
     frobenius,
     gamma_congruence,
@@ -121,6 +123,32 @@ def test_sum_polys_match_sympy_recursion(p, n):
 def test_level_cap():
     with pytest.raises(LevelTooHigh):
         witt_sum_polys(3, 4)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_carries_are_the_sum_polynomials_in_the_first_slots(p):
+    """The two-variable recursion of ``_carries`` gives the terms of
+    c_j(A, B) = S_j(A, 0, 0; B, 0, 0) that ``witt_sum_polys`` gives, order
+    included, and ``_carry_terms`` spells each term of c_j(A, B) and of
+    c_j(A, -B) by the base-p digits of its exponents."""
+    sums = witt_sum_polys(p, 3)
+    for j in range(3):
+        terms = tuple(
+            (c, xe[0], ye[0]) for c, xe, ye in sums[j] if not any(xe[1:] + ye[1:])
+        )
+        assert _carries(p, 3)[j] == _carries(p, j + 1)[j] == terms
+        if not j:
+            continue
+        for negate in (False, True):
+            spelled = []
+            for c, factors in _carry_terms(p, j, negate):
+                exps = [0, 0]
+                for i, d in factors:
+                    exps[i % 2] += d * p ** (i // 2)
+                spelled.append((c, *exps))
+            assert spelled == [
+                (p - c if negate and b % 2 else c, a, b) for c, a, b in terms
+            ]
 
 
 def test_standard_form_enforces_the_level_cap_before_reducing():
