@@ -5,13 +5,12 @@ Subcommands map one-to-one onto library operations; all output is JSON
 or witness found, 1 = check failed or nothing found, 2 = invalid input,
 3 = stdout was closed before the answer was written.
 
-argparse (``build_parser``) defines the grammar, with its abbreviations,
-``--opt=value`` forms, negative values, help and usage errors.  An argv
-spelled out in full, ``[--compact] words (--opt value | --flag)*`` with exact
-option strings and no value starting with '-', skips argparse's per-call
-parse: the first call of ``main`` compiles a table off the parser's actions,
-defaults and subcommands, and parses such an argv from it into the namespace
-argparse would build (``_table_parse``).  Any other argv goes to argparse.
+``COMMANDS`` declares the grammar once.  ``build_parser`` builds argparse from
+it, with argparse's abbreviations, ``--opt=value`` forms, negative values,
+help and usage errors.  An argv spelled out in full, ``[--compact] words
+(--opt value | --flag)*`` with exact option strings and no value starting
+with '-', skips argparse: ``_fast_parse`` reads it off the declaration into
+the namespace argparse would build.  Only an argv it declines builds the parser.
 
 Input grammars:
   polynomial   ascending comma-separated integers, e.g. "1,0,2" = 1 + 2t^2
@@ -197,13 +196,6 @@ def _cmd_reduce_jumps(args) -> tuple[object, int]:
     return reduce_jumps(jumps, args.p, args.m), 0
 
 
-def _add_quadruple_args(sub):
-    sub.add_argument("--p", type=int, required=True)
-    sub.add_argument("--m", type=int, required=True)
-    sub.add_argument("--u", type=int, required=True, help="u~ of the quadruple")
-    sub.add_argument("--n1", type=int, required=True)
-
-
 class _JsonErrorParser(argparse.ArgumentParser):
     """An ArgumentParser whose usage errors, like every other invalid input,
     print an error JSON on stderr and exit 2.  ``add_subparsers`` makes the
@@ -211,6 +203,48 @@ class _JsonErrorParser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(2, json.dumps({"error": f"{self.prog}: {message}"}) + "\n")
+
+
+# -- the grammar (see the module docstring) ------------------------------------
+
+# the default of an option that must be given
+REQUIRED = object()
+
+_P, _M = ("--p", int, REQUIRED, None), ("--m", int, REQUIRED, None)
+_N1 = ("--n1", int, REQUIRED, None)
+_FIELD_DEGREE = ("--field-degree", int, 1, None)
+_QUADRUPLE = (_P, _M, ("--u", int, REQUIRED, "u~ of the quadruple"), _N1)
+
+# every command path with its help, its function and its options, each
+# (option string, type or None for a flag, default or REQUIRED, help), in
+# the order --help lists them
+COMMANDS = (
+    (("check",), "certify a given f", _cmd_check,
+     (*_QUADRUPLE, _FIELD_DEGREE, ("--f", str, REQUIRED, "ascending coefficients"))),
+    (("search",), "pruned complete witness search", _cmd_search,
+     (*_QUADRUPLE, _FIELD_DEGREE, ("--isolated", None, False, None),
+      ("--budget", float, None, "seconds >= 0 for the DFS nodes; certifying a "
+       "leaf and rendering the winner are not bounded"))),
+    (("plan",), "quadruples, profiles and radii", _cmd_plan,
+     (_P, _M, ("--n", int, REQUIRED, None))),
+    (("construct", "small"), "(p, 2, 1, N1) for N1 in {p-1, p-3}", _cmd_construct,
+     (_P, _N1)),
+    (("construct", "trace"), "(p, m, u~, (p-1)u~) from roots of unity",
+     _cmd_construct, (_P, _M, ("--u", int, REQUIRED, None))),
+    (("construct", "d9"), "the four certificates behind D_9", _cmd_construct, ()),
+    (("witt", "breaks"), "standard form and breaks", _cmd_witt_breaks,
+     (_P, _FIELD_DEGREE,
+      ("--entries", str, REQUIRED, "semicolon-separated laurent strings"))),
+    (("reduce-jumps",), "remove essential ramification", _cmd_reduce_jumps,
+     (_P, _M, ("--jumps", str, REQUIRED, "comma-separated"))),
+)
+
+# the first word of each two-word command path: its help and the namespace
+# attribute that holds the second word
+GROUPS = {
+    "construct": ("closed-form witnesses", "family"),
+    "witt": ("Witt-vector utilities", "witt_command"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,208 +255,94 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--compact", action="store_true", help="single-line JSON output"
     )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    check = subs.add_parser("check", help="certify a given f")
-    _add_quadruple_args(check)
-    check.add_argument("--field-degree", type=int, default=1)
-    check.add_argument("--f", required=True, help="ascending coefficients")
-    check.set_defaults(fn=_cmd_check)
-
-    search = subs.add_parser("search", help="pruned complete witness search")
-    _add_quadruple_args(search)
-    search.add_argument("--field-degree", type=int, default=1)
-    search.add_argument("--isolated", action="store_true")
-    search.add_argument("--budget", type=float, default=None, help="seconds >= 0 "
-                        "for the DFS nodes; certifying a leaf and rendering the "
-                        "winner are not bounded")
-    search.set_defaults(fn=_cmd_search)
-
-    plan = subs.add_parser("plan", help="quadruples, profiles and radii")
-    plan.add_argument("--p", type=int, required=True)
-    plan.add_argument("--m", type=int, required=True)
-    plan.add_argument("--n", type=int, required=True)
-    plan.set_defaults(fn=_cmd_plan)
-
-    construct = subs.add_parser("construct", help="closed-form witnesses")
-    families = construct.add_subparsers(dest="family", required=True)
-    for family, options, help_text in (
-        ("small", ("--p", "--n1"), "(p, 2, 1, N1) for N1 in {p-1, p-3}"),
-        ("trace", ("--p", "--m", "--u"), "(p, m, u~, (p-1)u~) from roots of unity"),
-        ("d9", (), "the four certificates behind D_9"),
-    ):
-        family_parser = families.add_parser(family, help=help_text)
-        for option in options:
-            family_parser.add_argument(option, type=int, required=True)
-        family_parser.set_defaults(fn=_cmd_construct)
-
-    witt = subs.add_parser("witt", help="Witt-vector utilities")
-    witt_subs = witt.add_subparsers(dest="witt_command", required=True)
-    breaks = witt_subs.add_parser("breaks", help="standard form and breaks")
-    breaks.add_argument("--p", type=int, required=True)
-    breaks.add_argument("--field-degree", type=int, default=1)
-    breaks.add_argument(
-        "--entries", required=True, help="semicolon-separated laurent strings"
-    )
-    breaks.set_defaults(fn=_cmd_witt_breaks)
-
-    reduce_cmd = subs.add_parser("reduce-jumps", help="remove essential ramification")
-    reduce_cmd.add_argument("--p", type=int, required=True)
-    reduce_cmd.add_argument("--m", type=int, required=True)
-    reduce_cmd.add_argument("--jumps", required=True, help="comma-separated")
-    reduce_cmd.set_defaults(fn=_cmd_reduce_jumps)
-
+    subs = {(): parser.add_subparsers(dest="command", required=True)}
+    for path, help_text, _, options in COMMANDS:
+        if path[:-1] not in subs:
+            group_help, dest = GROUPS[path[0]]
+            subs[path[:-1]] = subs[()].add_parser(path[0], help=group_help) \
+                .add_subparsers(dest=dest, required=True)
+        command = subs[path[:-1]].add_parser(path[-1], help=help_text)
+        for option, kind, default, option_help in options:
+            command.add_argument(
+                option, help=option_help,
+                **({"action": "store_true"} if kind is None else {"type": kind}),
+                **({"required": True} if default is REQUIRED else {"default": default}))
     return parser
 
 
-# -- parse table (see the module docstring) -----------------------------------
+def _command_grammar(path, options):
+    """{option string: (dest, type or None)} and the namespace argparse
+    starts a command with, REQUIRED standing for a required option's."""
+    defaults = {"command": path[0]}
+    if len(path) == 2:
+        defaults[GROUPS[path[0]][1]] = path[1]
+    types = {}
+    for option, kind, default, _ in options:
+        dest = option[2:].replace("-", "_")
+        types[option] = dest, kind
+        defaults[dest] = default
+    return types, defaults
 
 
-def _level(parser: argparse.ArgumentParser):
-    """One parser as the parse table reads it, off its actions and
-    ``set_defaults``: its options (option string -> Action), the namespace
-    parse_args starts it with, its required option Actions and its
-    subparsers action or None.  None if the parser takes what the table does
-    not follow: another prefix character, argument files, mutually exclusive
-    options, positionals other than one subparsers action, or a str default
-    its type would convert.  The options are the exact strings of its store,
-    store_const and store_true/false actions of one value or none, without
-    choices; any other option is left out, so an argv that uses it goes to
-    argparse."""
-    registry = parser._registry_get
-    positionals = [a for a in parser._actions if not a.option_strings]
-    subparsers = positionals[0] if positionals else None
-    if (parser.prefix_chars != "-" or parser.fromfile_prefix_chars
-            or parser._mutually_exclusive_groups or len(positionals) > 1
-            or (subparsers and type(subparsers) is not registry("action", "parsers"))
-            or any(isinstance(a.default, str) and a.type is not None
-                   for a in parser._actions)):
+_GRAMMAR = {path: _command_grammar(path, options) for path, _, _, options in COMMANDS}
+_FUNCTIONS = {path: fn for path, _, fn, _ in COMMANDS}
+
+
+def _fast_parse(argv) -> argparse.Namespace | None:
+    """The Namespace parse_args returns for an argv of the exact shape
+    [--compact] words (--opt value | --flag)*, with no value starting with
+    '-' and every required option given, or None for any other argv."""
+    start = 1 if argv and argv[0] == "--compact" else 0
+    i = start
+    while i < len(argv) and argv[i][:1] != "-":
+        i += 1
+    grammar = _GRAMMAR.get(tuple(argv[start:i]))
+    if grammar is None:
         return None
-    kinds = {registry("action", kind)
-             for kind in ("store", "store_const", "store_true", "store_false")}
-    options = {
-        option: action
-        for action in parser._actions
-        if type(action) in kinds and action.choices is None
-        and not getattr(action, "deprecated", False)
-        and (action.nargs == 0 or (action.nargs is None
-                                   and (action.type is None or callable(action.type))))
-        for option in action.option_strings
-    }
-    defaults = {}
-    for action in parser._actions:
-        if action.dest is not argparse.SUPPRESS and (
-                action.default is not argparse.SUPPRESS):
-            defaults.setdefault(action.dest, action.default)
-    for dest, value in parser._defaults.items():
-        defaults.setdefault(dest, value)
-    required = tuple(a for a in parser._actions if a.required and a.option_strings)
-    return options, defaults, required, subparsers
-
-
-def _leaves(subparsers, path: tuple):
-    """(path, (options, defaults, required)) for every leaf command below a
-    subparsers action, the defaults being what argparse sets in the
-    namespace above it: the command word, then each sub-namespace, defaults
-    and all, over the one above it; the required Actions are those of every
-    level below."""
-    dest, skipped = subparsers.dest, getattr(subparsers, "_deprecated", ())
-    for word, parser in subparsers.choices.items():
-        if word in skipped or (level := _level(parser)) is None:
-            continue
-        options, defaults, required, below = level
-        head = {} if dest is argparse.SUPPRESS else {dest: word}
-        if below is None:
-            yield path + (word,), (options, head | defaults, required)
-            continue
-        for leaf_path, (leaf_options, leaf_defaults, leaf_required) in _leaves(
-                below, path + (word,)):
-            yield leaf_path, (leaf_options, head | defaults | leaf_defaults,
-                              required + leaf_required)
-
-
-def _compile(parser: argparse.ArgumentParser):
-    """The parse table: the top parser's options and defaults, and {leaf
-    command path: (options, defaults, required)}; None if the top parser has
-    no subcommands to look up."""
-    if (top := _level(parser)) is None:
-        return None
-    options, defaults, required, subparsers = top
-    if subparsers is None:
-        return None
-    return options, defaults, {
-        path: (leaf_options, leaf_defaults, required + leaf_required)
-        for path, (leaf_options, leaf_defaults, leaf_required)
-        in _leaves(subparsers, ())
-    }
-
-
-def _read_options(options: dict, argv, i: int, values: dict, seen: set) -> int:
-    """Read ``--opt value`` and ``--flag`` from argv[i] on into values, as
-    long as each word is one of options; return the index of the first word
-    that is not, or -1 for a value that is missing, starts with '-' or fails
-    its type."""
-    while i < len(argv) and (action := options.get(argv[i])) is not None:
-        if action.nargs == 0:
-            values[action.dest] = action.const
+    options, defaults = grammar
+    values = dict(defaults, compact=start == 1)
+    while i < len(argv):
+        if (option := options.get(argv[i])) is None:
+            return None
+        dest, kind = option
+        if kind is None:
+            values[dest] = True
             i += 1
-        else:
-            if i + 1 == len(argv) or argv[i + 1][:1] == "-":
-                return -1
-            try:
-                value = argv[i + 1] if action.type is None else action.type(argv[i + 1])
-            except (argparse.ArgumentTypeError, TypeError, ValueError):
-                return -1
-            values[action.dest] = value
-            i += 2
-        seen.add(action)
-    return i
-
-
-def _table_parse(table, argv) -> argparse.Namespace | None:
-    """The Namespace parse_args returns for an argv of the exact shape [top
-    options] words (--opt value | --flag)*, or None for any other argv."""
-    top_options, values, leaves = table
-    values = dict(values)
-    seen: set = set()
-    start = _read_options(top_options, argv, 0, values, seen)
-    if start < 0:
-        return None
-    end = start
-    while end < len(argv) and argv[end][:1] != "-":
-        end += 1
-    leaf = leaves.get(tuple(argv[start:end]))
-    if leaf is None:
-        return None
-    options, defaults, required = leaf
-    values.update(defaults)
-    if (_read_options(options, argv, end, values, seen) != len(argv)
-            or not seen.issuperset(required)):
+            continue
+        if i + 1 == len(argv) or argv[i + 1][:1] == "-":
+            return None
+        try:
+            values[dest] = kind(argv[i + 1])
+        except (TypeError, ValueError):
+            return None
+        i += 2
+    if REQUIRED in values.values():
         return None
     return argparse.Namespace(**values)
 
 
-# built on the first call of main and shared by the later ones: parse_args
-# leaves the parser as it found it, and the table is read off it
+# built when _fast_parse first declines an argv and shared by the later
+# calls: parse_args leaves the parser as it found it
 _parser: argparse.ArgumentParser | None = None
-_table: tuple | None = None
 
 
 def main(argv=None) -> int:
-    global _parser, _table
-    if _parser is None:
-        _parser = build_parser()
-        _table = _compile(_parser)
+    global _parser
     if argv is None:
         argv = sys.argv[1:]
-    args = _table_parse(_table, argv) if _table else None
+    args = _fast_parse(argv)
     if args is None:
+        if _parser is None:
+            _parser = build_parser()
         try:
             args = _parser.parse_args(argv)
         except SystemExit as exc:
             return 2 if exc.code not in (0, None) else 0
+    path = (args.command,)
+    if args.command in GROUPS:
+        path += (getattr(args, GROUPS[args.command][1]),)
     try:
-        payload, code = args.fn(args)
+        payload, code = _FUNCTIONS[path](args)
         # rendering can fail too: an int of over 4300 digits raises ValueError
         text = _dump(payload, args.compact)
     except (DdcritError, ValueError, TypeError) as exc:

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 import time
 
 import pytest
@@ -488,7 +489,7 @@ def test_byte_stable_output(capsys):
     assert first == second
 
 
-# -- parse table ---------------------------------------------------------------
+# -- fast parse ----------------------------------------------------------------
 
 ROOT = pathlib.Path(__file__).parent.parent
 CATALOG_ARGVS = [
@@ -498,9 +499,13 @@ CATALOG_ARGVS = [
     for jobs in [*spec["classes"].values(), spec.get("known_defect_probes", [])]
     for job in jobs
 ]
-WELL_FORMED = [case["argv"] for case in GOLDEN_CASES] + [
-    ["--compact", *case["argv"]] for case in GOLDEN_CASES
-] + CATALOG_ARGVS
+# the declared options no golden or catalog argv gives
+COVERAGE_ARGVS = [
+    ["search", "--p", "3", "--m", "2", "--u", "1", "--n1", "2", "--budget", "5"],
+    ["witt", "breaks", "--p", "3", "--field-degree", "2", "--entries", "t^-5"],
+]
+SPELLED_OUT = [case["argv"] for case in GOLDEN_CASES] + COVERAGE_ARGVS
+WELL_FORMED = SPELLED_OUT + [["--compact", *argv] for argv in SPELLED_OUT] + CATALOG_ARGVS
 
 
 def _options(argv):
@@ -519,20 +524,28 @@ def _variants(argv):
         if len(option) > 3:
             yield "abbreviated", [*argv[:i], option[:-1], *argv[i + 1:]]
         if _takes_value(argv, i):
-            yield "equals", [*argv[:i], f"{option}={argv[i + 1]}", *argv[i + 2:]]
+            value = argv[i + 1]
+            yield "equals", [*argv[:i], f"{option}={value}", *argv[i + 2:]]
             for negative in ("-1", "-inf"):
                 yield "negative", [*argv[:i + 1], negative, *argv[i + 2:]]
-            yield "duplicated", [*argv, option, argv[i + 1]]
+            yield "duplicated", [*argv, option, value]
             yield "missing", [*argv[:i], *argv[i + 2:]]
             yield "dashes", [*argv[:i + 1], "--", *argv[i + 1:]]
+            yield "no value", [*argv, option]
+            yield "empty", [*argv[:i + 1], "", *argv[i + 2:]]
+            for padded in (f" {value}", f"{value} "):
+                yield "padded", [*argv[:i + 1], padded, *argv[i + 2:]]
         else:
             yield "duplicated", [*argv, option]
             yield "missing", [*argv[:i], *argv[i + 1:]]
+            yield "flag value", [*argv[:i + 1], "1", *argv[i + 1:]]
     words = [w for w in argv if w != "--compact"]
     yield "unknown", [*argv, "--no-such-option", "1"]
     yield "unknown", [*argv, "--no-such-flag"]
     yield "compact after", [*words[:1], "--compact", *words[1:]]
     yield "compact after", [*words, "--compact"]
+    yield "compact twice", ["--compact", "--compact", *words]
+    yield "flag value", ["--compact", "1", *words]
     yield "stray", [*argv, "extra"]
     yield "stray", [*argv[:1], "extra", *argv[1:]]
     yield "dashes", [*argv, "--"]
@@ -541,10 +554,10 @@ def _variants(argv):
     yield "help", ["-h", *argv]
 
 
-# the kinds of argv the table leaves to argparse, whatever argparse does
+# the kinds of argv the fast parse leaves to argparse, whatever argparse does
 DECLINED_KINDS = {
-    "abbreviated", "equals", "negative", "unknown", "compact after", "stray",
-    "dashes", "help",
+    "abbreviated", "equals", "negative", "unknown", "compact after",
+    "compact twice", "stray", "dashes", "help",
 }
 
 
@@ -558,31 +571,31 @@ def _argparse_vars(parser, argv):
             return None
 
 
-def test_table_parses_every_golden_and_catalog_argv_as_argparse_does():
+def test_fast_parse_parses_every_golden_and_catalog_argv_as_argparse_does():
     parser = cli.build_parser()
-    table = cli._compile(parser)
     for argv in WELL_FORMED:
-        args = cli._table_parse(table, argv)
+        args = cli._fast_parse(argv)
         assert args is not None, argv
         assert vars(args) == _argparse_vars(parser, argv), argv
 
 
-def test_table_declines_what_it_does_not_parse_as_argparse_does():
-    """Around every golden argv: the table declines every argv argparse
-    rejects and every kind in DECLINED_KINDS, and parses the others (a
-    duplicated option, last value first, or a missing optional one) as
-    argparse does."""
+def test_fast_parse_declines_what_it_does_not_parse_as_argparse_does():
+    """Around every spelled-out argv: the fast parse declines every argv
+    argparse rejects and every kind in DECLINED_KINDS, and parses the
+    others (a duplicated option, last value first, a missing optional one,
+    an empty or padded value) as argparse does."""
     parser = cli.build_parser()
-    table = cli._compile(parser)
     argvs = [(kind, variant)
-             for case in GOLDEN_CASES
-             for kind, variant in _variants(["--compact", *case["argv"]])]
+             for argv in SPELLED_OUT
+             for kind, variant in _variants(["--compact", *argv])]
     argvs += [("bad", argv) for argv in BAD_ARGVS]
     argvs += [("help", [*command, "--help"])
               for command in ([], ["construct"], ["witt", "breaks"])]
     argvs += [("bad", argv) for argv in ([], ["--compact"], ["construct"], [""])]
+    assert {kind for kind, _ in argvs} >= {
+        "no value", "empty", "padded", "flag value", "compact twice"}
     for kind, argv in argvs:
-        args = cli._table_parse(table, argv)
+        args = cli._fast_parse(argv)
         expected = _argparse_vars(parser, argv)
         if kind in DECLINED_KINDS or expected is None:
             assert args is None, argv
@@ -590,7 +603,18 @@ def test_table_declines_what_it_does_not_parse_as_argparse_does():
             assert args is not None and vars(args) == expected, argv
 
 
-def test_main_reads_sys_argv_through_the_table_and_argparse(capsys, monkeypatch):
+def test_every_declared_option_occurs_in_the_equivalence_corpus():
+    declared = {(path, option)
+                for path, _, _, options in cli.COMMANDS for option, *_ in options}
+    given = set()
+    for argv in WELL_FORMED:
+        words = argv[1:] if argv[0] == "--compact" else argv
+        end = next((i for i, w in enumerate(words) if w.startswith("-")), len(words))
+        given |= {(tuple(words[:end]), w) for w in words[end:] if w.startswith("--")}
+    assert declared - given == set()
+
+
+def test_main_reads_sys_argv_through_the_fast_parse_and_argparse(capsys, monkeypatch):
     golden = (ROOT / "tests" / "golden" / "construct_small_5_4.stdout").read_text()
     for argv in (["--compact", "construct", "small", "--p", "5", "--n1", "4"],
                  ["--compact", "construct", "small", "--p=5", "--n", "4"]):
@@ -599,16 +623,43 @@ def test_main_reads_sys_argv_through_the_table_and_argparse(capsys, monkeypatch)
         assert capsys.readouterr().out == golden
 
 
-def test_import_builds_neither_the_parser_nor_the_table():
-    """Both are built on the first call of main, so importing the CLI costs
-    nothing more."""
+def _fresh_python(code, stdin=""):
+    """stdout of a fresh interpreter that runs code with src on its path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import ddcrit.cli as c; print(c._parser, c._table)"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert proc.stdout == "None None\n"
+    proc = subprocess.run([sys.executable, "-c", code], input=stdin, env=env,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout
+
+
+def test_import_builds_no_parser():
+    """The parser is built when the fast parse first declines an argv, so
+    importing the CLI costs nothing more."""
+    assert _fresh_python("import ddcrit.cli as c; print(c._parser)") == "None\n"
+
+
+def test_a_spelled_out_argv_never_builds_the_parser():
+    """In a fresh interpreter, main on every golden argv leaves no parser;
+    the first argv the fast parse declines builds it and a second one
+    reuses it."""
+    code = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from ddcrit import cli
+        argvs, declined = json.load(sys.stdin)
+        with contextlib.redirect_stdout(io.StringIO()), \\
+                contextlib.redirect_stderr(io.StringIO()):
+            for argv in argvs:
+                cli.main(argv)
+            built = [cli._parser is None]
+            for argv in declined:
+                assert cli.main(argv) == 0
+                built.append(cli._parser)
+        print(built[0], built[1] is not None, built[2] is built[1])
+    """)
+    argvs = [case["argv"] for case in GOLDEN_CASES]
+    argvs += [["--compact", *argv] for argv in argvs]
+    declined = [["construct", "small", "--p=5", "--n", "4"],
+                ["construct", "small", "--p", "5", "--n", "4"]]
+    assert _fresh_python(code, json.dumps([argvs, declined])) == "True True True\n"
