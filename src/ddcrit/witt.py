@@ -13,15 +13,15 @@ form, (low, k int columns) (see "column form" below): ``witt_add``,
 ``witt_sub`` and ``wp`` convert at their boundary, and ``standard_form``
 keeps its working vector and adjustment in that form from start to end,
 building FieldElements and LaurentPolys only for its result.  An
-addition is the Teichmüller decomposition (``_add``): each slot sums
-entries and carries c_j(A, B) = S_j(A, 0, ...; B, 0, ...), two-variable
-polynomials from their own ghost recursion (``_carries``).  Over F_p a
-carry is one exact pass on packed ints, a p^s-th power of an entry being
-the entry spread p^s slots apart, reduced mod p once; over F_{p^k},
-k >= 2, its terms multiply in column form.  Frobenius, the p-th root, the lift
-into a degree-p extension and x -> x^p - x are F_p-linear, so each is a
-matrix cached per field, the first three in ``gf`` and ``poly``, and
-applied to whole columns.
+addition at any level is the Teichmüller recursion x + y = (x0 + y0,
+*(c + (x' + y'))) (``_add``), c the carries c_j(x0, y0) = S_j(x0, 0,
+...; y0, 0, ...), two-variable polynomials from their own ghost
+recursion (``_carries``).  Over F_p a carry is one exact pass on packed
+ints, a p^s-th power of an entry being the entry spread p^s slots apart,
+reduced mod p once; over F_{p^k}, k >= 2, its terms multiply in column
+form.  Frobenius, the p-th root, the lift into a degree-p extension and
+x -> x^p - x are F_p-linear, so each is a matrix cached per field, the
+first three in ``gf`` and ``poly``, and applied to whole columns.
 """
 
 from __future__ import annotations
@@ -245,39 +245,37 @@ def _frobenius_entry(spec: FieldSpec, entry):
 
 def _add(spec: FieldSpec, x: tuple, y: tuple, negate: bool) -> tuple:
     """x + y, or x - y when negate is set, for two tuples of column-form
-    entries of one level over spec: the one Witt addition.
-
-    It is the Teichmüller decomposition x + y = ([x0] + [y0]) + V(x' + y')
-    (Serre, Local Fields, II §6), with [a] = (a, 0, 0) and x' = (x1, x2).
-    By ghosts, [x0] + [y0] = (x0 + y0, c_1(x0, y0), c_2(x0, y0)) with the
-    carries c_j(A, B) = S_j(A, 0, 0; B, 0, 0) (``_carry``), and (a0, a1, a2)
-    + (0, b1, b2) = (a0, a1 + b1, a2 + b2 + c_1(a1, b1)).  So with z0 =
-    x1 + y1:
-        slot 0 = x0 + y0,
-        slot 1 = c_1(x0, y0) + z0,
-        slot 2 = x2 + y2 + c_1(x1, y1) + c_2(x0, y0) + c_1(c_1(x0, y0), z0),
-    each slot one ``_column_sum``.  x - y adds -y, which for odd p is
-    coordinatewise: y_i takes the coefficient p - 1, and a carry of (x_i,
-    y_i) the sign (-1)^b on each of its terms c A^a B^b.  Levels above
-    MAX_LEVEL raise LevelTooHigh, as ``witt_sum_polys`` does.
-    """
+    entries of one level over spec: the one Witt addition.  ``_sum`` gives
+    the last slot as its summands, summed here, so that slot is one
+    ``_column_sum``.  Levels above MAX_LEVEL raise LevelTooHigh."""
     if len(x) > MAX_LEVEL:
         raise LevelTooHigh(f"truncation level {len(x)} exceeds the cap {MAX_LEVEL}")
+    top: list = []
+    return (*_sum(spec, x, y, negate, top), _column_sum(top, spec))
+
+
+def _sum(spec: FieldSpec, x, y, negate: bool, top: list) -> list:
+    """The slots of x + y (``_add``) but the last, which is linear in those
+    of x and y: its summands (c, e) go to top.  y may lack its last slot,
+    which is then zero.  By the Teichmüller decomposition x = [x0] + V(x')
+    (Serre, Local Fields, II §6) and [x0] + [y0] = (x0 + y0, c_1, ...,
+    c_{n-1}), c_j = c_j(x0, y0) (``_carry``), x + y = (x0 + y0, *((c_1,
+    ..., c_{n-1}) + (x' + y'))): two sums one level down, the carries
+    skipped when x0 or y0 is zero, as they are then.  x - y adds -y, which
+    for odd p is coordinatewise: y_i takes the coefficient p - 1, and a
+    carry of (x0, y0) the sign (-1)^b on each of its terms c A^a B^b."""
     sign = spec.p - 1 if negate else 1
-    out = [_column_sum([(1, x[0]), (sign, y[0])], spec)]
-    if len(x) > 1:
-        c1 = _carry(spec, 1, x[0], y[0], negate)
-        z0 = _column_sum([(1, x[1]), (sign, y[1])], spec)
-        out.append(_column_sum([(1, c1), (1, z0)], spec))
-    if len(x) > 2:
-        out.append(_column_sum([
-            (1, x[2]),
-            (sign, y[2]),
-            (1, _carry(spec, 1, x[1], y[1], negate)),
-            (1, _carry(spec, 2, x[0], y[0], negate)),
-            (1, _carry(spec, 1, c1, z0, False)),
-        ], spec))
-    return tuple(out)
+    if len(x) == 1:
+        top.append((1, x[0]))
+        if y:
+            top.append((sign, y[0]))
+        return []
+    head = _column_sum([(1, x[0]), (sign, y[0])], spec)
+    rest = _sum(spec, x[1:], y[1:], negate, top)
+    if x[0][1][0] and y[0][1][0]:
+        carries = [_carry(spec, j, x[0], y[0], negate) for j in range(1, len(x))]
+        rest = _sum(spec, carries, rest, False, top)
+    return [head, *rest]
 
 
 @functools.lru_cache(maxsize=None)
@@ -317,14 +315,12 @@ def _carry_terms(p: int, j: int, negate: bool) -> tuple:
 
 
 def _carry(spec: FieldSpec, j: int, a: tuple, b: tuple, negate: bool) -> tuple:
-    """c_j(a, b), or c_j(a, -b) when negate is set, for column-form entries
-    a and b over spec: zero when a or b is, else the sum of the terms of
-    ``_carry_terms`` on a, b and their Frobenius images.  Over F_p it is one
-    ``_packed_sum``.  Over F_{p^k}, k >= 2, the powers of each X_i are a
-    chain of ``kronecker_columns`` products, grown on use, a term is their
-    product, and the terms add up by ``_column_sum``."""
-    if not (a[1][0] and b[1][0]):
-        return _zero(spec.k)
+    """c_j(a, b), or c_j(a, -b) when negate is set, for nonzero column-form
+    entries a and b over spec: the sum of the terms of ``_carry_terms`` on
+    a, b and their Frobenius images.  Over F_p it is one ``_packed_sum``.
+    Over F_{p^k}, k >= 2, the powers of each X_i are a chain of
+    ``kronecker_columns`` products, grown on use, a term is their product,
+    and the terms add up by ``_column_sum``."""
     terms = _carry_terms(spec.p, j, negate)
     bases = [a, b]
     while len(bases) < 2 * j:

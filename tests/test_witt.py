@@ -355,6 +355,63 @@ def test_witt_add_matches_the_sum_polynomials(p, k, levels):
             assert witt_sub(v, w).entries == negated.entries
 
 
+@pytest.mark.parametrize(
+    "p, k, n", [(3, 1, 4), (3, 1, 5), (3, 2, 4), (5, 1, 4)],
+    ids=["F3-4", "F3-5", "F9-4", "F5-4"],
+)
+def test_addition_above_the_level_cap_matches_the_ghost_oracle(monkeypatch, p, k, n):
+    """With the cap lifted, ``witt_add`` and ``witt_sub`` at levels 4 and 5
+    return every slot and agree with the ghost oracle, on random entries
+    and on entries whose every coefficient is p - 1: one recursion serves
+    every level."""
+    monkeypatch.setattr(ddcrit.witt, "MAX_LEVEL", 5)
+    spec = make_field(p, k)
+    modulus = list(spec.modulus)
+    rng = random.Random(100 * p + 10 * k + n)
+    pairs = [
+        (
+            random_vector(rng, spec, n, max_terms=1),
+            random_vector(rng, spec, n, max_terms=1),
+        )
+        for _ in range(2)
+    ]
+    pairs += [(full_vector(spec, n, 1), full_vector(spec, n, 2))]
+    pairs += [(full_vector(spec, n, 2), full_vector(spec, n, 2))]
+    for v, w in pairs:
+        total, difference = witt_add(v, w), witt_sub(v, w)
+        assert total.level == difference.level == n
+        assert ghosts_agree(v, w, total, p, modulus)
+        assert ghosts_agree(difference, w, v, p, modulus)
+
+
+@pytest.mark.parametrize(
+    "k, counts",
+    [
+        (1, {"add": (4, 4, 4), "sub": (4, 3, 3), "wp": (4, 4, 4)}),
+        (2, {"add": (8, 4, 0), "sub": (7, 3, 0), "wp": (8, 4, 0)}),
+    ],
+    ids=["F3", "F9"],
+)
+def test_level3_addition_sums_each_slot_once(monkeypatch, k, counts):
+    """A level-3 sum, difference and wp of full entries make as many
+    ``_column_sum``, ``_carry`` and ``_packed_sum`` calls as the slot
+    formula x + y = (x0 + y0, c_1(x0, y0) + z0, x2 + y2 + c_1(x1, y1) +
+    c_2(x0, y0) + c_1(c_1(x0, y0), z0)), z0 = x1 + y1, whose last slot is
+    one sum.
+    Over F_9 each carry sums its terms by one more ``_column_sum``; v - v
+    skips the carry of the zero z0."""
+    spec = make_field(3, k)
+    v = full_vector(spec, 3, 2)
+    names = ("_column_sum", "_carry", "_packed_sum")
+    calls = _count_calls(monkeypatch, names)
+    for label, fn, args in (
+        ("add", witt_add, (v, v)), ("sub", witt_sub, (v, v)), ("wp", wp, (v,))
+    ):
+        calls.clear()
+        fn(*args)
+        assert tuple(calls[name] for name in names) == counts[label], label
+
+
 def test_addition_enforces_the_level_cap():
     """A sum, a difference or wp of level 4 raises LevelTooHigh, as the
     addition polynomials of that level do."""
