@@ -28,9 +28,9 @@ import re
 import sys
 
 from .cartier import Quadruple
-from .construct import construct_small, construct_trace, d9_witnesses
+from .construct import DEFAULT_DEGREE_CAP, construct_small, construct_trace, d9_witnesses
 from .criterion import certify, certify_data
-from .errors import DdcritError
+from .errors import DdcritError, ExtensionCapExceeded
 from .gf import make_field
 from .planner import profiles_for_group, quadruples_for_group, step_radii
 from .poly import LaurentPoly, Poly
@@ -108,9 +108,20 @@ def _quadruple(args) -> Quadruple:
     return Quadruple(args.p, args.m, args.u, args.n1)
 
 
+def _field(args):
+    """F_{p^k} for k = --field-degree, refused above the degree cap that
+    ``construct`` has, before any modulus scan: the scan for a large k
+    runs unbounded."""
+    if args.field_degree > DEFAULT_DEGREE_CAP:
+        raise ExtensionCapExceeded(
+            f"--field-degree {args.field_degree} exceeds the cap {DEFAULT_DEGREE_CAP}"
+        )
+    return make_field(args.p, args.field_degree)
+
+
 def _cmd_check(args) -> tuple[object, int]:
     q = _quadruple(args)
-    spec = make_field(args.p, args.field_degree)
+    spec = _field(args)
     f = parse_poly(spec, args.f)
     cert = certify(q, f)
     return cert.to_json(), 0 if cert.all_ok else 1
@@ -166,7 +177,7 @@ def _cmd_construct(args) -> tuple[object, int]:
 
 
 def _cmd_witt_breaks(args) -> tuple[object, int]:
-    spec = make_field(args.p, args.field_degree)
+    spec = _field(args)
     parts = args.entries.split(";")
     # each entry is read once, last first, and its exponents bounded before
     # any entry is built

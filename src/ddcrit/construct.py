@@ -71,17 +71,20 @@ def construct_trace(
     spec = make_field(p, degree)
     zeta = root_of_unity(spec, big_m)
     # x = zeta^i has x^(-u) = step^i, and step has order p^(nu+1) - 1, so
-    # x^(-u) lies in F_{p^(nu+1)}: each trace is taken once, untested
-    step = zeta ** (-q.u)
+    # x^(-u) lies in F_{p^(nu+1)}: each trace is taken once, untested.  The
+    # walk runs on stored values, keyed by the value of x
+    ops = spec._ops
+    mul, zero = ops.mul, ops.zero
+    z, step = zeta.v, (zeta ** (-q.u)).v
     trace_of = {}
-    x = y = spec.one()
+    x = y = ops.one
     for _ in range(big_m):
-        trace_of[x] = subfield_trace(y, q.nu + 1)
-        x, y = x * zeta, y * step
-    kept = [x for x, trace in trace_of.items() if trace]
+        trace_of[x] = subfield_trace(ops, y, q.nu + 1)
+        x, y = mul(x, z), mul(y, step)
+    kept = spec.from_values([x for x, trace in trace_of.items() if trace != zero])
     reps = mu_m_orbit_reps(kept, m, spec)
-    residues = tuple((-trace_of[x]).prime_int() for x in reps)
-    return ResidueData(q, degree, tuple(reps), residues)
+    residues = spec.from_values([ops.neg(trace_of[x.v]) for x in reps])
+    return ResidueData(q, degree, tuple(reps), tuple(a.prime_int() for a in residues))
 
 
 # mu_2 orbit reps, as coefficient vectors over the canonical F_{3^D}, and

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 from .cartier import Quadruple, ddc_check, validate_shape
 from .errors import (
@@ -26,8 +27,10 @@ from .errors import (
 from .gf import FieldElement, FieldSpec, make_field, prime_factors
 from .poly import (
     Poly,
-    _mu_m,
+    _from_values,
+    _mu_m_values,
     _powmod,
+    _values,
     embed,
     embed_poly,
     orbit_reps_in_splitting_field,
@@ -133,6 +136,14 @@ def _series_inverse(coeffs, length: int) -> list:
     return list((power // rev).coeffs[::-1])
 
 
+def _power(ops, v, e: int):
+    """v^e on stored values for e >= 0, as ``FieldElement.__pow__`` takes
+    it: the bundle's ``pow`` wants a nonzero base, and 0^0 = 1."""
+    if v != ops.zero:
+        return ops.pow(v, e)
+    return ops.zero if e else ops.one
+
+
 def _checked_reps(q: Quadruple, big_f: Poly, known: ResidueData):
     """(K, reps) from the splitting degree K and reps of ``known`` if they
     are exactly what ``orbit_reps_in_splitting_field(f, m)`` returns for
@@ -152,27 +163,32 @@ def _checked_reps(q: Quadruple, big_f: Poly, known: ResidueData):
     big = make_field(p, degree)
     if degree % k or len(reps) != big_f.degree or any(x.spec != big for x in reps):
         return None
-    keys = [x.sort_key() for x in reps]
-    if any(a >= b for a, b in zip(keys, keys[1:])):
+    # the checks run on stored values, which sort as the elements do
+    ops = big._ops
+    mul, frobenius = ops.mul, ops.frobenius
+    values = [x.v for x in reps]
+    if any(a >= b for a, b in zip(values, values[1:])):
         return None
-    mu_m = _mu_m(p, m)
-    if any((x * w).sort_key() < key for x, key in zip(reps, keys) for w in mu_m):
+    mu_m = _mu_m_values(big, m)
+    if any(mul(v, w) < v for v in values for w in mu_m):
         return None
-    # F(y^q) = F(y)^q over F_q: one evaluation per orbit of y -> y^q
-    q_order, seen = big_f.spec.order, set()
+    # F(y^q) = F(y)^q over F_q: one evaluation per orbit of y -> y^q, the
+    # q-th power as k Frobenius steps
+    seen = set()
     big_f = embed_poly(big_f, big)
-    for x in reps:
-        y = x**m
+    for v in values:
+        y = _power(ops, v, m)
         if y in seen:
             continue
-        if big_f.evaluate(y):
+        if big_f.evaluate(big.from_values([y])[0]):
             return None
         while y not in seen:
             seen.add(y)
-            y = y**q_order
+            for _ in range(k):
+                y = frobenius(y)
     for r in prime_factors(degree // k):
         sub = p ** (degree // r)
-        if all(x**sub == x for x in reps):
+        if all(_power(ops, v, sub) == v for v in values):
             return None
     return degree, reps
 
@@ -300,14 +316,17 @@ def isolation_check(rd: ResidueData, f: Poly):
             f"{n} orbit representatives"
         )
     m = q.m
-    det = spec.from_int(math.prod(exps) * math.prod(rd.residues))
+    # (prod e)(prod a_j)(prod x_j^(m-2)) V(y) on stored values
+    ops = spec._ops
+    mul, sub = ops.mul, ops.sub
+    values = [x.v for x in rd.reps]
+    det = spec.from_int(math.prod(exps) * math.prod(rd.residues)).v
     if m > 2:
-        for x in rd.reps:
-            det = det * x ** (m - 2)
-    ys = [x**m for x in rd.reps]
-    for j, y in enumerate(ys):
-        for z in ys[:j]:
-            det = det * (y - z)
+        for v in values:
+            det = mul(det, _power(ops, v, m - 2))
+    for z, y in combinations([_power(ops, v, m) for v in values], 2):
+        det = mul(det, sub(y, z))
+    det = spec.from_values([det])[0]
     lam = [k - i for i, k in enumerate((e + 1) // m - 1 for e in exps)]
     lam = [part for part in reversed(lam) if part]
     if lam:
@@ -368,36 +387,40 @@ def reconstruct_f(rd: ResidueData) -> Poly:
     ReconstructionMismatch."""
     q = rd.quadruple
     spec = rd.field
-    m, zero = q.m, spec.zero()
+    m = q.m
+    # P, S and N as lists of stored values
+    ops = spec._ops
+    mul, add, sub, zero = ops.mul, ops.add, ops.sub, ops.zero
     # product rule over each y = x_j^m with weight w = m a_j x_j^(m-1):
     # (P, S) <- (P (s - y), S (s - y) + w P) keeps S/P = sum_j w_j/(s - y_j)
-    big_p, big_s = [spec.one()], []
+    big_p, big_s = [ops.one], []
     for x, a in zip(rd.reps, rd.residues):
         if a % q.p == 0:
             continue
-        x_m1 = x ** (m - 1)
-        y, w = x_m1 * x, x_m1 * (m * a)
+        x_m1 = _power(ops, x.v, m - 1)
+        y, w = mul(x_m1, x.v), mul(x_m1, spec.from_int(m * a).v)
         big_s = [
-            lo - y * hi + w * c
+            add(sub(lo, mul(y, hi)), mul(w, c))
             for lo, hi, c in zip([zero, *big_s], [*big_s, zero], big_p)
         ]
-        big_p = [lo - y * hi for lo, hi in zip([zero, *big_p], [*big_p, zero])]
+        big_p = [sub(lo, mul(y, hi)) for lo, hi in zip([zero, *big_p], [*big_p, zero])]
     # N = t^(u~+1) S(t^m) - T P(t^m) by index arithmetic, where
     # u * sum_s t^(-u p^s - 1) = u * (sum_s t^(u~ - u p^s)) / t^(u~ + 1)
     # puts u at t^(u~ - u p^s) in T
+    u = spec.from_int(q.u).v
     coeffs = [zero] * (q.u_tilde + 1 + m * (len(big_p) - 1))
     for i, c in enumerate(big_s):
         coeffs[q.u_tilde + 1 + m * i] = c
     for s in range(q.nu + 1):
         e = q.u_tilde - q.u * q.p**s
         for i, c in enumerate(big_p):
-            coeffs[e + m * i] = coeffs[e + m * i] - c * q.u
+            coeffs[e + m * i] = sub(coeffs[e + m * i], mul(c, u))
     p_of_t = [zero] * (m * (len(big_p) - 1) + 1)
     p_of_t[::m] = big_p
-    f, rem = Poly(spec, p_of_t).divmod(Poly(spec, coeffs))
+    f, rem = _from_values(spec, p_of_t).divmod(_from_values(spec, coeffs))
     if rem:
         raise ReconstructionMismatch("reconstructed f is not a polynomial")
-    if spec.k > 1 and all(c**q.p == c for c in f.coeffs):
+    if spec.k > 1 and all(ops.frobenius(c) == c for c in _values(f)):
         # descend to the prime field so round trips are literal identities
         prime = make_field(q.p, 1)
         f = f.map_coeffs(lambda c: prime.from_int(c.coeffs[0]), prime)

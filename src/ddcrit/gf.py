@@ -29,8 +29,9 @@ use, is the only code that computes on that form:
 
 Each ``FieldElement`` operator checks that its operands share a field and
 makes one call into the bundle; a loop that would build an element per
-operation calls the bundle on stored values directly: the search's DFS and,
-for every field, the one polynomial product, division and modular power.
+operation calls the bundle on stored values directly: the search's DFS, the
+certificate's scalar loops and, for every field, the one polynomial
+product, division and modular power.
 
 Index order is the lexicographic order of the coefficient tuples, so the
 stored value is the sort key in every form.  ``FieldSpec._value`` and
@@ -1143,16 +1144,18 @@ def trace_to_prime(x: FieldElement, d: int) -> FieldElement:
         raise NotInSubfield(f"degree {d} does not divide {spec.k}")
     if x ** (spec.p**d) != x:
         raise NotInSubfield("element is not fixed by the subfield Frobenius")
-    return subfield_trace(x, d)
+    return FieldElement(spec, subfield_trace(spec._ops, x.v, d))
 
 
-def subfield_trace(x: FieldElement, d: int) -> FieldElement:
-    """x + x^p + ... + x^(p^(d-1)): the trace to F_p of an x that the
-    caller knows to lie in F_{p^d}, without ``trace_to_prime``'s checks."""
-    total = x
+def subfield_trace(ops: StoredArithmetic, v, d: int):
+    """v + v^p + ... + v^(p^(d-1)) on the stored values of the field whose
+    bundle is ops: the trace to F_p of an element that the caller knows to
+    lie in F_{p^d}, without ``trace_to_prime``'s checks."""
+    frobenius, add = ops.frobenius, ops.add
+    total = v
     for _ in range(d - 1):
-        x = x.frobenius()
-        total = total + x
+        v = frobenius(v)
+        total = add(total, v)
     return total
 
 

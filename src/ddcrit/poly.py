@@ -201,10 +201,19 @@ class Poly(_Dense):
         )
 
     def evaluate(self, x: FieldElement) -> FieldElement:
-        acc = x.spec.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """f(x) by Horner's rule on stored values; x must lie in f's field."""
+        spec = x.spec
+        if not self.coeffs:
+            return spec.zero()
+        if spec is not self.spec and spec != self.spec:
+            raise SpecMismatch("elements belong to different field specs")
+        ops = spec._ops
+        mul, add, v = ops.mul, ops.add, x.v
+        values = _values(self)
+        acc = values.pop()
+        for c in reversed(values):
+            acc = add(mul(acc, v), c)
+        return spec.from_values([acc])[0]
 
     def is_squarefree(self) -> bool:
         if not self:
@@ -519,48 +528,61 @@ def orbit_reps_in_splitting_field(f: Poly, m: int):
         degrees.append(d * next(j for j in range(1, m + 1) if eta**j == one))
     big_degree = spec.k * lcm(*degrees)
     big = make_field(p, big_degree)
-    mu_m = _mu_m(p, m)
+    ops = big._ops
+    mul, frobenius = ops.mul, ops.frobenius
+    mu_m = _mu_m_values(big, m)
     reps = []
     for g, _ in factors:
-        x = mth_root(_one_root(g, big), m)
+        # the stored value of x, then of x^q = x^(p^k), k Frobenius steps
+        x = mth_root(_one_root(g, big), m).v
         for i in range(int(g.degree)):
             if i:
-                x = x**q
-            reps.append(min((x * w for w in mu_m), key=FieldElement.sort_key))
-    reps.sort(key=FieldElement.sort_key)
+                for _ in range(spec.k):
+                    x = frobenius(x)
+            reps.append(min([mul(x, w) for w in mu_m]))
+    reps.sort()
     if len(set(reps)) != len(reps):
         raise NotAField(f"F_{{{p}^{big_degree}}}: fewer orbits than deg F")
-    return big_degree, reps
+    return big_degree, big.from_values(reps)
 
 
-def _mu_m(p: int, m: int) -> list[int]:
+@functools.lru_cache(maxsize=None)
+def _mu_m(p: int, m: int) -> tuple[int, ...]:
     """The m-th roots of unity in F_p (m | p - 1), as ints in [0, p)."""
     zeta = root_of_unity(make_field(p, 1), m).coeffs[0]
-    return [pow(zeta, i, p) for i in range(m)]
+    return tuple(pow(zeta, i, p) for i in range(m))
+
+
+def _mu_m_values(spec: FieldSpec, m: int) -> list:
+    """The stored values in spec of the m-th roots of unity of F_p."""
+    return [spec.from_int(w).v for w in _mu_m(spec.p, m)]
 
 
 def mu_m_orbit_reps(roots, m: int, spec: FieldSpec):
     """One representative (the least element) per orbit of the root set under
-    multiplication by the m-th roots of unity, which lie in F_p (m | p - 1)."""
+    multiplication by the m-th roots of unity, which lie in F_p (m | p - 1).
+    The roots lie in spec; the orbits are taken on their stored values."""
     if not roots:
         return []
     if any(not r for r in roots):
         raise ZeroRoot("orbit representatives require nonzero roots")
-    root_set = set(roots)
+    root_set = {r.v for r in roots}
     if len(root_set) != len(roots):
         raise RepeatedRoot("repeated root in orbit partition")
-    mu_m = _mu_m(spec.p, m)
+    mul, mu_m = spec._ops.mul, _mu_m_values(spec, m)
     reps = []
     seen = set()
-    for r in sorted(root_set, key=FieldElement.sort_key):
+    # values sort as elements do, so the first value met of each orbit is
+    # its least once the orbit is known to be closed
+    for r in sorted(root_set):
         if r in seen:
             continue
-        orbit = {r * w for w in mu_m}
+        orbit = {mul(r, w) for w in mu_m}
         if not orbit <= root_set:
             raise NotOrbitClosed("root set is not closed under mu_m")
         seen |= orbit
-        reps.append(min(orbit, key=FieldElement.sort_key))
-    return reps
+        reps.append(r)
+    return spec.from_values(reps)
 
 
 # -- Laurent polynomials -----------------------------------------------------

@@ -96,7 +96,15 @@ was replaced by a simpler or faster exact path:
   field; the tests build prod_j (t - y_j) with it;
 - ``binomial_det``: the generalized-Vandermonde determinant
   det(binom(q-1, j-1)) by Bareiss fraction-free elimination against its
-  closed-form product, a cross-check that no library code calls.
+  closed-form product, a cross-check that no library code calls;
+- ``evaluate_reference``, ``mu_m_orbit_reps_reference``,
+  ``checked_reps_reference`` and ``construct_trace_reference``: Horner's
+  rule, the mu_m orbits, the rep check of ``certify_data`` and the trace
+  family's walk over the roots of unity with one ``FieldElement`` per
+  intermediate, the oracles for ``ddcrit.poly.Poly.evaluate``,
+  ``ddcrit.poly.mu_m_orbit_reps``, ``ddcrit.criterion._checked_reps`` and
+  ``ddcrit.construct.construct_trace``, which compute on stored values
+  through the field's ``StoredArithmetic``.
 """
 
 from __future__ import annotations
@@ -104,6 +112,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from ddcrit.cartier import Quadruple, ddc_check
 from ddcrit.criterion import ResidueData, _det, certify, criterion_exponents
@@ -112,14 +121,18 @@ from ddcrit.errors import (
     ExtensionCapExceeded,
     LevelTooHigh,
     NotAField,
+    NotOrbitClosed,
     NotStandardForm,
     ReconstructionMismatch,
+    RepeatedRoot,
     SpecMismatch,
+    ZeroRoot,
 )
 from ddcrit.gf import (
     FieldElement,
     FieldSpec,
     make_field,
+    ord_mod,
     prime_factors,
     pth_root,
     root_of_unity,
@@ -132,6 +145,7 @@ from ddcrit.poly import (
     _embedding_image,
     _powmod,
     embed,
+    embed_poly,
     factor,
     roots_in_field,
 )
@@ -904,3 +918,99 @@ def _int_det(rows: list[list[int]]) -> int:
             m[r][col] = 0
         prev = m[col][col]
     return sign * m[n - 1][n - 1]
+
+
+def evaluate_reference(f: Poly, x: FieldElement) -> FieldElement:
+    """f(x) by Horner's rule, one FieldElement product and sum per
+    coefficient."""
+    acc = x.spec.zero()
+    for c in reversed(f.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _mu_m_reference(p: int, m: int) -> list[int]:
+    zeta = root_of_unity(make_field(p, 1), m).prime_int()
+    return [pow(zeta, i, p) for i in range(m)]
+
+
+def mu_m_orbit_reps_reference(roots, m: int, spec: FieldSpec) -> list:
+    """The least element of each orbit of the roots under mu_m, with the
+    library's errors: ZeroRoot, RepeatedRoot and NotOrbitClosed."""
+    if not roots:
+        return []
+    if any(not r for r in roots):
+        raise ZeroRoot("orbit representatives require nonzero roots")
+    root_set = set(roots)
+    if len(root_set) != len(roots):
+        raise RepeatedRoot("repeated root in orbit partition")
+    mu_m = _mu_m_reference(spec.p, m)
+    reps = []
+    seen = set()
+    for r in sorted(root_set, key=FieldElement.sort_key):
+        if r in seen:
+            continue
+        orbit = {r * w for w in mu_m}
+        if not orbit <= root_set:
+            raise NotOrbitClosed("root set is not closed under mu_m")
+        seen |= orbit
+        reps.append(min(orbit, key=FieldElement.sort_key))
+    return reps
+
+
+def checked_reps_reference(q: Quadruple, big_f: Poly, known: ResidueData):
+    """(K, reps) of ``known`` if they pass every check of the rep check,
+    else None: in the canonical F_{p^K} with k | K, deg F in number,
+    strictly ascending, each the least of its mu_m orbit, F(x_j^m) = 0 (one
+    evaluation per orbit of y -> y^q), and K least."""
+    p, m, k = q.p, q.m, big_f.spec.k
+    degree, reps = known.splitting_degree, known.reps
+    big = make_field(p, degree)
+    if degree % k or len(reps) != big_f.degree or any(x.spec != big for x in reps):
+        return None
+    keys = [x.sort_key() for x in reps]
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        return None
+    mu_m = _mu_m_reference(p, m)
+    if any((x * w).sort_key() < key for x, key in zip(reps, keys) for w in mu_m):
+        return None
+    q_order, seen = big_f.spec.order, set()
+    big_f = embed_poly(big_f, big)
+    for x in reps:
+        y = x**m
+        if y in seen:
+            continue
+        if evaluate_reference(big_f, y):
+            return None
+        while y not in seen:
+            seen.add(y)
+            y = y**q_order
+    for r in prime_factors(degree // k):
+        sub = p ** (degree // r)
+        if all(x**sub == x for x in reps):
+            return None
+    return degree, reps
+
+
+def construct_trace_reference(p: int, m: int, u_tilde: int):
+    """(reps, residues) of the trace family at (p, m, u~): the M = u(p^(nu+1)
+    - 1) roots of unity x = zeta^i stepped by one product each, the trace
+    of x^(-u) from F_{p^(nu+1)} as nu Frobenius steps, the mu_m orbit reps
+    of the roots with a nonzero trace and a_j = -Tr(x_j^-u)."""
+    q = Quadruple(p, m, u_tilde, (p - 1) * u_tilde)
+    big_m = q.u * (p ** (q.nu + 1) - 1)
+    spec = make_field(p, lcm(ord_mod(p, big_m), q.nu + 1))
+    zeta = root_of_unity(spec, big_m)
+    step = zeta ** (-q.u)
+    trace_of = {}
+    x = y = spec.one()
+    for _ in range(big_m):
+        total = z = y
+        for _ in range(q.nu):
+            z = z.frobenius()
+            total = total + z
+        trace_of[x] = total
+        x, y = x * zeta, y * step
+    kept = [x for x, trace in trace_of.items() if trace]
+    reps = mu_m_orbit_reps_reference(kept, m, spec)
+    return tuple(reps), tuple((-trace_of[x]).prime_int() for x in reps)

@@ -442,6 +442,28 @@ def test_witt_breaks_exponent_cap_scales_by_level(capsys, monkeypatch):
         assert f"exceeds the cap {cap}" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--p", "3", "--m", "2", "--u", "1", "--n1", "2", "--f", "1,0,1"],
+    ["witt", "breaks", "--p", "3", "--entries", "t^-5"],
+])
+def test_field_degree_above_the_cap_exits_2_before_any_field_build(
+    capsys, monkeypatch, argv
+):
+    """``check`` and ``witt breaks`` refuse --field-degree 17, one above
+    ``construct``'s degree cap, with exit 2, nothing on stdout and one
+    error JSON line, and build no field; the cap itself is accepted."""
+    from ddcrit.construct import DEFAULT_DEGREE_CAP
+
+    assert DEFAULT_DEGREE_CAP == 16
+    monkeypatch.setattr(cli, "make_field", lambda p, k: pytest.fail(f"F_{p}^{k} built"))
+    code, out, err = run(capsys, "--compact", *argv, "--field-degree", "17")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"] == "--field-degree 17 exceeds the cap 16"
+    monkeypatch.undo()
+    code, out, err = run(capsys, "--compact", *argv, "--field-degree", "16")
+    assert code in (0, 1) and out and err == ""
+
+
 CONSTRUCT_OPTIONS = {
     "small": {"--p": "5", "--n1": "4"},
     "trace": {"--p": "3", "--m": "2", "--u": "5"},

@@ -108,16 +108,17 @@ def test_trace_dichotomy_sweep():
         assert isolated == expected, (p, m, u_tilde)
 
 
-@pytest.mark.parametrize("p, m, u_tilde", [(3, 2, 5), (5, 4, 3), (7, 6, 5)])
+@pytest.mark.parametrize("p, m, u_tilde", [(3, 2, 5), (5, 4, 3), (7, 6, 5), (3, 2, 3)])
 def test_trace_takes_one_trace_per_root_of_unity(monkeypatch, p, m, u_tilde):
-    """Each of the M roots of unity gets one trace, with no subfield test;
-    the residues are those of the checked ``trace_to_prime`` of x^(-u)."""
+    """Each of the M roots of unity gets one trace, taken on its stored
+    value by ``gf.subfield_trace``, with no subfield test; the residues are
+    those of the checked ``trace_to_prime`` of x^(-u)."""
     from ddcrit import construct, gf
 
     calls = []
-    def subfield_trace(x, d):
+    def subfield_trace(ops, v, d):
         calls.append(d)
-        return gf.subfield_trace(x, d)
+        return gf.subfield_trace(ops, v, d)
 
     monkeypatch.setattr(construct, "subfield_trace", subfield_trace)
     rd = construct_trace(p, m, u_tilde)

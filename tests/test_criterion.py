@@ -39,7 +39,11 @@ from ddcrit.poly import Poly, root_of_unity
 from reference import (
     RationalFunction,
     binomial_det,
+    checked_reps_reference,
+    construct_trace_reference,
+    evaluate_reference,
     isolation_det_reference,
+    mu_m_orbit_reps_reference,
     reconstruct_f_reference,
     series_inverse_reference,
 )
@@ -527,12 +531,14 @@ def test_binomial_det_rejects_non_descending():
 
 def test_certify_seeks_no_generator_above_the_prime_field(monkeypatch, capsys):
     # mu_m lies in F_p since m | p - 1: the residues of f lie in F_7 and its
-    # roots in F_{7^6}, above the table bound, yet only F_7 needs a generator
+    # roots in F_{7^6}, above the table bound, yet only F_7 needs a generator.
+    # mu_m is cached per (p, m), so the cache is cleared for F_7's to be sought
     from ddcrit import cli, gf
-    from ddcrit.poly import roots_in_splitting_field
+    from ddcrit.poly import _mu_m, roots_in_splitting_field
 
     coeffs = [6, 0, 0, 0, 4, 0, 5, 0, 0, 0, 6, 0, 5]
     assert roots_in_splitting_field(Poly.from_ints(make_field(7, 1), coeffs))[0] == 6
+    _mu_m.cache_clear()
     specs = []
     least_generator = gf._least_generator
     monkeypatch.setattr(
@@ -915,3 +921,176 @@ def test_construct_runs_one_ddc_check_per_certificate(monkeypatch, capsys):
         out = json.loads(capsys.readouterr().out)
         certs = out if isinstance(out, list) else [out]
         assert [c["quadruple"] for c in certs] == [q.to_json() for q in calls], argv
+
+
+# -- the certificate's loops on stored values against their FieldElement
+# oracles, in each storage form: a residue over F_p, an index in a tabled
+# field and a coefficient tuple above the table bound
+
+
+def _storage_form(spec) -> str:
+    if isinstance(spec.zero().v, tuple):
+        return "tuple"
+    return "residue" if spec.k == 1 else "index"
+
+
+@pytest.fixture
+def nonzero_pow(monkeypatch):
+    """While the test runs, every field's bundle fails it when its ``pow``
+    gets a zero base: the bundle requires a nonzero one, and in a tabled
+    field pow(0, e) reads exp[0], which is 1."""
+    from ddcrit import gf
+
+    cached = gf.FieldSpec.__dict__["_ops"]
+    guarded = {}
+
+    def ops(spec):
+        if spec not in guarded:
+            bundle = cached.__get__(spec, gf.FieldSpec)
+
+            def power(v, e):
+                if v == bundle.zero:
+                    pytest.fail(f"a zero value reached pow in F_{spec.p}^{spec.k}")
+                return bundle.pow(v, e)
+
+            guarded[spec] = dataclasses.replace(bundle, pow=power)
+        return guarded[spec]
+
+    monkeypatch.setattr(gf.FieldSpec, "_ops", property(ops))
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the DdcritError it raises."""
+    try:
+        return fn(*args)
+    except ddcrit.errors.DdcritError as exc:
+        return type(exc), str(exc)
+
+
+STORED_FORM_CASES = [
+    ("residue", construct_small, (13, 12)),
+    ("residue", construct_trace, (5, 2, 1)),
+    ("index", construct_trace, (3, 2, 5)),
+    ("index", construct_trace, (5, 2, 5)),
+    ("index", construct_trace, (7, 3, 5)),
+    ("tuple", construct_trace, (5, 4, 7)),
+    ("tuple", construct_trace, (5, 2, 15)),
+]
+
+
+def _random_square_data(p, k, m, count, rng, zero_rep=False):
+    """The first count random (rd, f) over F_{p^k} with a square power-sum
+    system, f = c prod_j (t^m - x_j^m) for a c outside F_p; with
+    ``zero_rep`` the least rep is replaced by 0."""
+    spec = make_field(p, k)
+    nonzero = list(itertools.islice(spec.elements(), 1, 400))
+    out = []
+    for n1, u_tilde in itertools.product(range(m, 5 * m, m), range(m - 1, 8 * m, m)):
+        q = Quadruple(p, m, u_tilde, n1)
+        if len(criterion_exponents(q)) != n1 // m:
+            continue
+        reps = sorted(rng.sample(nonzero, n1 // m), key=FieldElement.sort_key)
+        if zero_rep:
+            reps[0] = spec.zero()
+        residues = tuple(rng.randrange(1, p) for _ in reps)
+        f = Poly(spec, [nonzero[-1]])
+        for x in reps:
+            f = f * Poly(spec, [-(x**m), *[spec.zero()] * (m - 1), spec.one()])
+        out.append((ResidueData(q, k, tuple(reps), residues), f))
+        if len(out) == count:
+            break
+    assert len(out) == count
+    return out
+
+
+@pytest.mark.parametrize("form, build, args", STORED_FORM_CASES)
+def test_stored_value_loops_match_their_oracles(nonzero_pow, form, build, args):
+    """On constructed data in each storage form, ``construct_trace``'s reps
+    and residues, ``reconstruct_f``, ``isolation_check``, ``_checked_reps``,
+    ``orbit_reps_in_splitting_field``, ``mu_m_orbit_reps`` and
+    ``Poly.evaluate`` equal their FieldElement oracles, and no zero value
+    reaches the bundle's pow."""
+    from ddcrit.criterion import _checked_reps
+    from ddcrit.poly import embed_poly, mu_m_orbit_reps, orbit_reps_in_splitting_field
+
+    rd = build(*args)
+    q, big = rd.quadruple, rd.field
+    assert _storage_form(big) == form
+    if build is construct_trace:
+        assert (rd.reps, rd.residues) == construct_trace_reference(*args)
+    f = reconstruct_f(rd)
+    assert f == reconstruct_f_reference(rd)
+    assert isolation_check(rd, f)[0] == isolation_det_reference(rd)[1]
+    big_f = Poly(f.spec, f.coeffs[:: q.m])
+    assert _checked_reps(q, big_f, rd) == checked_reps_reference(q, big_f, rd)
+    assert _checked_reps(q, big_f, rd) == (rd.splitting_degree, rd.reps)
+    assert orbit_reps_in_splitting_field(f, q.m) == (rd.splitting_degree, list(rd.reps))
+    roots = [x * w for x in rd.reps for w in ddcrit.poly._mu_m(q.p, q.m)]
+    assert mu_m_orbit_reps(roots, q.m, big) == mu_m_orbit_reps_reference(roots, q.m, big)
+    f_big = embed_poly(f, big)
+    for g in (f_big, f_big.derivative(), Poly.zero(big), Poly.one(big)):
+        for x in (big.zero(), *rd.reps):
+            assert g.evaluate(x) == evaluate_reference(g, x)
+    assert any(f_big.derivative().evaluate(x) for x in rd.reps)
+
+
+@pytest.mark.parametrize("p, k, m", [(7, 1, 3), (5, 2, 4), (5, 6, 4)])
+def test_stored_value_loops_match_their_oracles_on_random_data(nonzero_pow, p, k, m):
+    """Random square data over F_7, F_25 and F_{5^6}, one form each, with and without a zero rep: ``isolation_check`` against
+    the elimination of ``isolation_det_reference``, ``reconstruct_f``
+    against ``reconstruct_f_reference`` (f or the same error) and
+    ``Poly.evaluate`` against Horner on FieldElements."""
+    rng = random.Random(47)
+    spec = make_field(p, k)
+    cases = _random_square_data(p, k, m, 3, rng)
+    cases += _random_square_data(p, k, m, 2, rng, zero_rep=True)
+    assert {_storage_form(rd.field) for rd, _ in cases} == {_storage_form(spec)}
+    for rd, f in cases:
+        assert isolation_check(rd, f)[0] == isolation_det_reference(rd)[1], rd
+        assert _outcome(reconstruct_f, rd) == _outcome(reconstruct_f_reference, rd), rd
+        for x in rng.sample(list(itertools.islice(spec.elements(), 300)), 5):
+            assert f.evaluate(x) == evaluate_reference(f, x)
+
+
+@pytest.mark.parametrize("form, build, args", STORED_FORM_CASES)
+def test_rep_checks_on_tampered_data_match_their_oracles(nonzero_pow, form, build, args):
+    """``_checked_reps`` and ``mu_m_orbit_reps`` on tampered data give what
+    their FieldElement oracles give, result or error: a zero rep (refused,
+    and accepted where F(0) = 0), a rep that is not the least of its orbit,
+    a repeated rep, and for the orbits a zero root, a repeated root and a
+    root set that is not closed."""
+    from ddcrit.criterion import _checked_reps
+    from ddcrit.poly import mu_m_orbit_reps
+
+    rd = build(*args)
+    q, big, reps = rd.quadruple, rd.field, rd.reps
+    mu_m = ddcrit.poly._mu_m(q.p, q.m)
+    f = reconstruct_f(rd)
+    big_f = Poly(f.spec, f.coeffs[:: q.m])
+
+    def sort(xs):
+        return tuple(sorted(xs, key=FieldElement.sort_key))
+
+    hints = {
+        "zero": (big_f, sort([big.zero(), *reps[1:]])),
+        "not_least": (big_f, sort([reps[0] * mu_m[-1], *reps[1:]])),
+        "repeated": (big_f, (reps[0], *reps[:-1])),
+        "zero_root_of_f": (big_f * Poly.x(f.spec), (big.zero(), *reps)),
+    }
+    outcomes = {}
+    for name, (g, xs) in hints.items():
+        bad = dataclasses.replace(rd, reps=xs)
+        outcomes[name] = _outcome(_checked_reps, q, g, bad)
+        assert outcomes[name] == _outcome(checked_reps_reference, q, g, bad), name
+    assert outcomes["zero_root_of_f"] == (rd.splitting_degree, (big.zero(), *reps))
+    assert outcomes["zero"] is None and outcomes["repeated"] is None
+    assert (outcomes["not_least"] is None) == (q.m > 1 and len(reps) > 0)
+    roots = [x * w for x in reps for w in mu_m]
+    for name, xs in {
+        "zero": [*roots, big.zero()],
+        "repeated": [*roots, roots[-1]],
+        "not_closed": roots[1:],
+    }.items():
+        error = _outcome(mu_m_orbit_reps, xs, q.m, big)
+        assert error == _outcome(mu_m_orbit_reps_reference, xs, q.m, big), name
+        assert isinstance(error, tuple) and issubclass(error[0], ddcrit.errors.DdcritError)
