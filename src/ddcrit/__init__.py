@@ -2,7 +2,7 @@
 over finite fields, with the Artin-Schreier-Witt utilities that connect it to
 ramification data."""
 
-from .cartier import Quadruple, cartier, ddc_check, dlog_truncated, is_exact
+from .cartier import Quadruple, cartier, ddc_check
 from .construct import construct_small, construct_trace, d9_witnesses
 from .criterion import (
     Certificate,
@@ -64,4 +64,4 @@ from .witt import (
     wp,
 )
 
-__version__ = "0.3.1"
+__version__ = "0.3.2"

@@ -16,14 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import (
-    BadSupport,
-    InvalidQuadruple,
-    VanishesAtZero,
-    WrongDegree,
-    ZeroRoot,
-)
-from .gf import is_prime, pth_root
+from .errors import BadSupport, InvalidQuadruple, VanishesAtZero, WrongDegree
+from .gf import is_prime
 from .poly import LaurentPoly, Poly
 
 
@@ -69,29 +63,25 @@ def cartier(h: LaurentPoly) -> LaurentPoly:
     """C(h dt) = h' dt for h = sum a_i t^i: h' = sum over i = -1 mod p of
     a_i^(1/p) t^((i+1)/p - 1), so the coefficients of h' are every p-th
     coefficient of h from the first exponent that is -1 mod p."""
-    p = h.spec.p
+    spec = h.spec
+    p = spec.p
     start = (-h.low - 1) % p
-    return LaurentPoly(
-        h.spec,
+    return LaurentPoly._make(
+        spec,
         (h.low + start + 1) // p - 1,
-        [pth_root(c) if c else c for c in h.coeffs[start::p]],
+        list(map(spec._ops.pth_root, h.values[start::p])),
     )
-
-
-def is_exact(h: LaurentPoly) -> bool:
-    """True iff no exponent of h is -1 mod p, i.e. C(h dt) = 0, i.e. h dt
-    is exact."""
-    return not cartier(h)
 
 
 def validate_shape(q: Quadruple, f: Poly) -> None:
     """Shape preconditions on f: support in t^m, degree exactly N1, f(0) != 0."""
-    for i, c in enumerate(f.coeffs):
-        if c and i % q.m != 0:
+    zero = f.spec._zero
+    for i, c in enumerate(f.values):
+        if c != zero and i % q.m != 0:
             raise BadSupport(f"coefficient of t^{i} nonzero but m = {q.m}")
     if f.degree != q.n1:
         raise WrongDegree(f"deg f = {f.degree}, expected {q.n1}")
-    if not f.coeffs or not f.coeffs[0]:
+    if not f.values or f.values[0] == zero:
         raise VanishesAtZero("f(0) = 0")
 
 
@@ -102,33 +92,5 @@ def ddc_check(q: Quadruple, f: Poly) -> bool:
     spec = f.spec
     shift = -(q.u_tilde + 1)
     lhs = cartier(LaurentPoly.from_poly(f ** (q.p - 1), shift))
-    u_scalar = spec.from_int(q.u)
-    one_plus_uf = Poly(spec, [spec.one()]) + f * u_scalar
+    one_plus_uf = Poly.one(spec) + f * q.u
     return lhs == LaurentPoly.from_poly(one_plus_uf, shift)
-
-
-def dlog_truncated(factors, trunc: int, spec=None) -> LaurentPoly:
-    """The h of the logarithmic derivative h dt of prod_j (1 - x_j t^-1)^(a_j),
-    expanded in powers of t^-1 through exponent -(trunc+1).
-
-    The t^(-q-1) coefficient of h is sum_j a_j x_j^q; each a_j is an
-    integer exponent, each x_j a nonzero field element.  An empty factor
-    list yields zero (spec must then be passed explicitly).
-    """
-    if trunc < 1:
-        raise ValueError("truncation order must be >= 1")
-    if not factors:
-        if spec is None:
-            raise ValueError("spec required for an empty factor list")
-        return LaurentPoly.zero(spec)
-    spec = factors[0][0].spec
-    if any(not x for x, _ in factors):
-        raise ZeroRoot("dlog factors require nonzero roots")
-    h = LaurentPoly.zero(spec)
-    for x, a in factors:
-        # a x^q at t^(-q-1), q = trunc down to 1
-        powers = [x]
-        for _ in range(trunc - 1):
-            powers.append(powers[-1] * x)
-        h = h + LaurentPoly(spec, -trunc - 1, [xq * a for xq in reversed(powers)])
-    return h

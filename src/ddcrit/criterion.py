@@ -27,10 +27,8 @@ from .errors import (
 from .gf import FieldElement, FieldSpec, make_field, prime_factors
 from .poly import (
     Poly,
-    _from_values,
     _mu_m_values,
     _powmod,
-    _values,
     embed,
     embed_poly,
     orbit_reps_in_splitting_field,
@@ -111,10 +109,9 @@ def _residue_poly(q: Quadruple, big_f: Poly) -> Poly | None:
     w, e = (q.u_tilde + 1) // m, (m - 1) * (p - 1) // m
     if not big_f.degree:  # no roots: the ring F_q[s]/F is zero
         return Poly.zero(spec)
-    zero = spec.zero()
 
     def shift(a: Poly, n: int) -> Poly:  # a s^n
-        return Poly(spec, [zero] * n + list(a.coeffs))
+        return Poly._make(spec, 0, (spec._zero,) * n + a.values)
 
     c = shift(big_f.derivative() * m, w) % big_f
     r = shift(_powmod(c, p - 2, big_f), e - 1) % big_f
@@ -123,17 +120,16 @@ def _residue_poly(q: Quadruple, big_f: Poly) -> Poly | None:
     return r
 
 
-def _series_inverse(coeffs, length: int) -> list:
+def _series_inverse(spec: FieldSpec, coeffs, length: int) -> list:
     """The first ``length`` >= 1 coefficients of 1/C(s), C = sum_i
-    coeffs[i] s^i with coeffs[0] != 0, of which the first n =
-    min(len(coeffs), length) count.  For their reversal R = s^(n-1) C(1/s),
-    the quotient Q of s^(n+length-2) by R has s^(length-1) Q(1/s) C(s) = 1
-    mod s^length, so the inverse is Q read backwards (von zur Gathen-
-    Gerhard, Modern Computer Algebra, 9.1)."""
-    spec = coeffs[0].spec
-    rev = Poly(spec, coeffs[length - 1 :: -1])
-    power = Poly(spec, [spec.zero()] * (len(rev.coeffs) + length - 2) + [spec.one()])
-    return list((power // rev).coeffs[::-1])
+    coeffs[i] s^i with coeffs[0] != 0, stored values of spec, of which the
+    first n = min(len(coeffs), length) count.  For their reversal R =
+    s^(n-1) C(1/s), the quotient Q of s^(n+length-2) by R has s^(length-1)
+    Q(1/s) C(s) = 1 mod s^length, so the inverse is Q read backwards (von
+    zur Gathen-Gerhard, Modern Computer Algebra, 9.1)."""
+    rev = Poly._make(spec, 0, coeffs[length - 1 :: -1])
+    power = Poly.from_ints(spec, [0] * (len(rev.values) + length - 2) + [1])
+    return list((power // rev).values[::-1])
 
 
 def _power(ops, v, e: int):
@@ -208,7 +204,7 @@ def residue_data(
     if one of them is not in F_p, since the splitting field is then no
     field."""
     validate_shape(q, f)
-    big_f = Poly(f.spec, f.coeffs[:: q.m])
+    big_f = Poly._make(f.spec, 0, f.values[:: q.m])
     r = _residue_poly(q, big_f)
     if r is None:
         if not big_f.is_squarefree():
@@ -238,10 +234,10 @@ def _power_sums_hold(q: Quadruple, f: Poly) -> bool:
     if not exps:
         return True
     spec, m = f.spec, q.m
-    inverse = _series_inverse(f.coeffs[::m], (q.u_tilde - exps[0]) // m + 1)
-    target = spec.from_int(-q.u)
+    inverse = _series_inverse(spec, f.values[::m], (q.u_tilde - exps[0]) // m + 1)
+    target = spec._int_value(-q.u)
     return all(
-        inverse[(q.u_tilde - e) // m] == (target if e == q.u else spec.zero())
+        inverse[(q.u_tilde - e) // m] == (target if e == q.u else spec._zero)
         for e in exps
     )
 
@@ -320,7 +316,7 @@ def isolation_check(rd: ResidueData, f: Poly):
     ops = spec._ops
     mul, sub = ops.mul, ops.sub
     values = [x.v for x in rd.reps]
-    det = spec.from_int(math.prod(exps) * math.prod(rd.residues)).v
+    det = spec._int_value(math.prod(exps) * math.prod(rd.residues))
     if m > 2:
         for v in values:
             det = mul(det, _power(ops, v, m - 2))
@@ -330,17 +326,18 @@ def isolation_check(rd: ResidueData, f: Poly):
     lam = [k - i for i, k in enumerate((e + 1) // m - 1 for e in exps)]
     lam = [part for part in reversed(lam) if part]
     if lam:
-        big_f = f.coeffs[::m]
-        lead = big_f[-1]
+        own, big_f = f.spec, f.values[::m]
+        mul = own._ops.mul
         # h_k at index k + len(lam); the zeros before it are the h_k, k < 0
-        h = [f.spec.zero()] * len(lam) + [
-            lead * c for c in _series_inverse(big_f[::-1], lam[0] + len(lam))
-        ]
+        h = own.from_values([own._zero] * len(lam) + [
+            mul(big_f[-1], c)
+            for c in _series_inverse(own, big_f[::-1], lam[0] + len(lam))
+        ])
         matrix = [
             [h[part - a + b + len(lam)] for b in range(len(lam))]
             for a, part in enumerate(lam)
         ]
-        det = det * embed(_det(matrix, f.spec), spec)
+        det = det * embed(_det(matrix, own), spec)
     return det, bool(det)
 
 
@@ -398,7 +395,7 @@ def reconstruct_f(rd: ResidueData) -> Poly:
         if a % q.p == 0:
             continue
         x_m1 = _power(ops, x.v, m - 1)
-        y, w = mul(x_m1, x.v), mul(x_m1, spec.from_int(m * a).v)
+        y, w = mul(x_m1, x.v), mul(x_m1, spec._int_value(m * a))
         big_s = [
             add(sub(lo, mul(y, hi)), mul(w, c))
             for lo, hi, c in zip([zero, *big_s], [*big_s, zero], big_p)
@@ -407,7 +404,7 @@ def reconstruct_f(rd: ResidueData) -> Poly:
     # N = t^(u~+1) S(t^m) - T P(t^m) by index arithmetic, where
     # u * sum_s t^(-u p^s - 1) = u * (sum_s t^(u~ - u p^s)) / t^(u~ + 1)
     # puts u at t^(u~ - u p^s) in T
-    u = spec.from_int(q.u).v
+    u = spec._int_value(q.u)
     coeffs = [zero] * (q.u_tilde + 1 + m * (len(big_p) - 1))
     for i, c in enumerate(big_s):
         coeffs[q.u_tilde + 1 + m * i] = c
@@ -417,13 +414,12 @@ def reconstruct_f(rd: ResidueData) -> Poly:
             coeffs[e + m * i] = sub(coeffs[e + m * i], mul(c, u))
     p_of_t = [zero] * (m * (len(big_p) - 1) + 1)
     p_of_t[::m] = big_p
-    f, rem = _from_values(spec, p_of_t).divmod(_from_values(spec, coeffs))
+    f, rem = Poly._make(spec, 0, p_of_t).divmod(Poly._make(spec, 0, coeffs))
     if rem:
         raise ReconstructionMismatch("reconstructed f is not a polynomial")
-    if spec.k > 1 and all(ops.frobenius(c) == c for c in _values(f)):
+    if spec.k > 1 and all(ops.frobenius(c) == c for c in f.values):
         # descend to the prime field so round trips are literal identities
-        prime = make_field(q.p, 1)
-        f = f.map_coeffs(lambda c: prime.from_int(c.coeffs[0]), prime)
+        f = Poly.from_ints(make_field(q.p, 1), [spec._decode(c)[0] for c in f.values])
     try:
         ok = ddc_check(q, f)
     except DdcritError as exc:  # shape validation

@@ -6,7 +6,7 @@ degree k over F_p.  All arithmetic is exact; everything is immutable and
 safe to share.
 
 An element stores one value, ``v``, in one of three forms, and its field's
-``StoredArithmetic`` (``stored_arithmetic``), built once per field on first
+``StoredArithmetic`` (``FieldSpec._ops``), built once per field on first
 use, is the only code that computes on that form:
 
 - k = 1: v is the residue in [0, p), and arithmetic is int operations mod
@@ -30,8 +30,10 @@ use, is the only code that computes on that form:
 Each ``FieldElement`` operator checks that its operands share a field and
 makes one call into the bundle; a loop that would build an element per
 operation calls the bundle on stored values directly: the search's DFS, the
-certificate's scalar loops and, for every field, the one polynomial
-product, division and modular power.
+certificate's scalar loops and every ``Poly`` and ``LaurentPoly``
+operation, since those hold their coefficients as stored values.
+``FieldSpec._zero`` and ``_int_value`` give the values of the constants
+such code needs.
 
 Index order is the lexicographic order of the coefficient tuples, so the
 stored value is the sort key in every form.  ``FieldSpec._value`` and
@@ -155,17 +157,17 @@ def solve_modp(aug: list[list[int]], p: int) -> list[int] | None:
 # -- dense polynomial helpers (coefficient lists, ascending degree) ----------
 #
 # Every dense F_p[x] product is one packed-int multiply, ``_mul_modp``, which
-# also serves ``kronecker_columns`` and so ``kronecker_mul`` on stored values,
-# every ``Poly`` and ``LaurentPoly`` product; ``_scaled_sum`` is packed like
-# it (each slot of a Witt sum, ``witt._column_sum``; over F_p
-# ``witt._packed_sum`` evaluates a carry in one pass on ``_to_int`` and
-# ``_from_int`` itself).
+# also serves ``kronecker_columns`` and so ``kronecker_mul``, every ``Poly``
+# and ``LaurentPoly`` product, on the stored values those hold;
+# ``_scaled_sum`` is packed like it (each slot of a Witt sum,
+# ``witt._column_sum``; over F_p ``witt._packed_sum`` evaluates a carry in
+# one pass on ``_to_int`` and ``_from_int`` itself).
 # Every polynomial division, over any field, is ``_divmod`` on stored
-# values with the field's ``StoredArithmetic``:
-# ``Poly.divmod`` and ``Poly.gcd``, the series inverse of ``criterion``, each
-# step of the modular power ``_powmod``, and on F_p's bundle the Rabin test
-# and the extended Euclid of the tuple inverse (a field product is folded
-# instead: ``_fold_map``).  ROADMAP defect 1 is held by one line of
+# values with the field's ``StoredArithmetic``: ``Poly.divmod`` and
+# ``Poly.gcd``, the series inverse of ``criterion``, each step of the
+# modular power ``_powmod``, and on F_p's bundle the Rabin test and the
+# extended Euclid of the tuple inverse (a field product is folded instead:
+# ``_fold_map``).  ROADMAP defect 1 is held by one line of
 # ``_is_irreducible_modp``; its docstring says why it stays.
 
 
@@ -367,17 +369,25 @@ class FieldSpec:
         """p^(k-1), ..., p, 1: the weight of coefficient t in the index."""
         return tuple(self.p ** (self.k - 1 - t) for t in range(self.k))
 
+    @functools.cached_property
+    def _zero(self):
+        """The stored value of zero."""
+        return self._value(0)
+
+    def _int_value(self, n: int):
+        """The stored value of the integer n mod p: the index n p^(k-1), or
+        the tuple (n, 0, ..., 0)."""
+        n %= self.p
+        return n * self._weights[0] if self._coded else (n,) + (0,) * (self.k - 1)
+
     def zero(self) -> "FieldElement":
-        return FieldElement(self, 0 if self._coded else (0,) * self.k)
+        return FieldElement(self, self._zero)
 
     def one(self) -> "FieldElement":
         return self.from_int(1)
 
     def from_int(self, n: int) -> "FieldElement":
-        n %= self.p
-        if self._coded:
-            return FieldElement(self, n * self._weights[0])
-        return FieldElement(self, (n,) + (0,) * (self.k - 1))
+        return FieldElement(self, self._int_value(n))
 
     def element(self, coeffs) -> "FieldElement":
         c = [v % self.p for v in coeffs]
@@ -769,15 +779,11 @@ class StoredArithmetic:
     pth_root: Callable  # x -> x^(1/p)
 
 
-def stored_arithmetic(spec: FieldSpec) -> StoredArithmetic:
-    """The ``StoredArithmetic`` of spec, built once per field: int
+def _stored_arithmetic(spec: FieldSpec) -> StoredArithmetic:
+    """The ``StoredArithmetic`` of spec (``FieldSpec._ops``): int
     operations mod p at k = 1 (Frobenius and its inverse are the identity
     there), ``_LogTables`` lookups within the table bound, and coefficient
     tuple operations above it."""
-    return spec._ops
-
-
-def _stored_arithmetic(spec: FieldSpec) -> StoredArithmetic:
     p = spec.p
     if spec.k == 1:
         def submul(xs, s, c, ys):
@@ -865,7 +871,7 @@ def _stored_arithmetic(spec: FieldSpec) -> StoredArithmetic:
 
     return StoredArithmetic(
         0,
-        spec.one().v,
+        spec._int_value(1),
         mul,
         sub,
         add,

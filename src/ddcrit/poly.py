@@ -33,7 +33,6 @@ from .gf import (
     mth_root,
     root_of_unity,
     square_and_multiply,
-    stored_arithmetic,
 )
 
 NEG_INF = float("-inf")
@@ -42,32 +41,61 @@ NEG_INF = float("-inf")
 class _Dense:
     """The ring operations shared by ``Poly`` and ``LaurentPoly``: a dense
     polynomial stores its coefficients ascending from the exponent ``low``
-    (always 0 for a ``Poly``).  Each class keeps its own constructor and
-    canonical form and builds every result through its ``_make(spec, low,
-    coeffs)`` hook."""
+    (always 0 for a ``Poly``) as ``values``, the field's stored values
+    (``FieldElement.v``), and every operation computes on them through
+    ``gf.kronecker_mul``, ``gf._divmod``, ``gf._powmod`` and the field's
+    bundle (``FieldSpec._ops``).  ``coeffs`` builds the coefficients as
+    FieldElements on each read.  Every result is built by ``_make(spec,
+    low, values)``, the one constructor on stored values; the public
+    constructors take FieldElements."""
 
-    __slots__ = ("spec", "low", "coeffs")
+    __slots__ = ("spec", "low", "values")
+
+    def _store(self, spec, low, values):
+        """Set the fields, dropping zero values at the top and, for a
+        ``LaurentPoly``, at the bottom too."""
+        zero = spec._zero
+        stop = len(values)
+        while stop and values[stop - 1] == zero:
+            stop -= 1
+        start = 0
+        if self._trim_low:
+            while start < stop and values[start] == zero:
+                start += 1
+        self.spec = spec
+        self.low = low + start if stop else 0
+        self.values = tuple(values[start:stop])
+        return self
+
+    @classmethod
+    def _make(cls, spec, low, values):
+        return object.__new__(cls)._store(spec, low, values)
 
     @classmethod
     def zero(cls, spec):
-        return cls._make(spec, 0, [])
+        return cls._make(spec, 0, ())
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as FieldElements, built on each read."""
+        return tuple(self.spec.from_values(self.values))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.values)
 
     def __eq__(self, other):
         return (
             type(other) is type(self)
             and self.spec == other.spec
             and self.low == other.low
-            and self.coeffs == other.coeffs
+            and self.values == other.values
         )
 
     def __hash__(self):
-        return hash((self.spec, self.low, self.coeffs))
+        return hash((self.spec, self.low, self.values))
 
     def __repr__(self):
-        coeffs = [c.coeffs for c in self.coeffs]
+        coeffs = [self.spec._decode(v) for v in self.values]
         return f"{type(self).__name__}(low={self.low}, {coeffs})"
 
     def _check(self, other):
@@ -77,53 +105,62 @@ class _Dense:
             raise SpecMismatch("polynomials over different field specs")
 
     def __add__(self, other):
-        """Only the nonzero coefficients of the higher-starting summand are
-        added, and onto a zero one is copied, not added: Laurent entries of
-        Witt vectors are sparse, so a sum costs their terms, not their span."""
+        """The lower-starting summand, padded, with the other added onto it
+        term by term."""
         self._check(other)
         if not other:
             return self
         if not self:
             return other
+        spec, add = self.spec, self.spec._ops.add
         a, b = (self, other) if self.low <= other.low else (other, self)
         offset = b.low - a.low
-        out = list(a.coeffs)
-        out += [self.spec.zero()] * (offset + len(b.coeffs) - len(out))
-        for i, c in enumerate(b.coeffs, offset):
-            if c:
-                s = out[i]
-                out[i] = s + c if s else c
-        return self._make(self.spec, a.low, out)
+        out = list(a.values)
+        out += [spec._zero] * (offset + len(b.values) - len(out))
+        for i, c in enumerate(b.values, offset):
+            out[i] = add(out[i], c)
+        return self._make(spec, a.low, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._make(self.spec, self.low, [-c for c in self.coeffs])
+        neg = self.spec._ops.neg
+        return self._make(self.spec, self.low, [neg(c) for c in self.values])
 
     def __mul__(self, other):
         """By an int or FieldElement scalar, or by another polynomial
-        through ``kronecker_mul`` on stored values, the two ``low``s adding."""
+        through ``kronecker_mul``, the two ``low``s adding."""
         spec = self.spec
-        if isinstance(other, (FieldElement, int)):
-            return self._make(spec, self.low, [c * other for c in self.coeffs])
+        if isinstance(other, int):
+            return self._scale(spec._int_value(other))
+        if isinstance(other, FieldElement):
+            if other.spec is not spec and other.spec != spec:
+                raise SpecMismatch("elements belong to different field specs")
+            return self._scale(other.v)
         self._check(other)
-        a = _values(self)
-        product = kronecker_mul(a, a if other is self else _values(other), spec)
-        return self._make(spec, self.low + other.low, spec.from_values(product))
+        a = self.values
+        product = kronecker_mul(a, a if other is self else other.values, spec)
+        return self._make(spec, self.low + other.low, product)
 
     __rmul__ = __mul__
+
+    def _scale(self, s):
+        """The product by the scalar whose stored value is s."""
+        mul = self.spec._ops.mul
+        return self._make(self.spec, self.low, [mul(c, s) for c in self.values])
 
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative power of a polynomial")
         if not e:
-            return self._make(self.spec, 0, [self.spec.one()])
+            return self._make(self.spec, 0, [self.spec._int_value(1)])
         return square_and_multiply(self, e, operator.mul)
 
     def map_coeffs(self, fn, spec: FieldSpec):
-        """fn applied to every stored coefficient; fn must map zero to zero."""
-        return self._make(spec, self.low, [fn(c) for c in self.coeffs])
+        """fn applied to every coefficient, a FieldElement; fn must map zero
+        to zero."""
+        return self._make(spec, self.low, [fn(c).v for c in self.coeffs])
 
 
 class Poly(_Dense):
@@ -131,50 +168,43 @@ class Poly(_Dense):
     canonical (no trailing zeros).  The zero polynomial has degree -inf."""
 
     __slots__ = ()
+    _trim_low = False
 
     def __init__(self, spec: FieldSpec, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        self.spec = spec
-        self.low = 0
-        self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def _make(cls, spec, low, coeffs):
-        return cls(spec, coeffs)
+        self._store(spec, 0, [c.v for c in coeffs])
 
     @classmethod
     def from_ints(cls, spec: FieldSpec, ints) -> "Poly":
-        return cls(spec, [spec.from_int(c) for c in ints])
+        return cls._make(spec, 0, [spec._int_value(c) for c in ints])
 
     @classmethod
     def one(cls, spec):
-        return cls(spec, [spec.one()])
+        return cls.from_ints(spec, [1])
 
     @classmethod
     def x(cls, spec):
-        return cls(spec, [spec.zero(), spec.one()])
+        return cls.from_ints(spec, [0, 1])
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.values) - 1 if self.values else NEG_INF
 
     def monic(self) -> "Poly":
         if not self:
             return self
-        return self * self.coeffs[-1].inverse()
+        ops = self.spec._ops
+        return self._scale(ops.div(ops.one, self.values[-1]))
 
     def divmod(self, other: "Poly"):
-        """(quotient, remainder), by ``gf._divmod`` on stored values."""
+        """(quotient, remainder), by ``gf._divmod``."""
         self._check(other)
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
         spec = self.spec
-        if len(self.coeffs) < len(other.coeffs):
+        if len(self.values) < len(other.values):
             return Poly.zero(spec), self
-        quot, rem = _divmod(stored_arithmetic(spec), _values(self), _values(other))
-        return _from_values(spec, quot), _from_values(spec, rem)
+        quot, rem = _divmod(spec._ops, self.values, other.values)
+        return Poly._make(spec, 0, quot), Poly._make(spec, 0, rem)
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -183,35 +213,36 @@ class Poly(_Dense):
         return self.divmod(other)[0]
 
     def gcd(self, other: "Poly") -> "Poly":
-        """The monic gcd (zero for two zeros), by Euclid on stored values
-        through ``gf._divmod``."""
+        """The monic gcd (zero for two zeros), by Euclid through
+        ``gf._divmod``."""
         self._check(other)
-        ops = stored_arithmetic(self.spec)
-        a, b = _values(self), _values(other)
+        ops = self.spec._ops
+        a, b = self.values, other.values
         while b:
             a, b = b, _divmod(ops, a, b)[1]
         if a:
             inv = ops.div(ops.one, a[-1])
             a = [ops.mul(c, inv) for c in a]
-        return _from_values(self.spec, a)
+        return Poly._make(self.spec, 0, a)
 
     def derivative(self) -> "Poly":
-        return Poly(
-            self.spec, [c * i for i, c in enumerate(self.coeffs)][1:]
+        spec = self.spec
+        mul, int_value = spec._ops.mul, spec._int_value
+        return Poly._make(
+            spec, 0, [mul(c, int_value(i)) for i, c in enumerate(self.values) if i]
         )
 
     def evaluate(self, x: FieldElement) -> FieldElement:
-        """f(x) by Horner's rule on stored values; x must lie in f's field."""
+        """f(x) by Horner's rule; x must lie in f's field."""
         spec = x.spec
-        if not self.coeffs:
+        if not self.values:
             return spec.zero()
         if spec is not self.spec and spec != self.spec:
             raise SpecMismatch("elements belong to different field specs")
         ops = spec._ops
         mul, add, v = ops.mul, ops.add, x.v
-        values = _values(self)
-        acc = values.pop()
-        for c in reversed(values):
+        acc = self.values[-1]
+        for c in self.values[-2::-1]:
             acc = add(mul(acc, v), c)
         return spec.from_values([acc])[0]
 
@@ -224,26 +255,15 @@ class Poly(_Dense):
         return self.gcd(d).degree == 0
 
     def to_json(self):
-        return [c.to_json() for c in self.coeffs]
-
-
-def _values(f: _Dense) -> list:
-    """The values that f's coefficients store (``FieldElement.v``)."""
-    return [c.v for c in f.coeffs]
-
-
-def _from_values(spec: FieldSpec, values: list) -> Poly:
-    """The polynomial over spec whose coefficients store these values."""
-    return Poly(spec, spec.from_values(values))
+        return [list(self.spec._decode(v)) for v in self.values]
 
 
 def _powmod(base: Poly, e: int, mod: Poly) -> Poly:
-    """base^e modulo mod: base reduced, then ``gf._powmod`` on stored
-    values."""
+    """base^e modulo mod: base reduced, then ``gf._powmod``."""
     spec = base.spec
     if not e:
         return Poly.one(spec)
-    return _from_values(spec, _powmod_values(spec, _values(base % mod), e, _values(mod)))
+    return Poly._make(spec, 0, _powmod_values(spec, (base % mod).values, e, mod.values))
 
 
 # -- factorization -----------------------------------------------------------
@@ -336,7 +356,7 @@ def _trace_split(f: Poly, xs: list[Poly], d: int, one: bool = False) -> list[Pol
                         continue
                     if a == p:
                         raise error
-                    s = t + Poly(spec, [spec.from_int(a)])
+                    s = t + Poly.from_ints(spec, [a])
                     if (zero := g.gcd(s)).degree > 0:
                         done.append(zero)
                         if one:
@@ -372,7 +392,7 @@ def equal_degree_factorization(f: Poly, d: int) -> list[Poly]:
         return [f]
     return sorted(
         _trace_split(f, _frobenius_powers(f, f.spec.k * d), d),
-        key=lambda t: [c.sort_key() for c in t.coeffs],
+        key=lambda t: t.values,
     )
 
 
@@ -390,7 +410,7 @@ def factor(f: Poly) -> list[tuple[Poly, int]]:
                 f, mult = quot, mult + 1
                 quot, rem = f.divmod(irr)
             out.append((irr, mult))
-    out.sort(key=lambda t: (t[0].degree, [c.sort_key() for c in t[0].coeffs]))
+    out.sort(key=lambda t: (t[0].degree, t[0].values))
     return out
 
 
@@ -509,12 +529,12 @@ def orbit_reps_in_splitting_field(f: Poly, m: int):
     repeated roots."""
     if not f:
         raise ValueError("zero polynomial has no splitting field")
-    if any(c for i, c in enumerate(f.coeffs) if i % m):
-        raise NotOrbitClosed(f"f is not a polynomial in t^{m}")
-    if not f.coeffs[0]:
-        raise ZeroRoot("orbit representatives require nonzero roots")
     spec = f.spec
-    big_f = Poly(spec, f.coeffs[::m])
+    if any(c != spec._zero for i, c in enumerate(f.values) if i % m):
+        raise NotOrbitClosed(f"f is not a polynomial in t^{m}")
+    if f.values[0] == spec._zero:
+        raise ZeroRoot("orbit representatives require nonzero roots")
+    big_f = Poly._make(spec, 0, f.values[::m])
     if not big_f.is_squarefree():  # iff f is not: m | p - 1, f(0) != 0
         raise NotSquarefree("f has repeated roots")
     factors = factor(big_f)
@@ -594,33 +614,22 @@ class LaurentPoly(_Dense):
     stored coefficients (the zero Laurent polynomial stores nothing)."""
 
     __slots__ = ()
+    _trim_low = True
 
     def __init__(self, spec: FieldSpec, low: int, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        start = 0
-        while start < len(coeffs) and not coeffs[start]:
-            start += 1
-        self.spec = spec
-        self.low = low + start if coeffs else 0
-        self.coeffs = tuple(coeffs[start:])
-
-    @classmethod
-    def _make(cls, spec, low, coeffs):
-        return cls(spec, low, coeffs)
+        self._store(spec, low, [c.v for c in coeffs])
 
     @classmethod
     def from_terms(cls, spec: FieldSpec, terms: dict[int, FieldElement]):
-        terms = {e: c for e, c in terms.items() if c}
+        terms = {e: c.v for e, c in terms.items() if c}
         if not terms:
             return cls.zero(spec)
-        low, z = min(terms), spec.zero()
-        return cls(spec, low, [terms.get(e, z) for e in range(low, max(terms) + 1)])
+        low, z = min(terms), spec._zero
+        return cls._make(spec, low, [terms.get(e, z) for e in range(low, max(terms) + 1)])
 
     @classmethod
     def from_poly(cls, f: Poly, shift: int = 0) -> "LaurentPoly":
-        return cls(f.spec, shift, f.coeffs)
+        return cls._make(f.spec, shift, f.values)
 
     def terms(self):
         for i, c in enumerate(self.coeffs):
@@ -632,18 +641,18 @@ class LaurentPoly(_Dense):
 
     @property
     def high(self):
-        return self.low + len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return self.low + len(self.values) - 1 if self.values else NEG_INF
 
     def deg_t_inverse(self):
         """Degree in t^{-1}: -low when low < 0, else 0 for nonzero constants."""
-        return max(0, -self.low) if self.coeffs else NEG_INF
+        return max(0, -self.low) if self.values else NEG_INF
 
     def frobenius(self) -> "LaurentPoly":
         """Entry-wise p-th power: coefficients^p, exponents*p."""
-        p = self.spec.p
-        coeffs = [self.spec.zero()] * (p * len(self.coeffs) - p + 1)
-        coeffs[::p] = [c**p if c else c for c in self.coeffs]
-        return LaurentPoly(self.spec, p * self.low, coeffs)
+        spec, p = self.spec, self.spec.p
+        values = [spec._zero] * (p * len(self.values) - p + 1)
+        values[::p] = map(spec._ops.frobenius, self.values)
+        return LaurentPoly._make(spec, p * self.low, values)
 
     def to_json(self):
-        return {"low": self.low, "coeffs": [c.to_json() for c in self.coeffs]}
+        return {"low": self.low, "coeffs": [list(self.spec._decode(v)) for v in self.values]}

@@ -52,10 +52,12 @@ that certifies is the least-rank witness.
 
 The DFS keeps the c_i, G and the c_i-free parts of G as the field's stored
 values (``FieldElement.v``, in the form ``gf`` chooses per field) and
-computes on them through ``gf.stored_arithmetic``.  It walks the values in
-index order through ``FieldSpec._value`` and turns them into indices,
-through ``FieldSpec._index``, only for the rank of an aborted search.  A
-FieldElement is built only for a leaf, whose polynomial ``certify`` checks.
+computes on them through the field's ``StoredArithmetic``
+(``FieldSpec._ops``).  It walks the values in index order through
+``FieldSpec._value`` and turns them into indices, through
+``FieldSpec._index``, only for the rank of an aborted search.  A leaf's
+polynomial, which ``certify`` checks, holds those values as they stand: the
+search builds no FieldElement.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ from .cartier import Quadruple
 from .construct import construct_small, construct_trace
 from .criterion import Certificate, certify, certify_data
 from .errors import DdcritError, PruningMismatch
-from .gf import make_field, stored_arithmetic
+from .gf import make_field
 from .planner import quadruples_for_group
 from .poly import Poly
 
@@ -130,8 +132,8 @@ class _PrunedSearch:
     every candidate passing the coefficient equations.  A deadline is
     checked at every node; on overrun ``aborted_at`` is set to the rank of
     the first undecided candidate and the search stops.  The coefficients
-    and G are kept as the field's stored values and computed on by
-    ``gf.stored_arithmetic``; a FieldElement is built only for a leaf."""
+    and G are kept as the field's stored values and computed on by its
+    ``StoredArithmetic``; a leaf is a ``Poly`` on the same values."""
 
     def __init__(self, q: Quadruple, spec, deadline: float | None):
         self.q, self.spec, self.deadline = q, spec, deadline
@@ -140,8 +142,8 @@ class _PrunedSearch:
         self.length = max(self.by_last) + 1
         self.nodes = 0
         self.aborted_at = None
-        self.ops = ops = stored_arithmetic(spec)
-        self.u = spec.from_int(q.u).v
+        self.ops = ops = spec._ops
+        self.u = spec._int_value(q.u)
         self.values = [ops.zero] * (top + 1)
         # g[i] = G_i; rest[i] is G_i with c_i taken as 0, lin = -G_0/c_0
         # the coefficient of c_i in G_i for i > 0, and inv0 = 1/c_0
@@ -253,7 +255,7 @@ class _PrunedSearch:
     def _poly(self) -> Poly:
         m, values, zero = self.q.m, self.values, self.ops.zero
         coeffs = [values[e // m] if e % m == 0 else zero for e in range(self.q.n1 + 1)]
-        return Poly(self.spec, self.spec.from_values(coeffs))
+        return Poly._make(self.spec, 0, coeffs)
 
 
 def _passes(cert: Certificate, require_isolated: bool) -> bool:

@@ -12,11 +12,11 @@ Witt addition and standard-form reduction compute on entries in column
 form, (low, k int columns) (see "column form" below): ``witt_add``,
 ``witt_sub`` and ``wp`` convert at their boundary, and ``standard_form``
 keeps its working vector and adjustment in that form from start to end,
-building FieldElements and LaurentPolys only for its result.  An
-addition at any level is the Teichmüller recursion x + y = (x0 + y0,
-*(c + (x' + y'))) (``_add``), c the carries c_j(x0, y0) = S_j(x0, 0,
-...; y0, 0, ...), two-variable polynomials from their own ghost
-recursion (``_carries``).  Over F_p a carry is one exact pass on packed
+building LaurentPolys only for its result, on the stored values of its
+columns, and no FieldElement.  An addition at any level is the
+Teichmüller recursion x + y = (x0 + y0, *(c + (x' + y'))) (``_add``), c
+the carries c_j(x0, y0) = S_j(x0, 0, ...; y0, 0, ...), two-variable
+polynomials from their own ghost recursion (``_carries``).  Over F_p a carry is one exact pass on packed
 ints, a p^s-th power of an entry being the entry spread p^s slots apart,
 reduced mod p once; over F_{p^k}, k >= 2, its terms multiply in column
 form.  Frobenius, the p-th root, the lift into a degree-p extension and
@@ -55,7 +55,7 @@ from .gf import (
     square_and_multiply,
     value_columns,
 )
-from .poly import LaurentPoly, _embedding_map, _values
+from .poly import LaurentPoly, _embedding_map
 
 MAX_LEVEL = 3
 DEFAULT_EXTENSION_CAP = 16
@@ -178,7 +178,7 @@ def _check_pair(v: WittVector, w: WittVector):
 
 def _columns(v: WittVector) -> tuple:
     spec = v.spec
-    return tuple((e.low, value_columns(_values(e), spec)) for e in v.entries)
+    return tuple((e.low, value_columns(e.values, spec)) for e in v.entries)
 
 
 def _vector(spec: FieldSpec, entries) -> WittVector:
@@ -187,7 +187,7 @@ def _vector(spec: FieldSpec, entries) -> WittVector:
     return WittVector(
         spec,
         tuple(
-            LaurentPoly(spec, low, spec.from_values(column_values(cols, spec)))
+            LaurentPoly._make(spec, low, column_values(cols, spec))
             for low, cols in entries
         ),
     )
@@ -444,11 +444,13 @@ def wp(v: WittVector) -> WittVector:
 def is_standard(v: WittVector) -> bool:
     """Every entry supported on exponents t^{-d} with d >= 1 and p not | d."""
     p = v.spec.p
-    for entry in v.entries:
-        for e, _ in entry.terms():
-            if e >= 0 or e % p == 0:
-                return False
-    return True
+    return not any(e >= 0 or e % p == 0 for entry in v.entries for e in _support(entry))
+
+
+def _support(entry: LaurentPoly) -> list[int]:
+    """The exponents of the nonzero terms of entry."""
+    zero = entry.spec._zero
+    return [entry.low + i for i, c in enumerate(entry.values) if c != zero]
 
 
 @dataclass(frozen=True)
@@ -618,7 +620,7 @@ def gamma_congruence(v_std: WittVector, m: int) -> int:
     if not is_standard(v_std):
         raise NotStandardForm("vector is not in standard form")
     classes = {
-        (-e) % m for entry in v_std.entries for e, _ in entry.terms()
+        (-e) % m for entry in v_std.entries for e in _support(entry)
     }
     if len(classes) != 1:
         raise MixedClasses(f"exponent classes mod {m}: {sorted(classes)}")

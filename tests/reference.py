@@ -72,6 +72,9 @@ was replaced by a simpler or faster exact path:
   Laurent polynomials as term dicts, the oracle for the dense coefficient
   path of ``LaurentPoly.__add__``, ``ddcrit.cartier.cartier``,
   ``LaurentPoly.frobenius`` and ``LaurentPoly.map_coeffs``;
+- ``is_exact`` and ``dlog_truncated``: whether C(h dt) = 0, and the
+  truncated logarithmic forms of products of (1 - x_j t^-1)^(a_j), which
+  no library code calls; the tests check the Cartier operator on them;
 - ``witt_add_reference``: each addition polynomial S_i of
   ``ddcrit.witt.witt_sum_polys`` evaluated term by term on the entries
   with ``laurent_mul_reference`` and ``laurent_add_reference``, the oracle
@@ -114,7 +117,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from ddcrit.cartier import Quadruple, ddc_check
+from ddcrit.cartier import Quadruple, cartier, ddc_check
 from ddcrit.criterion import ResidueData, _det, certify, criterion_exponents
 from ddcrit.errors import (
     DdcritError,
@@ -791,6 +794,39 @@ def laurent_frobenius_reference(h: LaurentPoly) -> LaurentPoly:
     """a t^e goes to a^p t^(pe), term by term."""
     p = h.spec.p
     return LaurentPoly.from_terms(h.spec, {e * p: c**p for e, c in h.terms()})
+
+
+def is_exact(h: LaurentPoly) -> bool:
+    """True iff no exponent of h is -1 mod p, i.e. C(h dt) = 0, i.e. h dt
+    is exact."""
+    return not cartier(h)
+
+
+def dlog_truncated(factors, trunc: int, spec=None) -> LaurentPoly:
+    """The h of the logarithmic derivative h dt of prod_j (1 - x_j t^-1)^(a_j),
+    expanded in powers of t^-1 through exponent -(trunc+1).
+
+    The t^(-q-1) coefficient of h is sum_j a_j x_j^q; each a_j is an
+    integer exponent, each x_j a nonzero field element.  An empty factor
+    list yields zero (spec must then be passed explicitly).
+    """
+    if trunc < 1:
+        raise ValueError("truncation order must be >= 1")
+    if not factors:
+        if spec is None:
+            raise ValueError("spec required for an empty factor list")
+        return LaurentPoly.zero(spec)
+    spec = factors[0][0].spec
+    if any(not x for x, _ in factors):
+        raise ZeroRoot("dlog factors require nonzero roots")
+    h = LaurentPoly.zero(spec)
+    for x, a in factors:
+        # a x^q at t^(-q-1), q = trunc down to 1
+        powers = [x]
+        for _ in range(trunc - 1):
+            powers.append(powers[-1] * x)
+        h = h + LaurentPoly(spec, -trunc - 1, [xq * a for xq in reversed(powers)])
+    return h
 
 
 def laurent_map_coeffs_reference(h: LaurentPoly, fn, spec) -> LaurentPoly:

@@ -6,8 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ddcrit import gf
-from ddcrit.cartier import cartier
+from ddcrit import gf, search
+from ddcrit.cartier import Quadruple, cartier, ddc_check
 from ddcrit.errors import (
     NotAField,
     NotOrbitClosed,
@@ -531,7 +531,7 @@ DIVISION_FIELDS = [(3, 1), (5, 1), (7, 1), (13, 1), (10007, 1), (2**31 - 1, 1),
 @pytest.mark.parametrize("p, k", DIVISION_FIELDS)
 def test_divmod_and_gcd_match_the_reference(p, k):
     spec = make_field(p, k)
-    ops = gf.stored_arithmetic(spec)
+    ops = spec._ops
     rng = random.Random(f"division:{p}" if k == 1 else f"division:{p}:{k}")
     for a, b in _division_pairs(rng, spec):
         quot, rem = a.divmod(b)
@@ -991,3 +991,45 @@ def test_standard_form_of_a_constant_over_f81():
     spec = make_field(3, 4)
     entry = LaurentPoly.from_terms(spec, {-5: spec.one(), 0: spec.one()})
     assert standard_form(WittVector(spec, (entry,))).extension_degree == 3
+
+
+# residues (F_7), element indices (F_9) and coefficient tuples (F_{3^8})
+@pytest.mark.parametrize("p, k", [(7, 1), (3, 2), (3, 8)])
+def test_polynomial_operations_build_no_field_element(monkeypatch, p, k):
+    """Poly and LaurentPoly compute on the stored values they hold: with
+    the field's caches built by a first round (its arithmetic bundle, the
+    fold, Frobenius and p-th root maps), no ring operation, division, gcd,
+    modular power, derivative, Laurent product or Frobenius, ``cartier``
+    or ``ddc_check`` builds a FieldElement, ``evaluate`` builds exactly its
+    result, and no leaf of the pruned search builds one."""
+    spec = make_field(p, k)
+    rng = random.Random(f"unboxed:{p}:{k}")
+    a, b = _poly_of_degree(rng, spec, 6), _poly_of_degree(rng, spec, 3)
+    c = spec.element_by_index(rng.randrange(1, spec.order))
+    h = LaurentPoly(spec, -7, a.coeffs)
+    g = LaurentPoly(spec, -2, b.coeffs)
+    q = Quadruple(p, 2, 1, p - 1)
+    f = Poly(spec, [c] + [spec.zero(), c] * ((p - 1) // 2))
+    operations = [
+        lambda: a * b, lambda: a * a, lambda: a**5, lambda: a + b, lambda: a - b,
+        lambda: -a, lambda: a * c, lambda: 3 * a, lambda: a.divmod(b),
+        lambda: a.gcd(b), lambda: _powmod(a, 11, b), lambda: a.derivative(),
+        lambda: h * g, lambda: h.frobenius(), lambda: cartier(h),
+        lambda: ddc_check(q, f),
+    ]
+    results = [op() for op in operations]
+    value = a.evaluate(c)
+    tree = search._PrunedSearch(q, spec, None)
+    built, init = [], FieldElement.__init__
+
+    def counted(self, spec, v):
+        built.append(v)
+        init(self, spec, v)
+
+    monkeypatch.setattr(FieldElement, "__init__", counted)
+    assert [op() for op in operations] == results
+    assert built == []
+    assert a.evaluate(c) == value and len(built) == 1
+    built.clear()
+    leaves = list(tree.leaves())
+    assert leaves and built == []
