@@ -14,7 +14,9 @@ must come before any splitting field, three ``check`` cases whose
 isolation Schur factor is embedded from f's field into a larger splitting
 field (F_25, F_27 above the log-table bound, and F_49 with s_lambda = 0,
 exit 1), level-3 ``witt breaks`` at p=3
-(one forcing an extension to F_{3^9}) and p=5, and two ``witt breaks``
+(one forcing an extension to F_{3^9}) and p=5, one level-3 ``witt breaks``
+over F_9 with no extension, whose carries run in column form
+(``kronecker_columns``) from slot 0, and two ``witt breaks``
 cases with poles below the catalog's t^-12: a cascade t^-27 -> t^-1 in one
 slot with a constant that forces F_{3^9}, t^-49 at p=7 with an
 extension to F_{7^7}, and a level-3 case at p=7 whose carries are packed
