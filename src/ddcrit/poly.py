@@ -24,15 +24,18 @@ from .errors import (
 from .gf import (
     FieldElement,
     FieldSpec,
+    _apply,
     _divmod,
     _image,
     _powers_map,
     _powmod as _powmod_values,
+    column_values,
     kronecker_mul,
     make_field,
     mth_root,
     root_of_unity,
     square_and_multiply,
+    value_columns,
 )
 
 NEG_INF = float("-inf")
@@ -444,7 +447,18 @@ def embed(x: FieldElement, dst: FieldSpec) -> FieldElement:
 
 
 def embed_poly(f: Poly, dst: FieldSpec) -> Poly:
-    return f.map_coeffs(lambda c: embed(c, dst), dst)
+    """f with each coefficient embedded into dst as by ``embed``, on its
+    stored values: an F_p value through ``dst._int_value``, above F_p the
+    cached ``_embedding_map`` applied to f's columns."""
+    src = f.spec
+    if src == dst:
+        return f
+    if src.k == 1 and src.p == dst.p:
+        values = [dst._int_value(c) for c in f.values]
+    else:
+        cols = _apply(_embedding_map(src, dst), value_columns(f.values, src), dst.p)
+        values = column_values(cols, dst)
+    return f._make(dst, f.low, values)
 
 
 def roots_in_field(f: Poly) -> list[FieldElement]:

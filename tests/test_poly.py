@@ -322,9 +322,9 @@ def sparse_laurent(rng, spec, low):
 
 @pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (7, 2)])
 def test_dense_laurent_path_matches_term_dicts(p, k):
-    """Sum, difference, product, negation, Cartier image, Frobenius and
-    coefficient map on dense coefficient tuples give the to_json bytes of
-    the term-dict oracles, for
+    """Sum, difference, product, negation, Cartier image, Frobenius,
+    coefficient map and ``embed_poly`` on dense coefficient tuples give the
+    to_json bytes of the term-dict oracles, for
     operands whose low exponent runs over every residue mod p (negative ones
     too), sums that cancel in full or at the bottom, zero and monomials."""
     spec = make_field(p, k)
@@ -356,8 +356,9 @@ def test_dense_laurent_path_matches_term_dicts(p, k):
                 same(h.frobenius(), laurent_frobenius_reference(h))
                 same(h.map_coeffs(lambda c: c * c, spec),
                      laurent_map_coeffs_reference(h, lambda c: c * c, spec))
-                same(h.map_coeffs(lambda c: embed(c, big), big),
-                     laurent_map_coeffs_reference(h, lambda c: embed(c, big), big))
+                embedded = laurent_map_coeffs_reference(h, lambda c: embed(c, big), big)
+                same(h.map_coeffs(lambda c: embed(c, big), big), embedded)
+                same(embed_poly(h, big), embedded)
 
 
 def test_embedding_consistency():
@@ -371,8 +372,9 @@ def test_embedding_consistency():
     for dst in (F5, make_field(7, 2)):  # another characteristic
         with pytest.raises(SpecMismatch):
             embed(F3.from_int(2), dst)
-        with pytest.raises(SpecMismatch):
-            embed_poly(poly_from_ints(F3, [1, 2]), dst)
+        for f in (poly_from_ints(F3, [1, 2]), Poly.zero(F3)):
+            with pytest.raises(SpecMismatch):
+                embed_poly(f, dst)
 
 
 # -- the packed product against the schoolbook oracle ------------------------
@@ -1000,8 +1002,10 @@ def test_polynomial_operations_build_no_field_element(monkeypatch, p, k):
     the field's caches built by a first round (its arithmetic bundle, the
     fold, Frobenius and p-th root maps), no ring operation, division, gcd,
     modular power, derivative, Laurent product or Frobenius, ``cartier``
-    or ``ddc_check`` builds a FieldElement, ``evaluate`` builds exactly its
-    result, and no leaf of the pruned search builds one."""
+    or ``ddc_check`` builds a FieldElement, nor does ``embed_poly`` from
+    F_7 into F_49 or from F_9 into F_{3^8} with its map built, ``evaluate``
+    builds exactly its result, and no leaf of the pruned search builds
+    one."""
     spec = make_field(p, k)
     rng = random.Random(f"unboxed:{p}:{k}")
     a, b = _poly_of_degree(rng, spec, 6), _poly_of_degree(rng, spec, 3)
@@ -1017,6 +1021,9 @@ def test_polynomial_operations_build_no_field_element(monkeypatch, p, k):
         lambda: h * g, lambda: h.frobenius(), lambda: cartier(h),
         lambda: ddc_check(q, f),
     ]
+    if (p, k) != (3, 8):
+        big = make_field(p, 2 if k == 1 else 8)
+        operations.append(lambda: embed_poly(a, big))
     results = [op() for op in operations]
     value = a.evaluate(c)
     tree = search._PrunedSearch(q, spec, None)

@@ -129,8 +129,8 @@ def test_level_cap():
 def test_carries_are_the_sum_polynomials_in_the_first_slots(p):
     """The two-variable recursion of ``_carries`` gives the terms of
     c_j(A, B) = S_j(A, 0, 0; B, 0, 0) that ``witt_sum_polys`` gives, order
-    included, and ``_carry_terms`` spells each term of c_j(A, B) and of
-    c_j(A, -B) by the base-p digits of its exponents."""
+    included, and ``_carry_terms`` spells each term of c_j(A, B) by the
+    base-p digits of its exponents."""
     sums = witt_sum_polys(p, 3)
     for j in range(3):
         terms = tuple(
@@ -139,16 +139,13 @@ def test_carries_are_the_sum_polynomials_in_the_first_slots(p):
         assert _carries(p, 3)[j] == _carries(p, j + 1)[j] == terms
         if not j:
             continue
-        for negate in (False, True):
-            spelled = []
-            for c, factors in _carry_terms(p, j, negate):
-                exps = [0, 0]
-                for i, d in factors:
-                    exps[i % 2] += d * p ** (i // 2)
-                spelled.append((c, *exps))
-            assert spelled == [
-                (p - c if negate and b % 2 else c, a, b) for c, a, b in terms
-            ]
+        spelled = []
+        for c, factors in _carry_terms(p, j):
+            exps = [0, 0]
+            for i, d in factors:
+                exps[i % 2] += d * p ** (i // 2)
+            spelled.append((c, *exps))
+        assert spelled == list(terms)
 
 
 def test_standard_form_enforces_the_level_cap_before_reducing():
@@ -384,24 +381,38 @@ def test_addition_above_the_level_cap_matches_the_ghost_oracle(monkeypatch, p, k
         assert ghosts_agree(difference, w, v, p, modulus)
 
 
+# (_column_sum, _carry, _packed_sum) calls of v + v, v - v and wp(v) for
+# the full vector v of width 2 over F_3 (k = 1) and F_9 (k = 2)
+SLOT_SUM_COUNTS = {
+    (1, 3): {"add": (4, 4, 4), "sub": (4, 3, 3), "wp": (4, 4, 4)},
+    (2, 3): {"add": (8, 4, 0), "sub": (7, 3, 0), "wp": (8, 4, 0)},
+    (1, 4): {"add": (8, 10, 10), "sub": (7, 6, 6), "wp": (8, 11, 11)},
+    (2, 4): {"add": (18, 10, 0), "sub": (13, 6, 0), "wp": (19, 11, 0)},
+    (1, 5): {"add": (15, 21, 21), "sub": (11, 10, 10), "wp": (16, 26, 26)},
+    (2, 5): {"add": (36, 21, 0), "sub": (21, 10, 0), "wp": (42, 26, 0)},
+    (1, 6): {"add": (27, 41, 41), "sub": (16, 15, 15), "wp": (32, 57, 57)},
+    (2, 6): {"add": (68, 41, 0), "sub": (31, 15, 0), "wp": (89, 57, 0)},
+}
+
+
 @pytest.mark.parametrize(
-    "k, counts",
-    [
-        (1, {"add": (4, 4, 4), "sub": (4, 3, 3), "wp": (4, 4, 4)}),
-        (2, {"add": (8, 4, 0), "sub": (7, 3, 0), "wp": (8, 4, 0)}),
-    ],
-    ids=["F3", "F9"],
+    "k, n",
+    list(SLOT_SUM_COUNTS),
+    ids=["F3", "F9", "F3-4", "F9-4", "F3-5", "F9-5", "F3-6", "F9-6"],
 )
-def test_level3_addition_sums_each_slot_once(monkeypatch, k, counts):
+def test_level3_addition_sums_each_slot_once(monkeypatch, k, n):
     """A level-3 sum, difference and wp of full entries make as many
     ``_column_sum``, ``_carry`` and ``_packed_sum`` calls as the slot
     formula x + y = (x0 + y0, c_1(x0, y0) + z0, x2 + y2 + c_1(x1, y1) +
     c_2(x0, y0) + c_1(c_1(x0, y0), z0)), z0 = x1 + y1, whose last slot is
     one sum.
     Over F_9 each carry sums its terms by one more ``_column_sum``; v - v
-    skips the carry of the zero z0."""
+    skips the carries of the zero z0.  With the cap lifted to 6, the counts
+    at levels 4-6 pin how many sums and carries the loop over the slots
+    makes as it folds each slot's pending entries in turn."""
+    monkeypatch.setattr(ddcrit.witt, "MAX_LEVEL", 6)
     spec = make_field(3, k)
-    v = full_vector(spec, 3, 2)
+    v = full_vector(spec, n, 2)
     names = ("_column_sum", "_carry", "_packed_sum")
     calls = _count_calls(monkeypatch, names)
     for label, fn, args in (
@@ -409,7 +420,8 @@ def test_level3_addition_sums_each_slot_once(monkeypatch, k, counts):
     ):
         calls.clear()
         fn(*args)
-        assert tuple(calls[name] for name in names) == counts[label], label
+        got = tuple(calls[name] for name in names)
+        assert got == SLOT_SUM_COUNTS[k, n][label], label
 
 
 def test_addition_enforces_the_level_cap():
@@ -665,7 +677,7 @@ def test_standard_form_carries_once_per_slot(monkeypatch):
     monkeypatch.setattr(
         ddcrit.witt,
         "_add",
-        lambda spec, x, y, neg: calls.append(1) or add(spec, x, y, neg),
+        lambda spec, x, y: calls.append(1) or add(spec, x, y),
     )
     names, carried = [], 0
     for name, v in _witt_golden_vectors():
@@ -682,6 +694,28 @@ def test_standard_form_carries_once_per_slot(monkeypatch):
     witt_sub(res.vector, res.vector)
     wp(res.vector)
     assert len(calls) == 3
+
+
+def test_standard_form_forms_wp_before_subtracting_it(monkeypatch):
+    """Each carry forms wp(V^i C) and then subtracts it, rather than folding
+    work + V^i[C] - V^i[C^p] in one addition: the same bytes, but the one
+    fold carries wider entries.  Pinned by the size of the column products
+    (sum of len(a) len(b) k over ``kronecker_columns``) of a reduction over
+    F_5 that carries over F_{5^5} before the cap stops it: 59,800, where
+    the one fold makes 151,020 and takes the p = 13 cap input of CI's
+    "Witt extension cap" step from about 2 s to about 5 s."""
+    size = [0]
+    real = ddcrit.witt.kronecker_columns
+
+    def counted(a, b, spec):
+        size[0] += len(a[0]) * len(b[0]) * len(a)
+        return real(a, b, spec)
+
+    monkeypatch.setattr(ddcrit.witt, "kronecker_columns", counted)
+    v = WittVector(F5, tuple(parse_laurent(F5, e) for e in ("t^-4+1", "1", "1")))
+    with pytest.raises(ExtensionCapExceeded, match="degree 25 over the base"):
+        standard_form(v)
+    assert size[0] == 59_800
 
 
 def _is_column_entry(entry, k):
@@ -738,10 +772,10 @@ def test_witt_add_stays_in_column_form(monkeypatch):
     real_add = ddcrit.witt._add
     cores = []
 
-    def add(spec, x, y, negate):
+    def add(spec, x, y):
         assert all(_is_column_entry(e, spec.k) for e in x + y)
         before = len(built)
-        out = real_add(spec, x, y, negate)
+        out = real_add(spec, x, y)
         assert built[before:] == [] and len(out) == len(x)
         assert all(_is_column_entry(e, spec.k) for e in out)
         cores.append(1)
