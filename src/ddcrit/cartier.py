@@ -14,7 +14,7 @@ function arithmetic or series truncation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import BadSupport, InvalidQuadruple, VanishesAtZero, WrongDegree
 from .gf import is_prime
@@ -29,31 +29,33 @@ def _prime_to_p_part(n: int, p: int) -> tuple[int, int]:
     return n, nu
 
 
-@dataclass(frozen=True)
-class Quadruple:
+class Quadruple(namedtuple("Quadruple", "p m u_tilde n1 u nu")):
     """(p, m, u~, N1) with m | p-1, m > 1, u~ = -1 mod m, m | N1.
 
-    ``u`` is the prime-to-p part of u~ and ``nu`` its p-adic valuation."""
+    Fields: ``p``, ``m``, ``u_tilde`` and ``n1``, the ints it is built from,
+    then ``u: int``, the prime-to-p part of u~, and ``nu: int``, its p-adic
+    valuation, which it derives.  ``_replace`` validates and derives them
+    again."""
 
-    p: int
-    m: int
-    u_tilde: int
-    n1: int
-    u: int = field(init=False)
-    nu: int = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_prime(self.p) or self.p == 2:
-            raise InvalidQuadruple(f"p = {self.p} must be an odd prime")
-        if self.m <= 1 or (self.p - 1) % self.m != 0:
-            raise InvalidQuadruple(f"m = {self.m} must exceed 1 and divide p-1")
-        if self.u_tilde < 1 or self.u_tilde % self.m != self.m - 1:
-            raise InvalidQuadruple(f"u~ = {self.u_tilde} must be -1 mod m")
-        if self.n1 < 0 or self.n1 % self.m != 0:
-            raise InvalidQuadruple(f"N1 = {self.n1} must be a nonnegative multiple of m")
-        u, nu = _prime_to_p_part(self.u_tilde, self.p)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "nu", nu)
+    def __new__(cls, p, m, u_tilde, n1):
+        if not is_prime(p) or p == 2:
+            raise InvalidQuadruple(f"p = {p} must be an odd prime")
+        if m <= 1 or (p - 1) % m != 0:
+            raise InvalidQuadruple(f"m = {m} must exceed 1 and divide p-1")
+        if u_tilde < 1 or u_tilde % m != m - 1:
+            raise InvalidQuadruple(f"u~ = {u_tilde} must be -1 mod m")
+        if n1 < 0 or n1 % m != 0:
+            raise InvalidQuadruple(f"N1 = {n1} must be a nonnegative multiple of m")
+        return super().__new__(cls, p, m, u_tilde, n1, *_prime_to_p_part(u_tilde, p))
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*tuple(fields)[:4])
+
+    def __getnewargs__(self):
+        return self[:4]
 
     def to_json(self):
         return {"p": self.p, "m": self.m, "u_tilde": self.u_tilde, "n1": self.n1}

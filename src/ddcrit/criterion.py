@@ -12,7 +12,7 @@ reconstructed f instead of searching for them, and runs ``ddc_check`` once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .cartier import Quadruple, ddc_check, validate_shape
@@ -35,31 +35,36 @@ from .poly import (
 )
 
 
-@dataclass(frozen=True)
-class ResidueData:
+class ResidueData(
+    namedtuple("ResidueData", "quadruple splitting_degree reps residues")
+):
     """Orbit representatives x_j (in F_{p^D}) and residues a_j (in F_p^x,
-    stored as ints) of omega = dt/(f t^(u~+1)) at the roots of f."""
+    stored as ints) of omega = dt/(f t^(u~+1)) at the roots of f.
 
-    quadruple: Quadruple
-    splitting_degree: int
-    reps: tuple[FieldElement, ...]
-    residues: tuple[int, ...]
+    Fields: ``quadruple: Quadruple``, ``splitting_degree: int`` (D),
+    ``reps: tuple[FieldElement, ...]`` and ``residues: tuple[int, ...]``."""
+
+    __slots__ = ()
 
     @property
     def field(self) -> FieldSpec:
         return make_field(self.quadruple.p, self.splitting_degree)
 
 
-@dataclass(frozen=True)
-class Certificate:
-    quadruple: Quadruple
-    field: FieldSpec
-    f: Poly
-    residue_data: ResidueData | None
-    ddc_ok: bool
-    power_sum_ok: bool
-    isolation_det: FieldElement | None
-    isolated: bool
+class Certificate(
+    namedtuple(
+        "Certificate",
+        "quadruple field f residue_data ddc_ok power_sum_ok isolation_det isolated",
+    )
+):
+    """The outcome of certifying f for a quadruple.
+
+    Fields: ``quadruple: Quadruple``, ``field: FieldSpec`` (f's field),
+    ``f: Poly``, ``residue_data: ResidueData | None``, ``ddc_ok: bool``,
+    ``power_sum_ok: bool``, ``isolation_det: FieldElement | None`` and
+    ``isolated: bool``."""
+
+    __slots__ = ()
 
     @property
     def all_ok(self) -> bool:

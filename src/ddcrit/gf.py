@@ -50,8 +50,7 @@ import math
 import operator
 import sys
 from array import array
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     EvenPrime,
@@ -341,18 +340,19 @@ def _base_p_digits(i: int, p: int, width: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(namedtuple("FieldSpec", "p k modulus")):
     """An explicit F_{p^k} with a fixed monic irreducible modulus.
 
-    ``modulus`` is the ascending coefficient tuple of length k+1; the
-    canonical choice is deterministic, so equal (p, k) always produce
-    identical specs.
+    Fields: ``p: int``, ``k: int`` and ``modulus: tuple[int, ...]``, the
+    ascending coefficient tuple of length k+1; the canonical choice is
+    deterministic, so equal (p, k) always produce identical specs.  A named
+    tuple, so it hashes and compares as (p, k, modulus); unlike the other
+    records it keeps a ``__dict__``, for its cached properties, which a
+    copy or a pickle leaves out (``__getstate__``).
     """
 
-    p: int
-    k: int
-    modulus: tuple[int, ...]
+    def __getstate__(self):
+        return None
 
     @property
     def order(self) -> int:
@@ -634,12 +634,14 @@ def _linear_map(images, k: int) -> tuple:
                  for s in range(k))
 
 
-def _powers_map(z: FieldElement, n: int) -> tuple:
-    """The rows of x^t -> z^t for t < n, into z's field."""
-    powers = [z.spec.one()]
+def _powers_map(spec: FieldSpec, z, n: int) -> tuple:
+    """The rows of x^t -> z^t for t < n, into spec, z given by its k
+    coefficients; the powers are ``_ring_mul`` products, so no log tables
+    are built."""
+    powers = [(1,) + (0,) * (spec.k - 1)]
     while len(powers) < n:
-        powers.append(powers[-1] * z)
-    return _linear_map([y.coeffs for y in powers], z.spec.k)
+        powers.append(_ring_mul(spec, powers[-1], z))
+    return _linear_map(powers, spec.k)
 
 
 @functools.lru_cache(maxsize=None)
@@ -654,17 +656,22 @@ def _fold_map(spec: FieldSpec) -> tuple:
 
 
 # c -> c^(p^i) is x^t -> (x^(p^i))^t for x = [0, 1][:k] (0 over F_p, modulus x)
+def _x_power(spec: FieldSpec, e: int) -> tuple[int, ...]:
+    """The coefficients of x^e, e >= 1, by ``_ring_mul`` products."""
+    x = ((0, 1) + (0,) * spec.k)[: spec.k]
+    return square_and_multiply(x, e, functools.partial(_ring_mul, spec))
+
+
 @functools.lru_cache(maxsize=None)
 def _frobenius_map(spec: FieldSpec) -> tuple:
     """c -> c^p on spec."""
-    return _powers_map(spec.element([0, 1][: spec.k]) ** spec.p, spec.k)
+    return _powers_map(spec, _x_power(spec, spec.p), spec.k)
 
 
 @functools.lru_cache(maxsize=None)
 def _pth_root_map(spec: FieldSpec) -> tuple:
     """c -> c^(p^(k-1)), the inverse of Frobenius."""
-    x = spec.element([0, 1][: spec.k])
-    return _powers_map(x ** spec.p ** (spec.k - 1), spec.k)
+    return _powers_map(spec, _x_power(spec, spec.p ** (spec.k - 1)), spec.k)
 
 
 def _apply(rows, cols, p: int) -> list:
@@ -752,8 +759,12 @@ def _same(x):
     return x
 
 
-@dataclass(frozen=True)
-class StoredArithmetic:
+class StoredArithmetic(
+    namedtuple(
+        "StoredArithmetic",
+        "zero one mul sub add neg div pow dot submul frobenius pth_root",
+    )
+):
     """Field operations on the values ``FieldElement.v`` stores: ints in a
     coded field, residues mod p at k = 1 and element indices within the
     table bound, and coefficient tuples above the bound.  It only computes:
@@ -763,20 +774,14 @@ class StoredArithmetic:
     ``pow`` a nonzero base with any int exponent; ``dot`` is the sum of the
     products of two equally long value sequences; ``submul(xs, s, c, ys)``
     subtracts c ys[i] from xs[s + i] in place for every i and a nonzero c,
-    the step of ``_divmod``."""
+    the step of ``_divmod``.
 
-    zero: object
-    one: object
-    mul: Callable
-    sub: Callable
-    add: Callable
-    neg: Callable
-    div: Callable
-    pow: Callable  # (x, e) -> x^e
-    dot: Callable
-    submul: Callable  # (xs, s, c, ys): xs[s + i] -= c ys[i]
-    frobenius: Callable  # x -> x^p
-    pth_root: Callable  # x -> x^(1/p)
+    Fields: ``zero`` and ``one``, stored values; ``mul``, ``sub``, ``add``,
+    ``neg``, ``div``, ``pow`` ((x, e) -> x^e), ``dot``, ``submul`` ((xs, s,
+    c, ys): xs[s + i] -= c ys[i]), ``frobenius`` (x -> x^p) and
+    ``pth_root`` (x -> x^(1/p)), each a ``Callable``."""
+
+    __slots__ = ()
 
 
 def _stored_arithmetic(spec: FieldSpec) -> StoredArithmetic:

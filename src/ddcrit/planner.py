@@ -4,9 +4,8 @@ critical/hub radii attached to each lifting step."""
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .cartier import Quadruple
@@ -26,47 +25,59 @@ def _pair_json(x: tuple[int, int]) -> dict:
     return {"num": x[0], "den": x[1]}
 
 
-@dataclass(frozen=True)
-class RadiiReport:
+def _fraction(pair: tuple[int, int]):
+    """The Fraction num/den of an int pair; ``fractions`` is imported here,
+    on first use, so that no command that only prints pairs loads it."""
+    from fractions import Fraction
+
+    return Fraction(*pair)
+
+
+class RadiiReport(namedtuple("RadiiReport", "crit hub n n2 delta")):
     """The exact radii of one lifting step, each kept as its reduced
     (num, den) int pair with den > 0: ``crit``, ``hub`` and ``n`` for
     r_crit, r_hub and r_n, and ``delta`` for delta_hub = u_next*r_hub.
     ``r_crit``, ``r_hub``, ``r_n`` and ``delta_hub`` read them as
     Fractions.  Both consistency checks compare the pairs by
     cross-multiplication, and ``to_json`` renders them, so neither builds a
-    Fraction."""
+    Fraction.
 
-    crit: tuple[int, int]
-    hub: tuple[int, int]
-    n: tuple[int, int]
-    n2: int
-    delta: tuple[int, int]
+    Fields: ``crit``, ``hub`` and ``n``, each a ``tuple[int, int]``,
+    ``n2: int`` and ``delta: tuple[int, int]``."""
 
-    def __post_init__(self):
-        (cn, cd), (hn, hd), (nn, nd) = self.crit, self.hub, self.n
-        if self.n2 > 0 and not (nn * hd < hn * nd and hn * cd < cn * hd):
+    __slots__ = ()
+
+    def __new__(cls, crit, hub, n, n2, delta):
+        self = super().__new__(cls, crit, hub, n, n2, delta)
+        (cn, cd), (hn, hd), (nn, nd) = crit, hub, n
+        if n2 > 0 and not (nn * hd < hn * nd and hn * cd < cn * hd):
             raise InconsistentRadii(
                 f"r_n, r_hub, r_crit = {self.r_n}, {self.r_hub}, {self.r_crit} "
                 "are not increasing"
             )
-        if self.n2 <= 0 and hn != 0:
-            raise InconsistentRadii(f"r_hub = {self.r_hub} with n2 = {self.n2}")
+        if n2 <= 0 and hn != 0:
+            raise InconsistentRadii(f"r_hub = {self.r_hub} with n2 = {n2}")
+        return self
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     @property
-    def r_crit(self) -> Fraction:
-        return Fraction(*self.crit)
+    def r_crit(self):
+        return _fraction(self.crit)
 
     @property
-    def r_hub(self) -> Fraction:
-        return Fraction(*self.hub)
+    def r_hub(self):
+        return _fraction(self.hub)
 
     @property
-    def r_n(self) -> Fraction:
-        return Fraction(*self.n)
+    def r_n(self):
+        return _fraction(self.n)
 
     @property
-    def delta_hub(self) -> Fraction:
-        return Fraction(*self.delta)
+    def delta_hub(self):
+        return _fraction(self.delta)
 
     def to_json(self):
         return {

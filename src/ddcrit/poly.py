@@ -433,7 +433,7 @@ def _embedding_image(src: FieldSpec, dst: FieldSpec) -> FieldElement:
 def _embedding_map(src: FieldSpec, dst: FieldSpec) -> tuple:
     """The rows of ``embed`` from src into dst: x^t -> z^t for z =
     ``_embedding_image``, whose errors it raises (NotAField, say)."""
-    return _powers_map(_embedding_image(src, dst), src.k)
+    return _powers_map(dst, _embedding_image(src, dst).coeffs, src.k)
 
 
 def embed(x: FieldElement, dst: FieldSpec) -> FieldElement:

@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cartier import Quadruple
 from .construct import construct_small, construct_trace
@@ -77,19 +77,22 @@ from .poly import Poly
 MAX_FIELD_DEGREE = 8
 
 
-@dataclass(frozen=True)
-class NotFound:
+class NotFound(
+    namedtuple(
+        "NotFound",
+        "quadruple field_degree require_isolated candidates_tried complete nodes",
+    )
+):
     """Negative (or aborted) search outcome.  A complete exhaustion does not
     refute existence over larger fields.  ``candidates_tried`` is the number
     of candidates decided, in rank order; ``nodes`` counts the coefficient
-    assignments the search visited and stays out of the JSON."""
+    assignments the search visited and stays out of the JSON.
 
-    quadruple: Quadruple
-    field_degree: int
-    require_isolated: bool
-    candidates_tried: int
-    complete: bool
-    nodes: int
+    Fields: ``quadruple: Quadruple``, ``field_degree: int``,
+    ``require_isolated: bool``, ``candidates_tried: int``, ``complete:
+    bool`` and ``nodes: int``."""
+
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -302,13 +305,13 @@ def first_witness(
 brute_search = first_witness
 
 
-@dataclass(frozen=True)
-class GroupSearchResult:
-    p: int
-    m: int
-    n: int
-    results: dict  # Quadruple -> Certificate | NotFound
-    complete: bool
+class GroupSearchResult(namedtuple("GroupSearchResult", "p m n results complete")):
+    """The outcome of ``search_group`` for Z/p^n x| Z/m.
+
+    Fields: ``p: int``, ``m: int``, ``n: int``, ``results: dict``
+    (Quadruple -> Certificate | NotFound) and ``complete: bool``."""
+
+    __slots__ = ()
 
     def to_json_lines(self) -> list[str]:
         lines = [json.dumps(r.to_json()) for r in self.results.values()]

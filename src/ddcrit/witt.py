@@ -28,7 +28,7 @@ whole columns.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     ExtensionCapExceeded,
@@ -62,18 +62,24 @@ MAX_LEVEL = 3
 DEFAULT_EXTENSION_CAP = 16
 
 
-@dataclass(frozen=True)
-class WittVector:
-    """Element of W_n(k[t^{-1}]): an n-tuple of Laurent polynomials."""
+class WittVector(namedtuple("WittVector", "spec entries")):
+    """Element of W_n(k[t^{-1}]): an n-tuple of Laurent polynomials.
 
-    spec: FieldSpec
-    entries: tuple[LaurentPoly, ...]
+    Fields: ``spec: FieldSpec`` and ``entries: tuple[LaurentPoly, ...]``.
+    Its truth value is that of the vector, not of the record."""
 
-    def __post_init__(self):
-        if not self.entries:
+    __slots__ = ()
+
+    def __new__(cls, spec, entries):
+        if not entries:
             raise ValueError("Witt vector needs at least one entry")
-        if any(e.spec != self.spec for e in self.entries):
+        if any(e.spec != spec for e in entries):
             raise SpecMismatch("Witt entries over different field specs")
+        return super().__new__(cls, spec, entries)
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     @property
     def level(self) -> int:
@@ -219,10 +225,15 @@ def _entry(k: int, terms: dict):
 
 @functools.lru_cache(maxsize=None)
 def _artin_schreier_matrix(spec: FieldSpec) -> tuple:
-    """The k x k matrix over F_p of x -> x^p - x; column t is the image of
-    x^t.  Its rank is k - 1: the kernel is F_p."""
-    basis = [spec.element([0] * t + [1]) for t in range(spec.k)]
-    return tuple(zip(*[(b**spec.p - b).coeffs for b in basis]))
+    """The k x k matrix over F_p of x -> x^p - x, ``_frobenius_map`` minus
+    the identity; column t is the image of x^t.  Its rank is k - 1: the
+    kernel is F_p."""
+    matrix = [[0] * spec.k for _ in range(spec.k)]
+    for s, row in enumerate(_frobenius_map(spec)):
+        for t, c in row:
+            matrix[s][t] = c
+        matrix[s][s] = (matrix[s][s] - 1) % spec.p
+    return tuple(map(tuple, matrix))
 
 
 def _frobenius_entry(spec: FieldSpec, entry):
@@ -447,11 +458,15 @@ def _support(entry: LaurentPoly) -> list[int]:
     return [entry.low + i for i, c in enumerate(entry.values) if c != zero]
 
 
-@dataclass(frozen=True)
-class StandardFormResult:
-    vector: WittVector
-    extension_degree: int
-    adjustment: WittVector  # g with v_std = v - wp(g)
+class StandardFormResult(
+    namedtuple("StandardFormResult", "vector extension_degree adjustment")
+):
+    """The outcome of ``standard_form``.
+
+    Fields: ``vector: WittVector`` (v_std), ``extension_degree: int`` and
+    ``adjustment: WittVector`` (g with v_std = v - wp(g))."""
+
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -566,14 +581,20 @@ def standard_form(
 # -- ramification breaks -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class JumpProfile:
-    """Upper ramification breaks (u_1, ..., u_n)."""
+class JumpProfile(namedtuple("JumpProfile", "breaks")):
+    """Upper ramification breaks (u_1, ..., u_n).
 
-    breaks: tuple[int, ...]
+    Field: ``breaks: tuple[int, ...]``, stored as a tuple whatever iterable
+    it is given."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "breaks", tuple(self.breaks))
+    __slots__ = ()
+
+    def __new__(cls, breaks):
+        return super().__new__(cls, tuple(breaks))
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     def validate(self, p: int) -> "JumpProfile":
         u = self.breaks

@@ -53,6 +53,13 @@ was replaced by a simpler or faster exact path:
   at that image by Horner's rule, one field product and sum per
   coefficient, the oracle for the cached linear map of ``ddcrit.poly.embed``
   (``_embedding_map``);
+- ``powers_map_reference``, ``frobenius_map_reference``,
+  ``pth_root_map_reference`` and ``artin_schreier_matrix_reference``: the
+  rows of x^t -> z^t and the matrix of x -> x^p - x from ``FieldElement``
+  powers (log tables within the table bound), the oracle for
+  ``ddcrit.gf._powers_map``, ``_frobenius_map`` and ``_pth_root_map`` and
+  ``ddcrit.witt._artin_schreier_matrix``, which multiply coefficient
+  tuples by ``ddcrit.gf._ring_mul``;
 - ``rabin_reference``: the Rabin test as ``ddcrit.gf`` ran it on its own
   list helpers (a reduction that assumes a monic divisor, a power and a
   gcd over it), before every dense F_p[x] operation there went through one
@@ -640,6 +647,34 @@ def embed_reference(x: FieldElement, dst: FieldSpec) -> FieldElement:
     if src.k == 1 and src.p == dst.p:
         return dst.from_int(x.coeffs[0])
     return Poly.from_ints(dst, x.coeffs).evaluate(_embedding_image(src, dst))
+
+
+def powers_map_reference(z: FieldElement, n: int) -> tuple:
+    """The rows of x^t -> z^t for t < n: row s lists (t, coefficient s of
+    z^t) where it is nonzero."""
+    images = [(z**t).coeffs for t in range(n)]
+    return tuple(
+        tuple((t, c[s]) for t, c in enumerate(images) if c[s])
+        for s in range(z.spec.k)
+    )
+
+
+def frobenius_map_reference(spec: FieldSpec) -> tuple:
+    """The rows of c -> c^p: x^t -> (x^p)^t."""
+    x = spec.element([0, 1][: spec.k])
+    return powers_map_reference(x**spec.p, spec.k)
+
+
+def pth_root_map_reference(spec: FieldSpec) -> tuple:
+    """The rows of c -> c^(p^(k-1)): x^t -> (x^(p^(k-1)))^t."""
+    x = spec.element([0, 1][: spec.k])
+    return powers_map_reference(x ** spec.p ** (spec.k - 1), spec.k)
+
+
+def artin_schreier_matrix_reference(spec: FieldSpec) -> tuple:
+    """The k x k matrix of x -> x^p - x; column t is the image of x^t."""
+    basis = [spec.element([0] * t + [1]) for t in range(spec.k)]
+    return tuple(zip(*[(b**spec.p - b).coeffs for b in basis]))
 
 
 def _trim(c: list[int]) -> list[int]:

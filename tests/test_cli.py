@@ -273,15 +273,15 @@ def test_plan_builds_each_distinct_step_once(capsys, monkeypatch):
 
 
 def test_plan_builds_no_fraction(capsys, monkeypatch):
-    """plan keeps every radius as an int pair from step to stdout: with the
-    planner's Fraction replaced by a function that raises, the largest
+    """plan keeps every radius as an int pair from step to stdout: with
+    ``fractions.Fraction`` replaced by a function that raises, the largest
     catalog plan still prints its golden bytes."""
-    import ddcrit.planner
+    import fractions
 
     def no_fraction(*args):
         raise AssertionError(f"Fraction{args} built")
 
-    monkeypatch.setattr(ddcrit.planner, "Fraction", no_fraction)
+    monkeypatch.setattr(fractions, "Fraction", no_fraction)
     code, out, _ = run(capsys, "--compact", "plan", "--p", "7", "--m", "3", "--n", "3")
     assert code == 0
     golden = pathlib.Path(__file__).parent / "golden" / "plan_7_3_3.stdout"

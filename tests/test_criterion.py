@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import random
@@ -267,7 +266,7 @@ def test_tampered_residues_fail_on_both_paths():
         for j, a in enumerate(rd.residues):
             for edit in {0, (a + 1) % q.p}:
                 residues = rd.residues[:j] + (edit,) + rd.residues[j + 1:]
-                bad = dataclasses.replace(rd, residues=residues)
+                bad = rd._replace(residues=residues)
                 assert _mismatch(reconstruct_f, bad) == _mismatch(
                     reconstruct_f_reference, bad
                 ), (q, j, edit)
@@ -841,7 +840,7 @@ def _bad_hints(rd):
         "mislabelled": (big.k, tuple(reps)),
     }
     return {
-        name: dataclasses.replace(rd, splitting_degree=degree, reps=xs)
+        name: rd._replace(splitting_degree=degree, reps=xs)
         for name, (degree, xs) in hints.items()
     }
 
@@ -954,7 +953,7 @@ def nonzero_pow(monkeypatch):
                     pytest.fail(f"a zero value reached pow in F_{spec.p}^{spec.k}")
                 return bundle.pow(v, e)
 
-            guarded[spec] = dataclasses.replace(bundle, pow=power)
+            guarded[spec] = bundle._replace(pow=power)
         return guarded[spec]
 
     monkeypatch.setattr(gf.FieldSpec, "_ops", property(ops))
@@ -1080,7 +1079,7 @@ def test_rep_checks_on_tampered_data_match_their_oracles(nonzero_pow, form, buil
     }
     outcomes = {}
     for name, (g, xs) in hints.items():
-        bad = dataclasses.replace(rd, reps=xs)
+        bad = rd._replace(reps=xs)
         outcomes[name] = _outcome(_checked_reps, q, g, bad)
         assert outcomes[name] == _outcome(checked_reps_reference, q, g, bad), name
     assert outcomes["zero_root_of_f"] == (rd.splitting_degree, (big.zero(), *reps))

@@ -29,6 +29,29 @@ def test_cli_import_loads_no_sympy_or_thread_pool():
     assert out.strip() == "[]"
 
 
+def test_cli_import_loads_no_record_boilerplate():
+    """The records are named tuples and ``RadiiReport`` imports fractions
+    only where it builds a Fraction: a fresh ``import ddcrit.cli`` and a
+    ``plan`` load neither dataclasses (nor the inspect it imports) nor
+    fractions, unless the interpreter had them before."""
+    code = (
+        "import sys; before = set(sys.modules); import ddcrit.cli; "
+        "code = ddcrit.cli.main(['--compact', 'plan', '--p', '3', '--m', '2', '--n', '2']); "
+        "print(code, sorted(m for m in ('dataclasses', 'inspect', 'fractions') "
+        "if m in sys.modules and m not in before), file=sys.stderr)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+        env={"PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert proc.stdout.startswith('{"quadruples":')
+    assert proc.stderr == "0 []\n"
+
+
 def test_cli_import_builds_no_field():
     """A fresh ``import ddcrit.cli`` does no field work: every field, and
     with it its moduli scan, tables and stored arithmetic, is built on

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import time
@@ -177,7 +176,7 @@ def test_rejected_leaf_raises(monkeypatch):
     """A leaf that certify's own ddc check rejects is an internal error,
     not a silently skipped candidate."""
     monkeypatch.setattr(
-        search, "certify", lambda q, f: dataclasses.replace(certify(q, f), ddc_ok=False)
+        search, "certify", lambda q, f: certify(q, f)._replace(ddc_ok=False)
     )
     with pytest.raises(PruningMismatch):
         first_witness(Quadruple(3, 2, 1, 2), 1)

@@ -2,6 +2,8 @@ import collections
 import json
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -633,6 +635,52 @@ def test_linear_maps_match_elementwise(k_pair):
     lifted = _mapped(_embedding_map(spec, dst), xs, dst)
     assert lifted == [embed_reference(x, dst) for x in xs]
     assert lifted == [embed(x, dst) for x in xs]
+
+
+@pytest.mark.parametrize(
+    "p, k", [(3, 2), (3, 5), (5, 5), (7, 4), (3, 9)],
+    ids=["F9", "F3^5", "F5^5", "F7^4", "F3^9"],
+)
+def test_linear_maps_match_field_element_powers(p, k):
+    """Frobenius, the p-th root and x -> x^p - x, whose images ``gf``
+    multiplies as coefficient tuples (``_ring_mul``), equal the maps read
+    off FieldElement powers, in the tabled F_9, F_{3^5}, F_{5^5} and
+    F_{7^4} and the untabled F_{3^9}."""
+    from reference import (
+        artin_schreier_matrix_reference,
+        frobenius_map_reference,
+        pth_root_map_reference,
+    )
+
+    spec = make_field(p, k)
+    assert gf._frobenius_map(spec) == frobenius_map_reference(spec)
+    assert gf._pth_root_map(spec) == pth_root_map_reference(spec)
+    assert ddcrit.witt._artin_schreier_matrix(spec) == artin_schreier_matrix_reference(spec)
+
+
+def test_witt_breaks_builds_no_log_tables():
+    """A fresh ``witt breaks`` whose constant extends F_5 to F_{5^5} builds
+    no log tables: its Frobenius, p-th root and Artin-Schreier maps come
+    from coefficient-tuple products, not from powers of elements."""
+    code = (
+        "import sys\n"
+        "from ddcrit import gf\n"
+        "from ddcrit.cli import main\n"
+        "built = []\n"
+        "init = gf._LogTables.__init__\n"
+        "gf._LogTables.__init__ = lambda self, spec: built.append(spec.k) or init(self, spec)\n"
+        "code = main(['--compact', 'witt', 'breaks', '--p', '5', '--entries', '3*t^-6+4'])\n"
+        "print(code, built, file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={"PYTHONPATH": str(pathlib.Path(ddcrit.witt.__file__).parent.parent)},
+    )
+    assert '"extension_degree":5' in proc.stdout
+    assert proc.stderr == "0 []\n"
 
 
 def test_pole_roots_are_taken_before_the_constant_extends_the_field(monkeypatch):
