@@ -10,7 +10,8 @@ it, with argparse's abbreviations, ``--opt=value`` forms, negative values,
 help and usage errors.  An argv spelled out in full, ``[--compact] words
 (--opt value | --flag)*`` with exact option strings and no value starting
 with '-', skips argparse: ``_fast_parse`` reads it off the declaration into
-the namespace argparse would build.  Only an argv it declines builds the parser.
+a namespace with the attributes argparse would set.  Only an argv it
+declines imports argparse and builds the parser.
 
 Input grammars:
   polynomial   ascending comma-separated integers, e.g. "1,0,2" = 1 + 2t^2
@@ -21,11 +22,11 @@ Input grammars:
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
 import sys
+from types import SimpleNamespace
 
 from .cartier import Quadruple
 from .construct import DEFAULT_DEGREE_CAP, construct_small, construct_trace, d9_witnesses
@@ -207,15 +208,6 @@ def _cmd_reduce_jumps(args) -> tuple[object, int]:
     return reduce_jumps(jumps, args.p, args.m), 0
 
 
-class _JsonErrorParser(argparse.ArgumentParser):
-    """An ArgumentParser whose usage errors, like every other invalid input,
-    print an error JSON on stderr and exit 2.  ``add_subparsers`` makes the
-    subcommand parsers of this class too; ``--help`` is unchanged."""
-
-    def error(self, message):
-        self.exit(2, json.dumps({"error": f"{self.prog}: {message}"}) + "\n")
-
-
 # -- the grammar (see the module docstring) ------------------------------------
 
 # the default of an option that must be given
@@ -258,7 +250,18 @@ GROUPS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    import argparse  # here, so an argv that _fast_parse reads never loads it
+
+    class _JsonErrorParser(argparse.ArgumentParser):
+        """An ArgumentParser whose usage errors, like every other invalid
+        input, print an error JSON on stderr and exit 2.  ``add_subparsers``
+        makes the subcommand parsers of this class too; ``--help`` is
+        unchanged."""
+
+        def error(self, message):
+            self.exit(2, json.dumps({"error": f"{self.prog}: {message}"}) + "\n")
+
     parser = _JsonErrorParser(
         prog="ddcrit",
         description="differential data criterion toolkit",
@@ -299,10 +302,11 @@ _GRAMMAR = {path: _command_grammar(path, options) for path, _, _, options in COM
 _FUNCTIONS = {path: fn for path, _, fn, _ in COMMANDS}
 
 
-def _fast_parse(argv) -> argparse.Namespace | None:
-    """The Namespace parse_args returns for an argv of the exact shape
-    [--compact] words (--opt value | --flag)*, with no value starting with
-    '-' and every required option given, or None for any other argv."""
+def _fast_parse(argv) -> SimpleNamespace | None:
+    """A namespace with the attributes parse_args returns for an argv of
+    the exact shape [--compact] words (--opt value | --flag)*, with no
+    value starting with '-' and every required option given, or None for
+    any other argv."""
     start = 1 if argv and argv[0] == "--compact" else 0
     i = start
     while i < len(argv) and argv[i][:1] != "-":
@@ -329,12 +333,12 @@ def _fast_parse(argv) -> argparse.Namespace | None:
         i += 2
     if REQUIRED in values.values():
         return None
-    return argparse.Namespace(**values)
+    return SimpleNamespace(**values)
 
 
 # built when _fast_parse first declines an argv and shared by the later
 # calls: parse_args leaves the parser as it found it
-_parser: argparse.ArgumentParser | None = None
+_parser = None
 
 
 def main(argv=None) -> int:

@@ -1031,118 +1031,80 @@ def pth_root(x: FieldElement) -> FieldElement:
 
 
 def mth_root(y: FieldElement, m: int) -> FieldElement:
-    """One x with x^m = y in y's field F_q, for m | p - 1, and zero for
-    y = 0.  In a tabled field it is one lookup, exp[floor(log y / m)].  In
-    every other field, F_p included, it takes an l^a-th root for each
-    prime power l^a exactly dividing m in turn, by Adleman-Manders-Miller
-    (``_prime_power_root``).  If y is an m-th power, each such root is a
-    power for the primes still to come: it is off by an element of
-    mu_(l^a), and m / l^a, prime to l, permutes mu_(l^a).  NotAField if y
-    is no m-th power or the ring is no field: x^m = y is checked at the
-    end."""
-    spec = y.spec
-    if m < 1 or (spec.p - 1) % m:
-        raise OrderNotDividing(f"{m} does not divide {spec.p - 1}")
-    if not y:
-        return y
-    t = spec._tables
-    if t is not None:
-        x = FieldElement(spec, t.exp[t.log[y.v] // m])
-    else:
-        x = y
+    """One x with x^m = y, for m | p - 1 (zero for y = 0), in F_p or a
+    tabled field; ValueError above the table bound, where ``poly`` splits
+    G(t^m) instead.  In a tabled field x is exp[floor(log y / m)].  In F_p
+    it takes an l^a-th root for each prime power l^a exactly dividing m in
+    turn (``_prime_power_root``); each is off by an element of mu_(l^a),
+    which m / l^a, prime to l, permutes, so it stays a power for the primes
+    to come.  NotAField if y is no m-th power or the ring is no field: x^m
+    = y is checked at the end."""
+    spec, p, v = y.spec, y.spec.p, y.v
+    if m < 1 or (p - 1) % m:
+        raise OrderNotDividing(f"{m} does not divide {p - 1}")
+    if not spec._coded:
+        raise ValueError(f"F_{{{p}^{spec.k}}} is above the table bound")
+    if y and spec.k == 1:
         for l in prime_factors(m):
             a = 1
             while m % l ** (a + 1) == 0:
                 a += 1
-            x = _prime_power_root(x, l, a)
+            v = _prime_power_root(v, l, a, p)
+    elif y:
+        v = spec._tables.exp[spec._tables.log[v] // m]
+    x = FieldElement(spec, v)
     if x**m != y:
-        raise NotAField(f"{y!r} has no {m}-th root in F_{{{spec.p}^{spec.k}}}")
+        raise NotAField(f"{y!r} has no {m}-th root in F_{{{p}^{spec.k}}}")
     return x
 
 
-def _prime_power_root(y: FieldElement, l: int, a: int) -> FieldElement:
-    """An x with x^L = y, L = l^a, when y is an L-th power (Adleman-
+def _prime_power_root(y: int, l: int, a: int, p: int) -> int:
+    """An x with x^L = y mod p, L = l^a, when y is an L-th power (Adleman-
     Manders-Miller, "On taking roots in finite fields", FOCS 1977; Tonelli-
-    Shanks for l = 2).  With q - 1 = l^s t, l not dividing t, and
+    Shanks for l = 2).  With p - 1 = l^s t, l not dividing t, and
     L alpha = 1 mod t, x0 = y^alpha has x0^L = y b, where b = y^(L alpha - 1)
     lies in the l-Sylow subgroup, cyclic of order l^s and generated by c
     (``_sylow``), and is an L-th power there: b = c^(L j).  The digits of j
     base l come one at a time (Pohlig-Hellman), each from the order-l
-    element it gives, and x = x0 c^(-j).  Any other y, or a ring that is
-    no field, gives some x, which ``mth_root`` rejects."""
-    s, t, logs, inverse_powers = _sylow(y.spec, l)
+    element it gives, and x = x0 c^(-j).  Any other y gives some x, which
+    ``mth_root`` rejects."""
+    s, t, logs, inverse_powers = _sylow(p, l)
     big_l = l**a
     alpha = pow(big_l, -1, t) if t > 1 else 1
     # one large power: v = y^(alpha - 1), then x0 = v y, b = x0^(L-1) v
-    v = y ** (alpha - 1)
-    x = v * y
-    b = x ** (big_l - 1) * v
+    v = pow(y, alpha - 1, p)
+    x = v * y % p
+    b = pow(x, big_l - 1, p) * v % p
     # b = c^(L j): digit i of j is read from b c^(-L (j mod l^i)), whose
     # l^(s-a-1-i)-th power is zeta^(digit), zeta = c^(l^(s-1)) of order l
     for i in range(s - a):
-        digit = logs.get((b ** (l ** (s - a - 1 - i))).v)
-        if digit is None:  # y is no L-th power, or the ring no field
+        digit = logs.get(pow(b, l ** (s - a - 1 - i), p))
+        if digit is None:  # y is no L-th power
             return x
         if digit:
-            b = b * inverse_powers[a + i] ** digit
-            x = x * inverse_powers[i] ** digit
+            b = b * pow(inverse_powers[a + i], digit, p) % p
+            x = x * pow(inverse_powers[i], digit, p) % p
     return x
 
 
 @functools.lru_cache(maxsize=None)
-def _sylow(spec: FieldSpec, l: int) -> tuple[int, int, dict, list]:
-    """(s, t, logs, inverse_powers) for the l-Sylow subgroup of F_q^*, l a
-    prime dividing p - 1: q - 1 = l^s t with l not dividing t, the
-    subgroup generated by c = z^t for an element z that is no l-th power,
-    ``logs`` sending the stored value of zeta^i, zeta = c^(l^(s-1)), to i
-    for i < l, and inverse_powers[i] = c^(-l^i) for i < s, each a positive
-    power of c, so no inverse is taken."""
-    q1 = spec.order - 1
-    s, t = 0, q1
+def _sylow(p: int, l: int) -> tuple[int, int, dict, list]:
+    """(s, t, logs, inverse_powers) for the l-Sylow subgroup of F_p^*, l a
+    prime dividing p - 1: p - 1 = l^s t with l not dividing t, the
+    subgroup generated by c = z^t for the least z in [2, p) that is no l-th
+    power, z^((p-1)/l) != 1, ``logs`` sending zeta^i, zeta = c^(l^(s-1)),
+    to i for i < l, and inverse_powers[i] = c^(-l^i) for i < s, each a
+    positive power of c, so no inverse is taken."""
+    s, t = 0, p - 1
     while t % l == 0:
         s, t = s + 1, t // l
-    c = _non_lth_power(spec, l) ** t
-    order = l**s
-    inverse_powers = [c ** (order - l**i) for i in range(s)]
-    zeta = c ** (l ** (s - 1))
-    logs, w = {}, spec.one()
-    for i in range(l):
-        logs[w.v] = i
-        w = w * zeta
+    # the (p - 1)(l - 1)/l elements of F_p^* that are no l-th power lie in [2, p)
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // l, p) != 1)
+    c = pow(z, t, p)
+    inverse_powers = [pow(c, l**s - l**i, p) for i in range(s)]
+    zeta = pow(c, l ** (s - 1), p)
+    logs = {pow(zeta, i, p): i for i in range(l)}
     return s, t, logs, inverse_powers
-
-
-def _non_lth_power(spec: FieldSpec, l: int) -> FieldElement:
-    """An element z with z^((q-1)/l) != 1, l a prime dividing p - 1.  As
-    (q-1)/l = (q-1)/(p-1) (p-1)/l, that power is N(z)^((p-1)/l), N the
-    norm to F_p, so x + c for c = 0, 1, ... is tested on N(x + c) =
-    (-1)^k M(-c), M the modulus (``_shift_norms``), by int powers mod p.
-    Only if every c fails, which the Weil bound rules out once p exceeds
-    about k^2, are the elements scanned in index order.  NotAField if none
-    is found (the ring is no field)."""
-    p, k = spec.p, spec.k
-    e = (p - 1) // l
-    for c, norm in _shift_norms(spec):
-        if norm and pow(norm, e, p) != 1:
-            return spec.element([c, 1]) if k > 1 else spec.from_int(c)
-    e, one = (spec.order - 1) // l, spec.one()
-    for z in spec.elements():
-        if z and z**e != one:
-            return z
-    raise NotAField(f"F_{{{p}^{k}}} has no element that is no {l}-th power")
-
-
-def _shift_norms(spec: FieldSpec):
-    """(c, N(x + c)) for c = 0, 1, ..., p - 1, with x the class of the
-    variable (the element c itself at k = 1): N(x + c) = prod (r + c) over
-    the roots r of the modulus M, which is (-1)^k M(-c), an int mod p."""
-    p, k = spec.p, spec.k
-    sign = -1 if k % 2 else 1
-    for c in range(p):
-        value = 0
-        for coefficient in reversed(spec.modulus):
-            value = (value * -c + coefficient) % p
-        yield c, sign * value % p
 
 
 def trace_to_prime(x: FieldElement, d: int) -> FieldElement:

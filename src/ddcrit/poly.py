@@ -3,8 +3,10 @@ explicit finite field, with factorization and deterministic root extraction
 into a single splitting field.
 
 Equal-degree factors and roots are split by Berlekamp's trace splitting, a
-deterministic algorithm, so results are bit-for-bit reproducible; roots of
-quadratics and m-th roots are taken by radicals instead.
+deterministic algorithm, so results are bit-for-bit reproducible.  Where the
+splitting field is F_p or a tabled field, roots of quadratics and m-th roots
+are taken by radicals instead (``gf.mth_root``); above the table bound an
+m-th root of a root of G is found as a root of G(t^m), by the same split.
 """
 
 from __future__ import annotations
@@ -159,11 +161,6 @@ class _Dense:
         if not e:
             return self._make(self.spec, 0, [self.spec._int_value(1)])
         return square_and_multiply(self, e, operator.mul)
-
-    def map_coeffs(self, fn, spec: FieldSpec):
-        """fn applied to every coefficient, a FieldElement; fn must map zero
-        to zero."""
-        return self._make(spec, self.low, [fn(c).v for c in self.coeffs])
 
 
 class Poly(_Dense):
@@ -489,21 +486,29 @@ def roots_in_splitting_field(f: Poly):
     return big_degree, roots
 
 
-def _one_root(g: Poly, big: FieldSpec) -> FieldElement:
-    """One root in big = F_{p^D} of a monic irreducible g over its own field
-    F_q (q = p^k), which splits in big.  A quadratic t^2 + bt + c takes
-    (-b + sqrt(b^2 - 4c))/2, the square root by ``gf.mth_root``; a higher
-    degree g is split over big by ``_trace_split``, with x^(p^i) mod g
-    computed over F_q, where it repeats with period k deg g, and embedded."""
-    if g.degree == 1:
+def _one_root(g: Poly, big: FieldSpec, m: int = 1, degree: int = 0) -> FieldElement:
+    """One root x in big = F_{p^D} of g(t^m), for a monic irreducible g over
+    its own field F_q (q = p^k), g(0) != 0 if m > 1, with x of the given
+    degree over F_q (deg g by default).  In a coded big (F_p or tabled) x
+    is an m-th root of a root y of g by ``gf.mth_root``: y is -g(0) for a
+    linear g, (-b + sqrt(b^2 - 4c))/2 for t^2 + bt + c, and split out of a
+    higher degree g.  Above the table bound g(t^m) is split for x.  The
+    split is one ``_trace_split`` over big, with x^(p^i) mod g or g(t^m)
+    computed over F_q, where it repeats with period k degree."""
+    if big._coded and m > 1:
+        return mth_root(_one_root(g, big), m)
+    if g.degree == 1 and m == 1:
         return embed(-g.coeffs[0], big)
-    if g.degree == 2:
+    if big._coded and g.degree == 2:
         c, b = (embed(a, big) for a in g.coeffs[:2])
         # (p + 1) / 2 is 1/2 mod p
         return (mth_root(b * b - c * 4, 2) - b) * ((big.p + 1) // 2)
-    xs = _frobenius_powers(g, g.spec.k * int(g.degree))
-    xs = [embed_poly(x, big) for x in xs]
-    (linear,) = _trace_split(embed_poly(g, big), xs, 1, one=True)
+    spec, period = g.spec, g.spec.k * (degree or int(g.degree))
+    values = [spec._zero] * (m * int(g.degree) + 1)
+    values[::m] = g.values
+    h = Poly._make(spec, 0, values)  # g(t^m)
+    xs = [embed_poly(x, big) for x in _frobenius_powers(h, period)]
+    (linear,) = _trace_split(embed_poly(h, big), xs, 1, one=True)
     return -linear.coeffs[0]
 
 
@@ -535,10 +540,11 @@ def orbit_reps_in_splitting_field(f: Poly, m: int):
     irreducible factor G of F of degree d has roots y with
     y^((q^d-1)/m) = eta, eta = ((-1)^d G(0))^((q-1)/m) in mu_m, so an m-th
     root x of y has x^(q^d) = eta x and degree d ord(eta) over F_q: D is k
-    times the lcm of these.  One root y of each G in F_{p^D} (``_one_root``)
-    and one m-th root x of it (``gf.mth_root``) give x, x^q, ...,
-    x^(q^(d-1)), m-th roots of the d conjugates of y; any choice of either
-    root gives the same orbits.  NotAField if these give fewer than deg F
+    times the lcm of these.  One root x of each G(t^m) in F_{p^D}
+    (``_one_root``: an m-th root of a root y of G in F_p or a tabled field,
+    a root of G(t^m) split directly above the table bound) gives x, x^q,
+    ..., x^(q^(d-1)), m-th roots of the d conjugates of y = x^m; any choice
+    of x gives the same orbits.  NotAField if these give fewer than deg F
     orbits; NotSquarefree, after one squarefree test of F, if f has
     repeated roots."""
     if not f:
@@ -566,9 +572,9 @@ def orbit_reps_in_splitting_field(f: Poly, m: int):
     mul, frobenius = ops.mul, ops.frobenius
     mu_m = _mu_m_values(big, m)
     reps = []
-    for g, _ in factors:
+    for (g, _), degree in zip(factors, degrees):
         # the stored value of x, then of x^q = x^(p^k), k Frobenius steps
-        x = mth_root(_one_root(g, big), m).v
+        x = _one_root(g, big, m, degree).v
         for i in range(int(g.degree)):
             if i:
                 for _ in range(spec.k):

@@ -92,9 +92,6 @@ class WittVector(namedtuple("WittVector", "spec entries")):
     def __bool__(self):
         return any(self.entries)
 
-    def map_coeffs(self, fn, spec: FieldSpec) -> "WittVector":
-        return WittVector(spec, tuple(e.map_coeffs(fn, spec) for e in self.entries))
-
     def to_json(self):
         return [e.to_json() for e in self.entries]
 

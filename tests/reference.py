@@ -78,7 +78,7 @@ was replaced by a simpler or faster exact path:
   ``laurent_frobenius_reference`` and ``laurent_map_coeffs_reference``:
   Laurent polynomials as term dicts, the oracle for the dense coefficient
   path of ``LaurentPoly.__add__``, ``ddcrit.cartier.cartier``,
-  ``LaurentPoly.frobenius`` and ``LaurentPoly.map_coeffs``;
+  ``LaurentPoly.frobenius`` and ``ddcrit.poly.embed_poly``;
 - ``is_exact`` and ``dlog_truncated``: whether C(h dt) = 0, and the
   truncated logarithmic forms of products of (1 - x_j t^-1)^(a_j), which
   no library code calls; the tests check the Cartier operator on them;
@@ -281,7 +281,7 @@ def reconstruct_f_reference(rd: ResidueData) -> Poly:
         raise ReconstructionMismatch("reconstructed f is not a polynomial")
     if spec.k > 1 and all(c**q.p == c for c in f.coeffs):
         prime = make_field(q.p, 1)
-        f = f.map_coeffs(lambda c: prime.from_int(c.coeffs[0]), prime)
+        f = Poly(prime, [prime.from_int(c.coeffs[0]) for c in f.coeffs])
     try:
         ok = ddc_check(q, f)
     except DdcritError as exc:  # shape validation
@@ -869,6 +869,12 @@ def laurent_map_coeffs_reference(h: LaurentPoly, fn, spec) -> LaurentPoly:
     return LaurentPoly.from_terms(spec, {e: fn(c) for e, c in h.terms()})
 
 
+def _embed_vector(v: WittVector, big) -> WittVector:
+    """v with every coefficient embedded into big, term by term."""
+    entries = (laurent_map_coeffs_reference(e, lambda c: embed(c, big), big) for e in v.entries)
+    return WittVector(big, tuple(entries))
+
+
 def _single_slot(spec, n: int, i: int, entry: LaurentPoly) -> WittVector:
     entries = [LaurentPoly.zero(spec)] * n
     entries[i] = entry
@@ -916,9 +922,7 @@ def standard_form_reference(
                             f"over the base (cap {extension_cap})"
                         )
                     big = make_field(p, new_k)
-                    lift = lambda c: embed(c, big)  # noqa: E731
-                    work = work.map_coeffs(lift, big)
-                    g = g.map_coeffs(lift, big)
+                    work, g = _embed_vector(work, big), _embed_vector(g, big)
                     continue
                 corr = LaurentPoly(spec, 0, [spec.element(x)])
             corr_vec = _single_slot(spec, n, i, corr)

@@ -662,6 +662,25 @@ def test_import_builds_no_parser():
     assert _fresh_python("import ddcrit.cli as c; print(c._parser)") == "None\n"
 
 
+def test_only_a_declined_argv_loads_argparse():
+    """argparse is imported by ``build_parser`` alone: in a fresh
+    interpreter neither ``import ddcrit.cli`` nor a spelled-out argv loads
+    it, and the first argv the fast parse declines does."""
+    code = textwrap.dedent("""
+        import contextlib, io, sys
+        loaded = ["argparse" in sys.modules]
+        from ddcrit import cli
+        loaded.append("argparse" in sys.modules)
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (["--compact", "construct", "small", "--p", "5", "--n1", "4"],
+                         ["--compact", "construct", "small", "--p=5", "--n1", "4"]):
+                assert cli.main(argv) == 0
+                loaded.append("argparse" in sys.modules)
+        print(*loaded)
+    """)
+    assert _fresh_python(code) == "False False False True\n"
+
+
 def test_a_spelled_out_argv_never_builds_the_parser():
     """In a fresh interpreter, main on every golden argv leaves no parser;
     the first argv the fast parse declines builds it and a second one

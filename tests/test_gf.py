@@ -462,7 +462,8 @@ def test_the_index_codec_is_base_p_digits(p, k):
 
 def test_elements_is_lazy_above_the_table_bound():
     """Listing F_{13^14}'s elements would not end: ``elements()`` is a
-    generator, and ``_non_lth_power``'s fallback scans it from zero."""
+    generator, so ``_least_generator``'s scan from zero builds only the
+    elements it tests."""
     spec = make_field(13, 14)
     elements = spec.elements()
     assert isinstance(elements, types.GeneratorType)
@@ -595,23 +596,27 @@ def test_mth_root_by_log_inverts_every_mth_power(p, k, ms):
 
 
 def test_mth_root_of_an_untabled_field_builds_no_log_tables(monkeypatch):
-    """F_p and fields above the table bound have no logarithms: their roots
-    come from Adleman-Manders-Miller, which seeks no generator."""
+    """F_p has no logarithms: its roots come from Adleman-Manders-Miller,
+    which seeks no generator.  Above the table bound ``mth_root`` has no
+    path: it raises ValueError and builds no tables either."""
     monkeypatch.setattr(gf, "_least_generator", lambda spec: pytest.fail("generator"))
-    for spec in (FieldSpec(7, 1, (0, 1)), FieldSpec(5, 6, make_field(5, 6).modulus)):
-        for m in (2, 4) if spec.p == 5 else (2, 3, 6):
-            x = mth_root(spec.one(), m)
-            assert x**m == spec.one()
-            assert mth_root(spec.zero(), m) == spec.zero()
-        assert spec._tables is None
+    spec = FieldSpec(7, 1, (0, 1))
+    for m in (2, 3, 6):
+        x = mth_root(spec.one(), m)
+        assert x**m == spec.one()
+        assert mth_root(spec.zero(), m) == spec.zero()
+    untabled = FieldSpec(5, 6, make_field(5, 6).modulus)
+    for y in (untabled.one(), untabled.zero()):
+        with pytest.raises(ValueError, match="above the table bound"):
+            mth_root(y, 2)
+    assert spec._tables is None and untabled._tables is None
 
 
-@pytest.mark.parametrize("p, k, m", [(7, 1, 6), (13, 1, 12), (5, 6, 4), (3, 8, 2),
-                                     (7, 6, 6), (31, 3, 30), (10009, 1, 8)])
+@pytest.mark.parametrize("p, k, m", [(7, 1, 6), (13, 1, 12), (10009, 1, 8)])
 def test_mth_root_by_adleman_manders_miller_against_random_powers(p, k, m):
-    """Seeded m-th powers z^m get a root; of the non-powers, each raises
-    NotAField.  m runs over prime powers and products of several primes,
-    so one root is taken per prime power of m in turn."""
+    """Seeded m-th powers z^m in F_p get a root; of the non-powers, each
+    raises NotAField.  m runs over prime powers and products of several
+    primes, so one root is taken per prime power of m in turn."""
     spec = make_field(p, k)
     assert spec._tables is None
     rng = random.Random(f"amm:{p}:{k}:{m}")
@@ -623,6 +628,22 @@ def test_mth_root_by_adleman_manders_miller_against_random_powers(p, k, m):
                 mth_root(z, m)
 
 
+@pytest.mark.parametrize("p", [q for q in range(3, 60) if gf.is_prime(q)])
+def test_mth_root_over_f_p_against_brute_force(p):
+    """Every m dividing p - 1 and every y in F_p: ``mth_root`` returns an
+    x with x^m = y exactly when some x in F_p has it, and raises NotAField
+    otherwise."""
+    spec = make_field(p, 1)
+    for m in (m for m in range(1, p) if (p - 1) % m == 0):
+        powers = {pow(x, m, p) for x in range(p)}
+        for y in range(p):
+            if y in powers:
+                assert mth_root(spec.from_int(y), m) ** m == spec.from_int(y)
+            else:
+                with pytest.raises(NotAField):
+                    mth_root(spec.from_int(y), m)
+
+
 def test_mth_root_needs_m_dividing_p_minus_1():
     with pytest.raises(OrderNotDividing):
         mth_root(make_field(7, 2).one(), 4)
@@ -630,81 +651,21 @@ def test_mth_root_needs_m_dividing_p_minus_1():
         mth_root(make_field(5, 1).one(), 0)
 
 
-@pytest.mark.parametrize(
-    "spec", [FieldSpec(3, 2, (2, 0, 1)), FieldSpec(5, 2, (4, 0, 1)), make_field(3, 12)]
-)
+@pytest.mark.parametrize("spec", [FieldSpec(3, 2, (2, 0, 1)), FieldSpec(5, 2, (4, 0, 1))])
 def test_mth_root_over_a_reducible_modulus_raises_not_a_field(spec):
-    """Over a ring that is no field each nonzero y either raises NotAField
-    or gets a true root, never a wrong one, a ZeroDivisionError or a
-    ValueError.  A tabled ring fails as its log tables are built; the
-    untabled F_{3^12} (ROADMAP defect 1) fails the final check x^m = y for
-    at least the zero divisors among the samples."""
+    """Over a tabled ring that is no field each nonzero y raises NotAField,
+    as its log tables are built, never a wrong root, a ZeroDivisionError or
+    a ValueError."""
     p, k = spec.p, spec.k
     rng = random.Random(f"reducible:{p}:{k}")
     samples = [spec.element([rng.randrange(p) for _ in range(k)]) for _ in range(20)]
     samples += [spec.element([1, 1]), spec.element([2, 2]), spec.element([0, 1])]
     samples = [y for y in samples if y]
     ms = [m for m in (2, 4) if (p - 1) % m == 0]
-    failures = 0
     for y in samples:
         for m in ms:
-            try:
-                x = mth_root(y, m)
-            except NotAField:
-                failures += 1
-            else:
-                assert x**m == y
-    if spec._coded:
-        assert failures == len(samples) * len(ms)
-    else:
-        # 1 + x and 1 - x are zero divisors: x^12 + x^2 + 1 has the roots 1, -1
-        assert failures > 0
-
-
-@pytest.mark.parametrize("p, k, l", [(3, 10, 2), (7, 7, 3)])
-def test_non_residue_search_falls_back_to_an_element_scan(p, k, l):
-    """Every shift x + c of F_{3^10} has a square norm, and every one of
-    F_{7^7} a cube norm, so the search scans elements; the element found is
-    no l-th power, and m-th roots still come out."""
-    spec = make_field(p, k)
-    e = (p - 1) // l
-    assert all(pow(n, e, p) == 1 for _, n in gf._shift_norms(spec))
-    z = gf._non_lth_power(spec, l)
-    assert z ** ((spec.order - 1) // l) != spec.one()
-    rng = random.Random(f"fallback:{p}:{k}")
-    for _ in range(3):
-        y = spec.element([rng.randrange(p) for _ in range(k)]) ** l
-        assert mth_root(y, l) ** l == y
-
-
-@pytest.mark.parametrize("p", [10007, 10009])
-def test_non_residue_search_in_a_large_quadratic_field_tries_few_shifts(monkeypatch, p):
-    """The l-Sylow generator of F_{p^2} comes from the first x + c whose
-    norm is no l-th power mod p: count the shifts tried, so an O(p) scan
-    such as x, 2x, 3x, ... (all of one norm class) cannot come back."""
-    tries = []
-    shift_norms = gf._shift_norms
-
-    def counted(spec):
-        for pair in shift_norms(spec):
-            tries.append(pair)
-            yield pair
-
-    monkeypatch.setattr(gf, "_shift_norms", counted)
-    spec = FieldSpec(p, 2, make_field(p, 2).modulus)
-    # nothing cached: FieldSpec compares by value, so Sylow data an earlier
-    # test left for this field would be a hit that tries no shift
-    gf._sylow.cache_clear()
-    for l in gf.prime_factors(p - 1)[:2]:
-        tries.clear()
-        s, t, logs, inverse_powers = gf._sylow(spec, l)
-        assert 1 <= len(tries) <= 16
-        assert len(logs) == l and len(inverse_powers) == s
-        # c^(-1) = inverse_powers[0] has order l^s exactly
-        c = inverse_powers[0]
-        assert c ** (l**s) == spec.one() != c ** (l ** (s - 1))
-    z = spec.element([3, 5])
-    assert mth_root(z**2, 2) ** 2 == z**2
+            with pytest.raises(NotAField):
+                mth_root(y, m)
 
 
 @pytest.mark.parametrize("spec", [FieldSpec(3, 2, (2, 0, 1)), FieldSpec(5, 2, (4, 0, 1))])
