@@ -64,4 +64,4 @@ from .witt import (
     wp,
 )
 
-__version__ = "0.3.4"
+__version__ = "0.3.5"

@@ -5,6 +5,16 @@ Subcommands map one-to-one onto library operations; all output is JSON
 or witness found, 1 = check failed or nothing found, 2 = invalid input,
 3 = stdout was closed before the answer was written.
 
+Every answer is written through ``_pieces``.  Most are one piece, rendered
+whole before the first byte is written.  ``plan`` streams: it checks the
+group and builds its quadruple and profile lists, writes the envelope, then
+renders and writes its rows ``BATCH`` (64) at a time as it builds them, so
+its memory is one batch and its text plus those lists and the JSON of each
+distinct step, not the whole payload and its text.  The bytes are those of
+one ``json.dumps`` of the whole payload, in both modes.  A streamed answer
+can end early: exit 3, or an error (exit 2) after the first byte, may leave
+a partial document on stdout.
+
 ``COMMANDS`` declares the grammar once.  ``build_parser`` builds argparse from
 it, with argparse's abbreviations, ``--opt=value`` forms, negative values,
 help and usage errors.  An argv spelled out in full, ``[--compact] words
@@ -26,6 +36,8 @@ import json
 import os
 import re
 import sys
+from collections.abc import Iterator
+from itertools import islice
 from types import SimpleNamespace
 
 from .cartier import Quadruple
@@ -97,12 +109,56 @@ def parse_poly(spec, text: str) -> Poly:
     return Poly(spec, [spec.element_by_index(i) for i in indices])
 
 
+# the encoders json.dumps builds for each call, built once: every payload
+# is a fresh acyclic tree built by to_json, so the cycle check only costs time
+_COMPACT = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+_INDENTED = json.JSONEncoder(indent=2, check_circular=False)
+
+
 def _dump(obj, compact: bool) -> str:
-    # every payload is a fresh acyclic tree built by to_json, so the
-    # encoder's cycle check only costs time
+    return (_COMPACT if compact else _INDENTED).encode(obj)
+
+
+# the rows of a streamed array rendered and written at a time
+BATCH = 64
+
+
+def _pieces(payload, compact: bool) -> Iterator[str]:
+    """The text ``_dump`` renders of payload, each iterator in it read as
+    a list, in pieces to be written in turn.
+
+    A non-empty dict whose values are all iterators is an object of arrays:
+    it is rendered key by key, and each array's rows BATCH at a time by
+    ``_dump`` of the batch, so only one batch and its text are held at
+    once.  Any other payload is one piece.  ``_dump`` escapes every newline
+    inside a string, so in indented mode each newline of a batch's text is
+    a line break, and indenting the rows one level deeper puts two blanks
+    after each."""
+    if not (isinstance(payload, dict) and payload
+            and all(isinstance(value, Iterator) for value in payload.values())):
+        yield _dump(payload, compact)
+        return
     if compact:
-        return json.dumps(obj, separators=(",", ":"), check_circular=False)
-    return json.dumps(obj, indent=2, check_circular=False)
+        yield "{"
+        sep, colon, first_row, row_sep, close = ",", ":", "[", ",", "]"
+    else:
+        yield "{\n  "
+        sep, colon, first_row, row_sep, close = ",\n  ", ": ", "[\n", ",\n", "\n  ]"
+    for i, (key, rows) in enumerate(payload.items()):
+        head = (sep if i else "") + json.dumps(key) + colon
+        if not (batch := list(islice(rows, BATCH))):
+            yield head + "[]"
+            continue
+        lead = head + first_row
+        while batch:
+            text = _dump(batch, compact)
+            # the rows without the brackets, at the depth of the dict's rows
+            yield lead + (text[1:-1] if compact
+                          else "  " + text[2:-2].replace("\n", "\n  "))
+            lead = row_sep
+            batch = list(islice(rows, BATCH))
+        yield close
+    yield "}" if compact else "\n}"
 
 
 def _quadruple(args) -> Quadruple:
@@ -141,27 +197,31 @@ def _cmd_search(args) -> tuple[object, int]:
     return result.to_json(), 0
 
 
+def _radii_rows(p: int, m: int, profiles) -> Iterator[dict]:
+    """The radii row of each step of each (breaks, profile JSON), in order.
+    A step's quadruple and radii JSON is built once, though it recurs in many
+    profiles and at more than one step index."""
+    steps: dict[tuple[int, int], tuple[dict, dict]] = {}
+    for u, prof_json in profiles:
+        for i, step in enumerate(zip(u, u[1:]), 2):
+            if (json_pair := steps.get(step)) is None:
+                q, report = step_radii(p, m, *step)
+                json_pair = steps[step] = q.to_json(), report.to_json()
+            quad, rad = json_pair
+            yield {"profile": prof_json, "step": i, "quadruple": quad, "radii": rad}
+
+
 def _cmd_plan(args) -> tuple[object, int]:
+    # both lists are built here, so an invalid group raises before any write;
+    # the rows of all three arrays are built as they are written
     quadruples = quadruples_for_group(args.p, args.m, args.n)
-    # a profile's JSON is built once, for its entry and its radii rows, and a
-    # step's quadruple and radii JSON once, though it recurs in many profiles
+    # a profile's JSON is built once, for its entry and its radii rows
     profiles = [(prof.breaks, prof.to_json())
                 for prof in profiles_for_group(args.p, args.m, args.n)]
-    steps: dict[tuple[int, ...], tuple[dict, dict]] = {}
-    radii = []
-    for u, prof_json in profiles:
-        for i in range(1, len(u)):
-            if (step := u[i - 1 : i + 1]) not in steps:
-                q, report = step_radii(args.p, args.m, *step)
-                steps[step] = q.to_json(), report.to_json()
-            quad, rad = steps[step]
-            radii.append(
-                {"profile": prof_json, "step": i + 1, "quadruple": quad, "radii": rad}
-            )
     return {
-        "quadruples": [q.to_json() for q in quadruples],
-        "profiles": [prof_json for _, prof_json in profiles],
-        "radii": radii,
+        "quadruples": (q.to_json() for q in quadruples),
+        "profiles": (prof_json for _, prof_json in profiles),
+        "radii": _radii_rows(args.p, args.m, profiles),
     }, 0
 
 
@@ -358,13 +418,17 @@ def main(argv=None) -> int:
         path += (getattr(args, GROUPS[args.command][1]),)
     try:
         payload, code = _FUNCTIONS[path](args)
-        # rendering can fail too: an int of over 4300 digits raises ValueError
-        text = _dump(payload, args.compact)
+        # rendering can fail too, before or after the first write: an int of
+        # over 4300 digits raises ValueError, and a streamed row is built
+        # only when its batch is rendered
+        write = sys.stdout.write
+        for piece in _pieces(payload, args.compact):
+            write(piece)
+        write("\n")
+        sys.stdout.flush()
     except (DdcritError, ValueError, TypeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
-    try:
-        print(text, flush=True)
     except BrokenPipeError:
         # the interpreter's flush at exit now writes what is left to devnull
         with open(os.devnull, "wb") as devnull:

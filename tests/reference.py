@@ -100,6 +100,9 @@ was replaced by a simpler or faster exact path:
 - ``step_radii_reference``: the radii of one lifting step on Fractions,
   r_hub = 1/N2 - N1/((p-1)u_prev N2) and delta_hub = u_next r_hub, the
   oracle for the closed forms on int pairs of ``ddcrit.planner.step_radii``;
+- ``plan_payload_reference``: the whole ``plan`` payload built as lists,
+  every step's JSON once, which ``json.dumps`` renders in one call, the
+  oracle for the row batches that ``ddcrit.cli`` writes as it builds them;
 - ``elementary_symmetric_reference``: e_0, ..., e_n of field elements by
   one O(n^2) product loop over the splitting field, where
   ``ddcrit.criterion.isolation_check`` reads s_lambda off F over f's own
@@ -149,6 +152,7 @@ from ddcrit.gf import (
     solve_modp,
     square_and_multiply,
 )
+from ddcrit.planner import profiles_for_group, quadruples_for_group, step_radii
 from ddcrit.poly import (
     LaurentPoly,
     Poly,
@@ -948,6 +952,30 @@ def step_radii_reference(p: int, m: int, u_prev: int, u_next: int) -> dict:
         "r_n": Fraction(1, u_next * (p - 1)),
         "n2": n2,
         "delta_hub": u_next * r_hub,
+    }
+
+
+def plan_payload_reference(p: int, m: int, n: int) -> dict:
+    """The ``plan`` payload of Z/p^n x| Z/m: its quadruples, its profiles
+    and one radii row per step of each profile, all built before any is
+    rendered."""
+    quadruples = quadruples_for_group(p, m, n)
+    profiles = [(prof.breaks, prof.to_json()) for prof in profiles_for_group(p, m, n)]
+    steps: dict[tuple[int, ...], tuple[dict, dict]] = {}
+    radii = []
+    for u, prof_json in profiles:
+        for i in range(1, len(u)):
+            if (step := u[i - 1 : i + 1]) not in steps:
+                q, report = step_radii(p, m, *step)
+                steps[step] = q.to_json(), report.to_json()
+            quad, rad = steps[step]
+            radii.append(
+                {"profile": prof_json, "step": i + 1, "quadruple": quad, "radii": rad}
+            )
+    return {
+        "quadruples": [q.to_json() for q in quadruples],
+        "profiles": [prof_json for _, prof_json in profiles],
+        "radii": radii,
     }
 
 

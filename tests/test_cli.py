@@ -13,6 +13,7 @@ import pytest
 from ddcrit import cli
 from ddcrit.cli import main, parse_laurent, parse_poly
 from ddcrit.gf import make_field
+from reference import plan_payload_reference
 from test_golden import BAD_ARGVS, CASES as GOLDEN_CASES
 
 F3 = make_field(3, 1)
@@ -286,6 +287,137 @@ def test_plan_builds_no_fraction(capsys, monkeypatch):
     assert code == 0
     golden = pathlib.Path(__file__).parent / "golden" / "plan_7_3_3.stdout"
     assert out.encode() == golden.read_bytes()
+
+
+def _reference_stdout(p, m, n, compact):
+    payload = plan_payload_reference(p, m, n)
+    if compact:
+        return json.dumps(payload, separators=(",", ":")) + "\n"
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("compact", [True, False])
+@pytest.mark.parametrize("group", [(3, 2, 1), (5, 2, 1), (3, 2, 2), (3, 2, 3),
+                                   (5, 4, 3), (7, 3, 3)])
+def test_plan_streams_the_reference_payload(capsys, group, compact):
+    """plan writes its arrays in batches of rows as it builds them; its
+    stdout is json.dumps of the whole payload built first, in both modes.
+    At n = 1 the quadruples and radii are empty arrays."""
+    p, m, n = map(str, group)
+    argv = ["--compact"] * compact + ["plan", "--p", p, "--m", m, "--n", n]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == _reference_stdout(*group, compact)
+
+
+# (3,2,3) has 22 quadruples, 18 profiles and 36 radii rows; a group's radii
+# count (p-1) p^(n-1) (n-1) is even, so no group has one row more than a
+# multiple of the default 64, and the batch size is set instead
+@pytest.mark.parametrize("compact", [True, False])
+@pytest.mark.parametrize("batch", [1, 5, 11, 18, 35, 36, 37])
+def test_plan_batches_join_at_any_batch_size(capsys, monkeypatch, batch, compact):
+    """Every array is written in whole batches and a last short one: row
+    counts that are exact multiples of the batch size (36 radii rows of 1,
+    18 and 36; 22 quadruples of 11; 18 profiles of 18), one more than a
+    multiple (36 of 5 and 35) and less than one batch (36 of 37) all give
+    the same bytes."""
+    monkeypatch.setattr(cli, "BATCH", batch)
+    argv = ["--compact"] * compact + ["plan", "--p", "3", "--m", "2", "--n", "3"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == _reference_stdout(3, 2, 3, compact)
+
+
+class _Sink:
+    """A stdout that counts what it is given and keeps none of it."""
+
+    def __init__(self):
+        self.length = 0
+
+    def write(self, text):
+        self.length += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_plan_peak_memory_stays_below_its_output(monkeypatch):
+    """plan holds one batch of rows and its text, not the payload and the
+    encoder's tokens: written to a sink that keeps nothing, the traced peak
+    of plan (3,2,7) stays under 2.5 times the 2.0 MB it prints, where one
+    json.dumps of the whole payload peaked at 4.7 times."""
+    import tracemalloc
+
+    sink = _Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["--compact", "plan", "--p", "3", "--m", "2", "--n", "7"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.length == 2_100_331
+    assert peak < 2.5 * sink.length, f"peak {peak} for {sink.length} bytes"
+
+
+def test_reader_that_closes_mid_stream_gets_exit_3(tmp_path):
+    """A reader that goes away after the first 100 bytes of a 2.0 MB plan:
+    exit 3 and nothing on stderr, not a traceback."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    with open(tmp_path / "err", "w+b") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ddcrit.cli", "--compact", "plan",
+             "--p", "3", "--m", "2", "--n", "7"],
+            stdout=subprocess.PIPE, stderr=err, env=env,
+        )
+        try:
+            head = proc.stdout.read(100)
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+        err.seek(0)
+        assert head.startswith(b'{"quadruples":[{')
+        assert (code, err.read()) == (3, b"")
+
+
+def test_plan_error_after_the_first_write_exits_2(capsys, monkeypatch):
+    """A row that raises after plan has begun to write: exit 2 and one
+    error JSON on stderr, and stdout holds the part written before it."""
+    from ddcrit.errors import InvalidQuadruple
+
+    calls = []
+    real = cli.step_radii
+
+    def fails_on_the_50th(*args):
+        calls.append(args)
+        if len(calls) == 50:
+            raise InvalidQuadruple("step 50 refused")
+        return real(*args)
+
+    monkeypatch.setattr(cli, "step_radii", fails_on_the_50th)
+    code, out, err = run(capsys, "--compact", "plan", "--p", "3", "--m", "2", "--n", "7")
+    assert code == 2 and len(calls) == 50
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert json.loads(err) == {"error": "step 50 refused"}
+    assert out.startswith('{"quadruples":[{') and '"radii":[{' in out
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--p", "4", "--m", "3", "--n", "3"), ("--p", "7", "--m", "4", "--n", "3"),
+    ("--p", "3", "--m", "2", "--n", "0"), ("--p", "1009", "--m", "2", "--n", "2"),
+])
+def test_plan_cli_rejects_an_invalid_group_before_any_write(capsys, argv):
+    """An invalid group is refused before the first piece is written, in
+    both modes: exit 2, nothing on stdout."""
+    for compact in ([], ["--compact"]):
+        code, out, err = run(capsys, *compact, "plan", *argv)
+        assert code == 2 and out == ""
+        assert "error" in json.loads(err)
 
 
 @pytest.mark.parametrize("p, m, message", [
