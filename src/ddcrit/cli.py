@@ -8,12 +8,15 @@ or witness found, 1 = check failed or nothing found, 2 = invalid input,
 Every answer is written through ``_pieces``.  Most are one piece, rendered
 whole before the first byte is written.  ``plan`` streams: it checks the
 group and builds its quadruple and profile lists, writes the envelope, then
-renders and writes its rows ``BATCH`` (64) at a time as it builds them, so
-its memory is one batch and its text plus those lists and the JSON of each
-distinct step, not the whole payload and its text.  The bytes are those of
-one ``json.dumps`` of the whole payload, in both modes.  A streamed answer
-can end early: exit 3, or an error (exit 2) after the first byte, may leave
-a partial document on stdout.
+renders its rows as it writes them, ``BATCH`` (64) at a time.  Each row is
+a %-template filled with its ints; ``_row_template`` has the JSON encoder
+lay each template out once per mode and row shape, so a row's text is the
+encoder's own.  The step cache holds the ints of each distinct step, not
+its JSON, so plan's memory is the quadruple and profile lists, those ints
+and one batch of row text, not the whole payload and its text.  The bytes
+are those of one ``json.dumps`` of the whole payload, in both modes.  A
+streamed answer can end early: exit 3, or an error (exit 2) after the
+first byte, may leave a partial document on stdout.
 
 ``COMMANDS`` declares the grammar once.  ``build_parser`` builds argparse from
 it, with argparse's abbreviations, ``--opt=value`` forms, negative values,
@@ -45,10 +48,11 @@ from .construct import DEFAULT_DEGREE_CAP, construct_small, construct_trace, d9_
 from .criterion import certify, certify_data
 from .errors import DdcritError, ExtensionCapExceeded
 from .gf import make_field
-from .planner import profiles_for_group, quadruples_for_group, step_radii
+from .planner import RadiiReport, profiles_for_group, quadruples_for_group, step_radii
 from .poly import LaurentPoly, Poly
 from .search import NotFound, first_witness
 from .witt import (
+    JumpProfile,
     WittVector,
     reduce_jumps,
     standard_form,
@@ -119,21 +123,19 @@ def _dump(obj, compact: bool) -> str:
     return (_COMPACT if compact else _INDENTED).encode(obj)
 
 
-# the rows of a streamed array rendered and written at a time
+# the rows of a streamed array joined and written at a time
 BATCH = 64
 
 
 def _pieces(payload, compact: bool) -> Iterator[str]:
-    """The text ``_dump`` renders of payload, each iterator in it read as
-    a list, in pieces to be written in turn.
+    """The JSON text of payload in pieces to be written in turn.
 
-    A non-empty dict whose values are all iterators is an object of arrays:
-    it is rendered key by key, and each array's rows BATCH at a time by
-    ``_dump`` of the batch, so only one batch and its text are held at
-    once.  Any other payload is one piece.  ``_dump`` escapes every newline
-    inside a string, so in indented mode each newline of a batch's text is
-    a line break, and indenting the rows one level deeper puts two blanks
-    after each."""
+    A non-empty dict whose values are all iterators is an object of arrays
+    whose rows come rendered: each iterator yields the text of one row as
+    ``_row_template`` lays it out, at the depth of the dict's arrays.  The
+    dict is written key by key, and each array's rows are joined and
+    written BATCH at a time, so only one batch of rows is held at once.
+    Any other payload is one piece, its text from ``_dump``."""
     if not (isinstance(payload, dict) and payload
             and all(isinstance(value, Iterator) for value in payload.values())):
         yield _dump(payload, compact)
@@ -143,7 +145,7 @@ def _pieces(payload, compact: bool) -> Iterator[str]:
         sep, colon, first_row, row_sep, close = ",", ":", "[", ",", "]"
     else:
         yield "{\n  "
-        sep, colon, first_row, row_sep, close = ",\n  ", ": ", "[\n", ",\n", "\n  ]"
+        sep, colon, first_row, row_sep, close = ",\n  ", ": ", "[\n    ", ",\n    ", "\n  ]"
     for i, (key, rows) in enumerate(payload.items()):
         head = (sep if i else "") + json.dumps(key) + colon
         if not (batch := list(islice(rows, BATCH))):
@@ -151,14 +153,35 @@ def _pieces(payload, compact: bool) -> Iterator[str]:
             continue
         lead = head + first_row
         while batch:
-            text = _dump(batch, compact)
-            # the rows without the brackets, at the depth of the dict's rows
-            yield lead + (text[1:-1] if compact
-                          else "  " + text[2:-2].replace("\n", "\n  "))
+            yield lead + row_sep.join(batch)
             lead = row_sep
             batch = list(islice(rows, BATCH))
         yield close
     yield "}" if compact else "\n}"
+
+
+# sentinel k is _SENTINEL + k: every sentinel has 20 digits, so none is
+# inside another, and no key of a row has a run of 20 digits
+_SENTINEL = 10**19
+
+
+def _sentinels(count: int) -> tuple[int, ...]:
+    return tuple(range(_SENTINEL, _SENTINEL + count))
+
+
+def _row_template(row, compact: bool) -> str:
+    """The text ``_dump`` gives row as a row of an array in a dict, as a
+    %-template: row holds the sentinels 0, 1, ... in the order the encoder
+    writes them, and sentinel k becomes the k-th ``%d``.  So template %
+    ints renders a row of the same shape with those ints in their place,
+    in either mode, and ``_pieces`` joins such rows."""
+    # the text before and after a row whose whole text is "0"
+    head, tail = _dump({"": [0]}, compact).split("0")
+    text = _dump({"": [row]}, compact)[len(head):-len(tail)]
+    parts = re.split(r"(\d{20})", text.replace("%", "%%"))
+    if parts[1::2] != [str(s) for s in _sentinels(len(parts) // 2)]:
+        raise RuntimeError(f"the sentinels of {row!r} are not in encoder order")
+    return "%d".join(parts[::2])
 
 
 def _quadruple(args) -> Quadruple:
@@ -197,31 +220,66 @@ def _cmd_search(args) -> tuple[object, int]:
     return result.to_json(), 0
 
 
-def _radii_rows(p: int, m: int, profiles) -> Iterator[dict]:
-    """The radii row of each step of each (breaks, profile JSON), in order.
-    A step's quadruple and radii JSON is built once, though it recurs in many
+# (compact, profile length) -> the templates of a quadruple, a profile and
+# a radii row, laid out when a plan first needs them
+_PLAN_TEMPLATES: dict[tuple[bool, int], tuple[str, str, str]] = {}
+
+
+def _quadruple_json(ints) -> dict:
+    """The JSON of a quadruple with fields p, m, u~, N1 = ints, unchecked."""
+    return tuple.__new__(Quadruple, (*ints, 0, 0)).to_json()
+
+
+def _plan_templates(compact: bool, n: int) -> tuple[str, str, str]:
+    """The templates of a quadruple row, a profile row of length n and a
+    radii row of a profile of length n, laid out once per mode and n.  A
+    quadruple fills in (p, m, u~, N1), a profile its breaks, and a radii
+    row the breaks, the step index and ``_step_ints`` of the step."""
+    if (templates := _PLAN_TEMPLATES.get((compact, n))) is None:
+        s = _sentinels(n + 14)
+        radii = tuple.__new__(RadiiReport, (s[n + 5:n + 7], s[n + 7:n + 9],
+                                            s[n + 9:n + 11], s[n + 11], s[n + 12:]))
+        profile = JumpProfile(s[:n]).to_json()
+        row = {"profile": profile, "step": s[n],
+               "quadruple": _quadruple_json(s[n + 1:n + 5]), "radii": radii.to_json()}
+        templates = _PLAN_TEMPLATES[compact, n] = (
+            _row_template(_quadruple_json(s[:4]), compact),
+            _row_template(profile, compact),
+            _row_template(row, compact),
+        )
+    return templates
+
+
+def _step_ints(p: int, m: int, step: tuple[int, int]) -> tuple[int, ...]:
+    """The ints of the quadruple and radii of a lifting step, in the order
+    their JSON lists them: (p, m, u~, N1), then each radius's (num, den)
+    with n2 after r_n."""
+    q, (crit, hub, r_n, n2, delta) = step_radii(p, m, *step)
+    return (*q[:4], *crit, *hub, *r_n, n2, *delta)
+
+
+def _radii_rows(p: int, m: int, profiles, template: str) -> Iterator[str]:
+    """The text of the radii row of each step of each profile's breaks, in
+    order.  A step's ints are computed once, though the step recurs in many
     profiles and at more than one step index."""
-    steps: dict[tuple[int, int], tuple[dict, dict]] = {}
-    for u, prof_json in profiles:
+    steps: dict[tuple[int, int], tuple[int, ...]] = {}
+    for u in profiles:
         for i, step in enumerate(zip(u, u[1:]), 2):
-            if (json_pair := steps.get(step)) is None:
-                q, report = step_radii(p, m, *step)
-                json_pair = steps[step] = q.to_json(), report.to_json()
-            quad, rad = json_pair
-            yield {"profile": prof_json, "step": i, "quadruple": quad, "radii": rad}
+            if (ints := steps.get(step)) is None:
+                ints = steps[step] = _step_ints(p, m, step)
+            yield template % (*u, i, *ints)
 
 
 def _cmd_plan(args) -> tuple[object, int]:
     # both lists are built here, so an invalid group raises before any write;
-    # the rows of all three arrays are built as they are written
+    # the rows of all three arrays are rendered as they are written
     quadruples = quadruples_for_group(args.p, args.m, args.n)
-    # a profile's JSON is built once, for its entry and its radii rows
-    profiles = [(prof.breaks, prof.to_json())
-                for prof in profiles_for_group(args.p, args.m, args.n)]
+    profiles = [prof.breaks for prof in profiles_for_group(args.p, args.m, args.n)]
+    quadruple, profile, radii = _plan_templates(args.compact, args.n)
     return {
-        "quadruples": (q.to_json() for q in quadruples),
-        "profiles": (prof_json for _, prof_json in profiles),
-        "radii": _radii_rows(args.p, args.m, profiles),
+        "quadruples": (quadruple % q[:4] for q in quadruples),
+        "profiles": (profile % u for u in profiles),
+        "radii": _radii_rows(args.p, args.m, profiles, radii),
     }, 0
 
 

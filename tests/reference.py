@@ -102,7 +102,8 @@ was replaced by a simpler or faster exact path:
   oracle for the closed forms on int pairs of ``ddcrit.planner.step_radii``;
 - ``plan_payload_reference``: the whole ``plan`` payload built as lists,
   every step's JSON once, which ``json.dumps`` renders in one call, the
-  oracle for the row batches that ``ddcrit.cli`` writes as it builds them;
+  oracle for the rows that ``ddcrit.cli`` renders from templates and
+  writes in batches;
 - ``elementary_symmetric_reference``: e_0, ..., e_n of field elements by
   one O(n^2) product loop over the splitting field, where
   ``ddcrit.criterion.isolation_check`` reads s_lambda off F over f's own

@@ -298,16 +298,46 @@ def _reference_stdout(p, m, n, compact):
 
 @pytest.mark.parametrize("compact", [True, False])
 @pytest.mark.parametrize("group", [(3, 2, 1), (5, 2, 1), (3, 2, 2), (3, 2, 3),
-                                   (5, 4, 3), (7, 3, 3)])
+                                   (5, 4, 3), (7, 3, 3), (3, 2, 5)])
 def test_plan_streams_the_reference_payload(capsys, group, compact):
-    """plan writes its arrays in batches of rows as it builds them; its
+    """plan writes its arrays in batches of rows as it renders them; its
     stdout is json.dumps of the whole payload built first, in both modes.
-    At n = 1 the quadruples and radii are empty arrays."""
+    At n = 1 the quadruples and radii are empty arrays; (3,2,5) has radii
+    rows of four steps, with profiles of five breaks."""
     p, m, n = map(str, group)
     argv = ["--compact"] * compact + ["plan", "--p", p, "--m", m, "--n", n]
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert out == _reference_stdout(*group, compact)
+
+
+def _row_text(row, compact):
+    """row's text as a row of an array in a dict: compact, or indented two
+    levels deeper than json.dumps lays it out alone."""
+    if compact:
+        return json.dumps(row, separators=(",", ":"))
+    return json.dumps(row, indent=2).replace("\n", "\n    ")
+
+
+@pytest.mark.parametrize("compact", [True, False])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_plan_templates_render_the_rows_json_dumps_does(n, compact):
+    """template % ints is the text json.dumps gives the row at the depth of
+    plan's rows, for profiles of 1 to 6 breaks and ints of 1 to 20 digits,
+    in both modes."""
+    quadruple, profile, radii = cli._plan_templates(compact, n)
+    for digits in range(1, 21):
+        # n + 14 ints of this many digits, distinct from two digits on
+        ints = [k % 10 if digits == 1 else 10**digits - 1 - k for k in range(n + 14)]
+        breaks, step, quad, r = ints[:n], ints[n], ints[n + 1:n + 5], ints[n + 5:]
+        quad_json = dict(zip(("p", "m", "u_tilde", "n1"), quad))
+        pair = lambda j: {"num": r[j], "den": r[j + 1]}  # noqa: E731
+        row = {"profile": breaks, "step": step, "quadruple": quad_json,
+               "radii": {"r_crit": pair(0), "r_hub": pair(2), "r_n": pair(4),
+                         "n2": r[6], "delta_hub": pair(7)}}
+        assert quadruple % tuple(quad) == _row_text(quad_json, compact)
+        assert profile % tuple(breaks) == _row_text(breaks, compact)
+        assert radii % tuple(ints) == _row_text(row, compact)
 
 
 # (3,2,3) has 22 quadruples, 18 profiles and 36 radii rows; a group's radii
@@ -343,10 +373,11 @@ class _Sink:
 
 
 def test_plan_peak_memory_stays_below_its_output(monkeypatch):
-    """plan holds one batch of rows and its text, not the payload and the
-    encoder's tokens: written to a sink that keeps nothing, the traced peak
-    of plan (3,2,7) stays under 2.5 times the 2.0 MB it prints, where one
-    json.dumps of the whole payload peaked at 4.7 times."""
+    """plan holds one batch of rendered rows and the ints of each distinct
+    step, not the payload and the encoder's tokens: written to a sink that
+    keeps nothing, the traced peak of plan (3,2,7) stays under the 2.0 MB
+    it prints (about half of it), where one json.dumps of the whole payload
+    peaked at 4.7 times and batches rendered by the encoder at 1.6 times."""
     import tracemalloc
 
     sink = _Sink()
@@ -358,7 +389,7 @@ def test_plan_peak_memory_stays_below_its_output(monkeypatch):
     finally:
         tracemalloc.stop()
     assert code == 0 and sink.length == 2_100_331
-    assert peak < 2.5 * sink.length, f"peak {peak} for {sink.length} bytes"
+    assert peak < sink.length, f"peak {peak} for {sink.length} bytes"
 
 
 def test_reader_that_closes_mid_stream_gets_exit_3(tmp_path):
