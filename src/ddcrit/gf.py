@@ -11,7 +11,8 @@ use, is the only code that computes on that form:
 
 - k = 1: v is the residue in [0, p), and arithmetic is int operations mod
   p, ``(a + b) % p``, ``(a * b) % p``, ``pow(a, -1, p)`` and
-  ``pow(a, e, p)``;
+  ``pow(a, e, p)``; F_p within the table bound has log tables too, which
+  only an m-th root (``mth_root``) reads, so only a root builds them;
 - 2 <= k and q = p^k <= 2^12 (``_LOG_TABLE_BOUND``): v is the element
   index (the base-p number whose most significant digit is the constant
   coefficient).  Log/antilog tables to the base of the least generator,
@@ -328,7 +329,8 @@ def _is_irreducible_modp(f: list[int], p: int) -> bool:
 # -- field spec --------------------------------------------------------------
 
 # Fields F_{p^k} with 2 <= k and order up to this bound compute by log and
-# Zech tables (see the module docstring for why not 2^16).
+# Zech tables (see the module docstring for why not 2^16); every field up to
+# it, F_p included, takes m-th roots from its log table (``mth_root``).
 _LOG_TABLE_BOUND = 2**12
 
 
@@ -463,9 +465,10 @@ class FieldSpec(namedtuple("FieldSpec", "p k modulus")):
 
     @functools.cached_property
     def _tables(self) -> "_LogTables | None":
-        """Log, antilog and Zech tables for 2 <= k with order up to
-        _LOG_TABLE_BOUND, built on first use; None for every other field."""
-        if self.k == 1 or not self._coded:
+        """Log, antilog and Zech tables for every field of order up to
+        _LOG_TABLE_BOUND, built on first use; None above the bound.  F_p
+        computes mod p without them, so there only a root builds them."""
+        if self.order > _LOG_TABLE_BOUND:
             return None
         return _LogTables(self)
 
@@ -706,8 +709,9 @@ def _ring_mul(spec: FieldSpec, a, b) -> tuple[int, ...]:
 
 
 class _LogTables:
-    """Discrete logarithms in a tabled F_{p^k} to the base of the least
-    generator g, over element indices, with n = q - 1 and g^(n/2) = -1:
+    """Discrete logarithms in a tabled F_{p^k}, k = 1 included, to the base
+    of the least generator g, over element indices (the residues at k = 1),
+    with n = q - 1 and g^(n/2) = -1:
 
     - ``log[i]`` is the log in [0, n) of nonzero element i, and log[0]
       is 2n;
@@ -1031,80 +1035,22 @@ def pth_root(x: FieldElement) -> FieldElement:
 
 
 def mth_root(y: FieldElement, m: int) -> FieldElement:
-    """One x with x^m = y, for m | p - 1 (zero for y = 0), in F_p or a
-    tabled field; ValueError above the table bound, where ``poly`` splits
-    G(t^m) instead.  In a tabled field x is exp[floor(log y / m)].  In F_p
-    it takes an l^a-th root for each prime power l^a exactly dividing m in
-    turn (``_prime_power_root``); each is off by an element of mu_(l^a),
-    which m / l^a, prime to l, permutes, so it stays a power for the primes
-    to come.  NotAField if y is no m-th power or the ring is no field: x^m
-    = y is checked at the end."""
+    """One x with x^m = y, for m | p - 1 (zero for y = 0), in a tabled
+    field, F_p included: x is exp[floor(log y / m)], one lookup in the log
+    tables, built on the first root.  ValueError above the table bound,
+    for every k, where ``poly`` splits G(t^m) instead.  NotAField if y is
+    no m-th power or the ring is no field: x^m = y is checked at the end."""
     spec, p, v = y.spec, y.spec.p, y.v
     if m < 1 or (p - 1) % m:
         raise OrderNotDividing(f"{m} does not divide {p - 1}")
-    if not spec._coded:
+    if spec.order > _LOG_TABLE_BOUND:
         raise ValueError(f"F_{{{p}^{spec.k}}} is above the table bound")
-    if y and spec.k == 1:
-        for l in prime_factors(m):
-            a = 1
-            while m % l ** (a + 1) == 0:
-                a += 1
-            v = _prime_power_root(v, l, a, p)
-    elif y:
+    if y:
         v = spec._tables.exp[spec._tables.log[v] // m]
     x = FieldElement(spec, v)
     if x**m != y:
         raise NotAField(f"{y!r} has no {m}-th root in F_{{{p}^{spec.k}}}")
     return x
-
-
-def _prime_power_root(y: int, l: int, a: int, p: int) -> int:
-    """An x with x^L = y mod p, L = l^a, when y is an L-th power (Adleman-
-    Manders-Miller, "On taking roots in finite fields", FOCS 1977; Tonelli-
-    Shanks for l = 2).  With p - 1 = l^s t, l not dividing t, and
-    L alpha = 1 mod t, x0 = y^alpha has x0^L = y b, where b = y^(L alpha - 1)
-    lies in the l-Sylow subgroup, cyclic of order l^s and generated by c
-    (``_sylow``), and is an L-th power there: b = c^(L j).  The digits of j
-    base l come one at a time (Pohlig-Hellman), each from the order-l
-    element it gives, and x = x0 c^(-j).  Any other y gives some x, which
-    ``mth_root`` rejects."""
-    s, t, logs, inverse_powers = _sylow(p, l)
-    big_l = l**a
-    alpha = pow(big_l, -1, t) if t > 1 else 1
-    # one large power: v = y^(alpha - 1), then x0 = v y, b = x0^(L-1) v
-    v = pow(y, alpha - 1, p)
-    x = v * y % p
-    b = pow(x, big_l - 1, p) * v % p
-    # b = c^(L j): digit i of j is read from b c^(-L (j mod l^i)), whose
-    # l^(s-a-1-i)-th power is zeta^(digit), zeta = c^(l^(s-1)) of order l
-    for i in range(s - a):
-        digit = logs.get(pow(b, l ** (s - a - 1 - i), p))
-        if digit is None:  # y is no L-th power
-            return x
-        if digit:
-            b = b * pow(inverse_powers[a + i], digit, p) % p
-            x = x * pow(inverse_powers[i], digit, p) % p
-    return x
-
-
-@functools.lru_cache(maxsize=None)
-def _sylow(p: int, l: int) -> tuple[int, int, dict, list]:
-    """(s, t, logs, inverse_powers) for the l-Sylow subgroup of F_p^*, l a
-    prime dividing p - 1: p - 1 = l^s t with l not dividing t, the
-    subgroup generated by c = z^t for the least z in [2, p) that is no l-th
-    power, z^((p-1)/l) != 1, ``logs`` sending zeta^i, zeta = c^(l^(s-1)),
-    to i for i < l, and inverse_powers[i] = c^(-l^i) for i < s, each a
-    positive power of c, so no inverse is taken."""
-    s, t = 0, p - 1
-    while t % l == 0:
-        s, t = s + 1, t // l
-    # the (p - 1)(l - 1)/l elements of F_p^* that are no l-th power lie in [2, p)
-    z = next(z for z in range(2, p) if pow(z, (p - 1) // l, p) != 1)
-    c = pow(z, t, p)
-    inverse_powers = [pow(c, l**s - l**i, p) for i in range(s)]
-    zeta = pow(c, l ** (s - 1), p)
-    logs = {pow(zeta, i, p): i for i in range(l)}
-    return s, t, logs, inverse_powers
 
 
 def trace_to_prime(x: FieldElement, d: int) -> FieldElement:

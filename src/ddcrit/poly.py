@@ -4,8 +4,9 @@ into a single splitting field.
 
 Equal-degree factors and roots are split by Berlekamp's trace splitting, a
 deterministic algorithm, so results are bit-for-bit reproducible.  Where the
-splitting field is F_p or a tabled field, roots of quadratics and m-th roots
-are taken by radicals instead (``gf.mth_root``); above the table bound an
+splitting field is tabled (order up to ``gf._LOG_TABLE_BOUND``, F_p
+included), roots of quadratics and m-th roots are taken by radicals instead
+(``gf.mth_root``, one log lookup); above the table bound, for every k, an
 m-th root of a root of G is found as a root of G(t^m), by the same split.
 """
 
@@ -24,6 +25,7 @@ from .errors import (
     ZeroRoot,
 )
 from .gf import (
+    _LOG_TABLE_BOUND,
     FieldElement,
     FieldSpec,
     _apply,
@@ -489,17 +491,19 @@ def roots_in_splitting_field(f: Poly):
 def _one_root(g: Poly, big: FieldSpec, m: int = 1, degree: int = 0) -> FieldElement:
     """One root x in big = F_{p^D} of g(t^m), for a monic irreducible g over
     its own field F_q (q = p^k), g(0) != 0 if m > 1, with x of the given
-    degree over F_q (deg g by default).  In a coded big (F_p or tabled) x
-    is an m-th root of a root y of g by ``gf.mth_root``: y is -g(0) for a
-    linear g, (-b + sqrt(b^2 - 4c))/2 for t^2 + bt + c, and split out of a
-    higher degree g.  Above the table bound g(t^m) is split for x.  The
-    split is one ``_trace_split`` over big, with x^(p^i) mod g or g(t^m)
-    computed over F_q, where it repeats with period k degree."""
-    if big._coded and m > 1:
+    degree over F_q (deg g by default).  In a tabled big (order up to the
+    table bound, F_p included) x is an m-th root of a root y of g by
+    ``gf.mth_root``: y is -g(0) for a linear g, (-b + sqrt(b^2 - 4c))/2 for
+    t^2 + bt + c, and split out of a higher degree g.  Above the table
+    bound, for every k, g(t^m) is split for x.  The split is one
+    ``_trace_split`` over big, with x^(p^i) mod g or g(t^m) computed over
+    F_q, where it repeats with period k degree."""
+    tabled = big.order <= _LOG_TABLE_BOUND
+    if tabled and m > 1:
         return mth_root(_one_root(g, big), m)
     if g.degree == 1 and m == 1:
         return embed(-g.coeffs[0], big)
-    if big._coded and g.degree == 2:
+    if tabled and g.degree == 2:
         c, b = (embed(a, big) for a in g.coeffs[:2])
         # (p + 1) / 2 is 1/2 mod p
         return (mth_root(b * b - c * 4, 2) - b) * ((big.p + 1) // 2)
@@ -541,12 +545,12 @@ def orbit_reps_in_splitting_field(f: Poly, m: int):
     y^((q^d-1)/m) = eta, eta = ((-1)^d G(0))^((q-1)/m) in mu_m, so an m-th
     root x of y has x^(q^d) = eta x and degree d ord(eta) over F_q: D is k
     times the lcm of these.  One root x of each G(t^m) in F_{p^D}
-    (``_one_root``: an m-th root of a root y of G in F_p or a tabled field,
-    a root of G(t^m) split directly above the table bound) gives x, x^q,
-    ..., x^(q^(d-1)), m-th roots of the d conjugates of y = x^m; any choice
-    of x gives the same orbits.  NotAField if these give fewer than deg F
-    orbits; NotSquarefree, after one squarefree test of F, if f has
-    repeated roots."""
+    (``_one_root``: an m-th root of a root y of G in a tabled field, F_p
+    included, a root of G(t^m) split directly above the table bound) gives
+    x, x^q, ..., x^(q^(d-1)), m-th roots of the d conjugates of y = x^m;
+    any choice of x gives the same orbits.  NotAField if these give fewer
+    than deg F orbits; NotSquarefree, after one squarefree test of F, if f
+    has repeated roots."""
     if not f:
         raise ValueError("zero polynomial has no splitting field")
     spec = f.spec

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ddcrit import gf
+from ddcrit.cartier import Quadruple, ddc_check
 from ddcrit.errors import (
     EvenPrime,
     NotAField,
@@ -575,11 +576,13 @@ def test_prime_field_operands_above_the_table_bound_skip_the_kernel(p, k, monkey
 
 
 @pytest.mark.parametrize("p, k, ms", [(3, 2, [2]), (5, 2, [2, 4]), (7, 2, [2, 3, 6]),
-                                      (3, 4, [2]), (11, 2, [2, 5]), (5, 5, [2, 4])])
+                                      (3, 4, [2]), (11, 2, [2, 5]), (5, 5, [2, 4]),
+                                      (7, 1, [2, 3, 6]), (13, 1, [2, 3, 4, 6, 12])])
 def test_mth_root_by_log_inverts_every_mth_power(p, k, ms):
-    """In a tabled field ``mth_root`` is a log lookup: every nonzero m-th
-    power y gets an x with x^m = y, and every other nonzero element raises
-    NotAField."""
+    """In a tabled field, F_p included, ``mth_root`` is a log lookup: every
+    nonzero m-th power y gets an x with x^m = y, and every other nonzero
+    element raises NotAField.  Over F_13, m = 12 is a product of a prime
+    power and another prime, and m = 4 a prime power above l = 2."""
     spec = make_field(p, k)
     assert spec._tables is not None
     nonzero = [spec.element_by_index(i) for i in range(1, spec.order)]
@@ -595,37 +598,35 @@ def test_mth_root_by_log_inverts_every_mth_power(p, k, ms):
         assert mth_root(spec.zero(), m) == spec.zero()
 
 
+def test_f_p_builds_its_log_tables_on_its_first_root():
+    """F_7 computes mod 7 without log tables: elements, products, inverses,
+    powers and a ``ddc_check`` leave ``_tables`` unread.  Its first m-th
+    root builds them, and each later root reads the same tables."""
+    spec = FieldSpec(7, 1, (0, 1))  # no cached tables
+    x, y = spec.from_int(3), spec.from_int(5)
+    assert (x * y, x / y, x.inverse(), x**5, -x, x - y) == tuple(
+        map(spec.from_int, (1, 2, 5, 5, 4, 5)))
+    f = Poly.from_ints(spec, [3, 0, 0, 3])
+    assert ddc_check(Quadruple(7, 3, 2, 3), f)
+    assert "_tables" not in spec.__dict__
+    assert mth_root(spec.from_int(2), 2) ** 2 == spec.from_int(2)
+    tables = spec.__dict__["_tables"]
+    assert isinstance(tables, gf._LogTables) and tables.n == 6
+    assert mth_root(spec.from_int(6), 3) ** 3 == spec.from_int(6)
+    assert spec._tables is tables
+
+
 def test_mth_root_of_an_untabled_field_builds_no_log_tables(monkeypatch):
-    """F_p has no logarithms: its roots come from Adleman-Manders-Miller,
-    which seeks no generator.  Above the table bound ``mth_root`` has no
-    path: it raises ValueError and builds no tables either."""
+    """Above the table bound ``mth_root`` has no path, for every k: over
+    F_{5^6} and F_10007 it raises ValueError, for zero too, and builds no
+    tables, as ``poly`` splits t^m - y there instead."""
     monkeypatch.setattr(gf, "_least_generator", lambda spec: pytest.fail("generator"))
-    spec = FieldSpec(7, 1, (0, 1))
-    for m in (2, 3, 6):
-        x = mth_root(spec.one(), m)
-        assert x**m == spec.one()
-        assert mth_root(spec.zero(), m) == spec.zero()
-    untabled = FieldSpec(5, 6, make_field(5, 6).modulus)
-    for y in (untabled.one(), untabled.zero()):
-        with pytest.raises(ValueError, match="above the table bound"):
-            mth_root(y, 2)
-    assert spec._tables is None and untabled._tables is None
-
-
-@pytest.mark.parametrize("p, k, m", [(7, 1, 6), (13, 1, 12), (10009, 1, 8)])
-def test_mth_root_by_adleman_manders_miller_against_random_powers(p, k, m):
-    """Seeded m-th powers z^m in F_p get a root; of the non-powers, each
-    raises NotAField.  m runs over prime powers and products of several
-    primes, so one root is taken per prime power of m in turn."""
-    spec = make_field(p, k)
-    assert spec._tables is None
-    rng = random.Random(f"amm:{p}:{k}:{m}")
-    for _ in range(12):
-        z = spec.element([rng.randrange(p) for _ in range(k)])
-        assert mth_root(z**m, m) ** m == z**m
-        if z and z ** ((spec.order - 1) // m) != spec.one():
-            with pytest.raises(NotAField):
-                mth_root(z, m)
+    for p, k in ((5, 6), (10007, 1)):
+        untabled = FieldSpec(p, k, make_field(p, k).modulus)  # no cached tables
+        for y in (untabled.one(), untabled.zero()):
+            with pytest.raises(ValueError, match="above the table bound"):
+                mth_root(y, 2)
+        assert "_tables" not in untabled.__dict__ and untabled._tables is None
 
 
 @pytest.mark.parametrize("p", [q for q in range(3, 60) if gf.is_prime(q)])

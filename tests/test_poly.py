@@ -870,9 +870,10 @@ def test_orbit_reps_check_their_input():
 
 @pytest.mark.parametrize("p, ms", [(7, [2, 3, 6]), (11, [2, 5]), (13, [3, 4])])
 def test_mth_root_over_a_prime_field_inverts_every_mth_power(p, ms):
-    """At k = 1, where no log table exists, ``gf.mth_root`` takes the root
-    by Adleman-Manders-Miller; test_gf checks the tabled fields, where the
-    root is one lookup."""
+    """F_7, F_11 and F_13 lie within the table bound, so ``gf.mth_root``
+    takes each root by one lookup in the log tables of F_p, as in every
+    tabled field (test_gf checks the lookup itself); above the bound
+    ``test_mth_root_above_the_table_bound`` splits t^m - y instead."""
     spec = make_field(p, 1)
     nonzero = [spec.element_by_index(i) for i in range(1, spec.order)]
     for m in ms:
@@ -884,13 +885,15 @@ def test_mth_root_over_a_prime_field_inverts_every_mth_power(p, ms):
                 mth_root(y, m)
 
 
-@pytest.mark.parametrize("p, k, m", [(5, 6, 4), (3, 8, 2), (7, 6, 3), (3, 16, 2)])
+@pytest.mark.parametrize("p, k, m", [(5, 6, 4), (3, 8, 2), (7, 6, 3), (3, 16, 2),
+                                     (8191, 1, 6), (10009, 1, 8)])
 def test_mth_root_above_the_table_bound(p, k, m):
-    """``gf.mth_root`` has no path above the table bound: it raises
-    ValueError.  There an m-th root of a random m-th power y comes from
-    ``_one_root`` of G = t - y with m, which splits t^m - y over F_q."""
+    """``gf.mth_root`` has no path above the table bound, for every k: it
+    raises ValueError.  There an m-th root of a random m-th power y comes
+    from ``_one_root`` of G = t - y with m, which splits t^m - y over F_q,
+    F_p with p > 2^12 included."""
     spec = make_field(p, k)
-    assert not spec._coded
+    assert spec.order > gf._LOG_TABLE_BOUND
     rng = random.Random(f"mth-root:{p}:{k}")
     for _ in range(8):
         z = spec.element([rng.randrange(p) for _ in range(k)])
@@ -945,7 +948,7 @@ def test_quadratic_roots_by_radicals_above_the_table_bound():
     (3, 2, 1, (1, 3)), (3, 2, 1, (3, 3)), (7, 2, 1, (1, 3)),
 ])
 def test_orbit_reps_split_no_binomial_and_no_quadratic(monkeypatch, p, m, k, degrees):
-    """Where the splitting field F_{p^D} is coded (F_p or tabled), m-th
+    """Where the splitting field F_{p^D} is tabled (F_p included), m-th
     roots come from ``gf.mth_root`` and quadratic factors from the
     quadratic formula: every one-root split of the orbit-reps path is an
     irreducible factor G of F of degree >= 3, never t^m - y.  Above the
@@ -978,7 +981,7 @@ def test_orbit_reps_split_no_binomial_and_no_quadratic(monkeypatch, p, m, k, deg
         assert orbit_reps_in_splitting_field(f, m) == expected
         monkeypatch.undo()
         big = make_field(p, expected[0])
-        if big._coded:
+        if big.order <= gf._LOG_TABLE_BOUND:
             split = [g for g in factors if g.degree >= 3]
         else:
             split = [_in_t_m(list(g.coeffs), m, spec) for g in factors]
@@ -1019,6 +1022,29 @@ def test_orbit_reps_above_the_table_bound_match_the_root_list(p, k, m, kinds):
     expected = _reps_from_roots(f, m)
     assert expected[0] == k * math.lcm(*(d * order for d, order in kinds))
     assert orbit_reps_in_splitting_field(f, m) == expected
+
+
+@pytest.mark.parametrize("p, m, tabled", [(4093, 4, True), (4099, 6, False)])
+def test_orbit_reps_at_the_table_bound_over_f_p(p, m, tabled):
+    """4093 is the largest prime up to the table bound 2^12 and 4099 the
+    least above it (4 does not divide 4098, so m = 6 there).  f = F(t^m)
+    for F with three seeded linear factors t - z^m splits over F_p itself:
+    its m-th roots come from the log tables of F_4093 and from splitting
+    t^m - y over F_4099, which builds none.  Either way the orbit-reps
+    path gives the (D, reps) of ``roots_in_splitting_field`` and
+    ``mu_m_orbit_reps``."""
+    spec = make_field(p, 1)
+    assert (spec.order <= gf._LOG_TABLE_BOUND) == tabled
+    rng = random.Random(f"bound:{p}:{m}")
+    ys = set()
+    while len(ys) < 3:
+        ys.add(spec.from_int(rng.randrange(1, p)) ** m)
+    factors = [Poly(spec, [-y, spec.one()]) for y in ys]
+    f = _in_t_m(list(_product(factors, spec).coeffs), m, spec)
+    expected = _reps_from_roots(f, m)
+    assert expected[0] == 1 and len(expected[1]) == 3
+    assert orbit_reps_in_splitting_field(f, m) == expected
+    assert (spec.__dict__.get("_tables") is not None) == tabled
 
 
 def test_orbit_reps_over_a_reducible_tuple_modulus_raise_not_a_field():
