@@ -64,4 +64,4 @@ from .witt import (
     wp,
 )
 
-__version__ = "0.3.7"
+__version__ = "0.3.8"

@@ -247,45 +247,19 @@ def _power_sums_hold(q: Quadruple, f: Poly) -> bool:
     )
 
 
-def _target_scalar(q: Quadruple) -> int:
-    """u/m as an element of F_p (m is invertible since m | p-1)."""
-    return (q.u % q.p) * pow(q.m % q.p, q.p - 2, q.p) % q.p
-
-
-def _stepped_powers(reps, exps):
-    """Yield [x**e for x in reps] for each e of the ascending exps: the
-    first row by powers, each later one by one product per rep with the
-    cached x**(e - e_prev). Criterion exponents are -1 mod m and skip only
-    multiples of p, so the steps are m or 2m."""
-    steps = {}
-    row, prev = None, None
-    for e in exps:
-        if row is None:
-            row = [x**e for x in reps]
-        else:
-            step = steps.get(e - prev)
-            if step is None:
-                step = steps[e - prev] = [x ** (e - prev) for x in reps]
-            row = [xe * xs for xe, xs in zip(row, step)]
-        prev = e
-        yield row
-
-
 def power_sum_check(rd: ResidueData) -> bool:
-    """Sum_j a_j x_j^e = u/m for e = u and 0 for every other exponent in the
-    criterion range, rep by rep.  No library code calls it: ``certify``
-    decides the power sums from f (``_power_sums_hold``), and this is the
-    test oracle for that flag."""
+    """The definition of the power-sum condition: sum_j a_j x_j^e = u/m
+    at e = u and 0 at every other criterion exponent e.  No library code
+    calls it: ``certify`` decides the power sums from f
+    (``_power_sums_hold``), and this is the test oracle for that flag."""
     q = rd.quadruple
     spec = rd.field
-    target = _target_scalar(q)
-    exps = criterion_exponents(q)
-    for e, powers in zip(exps, _stepped_powers(rd.reps, exps)):
+    target = spec.from_int(q.u) / spec.from_int(q.m)
+    for e in criterion_exponents(q):
         total = spec.zero()
-        for xe, a in zip(powers, rd.residues):
-            total = total + xe * a
-        expected = target if e == q.u else 0
-        if total != spec.from_int(expected):
+        for x, a in zip(rd.reps, rd.residues):
+            total = total + x**e * a
+        if total != (target if e == q.u else spec.zero()):
             return False
     return True
 

@@ -975,26 +975,23 @@ def column_values(cols, spec: FieldSpec) -> list:
 
 
 def kronecker_columns(a, b, spec: FieldSpec) -> list[list[int]]:
-    """Product of two ascending coefficient sequences over spec, both given
-    and returned in column form (see ``value_columns``).
+    """Product of two nonempty ascending coefficient sequences over
+    F_{p^k}, k >= 2, both given and returned in column form (see
+    ``value_columns``).  The callers handle k = 1 and empty sequences
+    themselves (``kronecker_mul``, ``witt._carry``).
 
-    Over F_p it is ``_mul_modp`` of the single columns.  Above, digit i
-    of term j (the coefficient of x^i) is laid out at digit j*(2k-1) + i of
-    one F_p[x] digit list, with zeros between, so one ``_mul_modp`` of the
-    two lists holds every term of the product in its own (2k-1)-digit slot,
-    and the slots are then reduced mod the field modulus, digit t of every
-    slot at once (``_fold_map`` applied to columns).  A slot is 2k-1
-    digits wide because the product of two elements has x-degree up to
-    2k-2 before reduction.  Returns the k columns of the len(a[0]) +
-    len(b[0]) - 1 product terms, digits in [0, p), or k empty columns if
-    either sequence is empty.
+    Digit i of term j (the coefficient of x^i) is laid out at digit
+    j*(2k-1) + i of one F_p[x] digit list, with zeros between, so one
+    ``_mul_modp`` of the two lists holds every term of the product in its
+    own (2k-1)-digit slot, and the slots are then reduced mod the field
+    modulus, digit t of every slot at once (``_fold_map`` applied to
+    columns).  A slot is 2k-1 digits wide because the product of two
+    elements has x-degree up to 2k-2 before reduction.  Returns the k
+    columns of the len(a[0]) + len(b[0]) - 1 product terms, digits in
+    [0, p).
     """
     p, k = spec.p, spec.k
-    if k == 1:
-        return [_mul_modp(a[0], b[0], p)]
     la, lb = len(a[0]), len(b[0])
-    if not la or not lb:
-        return [[] for _ in range(k)]
     stride = 2 * k - 1
     x = _interleave(a, stride)
     digits = _mul_modp(x, x if a is b else _interleave(b, stride), p)

@@ -465,13 +465,6 @@ class StandardFormResult(
 
     __slots__ = ()
 
-    def to_json(self):
-        return {
-            "vector": self.vector.to_json(),
-            "extension_degree": self.extension_degree,
-            "adjustment": self.adjustment.to_json(),
-        }
-
 
 def _artin_schreier_solve(spec: FieldSpec, c) -> list[int] | None:
     """The coefficients of some x with x^p - x = c in spec, c given by its k

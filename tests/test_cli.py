@@ -93,6 +93,21 @@ def test_reduce_jumps_cli_rejects_m_not_dividing_p_minus_1(capsys):
     assert "divide p-1" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["reduce-jumps", "--p", "5", "--m", "2", "--jumps", "0"],
+     "jumps must be positive"),
+    (["reduce-jumps", "--p", "5", "--m", "2", "--jumps", "2"],
+     "all input jumps must be -1 mod m"),
+    (["search", "--p", "3", "--m", "2", "--u", "1", "--n1", "2",
+      "--field-degree", "9"],
+     "field degree must be in [1, 8]"),
+])
+def test_invalid_jumps_and_search_field_degree_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, "--compact", *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and json.loads(err) == {"error": message}
+
+
 def test_closed_stdout_exits_3_without_traceback():
     """A reader that went away before the answer was written: exit 3, the
     code of its own, and nothing on stderr."""

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import random
@@ -15,6 +16,7 @@ from ddcrit.errors import (
     NotInSubfield,
     NotPrime,
     OrderNotDividing,
+    SpecMismatch,
 )
 from ddcrit.gf import (
     FieldSpec,
@@ -181,6 +183,33 @@ def test_make_field_rejects_bad_input():
         make_field(9, 1)
     with pytest.raises(EvenPrime):
         make_field(2, 1)
+    with pytest.raises(ValueError) as exc:
+        make_field(3, 0)
+    assert str(exc.value) == "extension degree must be >= 1"
+
+
+def test_element_rejects_more_coefficients_than_the_degree():
+    assert F9.element([1, 2]) == F9.element_by_index(5)
+    with pytest.raises(ValueError) as exc:
+        F9.element([1, 2, 0])
+    assert str(exc.value) == "coefficient vector longer than extension degree"
+
+
+def test_operators_across_fields_raise_but_an_equal_copy_computes():
+    """Elements of two different fields do not mix; a spec equal to the
+    canonical one but not the same object (``copy.copy`` leaves out the
+    cached properties) is the same field."""
+    x, y = F9.element([1, 2]), make_field(3, 3).element([1, 2])
+    for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
+        with pytest.raises(SpecMismatch) as exc:
+            getattr(x, op)(y)
+        assert str(exc.value) == "elements belong to different field specs"
+    twin = copy.copy(F9)
+    assert twin == F9 and twin is not F9
+    z = twin.element([2, 1])
+    assert x + z == F9.element([0, 0]) and z - x == F9.element([1, 2])
+    assert x * z == F9.element([1, 2]) * F9.element([2, 1])
+    assert (x / z) * z == x
 
 
 def test_element_ordering_constant_term_first():
@@ -255,6 +284,10 @@ def test_ord_mod():
     assert ord_mod(3, 10) == 4
     with pytest.raises(NotCoprime):
         ord_mod(3, 9)
+    for n in (0, -4):
+        with pytest.raises(ValueError) as exc:
+            ord_mod(3, n)
+        assert str(exc.value) == "modulus must be positive"
 
 
 # every field with q <= 125 that the pair test covers in full
@@ -485,6 +518,9 @@ def test_zero_powers_and_inverse(p, k):
             zero**e
     with pytest.raises(ZeroDivisionError):
         zero.inverse()
+    with pytest.raises(ZeroDivisionError) as exc:
+        x / zero
+    assert str(exc.value) == "inverse of zero field element"
 
 
 @pytest.mark.parametrize("p, k", [(3, 8), (5, 6), (7, 6)])

@@ -558,6 +558,27 @@ def test_monic_division_above_the_table_bound_makes_no_ring_product(monkeypatch)
     assert calls == []
 
 
+def test_scalars_and_points_from_another_field_raise():
+    f = poly_from_ints(F5, [1, 2, 3])
+    for x in (F3.from_int(2), make_field(5, 2).from_int(2)):
+        for call in (lambda: f * x, lambda: f.evaluate(x)):
+            with pytest.raises(SpecMismatch) as exc:
+                call()
+            assert str(exc.value) == "elements belong to different field specs"
+    assert f * F5.from_int(2) == poly_from_ints(F5, [2, 4, 1])
+    assert f.evaluate(F5.from_int(2)) == F5.from_int(2)
+
+
+def test_the_zero_polynomial_has_no_splitting_field():
+    for call in (
+        lambda: roots_in_splitting_field(Poly.zero(F5)),
+        lambda: orbit_reps_in_splitting_field(Poly.zero(F5), 2),
+    ):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == "zero polynomial has no splitting field"
+
+
 def test_divmod_and_gcd_edge_cases():
     zero, x = Poly.zero(F5), Poly.x(F5)
     assert zero.gcd(zero) == zero

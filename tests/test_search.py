@@ -5,10 +5,16 @@ import time
 import pytest
 
 import ddcrit
+import ddcrit.construct
 import reference
 from ddcrit import search
 from ddcrit.cartier import Quadruple
-from ddcrit.criterion import Certificate, certify, verify_certificate_json
+from ddcrit.criterion import (
+    Certificate,
+    certify,
+    certify_data,
+    verify_certificate_json,
+)
 from ddcrit.errors import DdcritError, PruningMismatch
 from ddcrit.gf import make_field
 from ddcrit.poly import Poly
@@ -258,6 +264,35 @@ def test_search_group_d9():
     lines = result.to_json_lines()
     assert len(lines) == 5
     assert json.loads(lines[-1])["complete"] is True
+
+
+def test_search_group_takes_the_trace_family_and_reports_an_incomplete_group(
+    monkeypatch,
+):
+    """Z/27 x| Z/2 at a 0 s budget: (3,2,3,6) is certified by the closed-form
+    trace family, the two small-family quadruples by theirs, and each of the
+    other 19 aborts before its first node, so the group is incomplete.
+    Like CI's "Search smoke", it relies on the clock passing a 0 s deadline
+    before the first node."""
+    traced = []
+
+    def construct_trace(p, m, u_tilde):
+        traced.append((p, m, u_tilde))
+        return ddcrit.construct.construct_trace(p, m, u_tilde)
+
+    monkeypatch.setattr(search, "construct_trace", construct_trace)
+    result = search_group(3, 2, 3, 1, budget_seconds=0)
+    assert traced == [(3, 2, 3)]
+    assert len(result.results) == 22 and result.complete is False
+    trace = result.results[Quadruple(3, 2, 3, 6)]
+    assert isinstance(trace, Certificate) and trace.all_ok
+    assert trace == certify_data(ddcrit.construct.construct_trace(3, 2, 3))
+    certified = [q for q, c in result.results.items() if isinstance(c, Certificate)]
+    assert certified == [Quadruple(3, 2, 1, 2), Quadruple(3, 2, 1, 0), Quadruple(3, 2, 3, 6)]
+    aborted = [c for c in result.results.values() if isinstance(c, NotFound)]
+    assert len(aborted) == 19
+    assert not any(c.complete for c in aborted)
+    assert json.loads(result.to_json_lines()[-1])["complete"] is False
 
 
 def test_search_group_json_lines_verify():

@@ -15,6 +15,7 @@ from ddcrit.errors import (
     MixedClasses,
     NotAField,
     NotStandardForm,
+    SpecMismatch,
 )
 import ddcrit.witt
 from ddcrit import gf, poly
@@ -125,6 +126,9 @@ def test_sum_polys_match_sympy_recursion(p, n):
 def test_level_cap():
     with pytest.raises(LevelTooHigh):
         witt_sum_polys(3, 4)
+    with pytest.raises(ValueError) as exc:
+        witt_sum_polys(3, 0)
+    assert str(exc.value) == "truncation level must be >= 1"
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -915,6 +919,23 @@ def test_gamma_congruence():
     assert gamma_congruence(wv(F3, {-7: 2}), 4) == 3
     with pytest.raises(MixedClasses):
         gamma_congruence(wv(F3, {-1: 1, -2: 1}, {}), 2)
+    for v in (wv(F3, {-3: 1}), wv(F3, {0: 1, -1: 1})):
+        with pytest.raises(NotStandardForm) as exc:
+            gamma_congruence(v, 2)
+        assert str(exc.value) == "vector is not in standard form"
+
+
+@pytest.mark.parametrize("breaks, message", [
+    ((), "breaks must be positive"),
+    ((1, 0), "breaks must be positive"),
+    ((3, 9), "p divides u_1"),
+    ((1, 2), "2 < p*1"),
+    ((2, 9), "p | 9 but 9 != p*2"),
+])
+def test_jump_profile_validate_messages(breaks, message):
+    with pytest.raises(InvalidProfile) as exc:
+        JumpProfile(breaks).validate(3)
+    assert str(exc.value) == message
 
 
 def test_kgb():
@@ -925,6 +946,19 @@ def test_kgb():
 
 def test_reduce_jumps_worked_example():
     assert reduce_jumps([11, 79, 433, 2165], 5, 2) == [1, 9, 53, 265]
+
+
+@pytest.mark.parametrize("op", [witt_add, witt_sub])
+def test_witt_add_and_sub_reject_other_fields_and_levels(op):
+    v = wv(F3, {-1: 1}, {-2: 1})
+    for w, message in (
+        (wv(F5, {-1: 1}, {-2: 1}), "Witt vectors over different field specs"),
+        (wv(F3, {-1: 1}), "Witt vectors of different truncation levels"),
+    ):
+        for a, b in ((v, w), (w, v)):
+            with pytest.raises(SpecMismatch) as exc:
+                op(a, b)
+            assert str(exc.value) == message
 
 
 def test_reduce_jumps_idempotent():
