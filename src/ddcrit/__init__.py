@@ -20,10 +20,7 @@ from .gf import (
     FieldElement,
     FieldSpec,
     make_field,
-    ord_mod,
-    pth_root,
     root_of_unity,
-    trace_to_prime,
 )
 from .planner import (
     RadiiReport,
@@ -64,4 +61,4 @@ from .witt import (
     wp,
 )
 
-__version__ = "0.3.8"
+__version__ = "0.3.9"

@@ -9,12 +9,10 @@ whether the data is a witness.
 
 from __future__ import annotations
 
-from math import lcm
-
 from .cartier import Quadruple
 from .criterion import Certificate, ResidueData, certify_data
 from .errors import ExtensionCapExceeded
-from .gf import make_field, ord_mod, root_of_unity, subfield_trace
+from .gf import make_field, root_of_unity, subfield_trace
 from .poly import mu_m_orbit_reps
 
 DEFAULT_DEGREE_CAP = 16
@@ -54,19 +52,21 @@ def construct_trace(
 ) -> ResidueData:
     """Residue data for (p, m, u~, (p-1)u~) from roots of unity.
 
-    Working in F_{p^D} with D = lcm(ord_mod(p, u(p^(nu+1)-1)), nu+1):
-    among the M = u(p^(nu+1)-1)-th roots of unity, discard the set S whose
-    -u-th powers have zero trace to F_p, take mu_m orbit representatives of
-    the rest, and set a_j = -Tr(x_j^-u).  |S| = u(p^nu - 1) leaves N1/m
-    reps; ``certify_data`` needs no count, since ``reconstruct_f`` raises
-    ReconstructionMismatch unless f has degree N1.  The power sums always
-    hold, and the data is isolated exactly when u~ = (m-1) p^nu."""
+    Working in F_{p^D}, D the order of p mod M = u(p^(nu+1)-1), which nu+1
+    divides (p has order nu+1 mod p^(nu+1)-1, a divisor of M): among the
+    M-th roots of unity, discard the set S whose -u-th powers have zero
+    trace to F_p, take mu_m orbit representatives of the rest, and set a_j =
+    -Tr(x_j^-u).  |S| = u(p^nu - 1) leaves N1/m reps; ``certify_data`` needs
+    no count, since ``reconstruct_f`` raises ReconstructionMismatch unless f
+    has degree N1.  The power sums always hold, and the data is isolated
+    exactly when u~ = (m-1) p^nu.  D is sought up to degree_cap only, so
+    ExtensionCapExceeded names the cap, not D."""
     q = Quadruple(p, m, u_tilde, (p - 1) * u_tilde)
     big_m = q.u * (p ** (q.nu + 1) - 1)
-    degree = lcm(ord_mod(p, big_m), q.nu + 1)
-    if degree > degree_cap:
+    degree = next((d for d in range(1, degree_cap + 1) if pow(p, d, big_m) == 1), 0)
+    if not degree:
         raise ExtensionCapExceeded(
-            f"trace family needs F_{{{p}^{degree}}} (cap {degree_cap})"
+            f"trace family needs F_{{{p}^D}} with D > {degree_cap} (cap {degree_cap})"
         )
     spec = make_field(p, degree)
     zeta = root_of_unity(spec, big_m)

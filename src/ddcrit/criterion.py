@@ -137,14 +137,6 @@ def _series_inverse(spec: FieldSpec, coeffs, length: int) -> list:
     return list((power // rev).values[::-1])
 
 
-def _power(ops, v, e: int):
-    """v^e on stored values for e >= 0, as ``FieldElement.__pow__`` takes
-    it: the bundle's ``pow`` wants a nonzero base, and 0^0 = 1."""
-    if v != ops.zero:
-        return ops.pow(v, e)
-    return ops.zero if e else ops.one
-
-
 def _checked_reps(q: Quadruple, big_f: Poly, known: ResidueData):
     """(K, reps) from the splitting degree K and reps of ``known`` if they
     are exactly what ``orbit_reps_in_splitting_field(f, m)`` returns for
@@ -166,7 +158,7 @@ def _checked_reps(q: Quadruple, big_f: Poly, known: ResidueData):
         return None
     # the checks run on stored values, which sort as the elements do
     ops = big._ops
-    mul, frobenius = ops.mul, ops.frobenius
+    mul, power, frobenius = ops.mul, ops.pow, ops.frobenius
     values = [x.v for x in reps]
     if any(a >= b for a, b in zip(values, values[1:])):
         return None
@@ -178,7 +170,7 @@ def _checked_reps(q: Quadruple, big_f: Poly, known: ResidueData):
     seen = set()
     big_f = embed_poly(big_f, big)
     for v in values:
-        y = _power(ops, v, m)
+        y = power(v, m)
         if y in seen:
             continue
         if big_f.evaluate(big.from_values([y])[0]):
@@ -189,7 +181,7 @@ def _checked_reps(q: Quadruple, big_f: Poly, known: ResidueData):
                 y = frobenius(y)
     for r in prime_factors(degree // k):
         sub = p ** (degree // r)
-        if all(_power(ops, v, sub) == v for v in values):
+        if all(power(v, sub) == v for v in values):
             return None
     return degree, reps
 
@@ -298,8 +290,8 @@ def isolation_check(rd: ResidueData, f: Poly):
     det = spec._int_value(math.prod(exps) * math.prod(rd.residues))
     if m > 2:
         for v in values:
-            det = mul(det, _power(ops, v, m - 2))
-    for z, y in combinations([_power(ops, v, m) for v in values], 2):
+            det = mul(det, ops.pow(v, m - 2))
+    for z, y in combinations([ops.pow(v, m) for v in values], 2):
         det = mul(det, sub(y, z))
     det = spec.from_values([det])[0]
     lam = [k - i for i, k in enumerate((e + 1) // m - 1 for e in exps)]
@@ -373,7 +365,7 @@ def reconstruct_f(rd: ResidueData) -> Poly:
     for x, a in zip(rd.reps, rd.residues):
         if a % q.p == 0:
             continue
-        x_m1 = _power(ops, x.v, m - 1)
+        x_m1 = ops.pow(x.v, m - 1)
         y, w = mul(x_m1, x.v), mul(x_m1, spec._int_value(m * a))
         big_s = [
             add(sub(lo, mul(y, hi)), mul(w, c))

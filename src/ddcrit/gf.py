@@ -47,7 +47,6 @@ element or product builds log tables.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 import sys
 from array import array
@@ -56,7 +55,6 @@ from collections import namedtuple
 from .errors import (
     EvenPrime,
     NotAField,
-    NotCoprime,
     NotInSubfield,
     NotPrime,
     OrderNotDividing,
@@ -586,11 +584,9 @@ class FieldElement:
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
+        if e < 0 and not self:
+            raise ZeroDivisionError("inverse of zero field element")
         spec = self.spec
-        if not self:
-            if e < 0:
-                raise ZeroDivisionError("inverse of zero field element")
-            return self if e else spec.one()
         return FieldElement(spec, spec._ops.pow(self.v, e))
 
     def inverse(self) -> "FieldElement":
@@ -774,11 +770,11 @@ class StoredArithmetic(
     table bound, and coefficient tuples above the bound.  It only computes:
     ``FieldSpec._value`` and ``_index`` alone convert between values and
     element indices, and ``_decode`` and ``_encode`` between values and
-    coefficient tuples.  ``div`` takes a nonzero divisor and
-    ``pow`` a nonzero base with any int exponent; ``dot`` is the sum of the
-    products of two equally long value sequences; ``submul(xs, s, c, ys)``
-    subtracts c ys[i] from xs[s + i] in place for every i and a nonzero c,
-    the step of ``_divmod``.
+    coefficient tuples.  ``div`` takes a nonzero divisor and ``pow`` any
+    base with an int exponent, nonnegative for a zero base (0^0 is
+    ``one``); ``dot`` is the sum of the products of two equally long value
+    sequences; ``submul(xs, s, c, ys)`` subtracts c ys[i] from xs[s + i] in
+    place for every i and a nonzero c, the step of ``_divmod``.
 
     Fields: ``zero`` and ``one``, stored values; ``mul``, ``sub``, ``add``,
     ``neg``, ``div``, ``pow`` ((x, e) -> x^e), ``dot``, ``submul`` ((xs, s,
@@ -854,8 +850,9 @@ def _stored_arithmetic(spec: FieldSpec) -> StoredArithmetic:
     def neg(a):
         return exp[log[a] + half]
 
+    # log[0] = 2n, so exp[log[0] * e % n] would read 1 for 0^e, e >= 1
     def power(a, e):
-        return exp[log[a] * e % n]
+        return exp[log[a] * e % n] if a or not e else 0
 
     # each product stays a log, lt < 2n, until it is added; zech repeats
     # with period n over its 2n entries, so lt - la indexes it directly
@@ -1025,12 +1022,6 @@ def kronecker_mul(a, b, spec: FieldSpec) -> list:
 # -- operations --------------------------------------------------------------
 
 
-def pth_root(x: FieldElement) -> FieldElement:
-    """The unique y with y^p = x, namely x^(p^(k-1))."""
-    spec = x.spec
-    return FieldElement(spec, spec._ops.pth_root(x.v))
-
-
 def mth_root(y: FieldElement, m: int) -> FieldElement:
     """One x with x^m = y, for m | p - 1 (zero for y = 0), in a tabled
     field, F_p included: x is exp[floor(log y / m)], one lookup in the log
@@ -1050,23 +1041,10 @@ def mth_root(y: FieldElement, m: int) -> FieldElement:
     return x
 
 
-def trace_to_prime(x: FieldElement, d: int) -> FieldElement:
-    """Trace of x from the subfield F_{p^d} down to F_p.
-
-    Requires d | k and x actually in F_{p^d} (checked via x^(p^d) = x).
-    """
-    spec = x.spec
-    if d < 1 or spec.k % d != 0:
-        raise NotInSubfield(f"degree {d} does not divide {spec.k}")
-    if x ** (spec.p**d) != x:
-        raise NotInSubfield("element is not fixed by the subfield Frobenius")
-    return FieldElement(spec, subfield_trace(spec._ops, x.v, d))
-
-
 def subfield_trace(ops: StoredArithmetic, v, d: int):
     """v + v^p + ... + v^(p^(d-1)) on the stored values of the field whose
     bundle is ops: the trace to F_p of an element that the caller knows to
-    lie in F_{p^d}, without ``trace_to_prime``'s checks."""
+    lie in F_{p^d}."""
     frobenius, add = ops.frobenius, ops.add
     total = v
     for _ in range(d - 1):
@@ -1117,18 +1095,3 @@ def root_of_unity(spec: FieldSpec, order: int) -> FieldElement:
     g = _least_generator(spec)
     return g ** ((spec.order - 1) // order)
 
-
-def ord_mod(p: int, n: int) -> int:
-    """Least D >= 1 with p^D = 1 mod n."""
-    if n < 1:
-        raise ValueError("modulus must be positive")
-    if math.gcd(p, n) != 1:
-        raise NotCoprime(f"gcd({p}, {n}) != 1")
-    if n == 1:
-        return 1
-    d = 1
-    acc = p % n
-    while acc != 1:
-        acc = (acc * p) % n
-        d += 1
-    return d

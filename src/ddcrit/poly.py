@@ -671,12 +671,5 @@ class LaurentPoly(_Dense):
         """Degree in t^{-1}: -low when low < 0, else 0 for nonzero constants."""
         return max(0, -self.low) if self.values else NEG_INF
 
-    def frobenius(self) -> "LaurentPoly":
-        """Entry-wise p-th power: coefficients^p, exponents*p."""
-        spec, p = self.spec, self.spec.p
-        values = [spec._zero] * (p * len(self.values) - p + 1)
-        values[::p] = map(spec._ops.frobenius, self.values)
-        return LaurentPoly._make(spec, p * self.low, values)
-
     def to_json(self):
         return {"low": self.low, "coeffs": [list(self.spec._decode(v)) for v in self.values]}

@@ -8,21 +8,20 @@ each slot, then one carry), upper ramification breaks, the congruence/KGB
 tests and jump reduction — is exact arithmetic over an explicit finite
 field.
 
-Witt addition and standard-form reduction compute on entries in column
+Witt arithmetic and standard-form reduction compute on entries in column
 form, (low, k int columns) (see "column form" below): ``witt_add``,
-``witt_sub`` and ``wp`` convert at their boundary, and ``standard_form``
-keeps its working vector and adjustment in that form from start to end,
-building LaurentPolys only for its result, on the stored values of its
-columns, and no FieldElement.  An addition is one loop over the slots
-(``_add``), its carries c_j(A, B) = S_j(A, 0, ...; B, 0, ...) two-variable
-polynomials from their own ghost recursion (``_carries``), and a
-difference adds the coordinatewise negative.  Over F_p a carry is one
-exact pass on packed ints, a p^s-th power of an entry being the entry
-spread p^s slots apart, reduced mod p once; over F_{p^k}, k >= 2, its
-terms multiply in column form.  Frobenius, the p-th root, the lift into
-a degree-p extension and x -> x^p - x are F_p-linear, so each is a matrix
-cached per field, the first three in ``gf`` and ``poly``, and applied to
-whole columns.
+``witt_sub``, ``witt_neg``, ``frobenius`` and ``wp`` convert at their
+boundary, and ``standard_form`` keeps its working vector and adjustment in
+that form from start to end, building LaurentPolys only for its result, on
+the stored values of its columns, and no FieldElement.  An addition is one
+loop over the slots (``_add``), its carries c_j(A, B) = S_j(A, 0, ...; B, 0,
+...) two-variable polynomials from their own ghost recursion (``_carries``),
+and a difference adds the coordinatewise negative.  Over F_p a carry is one
+exact pass on packed ints, a p^s-th power of an entry being the entry spread
+p^s slots apart, reduced mod p once; over F_{p^k}, k >= 2, its terms
+multiply in column form.  Frobenius, the p-th root, the lift into a degree-p
+extension and x -> x^p - x are F_p-linear, so each is a matrix cached per
+field, the first three in ``gf`` and ``poly``, and applied to whole columns.
 """
 
 from __future__ import annotations
@@ -417,7 +416,7 @@ def witt_add(v: WittVector, w: WittVector) -> WittVector:
 
 def witt_neg(v: WittVector) -> WittVector:
     """Coordinatewise negation (valid for odd p: the ghost map is odd)."""
-    return WittVector(v.spec, tuple(-e for e in v.entries))
+    return _vector(v.spec, _neg(v.spec.p, _columns(v)))
 
 
 def witt_sub(v: WittVector, w: WittVector) -> WittVector:
@@ -427,7 +426,8 @@ def witt_sub(v: WittVector, w: WittVector) -> WittVector:
 
 def frobenius(v: WittVector) -> WittVector:
     """F on W_n(R) in characteristic p: each entry raised to the p-th power."""
-    return WittVector(v.spec, tuple(e.frobenius() for e in v.entries))
+    spec = v.spec
+    return _vector(spec, [_frobenius_entry(spec, e) for e in _columns(v)])
 
 
 def _wp(spec: FieldSpec, x: tuple) -> tuple:

@@ -78,7 +78,7 @@ was replaced by a simpler or faster exact path:
   ``laurent_frobenius_reference`` and ``laurent_map_coeffs_reference``:
   Laurent polynomials as term dicts, the oracle for the dense coefficient
   path of ``LaurentPoly.__add__``, ``ddcrit.cartier.cartier``,
-  ``LaurentPoly.frobenius`` and ``ddcrit.poly.embed_poly``;
+  ``ddcrit.witt.frobenius`` and ``ddcrit.poly.embed_poly``;
 - ``is_exact`` and ``dlog_truncated``: whether C(h dt) = 0, and the
   truncated logarithmic forms of products of (1 - x_j t^-1)^(a_j), which
   no library code calls; the tests check the Cartier operator on them;
@@ -118,7 +118,12 @@ was replaced by a simpler or faster exact path:
   intermediate, the oracles for ``ddcrit.poly.Poly.evaluate``,
   ``ddcrit.poly.mu_m_orbit_reps``, ``ddcrit.criterion._checked_reps`` and
   ``ddcrit.construct.construct_trace``, which compute on stored values
-  through the field's ``StoredArithmetic``.
+  through the field's ``StoredArithmetic``;
+- ``ord_mod`` and ``trace_to_prime``: the multiplicative order of p mod n
+  one step at a time, for the field of ``construct_trace_reference``, and
+  the trace to F_p of an element checked to lie in F_{p^d}, the oracle for
+  the residues of ``ddcrit.construct.construct_trace`` (its unchecked
+  ``ddcrit.gf.subfield_trace``).
 """
 
 from __future__ import annotations
@@ -135,6 +140,8 @@ from ddcrit.errors import (
     ExtensionCapExceeded,
     LevelTooHigh,
     NotAField,
+    NotCoprime,
+    NotInSubfield,
     NotOrbitClosed,
     NotStandardForm,
     ReconstructionMismatch,
@@ -146,9 +153,7 @@ from ddcrit.gf import (
     FieldElement,
     FieldSpec,
     make_field,
-    ord_mod,
     prime_factors,
-    pth_root,
     root_of_unity,
     solve_modp,
     square_and_multiply,
@@ -824,9 +829,9 @@ def witt_add_reference(v: WittVector, w: WittVector) -> WittVector:
 def cartier_reference(h: LaurentPoly) -> LaurentPoly:
     """C(h dt) term by term: a_i t^i with i = -1 mod p goes to
     a_i^(1/p) t^((i+1)/p - 1), every other term to zero."""
-    p = h.spec.p
+    p, root = h.spec.p, h.spec.p ** (h.spec.k - 1)  # c^(1/p) = c^(p^(k-1))
     return LaurentPoly.from_terms(
-        h.spec, {(e + 1) // p - 1: pth_root(c) for e, c in h.terms() if (e + 1) % p == 0}
+        h.spec, {(e + 1) // p - 1: c**root for e, c in h.terms() if (e + 1) % p == 0}
     )
 
 
@@ -913,7 +918,7 @@ def standard_form_reference(
             if offending:
                 e = min(offending)
                 a = entry.term_dict()[e]
-                corr = LaurentPoly(spec, e // p, [pth_root(a)])
+                corr = LaurentPoly(spec, e // p, [a ** p ** (spec.k - 1)])
             else:
                 const = entry.term_dict().get(0)
                 if const is None:
@@ -1118,3 +1123,27 @@ def construct_trace_reference(p: int, m: int, u_tilde: int):
     kept = [x for x, trace in trace_of.items() if trace]
     reps = mu_m_orbit_reps_reference(kept, m, spec)
     return tuple(reps), tuple((-trace_of[x]).prime_int() for x in reps)
+
+
+def ord_mod(p: int, n: int) -> int:
+    """Least D >= 1 with p^D = 1 mod n."""
+    if n < 1:
+        raise ValueError("modulus must be positive")
+    if math.gcd(p, n) != 1:
+        raise NotCoprime(f"gcd({p}, {n}) != 1")
+    d, acc = 1, p % n
+    while acc != 1 % n:
+        acc = acc * p % n
+        d += 1
+    return d
+
+
+def trace_to_prime(x: FieldElement, d: int) -> FieldElement:
+    """Trace of x from the subfield F_{p^d} down to F_p, x + x^p + ... +
+    x^(p^(d-1)); NotInSubfield unless d | k and x^(p^d) = x."""
+    spec = x.spec
+    if d < 1 or spec.k % d != 0:
+        raise NotInSubfield(f"degree {d} does not divide {spec.k}")
+    if x ** (spec.p**d) != x:
+        raise NotInSubfield("element is not fixed by the subfield Frobenius")
+    return sum((x ** spec.p**i for i in range(d)), spec.zero())

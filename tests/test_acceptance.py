@@ -45,6 +45,7 @@ from reference import (
     dlog_truncated,
     elementary_symmetric_reference,
     is_exact,
+    laurent_frobenius_reference,
 )
 
 F3 = make_field(3, 1)
@@ -300,7 +301,7 @@ def test_08_cartier_property_suite():
             f = LaurentPoly.from_terms(
                 spec, {rng.randint(-2, 2): spec.element_by_index(rng.randrange(1, 9))}
             )
-            assert cartier(f.frobenius() * w1) == f * cartier(w1)
+            assert cartier(laurent_frobenius_reference(f) * w1) == f * cartier(w1)
         # C-fixedness of dlog truncations
         for _ in range(25):
             factors = [

@@ -12,7 +12,7 @@ from ddcrit.errors import (
 )
 from ddcrit.gf import make_field
 from ddcrit.poly import LaurentPoly, Poly
-from reference import dlog_truncated, is_exact
+from reference import dlog_truncated, is_exact, laurent_frobenius_reference
 
 F3 = make_field(3, 1)
 F9 = make_field(3, 2)
@@ -88,7 +88,7 @@ def test_cartier_additive_and_semilinear():
         f = LaurentPoly.from_terms(
             F9, {rng.randint(-3, 3): F9.element_by_index(rng.randrange(1, 9))}
         )
-        fp = f.frobenius()  # f^p
+        fp = laurent_frobenius_reference(f)  # f^p
         assert cartier(fp * w1) == f * cartier(w1)
 
 

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from ddcrit.cartier import ddc_check
@@ -12,7 +14,7 @@ from ddcrit.criterion import (
 from ddcrit.errors import ExtensionCapExceeded
 from ddcrit.gf import is_prime, make_field
 from ddcrit.poly import Poly
-from reference import small_family_residues_reference
+from reference import ord_mod, small_family_residues_reference, trace_to_prime
 
 
 def test_small_p3():
@@ -111,8 +113,9 @@ def test_trace_dichotomy_sweep():
 @pytest.mark.parametrize("p, m, u_tilde", [(3, 2, 5), (5, 4, 3), (7, 6, 5), (3, 2, 3)])
 def test_trace_takes_one_trace_per_root_of_unity(monkeypatch, p, m, u_tilde):
     """Each of the M roots of unity gets one trace, taken on its stored
-    value by ``gf.subfield_trace``, with no subfield test; the residues are
-    those of the checked ``trace_to_prime`` of x^(-u)."""
+    value by ``gf.subfield_trace``, with no subfield test, in F_{p^D} for D
+    the order of p mod M; the residues are those of the checked
+    ``trace_to_prime`` of x^(-u) (tests/reference.py)."""
     from ddcrit import construct, gf
 
     calls = []
@@ -123,9 +126,13 @@ def test_trace_takes_one_trace_per_root_of_unity(monkeypatch, p, m, u_tilde):
     monkeypatch.setattr(construct, "subfield_trace", subfield_trace)
     rd = construct_trace(p, m, u_tilde)
     q = rd.quadruple
-    assert calls == [q.nu + 1] * (q.u * (p ** (q.nu + 1) - 1))
+    big_m = q.u * (p ** (q.nu + 1) - 1)
+    assert calls == [q.nu + 1] * big_m
+    # the field degree is the order of p mod M, which nu + 1 divides
+    assert rd.splitting_degree == ord_mod(p, big_m)
+    assert rd.splitting_degree % (q.nu + 1) == 0
     assert rd.residues == tuple(
-        (-gf.trace_to_prime(x ** (-q.u), q.nu + 1)).prime_int() for x in rd.reps
+        (-trace_to_prime(x ** (-q.u), q.nu + 1)).prime_int() for x in rd.reps
     )
 
 
@@ -136,11 +143,21 @@ def test_trace_reconstruct_satisfies_ddc():
 
 
 def test_trace_degree_cap():
-    """The cap error names the prime of the field it would need."""
+    """The cap error names the prime of the field it would need and the cap
+    that its degree exceeds.  At u~ = 10^9 + 7, where 3 has an order mod
+    M = 2 u~ far above the cap, the order search stops at the cap at once."""
     with pytest.raises(
-        ExtensionCapExceeded, match=r"^trace family needs F_\{3\^4\} \(cap 2\)$"
+        ExtensionCapExceeded,
+        match=r"^trace family needs F_\{3\^D\} with D > 2 \(cap 2\)$",
     ):
         construct_trace(3, 2, 5, degree_cap=2)
+    start = time.perf_counter()
+    with pytest.raises(
+        ExtensionCapExceeded,
+        match=r"^trace family needs F_\{3\^D\} with D > 16 \(cap 16\)$",
+    ):
+        construct_trace(3, 2, 10**9 + 7)
+    assert time.perf_counter() - start < 5
 
 
 def test_d9_witnesses():

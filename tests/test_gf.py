@@ -26,12 +26,10 @@ from ddcrit.gf import (
     kronecker_mul,
     make_field,
     mth_root,
-    ord_mod,
-    pth_root,
     root_of_unity,
     solve_modp,
     square_and_multiply,
-    trace_to_prime,
+    subfield_trace,
     value_columns,
 )
 from ddcrit.poly import LaurentPoly, Poly, _powmod
@@ -44,7 +42,9 @@ from reference import (
     field_pow_reference,
     least_generator_reference,
     least_irreducible_reference,
+    ord_mod,
     rabin_reference,
+    trace_to_prime,
 )
 
 F9 = make_field(3, 2)
@@ -234,6 +234,16 @@ def test_frobenius_additivity(x, y):
     assert (x + y) ** 3 == x**3 + y**3
 
 
+def pth_root(x):
+    """The bundle's p-th root of x, as an element."""
+    return x.spec.from_values([x.spec._ops.pth_root(x.v)])[0]
+
+
+def trace(x, d):
+    """``subfield_trace`` of x from F_{p^d}, as an element."""
+    return x.spec.from_values([subfield_trace(x.spec._ops, x.v, d)])[0]
+
+
 @given(elements_of(F9))
 def test_pth_root_roundtrip(x):
     assert pth_root(x) ** 3 == x
@@ -247,20 +257,22 @@ def test_pth_root_prime_field_identity():
 
 
 def test_trace_examples():
-    assert trace_to_prime(F9.zero(), 2) == F9.zero()
-    assert trace_to_prime(F9.one(), 2) == F9.from_int(2)
-    # an honest F_9 element: trace = x + x^3
+    """``subfield_trace`` on stored values and the checked oracle of
+    tests/reference.py agree on hand-worked traces."""
     g = F9.element([0, 1])
-    assert trace_to_prime(g, 2) == g + g**3
+    # an honest F_9 element: trace = x + x^3
+    for x, t in [(F9.zero(), F9.zero()), (F9.one(), F9.from_int(2)), (g, g + g**3)]:
+        assert trace(x, 2) == trace_to_prime(x, 2) == t
 
 
 @given(elements_of(F9))
 def test_trace_lands_in_prime_field(x):
-    t = trace_to_prime(x, 2)
-    assert t**3 == t
+    t = trace(x, 2)
+    assert t**3 == t == trace_to_prime(x, 2)
 
 
 def test_trace_rejects_wrong_subfield():
+    """The oracle checks the subfield that ``subfield_trace`` trusts."""
     g = F9.element([0, 1])
     with pytest.raises(NotInSubfield):
         trace_to_prime(g, 1)  # g is not in F_3
@@ -279,6 +291,7 @@ def test_root_of_unity():
 
 
 def test_ord_mod():
+    """The order that tests/reference.py takes for the trace family's field."""
     assert ord_mod(7, 1) == 1
     assert ord_mod(5, 24) == 2
     assert ord_mod(3, 10) == 4
@@ -401,9 +414,9 @@ STORED_FIELDS = [(3, 1), (7, 1), (10007, 1), (3, 2), (3, 3), (7, 2), (3, 7), (7,
 def test_stored_arithmetic_matches_the_element_operators(p, k):
     """Every operation of ``FieldSpec._ops``, the one arithmetic the
     FieldElement operators run, equals tests/reference.py on coefficient
-    tuples: products, quotients, powers, Frobenius and p-th roots by
-    ``field_mul_reference`` and ``field_pow_reference`` (inverses by
-    Fermat, x^(q-2)), sums, differences and negations coefficient-wise, on
+    tuples: products, quotients, powers (of zero too, at e >= 0),
+    Frobenius and p-th roots by ``field_mul_reference`` and
+    ``field_pow_reference`` (inverses by Fermat, x^(q-2)), sums, differences and negations coefficient-wise, on
     seeded random values and pairs with zero among both operands; ``dot``
     against summed products, and ``submul`` at an offset, with zero
     entries and a difference that cancels, against ``field_mul_reference``."""
@@ -434,9 +447,9 @@ def test_stored_arithmetic_matches_the_element_operators(p, k):
         assert decoded(ops.neg(v)) == tuple(-a % p for a in x)
         assert decoded(ops.frobenius(v)) == power(x, p)
         assert decoded(ops.pth_root(v)) == power(x, p ** (k - 1))
-        if d:
-            for e in (0, 1, 2, p, q - 1, q, 3 * q + 2):
-                assert decoded(ops.pow(v, e)) == power(x, e)
+        for e in (0, 1, 2, p, q - 1, q, 3 * q + 2):
+            assert decoded(ops.pow(v, e)) == power(x, e)
+            if d:
                 assert decoded(ops.pow(v, -e)) == power(inv, e)
     pairs = [(0, 0), (0, 2), (2, 0)] + [
         (rng.randrange(len(digits)), rng.randrange(len(digits))) for _ in range(120)
@@ -469,6 +482,32 @@ def test_stored_arithmetic_matches_the_element_operators(p, k):
             want[i] = tuple((a - b) % p for a, b in zip(want[i], product))
         ops.submul(xs, s, c, ys)
         assert [decoded(v) for v in xs] == want
+
+
+@pytest.mark.parametrize("p, k", [(7, 1), (3, 2), (3, 8)])
+def test_bundle_pow_takes_any_base(p, k):
+    """The bundle's ``pow`` takes a zero base, in a residue field, an index
+    field and a tuple field: 0^0 = one and 0^e = zero for e >= 1.  On random
+    bases, zero included, and exponents it equals ``FieldElement.__pow__``
+    and ``field_pow_reference``; zero to a negative power still raises
+    ZeroDivisionError."""
+    spec = make_field(p, k)
+    ops = spec._ops
+    assert ops.pow(ops.zero, 0) == ops.one
+    for e in (1, 2, p, spec.order - 1, spec.order, 10**6 + 3):
+        assert ops.pow(ops.zero, e) == ops.zero
+    rng = random.Random(f"pow:{p}:{k}")
+    for _ in range(40):
+        x = spec.element_by_index(rng.choice([0, rng.randrange(spec.order)]))
+        e = rng.randrange(3 * spec.order)
+        power = spec.from_values([ops.pow(x.v, e)])[0]
+        assert power == x**e
+        assert power.coeffs == field_pow_reference(x.coeffs, e, p, spec.modulus)
+        if x:
+            assert spec.from_values([ops.pow(x.v, -e)])[0] == x**-e == (x**e).inverse()
+    for e in (-1, -2, -spec.order):
+        with pytest.raises(ZeroDivisionError):
+            spec.zero() ** e
 
 
 @pytest.mark.parametrize("p, k", STORED_FIELDS)

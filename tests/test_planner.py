@@ -82,16 +82,32 @@ def test_invalid_groups_are_rejected_for_every_n(p, m, n):
         profiles_for_group(p, m, n)
 
 
+# (p, m, n): profiles, listed quadruples, quadruples that profile steps reach
+PLANNER_COUNTS = {
+    (3, 2, 2): (6, 4, 4), (5, 2, 2): (20, 8, 8), (7, 2, 2): (42, 12, 12),
+    (5, 4, 2): (20, 8, 8), (3, 2, 3): (18, 22, 14), (5, 2, 3): (100, 58, 44),
+    (5, 4, 3): (100, 58, 46), (7, 3, 3): (294, 110, 92), (3, 2, 4): (54, 76, 44),
+}
+
+
 def test_profiles_map_into_quadruple_list():
-    for p, m, n in [(3, 2, 2), (5, 2, 2), (7, 2, 2), (5, 4, 2)]:
+    """``quadruples_for_group`` and the profile steps answer one question
+    twice: every quadruple a step reaches is listed, with the counts of
+    both pinned; for n >= 3 the list holds quadruples no step reaches."""
+    for (p, m, n), counts in PLANNER_COUNTS.items():
         listed = [quad_tuple(q) for q in quadruples_for_group(p, m, n)]
         quads = set(listed)
         assert len(quads) == len(listed), "quadruples_for_group repeats one"
-        for prof in profiles_for_group(p, m, n):
-            prev = prof.breaks[0]
-            for u in prof.breaks[1:]:
-                assert quad_tuple(quadruple_for_step(p, m, prev, u)) in quads
-                prev = u
+        profiles = profiles_for_group(p, m, n)
+        stepped = {
+            quad_tuple(quadruple_for_step(p, m, prev, u))
+            for prof in profiles
+            for prev, u in zip(prof.breaks, prof.breaks[1:])
+        }
+        assert stepped <= quads
+        assert (len(profiles), len(quads), len(stepped)) == counts, (p, m, n)
+        if (p, m, n) == (3, 2, 3):  # D_27: the listed u~ no step reaches
+            assert {q[2] for q in quads - stepped} == {11, 13, 21, 23}
 
 
 def test_profile_steps_walk_consecutive_breaks():

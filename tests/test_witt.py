@@ -24,7 +24,6 @@ from ddcrit.gf import (
     FieldElement,
     column_values,
     make_field,
-    pth_root,
     value_columns,
 )
 from ddcrit.poly import LaurentPoly, _embedding_map, embed
@@ -49,7 +48,11 @@ from ddcrit.witt import (
 )
 
 from ghost_oracle import ghosts_agree
-from reference import laurent_map_coeffs_reference, witt_add_reference
+from reference import (
+    laurent_frobenius_reference,
+    laurent_map_coeffs_reference,
+    witt_add_reference,
+)
 
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
@@ -453,7 +456,7 @@ def test_wp_additive():
 def test_wp_single_level():
     h = L(F3, {-2: 1, -1: 2})
     v = WittVector(F3, (h,))
-    assert wp(v).entries[0] == h.frobenius() - h
+    assert wp(v).entries[0] == laurent_frobenius_reference(h) - h
 
 
 # -- standard form -----------------------------------------------------------
@@ -605,7 +608,7 @@ def _mapped(rows, xs, dst):
 )
 def test_linear_maps_match_elementwise(k_pair):
     """Frobenius, the p-th root and the lift, as ``gf``'s matrices applied
-    to columns, equal x**p, x**(p^(k-1)) (and ``pth_root``) and
+    to columns, equal x**p, x**(p^(k-1)) (and the bundle's ``pth_root``) and
     ``embed_reference`` (and ``embed``) element by element, and an
     Artin-Schreier solution x of x^p - x = y**p - y checks out, in each
     element form: F_p, the tabled F_{3^3} and F_{5^2}, the untabled
@@ -624,7 +627,8 @@ def test_linear_maps_match_elementwise(k_pair):
         xs += [spec.element_by_index(rng.randrange(spec.order)) for _ in range(40)]
     assert _mapped(gf._frobenius_map(spec), xs, spec) == [x**p for x in xs]
     roots = _mapped(gf._pth_root_map(spec), xs, spec)
-    assert roots == [x ** p ** (k - 1) for x in xs] == [pth_root(x) for x in xs]
+    assert roots == [x ** p ** (k - 1) for x in xs]
+    assert roots == spec.from_values([spec._ops.pth_root(x.v) for x in xs])
     for y in xs:
         root = ddcrit.witt._artin_schreier_solve(spec, (y**p - y).coeffs)
         x = spec.element(root)
@@ -785,12 +789,12 @@ def _is_column_entry(entry, k):
 def test_witt_add_stays_in_column_form(monkeypatch):
     """The Witt addition core ``_add`` takes and returns column-form entries
     and builds no FieldElement or LaurentPoly.  ``standard_form`` makes no
-    Laurent product, sum, difference, negation or Frobenius, no
-    ``kronecker_mul``, ``pth_root`` or ``embed`` (its linear maps are cached
-    per field): with the maps built, the only LaurentPolys it builds are
-    the entries of its result, each by ``LaurentPoly._make`` from stored
-    values, and it builds no FieldElement.  The public sum, difference and
-    wp build each output entry once."""
+    Laurent product, sum, difference or negation, no ``kronecker_mul`` or
+    ``embed`` (its linear maps are cached per field): with the maps built,
+    the only LaurentPolys it builds are the entries of its result, each by
+    ``LaurentPoly._make`` from stored values, and it builds no
+    FieldElement.  The public sum, difference, negation, Frobenius and wp
+    build each output entry once, from column form."""
     depth, stray, built = [0], [], []
 
     def watched(log, name, fn):
@@ -800,7 +804,7 @@ def test_witt_add_stays_in_column_form(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("__mul__", "__rmul__", "__add__", "__sub__", "__neg__", "frobenius"):
+    for name in ("__mul__", "__rmul__", "__add__", "__sub__", "__neg__"):
         monkeypatch.setattr(
             LaurentPoly, name, watched(stray, name, getattr(LaurentPoly, name))
         )
@@ -810,10 +814,7 @@ def test_witt_add_stays_in_column_form(monkeypatch):
             "kronecker_mul",
             watched(stray, "kronecker_mul", module.kronecker_mul),
         )
-    for module, name in ((gf, "pth_root"), (poly, "embed")):
-        monkeypatch.setattr(
-            module, name, watched(stray, name, getattr(module, name))
-        )
+    monkeypatch.setattr(poly, "embed", watched(stray, "embed", poly.embed))
     monkeypatch.setattr(
         ddcrit.witt, "column_values", watched(built, "columns", gf.column_values)
     )
@@ -855,7 +856,8 @@ def test_witt_add_stays_in_column_form(monkeypatch):
     for spec in ELEMENT_FORMS:
         for n in (1, 2, 3):
             v, w = random_vector(rng, spec, n), random_vector(rng, spec, n)
-            for fn, args in ((witt_add, (v, w)), (witt_sub, (v, w)), (wp, (v,))):
+            for fn, args in ((witt_add, (v, w)), (witt_sub, (v, w)), (witt_neg, (v,)),
+                             (frobenius, (v,)), (wp, (v,))):
                 watch(fn, *args)
                 assert built.count("columns") == built.count("laurent") == n
     assert stray == [] and len(cores) > 0
