@@ -61,4 +61,4 @@ from .witt import (
     wp,
 )
 
-__version__ = "0.3.9"
+__version__ = "0.3.10"

@@ -14,6 +14,7 @@ function arithmetic or series truncation.
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 
 from .errors import BadSupport, InvalidQuadruple, VanishesAtZero, WrongDegree
@@ -29,6 +30,17 @@ def _prime_to_p_part(n: int, p: int) -> tuple[int, int]:
     return n, nu
 
 
+@functools.lru_cache(maxsize=None)
+def _group_error(p: int, m: int) -> str | None:
+    """The error text unless p is an odd prime and 1 < m | p - 1, else None,
+    decided once per pair (``Quadruple``, ``planner._check_group``)."""
+    if not is_prime(p) or p == 2:
+        return f"p = {p} must be an odd prime"
+    if m <= 1 or (p - 1) % m != 0:
+        return f"m = {m} must exceed 1 and divide p-1"
+    return None
+
+
 class Quadruple(namedtuple("Quadruple", "p m u_tilde n1 u nu")):
     """(p, m, u~, N1) with m | p-1, m > 1, u~ = -1 mod m, m | N1.
 
@@ -40,10 +52,8 @@ class Quadruple(namedtuple("Quadruple", "p m u_tilde n1 u nu")):
     __slots__ = ()
 
     def __new__(cls, p, m, u_tilde, n1):
-        if not is_prime(p) or p == 2:
-            raise InvalidQuadruple(f"p = {p} must be an odd prime")
-        if m <= 1 or (p - 1) % m != 0:
-            raise InvalidQuadruple(f"m = {m} must exceed 1 and divide p-1")
+        if error := _group_error(p, m):
+            raise InvalidQuadruple(error)
         if u_tilde < 1 or u_tilde % m != m - 1:
             raise InvalidQuadruple(f"u~ = {u_tilde} must be -1 mod m")
         if n1 < 0 or n1 % m != 0:

@@ -24,7 +24,7 @@ from .errors import (
     ReconstructionMismatch,
     ResidueNotPrimeField,
 )
-from .gf import FieldElement, FieldSpec, make_field, prime_factors
+from .gf import FieldSpec, _frobenius_steps, _gauss_jordan, make_field, prime_factors
 from .poly import (
     Poly,
     _mu_m_values,
@@ -149,8 +149,8 @@ def _checked_reps(q: Quadruple, big_f: Poly, known: ResidueData):
     distinct linear factors over F_{p^K}, the roots of f are the orbits
     x_j mu_m, and their field F_{p^D} (k | D) lies in F_{p^K}, so D | K;
     D = K since for each prime r | K/k some rep lies outside F_{p^(K/r)}.
-    The check costs one evaluation of F per Frobenius orbit and one q-th
-    power per y_j, where a search factors F and splits it over F_{p^K}."""
+    The check costs one evaluation of F per Frobenius orbit, and j Frobenius
+    steps per x^(p^j), where a search factors F and splits it over F_{p^K}."""
     p, m, k = q.p, q.m, big_f.spec.k
     degree, reps = known.splitting_degree, known.reps
     big = make_field(p, degree)
@@ -158,30 +158,27 @@ def _checked_reps(q: Quadruple, big_f: Poly, known: ResidueData):
         return None
     # the checks run on stored values, which sort as the elements do
     ops = big._ops
-    mul, power, frobenius = ops.mul, ops.pow, ops.frobenius
     values = [x.v for x in reps]
     if any(a >= b for a, b in zip(values, values[1:])):
         return None
     mu_m = _mu_m_values(big, m)
-    if any(mul(v, w) < v for v in values for w in mu_m):
+    if any(ops.mul(v, w) < v for v in values for w in mu_m):
         return None
     # F(y^q) = F(y)^q over F_q: one evaluation per orbit of y -> y^q, the
     # q-th power as k Frobenius steps
     seen = set()
     big_f = embed_poly(big_f, big)
     for v in values:
-        y = power(v, m)
+        y = ops.pow(v, m)
         if y in seen:
             continue
         if big_f.evaluate(big.from_values([y])[0]):
             return None
         while y not in seen:
             seen.add(y)
-            for _ in range(k):
-                y = frobenius(y)
+            y = _frobenius_steps(ops, y, k)
     for r in prime_factors(degree // k):
-        sub = p ** (degree // r)
-        if all(power(v, sub) == v for v in values):
+        if all(_frobenius_steps(ops, v, degree // r) == v for v in values):
             return None
     return degree, reps
 
@@ -300,37 +297,17 @@ def isolation_check(rd: ResidueData, f: Poly):
         own, big_f = f.spec, f.values[::m]
         mul = own._ops.mul
         # h_k at index k + len(lam); the zeros before it are the h_k, k < 0
-        h = own.from_values([own._zero] * len(lam) + [
+        h = [own._zero] * len(lam) + [
             mul(big_f[-1], c)
             for c in _series_inverse(own, big_f[::-1], lam[0] + len(lam))
-        ])
+        ]
         matrix = [
             [h[part - a + b + len(lam)] for b in range(len(lam))]
             for a, part in enumerate(lam)
         ]
-        det = det * embed(_det(matrix, own), spec)
+        schur = _gauss_jordan(own._ops, matrix, len(lam))[1]
+        det = det * embed(own.from_values([schur])[0], spec)
     return det, bool(det)
-
-
-def _det(matrix, spec: FieldSpec) -> FieldElement:
-    m = [row[:] for row in matrix]
-    n = len(m)
-    det = spec.one()
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return spec.zero()
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det = det * m[col][col]
-        inv = m[col][col].inverse()
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] = m[r][c] - factor * m[col][c]
-    return det
 
 
 def reconstruct_f(rd: ResidueData) -> Poly:

@@ -21,10 +21,6 @@ class OrderNotDividing(DdcritError):
     pass
 
 
-class NotCoprime(DdcritError):
-    pass
-
-
 class SpecMismatch(DdcritError):
     pass
 

@@ -127,26 +127,40 @@ def square_and_multiply(base, e: int, mul):
         base = mul(base, base)
 
 
-def solve_modp(aug: list[list[int]], p: int) -> list[int] | None:
-    """A solution over F_p of the linear system with augmented rows aug
-    (coefficients, then the right-hand side) by Gauss-Jordan elimination,
-    with every free variable 0; None if the system is inconsistent."""
-    rows = list(aug)
-    n = len(rows[0]) - 1
-    pivots = []
+def _gauss_jordan(ops: "StoredArithmetic", rows: list[list], n: int):
+    """Gauss-Jordan elimination, in place, on columns 0..n-1 of rows, lists
+    of stored values, with ops their field's bundle: a column's pivot, its
+    first nonzero entry in the rows not yet pivoted, is swapped up and
+    scaled to one, and ``ops.submul`` clears the column in the other rows.
+    Returns the pivot columns, in row order, and the product of the pivots
+    with the swaps' sign: the determinant of n rows, zero below rank n."""
+    zero, pivots, det = ops.zero, [], ops.one
     for col in range(n):
         r0 = len(pivots)
-        piv = next((r for r in range(r0, len(rows)) if rows[r][col] % p), None)
+        piv = next((r for r in range(r0, len(rows)) if rows[r][col] != zero), None)
         if piv is None:
+            det = zero
             continue
-        rows[r0], rows[piv] = rows[piv], rows[r0]
-        inv = pow(rows[r0][col], p - 2, p)
-        rows[r0] = [(x * inv) % p for x in rows[r0]]
+        if piv != r0:
+            rows[r0], rows[piv], det = rows[piv], rows[r0], ops.neg(det)
+        lead = rows[r0][col]
+        det, inv = ops.mul(det, lead), ops.div(ops.one, lead)
+        rows[r0] = pivot = [ops.mul(x, inv) for x in rows[r0]]
         for r, row in enumerate(rows):
-            if r != r0 and (f := row[col]):
-                rows[r] = [(a - f * b) % p for a, b in zip(row, rows[r0])]
+            if r != r0 and (c := row[col]) != zero:
+                ops.submul(row, col, c, pivot[col:])
         pivots.append(col)
-    if any(row[n] % p for row in rows[len(pivots):]):
+    return pivots, det
+
+
+def solve_modp(aug: list[list[int]], p: int) -> list[int] | None:
+    """A solution over F_p of the linear system with augmented rows aug
+    (coefficients, then the right-hand side) by ``_gauss_jordan``, with
+    every free variable 0; None if the system is inconsistent."""
+    rows = [[x % p for x in row] for row in aug]
+    n = len(rows[0]) - 1
+    pivots = _gauss_jordan(make_field(p, 1)._ops, rows, n)[0]
+    if any(row[n] for row in rows[len(pivots):]):
         return None
     solution = dict(zip(pivots, [row[n] for row in rows]))
     return [solution.get(col, 0) for col in range(n)]
@@ -394,9 +408,6 @@ class FieldSpec(namedtuple("FieldSpec", "p k modulus")):
         if len(c) > self.k:
             raise ValueError("coefficient vector longer than extension degree")
         c += [0] * (self.k - len(c))
-        return self._from_coeffs(c)
-
-    def _from_coeffs(self, c) -> "FieldElement":
         return FieldElement(self, self._encode(c))
 
     def _encode(self, c):
@@ -1039,6 +1050,14 @@ def mth_root(y: FieldElement, m: int) -> FieldElement:
     if x**m != y:
         raise NotAField(f"{y!r} has no {m}-th root in F_{{{p}^{spec.k}}}")
     return x
+
+
+def _frobenius_steps(ops: StoredArithmetic, v, j: int):
+    """v^(p^j) as j Frobenius steps of ops, a field's bundle: j lookups or
+    linear maps, where a power by p^j takes about j log2(p) products."""
+    for _ in range(j):
+        v = ops.frobenius(v)
+    return v
 
 
 def subfield_trace(ops: StoredArithmetic, v, d: int):

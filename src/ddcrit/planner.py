@@ -8,7 +8,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from math import gcd
 
-from .cartier import Quadruple
+from .cartier import Quadruple, _group_error
 from .errors import (
     BadCongruence,
     DdcritError,
@@ -17,7 +17,6 @@ from .errors import (
     InvalidProfile,
     InvalidQuadruple,
 )
-from .gf import is_prime
 from .witt import JumpProfile
 
 
@@ -110,21 +109,13 @@ MAX_PROFILES = 2**16
 def _check_group(p: int, m: int, n: int, error: type[DdcritError]) -> None:
     """Raise error unless Z/p^n x| Z/m is a group the criterion covers: p an
     odd prime, 1 < m with m | p - 1, and n >= 1, with at most MAX_PROFILES
-    jump profiles.  It has (p-1) p^(n-1) of them and fewer than twice as
-    many quadruples; the count is built no larger than MAX_PROFILES."""
-    if not is_prime(p) or p == 2:
-        raise error(f"p = {p} must be an odd prime")
-    if m <= 1 or (p - 1) % m != 0:
-        raise error(f"m = {m} must exceed 1 and divide p-1")
+    jump profiles.  It has (p-1) p^(n-1) of them, fewer than twice as many
+    quadruples, and p^16 alone exceeds MAX_PROFILES."""
+    if group_error := _group_error(p, m):
+        raise error(group_error)
     if n < 1:
         raise error(f"n = {n} must be at least 1")
-    count = p - 1
-    for _ in range(n - 1):
-        if count > MAX_PROFILES // p:
-            count = MAX_PROFILES + 1
-            break
-        count *= p
-    if count > MAX_PROFILES:
+    if (p - 1) * p ** min(n - 1, 16) > MAX_PROFILES:
         raise error(f"Z/{p}^{n} x| Z/{m} has more than {MAX_PROFILES} jump profiles")
 
 

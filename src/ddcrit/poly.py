@@ -30,6 +30,7 @@ from .gf import (
     FieldSpec,
     _apply,
     _divmod,
+    _frobenius_steps,
     _image,
     _powers_map,
     _powmod as _powmod_values,
@@ -222,10 +223,7 @@ class Poly(_Dense):
         a, b = self.values, other.values
         while b:
             a, b = b, _divmod(ops, a, b)[1]
-        if a:
-            inv = ops.div(ops.one, a[-1])
-            a = [ops.mul(c, inv) for c in a]
-        return Poly._make(self.spec, 0, a)
+        return Poly._make(self.spec, 0, a).monic()
 
     def derivative(self) -> "Poly":
         spec = self.spec
@@ -442,7 +440,7 @@ def embed(x: FieldElement, dst: FieldSpec) -> FieldElement:
         return x
     if src.k == 1 and src.p == dst.p:
         return dst.from_int(x.coeffs[0])
-    return dst._from_coeffs(_image(_embedding_map(src, dst), x.coeffs, dst.p))
+    return dst.element(_image(_embedding_map(src, dst), x.coeffs, dst.p))
 
 
 def embed_poly(f: Poly, dst: FieldSpec) -> Poly:
@@ -519,14 +517,14 @@ def _one_root(g: Poly, big: FieldSpec, m: int = 1, degree: int = 0) -> FieldElem
 def _conjugates(g: Poly, big: FieldSpec) -> list[FieldElement]:
     """Every root in big = F_{p^D} of a monic irreducible g over its own
     field F_q (q = p^k), which splits in big: ``_one_root``, then its orbit
-    under r -> r^q, which has deg g elements unless big is no field
-    (NotAField)."""
-    roots = [_one_root(g, big)]
+    under r -> r^q, k Frobenius steps a root, which has deg g elements
+    unless big is no field (NotAField)."""
+    roots = [_one_root(g, big).v]
     for _ in range(int(g.degree) - 1):
-        roots.append(roots[-1] ** g.spec.order)
+        roots.append(_frobenius_steps(big._ops, roots[-1], g.spec.k))
     if len(set(roots)) != g.degree:
         raise NotAField(f"F_{{{big.p}^{big.k}}}: orbit shorter than degree")
-    return roots
+    return big.from_values(roots)
 
 
 # -- orbit representatives and symmetric functions ---------------------------
@@ -573,17 +571,14 @@ def orbit_reps_in_splitting_field(f: Poly, m: int):
     big_degree = spec.k * lcm(*degrees)
     big = make_field(p, big_degree)
     ops = big._ops
-    mul, frobenius = ops.mul, ops.frobenius
     mu_m = _mu_m_values(big, m)
     reps = []
     for (g, _), degree in zip(factors, degrees):
         # the stored value of x, then of x^q = x^(p^k), k Frobenius steps
         x = _one_root(g, big, m, degree).v
-        for i in range(int(g.degree)):
-            if i:
-                for _ in range(spec.k):
-                    x = frobenius(x)
-            reps.append(min([mul(x, w) for w in mu_m]))
+        for _ in range(int(g.degree)):
+            reps.append(min([ops.mul(x, w) for w in mu_m]))
+            x = _frobenius_steps(ops, x, spec.k)
     reps.sort()
     if len(set(reps)) != len(reps):
         raise NotAField(f"F_{{{p}^{big_degree}}}: fewer orbits than deg F")

@@ -88,10 +88,16 @@ was replaced by a simpler or faster exact path:
   for the Teichmüller carries of ``ddcrit.witt.witt_add`` and ``witt_sub``
   (the ghost oracle, tests/ghost_oracle.py, checks sums independently of
   the S_i);
+- ``solve_modp_reference`` and ``field_elimination_reference``:
+  Gauss-Jordan elimination on ints mod p, full rows at a time, and forward
+  Gaussian elimination on ``FieldElement``s, neither of which shares code
+  with ``ddcrit.gf``, the oracles for the solution and for the pivots and
+  determinant of the one elimination there, ``ddcrit.gf._gauss_jordan``
+  on stored values (behind ``solve_modp`` and the isolation determinant's
+  Schur factor);
 - ``small_family_residues_reference``: the power-sum system of the small
-  family (p, 2, 1, N1) solved by Gauss-Jordan elimination over F_p
-  (``ddcrit.gf.solve_modp``), the oracle for the closed-form Lagrange
-  weights of ``ddcrit.construct.construct_small``;
+  family (p, 2, 1, N1) solved by ``solve_modp_reference``, the oracle for
+  the closed-form Lagrange weights of ``ddcrit.construct.construct_small``;
 - ``standard_form_reference``: the per-term reduction, which removes the
   least p-divisible pole (or else the constant) of the current slot one
   monomial at a time, with two Witt additions to subtract wp of it and one
@@ -134,13 +140,12 @@ from itertools import product
 from math import lcm
 
 from ddcrit.cartier import Quadruple, cartier, ddc_check
-from ddcrit.criterion import ResidueData, _det, certify, criterion_exponents
+from ddcrit.criterion import ResidueData, certify, criterion_exponents
 from ddcrit.errors import (
     DdcritError,
     ExtensionCapExceeded,
     LevelTooHigh,
     NotAField,
-    NotCoprime,
     NotInSubfield,
     NotOrbitClosed,
     NotStandardForm,
@@ -155,7 +160,6 @@ from ddcrit.gf import (
     make_field,
     prime_factors,
     root_of_unity,
-    solve_modp,
     square_and_multiply,
 )
 from ddcrit.planner import profiles_for_group, quadruples_for_group, step_radii
@@ -301,10 +305,67 @@ def reconstruct_f_reference(rd: ResidueData) -> Poly:
     return f
 
 
+def solve_modp_reference(aug: list[list[int]], p: int) -> list[int] | None:
+    """A solution over F_p of the system with augmented rows aug by
+    Gauss-Jordan elimination on int rows, the pivot of a column its first
+    row not yet pivoted that is nonzero mod p, with every free variable 0;
+    None if the system is inconsistent."""
+    rows = [list(row) for row in aug]
+    n = len(rows[0]) - 1
+    pivots = []
+    for col in range(n):
+        r0 = len(pivots)
+        piv = next((r for r in range(r0, len(rows)) if rows[r][col] % p), None)
+        if piv is None:
+            continue
+        rows[r0], rows[piv] = rows[piv], rows[r0]
+        inv = pow(rows[r0][col], p - 2, p)
+        rows[r0] = [(x * inv) % p for x in rows[r0]]
+        for r, row in enumerate(rows):
+            if r != r0 and row[col] % p:
+                rows[r] = [(a - row[col] * b) % p for a, b in zip(row, rows[r0])]
+        pivots.append(col)
+    if any(row[n] % p for row in rows[len(pivots):]):
+        return None
+    solution = [0] * n
+    for col, row in zip(pivots, rows):
+        solution[col] = row[n]
+    return solution
+
+
+def field_elimination_reference(matrix) -> tuple[list[int], FieldElement]:
+    """(pivots, det) of a nonempty matrix of FieldElements by forward
+    Gaussian elimination on a copy: the pivot columns, the pivot of a
+    column its first entry, in the rows not yet pivoted, that is nonzero,
+    and the product of the pivots with the sign of the row swaps when the
+    matrix is square of full rank, else zero."""
+    m = [list(row) for row in matrix]
+    spec = m[0][0].spec
+    pivots, det = [], spec.one()
+    for col in range(len(m[0])):
+        r0 = len(pivots)
+        piv = next((r for r in range(r0, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        if piv != r0:
+            m[r0], m[piv] = m[piv], m[r0]
+            det = -det
+        det = det * m[r0][col]
+        inv = m[r0][col].inverse()
+        for r in range(r0 + 1, len(m)):
+            if m[r][col]:
+                factor = m[r][col] * inv
+                m[r] = [a - factor * b for a, b in zip(m[r], m[r0])]
+        pivots.append(col)
+    if not len(m) == len(m[0]) == len(pivots):
+        det = spec.zero()
+    return pivots, det
+
+
 def small_family_residues_reference(p: int, n1: int) -> tuple[int, ...]:
     """Residues a_j of the small family (p, 2, 1, n1) at x_j = j,
     j = 1..n1/2, from the rows sum_j a_j x_j^e = 1/2 for e = 1 and 0 for
-    every other criterion exponent e, by Gauss-Jordan over F_p."""
+    every other criterion exponent e, by ``solve_modp_reference``."""
     if n1 == 0:
         return ()
     q = Quadruple(p, 2, 1, n1)
@@ -316,7 +377,7 @@ def small_family_residues_reference(p: int, n1: int) -> tuple[int, ...]:
     ]
     if len(aug) != len(reps):
         raise AssertionError("small-family power-sum system is not square")
-    residues = solve_modp(aug, p)
+    residues = solve_modp_reference(aug, p)
     if residues is None:
         raise AssertionError("small-family power-sum system has no solution")
     return tuple(residues)
@@ -325,8 +386,8 @@ def small_family_residues_reference(p: int, n1: int) -> tuple[int, ...]:
 def isolation_det_reference(rd: ResidueData):
     """(matrix, det): the Jacobian (e a_j x_j^(e-1)) of the power-sum
     system, rows over the ascending criterion exponents and columns over
-    the reps, and its determinant by Gaussian elimination.  The data must
-    give a square system with at least one rep."""
+    the reps, and its determinant by ``field_elimination_reference``.  The
+    data must give a square system with at least one rep."""
     exps = criterion_exponents(rd.quadruple)
     if not rd.reps or len(exps) != len(rd.reps):
         raise ValueError("the Jacobian is empty or not square")
@@ -334,7 +395,7 @@ def isolation_det_reference(rd: ResidueData):
         [x ** (e - 1) * (a * e) for x, a in zip(rd.reps, rd.residues)]
         for e in exps
     ]
-    return matrix, _det(matrix, rd.field)
+    return matrix, field_elimination_reference(matrix)[1]
 
 
 def elementary_symmetric_reference(values, spec: FieldSpec | None = None):
@@ -1130,7 +1191,7 @@ def ord_mod(p: int, n: int) -> int:
     if n < 1:
         raise ValueError("modulus must be positive")
     if math.gcd(p, n) != 1:
-        raise NotCoprime(f"gcd({p}, {n}) != 1")
+        raise ValueError(f"gcd({p}, {n}) != 1")
     d, acc = 1, p % n
     while acc != 1 % n:
         acc = acc * p % n

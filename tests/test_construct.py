@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from ddcrit.cartier import ddc_check
+from ddcrit.cartier import Quadruple, ddc_check
 from ddcrit.construct import construct_small, construct_trace, d9_witnesses
 from ddcrit.criterion import (
     certify,
@@ -14,6 +14,7 @@ from ddcrit.criterion import (
 from ddcrit.errors import ExtensionCapExceeded
 from ddcrit.gf import is_prime, make_field
 from ddcrit.poly import Poly
+from ddcrit.search import first_witness
 from reference import ord_mod, small_family_residues_reference, trace_to_prime
 
 
@@ -175,3 +176,15 @@ def test_d9_witnesses():
     # N1 = 0 entry: empty isolation matrix counts as isolated
     assert by_quad[(1, 0)].isolated
     assert by_quad[(1, 0)].residue_data.reps == ()
+
+
+@pytest.mark.parametrize("n1", [8, 10])
+def test_d9_hardcoded_witnesses_are_the_first_isolated_witnesses(n1):
+    """The hardcoded (3,2,5,N1) data of ``d9_residue_data`` rebuilds exactly
+    the f that the search finds first with isolation required, and the two
+    certificates agree field by field."""
+    q = Quadruple(3, 2, 5, n1)
+    (cert,) = [c for c in d9_witnesses() if c.quadruple == q]
+    found = first_witness(q, 1, require_isolated=True)
+    assert cert.f == found.f
+    assert cert == found and cert.to_json() == found.to_json()

@@ -12,7 +12,6 @@ from ddcrit.cartier import Quadruple, ddc_check
 from ddcrit.errors import (
     EvenPrime,
     NotAField,
-    NotCoprime,
     NotInSubfield,
     NotPrime,
     OrderNotDividing,
@@ -21,6 +20,7 @@ from ddcrit.errors import (
 from ddcrit.gf import (
     FieldSpec,
     _deterministic_modulus,
+    _gauss_jordan,
     column_values,
     is_prime,
     kronecker_mul,
@@ -38,12 +38,14 @@ from reference import (
     _polymul_modp,
     _trim,
     deterministic_modulus_reference,
+    field_elimination_reference,
     field_mul_reference,
     field_pow_reference,
     least_generator_reference,
     least_irreducible_reference,
     ord_mod,
     rabin_reference,
+    solve_modp_reference,
     trace_to_prime,
 )
 
@@ -140,6 +142,93 @@ def test_solve_modp():
     aug = [[0, 1, 2], [1, 1, 0]]
     solve_modp(aug, 5)
     assert aug == [[0, 1, 2], [1, 1, 0]]
+
+
+# one field of each stored form: F_7 residues, tabled F_9 indices and
+# F_{3^8} coefficient tuples
+ELIMINATION_FIELDS = [(7, 1), (3, 2), (3, 8)]
+
+
+def _eliminate(matrix, n):
+    """(pivots, det, rows) from ``_gauss_jordan`` on the stored values of a
+    matrix of FieldElements, det and rows boxed back into elements."""
+    spec = matrix[0][0].spec
+    rows = [[x.v for x in row] for row in matrix]
+    pivots, det = _gauss_jordan(spec._ops, rows, n)
+    return pivots, spec.from_values([det])[0], [spec.from_values(r) for r in rows]
+
+
+@pytest.mark.parametrize("p, k", ELIMINATION_FIELDS, ids=["F7", "F9", "F3^8"])
+def test_gauss_jordan_against_reference(p, k):
+    """On random square systems, on singular consistent ones (last row c
+    times the first, right-hand side too) and on inconsistent ones (the
+    same with 1 added to the last right-hand side), the kernel's pivots and
+    determinant are those of the reference elimination, it reports
+    inconsistency exactly when the reference finds a pivot in the
+    right-hand-side column, and its solution, free variables 0, solves the
+    system; over F_7, ``solve_modp`` equals ``solve_modp_reference``."""
+    spec = make_field(p, k)
+    zero, one = spec.zero(), spec.one()
+    rng = random.Random(100 * p + k)
+    counts = {"regular": 0, "singular": 0, "inconsistent": 0}
+    for trial in range(60):
+        n = rng.randint(2, 5)
+        a = [[spec.element_by_index(rng.randrange(spec.order)) for _ in range(n)]
+             for _ in range(n)]
+        b = [spec.element_by_index(rng.randrange(spec.order)) for _ in range(n)]
+        kind = trial % 3
+        if kind:
+            c = spec.element_by_index(rng.randrange(spec.order))
+            a[-1] = [c * x for x in a[0]]
+            b[-1] = c * b[0] + (one if kind == 2 else zero)
+        ref_pivots, ref_det = field_elimination_reference(a)
+        pivots, det, _ = _eliminate(a, n)
+        assert (pivots, det) == (ref_pivots, ref_det)
+        assert bool(det) == (len(pivots) == n)
+        aug = [row + [y] for row, y in zip(a, b)]
+        pivots, _, rows = _eliminate(aug, n)
+        assert pivots == ref_pivots
+        inconsistent = n in field_elimination_reference(aug)[0]
+        assert inconsistent == any(row[n] for row in rows[len(pivots):])
+        if kind == 2:
+            assert inconsistent
+        if k == 1:
+            ints = [[x.prime_int() for x in row] for row in aug]
+            assert solve_modp(ints, p) == solve_modp_reference(ints, p)
+        if inconsistent:
+            counts["inconsistent"] += 1
+            continue
+        counts["singular" if len(pivots) < n else "regular"] += 1
+        x = [zero] * n
+        for col, row in zip(pivots, rows):
+            x[col] = row[n]
+        for row, y in zip(a, b):
+            assert sum((u * v for u, v in zip(row, x)), zero) == y
+    assert all(counts.values()), counts
+
+
+@pytest.mark.parametrize("p, k", ELIMINATION_FIELDS, ids=["F7", "F9", "F3^8"])
+def test_gauss_jordan_determinant_sign(p, k):
+    """The determinant counts row swaps: the swap of [[0, 1], [1, 0]] gives
+    -1; a random invertible matrix with a zero corner, so that the kernel
+    swaps, has the reference determinant, and swapping its first two rows
+    negates it."""
+    spec = make_field(p, k)
+    zero, one = spec.zero(), spec.one()
+    assert _eliminate([[zero, one], [one, zero]], 2)[1] == -one
+    rng = random.Random(7 * p + k)
+    for n in (2, 3, 4, 5):
+        while True:
+            a = [[spec.element_by_index(rng.randrange(spec.order))
+                  for _ in range(n)] for _ in range(n)]
+            a[0][0] = zero
+            ref_det = field_elimination_reference(a)[1]
+            if ref_det:
+                break
+        det = _eliminate(a, n)[1]
+        assert det == ref_det
+        swapped = [a[1], a[0], *a[2:]]
+        assert _eliminate(swapped, n)[1] == -det == field_elimination_reference(swapped)[1]
 
 
 def test_is_prime_against_trial_division():
@@ -295,8 +384,9 @@ def test_ord_mod():
     assert ord_mod(7, 1) == 1
     assert ord_mod(5, 24) == 2
     assert ord_mod(3, 10) == 4
-    with pytest.raises(NotCoprime):
+    with pytest.raises(ValueError) as exc:
         ord_mod(3, 9)
+    assert str(exc.value) == "gcd(3, 9) != 1"
     for n in (0, -4):
         with pytest.raises(ValueError) as exc:
             ord_mod(3, n)

@@ -1,7 +1,13 @@
+import contextlib
+import io
+import json
+import pathlib
 from fractions import Fraction
 
 import pytest
 
+from ddcrit.cartier import Quadruple, _group_error
+from ddcrit.cli import main
 from ddcrit.errors import (
     BadCongruence,
     EssentialRamification,
@@ -9,6 +15,7 @@ from ddcrit.errors import (
     InvalidProfile,
     InvalidQuadruple,
 )
+from ddcrit.gf import make_field
 from ddcrit.planner import (
     RadiiReport,
     lifting_radii,
@@ -18,6 +25,8 @@ from ddcrit.planner import (
     quadruples_for_group,
     step_radii,
 )
+from ddcrit.poly import LaurentPoly
+from ddcrit.witt import WittVector, standard_form, upper_breaks
 from reference import step_radii_reference
 
 
@@ -85,29 +94,105 @@ def test_invalid_groups_are_rejected_for_every_n(p, m, n):
 # (p, m, n): profiles, listed quadruples, quadruples that profile steps reach
 PLANNER_COUNTS = {
     (3, 2, 2): (6, 4, 4), (5, 2, 2): (20, 8, 8), (7, 2, 2): (42, 12, 12),
-    (5, 4, 2): (20, 8, 8), (3, 2, 3): (18, 22, 14), (5, 2, 3): (100, 58, 44),
+    (5, 4, 2): (20, 8, 8), (7, 3, 2): (42, 12, 12), (7, 6, 2): (42, 12, 12),
+    (11, 2, 2): (110, 20, 20), (13, 4, 2): (156, 24, 24),
+    (3, 2, 3): (18, 22, 14), (5, 2, 3): (100, 58, 44),
     (5, 4, 3): (100, 58, 46), (7, 3, 3): (294, 110, 92), (3, 2, 4): (54, 76, 44),
 }
 
 
 def test_profiles_map_into_quadruple_list():
     """``quadruples_for_group`` and the profile steps answer one question
-    twice: every quadruple a step reaches is listed, with the counts of
-    both pinned; for n >= 3 the list holds quadruples no step reaches."""
+    twice: every quadruple that ``profile_steps`` gives is listed, with the
+    counts of both pinned; the two agree at n = 2, and for n >= 3 the list
+    holds quadruples no step reaches."""
     for (p, m, n), counts in PLANNER_COUNTS.items():
         listed = [quad_tuple(q) for q in quadruples_for_group(p, m, n)]
         quads = set(listed)
         assert len(quads) == len(listed), "quadruples_for_group repeats one"
         profiles = profiles_for_group(p, m, n)
         stepped = {
-            quad_tuple(quadruple_for_step(p, m, prev, u))
-            for prof in profiles
-            for prev, u in zip(prof.breaks, prof.breaks[1:])
+            quad_tuple(q) for prof in profiles for _, q, _ in profile_steps(p, m, prof)
         }
         assert stepped <= quads
         assert (len(profiles), len(quads), len(stepped)) == counts, (p, m, n)
+        if n == 2:
+            assert stepped == quads, (p, m, n)
         if (p, m, n) == (3, 2, 3):  # D_27: the listed u~ no step reaches
             assert {q[2] for q in quads - stepped} == {11, 13, 21, 23}
+
+
+def _plan_profiles(p, m, n):
+    """The profiles that ``plan`` prints for Z/p^n x| Z/m."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["--compact", "plan", "--p", str(p), "--m", str(m), "--n", str(n)])
+    assert code == 0
+    return [tuple(prof) for prof in json.loads(out.getvalue())["profiles"]]
+
+
+def test_plan_profiles_are_realized_by_witt_vectors():
+    """Every profile (u_1, ..., u_n) that ``plan`` prints is the upper
+    break sequence of a Witt vector: entry i is t^(-u_i) where i = 0 or
+    u_i > p u_(i-1), and 0 where u_i = p u_(i-1), and ``upper_breaks`` of
+    its standard form gives the profile back (the break formula of Thomas,
+    J. Theor. Nombres Bordeaux 17 (2005)).  This ties ``plan`` to ``witt``."""
+    total = 0
+    for p, m, n in [(3, 2, 2), (3, 2, 3), (5, 2, 2), (5, 4, 2), (5, 2, 3),
+                    (7, 2, 2), (7, 3, 2)]:
+        spec = make_field(p, 1)
+        for prof in _plan_profiles(p, m, n):
+            entries = tuple(
+                LaurentPoly.from_terms(spec, {-u: spec.one()})
+                if i == 0 or u > p * prof[i - 1] else LaurentPoly.zero(spec)
+                for i, u in enumerate(prof)
+            )
+            v = standard_form(WittVector(spec, entries)).vector
+            assert upper_breaks(v).breaks == prof, (p, m, prof)
+            total += 1
+    assert total == 248
+
+
+@pytest.mark.parametrize("cleared", [True, False], ids=["cold", "cached"])
+def test_group_check_does_not_leak_between_calls(capsys, cleared):
+    """The (p, m) check is cached per pair, and a valid pair decided before
+    an invalid one, or after it, leaves each its own verdict: the same
+    exit code and error text in one process, from a cold cache and a warm
+    one, for ``Quadruple``, ``plan`` and ``check``."""
+    if cleared:
+        _group_error.cache_clear()
+    golden = pathlib.Path(__file__).parent / "golden"
+    plan_ok = ["--compact", "plan", "--p", "3", "--m", "2", "--n", "2"]
+    plan_bad = ["--compact", "plan", "--p", "9", "--m", "2", "--n", "2"]
+    check_ok = ["--compact", "check", "--p", "3", "--m", "2", "--u", "5",
+                "--n1", "8", "--f", "1,0,0,0,0,0,1,0,1"]
+    check_bad = ["--compact", "check", "--p", "7", "--m", "4", "--u", "3",
+                 "--n1", "4", "--f", "1,0,0,0,1"]
+    expected = {
+        "plan_ok": (0, (golden / "plan_3_2_2.stdout").read_text(), ""),
+        "plan_bad": (2, "", '{"error": "p = 9 must be an odd prime"}\n'),
+        "check_ok": (0, (golden / "check_3_2_5_8.stdout").read_text(), ""),
+        "check_bad": (2, "", '{"error": "m = 4 must exceed 1 and divide p-1"}\n'),
+    }
+    argvs = {"plan_ok": plan_ok, "plan_bad": plan_bad,
+             "check_ok": check_ok, "check_bad": check_bad}
+    for _ in range(2):
+        assert Quadruple(3, 2, 1, 2).n1 == 2
+        with pytest.raises(InvalidQuadruple) as exc:
+            Quadruple(9, 2, 1, 2)
+        assert str(exc.value) == "p = 9 must be an odd prime"
+        assert Quadruple(7, 3, 2, 3).m == 3  # one p, two m: each its own verdict
+        with pytest.raises(InvalidQuadruple) as exc:
+            Quadruple(7, 4, 3, 4)
+        assert str(exc.value) == "m = 4 must exceed 1 and divide p-1"
+        for name in ["plan_ok", "plan_bad", "plan_ok", "check_ok", "check_bad",
+                     "check_ok", "plan_bad", "check_bad"]:
+            code = main(argvs[name])
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == expected[name], name
+    with pytest.raises(InvalidProfile) as exc:
+        profiles_for_group(9, 2, 2)
+    assert str(exc.value) == "p = 9 must be an odd prime"
 
 
 def test_profile_steps_walk_consecutive_breaks():
